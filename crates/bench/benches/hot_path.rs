@@ -6,8 +6,12 @@
 //! latency virtualised (PR 4), per-message CPU and allocator traffic
 //! are the dominant *real* cost of the metered-create hammer, so this
 //! bench meters exactly those: for the steady-state workload it
-//! reports **ns/op**, **buffer allocs/op** and **one-way-function
-//! evals/op**, for three shapes:
+//! reports **ns/op**, **buffer allocs/op**, **one-way-function
+//! evals/op**, **locks/op** and the cross-thread hand-offs behind the
+//! lock count — **queue pushes/op** and **wakes/op** — for these
+//! shapes (the single shape is gated at 2 pushes per transaction in
+//! `tests/scale.rs`; the batched shape fans entries out through the
+//! ready queue, and its figures are recorded here, not gated):
 //!
 //! * **single** — the §3.6 metered create (nested bank payment), every
 //!   machine behind an F-box, one frame per request;
@@ -180,6 +184,8 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
         oneway_evals: hot.oneway_evals,
         frames: hot.frames_sent,
         hot_locks: pool.lock_acquisitions() - locks0,
+        queue_pushes: hot.queue_pushes,
+        queue_wakes: hot.queue_wakes,
     };
     net.set_latency(Duration::ZERO);
     runner.stop();
@@ -275,6 +281,8 @@ fn cluster_leg(legacy: bool) -> HotPathMeasure {
         oneway_evals: hot.oneway_evals,
         frames: hot.frames_sent,
         hot_locks: pool.lock_acquisitions() - locks0,
+        queue_pushes: hot.queue_pushes,
+        queue_wakes: hot.queue_wakes,
     };
     net.set_latency(Duration::ZERO);
     cluster.stop();
@@ -293,6 +301,7 @@ fn leg_json(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) -> Strin
         "  \"{name}\": {{\n    \"ops\": {},\n    \"ns_per_op\": {:.0},\n    \
          \"allocs_per_op\": {:.3},\n    \"oneway_per_op\": {:.3},\n    \
          \"locks_per_op\": {:.3},\n    \
+         \"pushes_per_op\": {:.3},\n    \"wakes_per_op\": {:.3},\n    \
          \"frames_per_op\": {:.3},\n    \"legacy_ns_per_op\": {:.0},\n    \
          \"legacy_allocs_per_op\": {:.3},\n    \"legacy_oneway_per_op\": {:.3},\n    \
          \"alloc_reduction\": {:.1},\n    \"oneway_reduction\": {:.1}\n  }}",
@@ -301,6 +310,8 @@ fn leg_json(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) -> Strin
         fast.allocs_per_op(),
         fast.oneway_per_op(),
         fast.locks_per_op(),
+        fast.pushes_per_op(),
+        fast.wakes_per_op(),
         fast.frames as f64 / fast.ops as f64,
         legacy.ns_per_op(),
         legacy.allocs_per_op(),
@@ -329,12 +340,14 @@ fn contended_json(one: &HotPathMeasure, two: &HotPathMeasure) -> String {
 fn print_leg(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) {
     println!(
         "hot-path/{name}: fast {:.0} ns/op, {:.2} allocs/op, {:.2} oneway/op, \
-         {:.2} locks/op (legacy {:.0} ns/op, {:.2} allocs/op, {:.2} oneway/op — \
-         {:.0}x / {:.0}x fewer)",
+         {:.2} locks/op, {:.2} pushes/op, {:.2} wakes/op (legacy {:.0} ns/op, \
+         {:.2} allocs/op, {:.2} oneway/op — {:.0}x / {:.0}x fewer)",
         fast.ns_per_op(),
         fast.allocs_per_op(),
         fast.oneway_per_op(),
         fast.locks_per_op(),
+        fast.pushes_per_op(),
+        fast.wakes_per_op(),
         legacy.ns_per_op(),
         legacy.allocs_per_op(),
         legacy.oneway_per_op(),

@@ -90,6 +90,12 @@ pub struct HotPathMeasure {
     /// (pool spill queues, demux overflow, batch accumulators, lease
     /// broker — see `amoeba_net::hot_lock_acquisitions` for scope).
     pub hot_locks: u64,
+    /// Messages pushed onto the network's queues (machine inboxes,
+    /// ready queues, reply mailboxes) during the measured phase — the
+    /// cross-thread hand-offs.
+    pub queue_pushes: u64,
+    /// Wake-ups those pushes issued to parked receivers.
+    pub queue_wakes: u64,
 }
 
 impl HotPathMeasure {
@@ -111,6 +117,16 @@ impl HotPathMeasure {
     /// Fleet-metered hot-mutex acquisitions per operation.
     pub fn locks_per_op(&self) -> f64 {
         self.hot_locks as f64 / self.ops as f64
+    }
+
+    /// Queue pushes (cross-thread hand-offs) per operation.
+    pub fn pushes_per_op(&self) -> f64 {
+        self.queue_pushes as f64 / self.ops as f64
+    }
+
+    /// Wake-ups issued to parked receivers per operation.
+    pub fn wakes_per_op(&self) -> f64 {
+        self.queue_wakes as f64 / self.ops as f64
     }
 
     /// Operations per second of real wall-clock.
@@ -174,6 +190,8 @@ pub fn hot_path_round(
         oneway_evals: hot.oneway_evals,
         frames: hot.frames_sent,
         hot_locks: pool.lock_acquisitions() - locks0,
+        queue_pushes: hot.queue_pushes,
+        queue_wakes: hot.queue_wakes,
     };
 
     net.set_latency(Duration::ZERO);
@@ -345,10 +363,14 @@ pub fn contended_hot_path(threads: usize, warmup: usize, creates: usize) -> HotP
     let hot_locks = pool.lock_acquisitions() - locks0;
     let mut oneway_evals = 0;
     let mut frames = 0;
+    let mut queue_pushes = 0;
+    let mut queue_wakes = 0;
     for handle in handles {
         let hot = handle.join().expect("contended fleet thread");
         oneway_evals += hot.oneway_evals;
         frames += hot.frames_sent;
+        queue_pushes += hot.queue_pushes;
+        queue_wakes += hot.queue_wakes;
     }
     HotPathMeasure {
         ops: (threads * creates) as u64,
@@ -358,6 +380,8 @@ pub fn contended_hot_path(threads: usize, warmup: usize, creates: usize) -> HotP
         oneway_evals,
         frames,
         hot_locks,
+        queue_pushes,
+        queue_wakes,
     }
 }
 

@@ -477,6 +477,40 @@ mod tests {
     }
 
     #[test]
+    fn repeated_stale_map_calls_do_not_wait_out_a_retransmit() {
+        // After a migration a stale-map client keeps addressing the old
+        // owner's port. The old owner forwards and the *new* owner
+        // answers, which once taught the client's route cache "the new
+        // owner's machine serves the old port": the next call was
+        // machine-targeted at a machine that does not listen there and
+        // sat out the 500 ms retransmission timeout. Every repeat must
+        // now complete at forwarding speed.
+        let net = Network::new();
+        let cluster = elastic_fs(&net, 2);
+        let svc = ServiceClient::open(&net);
+        let cap = create_at(&svc, cluster.replica_port(0));
+        write(&svc, &cap, b"moved");
+        let rpc = Client::new(net.attach_open());
+        cluster.migrate(&rpc, shard_of(&cap), 1).unwrap();
+
+        for call in 1..=4 {
+            let before = net.stats().snapshot();
+            let t0 = std::time::Instant::now();
+            assert_eq!(&read(&svc, &cap)[..], b"moved");
+            let took = t0.elapsed();
+            let frames = (net.stats().snapshot() - before).packets_sent;
+            assert!(
+                took < std::time::Duration::from_millis(100),
+                "stale-map call {call} took {took:?} ({frames} frames)"
+            );
+            // Request, forward, reply — plus at most one hinted frame
+            // that reached nobody and was re-sent at once.
+            assert!((3..=4).contains(&frames), "call {call}: {frames} frames");
+        }
+        cluster.stop();
+    }
+
+    #[test]
     fn migration_is_invisible_to_a_live_writer() {
         let net = Network::new();
         let cluster = elastic_fs(&net, 2);

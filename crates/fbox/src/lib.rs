@@ -181,9 +181,10 @@ impl<F: OneWay> NetworkInterface for FBox<F> {
         wire
     }
 
-    fn release(&self, get_port: Port) {
+    fn release(&self, get_port: Port) -> Port {
         let wire = self.put_port(get_port);
         self.listening.lock().remove(&wire);
+        wire
     }
 
     /// The transmission transform: `dest` passes through, `reply` and
@@ -275,7 +276,7 @@ mod tests {
         intruder.claim(p); // intruder tries GET(P)
 
         let n = client.send(Header::to(p), Bytes::from_static(b"for server only"));
-        assert_eq!(n, 1, "exactly the real server receives");
+        assert_eq!(n.delivered, 1, "exactly the real server receives");
         assert!(server.recv().is_ok());
         assert!(intruder.try_recv().is_none());
     }

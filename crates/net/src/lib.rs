@@ -57,7 +57,7 @@ mod stats;
 mod sync;
 
 pub use addr::{MachineId, Port};
-pub use network::{Endpoint, Network, RecvError, SimRelease};
+pub use network::{Endpoint, Network, RecvError, Sent, SimRelease};
 pub use nic::{NetworkInterface, OpenNic};
 pub use packet::{Header, Packet};
 pub use pool::BufPool;

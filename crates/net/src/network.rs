@@ -5,10 +5,22 @@
 //! with [`Network::attach`], providing a
 //! [`NetworkInterface`](crate::NetworkInterface) (an open NIC or an
 //! F-box) and receiving an [`Endpoint`] — their only handle onto the
-//! wire. Every send is offered to every *other* machine's interface;
-//! the interface decides, by destination port, whether the frame is
-//! taken (associative addressing). The network, not the sender, stamps
-//! the unforgeable source machine id.
+//! wire. A frame is taken wherever an interface accepts its destination
+//! port (associative addressing) — the interface's
+//! [`accepts`](crate::NetworkInterface::accepts) is the decision on
+//! every delivery, and nothing bypasses it. The network, not the
+//! sender, stamps the unforgeable source machine id.
+//!
+//! # Who is asked
+//!
+//! A broadcast is offered to every other machine; a unicast frame only
+//! to the target machine when the header names one, otherwise to the
+//! machines the **claim index** (wire port → claimers, kept by
+//! [`Endpoint::claim`], [`Endpoint::release`] and endpoint drop) lists
+//! for its port. The index narrows who is asked and never decides:
+//! each candidate's interface is still consulted, and
+//! `packets_filtered` still counts every machine that did not take the
+//! frame (`docs/ARCHITECTURE.md`, "Demux and port leases").
 //!
 //! # Delivery model
 //!
@@ -37,7 +49,7 @@ use crate::sim::{FaultCounters, FaultPlan, SimController};
 use crate::stats::{HotPathSnapshot, NetworkStats};
 use amoeba_obs::Obs;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{metered, unbounded, Meter, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,20 +59,112 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 struct MachineEntry {
+    /// The machine's receive queue — once [closed](Endpoint::close), a
+    /// queue with no receiver: frames its interface accepts vanish.
     sender: Sender<Packet>,
     nic: Arc<dyn NetworkInterface>,
     /// The machine's advertised load gauge (e.g. in-flight requests),
     /// shared with the machine's [`Endpoint`]. Placement policies read
     /// it when choosing among service replicas.
     load: Arc<AtomicU32>,
+    /// The wire ports this machine holds in [`Topology::claims`], so
+    /// detaching removes exactly its own index entries.
+    claimed: HashSet<Port>,
+}
+
+/// Everything a send consults, under one lock: a frame's path takes
+/// one read of it; topology changes take the write side.
+#[derive(Default)]
+struct Topology {
+    machines: HashMap<MachineId, MachineEntry>,
+    /// The claim index: wire port → the machines whose endpoints
+    /// claimed it (see the module docs, "Who is asked").
+    claims: HashMap<Port, Vec<MachineId>>,
+    taps: Vec<Sender<Packet>>,
+    colocated: HashSet<(MachineId, MachineId)>,
+    partitioned: HashSet<(MachineId, MachineId)>,
+}
+
+impl Topology {
+    /// Calls `deliver` for every machine that takes a frame `from`
+    /// sends under `header` (its interface accepts it and the link is
+    /// not severed), counting filtered and partition-dropped frames.
+    /// Returns how many interfaces accepted, severed links included.
+    fn offer(
+        &self,
+        stats: &NetworkStats,
+        from: MachineId,
+        header: &Header,
+        mut deliver: impl FnMut(MachineId, &MachineEntry),
+    ) -> usize {
+        let mut accepted = 0;
+        let mut take = |id: MachineId, entry: &MachineEntry| {
+            accepted += 1;
+            // A severed link only "drops" frames the peer would actually
+            // have taken; counting filtered noise would be misleading.
+            if !self.partitioned.is_empty() && self.partitioned.contains(&(from, id)) {
+                stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
+            } else {
+                deliver(id, entry);
+            }
+        };
+        if header.dest.is_broadcast() {
+            // Broadcast bypasses the interfaces' port filter (and
+            // ignores the machine hint); interfaces do not hear their
+            // own frames.
+            for (&id, entry) in &self.machines {
+                if id != from {
+                    take(id, entry);
+                }
+            }
+            return accepted;
+        }
+        if let Some(target) = header.target {
+            // A machine-targeted frame is addressed, not offered: only
+            // the target's interface is asked.
+            if let Some(entry) = self.machines.get(&target).filter(|_| target != from) {
+                if entry.nic.accepts(header.dest) {
+                    take(target, entry);
+                } else {
+                    stats.packets_filtered.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            return accepted;
+        }
+        for &id in self.claims.get(&header.dest).map_or(&[][..], Vec::as_slice) {
+            if id == from {
+                continue;
+            }
+            let entry = &self.machines[&id]; // detach unindexes first
+            if entry.nic.accepts(header.dest) {
+                take(id, entry);
+            }
+        }
+        // Every other machine's interface saw the frame go by and did
+        // not take it — exactly what asking each of them would count.
+        let others = self.machines.len().saturating_sub(1);
+        stats
+            .packets_filtered
+            .fetch_add((others - accepted) as u64, Ordering::Relaxed);
+        accepted
+    }
+}
+
+/// What became of one transmitted frame ([`Endpoint::send`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Sent {
+    /// Interfaces that accepted the frame — decided before any loss,
+    /// partition or fault-plan draw, so it is the same on every run.
+    /// Zero means nobody listens where the frame was addressed.
+    pub accepted: usize,
+    /// Copies that entered a machine's queue (or, on a simulation
+    /// network, its delivery schedule).
+    pub delivered: usize,
 }
 
 struct NetworkInner {
     reactor: Arc<Reactor>,
-    machines: RwLock<HashMap<MachineId, MachineEntry>>,
-    taps: RwLock<Vec<Sender<Packet>>>,
-    colocated: RwLock<HashSet<(MachineId, MachineId)>>,
-    partitioned: RwLock<HashSet<(MachineId, MachineId)>>,
+    topology: RwLock<Topology>,
     next_id: AtomicU32,
     /// One-way hop latency, stored as whole nanoseconds so the send
     /// path reads it with one atomic load instead of a lock.
@@ -71,6 +175,9 @@ struct NetworkInner {
     drop_rate_bits: AtomicU64,
     rng: Mutex<StdRng>,
     stats: NetworkStats,
+    /// Counts the pushes and wakes of this network's queues: machine
+    /// inboxes and every queue made with [`Network::channel`].
+    queues: Meter,
     /// The network's observability handle (disabled until
     /// [`Network::obs`] + [`Obs::enable`]): shared with the reactor,
     /// the sim controller, and every layer above via
@@ -96,7 +203,7 @@ pub struct Network {
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("machines", &self.inner.machines.read().len())
+            .field("machines", &self.machine_count())
             .field(
                 "latency",
                 &Duration::from_nanos(self.inner.latency_nanos.load(Ordering::Relaxed)),
@@ -146,15 +253,13 @@ impl Network {
         Network {
             inner: Arc::new(NetworkInner {
                 reactor,
-                machines: RwLock::new(HashMap::new()),
-                taps: RwLock::new(Vec::new()),
-                colocated: RwLock::new(HashSet::new()),
-                partitioned: RwLock::new(HashSet::new()),
+                topology: RwLock::new(Topology::default()),
                 next_id: AtomicU32::new(1),
                 latency_nanos: AtomicU64::new(0),
                 drop_rate_bits: AtomicU64::new(0),
                 rng: Mutex::new(StdRng::seed_from_u64(0x0A11_0E8A)),
                 stats: NetworkStats::default(),
+                queues: Meter::new(),
                 obs,
                 sim,
             }),
@@ -203,14 +308,15 @@ impl Network {
     /// Attaches a machine with the given network interface.
     pub fn attach(&self, nic: Arc<dyn NetworkInterface>) -> Endpoint {
         let id = MachineId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = self.channel();
         let load = Arc::new(AtomicU32::new(0));
-        self.inner.machines.write().insert(
+        self.inner.topology.write().machines.insert(
             id,
             MachineEntry {
                 sender: tx,
                 nic: Arc::clone(&nic),
                 load: Arc::clone(&load),
+                claimed: HashSet::new(),
             },
         );
         Endpoint {
@@ -227,6 +333,13 @@ impl Network {
     /// Attaches a machine with an unprotected [`OpenNic`].
     pub fn attach_open(&self) -> Endpoint {
         self.attach(Arc::new(OpenNic::new()))
+    }
+
+    /// An unbounded MPMC queue for hand-offs between this network's
+    /// parties (ready queues, reply mailboxes), counted with the
+    /// machine inboxes in [`hot_path`](Network::hot_path).
+    pub fn channel<T>(&self) -> (Sender<T>, Receiver<T>) {
+        metered(&self.inner.queues)
     }
 
     /// Sets the one-way delivery latency for all future packets between
@@ -256,7 +369,7 @@ impl Network {
     /// between them skips the network latency. Used to model local
     /// vs remote memory-server placement (§3.1).
     pub fn colocate(&self, a: MachineId, b: MachineId) {
-        let mut set = self.inner.colocated.write();
+        let set = &mut self.inner.topology.write().colocated;
         set.insert((a, b));
         set.insert((b, a));
     }
@@ -265,14 +378,14 @@ impl Network {
     /// between them silently vanish until [`heal`](Network::heal) —
     /// failure injection for partition testing.
     pub fn partition(&self, a: MachineId, b: MachineId) {
-        let mut set = self.inner.partitioned.write();
+        let set = &mut self.inner.topology.write().partitioned;
         set.insert((a, b));
         set.insert((b, a));
     }
 
     /// Restores the link severed by [`partition`](Network::partition).
     pub fn heal(&self, a: MachineId, b: MachineId) {
-        let mut set = self.inner.partitioned.write();
+        let set = &mut self.inner.topology.write().partitioned;
         set.remove(&(a, b));
         set.remove(&(b, a));
     }
@@ -281,7 +394,7 @@ impl Network {
     /// packet on the wire, exactly what a wiretapping intruder sees.
     pub fn tap(&self) -> Receiver<Packet> {
         let (tx, rx) = unbounded();
-        self.inner.taps.write().push(tx);
+        self.inner.topology.write().taps.push(tx);
         rx
     }
 
@@ -299,15 +412,16 @@ impl Network {
 
     /// Snapshots the hot-path cost counters: frames sent on this
     /// network, one-way-function evaluations by its attached
-    /// interfaces, process-wide payload-buffer allocations, and
-    /// process-wide counted lock acquisitions. See [`HotPathSnapshot`]
-    /// for the accounting caveats.
+    /// interfaces, pushes and wakes on its queues, process-wide
+    /// payload-buffer allocations, and process-wide counted lock
+    /// acquisitions. See [`HotPathSnapshot`] for the accounting
+    /// caveats.
     pub fn hot_path(&self) -> HotPathSnapshot {
-        use std::sync::atomic::Ordering;
         let oneway_evals = self
             .inner
-            .machines
+            .topology
             .read()
+            .machines
             .values()
             .map(|e| e.nic.crypto_evals())
             .sum();
@@ -316,6 +430,8 @@ impl Network {
             oneway_evals,
             buffer_allocs: bytes::stats::buffer_allocs(),
             lock_acquisitions: crate::sync::hot_lock_acquisitions(),
+            queue_pushes: self.inner.queues.pushes(),
+            queue_wakes: self.inner.queues.wakes(),
         }
     }
 
@@ -323,34 +439,33 @@ impl Network {
     /// the machine has detached. See [`Endpoint::set_load`].
     pub fn load_of(&self, id: MachineId) -> Option<u32> {
         self.inner
-            .machines
+            .topology
             .read()
+            .machines
             .get(&id)
             .map(|e| e.load.load(Ordering::Relaxed))
     }
 
     /// Number of currently attached machines.
     pub fn machine_count(&self) -> usize {
-        self.inner.machines.read().len()
+        self.inner.topology.read().machines.len()
     }
 
-    /// Transmits a packet from machine `from`. Returns the number of
-    /// machines the packet was delivered to.
+    /// Transmits a packet from machine `from` and reports what became
+    /// of it.
     ///
     /// The sender's interface transforms the header (unbypassable), the
-    /// network stamps the source address, and the packet is offered to
-    /// every *other* machine's interface — delivered where the interface
-    /// accepts the destination port, or everywhere for
-    /// [`Port::BROADCAST`].
-    pub(crate) fn send(&self, from: MachineId, mut header: Header, payload: Bytes) -> usize {
+    /// network stamps the source address, and the packet is delivered
+    /// wherever an interface accepts the destination port — or
+    /// everywhere for [`Port::BROADCAST`]. See the module docs ("Who
+    /// is asked") for which interfaces a unicast frame is offered to.
+    pub(crate) fn send(&self, from: MachineId, mut header: Header, payload: Bytes) -> Sent {
         let stats = &self.inner.stats;
-        {
-            let machines = self.inner.machines.read();
-            let Some(entry) = machines.get(&from) else {
-                return 0; // detached machine
-            };
-            entry.nic.egress(&mut header);
-        }
+        let topology = self.inner.topology.read();
+        let Some(entry) = topology.machines.get(&from) else {
+            return Sent::default(); // detached machine
+        };
+        entry.nic.egress(&mut header);
         stats.packets_sent.fetch_add(1, Ordering::Relaxed);
         stats.bytes_sent.fetch_add(
             Packet::WIRE_HEADER_BYTES + payload.len() as u64,
@@ -379,168 +494,92 @@ impl Network {
         };
         if drop_rate > 0.0 && self.inner.rng.lock().gen::<f64>() < drop_rate {
             stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-            return 0;
+            return Sent::default();
         }
 
         let latency = Duration::from_nanos(self.inner.latency_nanos.load(Ordering::Relaxed));
+        // The one clock read of a frame's path.
         let now = self.inner.reactor.now();
+        let packet_for = |id: MachineId| {
+            let delayed = !latency.is_zero()
+                && (topology.colocated.is_empty() || !topology.colocated.contains(&(from, id)));
+            Packet {
+                source: from,
+                header,
+                // Must clone: every recipient gets its own handle onto
+                // the one shared payload buffer — a refcount bump, no
+                // byte copy.
+                payload: payload.clone(),
+                deliver_at: if delayed { now + latency } else { now },
+                gate: None,
+                delayed,
+            }
+        };
 
         // Intruder taps see the frame as transmitted. Tap copies are
-        // diagnostics, not deliveries: they carry no gate.
-        {
-            let taps = self.inner.taps.read();
-            if !taps.is_empty() {
-                let pkt = Packet {
-                    source: from,
-                    // Must clone: each tap owns its copy — an O(1)
-                    // refcount bump, the payload bytes are shared.
-                    payload: payload.clone(),
-                    header,
-                    deliver_at: now,
-                    gate: None,
-                };
-                for tap in taps.iter() {
-                    let _ = tap.send(pkt.clone());
+        // diagnostics, not deliveries: they carry no gate and no
+        // latency.
+        for tap in &topology.taps {
+            let _ = tap.send(Packet {
+                source: from,
+                header,
+                payload: payload.clone(),
+                deliver_at: now,
+                gate: None,
+                delayed: false,
+            });
+        }
+
+        let mut delivered = 0;
+        let accepted = if let Some(sim) = &self.inner.sim {
+            // Simulation: the same recipients, visited in `MachineId`
+            // order (hash-map and claim order are the kind of
+            // nondeterminism the simulation exists to eliminate), each
+            // copy offered to the seeded fault gate instead of a
+            // machine queue. Sim packets are never gated: ordering is
+            // enforced centrally by the controller's release schedule.
+            let mut recipients = Vec::new();
+            let accepted = topology.offer(stats, from, &header, |id, _| recipients.push(id));
+            recipients.sort_unstable();
+            for id in recipients {
+                if sim.offer(now, id, packet_for(id)) {
+                    delivered += 1;
+                } else {
+                    stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-
-        if let Some(sim) = &self.inner.sim {
-            return self.send_sim(sim, from, header, payload, now, latency);
-        }
-
-        let machines = self.inner.machines.read();
-        let colocated = self.inner.colocated.read();
-        let partitioned = self.inner.partitioned.read();
-        let mut delivered = 0;
-        for (&id, entry) in machines.iter() {
-            if id == from {
-                continue; // interfaces do not hear their own frames
-            }
-            // A machine-targeted frame is addressed, not offered: other
-            // machines never see it (broadcast ignores the hint).
-            if !header.dest.is_broadcast() && header.target.is_some_and(|t| t != id) {
-                continue;
-            }
-            if !header.dest.is_broadcast() && !entry.nic.accepts(header.dest) {
-                stats.packets_filtered.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // A severed link only "drops" frames the peer would actually
-            // have taken; counting filtered noise would be misleading.
-            if partitioned.contains(&(from, id)) {
-                stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let deliver_at = if colocated.contains(&(from, id)) {
-                now
-            } else {
-                now + latency
-            };
-            // Under the virtual clock every enqueued packet gates the
-            // timeline at its arrival instant until consumed, keeping
-            // concurrent flows causally ordered (see Reactor::deliver).
-            let gate = self
-                .inner
-                .reactor
-                .uses_gates()
-                .then(|| self.inner.reactor.register_gate(deliver_at));
-            let pkt = Packet {
-                source: from,
-                header,
-                // Must clone: broadcast fan-out gives every recipient
-                // its own handle onto the one shared payload buffer
-                // (refcount bump, no byte copy).
-                payload: payload.clone(),
-                deliver_at,
-                gate,
-            };
-            if entry.sender.send(pkt).is_ok() {
-                delivered += 1;
-                stats.packets_delivered.fetch_add(1, Ordering::Relaxed);
-            } else if let Some(gate) = gate {
-                // Nobody will ever consume it; free the timeline.
-                self.inner.reactor.release_gate(gate);
-            }
-        }
-        drop(machines);
-        drop(colocated);
-        drop(partitioned);
-        // Wake every parked receiver to re-poll its queue. The
-        // wall-clock fast paths block on the channels themselves, so
-        // this only matters to reactor-parked waiters (virtual-clock
-        // receives, driver pools).
+            accepted
+        } else {
+            let reactor = &self.inner.reactor;
+            topology.offer(stats, from, &header, |id, entry| {
+                // Under the virtual clock every enqueued packet gates
+                // the timeline at its arrival instant until consumed,
+                // keeping concurrent flows causally ordered (see
+                // Reactor::deliver).
+                let mut pkt = packet_for(id);
+                pkt.gate = reactor
+                    .uses_gates()
+                    .then(|| reactor.register_gate(pkt.deliver_at));
+                let gate = pkt.gate;
+                if entry.sender.send(pkt).is_ok() {
+                    delivered += 1;
+                    stats.packets_delivered.fetch_add(1, Ordering::Relaxed);
+                } else if let Some(gate) = gate {
+                    // Nobody will ever consume it; free the timeline.
+                    reactor.release_gate(gate);
+                }
+            })
+        };
+        drop(topology);
+        // Wake every reactor-parked receiver to re-poll its queue
+        // (virtual-clock receives, driver pools). The wall-clock paths
+        // block on the queues themselves, and nobody being parked
+        // costs one load here.
         self.inner.reactor.notify();
-        delivered
-    }
-
-    /// The simulation-mode transmit path: applies the same recipient
-    /// filters as the live path, then offers each copy to the seeded
-    /// fault gate instead of the machine queues. Recipients are
-    /// visited in `MachineId` order — the live path's `HashMap`
-    /// iteration order is the kind of nondeterminism the simulation
-    /// exists to eliminate. Returns how many recipients had at least
-    /// one copy parked in the schedule.
-    fn send_sim(
-        &self,
-        sim: &Arc<SimController>,
-        from: MachineId,
-        header: Header,
-        payload: Bytes,
-        now: Timestamp,
-        latency: Duration,
-    ) -> usize {
-        let stats = &self.inner.stats;
-        let machines = self.inner.machines.read();
-        let colocated = self.inner.colocated.read();
-        let partitioned = self.inner.partitioned.read();
-        let mut recipients: Vec<MachineId> = Vec::new();
-        for (&id, entry) in machines.iter() {
-            if id == from {
-                continue;
-            }
-            if !header.dest.is_broadcast() && header.target.is_some_and(|t| t != id) {
-                continue;
-            }
-            if !header.dest.is_broadcast() && !entry.nic.accepts(header.dest) {
-                stats.packets_filtered.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if partitioned.contains(&(from, id)) {
-                stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            recipients.push(id);
+        Sent {
+            accepted,
+            delivered,
         }
-        recipients.sort_unstable();
-        let mut parked = 0;
-        for id in recipients {
-            let deliver_at = if colocated.contains(&(from, id)) {
-                now
-            } else {
-                now + latency
-            };
-            let pkt = Packet {
-                source: from,
-                header,
-                // Must clone: fan-out shares the one payload buffer.
-                payload: payload.clone(),
-                deliver_at,
-                // Sim packets are never gated: ordering is enforced
-                // centrally by the controller's release schedule.
-                gate: None,
-            };
-            if sim.offer(now, id, pkt) {
-                parked += 1;
-            } else {
-                stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        drop(machines);
-        drop(colocated);
-        drop(partitioned);
-        self.inner.reactor.notify();
-        parked
     }
 
     /// Whether this network runs in deterministic simulation mode.
@@ -622,8 +661,9 @@ impl Network {
             return SimRelease::Dropped { at };
         };
         let delivered = {
-            let machines = self.inner.machines.read();
-            machines
+            let topology = self.inner.topology.read();
+            topology
+                .machines
                 .get(&target)
                 .is_some_and(|entry| entry.sender.send(pkt).is_ok())
         };
@@ -666,11 +706,57 @@ impl Network {
         self.sim().take_log()
     }
 
+    /// Lists `id` as a claimer of wire port `wire`.
+    fn index_claim(&self, id: MachineId, wire: Port) {
+        let mut topology = self.inner.topology.write();
+        let Some(entry) = topology.machines.get_mut(&id) else {
+            return;
+        };
+        if entry.claimed.insert(wire) {
+            topology.claims.entry(wire).or_default().push(id);
+        }
+    }
+
+    /// Undoes [`index_claim`](Self::index_claim).
+    fn index_release(&self, id: MachineId, wire: Port) {
+        let topology = &mut *self.inner.topology.write();
+        if let Some(entry) = topology.machines.get_mut(&id) {
+            entry.claimed.remove(&wire);
+        }
+        unindex(&mut topology.claims, id, wire);
+    }
+
+    /// Swaps machine `id`'s queue sender for one nobody receives from:
+    /// blocked receivers wake with a disconnect, later frames vanish.
+    fn close(&self, id: MachineId) {
+        if let Some(entry) = self.inner.topology.write().machines.get_mut(&id) {
+            entry.sender = unbounded().0;
+        }
+        // Reactor-parked receivers observe the disconnect on their
+        // next poll.
+        self.inner.reactor.notify();
+    }
+
     fn detach(&self, id: MachineId) {
-        self.inner.machines.write().remove(&id);
+        let topology = &mut *self.inner.topology.write();
+        if let Some(entry) = topology.machines.remove(&id) {
+            for wire in entry.claimed {
+                unindex(&mut topology.claims, id, wire);
+            }
+        }
         // Parked receivers of the detached endpoint observe the
         // disconnect on their next poll.
         self.inner.reactor.notify();
+    }
+}
+
+/// Removes `id` from `wire`'s claimers, and the entry once empty.
+fn unindex(claims: &mut HashMap<Port, Vec<MachineId>>, id: MachineId, wire: Port) {
+    if let Some(claimers) = claims.get_mut(&wire) {
+        claimers.retain(|&m| m != id);
+        if claimers.is_empty() {
+            claims.remove(&wire);
+        }
     }
 }
 
@@ -768,11 +854,6 @@ impl Endpoint {
         &self.net
     }
 
-    /// The machine's network interface.
-    pub fn nic(&self) -> &Arc<dyn NetworkInterface> {
-        &self.nic
-    }
-
     /// The network's observability handle (see [`Network::obs`]).
     pub fn obs(&self) -> &Obs {
         self.net.obs()
@@ -825,17 +906,41 @@ impl Endpoint {
     /// Returns the wire port actually listened on — `F(port)` under an
     /// F-box.
     pub fn claim(&self, port: Port) -> Port {
-        self.nic.claim(port)
+        let wire = self.nic.claim(port);
+        self.net.index_claim(self.id, wire);
+        wire
     }
 
     /// Withdraws a claim made with [`claim`](Endpoint::claim).
     pub fn release(&self, port: Port) {
-        self.nic.release(port)
+        let wire = self.nic.release(port);
+        self.net.index_release(self.id, wire);
     }
 
-    /// Transmits a packet. Returns how many machines received it.
-    pub fn send(&self, header: Header, payload: Bytes) -> usize {
+    /// Transmits a packet and reports how many interfaces accepted it
+    /// and how many copies were delivered.
+    pub fn send(&self, header: Header, payload: Bytes) -> Sent {
         self.net.send(self.id, header, payload)
+    }
+
+    /// Closes this machine's receive queue for good: what is queued is
+    /// discarded, frames sent to the machine from now on vanish, and
+    /// every thread blocked in a receive on this endpoint wakes with
+    /// [`RecvError::Disconnected`]. The machine stays attached and its
+    /// interface keeps its claims, so peers see a crashed machine —
+    /// timeouts, not refusals.
+    pub fn close(&self) {
+        self.net.close(self.id);
+        self.discard_queued();
+    }
+
+    /// Empties the queue of an endpoint that will receive no more.
+    /// Nothing queued will ever be consumed; releasing the delivery
+    /// gates keeps the virtual timeline from wedging.
+    fn discard_queued(&self) {
+        while let Ok(pkt) = self.receiver.try_recv() {
+            self.net.reactor().discard(&pkt);
+        }
     }
 
     /// Blocks until a packet arrives (advancing the clock over its
@@ -946,11 +1051,7 @@ const _: () = {
 impl Drop for Endpoint {
     fn drop(&mut self) {
         self.net.detach(self.id);
-        // Packets still queued here will never be consumed; release
-        // their delivery gates so the virtual timeline is not wedged.
-        while let Ok(pkt) = self.receiver.try_recv() {
-            self.net.reactor().discard(&pkt);
-        }
+        self.discard_queued();
     }
 }
 
@@ -971,8 +1072,8 @@ mod tests {
         let c = net.attach_open();
         b.claim(port(7));
 
-        let n = a.send(Header::to(port(7)), Bytes::from_static(b"x"));
-        assert_eq!(n, 1);
+        let sent = a.send(Header::to(port(7)), Bytes::from_static(b"x"));
+        assert_eq!((sent.accepted, sent.delivered), (1, 1));
         assert_eq!(&b.recv().unwrap().payload[..], b"x");
         assert!(c.try_recv().is_none());
     }
@@ -994,7 +1095,7 @@ mod tests {
         let b = net.attach_open();
         let c = net.attach_open();
         let n = a.send(Header::to(Port::BROADCAST), Bytes::from_static(b"loc"));
-        assert_eq!(n, 2);
+        assert_eq!(n.delivered, 2);
         assert!(b.recv().is_ok());
         assert!(c.recv().is_ok());
         assert!(a.try_recv().is_none());
@@ -1006,7 +1107,7 @@ mod tests {
         let a = net.attach_open();
         a.claim(port(5));
         let n = a.send(Header::to(port(5)), Bytes::new());
-        assert_eq!(n, 0);
+        assert_eq!(n.delivered, 0);
     }
 
     #[test]
@@ -1032,10 +1133,10 @@ mod tests {
         let b = net.attach_open();
         b.claim(port(2));
         net.set_drop_rate(1.0);
-        assert_eq!(a.send(Header::to(port(2)), Bytes::new()), 0);
+        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 0);
         assert_eq!(net.stats().snapshot().packets_dropped, 1);
         net.set_drop_rate(0.0);
-        assert_eq!(a.send(Header::to(port(2)), Bytes::new()), 1);
+        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 1);
     }
 
     #[test]
@@ -1082,14 +1183,14 @@ mod tests {
         c.claim(port(3));
 
         net.partition(a.id(), b.id());
-        assert_eq!(a.send(Header::to(port(2)), Bytes::new()), 0);
-        assert_eq!(b.send(Header::to(port(1)), Bytes::new()), 0);
+        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 0);
+        assert_eq!(b.send(Header::to(port(1)), Bytes::new()).delivered, 0);
         // Third parties are unaffected.
-        assert_eq!(a.send(Header::to(port(3)), Bytes::new()), 1);
+        assert_eq!(a.send(Header::to(port(3)), Bytes::new()).delivered, 1);
         assert_eq!(net.stats().snapshot().packets_dropped, 2);
 
         net.heal(a.id(), b.id());
-        assert_eq!(a.send(Header::to(port(2)), Bytes::new()), 1);
+        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 1);
     }
 
     #[test]
@@ -1099,7 +1200,10 @@ mod tests {
         let b = net.attach_open();
         let c = net.attach_open();
         net.partition(a.id(), b.id());
-        assert_eq!(a.send(Header::to(Port::BROADCAST), Bytes::new()), 1);
+        assert_eq!(
+            a.send(Header::to(Port::BROADCAST), Bytes::new()).delivered,
+            1
+        );
         assert!(c.try_recv().is_some());
         assert!(b.try_recv().is_none());
     }
@@ -1122,7 +1226,10 @@ mod tests {
         b.claim(port(2));
         let from = a.id();
         drop(a);
-        assert_eq!(net.send(from, Header::to(port(2)), Bytes::new()), 0);
+        assert_eq!(
+            net.send(from, Header::to(port(2)), Bytes::new()),
+            Sent::default()
+        );
         assert_eq!(net.machine_count(), 1);
     }
 
@@ -1151,15 +1258,13 @@ mod tests {
         c.claim(port(7));
 
         // Untargeted: associative addressing delivers to both claimers.
-        assert_eq!(a.send(Header::to(port(7)), Bytes::new()), 2);
+        assert_eq!(a.send(Header::to(port(7)), Bytes::new()).delivered, 2);
         assert!(b.try_recv().is_some());
         assert!(c.try_recv().is_some());
 
         // Targeted: only machine b hears it.
-        assert_eq!(
-            a.send(Header::to(port(7)).targeted(b.id()), Bytes::new()),
-            1
-        );
+        let sent = a.send(Header::to(port(7)).targeted(b.id()), Bytes::new());
+        assert_eq!((sent.accepted, sent.delivered), (1, 1));
         assert!(b.try_recv().is_some());
         assert!(c.try_recv().is_none());
     }
@@ -1171,10 +1276,8 @@ mod tests {
         let net = Network::new();
         let a = net.attach_open();
         let b = net.attach_open();
-        assert_eq!(
-            a.send(Header::to(port(9)).targeted(b.id()), Bytes::new()),
-            0
-        );
+        let sent = a.send(Header::to(port(9)).targeted(b.id()), Bytes::new());
+        assert_eq!((sent.accepted, sent.delivered), (0, 0));
         assert!(b.try_recv().is_none());
     }
 
@@ -1185,7 +1288,10 @@ mod tests {
         let b = net.attach_open();
         let c = net.attach_open();
         let n = a.send(Header::to(Port::BROADCAST).targeted(b.id()), Bytes::new());
-        assert_eq!(n, 2, "broadcast still reaches every other machine");
+        assert_eq!(
+            n.delivered, 2,
+            "broadcast still reaches every other machine"
+        );
         assert!(b.try_recv().is_some());
         assert!(c.try_recv().is_some());
     }
@@ -1316,6 +1422,235 @@ mod tests {
         }
         let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 100, "every packet claimed exactly once");
+    }
+
+    #[test]
+    fn untargeted_unicast_asks_only_indexed_claimers_but_counts_everyone() {
+        let net = Network::new();
+        let a = net.attach_open();
+        let b = net.attach_open();
+        let _c = net.attach_open();
+        let _d = net.attach_open();
+        b.claim(port(7));
+        b.claim(port(7)); // claims are a set, in the interface and the index
+        let sent = a.send(Header::to(port(7)), Bytes::new());
+        assert_eq!((sent.accepted, sent.delivered), (1, 1));
+        assert_eq!(net.stats().snapshot().packets_filtered, 2, "c and d");
+
+        b.release(port(7));
+        let sent = a.send(Header::to(port(7)), Bytes::new());
+        assert_eq!(sent, Sent::default());
+        assert_eq!(net.stats().snapshot().packets_filtered, 2 + 3);
+        assert!(net.inner.topology.read().claims.is_empty());
+    }
+
+    #[test]
+    fn detach_removes_the_machines_index_entries() {
+        let net = Network::new();
+        let a = net.attach_open();
+        let b = net.attach_open();
+        let c = net.attach_open();
+        b.claim(port(1));
+        b.claim(port(2));
+        c.claim(port(2));
+        drop(b);
+        assert_eq!(a.send(Header::to(port(1)), Bytes::new()).accepted, 0);
+        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 1);
+        let topology = net.inner.topology.read();
+        assert_eq!(topology.claims.len(), 1);
+        assert_eq!(topology.claims[&port(2)], vec![c.id()]);
+    }
+
+    #[test]
+    fn closed_machine_wakes_blocked_receivers_and_swallows_frames() {
+        let net = Network::new();
+        let a = net.attach_open();
+        let b = Arc::new(net.attach_open());
+        b.claim(port(4));
+        let blocked: Vec<_> = (0..3)
+            .map(|_| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || b.recv())
+            })
+            .collect();
+        b.close();
+        for t in blocked {
+            assert_eq!(t.join().unwrap().unwrap_err(), RecvError::Disconnected);
+        }
+        // Still attached, still claiming: the frame is accepted and
+        // lost, as by a crashed machine.
+        let sent = a.send(Header::to(port(4)).targeted(b.id()), Bytes::new());
+        assert_eq!((sent.accepted, sent.delivered), (1, 0));
+        assert_eq!(net.machine_count(), 2);
+    }
+
+    #[test]
+    fn zero_latency_frames_are_not_marked_delayed() {
+        let net = Network::new();
+        let a = net.attach_open();
+        let b = net.attach_open();
+        let c = net.attach_open();
+        b.claim(port(2));
+        c.claim(port(2));
+        a.send(Header::to(port(2)), Bytes::new());
+        assert!(!b.recv().unwrap().delayed);
+        assert!(!c.recv().unwrap().delayed);
+        net.set_latency(Duration::from_millis(1));
+        net.colocate(a.id(), c.id());
+        a.send(Header::to(port(2)), Bytes::new());
+        assert!(b.recv().unwrap().delayed);
+        assert!(!c.recv().unwrap().delayed, "co-located: no hop latency");
+    }
+
+    #[test]
+    fn queue_meter_counts_inbox_and_party_queues() {
+        let net = Network::new();
+        let a = net.attach_open();
+        let b = net.attach_open();
+        b.claim(port(3));
+        let (tx, rx) = net.channel();
+        let before = net.hot_path();
+        a.send(Header::to(port(3)), Bytes::new());
+        tx.send(1u8).unwrap();
+        let hot = net.hot_path() - before;
+        assert_eq!((hot.queue_pushes, hot.queue_wakes), (2, 0));
+        assert!(b.try_recv().is_some() && rx.try_recv().is_ok());
+    }
+
+    /// One step of the index-vs-reference property below.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Attach(usize),
+        Detach(usize),
+        Claim(usize, u64),
+        Release(usize, u64),
+        Partition(usize, usize),
+        Heal(usize, usize),
+        /// `(from, port, target)`; port 0 is the broadcast port.
+        Send(usize, u64, Option<usize>),
+    }
+
+    fn step_strategy() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        const SLOTS: usize = 5;
+        prop_oneof![
+            (0..SLOTS).prop_map(Step::Attach),
+            (0..SLOTS).prop_map(Step::Detach),
+            (0..SLOTS, 1u64..4).prop_map(|(m, p)| Step::Claim(m, p)),
+            (0..SLOTS, 1u64..4).prop_map(|(m, p)| Step::Claim(m, p)),
+            (0..SLOTS, 1u64..4).prop_map(|(m, p)| Step::Release(m, p)),
+            (0..SLOTS, 0..SLOTS).prop_map(|(a, b)| Step::Partition(a, b)),
+            (0..SLOTS, 0..SLOTS).prop_map(|(a, b)| Step::Heal(a, b)),
+            (0..SLOTS, 0u64..4).prop_map(|(m, p)| Step::Send(m, p, None)),
+            (0..SLOTS, 0u64..4).prop_map(|(m, p)| Step::Send(m, p, None)),
+            (0..SLOTS, 0u64..4, 0..SLOTS).prop_map(|(m, p, t)| Step::Send(m, p, Some(t))),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The claim index only narrows who is asked: over any history
+        /// of attaches, detaches, claims, releases, partitions and
+        /// heals, a send reaches exactly the machines that asking
+        /// *every* interface would reach (the reference model below),
+        /// and the filter and drop counters agree with that model.
+        #[test]
+        fn indexed_send_matches_offer_to_every_machine(
+            steps in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            use proptest::prelude::*;
+            let net = Network::new();
+            // Reference state, kept beside the real endpoints.
+            let mut machines: Vec<Option<(Endpoint, HashSet<u64>)>> =
+                (0..5).map(|_| None).collect();
+            let mut severed: HashSet<(MachineId, MachineId)> = HashSet::new();
+            let (mut filtered, mut dropped) = (0u64, 0u64);
+            for step in steps {
+                match step {
+                    Step::Attach(m) => {
+                        if machines[m].is_none() {
+                            machines[m] = Some((net.attach_open(), HashSet::new()));
+                        }
+                    }
+                    Step::Detach(m) => machines[m] = None,
+                    Step::Claim(m, p) => {
+                        if let Some((ep, claimed)) = &mut machines[m] {
+                            ep.claim(port(p));
+                            claimed.insert(p);
+                        }
+                    }
+                    Step::Release(m, p) => {
+                        if let Some((ep, claimed)) = &mut machines[m] {
+                            ep.release(port(p));
+                            claimed.remove(&p);
+                        }
+                    }
+                    Step::Partition(a, b) | Step::Heal(a, b) => {
+                        let (Some((ea, _)), Some((eb, _))) = (&machines[a], &machines[b]) else {
+                            continue;
+                        };
+                        let pair = [(ea.id(), eb.id()), (eb.id(), ea.id())];
+                        if matches!(step, Step::Partition(..)) {
+                            net.partition(ea.id(), eb.id());
+                            severed.extend(pair);
+                        } else {
+                            net.heal(ea.id(), eb.id());
+                            severed.retain(|link| !pair.contains(link));
+                        }
+                    }
+                    Step::Send(from, p, target) => {
+                        let Some((sender, _)) = &machines[from] else {
+                            continue;
+                        };
+                        // A target slot that is empty names a machine
+                        // that is not there.
+                        let target = target.map(|t| match &machines[t] {
+                            Some((ep, _)) => ep.id(),
+                            None => MachineId::from(u32::MAX),
+                        });
+                        let dest = if p == 0 { Port::BROADCAST } else { port(p) };
+                        let mut header = Header::to(dest);
+                        header.target = target;
+                        let sent = sender.send(header, Bytes::new());
+
+                        // The reference: offer the frame to every
+                        // other attached machine.
+                        let mut expect_accepted = 0;
+                        let mut expect: Vec<MachineId> = Vec::new();
+                        for (ep, claimed) in machines.iter().flatten() {
+                            let id = ep.id();
+                            if id == sender.id() {
+                                continue;
+                            }
+                            if p != 0 {
+                                if target.is_some_and(|t| t != id) {
+                                    continue;
+                                }
+                                if !claimed.contains(&p) {
+                                    filtered += 1;
+                                    continue;
+                                }
+                            }
+                            expect_accepted += 1;
+                            if severed.contains(&(sender.id(), id)) {
+                                dropped += 1;
+                            } else {
+                                expect.push(id);
+                            }
+                        }
+                        prop_assert_eq!(sent.accepted, expect_accepted);
+                        prop_assert_eq!(sent.delivered, expect.len());
+                        for (ep, _) in machines.iter().flatten() {
+                            let got = std::iter::from_fn(|| ep.try_recv()).count();
+                            let want = usize::from(expect.contains(&ep.id()));
+                            prop_assert_eq!(got, want, "machine {:?} on {:?}", ep.id(), step);
+                        }
+                    }
+                }
+                let stats = net.stats().snapshot();
+                prop_assert_eq!(stats.packets_filtered, filtered, "after {:?}", step);
+                prop_assert_eq!(stats.packets_dropped, dropped, "after {:?}", step);
+            }
+        }
     }
 
     #[test]

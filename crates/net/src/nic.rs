@@ -27,8 +27,10 @@ pub trait NetworkInterface: Send + Sync + std::fmt::Debug {
     /// an F-box, `port` itself for an open interface).
     fn claim(&self, port: Port) -> Port;
 
-    /// Withdraws a previous claim (by the same process-visible port).
-    fn release(&self, port: Port);
+    /// Withdraws a previous claim (by the same process-visible port)
+    /// and returns the wire port it listened on — what
+    /// [`claim`](NetworkInterface::claim) returned for `port`.
+    fn release(&self, port: Port) -> Port;
 
     /// Transforms an outgoing header in place. Called by the network on
     /// every send — unbypassable.
@@ -75,8 +77,9 @@ impl NetworkInterface for OpenNic {
         port
     }
 
-    fn release(&self, port: Port) {
+    fn release(&self, port: Port) -> Port {
         self.claimed.lock().remove(&port);
+        port
     }
 
     fn egress(&self, _header: &mut Header) {}

@@ -88,6 +88,13 @@ pub struct Packet {
     ///
     /// [`Reactor::deliver`]: crate::Reactor::deliver
     pub(crate) gate: Option<Gate>,
+    /// Whether `deliver_at` lies after the instant the frame was sent
+    /// (hop latency was added). A frame sent with zero latency has
+    /// already arrived when it is received, so the wall-clock receive
+    /// path skips the clock for it ([`Reactor::deliver`]).
+    ///
+    /// [`Reactor::deliver`]: crate::Reactor::deliver
+    pub(crate) delayed: bool,
 }
 
 impl Packet {

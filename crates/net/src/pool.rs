@@ -136,6 +136,11 @@ struct PoolInner {
     free: HotMutex<Vec<Vec<u8>>>,
     /// Sent frames whose payload may still be referenced (shared spill).
     retired: HotMutex<VecDeque<Bytes>>,
+    /// Entries in the two spill queues together. A take whose
+    /// thread-local cache ran dry reads it first: with nothing spilled
+    /// there is nothing to lock for, and a thread that just needs one
+    /// more buffer than it has owned so far pays only the allocation.
+    spilled: AtomicU64,
     takes: AtomicU64,
     fresh: AtomicU64,
     reused: AtomicU64,
@@ -183,6 +188,7 @@ impl BufPool {
                 id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
                 free: HotMutex::with_meter(Vec::new(), meter.clone()),
                 retired: HotMutex::with_meter(VecDeque::new(), meter.clone()),
+                spilled: AtomicU64::new(0),
                 takes: AtomicU64::new(0),
                 fresh: AtomicU64::new(0),
                 reused: AtomicU64::new(0),
@@ -260,14 +266,14 @@ impl BufPool {
                 self.inner.reused.fetch_add(1, Ordering::Relaxed);
                 return BytesMut::from_recycled(storage);
             }
-            if let Some(storage) = self.inner.free.lock().pop() {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                return BytesMut::from_recycled(storage);
-            }
-            self.sweep_shared_retired();
-            if let Some(storage) = self.inner.free.lock().pop() {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                return BytesMut::from_recycled(storage);
+            if self.inner.spilled.load(Ordering::Acquire) > 0 {
+                if let Some(storage) = self.pop_shared_free() {
+                    return BytesMut::from_recycled(storage);
+                }
+                self.sweep_shared_retired();
+                if let Some(storage) = self.pop_shared_free() {
+                    return BytesMut::from_recycled(storage);
+                }
             }
         }
         self.inner.fresh.fetch_add(1, Ordering::Relaxed);
@@ -323,11 +329,20 @@ impl BufPool {
                         retired.push_back(spilled);
                         if retired.len() > MAX_RETIRED {
                             retired.pop_front();
+                        } else {
+                            self.inner.spilled.fetch_add(1, Ordering::AcqRel);
                         }
                     }
                 }
             }),
         }
+    }
+
+    fn pop_shared_free(&self) -> Option<Vec<u8>> {
+        let storage = self.inner.free.lock().pop()?;
+        self.inner.spilled.fetch_sub(1, Ordering::AcqRel);
+        self.inner.reused.fetch_add(1, Ordering::Relaxed);
+        Some(storage)
     }
 
     /// Reclaims every parked frame in `cache` whose other holders have
@@ -386,6 +401,9 @@ impl BufPool {
                 }
             }
         }
+        self.inner
+            .spilled
+            .fetch_sub(reclaimed.len() as u64, Ordering::AcqRel);
         for storage in reclaimed {
             self.stash_shared(storage);
         }
@@ -419,7 +437,19 @@ impl BufPool {
         let mut free = self.inner.free.lock();
         if free.len() < MAX_FREE {
             free.push(storage);
+            self.inner.spilled.fetch_add(1, Ordering::AcqRel);
         }
+    }
+
+    /// Sweeps the calling thread's retired frames and returns how many
+    /// are still shared. A test diagnostic: with every receiver done it
+    /// reads zero unless a frame's other holder is parked on *another*
+    /// thread, which no sweep can ever reclaim.
+    pub fn parked_on_this_thread(&self) -> usize {
+        self.with_cache(|cache| {
+            Self::sweep_local(cache);
+            cache.retired.len()
+        })
     }
 
     /// Takes served so far (fresh + reused).

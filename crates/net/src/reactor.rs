@@ -539,8 +539,13 @@ impl Reactor {
     /// the delivery proceeds, trading timing fidelity for progress.
     pub fn deliver(&self, pkt: &crate::Packet) {
         let Some(gate) = pkt.gate else {
-            // Wall clock (or a tap copy): advancing is a real wait.
-            self.advance_to(pkt.deliver_at());
+            // Wall clock (or a tap copy): advancing is a real wait —
+            // and none at all for a frame sent with zero latency,
+            // whose arrival instant cannot lie ahead of a clock that
+            // only moves forward.
+            if pkt.delayed || self.clock.is_virtual() {
+                self.advance_to(pkt.deliver_at());
+            }
             return;
         };
         let mut state = self.lock();

@@ -67,13 +67,15 @@ impl NetworkStats {
     }
 }
 
-/// A point-in-time view of the four hot-path cost counters the
-/// zero-copy codec and lock-free demux optimise: frames on the wire,
-/// payload-buffer allocations, one-way-function evaluations, and
-/// blocking lock acquisitions. Diff two snapshots around a workload to
-/// get per-operation costs.
+/// A point-in-time view of the hot-path cost counters the zero-copy
+/// codec, the lock-free demux and the frame-path budget optimise:
+/// frames on the wire, payload-buffer allocations, one-way-function
+/// evaluations, blocking lock acquisitions, and cross-thread hand-offs
+/// (queue pushes and the wake-ups they issue). Diff two snapshots
+/// around a workload to get per-operation costs.
 ///
-/// `frames_sent` is per network; `oneway_evals` sums the
+/// `frames_sent`, `queue_pushes` and `queue_wakes` are per network
+/// (machine inboxes plus every [`Network::channel`](crate::Network::channel)); `oneway_evals` sums the
 /// [`crypto_evals`](crate::NetworkInterface::crypto_evals) of the
 /// machines *currently attached* (detached machines take their counts
 /// with them, so snapshot while the fleet is stable); `buffer_allocs`
@@ -97,6 +99,12 @@ pub struct HotPathSnapshot {
     /// Process-wide counted mutex acquisitions
     /// ([`crate::hot_lock_acquisitions`]).
     pub lock_acquisitions: u64,
+    /// Messages pushed onto this network's queues; a two-frame
+    /// transaction budgets exactly two.
+    pub queue_pushes: u64,
+    /// Wake-ups (a futex-wake syscall each) issued to receivers parked
+    /// on those queues: at most one per push.
+    pub queue_wakes: u64,
 }
 
 impl std::ops::Sub for HotPathSnapshot {
@@ -111,6 +119,8 @@ impl std::ops::Sub for HotPathSnapshot {
             oneway_evals: self.oneway_evals.saturating_sub(rhs.oneway_evals),
             buffer_allocs: self.buffer_allocs - rhs.buffer_allocs,
             lock_acquisitions: self.lock_acquisitions - rhs.lock_acquisitions,
+            queue_pushes: self.queue_pushes - rhs.queue_pushes,
+            queue_wakes: self.queue_wakes - rhs.queue_wakes,
         }
     }
 }

@@ -51,7 +51,7 @@ use amoeba_net::{
     BufPool, Endpoint, EventKind, Header, MachineId, Packet, Port, RecvError, Timestamp,
 };
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -295,9 +295,11 @@ pub struct Client {
     /// pairs" — here it upgrades associative sends to machine-targeted
     /// ones, which is also what makes reply-port recycling sound (a
     /// targeted request reaches one machine, so at most one reply ever
-    /// exists). A hint, never load-bearing: a timed-out hinted attempt
+    /// exists). A hint, never load-bearing: a hinted attempt that times
+    /// out — or that no interface accepted, which is known at once —
     /// evicts the entry and retransmits associatively, so replica
-    /// failover still works. Lock-free (see `demux::RouteCache`).
+    /// failover and migrated services still work. Lock-free (see
+    /// `demux::RouteCache`).
     routes: RouteCache,
     /// Fresh reply-port mints performed (excludes recycled and leased
     /// bindings) — observability for the warm-path guarantees.
@@ -321,6 +323,7 @@ impl Client {
     pub fn with_config(endpoint: Endpoint, config: RpcConfig) -> Client {
         let codec = CodecConfig::default();
         let trace_base = (u64::from(endpoint.id().as_u32()) << 32) | 1;
+        let table = DemuxTable::new(endpoint.network(), codec.pool.lock_meter());
         Client {
             endpoint,
             config,
@@ -329,7 +332,7 @@ impl Client {
             rng_state: AtomicU64::new(rand::rngs::StdRng::from_entropy().next_u64()),
             next_batch_id: AtomicU32::new(1),
             pipeline: None,
-            table: DemuxTable::new(codec.pool.lock_meter()),
+            table,
             codec,
             routes: RouteCache::new(),
             minted_ports: AtomicU64::new(0),
@@ -353,7 +356,7 @@ impl Client {
     pub fn with_codec(mut self, codec: CodecConfig) -> Client {
         // Re-key the (still empty) demux table so its overflow-map
         // lock counts against the new pool's meter.
-        self.table = DemuxTable::new(codec.pool.lock_meter());
+        self.table = DemuxTable::new(self.endpoint.network(), codec.pool.lock_meter());
         self.codec = codec;
         self
     }
@@ -669,7 +672,7 @@ impl Client {
     /// flusher to deliver the reply.
     fn trans_pipelined(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
         let state = self.pipeline.as_ref().expect("pipelined path");
-        let (tx, rx) = unbounded();
+        let (tx, rx) = self.endpoint.network().channel();
         let flusher = {
             let mut queues = state.queues.lock();
             let q = queues.entry(dest).or_default();
@@ -943,7 +946,7 @@ impl Client {
             trace,
             started_at,
         };
-        completion.transmit();
+        completion.transmit(started_at);
         completion
     }
 }
@@ -1048,38 +1051,64 @@ impl<T> Completion<'_, T> {
         self.attempt_deadline
     }
 
-    /// Transmits one attempt and arms its retransmission deadline.
-    fn transmit(&mut self) {
+    /// Transmits one attempt and arms its retransmission deadline from
+    /// `now` (the transaction's start, or the expiry check's reading).
+    ///
+    /// A *hinted* frame that no interface accepted went nowhere: the
+    /// cached machine no longer serves the port. That is known here,
+    /// before any loss or fault draw, so the hint is evicted and the
+    /// frame goes out again associatively at once — no attempt spent,
+    /// no timeout sat out.
+    fn transmit(&mut self, now: Timestamp) {
         self.attempts_left -= 1;
-        self.transmits += 1;
-        // Must clone: the payload is retained for retransmission until
-        // the transaction completes (a refcount bump, no byte copy).
-        self.client.endpoint.send(self.header, self.payload.clone());
-        self.attempt_deadline = self.client.endpoint.now() + self.client.config.timeout;
-        if self.trace != 0 {
-            let obs = self.client.endpoint.obs();
-            let t = self.client.endpoint.now().since_epoch().as_nanos() as u64;
-            if self.transmits > 1 {
-                obs.record(
-                    EventKind::Retransmit,
-                    t,
-                    self.trace,
-                    self.header.dest.value(),
-                    u64::from(self.transmits),
-                );
-                if let Some(m) = obs.metrics() {
-                    m.retransmits.add(1);
-                }
-            } else {
-                obs.record(
-                    EventKind::FrameOnWire,
-                    t,
-                    self.trace,
-                    self.header.dest.value(),
-                    u64::from(self.transmits),
-                );
+        loop {
+            self.transmits += 1;
+            // Must clone: the payload is retained for retransmission
+            // until the transaction completes (a refcount bump, no
+            // byte copy).
+            let sent = self.client.endpoint.send(self.header, self.payload.clone());
+            self.note_transmitted();
+            if !(self.hinted && sent.accepted == 0) {
+                break;
             }
+            self.evict_hint();
         }
+        self.attempt_deadline = now + self.client.config.timeout;
+    }
+
+    /// Drops the route-cache hint this transaction was addressed by
+    /// (unless a peer already learned a newer one) and falls back to
+    /// associative addressing.
+    fn evict_hint(&mut self) {
+        if let Some(stale) = self.header.target.take() {
+            self.client
+                .routes
+                .evict_if(self.header.dest.value(), u64::from(stale.as_u32()) + 1);
+        }
+        self.hinted = false;
+    }
+
+    fn note_transmitted(&self) {
+        if self.trace == 0 {
+            return;
+        }
+        let obs = self.client.endpoint.obs();
+        let t = self.client.endpoint.now().since_epoch().as_nanos() as u64;
+        let kind = if self.transmits > 1 {
+            if let Some(m) = obs.metrics() {
+                m.retransmits.add(1);
+            }
+            EventKind::Retransmit
+        } else {
+            EventKind::FrameOnWire
+        };
+        obs.record(
+            kind,
+            t,
+            self.trace,
+            self.header.dest.value(),
+            u64::from(self.transmits),
+        );
     }
 
     /// Closes the span: records the completion wake-up (with the
@@ -1128,8 +1157,13 @@ impl<T> Completion<'_, T> {
         }
         // Feed the route cache: this machine answers for `dest`, so the
         // next transaction to it can be machine-targeted (and thereby
-        // recycle its reply port).
-        self.client.note_route(self.header.dest, source);
+        // recycle its reply port). Not when another machine than the
+        // addressee replies: the addressee relayed the request (a
+        // migrated shard's old owner), and the replier does not serve
+        // `dest`.
+        if self.header.target.is_none_or(|t| t == source) {
+            self.client.note_route(self.header.dest, source);
+        }
         Some(value)
     }
 
@@ -1148,6 +1182,13 @@ impl<T> Completion<'_, T> {
     /// while it is still in flight. After `Some` is returned the
     /// handle is spent and must be dropped.
     pub fn poll(&mut self) -> Option<Result<T, RpcError>> {
+        self.poll_at(None)
+    }
+
+    /// [`poll`](Self::poll) sharing the wall-clock wait loop's one
+    /// clock reading per turn. `None` reads the clock at the expiry
+    /// check itself — after the drains, which may move a virtual one.
+    fn poll_at(&mut self, now: Option<Timestamp>) -> Option<Result<T, RpcError>> {
         loop {
             // A peer waiter may have claimed our reply from the shared
             // endpoint and routed it to our mailbox.
@@ -1168,34 +1209,28 @@ impl<T> Completion<'_, T> {
                 }
                 continue; // keep draining
             }
-            if self.client.endpoint.now() >= self.attempt_deadline {
-                if self.hinted {
-                    // The cached machine never answered — crashed, or
-                    // the service moved. Evict the route (unless a peer
-                    // already learned a newer one) and fall back to
-                    // associative addressing, so a surviving replica
-                    // can take the retransmission — or, when this was
-                    // the last attempt, the *next* transaction: the
-                    // cache is a hint, never load-bearing for
-                    // reachability, which is why eviction must happen
-                    // before the out-of-attempts return below.
-                    if let Some(stale) = self.header.target.take() {
-                        self.client
-                            .routes
-                            .evict_if(self.header.dest.value(), u64::from(stale.as_u32()) + 1);
-                    }
-                    self.hinted = false;
-                }
-                if self.attempts_left == 0 {
-                    if let Some(m) = self.client.endpoint.obs().metrics() {
-                        m.trans_timeouts.add(1);
-                    }
-                    return Some(Err(RpcError::Timeout));
-                }
-                self.transmit();
-                continue;
+            let now = now.unwrap_or_else(|| self.client.endpoint.now());
+            if now < self.attempt_deadline {
+                return None;
             }
-            return None;
+            if self.hinted {
+                // The cached machine never answered — crashed, or the
+                // service moved. Evict the route and fall back to
+                // associative addressing, so a surviving replica can
+                // take the retransmission — or, when this was the last
+                // attempt, the *next* transaction: the cache is a
+                // hint, never load-bearing for reachability, which is
+                // why eviction must happen before the out-of-attempts
+                // return below.
+                self.evict_hint();
+            }
+            if self.attempts_left == 0 {
+                if let Some(m) = self.client.endpoint.obs().metrics() {
+                    m.trans_timeouts.add(1);
+                }
+                return Some(Err(RpcError::Timeout));
+            }
+            self.transmit(now);
         }
     }
 
@@ -1212,11 +1247,15 @@ impl<T> Completion<'_, T> {
     pub fn wait(mut self) -> Result<T, RpcError> {
         let client = self.client;
         let endpoint = &client.endpoint;
+        let is_virtual = endpoint.reactor().is_virtual();
+        // The first turn needs no fresh clock reading: the request went
+        // out a moment after `started_at`.
+        let mut now = self.started_at;
         loop {
-            if let Some(result) = self.poll() {
+            if let Some(result) = self.poll_at((!is_virtual).then_some(now)) {
                 return result;
             }
-            if endpoint.reactor().is_virtual() {
+            if is_virtual {
                 // Reactor-parked: wake on any mailbox deposit or
                 // endpoint arrival, or at the attempt deadline
                 // (whichever the timeline reaches first). poll() then
@@ -1232,7 +1271,9 @@ impl<T> Completion<'_, T> {
                 } else {
                     client.demux.idle_tick
                 };
-                let deadline = self.attempt_deadline.min(endpoint.now() + tick);
+                // This wait keeps its timer: it is the retransmission
+                // deadline (and the demux tick).
+                let deadline = self.attempt_deadline.min(now + tick);
                 match endpoint.recv_deadline(deadline) {
                     Ok(pkt) => {
                         if let Some(value) = self.check_packet(pkt) {
@@ -1241,9 +1282,10 @@ impl<T> Completion<'_, T> {
                             return Ok(value);
                         }
                     }
-                    Err(RecvError::Timeout) => {} // tick: poll() re-checks
+                    Err(RecvError::Timeout) => {} // tick: poll_at re-checks
                     Err(RecvError::Disconnected) => return Err(RpcError::Disconnected),
                 }
+                now = endpoint.now();
             }
         }
     }
@@ -1510,7 +1552,10 @@ mod tests {
                 server.reply(&req, Bytes::from_static(b"alive"));
             }
         });
-        let ghost = net.attach_open().id(); // detached immediately
+        // A crashed replica: still attached, still claiming the port,
+        // never answering.
+        let ghost = net.attach_open();
+        ghost.claim(g);
         let client = Client::with_config(
             net.attach_open(),
             RpcConfig {
@@ -1518,7 +1563,7 @@ mod tests {
                 attempts: 1,
             },
         );
-        client.note_route(g, ghost);
+        client.note_route(g, ghost.id());
         assert_eq!(
             client.trans(g, Bytes::from_static(b"x")).unwrap_err(),
             RpcError::Timeout
@@ -1532,6 +1577,78 @@ mod tests {
             b"alive"
         );
         t.join().unwrap();
+    }
+
+    #[test]
+    fn hint_nobody_accepts_goes_associative_at_once() {
+        // The cached machine no longer listens on the port (detached,
+        // or it never served it — a route learned from a forwarded
+        // reply). The hinted frame reaches no interface, which the
+        // send reports; the client must evict the hint and go
+        // associative immediately, not sit out the timeout — here
+        // with its single attempt, on a timeout long enough that
+        // waiting it out would fail the time bound.
+        let net = Network::new();
+        let g = Port::new(0xD4).unwrap();
+        let server = crate::ServerPort::bind(net.attach_open(), g);
+        let t = std::thread::spawn(move || {
+            while let Ok(req) = server.next_request_timeout(Duration::from_millis(300)) {
+                server.reply(&req, Bytes::from_static(b"alive"));
+            }
+        });
+        let bystander = net.attach_open(); // attached, does not claim g
+        let client = Client::with_config(
+            net.attach_open(),
+            RpcConfig {
+                timeout: Duration::from_secs(5),
+                attempts: 1,
+            },
+        );
+        client.note_route(g, bystander.id());
+        let before = net.stats().snapshot();
+        let t0 = std::time::Instant::now();
+        assert_eq!(
+            &client.trans(g, Bytes::from_static(b"x")).unwrap()[..],
+            b"alive"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let sent = net.stats().snapshot() - before;
+        assert_eq!(sent.packets_sent, 3, "hinted, associative, reply");
+        assert_ne!(client.cached_route(g), Some(bystander.id()));
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn reply_from_another_machine_than_addressed_teaches_no_route() {
+        // Machine `old` relays the request to `new`, which answers the
+        // client directly (a migrated shard's forwarding). A request
+        // addressed to `old` must not leave "`new` serves old's port"
+        // in the route cache.
+        let net = Network::new();
+        let old = crate::ServerPort::bind(net.attach_open(), Port::new(0xD5).unwrap());
+        let new = crate::ServerPort::bind(net.attach_open(), Port::new(0xD6).unwrap());
+        let (old_port, old_machine) = (old.put_port(), old.endpoint().id());
+        let new_port = new.put_port();
+        let relay = std::thread::spawn(move || {
+            while let Ok(req) = old.next_request_timeout(Duration::from_millis(300)) {
+                assert!(old.forward(&req, new_port));
+            }
+        });
+        let serve = std::thread::spawn(move || {
+            while let Ok(req) = new.next_request_timeout(Duration::from_millis(300)) {
+                new.reply(&req, Bytes::from_static(b"from-new"));
+            }
+        });
+        let client = Client::new(net.attach_open());
+        for _ in 0..2 {
+            let reply = client
+                .trans_to(old_port, old_machine, Bytes::from_static(b"x"))
+                .unwrap();
+            assert_eq!(&reply[..], b"from-new");
+            assert_eq!(client.cached_route(old_port), None);
+        }
+        relay.join().unwrap();
+        serve.join().unwrap();
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! counter, so the steady state neither takes the lock nor pays for
 //! checking the map.
 
-use amoeba_net::{HotMutex, LockMeter, Packet, Port, Reactor};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use amoeba_net::{HotMutex, LockMeter, Network, Packet, Port, Reactor};
+use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -133,8 +133,8 @@ impl Slot {
         }
     }
 
-    fn mailbox(&self) -> &(Sender<Packet>, Receiver<Packet>) {
-        self.mailbox.get_or_init(unbounded)
+    fn mailbox(&self, net: &Network) -> &(Sender<Packet>, Receiver<Packet>) {
+        self.mailbox.get_or_init(|| net.channel())
     }
 
     /// Drains every queued deposit, releasing its delivery gate.
@@ -223,6 +223,9 @@ fn pack_index(wire: u64, gen8: u8, slot: usize) -> u64 {
 
 /// The client demultiplexer (see the module docs).
 pub(crate) struct DemuxTable {
+    /// The owning client's network: mailboxes are its queues, so their
+    /// pushes count toward its hand-off meter.
+    net: Network,
     slots: Vec<Slot>,
     /// Open-addressed wire-value index; 0 = empty (a wire reply port
     /// is never 0 — the broadcast value is unmintable and F outputs
@@ -255,9 +258,12 @@ impl std::fmt::Debug for DemuxTable {
 }
 
 impl DemuxTable {
-    pub(crate) fn new(meter: LockMeter) -> DemuxTable {
+    pub(crate) fn new(net: &Network, meter: LockMeter) -> DemuxTable {
         let slots: Vec<Slot> = (0..SLOTS).map(|_| Slot::new()).collect();
         let table = DemuxTable {
+            // Must clone: the table outlives no endpoint but needs its
+            // own handle for lazily built mailboxes (an Arc bump).
+            net: net.clone(),
             index: (0..INDEX_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             free: SlotStack::new(),
             parked: SlotStack::new(),
@@ -407,7 +413,7 @@ impl DemuxTable {
 
     /// A clone of the pooled mailbox receiver for an owned binding.
     pub(crate) fn receiver(&self, token: SlotToken) -> Receiver<Packet> {
-        self.slots[token.idx].mailbox().1.clone()
+        self.slots[token.idx].mailbox(&self.net).1.clone()
     }
 
     /// The binding a parked slot holds, without claiming it — used by
@@ -464,7 +470,7 @@ impl DemuxTable {
             // Re-gate: the virtual timeline may not run past this
             // packet's arrival until the owner consumes it.
             reactor.regate(&mut pkt);
-            let (tx, _) = slot.mailbox();
+            let (tx, _) = slot.mailbox(&self.net);
             if tx.send(pkt).is_err() {
                 // Unreachable (the OnceLock keeps a receiver alive),
                 // but a lost packet must still release its gate.
@@ -500,7 +506,7 @@ impl DemuxTable {
     /// Registers an overflow binding (no slot available). Returns the
     /// mailbox the owner drains.
     pub(crate) fn register_overflow(&self, wire: Port) -> Receiver<Packet> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = self.net.channel();
         self.overflow_count.fetch_add(1, Ordering::AcqRel);
         self.overflow.lock().insert(wire.value(), tx);
         rx
@@ -704,7 +710,7 @@ mod tests {
     #[test]
     fn fresh_bind_resolve_and_burn() {
         let reactor = wall_reactor();
-        let table = DemuxTable::new(LockMeter::new());
+        let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let (idx, gen8) = table.reserve_fresh().expect("slots available");
         let get = encode_reply_port(idx as u8, gen8, 0xABCD_1234);
         let wire = Port::new(0x9999).unwrap();
@@ -728,7 +734,7 @@ mod tests {
     #[test]
     fn stale_generation_deposits_are_rejected() {
         let reactor = wall_reactor();
-        let table = DemuxTable::new(LockMeter::new());
+        let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let (idx, gen8) = table.reserve_fresh().unwrap();
         let get = encode_reply_port(idx as u8, gen8, 7);
         let wire = Port::new(0xABC0).unwrap();
@@ -759,7 +765,7 @@ mod tests {
         // O(1) however many bindings are parked (the PR 5 code scanned
         // a Vec under a lock).
         let reactor = wall_reactor();
-        let table = DemuxTable::new(LockMeter::new());
+        let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let park = |n: usize| {
             for k in 0..n {
                 let (idx, gen8) = table.reserve_fresh().unwrap();
@@ -789,7 +795,7 @@ mod tests {
     #[test]
     fn park_cap_refuses_and_caller_burns() {
         let reactor = wall_reactor();
-        let table = DemuxTable::new(LockMeter::new());
+        let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let mut tokens = Vec::new();
         for k in 0..3u64 {
             let (idx, gen8) = table.reserve_fresh().unwrap();
@@ -807,7 +813,7 @@ mod tests {
     #[test]
     fn overflow_path_still_routes() {
         let reactor = wall_reactor();
-        let table = DemuxTable::new(LockMeter::new());
+        let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let wire = Port::new(0xFACE).unwrap();
         let rx = table.register_overflow(wire);
         assert!(table.deposit(pkt_to(wire), &reactor));
@@ -855,7 +861,7 @@ mod tests {
         #[test]
         fn forged_and_stale_ports_never_resolve(forged in 1u64..0xFFFF_FFFF_FFFFu64, salt: u32) {
             let reactor = wall_reactor();
-            let table = DemuxTable::new(LockMeter::new());
+            let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
             let (idx, gen8) = table.reserve_fresh().unwrap();
             let get = encode_reply_port(idx as u8, gen8, salt);
             let wire = Port::new(0xB0B0).unwrap();
@@ -911,7 +917,7 @@ mod tests {
             // its own; the straggler's wire value resolves nowhere in
             // its table.
             let reactor = wall_reactor();
-            let table = DemuxTable::new(LockMeter::new());
+            let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
             let (idx, gen8) = table.reserve_fresh().unwrap();
             let get = encode_reply_port(idx as u8, gen8, 7);
             let wire = Port::new(0xFEED).unwrap();

@@ -6,16 +6,25 @@
 //! pool. Internally it separates **pumping** from **serving**:
 //!
 //! * At most one worker at a time is the *pump* (a lock-free atomic
-//!   flag decides — a single compare-exchange, no mutex): it drains
-//!   the endpoint's packet queue, decodes frames, and pushes
-//!   ready-to-serve [`IncomingRequest`]s onto an internal MPMC queue.
-//!   A single-frame request yields one entry; a `BATCH_REQUEST` frame
-//!   is **exploded** into one entry per batch element, so the elements
+//!   flag decides — a single compare-exchange, no mutex): it takes
+//!   packets off the endpoint's queue and decodes them. **The pump
+//!   serves what it decodes**: a single-frame request (or transfer
+//!   frame) is returned straight to the pumping worker, which releases
+//!   the role and runs the handler — no queue hop, no wake. Only a
+//!   `BATCH_REQUEST` frame uses the internal MPMC *ready queue*: it is
+//!   **exploded** into one entry per batch element, so the elements
 //!   fan out across the whole pool.
-//! * Every other worker blocks on the ready queue (waking instantly
-//!   when the pump pushes) and periodically — every
+//! * Every other worker blocks on the ready queue (waking when the
+//!   pump pushes batch entries) and periodically — every
 //!   [`PUMP_TAKEOVER_TICK`] — retries the pump role, so it migrates
 //!   when its holder goes off to execute a handler.
+//!
+//! Order is kept (only the pump pushes, and every receive path serves
+//! the ready queue before it pumps), and only the takeover tick and a
+//! caller's own deadline arm a timer — an undeadlined pump blocks
+//! untimed until a frame arrives or the endpoint
+//! [closes](amoeba_net::Endpoint::close). Both arguments are spelled
+//! out in `docs/ARCHITECTURE.md`, "Request lifecycle".
 //!
 //! # Batch fan-in
 //!
@@ -37,10 +46,10 @@ use amoeba_net::{
     BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Port, RecvError, Timestamp,
 };
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often a worker blocked on the ready queue retries the pump role.
 /// Bounds the hand-off gap when the current pump leaves for a handler:
@@ -208,7 +217,8 @@ pub struct ServerPort {
     endpoint: Endpoint,
     get_port: Port,
     wire_port: Port,
-    /// Decoded, ready-to-serve requests (MPMC: each claimed once).
+    /// Decoded batch entries awaiting a worker (MPMC: each claimed
+    /// once). Single-frame requests never pass through here.
     ready_tx: Sender<IncomingRequest>,
     ready_rx: Receiver<IncomingRequest>,
     /// `true` while one worker holds the pump role (drains the
@@ -256,7 +266,7 @@ impl ServerPort {
     /// pool applies here.)
     pub fn bind_with_codec(endpoint: Endpoint, get_port: Port, codec: CodecConfig) -> ServerPort {
         let wire_port = endpoint.claim(get_port);
-        let (ready_tx, ready_rx) = unbounded();
+        let (ready_tx, ready_rx) = endpoint.network().channel();
         ServerPort {
             endpoint,
             get_port,
@@ -297,12 +307,7 @@ impl ServerPort {
     /// # Errors
     /// [`RecvError::Disconnected`] if the endpoint is detached.
     pub fn next_request(&self) -> Result<IncomingRequest, RecvError> {
-        loop {
-            match self.next_request_deadline(None) {
-                Err(RecvError::Timeout) => continue, // pump tick, not a real deadline
-                other => return other,
-            }
-        }
+        self.next_request_deadline(None)
     }
 
     /// Like [`next_request`](Self::next_request) with a deadline.
@@ -342,9 +347,10 @@ impl ServerPort {
         !self.pump.load(Ordering::Acquire)
     }
 
-    /// Claims a request off the ready queue, releasing its gate. Every
-    /// receive path funnels through here, so it is also where the
-    /// flight recorder sees a request leave the queue for a worker.
+    /// Hands a decoded request to the worker that will serve it,
+    /// releasing its ready-queue gate if it waited there. Every receive
+    /// path funnels through here, so it is also where the flight
+    /// recorder sees a request leave the pump for a worker.
     fn claim(&self, req: IncomingRequest) -> IncomingRequest {
         if let Some(gate) = req.gate {
             self.endpoint.reactor().release_gate(gate);
@@ -363,10 +369,10 @@ impl ServerPort {
     }
 
     /// Non-blocking receive for reactor driver loops: serves an
-    /// already-decoded request if one is ready, otherwise (if the pump
-    /// role is free) drains every queued packet into the ready queue
-    /// and tries again. Never parks the thread (though under a virtual
-    /// clock consuming a delivery may briefly wait for earlier
+    /// already-decoded batch entry if one is ready, otherwise (if the
+    /// pump role is free) decodes queued packets until one yields a
+    /// request, and returns it. Never parks the thread (though under a
+    /// virtual clock consuming a delivery may briefly wait for earlier
     /// deliveries to be consumed); a driver multiplexing many bound
     /// ports calls this in a scan and parks on the reactor only when
     /// every port comes up empty.
@@ -374,15 +380,20 @@ impl ServerPort {
         if let Ok(req) = self.ready_rx.try_recv() {
             return Some(self.claim(req));
         }
-        if let Some(_pumping) = self.try_pump() {
-            while let Some(pkt) = self.endpoint.poll_arrival() {
-                // Consume the delivery (ordered under the virtual
-                // clock) before decoding.
-                self.endpoint.reactor().deliver(&pkt);
-                self.process(pkt);
+        let pumping = self.try_pump()?;
+        while let Some(pkt) = self.endpoint.poll_arrival() {
+            // Consume the delivery (ordered under the virtual
+            // clock) before decoding.
+            self.endpoint.reactor().deliver(&pkt);
+            // A single request comes back directly; a batch frame's
+            // entries are in the ready queue after `process`.
+            let next = self.process(pkt).or_else(|| self.ready_rx.try_recv().ok());
+            if let Some(req) = next {
+                drop(pumping);
+                return Some(self.claim(req));
             }
         }
-        self.ready_rx.try_recv().ok().map(|req| self.claim(req))
+        None
     }
 
     /// Whether a call to [`poll_request`](Self::poll_request) could
@@ -399,98 +410,56 @@ impl ServerPort {
     }
 
     /// The pump/serve loop shared by both receive paths. `None` means
-    /// "no deadline" (but the caller must treat a `Timeout` result as
-    /// "keep looping": the pump still wakes periodically).
+    /// "no deadline": the pump then blocks until a frame arrives or the
+    /// endpoint closes.
     fn next_request_deadline(
         &self,
         deadline: Option<Timestamp>,
     ) -> Result<IncomingRequest, RecvError> {
+        let reactor = self.endpoint.reactor();
         loop {
             // Serve decoded work first — the pump may have queued
             // several entries from one batch frame.
-            match self.ready_rx.try_recv() {
-                Ok(req) => return Ok(self.claim(req)),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => unreachable!("we hold a ready sender"),
+            if let Ok(req) = self.ready_rx.try_recv() {
+                return Ok(self.claim(req));
             }
-            let now = self.endpoint.now();
-            if deadline.is_some_and(|d| now >= d) {
+            if deadline.is_some_and(|d| self.endpoint.now() >= d) {
                 return Err(RecvError::Timeout);
             }
-            // Wall-clock paths bound an undeadlined wait so the pump
-            // still re-checks the ready queue now and then
-            // (next_request() loops on the Timeout). Virtual paths
-            // must NOT synthesize a deadline: it would register a
-            // re-arming far-future sleeper that drags the virtual
-            // timeline forward whenever the system idles.
-            let wall_wait_until = deadline.unwrap_or(now + Duration::from_secs(60));
-            enum Outcome {
-                Return(Result<IncomingRequest, RecvError>),
-                Pumped,
-                NotPump,
-            }
-            let outcome = match self.try_pump() {
-                Some(_pumping) => {
-                    // The previous pump may have pushed entries between
-                    // our ready-queue check above and winning the role;
-                    // serve those before blocking on the wire (only the
-                    // role holder can push, so this check cannot race).
-                    if let Ok(req) = self.ready_rx.try_recv() {
-                        Outcome::Return(Ok(self.claim(req)))
-                    } else {
-                        // We are the pump: drain the wire into the
-                        // ready queue (event-parked when undeadlined
-                        // on the virtual clock).
-                        let pumped = match (self.endpoint.reactor().is_virtual(), deadline) {
-                            (true, None) => self.endpoint.recv(),
-                            (true, Some(d)) => self.endpoint.recv_deadline(d),
-                            (false, _) => self.endpoint.recv_deadline(wall_wait_until),
-                        };
-                        match pumped {
-                            Ok(pkt) => {
-                                self.process(pkt);
-                                Outcome::Pumped
-                            }
-                            Err(RecvError::Timeout) => {
-                                if deadline.is_some() {
-                                    Outcome::Return(Err(RecvError::Timeout))
-                                } else {
-                                    Outcome::Pumped
-                                }
-                            }
-                            Err(RecvError::Disconnected) => {
-                                Outcome::Return(Err(RecvError::Disconnected))
-                            }
-                        }
+            if let Some(pumping) = self.try_pump() {
+                // The previous pump may have pushed entries between
+                // our ready-queue check above and winning the role;
+                // serve those before blocking on the wire (only the
+                // role holder can push, so this check cannot race).
+                let pumped = match self.ready_rx.try_recv() {
+                    Ok(req) => Ok(Some(req)),
+                    // We are the pump: take the next packet off the
+                    // wire — an untimed block on the queue itself (or
+                    // an event-parked wait on the virtual clock) when
+                    // the caller set no deadline.
+                    Err(_) => match deadline {
+                        None => self.endpoint.recv(),
+                        Some(d) => self.endpoint.recv_deadline(d),
                     }
-                    // The pump guard drops here — every path below runs
-                    // with the role released.
+                    .map(|pkt| self.process(pkt)),
+                };
+                // Every path below runs with the role released — the
+                // handler included, so a successor can pump meanwhile.
+                drop(pumping);
+                // If undecoded arrivals remain, wake a successor
+                // explicitly — a delivery may have jumped the (virtual)
+                // clock past every waiter's takeover tick.
+                if self.endpoint.has_arrivals() {
+                    reactor.notify();
                 }
-                None => Outcome::NotPump,
-            };
-            match outcome {
-                Outcome::Return(result) => {
-                    // We just released the pump role; if undecoded
-                    // arrivals remain, wake a successor explicitly — a
-                    // delivery may have jumped the (virtual) clock past
-                    // every waiter's takeover tick.
-                    if self.endpoint.has_arrivals() {
-                        self.endpoint.reactor().notify();
-                    }
-                    return result;
+                match pumped? {
+                    Some(req) => return Ok(self.claim(req)),
+                    None => continue, // a batch (see the loop head) or noise
                 }
-                Outcome::Pumped => {
-                    if self.endpoint.has_arrivals() {
-                        self.endpoint.reactor().notify();
-                    }
-                    continue;
-                }
-                Outcome::NotPump => {}
             }
             // Someone else pumps; wait for them to feed the ready
             // queue, but retry the pump role periodically in case
             // they left for a handler.
-            let reactor = self.endpoint.reactor();
             if reactor.is_virtual() {
                 // Reactor wakeup instead of a parked OS thread, and no
                 // takeover tick: re-arming sub-millisecond tick
@@ -524,12 +493,11 @@ impl ServerPort {
                 // Takeover signal or deadline expiry: loop and retry
                 // the pump lock.
             } else {
-                let tick_deadline = wall_wait_until.min(now + PUMP_TAKEOVER_TICK);
-                let real = reactor
-                    .clock()
-                    .real_instant(tick_deadline)
-                    .expect("wall clocks map to real instants");
-                match self.ready_rx.recv_deadline(real) {
+                let tick = Instant::now() + PUMP_TAKEOVER_TICK;
+                let until = deadline
+                    .and_then(|d| reactor.clock().real_instant(d))
+                    .map_or(tick, |d| d.min(tick));
+                match self.ready_rx.recv_deadline(until) {
                     Ok(req) => return Ok(self.claim(req)),
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => {
@@ -540,34 +508,27 @@ impl ServerPort {
         }
     }
 
-    /// Decodes one packet into zero or more ready requests.
-    fn process(&self, pkt: amoeba_net::Packet) {
+    /// Decodes one packet. A single-frame request or transfer comes
+    /// back for the pumping worker to serve itself; a batch frame's
+    /// entries go onto the ready queue for the whole pool; anything
+    /// else is answered or dropped here.
+    fn process(&self, pkt: amoeba_net::Packet) -> Option<IncomingRequest> {
+        let single = |payload, transfer| IncomingRequest {
+            payload,
+            reply_to: pkt.header.reply,
+            signature: signature_of(&pkt),
+            source: pkt.source,
+            batch: None,
+            transfer,
+            // Never queued, so nothing to gate.
+            gate: None,
+        };
         match Frame::decode(&pkt.payload) {
             Some(Frame::Request(body)) if pkt.header.dest == self.wire_port => {
-                let _ = self.ready_tx.send(IncomingRequest {
-                    payload: body,
-                    reply_to: pkt.header.reply,
-                    signature: signature_of(&pkt),
-                    source: pkt.source,
-                    batch: None,
-                    transfer: None,
-                    gate: self.ready_gate(&pkt),
-                });
-                // Ready pushes are not network events; wake
-                // reactor-parked workers explicitly.
-                self.endpoint.reactor().notify();
+                Some(single(body, None))
             }
             Some(Frame::Transfer(op)) if pkt.header.dest == self.wire_port => {
-                let _ = self.ready_tx.send(IncomingRequest {
-                    payload: Bytes::new(),
-                    reply_to: pkt.header.reply,
-                    signature: signature_of(&pkt),
-                    source: pkt.source,
-                    batch: None,
-                    transfer: Some(op),
-                    gate: self.ready_gate(&pkt),
-                });
-                self.endpoint.reactor().notify();
+                Some(single(Bytes::new(), Some(op)))
             }
             Some(Frame::BatchRequest { id, entries }) if pkt.header.dest == self.wire_port => {
                 // One-way batches (null reply port) are dispatched with
@@ -595,7 +556,10 @@ impl ServerPort {
                         gate: self.ready_gate(&pkt),
                     });
                 }
+                // Ready pushes are not network events; wake
+                // reactor-parked workers explicitly.
                 self.endpoint.reactor().notify();
+                None
             }
             // Someone broadcast a LOCATE for our port; answer it.
             Some(Frame::Locate(port))
@@ -609,8 +573,9 @@ impl ServerPort {
                 self.endpoint
                     .send(Header::to(pkt.header.reply), reply.clone());
                 self.pool.retire(reply);
+                None
             }
-            _ => {}
+            _ => None,
         }
     }
 
@@ -620,7 +585,11 @@ impl ServerPort {
     ///
     /// Reply frames are encoded into pooled buffers and retired after
     /// transmission, so a steady-state server replies without touching
-    /// the allocator.
+    /// the allocator. The body is *released* — reclaimed if this was
+    /// its last handle, dropped otherwise: it is often a slice of the
+    /// request frame, which the client owns and will retire, and
+    /// parking it on this thread would strand a buffer that can never
+    /// become unique here.
     pub fn reply(&self, request: &IncomingRequest, body: Bytes) {
         match &request.batch {
             Some(slot) => {
@@ -638,12 +607,12 @@ impl ServerPort {
                     // One-way request: nothing goes on the wire, but
                     // the (typically pooled) body buffer still
                     // recycles.
-                    self.pool.retire(body);
+                    self.pool.release(body);
                     return;
                 }
                 let mut buf = self.pool.take();
                 frame::encode_reply_into(&mut buf, &body);
-                self.pool.retire(body);
+                self.pool.release(body);
                 let frame = buf.freeze();
                 self.endpoint
                     .send(Header::to(request.reply_to), frame.clone());
@@ -882,6 +851,146 @@ mod tests {
         );
         let total: u32 = workers.into_iter().map(|w| w.join().unwrap()).sum();
         assert_eq!(total, 12, "every batch entry claimed exactly once");
+    }
+
+    #[test]
+    fn pool_claims_each_single_and_batch_entry_once_with_the_pump_serving() {
+        // Four workers share the port while clients mix single frames
+        // (served by whichever worker pumps them) with batches (fanned
+        // out through the ready queue). Every request body is unique;
+        // each must be claimed by exactly one worker, whichever path it
+        // took, and answered. One attempt and a long timeout: nothing is
+        // retransmitted, so a second claim would be a dispatch bug.
+        use std::collections::HashMap;
+        use std::sync::Mutex;
+        const CLIENTS: u32 = 4;
+        const ROUNDS: u32 = 40;
+        const BATCH: u32 = 5;
+        let net = Network::new();
+        let server = Arc::new(ServerPort::bind(
+            net.attach_open(),
+            Port::new(0x99).unwrap(),
+        ));
+        let p = server.put_port();
+        /// Request body → (times claimed, arrived in a batch).
+        type Claims = Mutex<HashMap<Vec<u8>, (u32, bool)>>;
+        let claims: Arc<Claims> = Arc::default();
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let server = Arc::clone(&server);
+                let claims = Arc::clone(&claims);
+                std::thread::spawn(move || {
+                    while let Ok(req) = server.next_request_timeout(Duration::from_millis(300)) {
+                        let batched = req.batch_context().is_some();
+                        claims
+                            .lock()
+                            .unwrap()
+                            .entry(req.payload.to_vec())
+                            .or_insert((0, batched))
+                            .0 += 1;
+                        server.reply(&req, req.payload.clone());
+                    }
+                })
+            })
+            .collect();
+        let body = |c: u32, r: u32, e: u32| Bytes::from(format!("c{c}-r{r}-e{e}").into_bytes());
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let net = net.clone();
+                std::thread::spawn(move || {
+                    let client = Client::with_config(
+                        net.attach_open(),
+                        RpcConfig {
+                            timeout: Duration::from_secs(20),
+                            attempts: 1,
+                        },
+                    );
+                    for r in 0..ROUNDS {
+                        let single = body(c, r, BATCH);
+                        assert_eq!(client.trans(p, single.clone()).unwrap(), single);
+                        let bodies: Vec<Bytes> = (0..BATCH).map(|e| body(c, r, e)).collect();
+                        let replies = client.trans_batch(p, bodies.clone()).unwrap();
+                        for (sent, got) in bodies.iter().zip(replies) {
+                            assert_eq!(&got.unwrap(), sent);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        let claims = claims.lock().unwrap();
+        assert_eq!(claims.len() as u32, CLIENTS * ROUNDS * (BATCH + 1));
+        for (body, &(times, batched)) in claims.iter() {
+            assert_eq!(
+                times,
+                1,
+                "{} claimed {times} times",
+                String::from_utf8_lossy(body)
+            );
+            let single = body.ends_with(format!("-e{BATCH}").as_bytes());
+            assert_eq!(batched, !single, "singles bypass the batch path");
+        }
+    }
+
+    #[test]
+    fn replying_with_request_slices_parks_no_foreign_buffers() {
+        // An echo server's reply body is a slice of the request frame,
+        // which the *client* owns and retires. The server must let such
+        // a body go, not park it: parked on the server thread it could
+        // never become unique (the client parks a sibling), every
+        // request frame would leak out of circulation, and both sides
+        // would allocate per transaction.
+        const WARMUP: usize = 64;
+        const OPS: usize = 2_000;
+        let net = Network::new();
+        let server = ServerPort::bind(net.attach_open(), Port::new(0x88).unwrap());
+        let p = server.put_port();
+        let server_pool = server.buf_pool().clone();
+        let t = std::thread::spawn(move || {
+            let mut allocs_when_warm = 0;
+            for served in 0.. {
+                if served == WARMUP {
+                    allocs_when_warm = server.buf_pool().fresh_allocs();
+                }
+                match server.next_request_timeout(Duration::from_millis(300)) {
+                    Ok(req) => server.reply(&req, req.payload.clone()),
+                    Err(_) => break,
+                }
+            }
+            // Every client-side handle is gone by now (the client hung
+            // up before our receive timed out).
+            let parked = server.buf_pool().parked_on_this_thread();
+            (allocs_when_warm, server.buf_pool().fresh_allocs(), parked)
+        });
+        let client = Client::with_config(net.attach_open(), fast());
+        let body = Bytes::from_static(b"an echoed request body");
+        let mut client_allocs_when_warm = 0;
+        for i in 0..WARMUP + OPS {
+            if i == WARMUP {
+                client_allocs_when_warm = client.buf_pool().fresh_allocs();
+            }
+            assert_eq!(client.trans(p, body.clone()).unwrap(), body);
+        }
+        // A descheduled peer can cost a thread one more buffer than it
+        // has owned so far; the leak cost one every few transactions
+        // (some 90 over this loop).
+        const SLACK: u64 = 8;
+        assert!(
+            client.buf_pool().fresh_allocs() <= client_allocs_when_warm + SLACK,
+            "client frames must come back to the client: {} fresh allocations after warm-up",
+            client.buf_pool().fresh_allocs() - client_allocs_when_warm
+        );
+        assert_eq!(client.buf_pool().lock_acquisitions(), 0);
+        drop(client);
+        let (warm, end, parked) = t.join().unwrap();
+        assert!(end <= warm + SLACK, "server reply frames must recycle");
+        assert_eq!(parked, 0, "a foreign buffer stayed parked on the server");
+        assert_eq!(server_pool.lock_acquisitions(), 0);
     }
 
     #[test]

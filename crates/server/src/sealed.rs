@@ -19,16 +19,15 @@
 //! ```
 
 use crate::proto::{null_cap, Reply, Request, Status};
-use crate::service::{RequestCtx, Service};
+use crate::service::{run_worker, stop_workers, RequestCtx, Service};
 use amoeba_cap::Capability;
-use amoeba_net::{Endpoint, Network, Port, RecvError};
+use amoeba_net::{Endpoint, Network, Port};
 use amoeba_rpc::{Client, RpcConfig, ServerPort};
 use amoeba_softprot::matrix::SealError;
 use amoeba_softprot::{CapSealer, SealedCap};
 use bytes::{Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Marker value in the sealed slot for capability-less requests
@@ -106,9 +105,9 @@ fn serve_sealed_one(
 pub struct SealedServiceRunner {
     put_port: Port,
     machine: amoeba_net::MachineId,
-    /// For waking reactor-parked workers at shutdown.
-    reactor: Arc<amoeba_net::Reactor>,
-    shutdown: Arc<AtomicBool>,
+    /// The bound port the workers share; closed at shutdown to wake
+    /// them.
+    server: Arc<ServerPort>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -144,35 +143,22 @@ impl SealedServiceRunner {
         service.bind(put_port);
         let service = Arc::new(service);
         let server = Arc::new(server);
-        let reactor = Arc::clone(server.endpoint().reactor());
-        let shutdown = Arc::new(AtomicBool::new(false));
         let handles = (0..workers)
             .map(|_| {
                 let service = Arc::clone(&service);
                 let server = Arc::clone(&server);
                 let sealer = Arc::clone(&sealer);
-                let stop = Arc::clone(&shutdown);
                 std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        // Bounded wait, mirroring ServiceRunner (a
-                        // standing parked pump tightens virtual-clock
-                        // fidelity; see the comment there).
-                        match server.next_request_timeout(std::time::Duration::from_millis(20)) {
-                            Ok(incoming) => {
-                                serve_sealed_one(&*service, &sealer, &server, &incoming)
-                            }
-                            Err(RecvError::Timeout) => continue,
-                            Err(RecvError::Disconnected) => break,
-                        }
-                    }
+                    run_worker(&server, |incoming| {
+                        serve_sealed_one(&*service, &sealer, &server, incoming)
+                    })
                 })
             })
             .collect();
         SealedServiceRunner {
             put_port,
             machine,
-            reactor,
-            shutdown,
+            server,
             handles,
         }
     }
@@ -210,12 +196,7 @@ impl SealedServiceRunner {
     }
 
     fn shutdown_now(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Workers may be event-parked on the reactor (virtual clock).
-        self.reactor.notify();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        stop_workers(&self.server, &mut self.handles);
     }
 }
 
@@ -475,6 +456,28 @@ mod tests {
             .unwrap();
         assert_eq!(&data[..], b"sealed!");
         runner.stop();
+    }
+
+    #[test]
+    fn stop_and_drop_wake_idle_sealed_workers() {
+        for workers in [1, 4] {
+            let net = Network::new();
+            let spawn = || {
+                let endpoint = net.attach_open();
+                let sealer = Arc::new(CapSealer::new(
+                    KeyMatrix::random(&[endpoint.id()], &mut StdRng::seed_from_u64(1))
+                        .view_for(endpoint.id()),
+                ));
+                let echo = Echo {
+                    table: ObjectTable::unbound(SchemeKind::Simple.instantiate()),
+                    sealer: Arc::clone(&sealer),
+                };
+                let port = Port::new(0x5EA1).unwrap();
+                SealedServiceRunner::spawn_workers(endpoint, port, echo, sealer, workers)
+            };
+            crate::service::tests::assert_ends_promptly(spawn, SealedServiceRunner::stop);
+            crate::service::tests::assert_ends_promptly(spawn, drop);
+        }
     }
 
     #[test]

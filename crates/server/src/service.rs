@@ -10,7 +10,6 @@ use amoeba_rpc::{Client, IncomingRequest, RpcConfig, RpcError, ServerPort};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Per-request context derived from the network layer.
@@ -64,6 +63,57 @@ pub trait Service: Send + Sync + 'static {
     /// [`MigrateData`](crate::MigrateData) return `Some(&self.table)`.
     fn migrator(&self) -> Option<&dyn crate::migrate::ShardMigrator> {
         None
+    }
+}
+
+/// How long a worker on a **virtual-clock** network waits for a
+/// request before re-arming. Deliberately bounded, not an event-only
+/// park: keeping one worker parked *inside* the pump (and the pool's
+/// deadlines as near jump targets) measurably tightens virtual-clock
+/// timeline fidelity under concurrency. Wall-clock workers block
+/// untimed.
+const VIRTUAL_WORKER_PARK: std::time::Duration = std::time::Duration::from_millis(20);
+
+/// One dispatch worker's loop, shared by the plain and sealed runners:
+/// take the next request off the shared port and `serve` it, until the
+/// endpoint is closed or detached. On the wall clock the wait is
+/// untimed — a frame arriving, or the runner
+/// [closing](Endpoint::close) the endpoint at shutdown, is what wakes
+/// the worker.
+pub(crate) fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) {
+    let endpoint = server.endpoint();
+    let is_virtual = endpoint.reactor().is_virtual();
+    loop {
+        let next = if is_virtual {
+            server.next_request_timeout(VIRTUAL_WORKER_PARK)
+        } else {
+            server.next_request()
+        };
+        match next {
+            Ok(req) => {
+                // Publish in-flight work on the machine's load gauge;
+                // replica placement policies compare these across a
+                // service cluster. The decrement rides a drop guard so
+                // a panicking handler cannot leave the gauge inflated
+                // for the machine's lifetime.
+                endpoint.add_load(1);
+                let _in_flight = LoadGuard(endpoint);
+                serve(&req);
+            }
+            Err(RecvError::Timeout) => continue,
+            Err(RecvError::Disconnected) => break,
+        }
+    }
+}
+
+/// Stops a runner's workers: closes the endpoint, which discards what
+/// is queued and wakes every worker blocked on it (the machine stays
+/// attached and keeps its claims — peers see a crashed server), and
+/// joins them.
+pub(crate) fn stop_workers(server: &ServerPort, handles: &mut Vec<std::thread::JoinHandle<()>>) {
+    server.endpoint().close();
+    for h in handles.drain(..) {
+        let _ = h.join();
     }
 }
 
@@ -207,7 +257,6 @@ pub struct ServiceRunner {
     /// cluster migration driver, the rebalancer) can reach its
     /// migration handle.
     service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -280,38 +329,12 @@ impl ServiceRunner {
         service.bind(put_port);
         let service: Arc<dyn Service> = Arc::new(service);
         let server = Arc::new(server);
-        let shutdown = Arc::new(AtomicBool::new(false));
         let handles = (0..workers)
             .map(|_| {
                 let service = Arc::clone(&service);
                 let server = Arc::clone(&server);
-                let stop = Arc::clone(&shutdown);
                 std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        // A bounded wait, deliberately not an
-                        // event-only park: keeping one worker parked
-                        // *inside* the pump (and the pool's deadlines
-                        // as near jump targets) measurably tightens
-                        // virtual-clock timeline fidelity under
-                        // concurrency, at the cost of a modest idle
-                        // tick.
-                        match server.next_request_timeout(std::time::Duration::from_millis(20)) {
-                            Ok(req) => {
-                                // Publish in-flight work on the machine's
-                                // load gauge; replica placement policies
-                                // compare these across a service cluster.
-                                // The decrement rides a drop guard so a
-                                // panicking handler cannot leave the
-                                // gauge inflated for the machine's
-                                // lifetime.
-                                server.endpoint().add_load(1);
-                                let _in_flight = LoadGuard(server.endpoint());
-                                serve_one(&*service, &server, &req);
-                            }
-                            Err(RecvError::Timeout) => continue,
-                            Err(RecvError::Disconnected) => break,
-                        }
-                    }
+                    run_worker(&server, |req| serve_one(&*service, &server, req))
                 })
             })
             .collect();
@@ -320,7 +343,6 @@ impl ServiceRunner {
             machine,
             server,
             service,
-            shutdown,
             handles,
         }
     }
@@ -429,23 +451,17 @@ impl ServiceRunner {
     }
 
     /// Stops every worker **without releasing the machine**: the
-    /// endpoint stays attached and the port stays claimed, but nothing
-    /// is served or answered any more — a crashed or hung server as
-    /// its clients experience it (timeouts, not disconnects). Failover
-    /// tests halt one replica mid-hammer; `stop`/drop later reclaims
-    /// the machine. Idempotent.
+    /// endpoint stays attached and the port stays claimed, but its
+    /// receive queue is closed and nothing is served or answered any
+    /// more — a crashed or hung server as its clients experience it
+    /// (timeouts, not disconnects). Failover tests halt one replica
+    /// mid-hammer; `stop`/drop later reclaims the machine. Idempotent.
     pub fn halt(&mut self) {
         self.shutdown_now();
     }
 
     fn shutdown_now(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Workers may be event-parked on the reactor (virtual clock);
-        // wake them so they observe the flag.
-        self.server.endpoint().reactor().notify();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        stop_workers(&self.server, &mut self.handles);
     }
 }
 
@@ -729,7 +745,7 @@ impl ServiceClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::table::ObjectTable;
     use amoeba_cap::schemes::SchemeKind;
@@ -896,6 +912,67 @@ mod tests {
         let net = Network::new();
         let runner = ServiceRunner::spawn_open(&net, Echo::new(SchemeKind::Simple));
         runner.stop(); // explicit stop, then drop runs harmlessly
+    }
+
+    /// Shutdown must wake idle workers, not wait out a tick of theirs:
+    /// ten runners are spawned, left to go idle and ended by `end`
+    /// (`stop` or drop); at least nine must end within 5 ms (one
+    /// straggler is allowed to a loaded host). With the former 20 ms
+    /// idle tick three in four would miss the bound.
+    pub(crate) fn assert_ends_promptly<R>(spawn: impl Fn() -> R, end: impl Fn(R)) {
+        let slow = (0..10)
+            .filter(|_| {
+                let runner = spawn();
+                // Let every worker reach its blocking wait (the bound
+                // holds either way; parked is the case worth timing).
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                let t0 = std::time::Instant::now();
+                end(runner);
+                t0.elapsed() >= std::time::Duration::from_millis(5)
+            })
+            .count();
+        assert!(slow <= 1, "{slow} of 10 shutdowns took 5 ms or more");
+    }
+
+    #[test]
+    fn stop_and_drop_wake_idle_workers() {
+        for workers in [1, 4] {
+            let net = Network::new();
+            let spawn =
+                || ServiceRunner::spawn_open_workers(&net, Echo::new(SchemeKind::Simple), workers);
+            assert_ends_promptly(spawn, ServiceRunner::stop);
+            assert_ends_promptly(spawn, drop);
+        }
+    }
+
+    #[test]
+    fn halted_runner_is_silent_but_keeps_its_port() {
+        let net = Network::new();
+        let mut runner = ServiceRunner::spawn_open(&net, Echo::new(SchemeKind::Simple));
+        let client = ServiceClient::open_with_config(
+            &net,
+            RpcConfig {
+                timeout: std::time::Duration::from_millis(20),
+                attempts: 1,
+            },
+        );
+        create(&client, runner.put_port(), b"x");
+        runner.halt();
+        runner.halt(); // idempotent
+        let before = net.stats().snapshot();
+        assert_eq!(
+            client
+                .call_anonymous(runner.put_port(), CMD_CREATE, Bytes::new())
+                .unwrap_err(),
+            ClientError::Rpc(RpcError::Timeout),
+            "a halted server times its clients out"
+        );
+        let during = net.stats().snapshot() - before;
+        assert_eq!(
+            (during.packets_filtered, during.packets_delivered),
+            (0, 0),
+            "its interface still accepts the frame; nothing is queued"
+        );
     }
 
     #[test]

@@ -628,6 +628,44 @@ fn hot_path_codec_cuts_allocs_5x_and_oneway_evals_10x() {
         fast.ops,
         fast.locks_per_op(),
     );
+
+    // The hand-off budget (what the lock count is a proxy for): a
+    // two-frame transaction costs exactly two queue pushes — each frame
+    // into its recipient's inbox, nothing re-queued between the pump
+    // and the handler — and at most one wake per push, none when the
+    // receiver was running. Counted per network, so concurrent tests
+    // cannot pollute it. Wakes are a wall-clock quantity (virtual-clock
+    // receivers park on the reactor, not on their queues), so the leg
+    // is repeated on the wall clock, recorder still live.
+    let wall_net = Network::new();
+    wall_net.obs().enable();
+    let wall = amoeba_bench::hot_path_round(&wall_net, false, WARMUP, OPS);
+    for (clock, m) in [("virtual", &fast), ("wall", &wall)] {
+        assert_eq!(
+            m.frames,
+            8 * m.ops,
+            "{clock}: a metered create + destroy is 4 two-frame transactions"
+        );
+        assert_eq!(
+            m.queue_pushes,
+            m.frames,
+            "{clock}: one queue push per frame, two per transaction \
+             ({:.2} pushes/op over {:.0} frames/op)",
+            m.pushes_per_op(),
+            m.frames as f64 / m.ops as f64,
+        );
+        assert!(
+            m.queue_wakes <= m.queue_pushes,
+            "{clock}: at most one wake per push: {} wakes, {} pushes",
+            m.queue_wakes,
+            m.queue_pushes,
+        );
+    }
+    assert!(
+        wall.queue_wakes > 0,
+        "wall-clock receivers park on their queues and are woken"
+    );
+    assert_eq!(fast.queue_wakes, 0, "virtual-clock receivers never do");
 }
 
 #[test]
