@@ -8,10 +8,15 @@
 //! bench meters exactly those: for the steady-state workload it
 //! reports **ns/op**, **buffer allocs/op**, **one-way-function
 //! evals/op**, **locks/op** and the cross-thread hand-offs behind the
-//! lock count — **queue pushes/op** and **wakes/op** — for these
-//! shapes (the single shape is gated at 2 pushes per transaction in
-//! `tests/scale.rs`; the batched shape fans entries out through the
-//! ready queue, and its figures are recorded here, not gated):
+//! lock count — **queue pushes/op**, **wakes/op**, receiver
+//! **parks/op** and **spin hits/op** — for these shapes (the single
+//! shape is gated at 2 pushes per transaction in `tests/scale.rs`; the
+//! batched shape fans entries out through the ready queue, and its
+//! figures are recorded here, not gated; every leg runs on a virtual
+//! clock, whose endpoints are polled from the reactor and so neither
+//! parked on nor spun on — wakes, parks and spin hits read 0 except
+//! for the batched leg's pipelined callers, which block on a result
+//! queue; `tests/handoff.rs` prints the wall-clock figures):
 //!
 //! * **single** — the §3.6 metered create (nested bank payment), every
 //!   machine behind an F-box, one frame per request;
@@ -186,6 +191,8 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
         hot_locks: pool.lock_acquisitions() - locks0,
         queue_pushes: hot.queue_pushes,
         queue_wakes: hot.queue_wakes,
+        queue_parks: hot.queue_parks,
+        queue_spin_hits: hot.queue_spin_hits,
     };
     net.set_latency(Duration::ZERO);
     runner.stop();
@@ -283,6 +290,8 @@ fn cluster_leg(legacy: bool) -> HotPathMeasure {
         hot_locks: pool.lock_acquisitions() - locks0,
         queue_pushes: hot.queue_pushes,
         queue_wakes: hot.queue_wakes,
+        queue_parks: hot.queue_parks,
+        queue_spin_hits: hot.queue_spin_hits,
     };
     net.set_latency(Duration::ZERO);
     cluster.stop();
@@ -302,6 +311,7 @@ fn leg_json(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) -> Strin
          \"allocs_per_op\": {:.3},\n    \"oneway_per_op\": {:.3},\n    \
          \"locks_per_op\": {:.3},\n    \
          \"pushes_per_op\": {:.3},\n    \"wakes_per_op\": {:.3},\n    \
+         \"parks_per_op\": {:.3},\n    \"spin_hits_per_op\": {:.3},\n    \
          \"frames_per_op\": {:.3},\n    \"legacy_ns_per_op\": {:.0},\n    \
          \"legacy_allocs_per_op\": {:.3},\n    \"legacy_oneway_per_op\": {:.3},\n    \
          \"alloc_reduction\": {:.1},\n    \"oneway_reduction\": {:.1}\n  }}",
@@ -312,6 +322,8 @@ fn leg_json(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) -> Strin
         fast.locks_per_op(),
         fast.pushes_per_op(),
         fast.wakes_per_op(),
+        fast.parks_per_op(),
+        fast.spin_hits_per_op(),
         fast.frames as f64 / fast.ops as f64,
         legacy.ns_per_op(),
         legacy.allocs_per_op(),
@@ -328,12 +340,15 @@ fn contended_json(one: &HotPathMeasure, two: &HotPathMeasure) -> String {
     format!(
         "  \"contended\": {{\n    \"threads_1_ops_per_sec\": {:.1},\n    \
          \"threads_2_ops_per_sec\": {:.1},\n    \"scaling\": {:.3},\n    \
-         \"locks_per_op\": {:.3},\n    \"allocs_per_op\": {:.3}\n  }}",
+         \"locks_per_op\": {:.3},\n    \"allocs_per_op\": {:.3},\n    \
+         \"parks_per_op\": {:.3},\n    \"spin_hits_per_op\": {:.3}\n  }}",
         one.ops_per_sec(),
         two.ops_per_sec(),
         two.ops_per_sec() / one.ops_per_sec(),
         two.locks_per_op(),
         two.allocs_per_op(),
+        two.parks_per_op(),
+        two.spin_hits_per_op(),
     )
 }
 

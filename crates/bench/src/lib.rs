@@ -96,6 +96,11 @@ pub struct HotPathMeasure {
     pub queue_pushes: u64,
     /// Wake-ups those pushes issued to parked receivers.
     pub queue_wakes: u64,
+    /// Parks (condition-variable waits) by receivers that found those
+    /// queues empty.
+    pub queue_parks: u64,
+    /// Messages taken at the end of a spin instead: no park, no wake.
+    pub queue_spin_hits: u64,
 }
 
 impl HotPathMeasure {
@@ -127,6 +132,16 @@ impl HotPathMeasure {
     /// Wake-ups issued to parked receivers per operation.
     pub fn wakes_per_op(&self) -> f64 {
         self.queue_wakes as f64 / self.ops as f64
+    }
+
+    /// Receiver parks per operation.
+    pub fn parks_per_op(&self) -> f64 {
+        self.queue_parks as f64 / self.ops as f64
+    }
+
+    /// Messages taken by a spinning receiver per operation.
+    pub fn spin_hits_per_op(&self) -> f64 {
+        self.queue_spin_hits as f64 / self.ops as f64
     }
 
     /// Operations per second of real wall-clock.
@@ -192,6 +207,8 @@ pub fn hot_path_round(
         hot_locks: pool.lock_acquisitions() - locks0,
         queue_pushes: hot.queue_pushes,
         queue_wakes: hot.queue_wakes,
+        queue_parks: hot.queue_parks,
+        queue_spin_hits: hot.queue_spin_hits,
     };
 
     net.set_latency(Duration::ZERO);
@@ -365,12 +382,16 @@ pub fn contended_hot_path(threads: usize, warmup: usize, creates: usize) -> HotP
     let mut frames = 0;
     let mut queue_pushes = 0;
     let mut queue_wakes = 0;
+    let mut queue_parks = 0;
+    let mut queue_spin_hits = 0;
     for handle in handles {
         let hot = handle.join().expect("contended fleet thread");
         oneway_evals += hot.oneway_evals;
         frames += hot.frames_sent;
         queue_pushes += hot.queue_pushes;
         queue_wakes += hot.queue_wakes;
+        queue_parks += hot.queue_parks;
+        queue_spin_hits += hot.queue_spin_hits;
     }
     HotPathMeasure {
         ops: (threads * creates) as u64,
@@ -382,6 +403,8 @@ pub fn contended_hot_path(threads: usize, warmup: usize, creates: usize) -> HotP
         hot_locks,
         queue_pushes,
         queue_wakes,
+        queue_parks,
+        queue_spin_hits,
     }
 }
 

@@ -175,7 +175,7 @@ struct NetworkInner {
     drop_rate_bits: AtomicU64,
     rng: Mutex<StdRng>,
     stats: NetworkStats,
-    /// Counts the pushes and wakes of this network's queues: machine
+    /// Counts the hand-offs of this network's queues: machine
     /// inboxes and every queue made with [`Network::channel`].
     queues: Meter,
     /// The network's observability handle (disabled until
@@ -337,7 +337,9 @@ impl Network {
 
     /// An unbounded MPMC queue for hand-offs between this network's
     /// parties (ready queues, reply mailboxes), counted with the
-    /// machine inboxes in [`hot_path`](Network::hot_path).
+    /// machine inboxes in [`hot_path`](Network::hot_path). Like an
+    /// inbox, a blocking receive on it spins before it parks while
+    /// spinning pays on that queue (the channel crate's "Park rule").
     pub fn channel<T>(&self) -> (Sender<T>, Receiver<T>) {
         metered(&self.inner.queues)
     }
@@ -412,10 +414,10 @@ impl Network {
 
     /// Snapshots the hot-path cost counters: frames sent on this
     /// network, one-way-function evaluations by its attached
-    /// interfaces, pushes and wakes on its queues, process-wide
-    /// payload-buffer allocations, and process-wide counted lock
-    /// acquisitions. See [`HotPathSnapshot`] for the accounting
-    /// caveats.
+    /// interfaces, pushes, wakes, parks and spin hits on its queues,
+    /// process-wide payload-buffer allocations, and process-wide
+    /// counted lock acquisitions. See [`HotPathSnapshot`] for the
+    /// accounting caveats.
     pub fn hot_path(&self) -> HotPathSnapshot {
         let oneway_evals = self
             .inner
@@ -432,6 +434,8 @@ impl Network {
             lock_acquisitions: crate::sync::hot_lock_acquisitions(),
             queue_pushes: self.inner.queues.pushes(),
             queue_wakes: self.inner.queues.wakes(),
+            queue_parks: self.inner.queues.parks(),
+            queue_spin_hits: self.inner.queues.spin_hits(),
         }
     }
 

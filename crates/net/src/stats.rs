@@ -71,10 +71,11 @@ impl NetworkStats {
 /// codec, the lock-free demux and the frame-path budget optimise:
 /// frames on the wire, payload-buffer allocations, one-way-function
 /// evaluations, blocking lock acquisitions, and cross-thread hand-offs
-/// (queue pushes and the wake-ups they issue). Diff two snapshots
-/// around a workload to get per-operation costs.
+/// (queue pushes, the wake-ups they issue, and how the receivers
+/// waited: parked or spinning). Diff two snapshots around a workload
+/// to get per-operation costs.
 ///
-/// `frames_sent`, `queue_pushes` and `queue_wakes` are per network
+/// `frames_sent` and the four `queue_*` counts are per network
 /// (machine inboxes plus every [`Network::channel`](crate::Network::channel)); `oneway_evals` sums the
 /// [`crypto_evals`](crate::NetworkInterface::crypto_evals) of the
 /// machines *currently attached* (detached machines take their counts
@@ -105,6 +106,12 @@ pub struct HotPathSnapshot {
     /// Wake-ups (a futex-wake syscall each) issued to receivers parked
     /// on those queues: at most one per push.
     pub queue_wakes: u64,
+    /// Condition-variable waits (a futex-wait syscall each) entered by
+    /// receivers that found those queues empty.
+    pub queue_parks: u64,
+    /// Messages a receiver took at the end of a spin, with no park and
+    /// no wake: the cross-core hand-offs the kernel never saw.
+    pub queue_spin_hits: u64,
 }
 
 impl std::ops::Sub for HotPathSnapshot {
@@ -121,6 +128,8 @@ impl std::ops::Sub for HotPathSnapshot {
             lock_acquisitions: self.lock_acquisitions - rhs.lock_acquisitions,
             queue_pushes: self.queue_pushes - rhs.queue_pushes,
             queue_wakes: self.queue_wakes - rhs.queue_wakes,
+            queue_parks: self.queue_parks - rhs.queue_parks,
+            queue_spin_hits: self.queue_spin_hits - rhs.queue_spin_hits,
         }
     }
 }

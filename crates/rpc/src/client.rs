@@ -14,7 +14,8 @@
 //!
 //! 1. a non-blocking check of its private mailbox (a peer may have
 //!    routed its reply there), then
-//! 2. a bounded block on the shared endpoint queue.
+//! 2. a bounded block on the shared endpoint queue (which spins before
+//!    it parks while that has been paying — see [`Completion::wait`]).
 //!
 //! The bound on (2) is the **demux tick**. It back-offs in two steps,
 //! both configurable via [`DemuxPolicy`]:
@@ -1238,8 +1239,12 @@ impl<T> Completion<'_, T> {
     /// the completion. Under a [`VirtualClock`](amoeba_net::VirtualClock)
     /// the waiter parks on the reactor and wakes per event; under the
     /// wall clock it blocks on the shared endpoint queue in
-    /// [`DemuxPolicy`] ticks (re-checking its mailbox each tick),
-    /// exactly the pre-reactor cadence.
+    /// [`DemuxPolicy`] ticks, re-checking its mailbox each tick. Each
+    /// block is the channel's one receive: it spins briefly before it
+    /// parks while replies on this endpoint have been arriving within
+    /// a spin (the channel crate's "Park rule"), so between two cores
+    /// a warm transaction's reply is taken without a futex wait here
+    /// or a wake at the server.
     ///
     /// # Errors
     /// [`RpcError::Timeout`] after all attempts,

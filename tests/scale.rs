@@ -661,11 +661,18 @@ fn hot_path_codec_cuts_allocs_5x_and_oneway_evals_10x() {
             m.queue_pushes,
         );
     }
+    // A wall-clock receiver that finds its queue empty waits on it —
+    // parked (and then woken), or spinning where that pays: on a
+    // multi-core host a warm transaction may make no wake at all.
     assert!(
-        wall.queue_wakes > 0,
-        "wall-clock receivers park on their queues and are woken"
+        wall.queue_parks + wall.queue_spin_hits > 0,
+        "wall-clock receivers wait on their queues: {wall:?}"
     );
-    assert_eq!(fast.queue_wakes, 0, "virtual-clock receivers never do");
+    assert_eq!(
+        (fast.queue_wakes, fast.queue_parks, fast.queue_spin_hits),
+        (0, 0, 0),
+        "virtual-clock receivers only poll theirs"
+    );
 }
 
 #[test]
