@@ -175,7 +175,10 @@ impl BlockServer {
             if end > ext.data.len() {
                 return None;
             }
-            Some(Bytes::copy_from_slice(&ext.data[offset as usize..end]))
+            // Extent → a recycled buffer of exactly this size; the
+            // dispatch loop copies it on into the reply frame.
+            let span = &ext.data[offset as usize..end];
+            Some(wire::Writer::with_capacity(span.len()).raw(span).finish())
         });
         match result {
             Ok(Some(data)) => Reply::ok(data),
@@ -367,11 +370,12 @@ impl BlockClient {
     /// # Errors
     /// As for [`read`](Self::read), plus `RightsViolation` without WRITE.
     pub fn write(&self, cap: &Capability, offset: u32, data: &[u8]) -> Result<(), ClientError> {
-        self.svc.call(
-            cap,
-            ops::WRITE,
-            wire::Writer::new().u32(offset).bytes(data).finish(),
-        )?;
+        // In place: `data` is copied once, into the request frame.
+        let len = 8 + data.len();
+        self.svc
+            .call_with(cap.port, None, cap, ops::WRITE, len, |w| {
+                w.u32(offset).bytes(data)
+            })?;
         Ok(())
     }
 
@@ -393,7 +397,10 @@ impl BlockClient {
                         (
                             *cap,
                             ops::WRITE,
-                            wire::Writer::new().u32(*offset).bytes(data).finish(),
+                            wire::Writer::with_capacity(8 + data.len())
+                                .u32(*offset)
+                                .bytes(data)
+                                .finish(),
                         )
                     })
                     .collect();

@@ -359,13 +359,20 @@ impl ElasticClient {
             .svc
             .call_at(self.port_for(cap), cap, command, params.clone())
         {
-            Ok(body) => Ok(body),
             Err(e) if Self::should_refresh(&e) => {
                 self.refresh()?;
                 self.svc.call_at(self.port_for(cap), cap, command, params)
             }
-            Err(e) => Err(e),
+            settled => self.settle(params, settled),
         }
+    }
+
+    /// Hands back `settled`, the outcome of a call that needs no retry,
+    /// after releasing the parameter blob kept for one: the call held
+    /// only a clone, so this is the handle that recycles the storage.
+    fn settle<T>(&self, params: Bytes, settled: T) -> T {
+        self.svc.rpc().buf_pool().release(params);
+        settled
     }
 
     /// Invokes a capability-less placement command (CREATE and
@@ -380,13 +387,12 @@ impl ElasticClient {
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % DEFAULT_SHARDS;
         let port = self.ports.read()[shard];
         match self.svc.call_anonymous(port, command, params.clone()) {
-            Ok(body) => Ok(body),
             Err(e) if Self::should_refresh(&e) => {
                 self.refresh()?;
                 let port = self.ports.read()[shard];
                 self.svc.call_anonymous(port, command, params)
             }
-            Err(e) => Err(e),
+            settled => self.settle(params, settled),
         }
     }
 

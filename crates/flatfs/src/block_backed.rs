@@ -42,17 +42,22 @@ struct Inode {
     extents: Vec<Extent>,
 }
 
-/// Maps the byte range `[start, end)` onto `(extent index,
-/// within-extent offset, length)` runs, in order.
-fn extent_runs(extents: &[Extent], bs: u64, start: u64, end: u64) -> Vec<(usize, u32, u32)> {
+/// Maps the byte range `[start, end)` onto `(extent capability,
+/// within-extent offset, length)` runs, in order. Bytes past the last
+/// extent belong to no run.
+fn extent_runs(extents: &[Extent], bs: u64, start: u64, end: u64) -> Vec<(Capability, u32, u32)> {
     let mut runs = Vec::new();
     let mut base = 0u64;
-    for (idx, ext) in extents.iter().enumerate() {
+    for ext in extents {
         let ext_end = base + u64::from(ext.blocks) * bs;
         if ext_end > start && base < end {
             let run_start = start.max(base);
             let run_end = end.min(ext_end);
-            runs.push((idx, (run_start - base) as u32, (run_end - run_start) as u32));
+            runs.push((
+                ext.cap,
+                (run_start - base) as u32,
+                (run_end - run_start) as u32,
+            ));
         }
         if ext_end >= end {
             break;
@@ -115,32 +120,33 @@ impl BlockFlatFsServer {
         let (Some(offset), Some(len)) = (r.u64(), r.u32()) else {
             return Reply::status(Status::BadRequest);
         };
-        let meta = self
-            .table
-            .with_object(&req.cap, Rights::READ, |f| (f.size, f.extents.clone()));
-        let (size, extents) = match meta {
-            Ok(m) => m,
+        // The runs are computed from the inode where it lives, under
+        // its table lock: nothing of it is copied out but them.
+        let gathers = self.table.with_object(&req.cap, Rights::READ, |f| {
+            let start = offset.min(f.size);
+            let end = offset.saturating_add(len as u64).min(f.size);
+            extent_runs(&f.extents, self.block_size, start, end)
+        });
+        let gathers = match gathers {
+            Ok(g) => g,
             Err(e) => return Reply::status(e.into()),
         };
-        let start = offset.min(size);
-        let end = offset.saturating_add(len as u64).min(size);
         // One gather frame covers the whole range, however many extents
         // it crosses. No lock on the read path: the RPC client demuxes
         // concurrent transactions and reads never touch inode metadata.
-        let gathers: Vec<(Capability, u32, u32)> =
-            extent_runs(&extents, self.block_size, start, end)
-                .into_iter()
-                .map(|(idx, within, take)| (extents[idx].cap, within, take))
-                .collect();
-        match self.disk.read_many(&gathers) {
+        match self.disk.read_many(&gathers).as_deref() {
+            Ok([]) => Reply::ok(Bytes::new()),
+            // A single run is the reply as it stands — a slice of the
+            // block server's reply frame, copied once more, into ours.
+            Ok([body]) => Reply::ok(body.clone()),
             Ok(bodies) => {
-                let mut out = Vec::with_capacity((end - start) as usize);
-                for body in bodies {
-                    out.extend_from_slice(&body);
-                }
-                Reply::ok(Bytes::from(out))
+                let total = bodies.iter().map(Bytes::len).sum();
+                let out = bodies
+                    .iter()
+                    .fold(wire::Writer::with_capacity(total), |w, body| w.raw(body));
+                Reply::ok(out.finish())
             }
-            Err(ClientError::Status(s)) => Reply::status(s),
+            Err(ClientError::Status(s)) => Reply::status(*s),
             Err(_) => Reply::status(Status::NoSpace),
         }
     }
@@ -150,38 +156,41 @@ impl BlockFlatFsServer {
         let (Some(offset), Some(data)) = (r.u64(), r.bytes()) else {
             return Reply::status(Status::BadRequest);
         };
-        // Serialise writers *of this inode* before snapshotting it, so
-        // a concurrent writer's allocations are always visible in the
-        // snapshot (no leaked blocks, no lost metadata). Writers to
-        // other files take other stripes and run in parallel.
-        let _writing = self.inode_locks.lock(req.cap.object);
-        let meta = self
-            .table
-            .with_object(&req.cap, Rights::WRITE, |f| (f.size, f.extents.clone()));
-        let (old_size, mut extents) = match meta {
-            Ok(m) => m,
-            Err(e) => return Reply::status(e.into()),
-        };
         let bs = self.block_size;
         let Some(end) = offset.checked_add(data.len() as u64) else {
             return Reply::status(Status::OutOfRange);
         };
-        let have: u64 = extents.iter().map(|e| u64::from(e.blocks)).sum();
+        // Serialise writers *of this inode* before looking at it, so a
+        // concurrent writer's allocations are always visible (no leaked
+        // blocks, no lost metadata). Writers to other files take other
+        // stripes and run in parallel.
+        let _writing = self.inode_locks.lock(req.cap.object);
+        let meta = self.table.with_object(&req.cap, Rights::WRITE, |f| {
+            let have: u64 = f.extents.iter().map(|e| u64::from(e.blocks)).sum();
+            (f.size, have, extent_runs(&f.extents, bs, offset, end))
+        });
+        let (old_size, have, mut runs) = match meta {
+            Ok(m) => m,
+            Err(e) => return Reply::status(e.into()),
+        };
         let needed = end.div_ceil(bs);
         // At most ONE allocation round-trip, however many blocks the
         // write needs: the shortfall comes back as a single contiguous
         // extent. On any failure below the fresh extent is returned
         // whole — it is not yet in the inode and would otherwise leak
         // disk capacity forever.
-        let mut fresh: Option<Capability> = None;
+        let mut fresh: Option<Extent> = None;
         if needed > have {
             let Ok(shortfall) = u32::try_from(needed - have) else {
                 return Reply::status(Status::OutOfRange);
             };
             match self.disk.alloc_n(shortfall) {
                 Ok((cap, blocks)) => {
-                    fresh = Some(cap);
-                    extents.push(Extent { cap, blocks });
+                    // The fresh extent follows the ones the inode has:
+                    // it takes whatever of the write lies past them.
+                    let from = offset.max(have * bs);
+                    runs.push((cap, (from - have * bs) as u32, (end - from) as u32));
+                    fresh = Some(Extent { cap, blocks });
                 }
                 Err(e) => {
                     return Reply::status(match e {
@@ -192,22 +201,22 @@ impl BlockFlatFsServer {
             }
         }
         let free_fresh = || {
-            if let Some(cap) = &fresh {
-                let _ = self.disk.free(cap);
+            if let Some(ext) = &fresh {
+                let _ = self.disk.free(&ext.cap);
             }
         };
-        // One scatter frame carries every byte of the write.
-        let runs = extent_runs(&extents, bs, offset, end);
-        let mut scatters: Vec<(Capability, u32, &[u8])> = Vec::with_capacity(runs.len());
+        // One scatter frame carries every byte of the write, each run
+        // forwarded from the request frame's data slice into the block
+        // server's frame.
         let mut taken = 0usize;
-        for (idx, within, take) in runs {
-            scatters.push((
-                extents[idx].cap,
-                within,
-                &data[taken..taken + take as usize],
-            ));
-            taken += take as usize;
-        }
+        let scatters: Vec<(Capability, u32, &[u8])> = runs
+            .into_iter()
+            .map(|(cap, within, take)| {
+                let run = &data[taken..taken + take as usize];
+                taken += take as usize;
+                (cap, within, run)
+            })
+            .collect();
         if let Err(e) = self.disk.write_many(&scatters) {
             free_fresh();
             return Reply::status(match e {
@@ -218,7 +227,7 @@ impl BlockFlatFsServer {
         let new_size = old_size.max(end);
         match self.table.with_object_mut(&req.cap, Rights::WRITE, |f| {
             f.size = new_size;
-            f.extents = extents.clone();
+            f.extents.extend(fresh);
         }) {
             Ok(()) => Reply::ok(wire::Writer::new().u64(new_size).finish()),
             Err(e) => {

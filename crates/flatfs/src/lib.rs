@@ -226,7 +226,8 @@ impl FlatFsServer {
         match self.table.with_object(&req.cap, Rights::READ, |f| {
             let start = (offset as usize).min(f.data.len());
             let end = start.saturating_add(len as usize).min(f.data.len());
-            Bytes::copy_from_slice(&f.data[start..end])
+            let span = &f.data[start..end];
+            wire::Writer::with_capacity(span.len()).raw(span).finish()
         }) {
             Ok(data) => Reply::ok(data),
             Err(e) => Reply::status(e.into()),
@@ -403,11 +404,13 @@ impl FlatFsClient {
     /// # Errors
     /// `NoSpace` past a purchased quota; rights/validation errors.
     pub fn write(&self, cap: &Capability, offset: u64, data: &[u8]) -> Result<u64, ClientError> {
-        let body = self.svc.call(
-            cap,
-            ops::WRITE,
-            wire::Writer::new().u64(offset).bytes(data).finish(),
-        )?;
+        // In place: `data` is copied once, into the request frame.
+        let len = 12 + data.len();
+        let body = self
+            .svc
+            .call_with(cap.port, None, cap, ops::WRITE, len, |w| {
+                w.u64(offset).bytes(data)
+            })?;
         wire::Reader::new(&body).u64().ok_or(ClientError::Malformed)
     }
 

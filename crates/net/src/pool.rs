@@ -21,21 +21,33 @@
 //!
 //! A retired frame whose payload is still referenced (a packet in
 //! flight, a decoded body held by a handler) parks in a bounded queue;
-//! each `take` first sweeps that queue for buffers that have become
-//! uniquely owned. All queues are bounded, so a pool can never hoard
-//! more than a fixed amount of memory, and oversized buffers are
-//! dropped rather than retained.
+//! a `take` that finds no free buffer big enough sweeps that queue for
+//! buffers that have become uniquely owned. All queues are bounded, so
+//! a pool can never hoard more than a fixed amount of memory, and
+//! oversized buffers are dropped rather than retained.
 //!
 //! # Thread-local fast path
 //!
 //! The steady-state take/retire cycle runs entirely on a per-thread
-//! cache: each thread keeps a small free list and retired queue keyed
-//! by pool identity, so a client thread recycles its request frames
-//! and a server worker recycles its reply frames with **zero lock
+//! cache: **one** small free list and retired queue per thread, shared
+//! by every pool that thread touches. Storage is fungible — a worker
+//! that serves one port and calls through an embedded client (file
+//! server → bank, file server → block server) alternates between two
+//! pools on every request, and keeps its warm buffers across the
+//! switch; so does a [`take_local`](BufPool::take_local) that has no
+//! pool at hand (a parameter blob). Pool identity only selects the
+//! counters and the spill queues. A client thread recycles its request
+//! frames and a server worker its reply frames with **zero lock
 //! acquisitions**. The shared, mutex-guarded queues remain as spill
 //! targets (cache overflow, cross-thread imbalance) and their locks
 //! are counted [`HotMutex`]es — the hot-path gate measures that steady
 //! state never touches them.
+//!
+//! A take that knows how long its frame will be
+//! ([`take_sized`](BufPool::take_sized)) gets the **smallest** cached
+//! buffer that holds it: a 32 KiB data frame never lands in a 256-byte
+//! buffer and grows, and a 30-byte reply never walks off with the one
+//! large buffer the next data frame needs.
 //!
 //! Two retire disciplines keep buffers circulating back to the thread
 //! that will take them next:
@@ -76,10 +88,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Initial capacity of freshly allocated pool buffers — enough for a
+/// Least capacity of a freshly allocated pool buffer — enough for a
 /// typical request/reply frame (tag + 16-byte capability header + small
-/// params) without a growth reallocation; batch frames grow once and
-/// then keep their larger capacity across reuses.
+/// params) without a growth reallocation.
 const FRESH_CAPACITY: usize = 256;
 
 /// Upper bound on reclaimed buffers kept ready in the shared free list.
@@ -106,12 +117,8 @@ const TL_MAX_FREE: usize = 8;
 /// the shared queue.
 const TL_MAX_RETIRED: usize = 16;
 
-/// Distinguishes pools so one thread's cache never mixes buffers from
-/// two pools. Identity, not index: ids are never reused.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
+/// One thread's buffers, whichever pool they were taken through.
 struct TlCache {
-    pool_id: u64,
     free: Vec<Vec<u8>>,
     retired: Vec<Bytes>,
 }
@@ -119,19 +126,71 @@ struct TlCache {
 thread_local! {
     static TL_CACHE: RefCell<TlCache> = const {
         RefCell::new(TlCache {
-            pool_id: 0,
             free: Vec::new(),
             retired: Vec::new(),
         })
     };
 }
 
+fn with_cache<R>(f: impl FnOnce(&mut TlCache) -> R) -> R {
+    TL_CACHE.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+impl TlCache {
+    /// The smallest free buffer that holds `len` bytes; the retired
+    /// frames are swept for ones whose receivers have finished only
+    /// when no free buffer fits.
+    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        self.best_fit(len).or_else(|| {
+            self.sweep();
+            self.best_fit(len)
+        })
+    }
+
+    fn best_fit(&mut self, len: usize) -> Option<Vec<u8>> {
+        let (at, _) = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, storage)| storage.capacity() >= len)
+            .min_by_key(|(_, storage)| storage.capacity())?;
+        Some(self.free.swap_remove(at))
+    }
+
+    /// Reclaims every parked frame whose other holders have dropped.
+    /// Entirely thread-local: no lock.
+    fn sweep(&mut self) {
+        for frame in std::mem::take(&mut self.retired) {
+            match frame.try_reclaim() {
+                Ok(storage) => self.stash(storage),
+                Err(still_shared) => self.retired.push(still_shared),
+            }
+        }
+    }
+
+    /// Keeps reclaimed storage, or drops it when it is oversized (let
+    /// the allocator have it back) or the list is full. A full list
+    /// means this thread already holds more storage than it consumes,
+    /// and spilling the surplus to a shared list would put a lock
+    /// acquisition on the steady-state path for storage nobody reads
+    /// back (cross-thread circulation rides the shared *retired* queue
+    /// instead — see [`BufPool::retire`]).
+    fn stash(&mut self, storage: Vec<u8>) {
+        if storage.capacity() <= MAX_RETAINED_CAPACITY && self.free.len() < TL_MAX_FREE {
+            self.free.push(storage);
+        }
+    }
+}
+
+/// A fresh buffer for a `len`-byte frame.
+fn fresh(len: usize) -> BytesMut {
+    BytesMut::with_capacity(len.max(FRESH_CAPACITY))
+}
+
 #[derive(Debug)]
 struct PoolInner {
     /// `false` for the measurement baseline: take() always allocates.
     enabled: bool,
-    /// Identity tag for the thread-local caches.
-    id: u64,
     /// Reclaimed storage, ready to hand out (shared spill).
     free: HotMutex<Vec<Vec<u8>>>,
     /// Sent frames whose payload may still be referenced (shared spill).
@@ -185,7 +244,6 @@ impl BufPool {
         BufPool {
             inner: Arc::new(PoolInner {
                 enabled,
-                id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
                 free: HotMutex::with_meter(Vec::new(), meter.clone()),
                 retired: HotMutex::with_meter(VecDeque::new(), meter.clone()),
                 spilled: AtomicU64::new(0),
@@ -219,50 +277,22 @@ impl BufPool {
         self.inner.meter.count()
     }
 
-    /// Runs `f` on this pool's thread-local cache, rebinding (and
-    /// discarding) the cache if it last served a different pool.
-    fn with_cache<R>(&self, f: impl FnOnce(&mut TlCache) -> R) -> R {
-        TL_CACHE.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            if cache.pool_id != self.inner.id {
-                cache.free.clear();
-                cache.retired.clear();
-                cache.pool_id = self.inner.id;
-            }
-            f(&mut cache)
-        })
+    /// Hands out an empty buffer for a frame of unknown length: the
+    /// smallest one cached. See [`take_sized`](Self::take_sized).
+    pub fn take(&self) -> BytesMut {
+        self.take_sized(0)
     }
 
-    /// Hands out an empty buffer: recycled storage when available, a
-    /// fresh allocation otherwise. The steady-state take is served
-    /// from the thread-local cache without any lock; the shared spill
-    /// queues are consulted (and the retired queues swept) only when
-    /// the caches run dry.
-    pub fn take(&self) -> BytesMut {
+    /// Hands out an empty buffer for a frame of `len` bytes: the
+    /// smallest recycled buffer that holds it when there is one, a
+    /// fresh allocation of that capacity otherwise. The steady-state
+    /// take is served from the thread-local cache without any lock;
+    /// the shared spill queues are consulted (and swept) only when the
+    /// cache has nothing that fits.
+    pub fn take_sized(&self, len: usize) -> BytesMut {
         self.inner.takes.fetch_add(1, Ordering::Relaxed);
         if self.inner.enabled {
-            let local = self.with_cache(|cache| {
-                if let Some(storage) = cache.free.pop() {
-                    return Some(storage);
-                }
-                // Sweep this thread's retired frames for ones whose
-                // receivers have finished.
-                let parked = std::mem::take(&mut cache.retired);
-                for frame in parked {
-                    match frame.try_reclaim() {
-                        Ok(storage) => {
-                            if storage.capacity() <= MAX_RETAINED_CAPACITY
-                                && cache.free.len() < TL_MAX_FREE
-                            {
-                                cache.free.push(storage);
-                            }
-                        }
-                        Err(still_shared) => cache.retired.push(still_shared),
-                    }
-                }
-                cache.free.pop()
-            });
-            if let Some(storage) = local {
+            if let Some(storage) = with_cache(|cache| cache.take(len)) {
                 self.inner.reused.fetch_add(1, Ordering::Relaxed);
                 return BytesMut::from_recycled(storage);
             }
@@ -277,7 +307,19 @@ impl BufPool {
             }
         }
         self.inner.fresh.fetch_add(1, Ordering::Relaxed);
-        BytesMut::with_capacity(FRESH_CAPACITY)
+        fresh(len)
+    }
+
+    /// [`take_sized`](Self::take_sized) for a caller with no pool at
+    /// hand (a parameter or reply blob built outside any endpoint):
+    /// the calling thread's cache or a fresh allocation, no counters.
+    /// [`release`](Self::release) through any pool brings the storage
+    /// back.
+    pub fn take_local(len: usize) -> BytesMut {
+        match with_cache(|cache| cache.take(len)) {
+            Some(storage) => BytesMut::from_recycled(storage),
+            None => fresh(len),
+        }
     }
 
     /// Returns a frame **this thread took** to the pool. If the
@@ -292,9 +334,9 @@ impl BufPool {
         if !self.inner.enabled || frame.is_empty() || frame.is_static() {
             return;
         }
-        match frame.try_reclaim() {
-            Ok(storage) => self.stash(storage),
-            Err(still_shared) => self.with_cache(|cache| {
+        with_cache(|cache| match frame.try_reclaim() {
+            Ok(storage) => cache.stash(storage),
+            Err(still_shared) => {
                 // Park at most one handle per allocation: parked
                 // siblings would hold each other's refcount above one
                 // forever, making every one of them unreclaimable.
@@ -309,14 +351,14 @@ impl BufPool {
                 }
                 cache.retired.push(still_shared);
                 if cache.retired.len() > TL_MAX_RETIRED {
-                    // Sweep locally first: take() only sweeps when the
-                    // free cache runs dry, so on a thread whose free
-                    // cache never empties (steady inflow of released
-                    // body storage) reclaimable parked frames would
-                    // pile up here and every park would spill through
-                    // the shared lock. A local sweep is lock-free and
-                    // keeps the queue at the genuine in-flight count.
-                    Self::sweep_local(cache);
+                    // Sweep locally first: take() only sweeps when no
+                    // free buffer fits, so on a thread whose free
+                    // cache never empties reclaimable parked frames
+                    // would pile up here and every park would spill
+                    // through the shared lock. A local sweep is
+                    // lock-free and keeps the queue at the genuine
+                    // in-flight count.
+                    cache.sweep();
                 }
                 if cache.retired.len() > TL_MAX_RETIRED {
                     // Still over cap after the sweep: the eldest parked
@@ -334,8 +376,8 @@ impl BufPool {
                         }
                     }
                 }
-            }),
-        }
+            }
+        });
     }
 
     fn pop_shared_free(&self) -> Option<Vec<u8>> {
@@ -343,26 +385,6 @@ impl BufPool {
         self.inner.spilled.fetch_sub(1, Ordering::AcqRel);
         self.inner.reused.fetch_add(1, Ordering::Relaxed);
         Some(storage)
-    }
-
-    /// Reclaims every parked frame in `cache` whose other holders have
-    /// dropped, moving the storage to the cache's free list (or
-    /// dropping it when the list is full — a full list means this
-    /// thread already holds more storage than it consumes). Entirely
-    /// thread-local: no lock.
-    fn sweep_local(cache: &mut TlCache) {
-        let parked = std::mem::take(&mut cache.retired);
-        for frame in parked {
-            match frame.try_reclaim() {
-                Ok(storage) => {
-                    if storage.capacity() <= MAX_RETAINED_CAPACITY && cache.free.len() < TL_MAX_FREE
-                    {
-                        cache.free.push(storage);
-                    }
-                }
-                Err(still_shared) => cache.retired.push(still_shared),
-            }
-        }
     }
 
     /// Lets go of a **foreign** handle — a zero-copy slice of a frame
@@ -378,7 +400,7 @@ impl BufPool {
             return;
         }
         if let Ok(storage) = handle.try_reclaim() {
-            self.stash(storage);
+            with_cache(|cache| cache.stash(storage));
         }
     }
 
@@ -409,27 +431,6 @@ impl BufPool {
         }
     }
 
-    /// Stashes reclaimed storage: thread-local free list if there is
-    /// room, dropped otherwise. A full list means this thread already
-    /// holds more storage than it consumes — workloads that mint fresh
-    /// body buffers (`wire::Writer` payloads) feed a steady surplus in
-    /// through [`release`](BufPool::release), so the cap *will* be hit
-    /// every transaction, and spilling the surplus to the shared list
-    /// would put a lock acquisition on the steady-state path for
-    /// storage nobody reads back (cross-thread circulation rides the
-    /// shared *retired* queue instead — see
-    /// [`retire`](BufPool::retire)).
-    fn stash(&self, storage: Vec<u8>) {
-        if storage.capacity() > MAX_RETAINED_CAPACITY {
-            return; // oversized: let the allocator have it back
-        }
-        self.with_cache(|cache| {
-            if cache.free.len() < TL_MAX_FREE {
-                cache.free.push(storage);
-            }
-        });
-    }
-
     fn stash_shared(&self, storage: Vec<u8>) {
         if storage.capacity() > MAX_RETAINED_CAPACITY {
             return;
@@ -446,8 +447,8 @@ impl BufPool {
     /// reads zero unless a frame's other holder is parked on *another*
     /// thread, which no sweep can ever reclaim.
     pub fn parked_on_this_thread(&self) -> usize {
-        self.with_cache(|cache| {
-            Self::sweep_local(cache);
+        with_cache(|cache| {
+            cache.sweep();
             cache.retired.len()
         })
     }
@@ -595,6 +596,69 @@ mod tests {
             "steady-state take/retire must not touch the spill locks"
         );
         assert_eq!(pool.fresh_allocs(), 1, "and must not allocate either");
+    }
+
+    #[test]
+    fn one_thread_keeps_its_cache_across_pools() {
+        // A worker that serves one port and calls through an embedded
+        // client alternates between two pools on every request. The
+        // cache is the thread's, not the pool's: after the first round
+        // neither pool allocates again. (Per-pool counters: exact even
+        // with other tests allocating in this process.)
+        let (serving, calling) = (BufPool::new(), BufPool::new());
+        let round = || {
+            for pool in [&serving, &calling] {
+                let mut buf = pool.take();
+                buf.extend_from_slice(b"frame");
+                pool.retire(buf.freeze());
+            }
+        };
+        round();
+        let fresh_after_first_round = serving.fresh_allocs() + calling.fresh_allocs();
+        for _ in 0..32 {
+            round();
+        }
+        assert_eq!(
+            serving.fresh_allocs() + calling.fresh_allocs(),
+            fresh_after_first_round,
+            "switching pools must not discard the thread's cache"
+        );
+        assert_eq!(serving.reuses() + calling.reuses(), 65);
+        // A pool-less take draws on the same cache.
+        let allocs = bytes::stats::buffer_reuses();
+        let local = BufPool::take_local(0);
+        assert!(local.capacity() > 0 && local.is_empty());
+        assert!(bytes::stats::buffer_reuses() > allocs);
+    }
+
+    #[test]
+    fn sized_take_picks_the_smallest_buffer_that_fits() {
+        let pool = BufPool::new();
+        let big = pool.take_sized(32 * 1024);
+        let small = pool.take_sized(16);
+        assert!(big.capacity() >= 32 * 1024);
+        assert!(small.capacity() < 32 * 1024);
+        let (big_cap, small_cap) = (big.capacity(), small.capacity());
+        let refill = |a: BytesMut, b: BytesMut| {
+            for mut buf in [a, b] {
+                buf.extend_from_slice(b"x");
+                pool.retire(buf.freeze());
+            }
+        };
+        refill(big, small);
+        // Whatever order they came back in, a short frame leaves the
+        // large buffer for the data frame that needs it …
+        let short = pool.take_sized(30);
+        assert_eq!(short.capacity(), small_cap);
+        let data = pool.take_sized(32 * 1024);
+        assert_eq!(data.capacity(), big_cap);
+        assert_eq!(pool.fresh_allocs(), 2);
+        refill(short, data);
+        // … and a frame nothing cached can hold is allocated at its
+        // own size rather than grown out of a small buffer.
+        let huge = pool.take_sized(48 * 1024);
+        assert!(huge.capacity() >= 48 * 1024);
+        assert_eq!(pool.fresh_allocs(), 3);
     }
 
     #[test]

@@ -46,12 +46,12 @@
 //! produces.
 
 use crate::demux::{decode_reply_port, encode_reply_port, DemuxTable, RouteCache, SlotToken};
-use crate::frame::{self, BatchStatus, Frame, TransferOp, MAX_BATCH_ENTRIES};
+use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp, MAX_BATCH_ENTRIES};
 use crate::lease::PortLeaseBroker;
 use amoeba_net::{
     BufPool, Endpoint, EventKind, Header, MachineId, Packet, Port, RecvError, Timestamp,
 };
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use rand::{RngCore, SeedableRng};
@@ -431,9 +431,7 @@ impl Client {
         z ^ (z >> 31)
     }
 
-    /// The frame-buffer pool this client encodes into. Callers that
-    /// build request bodies can take/retire buffers here so body
-    /// allocations ride the same recycling as frame allocations.
+    /// The frame-buffer pool this client encodes into.
     pub fn buf_pool(&self) -> &BufPool {
         &self.codec.pool
     }
@@ -487,7 +485,10 @@ impl Client {
     }
 
     /// Performs a blocking transaction: send `request` to put-port
-    /// `dest`, await the reply.
+    /// `dest`, await the reply. A thin caller of
+    /// [`trans_with`](Self::trans_with) for a body that already exists
+    /// (forwarding, a caller-built blob); code that *builds* its
+    /// request should write it in place instead.
     ///
     /// On a pipelined client ([`with_pipeline`](Self::with_pipeline))
     /// the call may share a wire frame with concurrent `trans` calls to
@@ -500,8 +501,36 @@ impl Client {
     pub fn trans(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
         match &self.pipeline {
             Some(_) => self.trans_pipelined(dest, request),
-            None => self.trans_single(dest, request),
+            None => self.start_prebuilt(dest, None, request).wait(),
         }
+    }
+
+    /// The in-place transaction every request goes through: takes
+    /// **one** pooled buffer sized for a `len`-byte body, writes the
+    /// `REQUEST` tag, and lets `build` append the body straight after
+    /// it — the frame is the only buffer the message ever lives in.
+    /// `target` pins delivery to one machine (see
+    /// [`trans_to`](Self::trans_to)). `len` is a capacity hint: a body
+    /// that outgrows it still goes out, at the price of a reallocation.
+    ///
+    /// # Errors
+    /// As for [`trans`](Self::trans).
+    pub fn trans_with(
+        &self,
+        dest: Port,
+        target: Option<MachineId>,
+        len: usize,
+        build: impl FnOnce(&mut BytesMut),
+    ) -> Result<Bytes, RpcError> {
+        if target.is_none() && self.pipeline.is_some() {
+            // A pipelined call waits in its destination's queue until
+            // the flusher writes it into a shared batch frame, so until
+            // then it needs a body of its own.
+            let mut body = self.codec.pool.take_sized(len);
+            build(&mut body);
+            return self.trans_pipelined(dest, body.freeze());
+        }
+        self.trans_async_with(dest, target, len, build).wait()
     }
 
     /// Performs a blocking transaction addressed to one specific
@@ -524,11 +553,7 @@ impl Client {
         machine: MachineId,
         request: Bytes,
     ) -> Result<Bytes, RpcError> {
-        let payload = self.encode_request_frame(request);
-        self.transact(dest, Some(machine), payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.start_prebuilt(dest, Some(machine), request).wait()
     }
 
     /// Performs a blocking shard-transfer transaction: send `op` to
@@ -559,31 +584,46 @@ impl Client {
         machine: Option<MachineId>,
         op: &TransferOp,
     ) -> Completion<'_, Bytes> {
-        let payload = {
-            let mut buf = self.codec.pool.take();
-            frame::encode_transfer_into(&mut buf, op);
-            buf.freeze()
+        let records = match op {
+            TransferOp::Chunk { records, .. } => records.len(),
+            _ => 0,
         };
-        self.start(dest, machine, payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
-    }
-
-    /// Encodes a REQUEST frame into a pooled buffer and retires the
-    /// body — the frame carries its own copy of the bytes, so the
-    /// body's storage can be recycled once every other holder drops it.
-    fn encode_request_frame(&self, request: Bytes) -> Bytes {
-        let mut buf = self.codec.pool.take();
-        frame::encode_request_into(&mut buf, &request);
-        self.codec.pool.retire(request);
-        buf.freeze()
+        let mut buf = self.codec.pool.take_sized(18 + records);
+        frame::encode_transfer_into(&mut buf, op);
+        self.start(dest, machine, buf.freeze(), accept_reply)
     }
 
     /// Performs a batch transaction: ships every request body in one
     /// `BATCH_REQUEST` frame (several frames if `requests` exceeds
     /// [`MAX_BATCH_ENTRIES`]) and returns one result per entry, in
-    /// request order.
+    /// request order. A thin caller of
+    /// [`trans_batch_with`](Self::trans_batch_with) for bodies that
+    /// already exist.
+    ///
+    /// # Errors
+    /// As for [`trans_batch_with`](Self::trans_batch_with).
+    pub fn trans_batch(
+        &self,
+        dest: Port,
+        requests: Vec<Bytes>,
+    ) -> Result<Vec<BatchResult>, RpcError> {
+        let len = requests.iter().map(|body| 4 + body.len()).sum();
+        let results = self.trans_batch_with(dest, requests.len(), len, |i, buf| {
+            buf.extend_from_slice(&requests[i]);
+        });
+        // The wire frames carried copies of every body — on the failure
+        // path too, where the frames are just as spent.
+        for body in requests {
+            self.codec.pool.release(body);
+        }
+        results
+    }
+
+    /// The in-place batch transaction: `entry(i, buf)` appends the
+    /// body of entry `i` straight into the `BATCH_REQUEST` frame (its
+    /// length prefix is back-patched), so `count` requests cost one
+    /// pooled buffer, sized for `len` bytes of entries. More than
+    /// [`MAX_BATCH_ENTRIES`] entries go out as several frames.
     ///
     /// Partial failure is per entry: an entry the server rejected
     /// before dispatch comes back as [`RpcError::Rejected`]; entries
@@ -596,59 +636,53 @@ impl Client {
     /// [`trans`](Self::trans), applied per wire frame: if one chunk's
     /// frame times out the whole call fails, since the caller can no
     /// longer line results up with requests.
-    pub fn trans_batch(
+    pub fn trans_batch_with(
         &self,
         dest: Port,
-        requests: Vec<Bytes>,
+        count: usize,
+        len: usize,
+        mut entry: impl FnMut(usize, &mut BytesMut),
     ) -> Result<Vec<BatchResult>, RpcError> {
-        let mut results = Vec::with_capacity(requests.len());
-        if requests.is_empty() {
-            return Ok(results);
+        let mut results = Vec::with_capacity(count);
+        for first in (0..count).step_by(MAX_BATCH_ENTRIES) {
+            let n = (count - first).min(MAX_BATCH_ENTRIES);
+            results.extend(self.trans_batch_chunk(dest, n, len, |i, buf| entry(first + i, buf))?);
         }
-        let mut outcome = Ok(());
-        for chunk in requests.chunks(MAX_BATCH_ENTRIES) {
-            match self.trans_batch_chunk(dest, chunk) {
-                Ok(chunk_results) => results.extend(chunk_results),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        // The wire frames carried copies of every body; recycle the
-        // body buffers — on the failure path too, where the frames are
-        // just as spent.
-        for body in requests {
-            self.codec.pool.retire(body);
-        }
-        outcome.map(|()| results)
+        Ok(results)
     }
 
-    /// The plain single-frame transaction path.
-    fn trans_single(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
-        let payload = self.encode_request_frame(request);
-        self.transact(dest, None, payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+    /// The prebuilt-body form of
+    /// [`trans_async_with`](Self::trans_async_with): copies `request`
+    /// behind the tag and lets the handle go (its storage recycles if
+    /// this was the last one).
+    fn start_prebuilt(
+        &self,
+        dest: Port,
+        target: Option<MachineId>,
+        request: Bytes,
+    ) -> Completion<'_, Bytes> {
+        let completion = self.trans_async_with(dest, target, request.len(), |buf| {
+            buf.extend_from_slice(&request);
+        });
+        self.codec.pool.release(request);
+        completion
     }
 
-    /// One wire frame's worth of a batch transaction.
+    /// One wire frame's worth of a batch transaction, written in place.
     fn trans_batch_chunk(
         &self,
         dest: Port,
-        requests: &[Bytes],
+        n: usize,
+        len: usize,
+        mut entry: impl FnMut(usize, &mut BytesMut),
     ) -> Result<Vec<BatchResult>, RpcError> {
         let id = self.next_batch_id.fetch_add(1, Ordering::Relaxed);
-        // Encoded straight from the borrowed entry table into a pooled
-        // buffer — no owned Frame, no per-chunk entry-table copy.
-        let payload = {
-            let mut buf = self.codec.pool.take();
-            frame::encode_batch_request_into(&mut buf, id, requests);
-            buf.freeze()
-        };
-        let n = requests.len();
-        self.transact(dest, None, payload, move |frame| match frame {
+        let mut buf = self.codec.pool.take_sized(8 + len);
+        frame::batch_preamble(&mut buf, FrameKind::BatchRequest, id, n);
+        for i in 0..n {
+            frame::batch_entry_with(&mut buf, |b| entry(i, b));
+        }
+        let accept = move |frame| match frame {
             Frame::BatchReply { id: rid, entries } if rid == id => {
                 // Entries the server never answered (impossible from
                 // our server, conceivable from a hostile one) surface
@@ -665,7 +699,8 @@ impl Client {
                 Some(results)
             }
             _ => None,
-        })
+        };
+        self.start(dest, None, buf.freeze(), accept).wait()
     }
 
     /// The pipelined path of [`trans`](Self::trans): enqueue, and either
@@ -708,26 +743,19 @@ impl Client {
             if chunk.len() == 1 {
                 // A lone call needs no batch container.
                 let (request, tx) = chunk.pop().expect("one entry");
-                let _ = tx.send(self.trans_single(dest, request));
+                let _ = tx.send(self.start_prebuilt(dest, None, request).wait());
                 continue;
             }
-            // Must copy the entry table: the encoder wants a contiguous
-            // `&[Bytes]` while each body stays paired with its waiter
-            // for reply delivery. Bytes clones are refcount bumps.
-            let bodies: Vec<Bytes> = chunk.iter().map(|(b, _)| b.clone()).collect();
-            match self.trans_batch_chunk(dest, &bodies) {
-                Ok(results) => {
-                    for ((body, tx), result) in chunk.into_iter().zip(results) {
-                        let _ = tx.send(result);
-                        self.codec.pool.retire(body);
-                    }
-                }
-                Err(e) => {
-                    for (body, tx) in chunk {
-                        let _ = tx.send(Err(e));
-                        self.codec.pool.retire(body);
-                    }
-                }
+            // Each queued body is written into the batch frame where it
+            // stands, still paired with its waiter for reply delivery.
+            let len = chunk.iter().map(|(body, _)| 4 + body.len()).sum();
+            let outcome = self.trans_batch_chunk(dest, chunk.len(), len, |i, buf| {
+                buf.extend_from_slice(&chunk[i].0);
+            });
+            let results = outcome.unwrap_or_else(|e| vec![Err(e); chunk.len()]);
+            for ((body, tx), result) in chunk.into_iter().zip(results) {
+                let _ = tx.send(result);
+                self.codec.pool.release(body);
             }
         }
     }
@@ -796,38 +824,22 @@ impl Client {
     /// Dropping the handle abandons the transaction (the reply port is
     /// released; a late reply is dropped as stale noise).
     pub fn trans_async(&self, dest: Port, request: Bytes) -> Completion<'_, Bytes> {
-        let payload = self.encode_request_frame(request);
-        self.start(dest, None, payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.start_prebuilt(dest, None, request)
     }
 
-    /// The machine-targeted variant of [`trans_async`](Self::trans_async).
-    pub fn trans_async_to(
-        &self,
-        dest: Port,
-        machine: MachineId,
-        request: Bytes,
-    ) -> Completion<'_, Bytes> {
-        let payload = self.encode_request_frame(request);
-        self.start(dest, Some(machine), payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
-    }
-
-    /// The shared request/await/retransmit engine behind every
-    /// transaction shape: registers a fresh reply port in the demux
-    /// table, transmits `payload`, and blocks on the completion.
-    fn transact<T>(
+    /// The non-blocking form of [`trans_with`](Self::trans_with) (never
+    /// pipelined): the frame `build` wrote in place is on the wire when
+    /// this returns.
+    pub fn trans_async_with(
         &self,
         dest: Port,
         target: Option<MachineId>,
-        payload: Bytes,
-        accept: impl Fn(Frame) -> Option<T> + Send + Sync + 'static,
-    ) -> Result<T, RpcError> {
-        self.start(dest, target, payload, accept).wait()
+        len: usize,
+        build: impl FnOnce(&mut BytesMut),
+    ) -> Completion<'_, Bytes> {
+        let mut buf = self.codec.pool.take_sized(1 + len);
+        Frame::request_with(&mut buf, build);
+        self.start(dest, target, buf.freeze(), accept_reply)
     }
 
     /// Binds a reply port in the slot table (recycled when possible,
@@ -949,6 +961,14 @@ impl Client {
         };
         completion.transmit(started_at);
         completion
+    }
+}
+
+/// What a single-frame transaction accepts: the REPLY frame's body.
+fn accept_reply(frame: Frame) -> Option<Bytes> {
+    match frame {
+        Frame::Reply(body) => Some(body),
+        _ => None,
     }
 }
 

@@ -318,8 +318,8 @@ impl Frame {
     /// from received (attacker-controlled) data.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
-            Frame::Request(body) => encode_request_into(buf, body),
-            Frame::Reply(body) => encode_reply_into(buf, body),
+            Frame::Request(body) => Frame::request_with(buf, |b| b.extend_from_slice(body)),
+            Frame::Reply(body) => Frame::reply_with(buf, |b| b.extend_from_slice(body)),
             Frame::Locate(port) => {
                 buf.extend_from_slice(&[FrameKind::Locate as u8]);
                 buf.extend_from_slice(&port.value().to_be_bytes());
@@ -339,11 +339,9 @@ impl Frame {
             Frame::BatchReply { id, entries } => {
                 batch_preamble(buf, FrameKind::BatchReply, *id, entries.len());
                 for e in entries {
-                    buf.extend_from_slice(&e.index.to_be_bytes());
-                    buf.extend_from_slice(&[e.status as u8]);
-                    let len = u32::try_from(e.body.len()).expect("batch entry fits in u32");
-                    buf.extend_from_slice(&len.to_be_bytes());
-                    buf.extend_from_slice(&e.body);
+                    batch_reply_entry_with(buf, e.index, e.status, |b| {
+                        b.extend_from_slice(&e.body);
+                    });
                 }
             }
             Frame::PostLoad(port, load) => {
@@ -378,6 +376,21 @@ impl Frame {
             }
             Frame::Transfer(op) => encode_transfer_into(buf, op),
         }
+    }
+
+    /// Appends a REQUEST frame whose body `build` writes **in place**,
+    /// straight after the tag — the hottest encode: the frame buffer is
+    /// the only buffer the message ever lives in. Byte-identical to
+    /// `Frame::Request(body).encode()` for the body `build` appends.
+    pub fn request_with(buf: &mut BytesMut, build: impl FnOnce(&mut BytesMut)) {
+        buf.extend_from_slice(&[FrameKind::Request as u8]);
+        build(buf);
+    }
+
+    /// The REPLY mirror image of [`request_with`](Self::request_with).
+    pub fn reply_with(buf: &mut BytesMut, build: impl FnOnce(&mut BytesMut)) {
+        buf.extend_from_slice(&[FrameKind::Reply as u8]);
+        build(buf);
     }
 
     /// Decodes a frame, or `None` for malformed input.
@@ -544,20 +557,6 @@ pub(crate) fn encode_transfer_into(buf: &mut BytesMut, op: &TransferOp) {
     }
 }
 
-/// Appends a REQUEST frame (`tag ‖ body`) — the single hottest encode,
-/// callable without constructing a [`Frame`] so the client can build it
-/// straight into a pooled buffer from a borrowed body.
-pub(crate) fn encode_request_into(buf: &mut BytesMut, body: &[u8]) {
-    buf.extend_from_slice(&[FrameKind::Request as u8]);
-    buf.extend_from_slice(body);
-}
-
-/// Appends a REPLY frame (`tag ‖ body`); see [`encode_request_into`].
-pub(crate) fn encode_reply_into(buf: &mut BytesMut, body: &[u8]) {
-    buf.extend_from_slice(&[FrameKind::Reply as u8]);
-    buf.extend_from_slice(body);
-}
-
 /// Appends a BATCH_REQUEST frame from a borrowed entry table, so the
 /// batching client encodes straight from its callers' bodies instead of
 /// first copying them into an owned [`Frame`].
@@ -573,8 +572,34 @@ pub(crate) fn encode_batch_request_into(buf: &mut BytesMut, id: u32, entries: &[
     }
 }
 
+/// Appends one batch entry, `len:u32 ‖ body`, whose body `build`
+/// writes in place; the length prefix is back-patched once it is known.
+///
+/// # Panics
+/// As for [`Frame::encode_into`] on an entry longer than `u32::MAX`.
+pub(crate) fn batch_entry_with(buf: &mut BytesMut, build: impl FnOnce(&mut BytesMut)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    build(buf);
+    let len = u32::try_from(buf.len() - at - 4).expect("batch entry fits in u32");
+    buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Appends one BATCH_REPLY entry, `index ‖ status ‖ len ‖ body`, the
+/// body written in place (see [`batch_entry_with`]).
+pub(crate) fn batch_reply_entry_with(
+    buf: &mut BytesMut,
+    index: u16,
+    status: BatchStatus,
+    build: impl FnOnce(&mut BytesMut),
+) {
+    buf.extend_from_slice(&index.to_be_bytes());
+    buf.extend_from_slice(&[status as u8]);
+    batch_entry_with(buf, build);
+}
+
 /// Writes `tag ‖ version ‖ id ‖ count`, the common batch-frame prefix.
-fn batch_preamble(buf: &mut BytesMut, kind: FrameKind, id: u32, count: usize) {
+pub(crate) fn batch_preamble(buf: &mut BytesMut, kind: FrameKind, id: u32, count: usize) {
     assert!(count > 0, "batch frames must carry at least one entry");
     assert!(
         count <= MAX_BATCH_ENTRIES,
@@ -623,6 +648,8 @@ fn machine_from_u32(v: u32) -> MachineId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn request_roundtrip() {
@@ -690,6 +717,52 @@ mod tests {
             ],
         };
         assert_eq!(Frame::decode(&f.encode()), Some(f));
+    }
+
+    proptest! {
+        /// Wire identity of the in-place single-frame encoders: a body
+        /// written straight after the tag is byte for byte the frame
+        /// the build-then-copy path produced.
+        #[test]
+        fn in_place_request_and_reply_are_wire_identical(
+            body in vec(any::<u8>(), 0..=65536),
+        ) {
+            let mut request = BytesMut::new();
+            Frame::request_with(&mut request, |b| b.extend_from_slice(&body));
+            let mut reply = BytesMut::new();
+            Frame::reply_with(&mut reply, |b| b.extend_from_slice(&body));
+            let body = Bytes::from(body);
+            prop_assert_eq!(&request[..], &Frame::Request(body.clone()).encode()[..]);
+            prop_assert_eq!(&request[1..], &body[..]);
+            prop_assert_eq!(&reply[..], &Frame::Reply(body).encode()[..]);
+            prop_assert_eq!((request[0], reply[0]), (0, 1));
+        }
+
+        /// … and of the in-place batch encoder: entries written where
+        /// they stand, length prefixes back-patched, equal the frame
+        /// encoded from a table of finished bodies.
+        #[test]
+        fn in_place_batch_request_is_wire_identical(
+            id: u32,
+            bodies in vec(
+                vec(any::<u8>(), 0..4096),
+                1..24,
+            ),
+        ) {
+            let mut in_place = BytesMut::new();
+            batch_preamble(&mut in_place, FrameKind::BatchRequest, id, bodies.len());
+            for body in &bodies {
+                batch_entry_with(&mut in_place, |b| b.extend_from_slice(body));
+            }
+            let entries: Vec<Bytes> = bodies.into_iter().map(Bytes::from).collect();
+            let mut from_table = BytesMut::new();
+            encode_batch_request_into(&mut from_table, id, &entries);
+            prop_assert_eq!(&in_place[..], &from_table[..]);
+            prop_assert_eq!(
+                Frame::decode(&in_place.freeze()),
+                Some(Frame::BatchRequest { id, entries })
+            );
+        }
     }
 
     /// The example frames from `docs/PROTOCOL.md`, byte for byte. If

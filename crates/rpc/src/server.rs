@@ -28,12 +28,13 @@
 //!
 //! # Batch fan-in
 //!
-//! Each exploded batch entry carries a shared accumulator.
-//! [`ServerPort::reply`] deposits the entry's reply body there instead
-//! of sending a frame; whichever worker deposits the **last** body
-//! encodes the complete `BATCH_REPLY` frame and transmits it. One frame
-//! in, one frame out, regardless of how many workers served the
-//! entries. If any entry is never replied to, no batch reply is sent
+//! Each exploded batch entry carries a shared accumulator holding the
+//! `BATCH_REPLY` frame under construction. [`ServerPort::reply_with`]
+//! writes the entry's reply straight into that frame instead of
+//! sending one (entries sit in deposit order; each names its index);
+//! whichever worker deposits the **last** entry transmits it. One frame
+//! in, one frame out, one buffer, regardless of how many workers served
+//! the entries. If any entry is never replied to, no batch reply is sent
 //! and the client's retransmission machinery takes over — identical to
 //! the single-frame contract.
 //!
@@ -41,11 +42,11 @@
 //! for its port, implementing the software match-making of §2.2.
 
 use crate::client::CodecConfig;
-use crate::frame::{self, BatchReplyEntry, BatchStatus, Frame, TransferOp};
+use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp};
 use amoeba_net::{
     BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Port, RecvError, Timestamp,
 };
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -106,10 +107,11 @@ struct BatchSlot {
     index: u16,
 }
 
-/// Collects per-entry replies until the batch is complete. The slot
-/// lock is a counted [`HotMutex`] (metered against the server's pool):
-/// batch fan-in is inherently a rendezvous, so its cost is accounted,
-/// not hidden — the lock-free single-frame path never touches it.
+/// Builds a batch's `BATCH_REPLY` frame entry by entry until it is
+/// complete. The slot lock is a counted [`HotMutex`] (metered against
+/// the server's pool): batch fan-in is inherently a rendezvous, so its
+/// cost is accounted, not hidden — the lock-free single-frame path
+/// never touches it.
 #[derive(Debug)]
 struct BatchAccumulator {
     id: u32,
@@ -119,15 +121,18 @@ struct BatchAccumulator {
 
 #[derive(Debug)]
 struct BatchSlots {
-    entries: Vec<Option<(BatchStatus, Bytes)>>,
+    /// The reply frame under construction: taken by the first
+    /// depositor, shipped (and taken out) by the last.
+    frame: Option<BytesMut>,
+    /// Which entries have been deposited. Stays all-true after the
+    /// frame shipped, which keeps a late duplicate a no-op.
+    answered: Vec<bool>,
     filled: usize,
-    /// Set once the final entry fan-in has consumed the slots. The
-    /// rebuild takes the bodies out of the slots (so their buffers can
-    /// be retired), which means emptiness no longer distinguishes
-    /// "never deposited" from "already shipped" — this flag does, and
-    /// keeps a post-completion duplicate deposit a no-op.
-    done: bool,
 }
+
+/// Cap on the up-front size of a batch reply buffer (larger replies
+/// grow into it): the first entry's length is a guess at the others'.
+const MAX_BATCH_REPLY_HINT: usize = 64 * 1024;
 
 impl BatchAccumulator {
     fn new(id: u32, reply_to: Port, count: usize, pool: &BufPool) -> BatchAccumulator {
@@ -136,71 +141,47 @@ impl BatchAccumulator {
             reply_to,
             slots: HotMutex::with_meter(
                 BatchSlots {
-                    entries: vec![None; count],
+                    frame: None,
+                    answered: vec![false; count],
                     filled: 0,
-                    done: false,
                 },
                 pool.lock_meter(),
             ),
         }
     }
 
-    /// Deposits one entry's reply; returns the encoded `BATCH_REPLY`
-    /// frame when this was the last outstanding entry, built in a
-    /// pooled buffer with the entry bodies retired back to the pool.
-    /// Duplicate deposits for an index — before or after the batch
-    /// completed — are ignored (a retransmitted batch can race its
-    /// original through two workers).
+    /// Deposits one entry's reply — `build` writes its `len`-byte body
+    /// in place — and returns the finished `BATCH_REPLY` frame when
+    /// this was the last outstanding entry. Duplicate deposits for an
+    /// index — before or after the batch completed — are ignored (a
+    /// retransmitted batch can race its original through two workers).
     fn submit(
         &self,
         index: u16,
         status: BatchStatus,
-        body: Bytes,
+        len: usize,
+        build: impl FnOnce(&mut BytesMut),
         pool: &BufPool,
     ) -> Option<Bytes> {
         let mut slots = self.slots.lock();
-        if slots.done {
+        let count = slots.answered.len();
+        if std::mem::replace(slots.answered.get_mut(index as usize)?, true) {
             return None;
         }
-        let slot = slots.entries.get_mut(index as usize)?;
-        if slot.is_some() {
-            return None;
-        }
-        *slot = Some((status, body));
+        let frame = slots.frame.get_or_insert_with(|| {
+            // Sized as if every entry were as long as this one: exact
+            // for a one-entry gather and for homogeneous batches.
+            let hint = (8 + count * (7 + len)).min(MAX_BATCH_REPLY_HINT);
+            let mut buf = pool.take_sized(hint.max(8 + 7 + len));
+            frame::batch_preamble(&mut buf, FrameKind::BatchReply, self.id, count);
+            buf
+        });
+        frame::batch_reply_entry_with(frame, index, status, build);
         slots.filled += 1;
-        if slots.filled < slots.entries.len() {
+        if slots.filled < count {
             return None;
         }
-        slots.done = true;
-        let entries: Vec<BatchReplyEntry> = slots
-            .entries
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| {
-                let (status, body) = s.take().expect("all slots filled");
-                BatchReplyEntry {
-                    index: i as u16,
-                    status,
-                    body,
-                }
-            })
-            .collect();
-        let reply = Frame::BatchReply {
-            id: self.id,
-            entries,
-        };
-        let mut buf = pool.take();
-        reply.encode_into(&mut buf);
-        // The frame now carries copies of every body. The bodies are
-        // foreign handles (handler threads own their storage), so
-        // *release* them — reclaim-if-unique — rather than parking
-        // still-shared buffers on this thread.
-        if let Frame::BatchReply { entries, .. } = reply {
-            for e in entries {
-                pool.release(e.body);
-            }
-        }
-        Some(buf.freeze())
+        slots.frame.take().map(BytesMut::freeze)
     }
 }
 
@@ -226,9 +207,8 @@ pub struct ServerPort {
     /// compare-exchange and probing is a load, so the hot receive path
     /// takes no lock.
     pump: AtomicBool,
-    /// Reply frames (and handler-built bodies) are encoded into and
-    /// retired back to this pool; steady-state replies allocate
-    /// nothing.
+    /// Reply frames are built in and retired back to this pool;
+    /// steady-state replies allocate nothing.
     pool: BufPool,
 }
 
@@ -278,9 +258,7 @@ impl ServerPort {
         }
     }
 
-    /// The frame-buffer pool replies are encoded into. Handlers can
-    /// take/retire body buffers here so body allocations ride the same
-    /// recycling as frame allocations.
+    /// The frame-buffer pool replies are built in.
     pub fn buf_pool(&self) -> &BufPool {
         &self.pool
     }
@@ -579,45 +557,49 @@ impl ServerPort {
         }
     }
 
-    /// Sends a reply for `request`. For a batch entry this deposits the
-    /// body in the batch's accumulator; the worker depositing the final
-    /// entry transmits the whole `BATCH_REPLY` frame.
-    ///
-    /// Reply frames are encoded into pooled buffers and retired after
-    /// transmission, so a steady-state server replies without touching
-    /// the allocator. The body is *released* — reclaimed if this was
-    /// its last handle, dropped otherwise: it is often a slice of the
-    /// request frame, which the client owns and will retire, and
-    /// parking it on this thread would strand a buffer that can never
-    /// become unique here.
+    /// Sends `body` as the reply for `request`: a thin caller of
+    /// [`reply_with`](Self::reply_with) for a body that already exists
+    /// (an echo, a relayed reply). The body is *released* — reclaimed
+    /// if this was its last handle, dropped otherwise: it is often a
+    /// slice of the request frame, which the client owns and will
+    /// retire, and parking it on this thread would strand a buffer
+    /// that can never become unique here.
     pub fn reply(&self, request: &IncomingRequest, body: Bytes) {
-        match &request.batch {
+        self.reply_with(request, body.len(), |buf| buf.extend_from_slice(&body));
+        self.pool.release(body);
+    }
+
+    /// Replies to `request` **in place**: takes one pooled buffer sized
+    /// for a `len`-byte body, writes the `REPLY` tag and lets `build`
+    /// append the body straight after it; the frame is retired after
+    /// transmission, so a steady-state server replies without touching
+    /// the allocator. For a batch entry `build` writes into the batch's
+    /// shared `BATCH_REPLY` frame instead, and the worker depositing
+    /// the final entry transmits it. A one-way request (null reply
+    /// port) is answered with nothing: `build` does not run.
+    pub fn reply_with(
+        &self,
+        request: &IncomingRequest,
+        len: usize,
+        build: impl FnOnce(&mut BytesMut),
+    ) {
+        let (reply_to, frame) = match &request.batch {
             Some(slot) => {
-                if let Some(frame) = slot
+                let done = slot
                     .acc
-                    .submit(slot.index, BatchStatus::Ok, body, &self.pool)
-                {
-                    self.endpoint
-                        .send(Header::to(slot.acc.reply_to), frame.clone());
-                    self.pool.retire(frame);
-                }
+                    .submit(slot.index, BatchStatus::Ok, len, build, &self.pool);
+                (slot.acc.reply_to, done)
             }
+            None if request.reply_to.is_null() => return,
             None => {
-                if request.reply_to.is_null() {
-                    // One-way request: nothing goes on the wire, but
-                    // the (typically pooled) body buffer still
-                    // recycles.
-                    self.pool.release(body);
-                    return;
-                }
-                let mut buf = self.pool.take();
-                frame::encode_reply_into(&mut buf, &body);
-                self.pool.release(body);
-                let frame = buf.freeze();
-                self.endpoint
-                    .send(Header::to(request.reply_to), frame.clone());
-                self.pool.retire(frame);
+                let mut buf = self.pool.take_sized(1 + len);
+                Frame::reply_with(&mut buf, build);
+                (request.reply_to, Some(buf.freeze()))
             }
+        };
+        if let Some(frame) = frame {
+            self.endpoint.send(Header::to(reply_to), frame.clone());
+            self.pool.retire(frame);
         }
     }
 
@@ -640,8 +622,8 @@ impl ServerPort {
             self.reject(request);
             return false;
         }
-        let mut buf = self.pool.take();
-        frame::encode_request_into(&mut buf, &request.payload);
+        let mut buf = self.pool.take_sized(1 + request.payload.len());
+        Frame::request_with(&mut buf, |b| b.extend_from_slice(&request.payload));
         let frame = buf.freeze();
         let mut header = Header::to(dest).with_reply(request.reply_to);
         if let Some(sig) = request.signature {
@@ -671,7 +653,7 @@ impl ServerPort {
         if let Some(slot) = &request.batch {
             if let Some(frame) =
                 slot.acc
-                    .submit(slot.index, BatchStatus::Rejected, Bytes::new(), &self.pool)
+                    .submit(slot.index, BatchStatus::Rejected, 0, |_| {}, &self.pool)
             {
                 self.endpoint
                     .send(Header::to(slot.acc.reply_to), frame.clone());
@@ -997,27 +979,39 @@ mod tests {
     fn duplicate_batch_deposit_after_completion_is_ignored() {
         // A retransmitted batch can race its original through two
         // workers, so deposits may land *after* the reply frame
-        // shipped (when the slots have been consumed for body
-        // retirement). They must be no-ops — not panics, not second
+        // shipped. They must be no-ops — not panics, not second
         // frames.
         let pool = amoeba_net::BufPool::new();
         let acc = BatchAccumulator::new(7, Port::new(0x99).unwrap(), 2, &pool);
-        assert!(acc
-            .submit(0, BatchStatus::Ok, Bytes::from_static(b"a"), &pool)
-            .is_none());
-        assert!(acc
-            .submit(1, BatchStatus::Ok, Bytes::from_static(b"b"), &pool)
-            .is_some());
-        assert!(acc
-            .submit(0, BatchStatus::Ok, Bytes::from_static(b"a"), &pool)
-            .is_none());
-        assert!(acc
-            .submit(1, BatchStatus::Rejected, Bytes::new(), &pool)
-            .is_none());
+        let deposit = |index, status, body: &'static [u8]| {
+            acc.submit(
+                index,
+                status,
+                body.len(),
+                |b| b.extend_from_slice(body),
+                &pool,
+            )
+        };
+        // Deposited out of order: the frame carries entries in deposit
+        // order, each naming its index.
+        assert!(deposit(1, BatchStatus::Ok, b"b").is_none());
+        let frame = deposit(0, BatchStatus::Ok, b"a").expect("last deposit ships");
+        let entry = |index, body: &'static [u8]| crate::frame::BatchReplyEntry {
+            index,
+            status: BatchStatus::Ok,
+            body: Bytes::from_static(body),
+        };
+        assert_eq!(
+            Frame::decode(&frame),
+            Some(Frame::BatchReply {
+                id: 7,
+                entries: vec![entry(1, b"b"), entry(0, b"a")],
+            })
+        );
+        assert!(deposit(0, BatchStatus::Ok, b"a").is_none());
+        assert!(deposit(1, BatchStatus::Rejected, b"").is_none());
         // Out-of-range duplicates stay harmless too.
-        assert!(acc
-            .submit(9, BatchStatus::Ok, Bytes::new(), &pool)
-            .is_none());
+        assert!(deposit(9, BatchStatus::Ok, b"").is_none());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! Requests with no meaningful capability (e.g. CREATE on a public
 //! server) carry the [`null_cap`] placeholder.
 
+use crate::wire::{FrameWriter, Writer};
 use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_net::Port;
 use bytes::Bytes;
@@ -68,9 +69,20 @@ impl Request {
 
     /// Encodes for transmission, appending to `buf`.
     pub fn encode_into(&self, buf: &mut bytes::BytesMut) {
-        buf.extend_from_slice(&self.cap.encode());
-        buf.extend_from_slice(&self.command.to_be_bytes());
-        buf.extend_from_slice(&self.params);
+        Request::encode_with(buf, &self.cap, self.command, |w| w.raw(&self.params));
+    }
+
+    /// Encodes a request **in place**: appends capability ‖ command to
+    /// `buf` and lets `params` write the parameter blob straight after
+    /// them — no `Request` value, no params buffer. What
+    /// [`ServiceClient`](crate::ServiceClient) builds its frames with.
+    pub fn encode_with(
+        buf: &mut bytes::BytesMut,
+        cap: &Capability,
+        command: u32,
+        params: impl FnOnce(FrameWriter<'_>) -> FrameWriter<'_>,
+    ) {
+        params(Writer::over(buf).cap(cap).u32(command));
     }
 
     /// Decodes a request body; `None` if malformed.
@@ -222,6 +234,8 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample_cap() -> Capability {
         Capability::new(
@@ -258,6 +272,65 @@ mod tests {
             assert_eq!(Reply::decode(&reply.encode()), Some(reply));
         }
         assert_eq!(Status::from_u32(999), None);
+    }
+
+    proptest! {
+        /// Wire identity of the in-place request path: what
+        /// `ServiceClient` writes straight into the frame is byte for
+        /// byte tag ‖ capability ‖ command ‖ params — the frame the
+        /// build-a-body-then-copy path produced.
+        #[test]
+        fn in_place_request_frame_is_wire_identical(
+            port in 1u64..(1u64 << 48) - 1,
+            object in 0u32..=ObjectNum::MAX,
+            rights: u8,
+            check: u64,
+            command: u32,
+            params in vec(any::<u8>(), 0..=65536),
+        ) {
+            let cap = Capability::new(
+                Port::new(port).unwrap(),
+                ObjectNum::new(object).unwrap(),
+                Rights::from_bits(rights),
+                check,
+            );
+            let mut frame = bytes::BytesMut::new();
+            amoeba_rpc::Frame::request_with(&mut frame, |buf| {
+                Request::encode_with(buf, &cap, command, |w| w.raw(&params));
+            });
+            let mut spelled_out = vec![0u8];
+            spelled_out.extend_from_slice(&cap.encode());
+            spelled_out.extend_from_slice(&command.to_be_bytes());
+            spelled_out.extend_from_slice(&params);
+            prop_assert_eq!(&frame[..], &spelled_out[..]);
+            let request = Request { cap, command, params: Bytes::from(params) };
+            prop_assert_eq!(
+                &frame[..],
+                &amoeba_rpc::Frame::Request(request.encode()).encode()[..]
+            );
+        }
+
+        /// … and of the in-place reply path of the dispatch loop.
+        #[test]
+        fn in_place_reply_frame_is_wire_identical(
+            status in 0u32..12,
+            body in vec(any::<u8>(), 0..=65536),
+        ) {
+            let mut spelled_out = vec![1u8];
+            spelled_out.extend_from_slice(&status.to_be_bytes());
+            spelled_out.extend_from_slice(&body);
+            let reply = Reply {
+                status: Status::from_u32(status).unwrap(),
+                body: Bytes::from(body),
+            };
+            let mut frame = bytes::BytesMut::new();
+            amoeba_rpc::Frame::reply_with(&mut frame, |buf| reply.encode_into(buf));
+            prop_assert_eq!(&frame[..], &spelled_out[..]);
+            prop_assert_eq!(
+                &frame[..],
+                &amoeba_rpc::Frame::Reply(reply.encode()).encode()[..]
+            );
+        }
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //! ```
 
 use crate::proto::{null_cap, Reply, Request, Status};
-use crate::service::{run_worker, stop_workers, RequestCtx, Service};
+use crate::service::{decode_reply, run_worker, send_reply, stop_workers, RequestCtx, Service};
 use amoeba_cap::Capability;
 use amoeba_net::{Endpoint, Network, Port};
 use amoeba_rpc::{Client, RpcConfig, ServerPort};
 use amoeba_softprot::matrix::SealError;
 use amoeba_softprot::{CapSealer, SealedCap};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -34,14 +34,6 @@ use std::sync::Arc;
 /// (CREATE etc.); sealing the null capability would needlessly leak a
 /// known-plaintext pair per machine pair.
 const ANONYMOUS: u128 = 0;
-
-fn encode_sealed(sealed: u128, command: u32, params: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(20 + params.len());
-    buf.extend_from_slice(&sealed.to_be_bytes());
-    buf.extend_from_slice(&command.to_be_bytes());
-    buf.extend_from_slice(params);
-    buf.freeze()
-}
 
 fn decode_sealed(data: &Bytes) -> Option<(u128, u32, Bytes)> {
     if data.len() < 20 {
@@ -89,14 +81,7 @@ fn serve_sealed_one(
             }
         }
     };
-    // Same pooled-encode discipline as the plain dispatch path
-    // (service.rs serve_one): reply bodies ride recycled buffers.
-    let pool = server.buf_pool();
-    let mut buf = pool.take();
-    reply.encode_into(&mut buf);
-    let Reply { body, .. } = reply;
-    pool.release(body);
-    server.reply(incoming, buf.freeze());
+    send_reply(server, incoming, reply);
 }
 
 /// Runs a [`Service`] behind sealed-capability transport, on one or
@@ -302,15 +287,15 @@ impl SealedServiceClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, crate::ClientError> {
-        let raw = self
-            .rpc
-            .trans(port, encode_sealed(sealed, command, &params))?;
-        let reply = Reply::decode(&raw).ok_or(crate::ClientError::Malformed)?;
-        if reply.status == Status::Ok {
-            Ok(reply.body)
-        } else {
-            Err(crate::ClientError::Status(reply.status))
-        }
+        // Sealed slot ‖ command ‖ params, built in place in the request
+        // frame like the plain client's.
+        let raw = self.rpc.trans_with(port, None, 20 + params.len(), |buf| {
+            buf.extend_from_slice(&sealed.to_be_bytes());
+            buf.extend_from_slice(&command.to_be_bytes());
+            buf.extend_from_slice(&params);
+        });
+        self.rpc.buf_pool().release(params);
+        decode_reply(&raw?)
     }
 }
 

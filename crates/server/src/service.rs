@@ -131,11 +131,8 @@ impl Drop for LoadGuard<'_> {
 /// reply. Shared by every worker loop (plain, pooled, and the reactor
 /// driver pool).
 ///
-/// The reply body is encoded into a recycled buffer from the bound
-/// port's [`BufPool`](amoeba_net::BufPool) and the handler's body bytes
-/// are released back into it (reclaimed only if this is the last
-/// handle — the body is often a slice of the client-owned request
-/// frame), so a steady-state dispatch loop serves without touching the
+/// The reply is written straight into its frame (see [`send_reply`]),
+/// so a steady-state dispatch loop serves without touching the
 /// allocator.
 pub(crate) fn serve_one(
     service: &(impl Service + ?Sized),
@@ -177,12 +174,7 @@ pub(crate) fn serve_one(
     // are retried by the client, forwarded ones are answered by the new
     // owner.
     if let Some(reply) = reply {
-        let pool = server.buf_pool();
-        let mut buf = pool.take();
-        reply.encode_into(&mut buf);
-        let Reply { body, .. } = reply;
-        pool.release(body);
-        server.reply(incoming, buf.freeze());
+        send_reply(server, incoming, reply);
     }
     if obs.enabled() {
         obs.record(
@@ -196,6 +188,15 @@ pub(crate) fn serve_one(
             m.handlers_completed.add(1);
         }
     }
+}
+
+/// Writes `reply` (status ‖ body) straight into the reply frame — one
+/// pooled buffer, one copy of the body — and releases the handler's
+/// body: a [`wire::Writer`] blob goes back to this thread's buffer
+/// cache, a slice of the client-owned request frame is just dropped.
+pub(crate) fn send_reply(server: &ServerPort, incoming: &IncomingRequest, reply: Reply) {
+    server.reply_with(incoming, 4 + reply.body.len(), |buf| reply.encode_into(buf));
+    server.buf_pool().release(reply.body);
 }
 
 /// Routes one decoded request through the service's migration
@@ -500,6 +501,16 @@ impl From<RpcError> for ClientError {
     }
 }
 
+/// Splits a raw reply into its body, or the server's non-OK status.
+pub(crate) fn decode_reply(raw: &Bytes) -> Result<Bytes, ClientError> {
+    let reply = Reply::decode(raw).ok_or(ClientError::Malformed)?;
+    if reply.status == Status::Ok {
+        Ok(reply.body)
+    } else {
+        Err(ClientError::Status(reply.status))
+    }
+}
+
 /// A client for capability-carrying service calls.
 #[derive(Debug)]
 pub struct ServiceClient {
@@ -580,28 +591,51 @@ impl ServiceClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, ClientError> {
-        let raw = self
-            .rpc
-            .trans(port, self.encode_request(cap, command, params))?;
-        self.decode_reply(raw)
+        self.call_prebuilt(port, None, cap, command, params)
     }
 
-    /// Encodes a request body into a recycled buffer from the client's
-    /// [`BufPool`](amoeba_net::BufPool), releasing the params bytes
+    /// The in-place call every other variant goes through: the request
+    /// frame is built in **one** pooled buffer — tag, `cap`, `command`,
+    /// then whatever `params` appends (`len` bytes; a capacity hint) —
+    /// and sent to `port`, delivered only to `machine` when one is
+    /// named. Typed clients with payload-sized parameters (a file
+    /// write) call this directly, so the caller's slice is copied once,
+    /// into the frame.
+    ///
+    /// # Errors
+    /// As for [`call`](Self::call).
+    pub fn call_with(
+        &self,
+        port: Port,
+        machine: Option<MachineId>,
+        cap: &Capability,
+        command: u32,
+        len: usize,
+        params: impl FnOnce(wire::FrameWriter<'_>) -> wire::FrameWriter<'_>,
+    ) -> Result<Bytes, ClientError> {
+        let raw = self.rpc.trans_with(port, machine, 20 + len, |buf| {
+            Request::encode_with(buf, cap, command, params);
+        })?;
+        decode_reply(&raw)
+    }
+
+    /// [`call_with`](Self::call_with) for a parameter blob that already
+    /// exists; the blob is released once the frame holds its copy
     /// (reclaimed only if this was the last handle — params are often
-    /// slices of buffers owned elsewhere) — a steady-state call
-    /// allocates nothing on the way out.
-    fn encode_request(&self, cap: &Capability, command: u32, params: Bytes) -> Bytes {
-        let req = Request {
-            cap: *cap,
-            command,
-            params,
-        };
-        let pool = self.rpc.buf_pool();
-        let mut buf = pool.take();
-        req.encode_into(&mut buf);
-        pool.release(req.params);
-        buf.freeze()
+    /// slices of buffers owned elsewhere).
+    fn call_prebuilt(
+        &self,
+        port: Port,
+        machine: Option<MachineId>,
+        cap: &Capability,
+        command: u32,
+        params: Bytes,
+    ) -> Result<Bytes, ClientError> {
+        let reply = self.call_with(port, machine, cap, command, params.len(), |w| {
+            w.raw(&params)
+        });
+        self.rpc.buf_pool().release(params);
+        reply
     }
 
     /// Invokes `command` on the object named by `cap`, delivered only
@@ -653,19 +687,7 @@ impl ServiceClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, ClientError> {
-        let raw = self
-            .rpc
-            .trans_to(port, machine, self.encode_request(cap, command, params))?;
-        self.decode_reply(raw)
-    }
-
-    fn decode_reply(&self, raw: Bytes) -> Result<Bytes, ClientError> {
-        let reply = Reply::decode(&raw).ok_or(ClientError::Malformed)?;
-        if reply.status == Status::Ok {
-            Ok(reply.body)
-        } else {
-            Err(ClientError::Status(reply.status))
-        }
+        self.call_prebuilt(port, Some(machine), cap, command, params)
     }
 
     /// Invokes many commands at `port` in **one wire frame**
@@ -686,22 +708,18 @@ impl ServiceClient {
         port: Port,
         calls: Vec<(Capability, u32, Bytes)>,
     ) -> Result<Vec<Result<Bytes, ClientError>>, ClientError> {
-        let bodies = calls
+        // Every entry is written in place into the one batch frame.
+        let len = calls.iter().map(|(_, _, p)| 24 + p.len()).sum();
+        let results = self.rpc.trans_batch_with(port, calls.len(), len, |i, buf| {
+            let (cap, command, params) = &calls[i];
+            Request::encode_with(buf, cap, *command, |w| w.raw(params));
+        });
+        for (_, _, params) in calls {
+            self.rpc.buf_pool().release(params);
+        }
+        Ok(results?
             .into_iter()
-            .map(|(cap, command, params)| self.encode_request(&cap, command, params))
-            .collect();
-        let results = self.rpc.trans_batch(port, bodies)?;
-        Ok(results
-            .into_iter()
-            .map(|entry| {
-                let raw = entry.map_err(ClientError::Rpc)?;
-                let reply = Reply::decode(&raw).ok_or(ClientError::Malformed)?;
-                if reply.status == Status::Ok {
-                    Ok(reply.body)
-                } else {
-                    Err(ClientError::Status(reply.status))
-                }
-            })
+            .map(|entry| decode_reply(&entry?))
             .collect())
     }
 

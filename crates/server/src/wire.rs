@@ -7,9 +7,17 @@
 //! panicking on attacker-supplied bytes.
 
 use amoeba_cap::Capability;
+use amoeba_net::BufPool;
 use bytes::{Bytes, BytesMut};
+use std::borrow::BorrowMut;
 
-/// Builds a parameter blob.
+/// Builds a parameter blob — in a buffer of its own, or
+/// ([`Writer::over`]) straight into a frame under construction.
+///
+/// A writer that owns its buffer draws it from the calling thread's
+/// buffer cache, and the dispatch layers release finished blobs back
+/// into it once they have been copied into a frame, so a steady-state
+/// caller or handler builds its blobs without touching the allocator.
 ///
 /// # Example
 /// ```
@@ -20,51 +28,79 @@ use bytes::{Bytes, BytesMut};
 /// assert_eq!(r.str().as_deref(), Some("name"));
 /// assert!(r.is_empty());
 /// ```
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: BytesMut,
+#[derive(Debug)]
+pub struct Writer<B = BytesMut> {
+    buf: B,
+}
+
+/// A [`Writer`] appending to a borrowed frame buffer: what the in-place
+/// call paths hand their `params` closure.
+pub type FrameWriter<'a> = Writer<&'a mut BytesMut>;
+
+impl Default for Writer {
+    fn default() -> Writer {
+        Writer::new()
+    }
 }
 
 impl Writer {
     /// An empty writer.
     pub fn new() -> Writer {
-        Writer::default()
+        Writer::with_capacity(0)
     }
 
-    /// Appends a `u32`.
-    pub fn u32(mut self, v: u32) -> Writer {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(mut self, v: u64) -> Writer {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(mut self, data: &[u8]) -> Writer {
-        self.buf
-            .extend_from_slice(&(data.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(data);
-        self
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(self, s: &str) -> Writer {
-        self.bytes(s.as_bytes())
-    }
-
-    /// Appends a 16-byte capability.
-    pub fn cap(mut self, cap: &Capability) -> Writer {
-        self.buf.extend_from_slice(&cap.encode());
-        self
+    /// An empty writer with room for a blob of `len` bytes — for
+    /// payload-sized blobs, so the buffer is picked to fit instead of
+    /// grown.
+    pub fn with_capacity(len: usize) -> Writer {
+        Writer {
+            buf: BufPool::take_local(len),
+        }
     }
 
     /// Finishes and returns the blob.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+}
+
+impl<'a> FrameWriter<'a> {
+    /// A writer that appends to `buf`, after whatever it holds already.
+    pub fn over(buf: &'a mut BytesMut) -> FrameWriter<'a> {
+        Writer { buf }
+    }
+}
+
+impl<B: BorrowMut<BytesMut>> Writer<B> {
+    /// Appends bytes as they are (no length prefix).
+    pub fn raw(mut self, data: &[u8]) -> Self {
+        self.buf.borrow_mut().extend_from_slice(data);
+        self
+    }
+
+    /// Appends a `u32`.
+    pub fn u32(self, v: u32) -> Self {
+        self.raw(&v.to_be_bytes())
+    }
+
+    /// Appends a `u64`.
+    pub fn u64(self, v: u64) -> Self {
+        self.raw(&v.to_be_bytes())
+    }
+
+    /// Appends a length-prefixed byte string.
+    pub fn bytes(self, data: &[u8]) -> Self {
+        self.u32(data.len() as u32).raw(data)
+    }
+
+    /// Appends a length-prefixed UTF-8 string.
+    pub fn str(self, s: &str) -> Self {
+        self.bytes(s.as_bytes())
+    }
+
+    /// Appends a 16-byte capability.
+    pub fn cap(self, cap: &Capability) -> Self {
+        self.raw(&cap.encode())
     }
 }
 
@@ -170,6 +206,16 @@ mod tests {
         assert_eq!(r.str().as_deref(), Some("défg"));
         assert_eq!(r.cap(), Some(cap()));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_writer_over_a_frame_appends_the_same_bytes() {
+        let blob = Writer::new().u32(1).bytes(b"abc").cap(&cap()).finish();
+        let mut frame = BytesMut::new();
+        frame.extend_from_slice(b"hdr");
+        Writer::over(&mut frame).u32(1).bytes(b"abc").cap(&cap());
+        assert_eq!(&frame[..3], b"hdr");
+        assert_eq!(&frame[3..], &blob[..]);
     }
 
     #[test]

@@ -1,0 +1,158 @@
+//! The zero-allocation gate on the **wall-clock** rigs — the shapes
+//! `benchmark/` drives (`echo`, `metered_create`, `vfs_write`), which
+//! the virtual-clock gates in `tests/scale.rs` and
+//! `tests/obs_hotpath.rs` do not cover: separate pools per party, a
+//! worker that serves one port and calls through an embedded client,
+//! parameter and reply blobs built by `wire::Writer`.
+//!
+//! This binary holds ONE test, so nothing else in the process touches
+//! the process-wide counters it reads (`bytes::stats::buffer_allocs`
+//! and the hot-mutex count, both via `Network::hot_path`) and the
+//! figures are exact.
+
+use amoeba::bank::{BankClient, BankServer, Currency, CurrencyId};
+use amoeba::block::{BlockServer, DiskConfig};
+use amoeba::cap::schemes::SchemeKind;
+use amoeba::flatfs::{BlockFlatFsServer, FlatFsClient, FlatFsServer, QuotaPolicy};
+use amoeba::net::{HotPathSnapshot, Network};
+use amoeba::server::proto::{Reply, Request};
+use amoeba::server::{wire, RequestCtx, Service, ServiceClient, ServiceRunner};
+
+const WARMUP: usize = 64;
+const OPS: usize = 1_000;
+/// Fresh buffers the whole measured run may add while the working set
+/// settles: these threads are not pinned, and the first time a frame's
+/// receiver (on the other core) still holds its slice when the sender
+/// takes its next buffer, one more buffer joins the circulation — for
+/// good. A per-op cost would read `OPS` or more (the parent: 2 000 on
+/// echo, 16 000 on metered create).
+const SETTLING: u64 = 4;
+
+/// Runs `op` `WARMUP` times unmeasured, then `OPS` times, and returns
+/// what the measured ones added to the process-wide counters.
+fn measure(net: &Network, mut op: impl FnMut()) -> HotPathSnapshot {
+    for _ in 0..WARMUP {
+        op();
+    }
+    let before = net.hot_path();
+    for _ in 0..OPS {
+        op();
+    }
+    net.hot_path() - before
+}
+
+struct Echo;
+
+impl Service for Echo {
+    fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
+        Reply::ok(req.params.clone())
+    }
+}
+
+#[test]
+fn wall_clock_rigs_run_without_fresh_buffers() {
+    // Echo: one client, one single-worker server, a Writer-built
+    // parameter blob per call.
+    let net = Network::new();
+    let runner = ServiceRunner::spawn_open(&net, Echo);
+    let client = ServiceClient::open(&net);
+    let mut seq = 0u64;
+    let echo = measure(&net, || {
+        seq += 1;
+        let params = wire::Writer::new().u64(seq).finish();
+        let body = client
+            .call_anonymous(runner.put_port(), 0xEC40, params)
+            .expect("echo");
+        assert_eq!(body[..], seq.to_be_bytes());
+    });
+    runner.stop();
+    assert!(
+        echo.buffer_allocs <= SETTLING && echo.lock_acquisitions == 0,
+        "echo: {OPS} calls must add no fresh buffer and no hot lock: {echo:?}"
+    );
+
+    // Metered create + destroy (§3.6): the file server's ONE worker
+    // serves its port and calls the bank through an embedded client, so
+    // it alternates between two pools on every request.
+    let net = Network::new();
+    let dollar = CurrencyId(0);
+    let (bank_server, treasury_rx) =
+        BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
+    let bank_runner = ServiceRunner::spawn_fbox(&net, bank_server);
+    let treasury = treasury_rx.recv().expect("treasury capability");
+    let auditor = BankClient::with_service(ServiceClient::fbox(&net), bank_runner.put_port());
+    let server_account = auditor.open_account().expect("server account");
+    let wallet = auditor.open_account().expect("wallet");
+    auditor
+        .mint(&treasury, &wallet, dollar, 1_000_000)
+        .expect("mint");
+    let fs_runner = ServiceRunner::spawn_fbox(
+        &net,
+        FlatFsServer::with_quota(
+            SchemeKind::OneWay,
+            QuotaPolicy {
+                bank: BankClient::with_service(ServiceClient::fbox(&net), bank_runner.put_port()),
+                server_account,
+                currency: dollar,
+                price_per_kib: 1,
+            },
+        ),
+    );
+    let fs = FlatFsClient::with_service(ServiceClient::fbox(&net), fs_runner.put_port());
+    let metered = measure(&net, || {
+        let cap = fs.create_paid(&wallet, 1).expect("paid create");
+        fs.destroy(&cap).expect("destroy");
+    });
+    assert_eq!(
+        auditor.balance(&wallet, dollar).expect("balance"),
+        1_000_000,
+        "every paid create was refunded"
+    );
+    fs_runner.stop();
+    bank_runner.stop();
+    assert!(
+        metered.buffer_allocs <= SETTLING && metered.lock_acquisitions == 0,
+        "metered create+destroy: {OPS} ops must add no fresh buffer and no hot lock: {metered:?}"
+    );
+
+    // Block-backed 32 KiB write + read + destroy: the data crosses two
+    // hops each way; only the frames carry it.
+    const BYTES: usize = 32 * 1024;
+    let net = Network::new();
+    let disk = ServiceRunner::spawn_open(
+        &net,
+        BlockServer::new(
+            DiskConfig {
+                block_size: 512,
+                capacity_blocks: 4 * BYTES as u32 / 512,
+            },
+            SchemeKind::OneWay,
+        ),
+    );
+    let files = ServiceRunner::spawn_open(
+        &net,
+        BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative),
+    );
+    let fs = FlatFsClient::open(&net, files.put_port());
+    let payload: Vec<u8> = (0..BYTES).map(|i| (i * 31 % 251) as u8).collect();
+    let block_backed = measure(&net, || {
+        let cap = fs.create().expect("create");
+        assert_eq!(fs.write(&cap, 0, &payload).expect("write"), BYTES as u64);
+        assert_eq!(fs.read(&cap, 0, BYTES as u32).expect("read"), payload);
+        fs.destroy(&cap).expect("destroy");
+    });
+    files.stop();
+    disk.stop();
+    assert!(
+        block_backed.buffer_allocs <= 3 * OPS as u64,
+        "block-backed write+read+destroy: {} fresh buffers over {OPS} ops (> 3 per op)",
+        block_backed.buffer_allocs
+    );
+    println!(
+        "fresh buffers per op: echo {}, metered {}, block-backed {:.2} (locks/op {:.2})",
+        echo.buffer_allocs,
+        metered.buffer_allocs,
+        block_backed.buffer_allocs as f64 / OPS as f64,
+        block_backed.lock_acquisitions as f64 / OPS as f64,
+    );
+}
