@@ -79,13 +79,7 @@ impl ElasticCluster {
                 let mut service = factory(i);
                 service.bind_shard_range(i, replicas);
                 let get_port = Port::random(&mut rng);
-                ServiceRunner::spawn_workers_with_codec(
-                    net.attach_open(),
-                    get_port,
-                    service,
-                    workers,
-                    amoeba_rpc::CodecConfig::default(),
-                )
+                ServiceRunner::spawn_workers(net.attach_open(), get_port, service, workers)
             })
             .collect();
         let owner = (0..DEFAULT_SHARDS).map(|s| s % replicas).collect();
@@ -628,10 +622,23 @@ mod tests {
                 read(&svc, cap);
             }
         }
+        let loads = cluster.shard_loads();
         let rpc = Client::new(net.attach_open());
         let moves = Rebalancer::default().rebalance(&cluster, &rpc).unwrap();
         assert!(!moves.is_empty(), "the skew must trigger moves");
         let owners = cluster.owners();
+        // Replica 0 carried every request; after the repack no replica
+        // carries more than 1/1.5 of them — ≥ 1.5x the capacity on
+        // single-worker replicas, counted instead of timed.
+        let mut carried = [0u64; 4];
+        for (shard, load) in loads.iter().enumerate() {
+            carried[owners[shard]] += load;
+        }
+        let (hottest, total) = (*carried.iter().max().unwrap(), loads.iter().sum::<u64>());
+        assert!(
+            total > 0 && hottest * 3 <= total * 2,
+            "hottest replica still carries {hottest} of {total}: {carried:?}"
+        );
         let hot_owners: std::collections::HashSet<usize> =
             caps.iter().map(|c| owners[shard_of(c)]).collect();
         assert!(hot_owners.len() > 1, "hot shards no longer share one owner");

@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn skew_on_one_replica_spreads_out() {
         // Replica 0 owns the four hottest shards (the Zipf-head shape
-        // the rebalance bench constructs); everyone else is cold.
+        // a hot tenant set produces); everyone else is cold.
         let r = Rebalancer::default();
         let mut loads = vec![1u64; 16];
         let owner: Vec<usize> = (0..16).map(|s| s % 4).collect();

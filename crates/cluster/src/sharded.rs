@@ -62,31 +62,6 @@ impl ShardedCluster {
         net: &Network,
         replicas: usize,
         workers: usize,
-        factory: impl FnMut(usize) -> S,
-    ) -> ShardedCluster {
-        Self::spawn_open_with_codec(
-            net,
-            replicas,
-            workers,
-            amoeba_rpc::CodecConfig::default(),
-            factory,
-        )
-    }
-
-    /// [`spawn_open`](Self::spawn_open) with explicit hot-path codec
-    /// knobs for every replica's bound port — share one
-    /// [`BufPool`](amoeba_net::BufPool) handle to meter the whole
-    /// group's frame allocations, or pass
-    /// [`CodecConfig::legacy`](amoeba_rpc::CodecConfig::legacy) for the
-    /// pre-pool baseline.
-    ///
-    /// # Panics
-    /// As for [`spawn_open`](Self::spawn_open).
-    pub fn spawn_open_with_codec<S: Service>(
-        net: &Network,
-        replicas: usize,
-        workers: usize,
-        codec: amoeba_rpc::CodecConfig,
         mut factory: impl FnMut(usize) -> S,
     ) -> ShardedCluster {
         assert!(
@@ -99,13 +74,7 @@ impl ShardedCluster {
                 let mut service = factory(i);
                 service.bind_shard_range(i, replicas);
                 let get_port = Port::random(&mut rng);
-                ServiceRunner::spawn_workers_with_codec(
-                    net.attach_open(),
-                    get_port,
-                    service,
-                    workers,
-                    codec.clone(),
-                )
+                ServiceRunner::spawn_workers(net.attach_open(), get_port, service, workers)
             })
             .collect();
         let range_ports = runners.iter().map(|r| r.put_port()).collect();

@@ -13,7 +13,8 @@
 //! * [`ShaOneWay`] — SHA-256 truncated to 48 bits, the modern choice.
 //!
 //! The F-box, the RPC layer and capability scheme 2 are all generic over
-//! this trait, so the two can be compared directly (bench `fbox_ports`).
+//! this trait, so the two can be compared directly (F1b in
+//! `examples/paper_report.rs`).
 
 use crate::purdy::Purdy;
 use crate::sha256::Sha256;

@@ -74,18 +74,18 @@ pub enum Placement {
 /// An F-box bound to one machine's network interface.
 ///
 /// Generic over the public one-way function so the Purdy and SHA-256
-/// constructions can be compared (bench `fbox_ports`).
+/// constructions can be compared (F1b in `examples/paper_report.rs`).
 #[derive(Debug)]
 pub struct FBox<F: OneWay> {
     f: F,
     placement: Placement,
     listening: Mutex<HashSet<Port>>,
-    /// Memo table `x → F(x)`, `None` when memoization is off. The paper
-    /// imagines `F` as VLSI precisely because it sits on the per-packet
-    /// path; this cache makes the same assumption explicit in software —
-    /// `F` runs once per *port*, not once per packet. Safe because `F`
-    /// is pure and public: caching changes cost, never results.
-    cache: Option<Mutex<HashMap<u64, u64>>>,
+    /// Memo table `x → F(x)`. The paper imagines `F` as VLSI precisely
+    /// because it sits on the per-packet path; this cache makes the
+    /// same assumption explicit in software — `F` runs once per *port*,
+    /// not once per packet. Safe because `F` is pure and public:
+    /// caching changes cost, never results.
+    cache: Mutex<HashMap<u64, u64>>,
     /// Actual `F` evaluations performed (cache hits excluded) — the
     /// crypto cost this box has really paid, exposed through
     /// [`NetworkInterface::crypto_evals`].
@@ -103,31 +103,13 @@ impl<F: OneWay> FBox<F> {
         Self::with_placement(f, Placement::TrustedKernel)
     }
 
-    /// An F-box with explicit placement (memoized, the default).
+    /// An F-box with explicit placement.
     pub fn with_placement(f: F, placement: Placement) -> Self {
-        Self::build(f, placement, true)
-    }
-
-    /// A hardware-placement F-box that recomputes `F` on **every**
-    /// claim and egress — the pre-memoization behaviour, kept callable
-    /// so benchmarks can measure exactly what the cache buys.
-    pub fn uncached(f: F) -> Self {
-        Self::uncached_with_placement(f, Placement::Hardware)
-    }
-
-    /// An uncached F-box with explicit placement — the baseline knob
-    /// composed with [`with_placement`](Self::with_placement), so a
-    /// trusted-kernel box can be benchmarked pre-memoization too.
-    pub fn uncached_with_placement(f: F, placement: Placement) -> Self {
-        Self::build(f, placement, false)
-    }
-
-    fn build(f: F, placement: Placement, cached: bool) -> Self {
         FBox {
             f,
             placement,
             listening: Mutex::new(HashSet::new()),
-            cache: cached.then(|| Mutex::new(HashMap::new())),
+            cache: Mutex::new(HashMap::new()),
             evals: AtomicU64::new(0),
         }
     }
@@ -145,24 +127,19 @@ impl<F: OneWay> FBox<F> {
 
     /// Computes the put-port `P = F(G)` for a get-port — what a server
     /// publishes to its clients. Memoized per box (bounded by
-    /// [`FBOX_CACHE_CAPACITY`]) unless built with
-    /// [`uncached`](Self::uncached).
+    /// [`FBOX_CACHE_CAPACITY`]).
     pub fn put_port(&self, get_port: Port) -> Port {
         let x = get_port.value();
-        if let Some(cache) = &self.cache {
-            if let Some(&y) = cache.lock().get(&x) {
-                return Port::from_raw(y);
-            }
+        if let Some(&y) = self.cache.lock().get(&x) {
+            return Port::from_raw(y);
         }
         self.evals.fetch_add(1, Ordering::Relaxed);
         let y = self.f.apply48(x);
-        if let Some(cache) = &self.cache {
-            let mut cache = cache.lock();
-            if cache.len() >= FBOX_CACHE_CAPACITY {
-                cache.clear();
-            }
-            cache.insert(x, y);
+        let mut cache = self.cache.lock();
+        if cache.len() >= FBOX_CACHE_CAPACITY {
+            cache.clear();
         }
+        cache.insert(x, y);
         Port::from_raw(y)
     }
 }
@@ -328,28 +305,8 @@ mod tests {
             assert_eq!(h.reply, p);
         }
         assert_eq!(fbox.evals(), 1, "F must run once per port, not per packet");
-        assert_eq!(FBox::uncached(ShaOneWay).put_port(g), p, "cache is pure");
-    }
-
-    #[test]
-    fn uncached_box_pays_f_every_time() {
-        let fbox = FBox::uncached(ShaOneWay);
-        let g = port(0x1002);
-        for _ in 0..5 {
-            fbox.put_port(g);
-        }
-        assert_eq!(fbox.evals(), 5);
-        assert_eq!(fbox.crypto_evals(), 5, "NIC hook mirrors the counter");
-    }
-
-    #[test]
-    fn uncached_composes_with_placement() {
-        let fbox = FBox::uncached_with_placement(ShaOneWay, Placement::TrustedKernel);
-        assert_eq!(fbox.placement(), Placement::TrustedKernel);
-        let g = port(0x1003);
-        fbox.put_port(g);
-        fbox.put_port(g);
-        assert_eq!(fbox.evals(), 2, "placement must not re-enable the cache");
+        assert_eq!(fbox.crypto_evals(), 1, "NIC hook mirrors the counter");
+        assert_eq!(put_port_of(&ShaOneWay, g), p, "cache is pure");
     }
 
     #[test]
@@ -358,7 +315,7 @@ mod tests {
         for v in 1..=(2 * FBOX_CACHE_CAPACITY as u64 + 7) {
             fbox.put_port(port(v));
         }
-        let cached = fbox.cache.as_ref().unwrap().lock().len();
+        let cached = fbox.cache.lock().len();
         assert!(
             cached <= FBOX_CACHE_CAPACITY,
             "memo table exceeded its bound: {cached}"

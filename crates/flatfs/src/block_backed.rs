@@ -11,8 +11,8 @@
 //! having to get into the details of disk storage management".
 //!
 //! The in-memory [`FlatFsServer`](crate::FlatFsServer) and this one are
-//! an ablation pair: bench `fileserver_paths` can be pointed at either
-//! to price the extra block-server hop.
+//! an ablation pair: the same client code runs against either, which
+//! prices the extra block-server hop.
 //!
 //! [`FlatFsClient`]: crate::FlatFsClient
 

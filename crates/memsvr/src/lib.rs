@@ -12,7 +12,7 @@
 //! stops and generally manipulates the child. Directing the CREATE
 //! SEGMENT requests at a *remote* machine's memory server creates the
 //! child there — "a more convenient and efficient interface than the
-//! traditional FORK + EXEC" (benchmark `memsvr_process`).
+//! traditional FORK + EXEC" (E11 in `examples/paper_report.rs`).
 //!
 //! The same segment API doubles as the paper's **electronic disk**: a
 //! segment of the required size, read and written by local or remote

@@ -16,7 +16,7 @@
 //!
 //! Copy-on-write is per page via `Arc` sharing; `version_info` exposes
 //! how many pages a version still shares with the file head, which the
-//! `mvfs_cow` benchmark (experiment E9) reports.
+//! E9 table of `examples/paper_report.rs` reports.
 //!
 //! # Example
 //!

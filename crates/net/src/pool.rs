@@ -71,10 +71,7 @@
 //! instance, plus every acquisition of its spill locks via a
 //! [`LockMeter`] shared with the rest of the fleet's hot mutexes —
 //! race-free accounting for benchmarks and acceptance gates even when
-//! unrelated tests run concurrently in the same process. A pool built
-//! with [`BufPool::disabled`] never recycles (every take is a fresh
-//! allocation) but still counts, which is exactly the pre-pool
-//! baseline the `hot_path` bench compares against. The metric is
+//! unrelated tests run concurrently in the same process. The metric is
 //! **backing storage**: each take→freeze→retire cycle still creates
 //! and frees one small `Arc` control block for shared ownership of the
 //! payload — bounded, size-independent, and deliberately outside the
@@ -189,8 +186,6 @@ fn fresh(len: usize) -> BytesMut {
 
 #[derive(Debug)]
 struct PoolInner {
-    /// `false` for the measurement baseline: take() always allocates.
-    enabled: bool,
     /// Reclaimed storage, ready to hand out (shared spill).
     free: HotMutex<Vec<Vec<u8>>>,
     /// Sent frames whose payload may still be referenced (shared spill).
@@ -223,27 +218,11 @@ impl Default for BufPool {
 }
 
 impl BufPool {
-    /// An enabled pool (the production default).
+    /// An empty pool with its own counters and lock meter.
     pub fn new() -> BufPool {
-        Self::with_enabled(true)
-    }
-
-    /// A pass-through pool that never recycles: every [`take`] is a
-    /// fresh allocation and [`retire`] drops its argument. This is the
-    /// pre-pool codec, kept callable so benchmarks and acceptance gates
-    /// can measure exactly what pooling buys.
-    ///
-    /// [`take`]: BufPool::take
-    /// [`retire`]: BufPool::retire
-    pub fn disabled() -> BufPool {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> BufPool {
         let meter = LockMeter::new();
         BufPool {
             inner: Arc::new(PoolInner {
-                enabled,
                 free: HotMutex::with_meter(Vec::new(), meter.clone()),
                 retired: HotMutex::with_meter(VecDeque::new(), meter.clone()),
                 spilled: AtomicU64::new(0),
@@ -253,11 +232,6 @@ impl BufPool {
                 meter,
             }),
         }
-    }
-
-    /// Whether this pool actually recycles buffers.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// The lock meter every hot mutex of this pool's fleet shares.
@@ -291,19 +265,17 @@ impl BufPool {
     /// cache has nothing that fits.
     pub fn take_sized(&self, len: usize) -> BytesMut {
         self.inner.takes.fetch_add(1, Ordering::Relaxed);
-        if self.inner.enabled {
-            if let Some(storage) = with_cache(|cache| cache.take(len)) {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
+        if let Some(storage) = with_cache(|cache| cache.take(len)) {
+            self.inner.reused.fetch_add(1, Ordering::Relaxed);
+            return BytesMut::from_recycled(storage);
+        }
+        if self.inner.spilled.load(Ordering::Acquire) > 0 {
+            if let Some(storage) = self.pop_shared_free() {
                 return BytesMut::from_recycled(storage);
             }
-            if self.inner.spilled.load(Ordering::Acquire) > 0 {
-                if let Some(storage) = self.pop_shared_free() {
-                    return BytesMut::from_recycled(storage);
-                }
-                self.sweep_shared_retired();
-                if let Some(storage) = self.pop_shared_free() {
-                    return BytesMut::from_recycled(storage);
-                }
+            self.sweep_shared_retired();
+            if let Some(storage) = self.pop_shared_free() {
+                return BytesMut::from_recycled(storage);
             }
         }
         self.inner.fresh.fetch_add(1, Ordering::Relaxed);
@@ -331,7 +303,7 @@ impl BufPool {
     pub fn retire(&self, frame: Bytes) {
         // Static-backed buffers can never be reclaimed; parking them
         // would waste retired-queue slots on permanent misses.
-        if !self.inner.enabled || frame.is_empty() || frame.is_static() {
+        if frame.is_empty() || frame.is_static() {
             return;
         }
         with_cache(|cache| match frame.try_reclaim() {
@@ -396,7 +368,7 @@ impl BufPool {
     /// them. Safe (just suboptimal) to call on frames this thread
     /// owns.
     pub fn release(&self, handle: Bytes) {
-        if !self.inner.enabled || handle.is_empty() || handle.is_static() {
+        if handle.is_empty() || handle.is_static() {
             return;
         }
         if let Ok(storage) = handle.try_reclaim() {
@@ -551,18 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_always_allocates() {
-        let pool = BufPool::disabled();
-        for _ in 0..4 {
-            let frame = pool.take().freeze();
-            pool.retire(frame);
-        }
-        assert_eq!(pool.takes(), 4);
-        assert_eq!(pool.fresh_allocs(), 4);
-        assert_eq!(pool.reuses(), 0);
-    }
-
-    #[test]
     fn clones_share_one_pool() {
         let pool = BufPool::new();
         let retirer = pool.clone();
@@ -576,7 +536,7 @@ mod tests {
 
     #[test]
     fn steady_state_cycle_takes_no_locks() {
-        // The invariant the hot-path bench gates on: once warm, the
+        // The invariant `tests/alloc_free.rs` gates on: once warm, the
         // take→retire cycle runs on the thread-local cache alone.
         let pool = BufPool::new();
         for _ in 0..4 {

@@ -47,7 +47,7 @@ static HOT_LOCK_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
 /// Cumulative [`HotMutex`] lock acquisitions since process start.
 ///
 /// Process-global and therefore only meaningful diffed around a
-/// workload in a sequential process (the bench binary); concurrent
+/// workload in a sequential process (`benchmark/`); concurrent
 /// tests should assert on a [`LockMeter`] instead.
 pub fn hot_lock_acquisitions() -> u64 {
     HOT_LOCK_ACQUISITIONS.load(Ordering::Relaxed)

@@ -139,8 +139,8 @@ impl Histogram {
     /// sorted-vector percentile), or `None` if the histogram is empty.
     ///
     /// The exact sample at that rank is guaranteed to lie inside the
-    /// returned bounds — the contract the swarm-bench cross-check
-    /// asserts against its sorted open-loop sampler.
+    /// returned bounds — the contract `tests/obs_trace.rs` asserts
+    /// against its sorted open-loop sampler.
     pub fn percentile_bounds(&self, per_mille: u64) -> Option<(u64, u64)> {
         let count = self.count();
         if count == 0 {

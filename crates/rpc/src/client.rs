@@ -142,62 +142,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// How the codec allocates and addresses on the hot path — shared by
-/// [`Client`] and [`ServerPort`](crate::ServerPort).
-///
-/// The default is the zero-copy fast path: wire frames are encoded into
-/// recycled [`BufPool`] buffers (steady-state sends allocate nothing)
-/// and a client reuses the reply ports of cleanly completed
-/// transactions instead of minting a fresh random port — which also
-/// lets an F-box's `F` memo table hit instead of hashing a
-/// never-seen-before port on every send. [`CodecConfig::legacy`] is the
-/// pre-pool behaviour, kept callable so the `hot_path` bench and the
-/// acceptance gates in `tests/scale.rs` can measure exactly what the
-/// fast path buys. Wire bytes are identical either way.
-#[derive(Debug, Clone)]
-pub struct CodecConfig {
-    /// The frame-buffer pool ([`BufPool::disabled`] for the
-    /// allocate-every-frame baseline). Share one handle across
-    /// cooperating parties to aggregate their allocation counters.
-    pub pool: BufPool,
-    /// Whether a client may reuse the private reply port of a
-    /// transaction that completed on its first transmission — and, as
-    /// the precondition that makes reuse sound, whether it may keep the
-    /// §2.1 kernel cache of `(put-port, machine)` answers that turns
-    /// untargeted calls into machine-targeted ones.
-    ///
-    /// Only a **machine-targeted** transaction can prove its reply port
-    /// quiescent: an untargeted request is *offered* to every machine
-    /// claiming the destination port, so N replicas produce N replies
-    /// and N−1 stragglers may still be in flight when the transaction
-    /// completes. Ports of untargeted, timed-out, retransmitted or
-    /// abandoned transactions are therefore never reused (a straggler
-    /// reply could alias a later transaction), which keeps recycling
-    /// invisible to correctness — it only removes the per-transaction
-    /// random-port mint and its one-way-function evaluations.
-    pub recycle_reply_ports: bool,
-}
-
-impl Default for CodecConfig {
-    fn default() -> Self {
-        CodecConfig {
-            pool: BufPool::new(),
-            recycle_reply_ports: true,
-        }
-    }
-}
-
-impl CodecConfig {
-    /// The pre-pool codec: a fresh allocation per frame, a fresh random
-    /// reply port per transaction. The measurement baseline.
-    pub fn legacy() -> Self {
-        CodecConfig {
-            pool: BufPool::disabled(),
-            recycle_reply_ports: false,
-        }
-    }
-}
-
 /// Upper bound on recycled reply-port bindings a client parks between
 /// transactions; beyond it ports are released normally. Bounds both the
 /// claim table and the concurrency level that benefits from recycling.
@@ -288,8 +232,9 @@ pub struct Client {
     /// freelist, and falls back to a counted-mutex map only on
     /// overflow.
     table: DemuxTable,
-    /// Hot-path knobs: frame-buffer pool + reply-port recycling.
-    codec: CodecConfig,
+    /// The frame-buffer pool requests are encoded into: steady-state
+    /// sends allocate nothing.
+    pool: BufPool,
     /// The §2.1 kernel cache: put-port → the machine that last answered
     /// it. "To avoid having to broadcast the LOCATE message for every
     /// transaction, each kernel maintains a cache of (port, machine)
@@ -322,9 +267,9 @@ impl Client {
 
     /// Wraps an endpoint with explicit timeouts/retries.
     pub fn with_config(endpoint: Endpoint, config: RpcConfig) -> Client {
-        let codec = CodecConfig::default();
+        let pool = BufPool::new();
         let trace_base = (u64::from(endpoint.id().as_u32()) << 32) | 1;
-        let table = DemuxTable::new(endpoint.network(), codec.pool.lock_meter());
+        let table = DemuxTable::new(endpoint.network(), pool.lock_meter());
         Client {
             endpoint,
             config,
@@ -334,7 +279,7 @@ impl Client {
             next_batch_id: AtomicU32::new(1),
             pipeline: None,
             table,
-            codec,
+            pool,
             routes: RouteCache::new(),
             minted_ports: AtomicU64::new(0),
             broker: None,
@@ -352,16 +297,6 @@ impl Client {
         self
     }
 
-    /// Builder knob: replaces the hot-path codec configuration (frame
-    /// pooling, reply-port recycling). See [`CodecConfig`].
-    pub fn with_codec(mut self, codec: CodecConfig) -> Client {
-        // Re-key the (still empty) demux table so its overflow-map
-        // lock counts against the new pool's meter.
-        self.table = DemuxTable::new(self.endpoint.network(), codec.pool.lock_meter());
-        self.codec = codec;
-        self
-    }
-
     /// Builder knob: connects this client to a fleet-wide
     /// [`PortLeaseBroker`] and immediately tries to lease a pre-warmed
     /// identity from it: a recycled reply get-port (claimed here and
@@ -370,19 +305,14 @@ impl Client {
     /// transaction is already machine-targeted — no LOCATE broadcast,
     /// and its port recycles again). On drop the client offers its own
     /// clean parked ports and routes back.
-    ///
-    /// No-op (beyond registering the broker) on a
-    /// [legacy codec](CodecConfig::legacy), which never recycles.
     pub fn with_broker(mut self, broker: Arc<PortLeaseBroker>) -> Client {
-        if self.codec.recycle_reply_ports {
-            if let Some(grant) = broker.lease() {
-                if let Some(m) = self.endpoint.obs().metrics() {
-                    m.reply_ports_leased.add(1);
-                }
-                self.adopt_leased_port(grant.get);
-                for (key, val) in grant.routes {
-                    self.routes.insert(key, val);
-                }
+        if let Some(grant) = broker.lease() {
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.reply_ports_leased.add(1);
+            }
+            self.adopt_leased_port(grant.get);
+            for (key, val) in grant.routes {
+                self.routes.insert(key, val);
             }
         }
         self.broker = Some(broker);
@@ -433,7 +363,7 @@ impl Client {
 
     /// The frame-buffer pool this client encodes into.
     pub fn buf_pool(&self) -> &BufPool {
-        &self.codec.pool
+        &self.pool
     }
 
     /// The trace id the *next* transaction on this client will mint
@@ -446,8 +376,8 @@ impl Client {
     }
 
     /// Builder knob: replaces the demux back-off policy (see
-    /// [`DemuxPolicy`]). The pipeliner benches set a tighter contended
-    /// tick so batch replies are routed with minimal added latency.
+    /// [`DemuxPolicy`]). A tighter contended tick routes batch replies
+    /// with less added latency.
     pub fn with_demux_policy(mut self, demux: DemuxPolicy) -> Client {
         self.demux = demux;
         self
@@ -526,7 +456,7 @@ impl Client {
             // A pipelined call waits in its destination's queue until
             // the flusher writes it into a shared batch frame, so until
             // then it needs a body of its own.
-            let mut body = self.codec.pool.take_sized(len);
+            let mut body = self.pool.take_sized(len);
             build(&mut body);
             return self.trans_pipelined(dest, body.freeze());
         }
@@ -588,7 +518,7 @@ impl Client {
             TransferOp::Chunk { records, .. } => records.len(),
             _ => 0,
         };
-        let mut buf = self.codec.pool.take_sized(18 + records);
+        let mut buf = self.pool.take_sized(18 + records);
         frame::encode_transfer_into(&mut buf, op);
         self.start(dest, machine, buf.freeze(), accept_reply)
     }
@@ -614,7 +544,7 @@ impl Client {
         // The wire frames carried copies of every body — on the failure
         // path too, where the frames are just as spent.
         for body in requests {
-            self.codec.pool.release(body);
+            self.pool.release(body);
         }
         results
     }
@@ -664,7 +594,7 @@ impl Client {
         let completion = self.trans_async_with(dest, target, request.len(), |buf| {
             buf.extend_from_slice(&request);
         });
-        self.codec.pool.release(request);
+        self.pool.release(request);
         completion
     }
 
@@ -677,7 +607,7 @@ impl Client {
         mut entry: impl FnMut(usize, &mut BytesMut),
     ) -> Result<Vec<BatchResult>, RpcError> {
         let id = self.next_batch_id.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.codec.pool.take_sized(8 + len);
+        let mut buf = self.pool.take_sized(8 + len);
         frame::batch_preamble(&mut buf, FrameKind::BatchRequest, id, n);
         for i in 0..n {
             frame::batch_entry_with(&mut buf, |b| entry(i, b));
@@ -755,7 +685,7 @@ impl Client {
             let results = outcome.unwrap_or_else(|e| vec![Err(e); chunk.len()]);
             for ((body, tx), result) in chunk.into_iter().zip(results) {
                 let _ = tx.send(result);
-                self.codec.pool.release(body);
+                self.pool.release(body);
             }
         }
     }
@@ -774,10 +704,9 @@ impl Client {
     }
 
     /// Records `machine` as the route-cache answer for put-port `dest`.
-    /// No-op for broadcasts and on the legacy codec, which keeps pure
-    /// associative addressing.
+    /// No-op for broadcasts.
     fn note_route(&self, dest: Port, machine: MachineId) {
-        if !self.codec.recycle_reply_ports || dest.is_broadcast() {
+        if dest.is_broadcast() {
             return;
         }
         self.routes
@@ -837,7 +766,7 @@ impl Client {
         len: usize,
         build: impl FnOnce(&mut BytesMut),
     ) -> Completion<'_, Bytes> {
-        let mut buf = self.codec.pool.take_sized(1 + len);
+        let mut buf = self.pool.take_sized(1 + len);
         Frame::request_with(&mut buf, build);
         self.start(dest, target, buf.freeze(), accept_reply)
     }
@@ -846,18 +775,16 @@ impl Client {
     /// minted otherwise). Returns the binding plus its get/wire ports.
     fn bind_reply_port(&self) -> (Binding, Port, Port, Receiver<Packet>) {
         let reactor = self.endpoint.reactor();
-        // Recycled from a cleanly completed transaction when allowed:
-        // the port is then already claimed (an F-box has its F values
-        // memoized) and still resolvable in the index — claiming it is
-        // one O(1) freelist pop.
-        if self.codec.recycle_reply_ports {
-            if let Some((token, get, wire)) = self.table.claim_parked(reactor) {
-                if let Some(m) = self.endpoint.obs().metrics() {
-                    m.reply_ports_recycled.add(1);
-                }
-                let rx = self.table.receiver(token);
-                return (Binding::Slot(token), get, wire, rx);
+        // Recycled from a cleanly completed transaction when one is
+        // parked: the port is then already claimed (an F-box has its F
+        // values memoized) and still resolvable in the index — claiming
+        // it is one O(1) freelist pop.
+        if let Some((token, get, wire)) = self.table.claim_parked(reactor) {
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.reply_ports_recycled.add(1);
             }
+            let rx = self.table.receiver(token);
+            return (Binding::Slot(token), get, wire, rx);
         }
         // Fresh mint: reserve a slot and engrave its (index, gen) in
         // the minted get-port.
@@ -911,7 +838,7 @@ impl Client {
             // cache knows which machine answers this port. Broadcasts
             // stay broadcasts — the network ignores the hint for them
             // anyway, so a cached target would be a lie.
-            None if self.codec.recycle_reply_ports && !dest.is_broadcast() => {
+            None if !dest.is_broadcast() => {
                 if let Some(val) = self.routes.lookup(dest.value()) {
                     header = header.targeted(MachineId::from((val - 1) as u32));
                     hinted = true;
@@ -982,14 +909,12 @@ impl Drop for Client {
         // with this endpoint either way.
         let parked = self.table.drain_parked_for_export(&reactor);
         if let Some(broker) = &self.broker {
-            if self.codec.recycle_reply_ports {
-                broker.offer_routes(&self.routes.export(MAX_EXPORTED_ROUTES));
-                if let Some(m) = self.endpoint.obs().metrics() {
-                    m.lease_offers.add(parked.len() as u64);
-                }
-                for (get, _wire) in parked {
-                    broker.offer_port(get);
-                }
+            broker.offer_routes(&self.routes.export(MAX_EXPORTED_ROUTES));
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.lease_offers.add(parked.len() as u64);
+            }
+            for (get, _wire) in parked {
+                broker.offer_port(get);
             }
         }
         // Any still-gated deposit left anywhere would wedge the
@@ -1135,7 +1060,7 @@ impl<T> Completion<'_, T> {
     /// Closes the span: records the completion wake-up (with the
     /// start-to-finish latency as payload) and feeds the latency
     /// histogram. Shared by the poll and wait completion sites so
-    /// bench percentiles and live metrics come from one code path.
+    /// reported percentiles and live metrics come from one code path.
     fn note_completed(&self) {
         let obs = self.client.endpoint.obs();
         if !obs.enabled() {
@@ -1320,10 +1245,7 @@ impl<T> Drop for Completion<'_, T> {
     fn drop(&mut self) {
         let reactor = self.client.endpoint.reactor();
         // The frame buffer returns to the pool for the next encode.
-        self.client
-            .codec
-            .pool
-            .retire(std::mem::take(&mut self.payload));
+        self.client.pool.retire(std::mem::take(&mut self.payload));
         // A machine-targeted transaction that completed on its single
         // transmission and left no stragglers can park its reply port
         // (still claimed, still indexed) for reuse — one frame reached
@@ -1351,7 +1273,6 @@ impl<T> Drop for Completion<'_, T> {
                 let at_most_once = !self.client.endpoint.network().may_duplicate();
                 let clean = self.completed && self.transmits == 1 && unicast && at_most_once;
                 if clean
-                    && self.client.codec.recycle_reply_ports
                     && self
                         .client
                         .table
@@ -1690,7 +1611,7 @@ mod tests {
             cached <= MAX_CACHED_ROUTES,
             "route cache exceeded its bound: {cached}"
         );
-        // Broadcast and legacy-codec notes are dropped, not cached.
+        // Broadcast notes are dropped, not cached.
         client.note_route(Port::BROADCAST, machine);
         assert!(client.cached_route(Port::BROADCAST).is_none());
     }

@@ -68,7 +68,7 @@ pub mod matchmaker;
 mod server;
 
 pub use client::{
-    BatchResult, Client, CodecConfig, Completion, DemuxPolicy, PipelineConfig, RpcConfig, RpcError,
+    BatchResult, Client, Completion, DemuxPolicy, PipelineConfig, RpcConfig, RpcError,
 };
 pub use lease::PortLeaseBroker;
 

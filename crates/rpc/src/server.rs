@@ -41,7 +41,6 @@
 //! The server loop also transparently answers broadcast LOCATE queries
 //! for its port, implementing the software match-making of §2.2.
 
-use crate::client::CodecConfig;
 use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp};
 use amoeba_net::{
     BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Port, RecvError, Timestamp,
@@ -234,17 +233,8 @@ impl Drop for PumpGuard<'_> {
 
 impl ServerPort {
     /// `GET(G)`: claims the get-port on the endpoint's interface and
-    /// returns the bound server (default codec: pooled buffers).
+    /// returns the bound server.
     pub fn bind(endpoint: Endpoint, get_port: Port) -> ServerPort {
-        Self::bind_with_codec(endpoint, get_port, CodecConfig::default())
-    }
-
-    /// [`bind`](Self::bind) with explicit hot-path codec knobs — pass
-    /// [`CodecConfig::legacy`] to measure the pre-pool baseline, or a
-    /// shared [`BufPool`] handle to aggregate allocation counters
-    /// across parties. (Reply-port recycling is a client knob; only the
-    /// pool applies here.)
-    pub fn bind_with_codec(endpoint: Endpoint, get_port: Port, codec: CodecConfig) -> ServerPort {
         let wire_port = endpoint.claim(get_port);
         let (ready_tx, ready_rx) = endpoint.network().channel();
         ServerPort {
@@ -254,7 +244,7 @@ impl ServerPort {
             ready_tx,
             ready_rx,
             pump: AtomicBool::new(false),
-            pool: codec.pool,
+            pool: BufPool::new(),
         }
     }
 

@@ -295,37 +295,12 @@ impl ServiceRunner {
     pub fn spawn_workers(
         endpoint: Endpoint,
         get_port: Port,
-        service: impl Service,
-        workers: usize,
-    ) -> ServiceRunner {
-        Self::spawn_workers_with_codec(
-            endpoint,
-            get_port,
-            service,
-            workers,
-            amoeba_rpc::CodecConfig::default(),
-        )
-    }
-
-    /// [`spawn_workers`](Self::spawn_workers) with explicit hot-path
-    /// codec knobs for the bound port — pass
-    /// [`CodecConfig::legacy`](amoeba_rpc::CodecConfig::legacy) to
-    /// measure the pre-pool baseline, or a shared
-    /// [`BufPool`](amoeba_net::BufPool) handle to aggregate allocation
-    /// counters across parties.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn spawn_workers_with_codec(
-        endpoint: Endpoint,
-        get_port: Port,
         mut service: impl Service,
         workers: usize,
-        codec: amoeba_rpc::CodecConfig,
     ) -> ServiceRunner {
         assert!(workers > 0, "a service needs at least one worker");
         let machine = endpoint.id();
-        let server = ServerPort::bind_with_codec(endpoint, get_port, codec);
+        let server = ServerPort::bind(endpoint, get_port);
         let put_port = server.put_port();
         service.bind(put_port);
         let service: Arc<dyn Service> = Arc::new(service);

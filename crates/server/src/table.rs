@@ -185,9 +185,9 @@ pub fn placement_range(object: ObjectNum, shards: usize, replicas: usize) -> usi
 /// is here: minting, validation, server-side restriction, deletion, and
 /// revocation by random-number replacement.
 ///
-/// The table is internally sharded ([`DEFAULT_SHARDS`] stripes unless
-/// built with [`with_shards`](Self::with_shards)); every method is
-/// `&self` and safe to call from any number of dispatch workers.
+/// The table is internally sharded ([`DEFAULT_SHARDS`] stripes); every
+/// method is `&self` and safe to call from any number of dispatch
+/// workers.
 pub struct ObjectTable<T> {
     scheme: Box<dyn ProtectionScheme>,
     port: RwLock<Option<Port>>,
@@ -236,14 +236,12 @@ impl<T> ObjectTable<T> {
         Self::with_shards(scheme, DEFAULT_SHARDS)
     }
 
-    /// A table with an explicit number of lock stripes. One shard
-    /// reproduces the legacy fully-serialised table (useful as a
-    /// baseline in benchmarks); production services use a power-of-two
-    /// count ≥ the worker count.
+    /// A table with an explicit number of lock stripes (object numbers
+    /// carry the stripe index in their low bits, whatever the count).
     ///
     /// # Panics
     /// Panics unless `shards` is a power of two between 1 and 256.
-    pub fn with_shards(scheme: Box<dyn ProtectionScheme>, shards: usize) -> ObjectTable<T> {
+    fn with_shards(scheme: Box<dyn ProtectionScheme>, shards: usize) -> ObjectTable<T> {
         assert!(
             shards.is_power_of_two() && (1..=256).contains(&shards),
             "shard count must be a power of two in 1..=256"

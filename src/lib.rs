@@ -4,8 +4,10 @@
 //!
 //! This facade crate re-exports every subsystem under one roof and hosts
 //! the repository's examples and cross-crate integration tests. See the
-//! README for the architecture tour, DESIGN.md for the paper-to-module
-//! map, and EXPERIMENTS.md for the reproduced figures/claims.
+//! README for the architecture tour, `docs/ARCHITECTURE.md` for the
+//! paper-to-module map, and `examples/paper_report.rs` for the
+//! reproduced figures/claims (its header lists F1…E11 with the paper
+//! section each reproduces).
 //!
 //! # The 30-second tour
 //!
@@ -76,9 +78,7 @@ pub mod prelude {
         SimStall, StatsSnapshot, Timestamp, VirtualClock, WallClock,
     };
     pub use amoeba_obs::{EventKind, FlightEvent, Metrics, MetricsSnapshot, Obs};
-    pub use amoeba_rpc::{
-        Client, CodecConfig, Locator, Matchmaker, RendezvousNode, RpcConfig, ServerPort,
-    };
+    pub use amoeba_rpc::{Client, Locator, Matchmaker, RendezvousNode, RpcConfig, ServerPort};
     pub use amoeba_server::proto::{Reply, Request, Status};
     pub use amoeba_server::{
         ClientError, ObjectLocks, ObjectTable, PrincipalRegistry, ReactorPool, RequestCtx,

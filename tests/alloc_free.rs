@@ -1,9 +1,12 @@
 //! The zero-allocation gate on the **wall-clock** rigs — the shapes
 //! `benchmark/` drives (`echo`, `metered_create`, `vfs_write`), which
-//! the virtual-clock gates in `tests/scale.rs` and
-//! `tests/obs_hotpath.rs` do not cover: separate pools per party, a
-//! worker that serves one port and calls through an embedded client,
-//! parameter and reply blobs built by `wire::Writer`.
+//! the virtual-clock gate in `tests/obs_hotpath.rs` does not cover:
+//! separate pools per party, a worker that serves one port and calls
+//! through an embedded client, parameter and reply blobs built by
+//! `wire::Writer`. The metered leg is also the hot-path budget in
+//! absolute terms — frames, queue pushes, `F` evaluations, fresh
+//! buffers and hot locks per operation, recorder enabled — on both
+//! clocks.
 //!
 //! This binary holds ONE test, so nothing else in the process touches
 //! the process-wide counters it reads (`bytes::stats::buffer_allocs`
@@ -49,32 +52,14 @@ impl Service for Echo {
     }
 }
 
-#[test]
-fn wall_clock_rigs_run_without_fresh_buffers() {
-    // Echo: one client, one single-worker server, a Writer-built
-    // parameter blob per call.
-    let net = Network::new();
-    let runner = ServiceRunner::spawn_open(&net, Echo);
-    let client = ServiceClient::open(&net);
-    let mut seq = 0u64;
-    let echo = measure(&net, || {
-        seq += 1;
-        let params = wire::Writer::new().u64(seq).finish();
-        let body = client
-            .call_anonymous(runner.put_port(), 0xEC40, params)
-            .expect("echo");
-        assert_eq!(body[..], seq.to_be_bytes());
-    });
-    runner.stop();
-    assert!(
-        echo.buffer_allocs <= SETTLING && echo.lock_acquisitions == 0,
-        "echo: {OPS} calls must add no fresh buffer and no hot lock: {echo:?}"
-    );
-
-    // Metered create + destroy (§3.6): the file server's ONE worker
-    // serves its port and calls the bank through an embedded client, so
-    // it alternates between two pools on every request.
-    let net = Network::new();
+/// Metered create + destroy (§3.6) with every machine behind an F-box
+/// and the flight recorder **enabled**: the file server's ONE worker
+/// serves its port and calls the bank through an embedded client, so it
+/// alternates between two pools on every request. Asserts the absolute
+/// hot-path budget of an operation on whichever clock `net` carries and
+/// returns the measured counters for the clock-specific hand-off checks.
+fn metered_leg(net: Network) -> HotPathSnapshot {
+    net.obs().enable();
     let dollar = CurrencyId(0);
     let (bank_server, treasury_rx) =
         BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
@@ -110,9 +95,68 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
     );
     fs_runner.stop();
     bank_runner.stop();
+
+    let ops = OPS as u64;
+    assert_eq!(
+        metered.frames_sent,
+        8 * ops,
+        "a metered create + destroy is 4 two-frame transactions: {metered:?}"
+    );
+    assert_eq!(
+        metered.queue_pushes, metered.frames_sent,
+        "one queue push per frame — nothing re-queued between the pump and the handler: {metered:?}"
+    );
+    assert!(
+        metered.queue_wakes <= metered.queue_pushes,
+        "at most one wake per push: {metered:?}"
+    );
+    assert_eq!(
+        metered.oneway_evals, 0,
+        "recycled reply ports and memoized F-boxes: a warm operation evaluates F nowhere: {metered:?}"
+    );
     assert!(
         metered.buffer_allocs <= SETTLING && metered.lock_acquisitions == 0,
         "metered create+destroy: {OPS} ops must add no fresh buffer and no hot lock: {metered:?}"
+    );
+    metered
+}
+
+#[test]
+fn wall_clock_rigs_run_without_fresh_buffers() {
+    // Echo: one client, one single-worker server, a Writer-built
+    // parameter blob per call.
+    let net = Network::new();
+    let runner = ServiceRunner::spawn_open(&net, Echo);
+    let client = ServiceClient::open(&net);
+    let mut seq = 0u64;
+    let echo = measure(&net, || {
+        seq += 1;
+        let params = wire::Writer::new().u64(seq).finish();
+        let body = client
+            .call_anonymous(runner.put_port(), 0xEC40, params)
+            .expect("echo");
+        assert_eq!(body[..], seq.to_be_bytes());
+    });
+    runner.stop();
+    assert!(
+        echo.buffer_allocs <= SETTLING && echo.lock_acquisitions == 0,
+        "echo: {OPS} calls must add no fresh buffer and no hot lock: {echo:?}"
+    );
+
+    // Metered create + destroy behind F-boxes, on both clocks.
+    let metered = metered_leg(Network::new());
+    // A wall-clock receiver that finds its queue empty waits on it —
+    // parked (and then woken), or spinning where that pays: on a
+    // multi-core host a warm transaction may make no wake at all.
+    assert!(
+        metered.queue_parks + metered.queue_spin_hits > 0,
+        "wall-clock receivers wait on their queues: {metered:?}"
+    );
+    let virt = metered_leg(Network::new_virtual());
+    assert_eq!(
+        (virt.queue_wakes, virt.queue_parks, virt.queue_spin_hits),
+        (0, 0, 0),
+        "virtual-clock receivers only poll their queues: {virt:?}"
     );
 
     // Block-backed 32 KiB write + read + destroy: the data crosses two
@@ -149,9 +193,10 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
         block_backed.buffer_allocs
     );
     println!(
-        "fresh buffers per op: echo {}, metered {}, block-backed {:.2} (locks/op {:.2})",
+        "fresh buffers per op: echo {}, metered {} (virtual clock {}), block-backed {:.2} (locks/op {:.2})",
         echo.buffer_allocs,
         metered.buffer_allocs,
+        virt.buffer_allocs,
         block_backed.buffer_allocs as f64 / OPS as f64,
         block_backed.lock_acquisitions as f64 / OPS as f64,
     );

@@ -15,7 +15,7 @@ use amoeba::rpc::Client;
 use bytes::Bytes;
 use proptest::prelude::*;
 use sim_support::EchoService;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -103,8 +103,10 @@ fn threaded_workload(net: &Network, ops: usize) -> Vec<FlightEvent> {
 }
 
 /// A poll-driven echo workload on the deterministic simulation
-/// executor; returns the recording.
-fn sim_workload(seed: u64, clients: usize, ops: usize) -> Vec<FlightEvent> {
+/// executor; returns the network (for its recording and registry) and
+/// the latency each driver measured per transaction, in timeline
+/// nanoseconds.
+fn sim_workload(seed: u64, clients: usize, ops: usize) -> (Network, Vec<u64>) {
     let net = Network::new_sim(seed);
     net.obs().enable();
     net.set_latency(Duration::from_millis(1));
@@ -115,7 +117,7 @@ fn sim_workload(seed: u64, clients: usize, ops: usize) -> Vec<FlightEvent> {
     let arena: Vec<Client> = (0..clients)
         .map(|i| Client::new(net.attach_open()).with_rng_seed(seed ^ i as u64))
         .collect();
-    let done = Rc::new(Cell::new(0usize));
+    let latencies = Rc::new(RefCell::new(Vec::with_capacity(clients * ops)));
     let mut exec = SimExecutor::new(&net);
     {
         let pump = Arc::clone(&pump);
@@ -128,14 +130,16 @@ fn sim_workload(seed: u64, clients: usize, ops: usize) -> Vec<FlightEvent> {
         });
     }
     for (ci, client) in arena.iter().enumerate() {
-        let done = Rc::clone(&done);
+        let latencies = Rc::clone(&latencies);
+        let net = net.clone();
         let mut op = 0usize;
-        let mut current: Option<amoeba::rpc::Completion<'_, Bytes>> = None;
+        let mut current: Option<(amoeba::rpc::Completion<'_, Bytes>, Timestamp)> = None;
         exec.spawn(client.endpoint().id(), move || loop {
-            if let Some(comp) = current.as_mut() {
+            if let Some((comp, started)) = current.as_mut() {
                 match comp.poll() {
                     Some(Ok(_)) => {
-                        done.set(done.get() + 1);
+                        let latency = net.now().saturating_duration_since(*started);
+                        latencies.borrow_mut().push(latency.as_nanos() as u64);
                         current = None;
                         op += 1;
                         if op == ops {
@@ -148,14 +152,20 @@ fn sim_workload(seed: u64, clients: usize, ops: usize) -> Vec<FlightEvent> {
             } else {
                 let tag = format!("c{ci}.o{op}");
                 let body = sim_support::encode_echo(tag.as_bytes());
-                current = Some(client.trans_async(put_port, body));
+                // Hop latency varies from one transaction to the next,
+                // so the latencies have a spread to take percentiles of.
+                net.set_latency(Duration::from_micros(1_000 + 125 * ((ci + op) % 8) as u64));
+                current = Some((client.trans_async(put_port, body), net.now()));
             }
         });
     }
     exec.run().expect("sim workload must not stall");
     drop(exec);
-    assert_eq!(done.get(), clients * ops);
-    net.obs().events()
+    let latencies = Rc::try_unwrap(latencies)
+        .expect("actors dropped")
+        .into_inner();
+    assert_eq!(latencies.len(), clients * ops);
+    (net, latencies)
 }
 
 proptest! {
@@ -164,7 +174,7 @@ proptest! {
     /// Sim clock: seeded schedules, several interleaved clients.
     #[test]
     fn sim_traces_are_causal(seed in any::<u64>()) {
-        let events = sim_workload(seed, 3, 2);
+        let events = sim_workload(seed, 3, 2).0.obs().events();
         let spans = assert_traces_causal(&events, "sim");
         prop_assert_eq!(spans, 6, "one span per transaction");
     }
@@ -176,6 +186,36 @@ proptest! {
         let events = threaded_workload(&Network::new_virtual(), ops);
         let spans = assert_traces_causal(&events, "virtual");
         prop_assert_eq!(spans, ops);
+    }
+}
+
+/// The registry agrees with the drivers: every completion a driver saw
+/// is one `trans_completed` and one latency sample, and the drivers'
+/// exact sorted-sample p50/p99/p999 each fall *inside* the bucket the
+/// registry's histogram resolves the same per-mille to — the two
+/// percentile paths compute the same statistic.
+#[test]
+fn sim_metrics_registry_agrees_with_the_drivers() {
+    let (net, mut latencies) = sim_workload(0x5EED_00B5, 8, 400);
+    latencies.sort_unstable();
+    assert!(latencies[0] < latencies[latencies.len() - 1]);
+    let completed = latencies.len() as u64;
+    let snapshot = net.obs().snapshot().expect("recorder enabled");
+    assert_eq!(snapshot.trans_completed, completed);
+    assert_eq!(snapshot.latency_count, snapshot.trans_completed);
+    let histogram = &net
+        .obs()
+        .metrics()
+        .expect("recorder enabled")
+        .trans_latency_ns;
+    for per_mille in [500, 990, 999] {
+        let rank = (completed * per_mille).div_ceil(1000).max(1);
+        let exact = latencies[rank as usize - 1];
+        let (lo, hi) = histogram.percentile_bounds(per_mille).expect("samples");
+        assert!(
+            lo <= exact && (exact < hi || hi == u64::MAX),
+            "p{per_mille}: drivers measured {exact} ns, registry bucket is [{lo}, {hi}) ns"
+        );
     }
 }
 

@@ -5,6 +5,7 @@
 use amoeba::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn eight_file_servers_are_cryptographically_isolated() {
@@ -441,7 +442,6 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
     use amoeba::rpc::{DemuxPolicy, PipelineConfig};
     use amoeba::server::proto::null_cap;
     use amoeba::server::wire;
-    use std::time::Duration;
 
     const CALLS: usize = 16;
 
@@ -539,6 +539,58 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
     bank_runner.stop();
 }
 
+/// One §3.6 metered-create round — every CREATE pays through a nested
+/// bank transaction — at 2 ms per hop, on whichever clock `net`
+/// carries. Returns the **real wall-clock** the round took: under
+/// `Network::new_virtual()` the hops are timeline jumps, under
+/// `Network::new()` they are slept out.
+fn metered_create_round(net: &Network, creates: usize) -> Duration {
+    let patient = RpcConfig {
+        timeout: Duration::from_secs(30),
+        attempts: 2,
+    };
+    let (bank_server, treasury_rx) =
+        BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
+    let bank_runner = ServiceRunner::spawn_open(net, bank_server);
+    let treasury = treasury_rx.recv().expect("treasury cap");
+    let bank = BankClient::open(net, bank_runner.put_port());
+    let server_account = bank.open_account().expect("server account");
+    let wallet = bank.open_account().expect("wallet");
+    bank.mint(&treasury, &wallet, CurrencyId(0), 100_000)
+        .expect("mint");
+    let runner = ServiceRunner::spawn_open_workers(
+        net,
+        FlatFsServer::with_quota(
+            SchemeKind::OneWay,
+            QuotaPolicy {
+                bank: BankClient::with_service(
+                    ServiceClient::open_with_config(net, patient),
+                    bank_runner.put_port(),
+                ),
+                server_account,
+                currency: CurrencyId(0),
+                price_per_kib: 1,
+            },
+        ),
+        2,
+    );
+    let fs = FlatFsClient::with_service(
+        ServiceClient::open_with_config(net, patient),
+        runner.put_port(),
+    );
+    net.set_latency(Duration::from_millis(2));
+    let t0 = std::time::Instant::now();
+    for _ in 0..creates {
+        let cap = fs.create_paid(&wallet, 1).expect("metered create");
+        fs.destroy(&cap).expect("destroy");
+    }
+    let elapsed = t0.elapsed();
+    net.set_latency(Duration::ZERO);
+    runner.stop();
+    bank_runner.stop();
+    elapsed
+}
+
 #[test]
 fn virtual_clock_metered_create_is_10x_faster_in_wall_clock() {
     // The reactor acceptance bar: the 2 ms-hop metered-create workload
@@ -551,127 +603,15 @@ fn virtual_clock_metered_create_is_10x_faster_in_wall_clock() {
     // the fastest of three runs: host-scheduling lag only ever slows a
     // virtual run down.
     const CALLS: usize = 16;
-    let wall = amoeba_bench::metered_create_round(&Network::new(), CALLS);
+    let wall = metered_create_round(&Network::new(), CALLS);
     let virt = (0..3)
-        .map(|_| amoeba_bench::metered_create_round(&Network::new_virtual(), CALLS))
+        .map(|_| metered_create_round(&Network::new_virtual(), CALLS))
         .min()
         .unwrap();
     assert!(
         virt * 10 <= wall,
         "virtual clock must beat wall clock ≥10× on the metered-create \
          round: wall={wall:?} virtual={virt:?}"
-    );
-}
-
-#[test]
-fn hot_path_codec_cuts_allocs_5x_and_oneway_evals_10x() {
-    // The zero-copy-hot-path acceptance bar: the steady-state F-box
-    // metered-create workload under the pooled codec (recycled frame
-    // buffers, recycled reply ports, memoized F-box) must pay ≥5×
-    // fewer buffer allocations per operation and ≥10× fewer one-way-
-    // function evaluations per operation than the pre-PR codec (fresh
-    // allocation per frame, fresh random reply port per transaction,
-    // F recomputed per packet). Wire bytes are identical in both modes
-    // — `documented_example_frames` and the batch-frame proptests pin
-    // that — so the comparison isolates codec cost. Counters are
-    // per-fleet (one shared BufPool, per-box F counters), so
-    // concurrent tests in this binary cannot pollute the measurement.
-    const WARMUP: usize = 8;
-    const OPS: usize = 32;
-
-    let legacy = amoeba_bench::hot_path_round(&Network::new_virtual(), true, WARMUP, OPS);
-    // The fast path runs with the flight recorder and metrics registry
-    // live: the observability layer must not cost the hot path its
-    // alloc/lock budget even when *enabled* (the disabled path has its
-    // own gate in `tests/obs_hotpath.rs`).
-    let fast_net = Network::new_virtual();
-    fast_net.obs().enable();
-    let fast = amoeba_bench::hot_path_round(&fast_net, false, WARMUP, OPS);
-
-    assert_eq!(legacy.ops, fast.ops);
-    assert!(
-        legacy.fresh_allocs >= 5 * fast.fresh_allocs.max(1),
-        "pooled codec must cut allocs/op ≥5×: legacy={} fast={} (per op: {:.2} vs {:.2})",
-        legacy.fresh_allocs,
-        fast.fresh_allocs,
-        legacy.allocs_per_op(),
-        fast.allocs_per_op(),
-    );
-    assert!(
-        legacy.oneway_evals >= 10 * fast.oneway_evals.max(1),
-        "memoized F-box must cut oneway evals/op ≥10×: legacy={} fast={} (per op: {:.2} vs {:.2})",
-        legacy.oneway_evals,
-        fast.oneway_evals,
-        legacy.oneway_per_op(),
-        fast.oneway_per_op(),
-    );
-    // Same workload, same protocol: the fast path must not change what
-    // goes on the wire (modulo retransmission jitter).
-    assert!(
-        fast.frames <= legacy.frames + legacy.ops,
-        "the fast path must not inflate wire traffic: legacy={} fast={}",
-        legacy.frames,
-        fast.frames,
-    );
-    // The lock-free demux bar: once warm, a transaction takes zero
-    // fleet-metered hot-mutex acquisitions — the slot table, pooled
-    // mailboxes and thread-local buffer caches leave nothing to lock.
-    // (The meter covers the fleet's shared BufPool spill queues, demux
-    // overflow, batch accumulators and the lease broker; channel and
-    // simulator internals are out of scope — see `amoeba_net::sync`.)
-    assert_eq!(
-        fast.hot_locks,
-        0,
-        "steady-state transactions must be lock-free: {} hot-lock \
-         acquisitions over {} ops ({:.2}/op)",
-        fast.hot_locks,
-        fast.ops,
-        fast.locks_per_op(),
-    );
-
-    // The hand-off budget (what the lock count is a proxy for): a
-    // two-frame transaction costs exactly two queue pushes — each frame
-    // into its recipient's inbox, nothing re-queued between the pump
-    // and the handler — and at most one wake per push, none when the
-    // receiver was running. Counted per network, so concurrent tests
-    // cannot pollute it. Wakes are a wall-clock quantity (virtual-clock
-    // receivers park on the reactor, not on their queues), so the leg
-    // is repeated on the wall clock, recorder still live.
-    let wall_net = Network::new();
-    wall_net.obs().enable();
-    let wall = amoeba_bench::hot_path_round(&wall_net, false, WARMUP, OPS);
-    for (clock, m) in [("virtual", &fast), ("wall", &wall)] {
-        assert_eq!(
-            m.frames,
-            8 * m.ops,
-            "{clock}: a metered create + destroy is 4 two-frame transactions"
-        );
-        assert_eq!(
-            m.queue_pushes,
-            m.frames,
-            "{clock}: one queue push per frame, two per transaction \
-             ({:.2} pushes/op over {:.0} frames/op)",
-            m.pushes_per_op(),
-            m.frames as f64 / m.ops as f64,
-        );
-        assert!(
-            m.queue_wakes <= m.queue_pushes,
-            "{clock}: at most one wake per push: {} wakes, {} pushes",
-            m.queue_wakes,
-            m.queue_pushes,
-        );
-    }
-    // A wall-clock receiver that finds its queue empty waits on it —
-    // parked (and then woken), or spinning where that pays: on a
-    // multi-core host a warm transaction may make no wake at all.
-    assert!(
-        wall.queue_parks + wall.queue_spin_hits > 0,
-        "wall-clock receivers wait on their queues: {wall:?}"
-    );
-    assert_eq!(
-        (fast.queue_wakes, fast.queue_parks, fast.queue_spin_hits),
-        (0, 0, 0),
-        "virtual-clock receivers only poll theirs"
     );
 }
 
