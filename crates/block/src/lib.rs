@@ -9,7 +9,8 @@
 //!
 //! The simulated disk has a fixed block size and capacity; allocation
 //! beyond capacity answers `NoSpace`. Blocks are zero-filled on
-//! allocation (no data leaks between tenants).
+//! allocation — wherever the allocating request itself supplies no
+//! bytes (`ALLOC_WRITE`) — so no data leaks between tenants.
 //!
 //! # Example
 //!
@@ -62,6 +63,16 @@ pub mod ops {
     /// once — a file server pays one allocation round-trip regardless
     /// of how many blocks it needs.
     pub const ALLOC_N: u32 = 6;
+    /// [`ALLOC_N`] and the first [`WRITE`] in one request; anonymous.
+    /// Params: `u32 n` (≥ 1), `u32 offset`, `bytes data`. Reply:
+    /// capability, `u32 blocks`. The extent is built from the payload —
+    /// `data` at `offset`, zeros everywhere else — so a file server
+    /// that grows a file pays one disk round-trip, not two, and no byte
+    /// of the extent is written twice. All-or-nothing: a request that
+    /// is refused (`BadRequest` for `n == 0`, `OutOfRange` when
+    /// `offset + len` exceeds `n × block_size`, `NoSpace`) reserves
+    /// nothing.
+    pub const ALLOC_WRITE: u32 = 7;
 }
 
 /// Simulated disk geometry.
@@ -121,37 +132,50 @@ impl BlockServer {
     }
 
     /// Atomically reserves `n` blocks against capacity and mints one
-    /// capability covering all of them.
-    fn alloc_extent(&self, n: u32) -> Reply {
+    /// capability covering all of them: `data` at `offset`, zeros
+    /// everywhere else. The caller has checked that `data` fits.
+    fn alloc_extent(&self, n: u32, offset: usize, data: &[u8]) -> Result<Capability, Status> {
         let capacity = self.config.capacity_blocks;
-        let reserved = self
-            .allocated
+        self.allocated
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
                 cur.checked_add(n).filter(|&next| next <= capacity)
-            });
-        if reserved.is_err() {
-            return Reply::status(Status::NoSpace);
-        }
-        let bytes = self.config.block_size as usize * n as usize;
+            })
+            .map_err(|_| Status::NoSpace)?;
+        let len = self.config.block_size as usize * n as usize;
+        let bytes = if data.is_empty() {
+            // Nothing but zeros: leave it to the allocator, which may
+            // have pages that are zero already.
+            vec![0u8; len]
+        } else {
+            // Each byte is written once — the payload where it lands,
+            // zeros only around it — and heap reuse can leak nothing.
+            let mut bytes = Vec::with_capacity(len);
+            bytes.resize(offset, 0);
+            bytes.extend_from_slice(data);
+            bytes.resize(len, 0);
+            bytes
+        };
         let (_, cap) = self.table.create(Extent {
-            data: vec![0u8; bytes].into_boxed_slice(),
+            data: bytes.into_boxed_slice(),
             blocks: n,
         });
-        Reply::ok(wire::Writer::new().cap(&cap).u32(n).finish())
+        Ok(cap)
     }
 
     fn alloc(&self) -> Reply {
         // A single block's reply carries only the capability — the
         // pre-extent wire shape, kept frozen for old clients.
-        match self.alloc_extent(1) {
-            reply if reply.status == Status::Ok => {
-                let cap = wire::Reader::new(&reply.body).cap();
-                match cap {
-                    Some(cap) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
-                    None => Reply::status(Status::NoSpace),
-                }
-            }
-            reply => reply,
+        match self.alloc_extent(1, 0, &[]) {
+            Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
+            Err(status) => Reply::status(status),
+        }
+    }
+
+    /// The reply `ALLOC_N` and `ALLOC_WRITE` share: capability, blocks.
+    fn extent_reply(granted: Result<Capability, Status>, n: u32) -> Reply {
+        match granted {
+            Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).u32(n).finish()),
+            Err(status) => Reply::status(status),
         }
     }
 
@@ -162,7 +186,24 @@ impl BlockServer {
         if n == 0 {
             return Reply::status(Status::BadRequest);
         }
-        self.alloc_extent(n)
+        Self::extent_reply(self.alloc_extent(n, 0, &[]), n)
+    }
+
+    fn alloc_write(&self, req: &Request) -> Reply {
+        let mut r = wire::Reader::new(&req.params);
+        let (Some(n), Some(offset), Some(data)) = (r.u32(), r.u32(), r.bytes()) else {
+            return Reply::status(Status::BadRequest);
+        };
+        if n == 0 {
+            return Reply::status(Status::BadRequest);
+        }
+        // Checked before anything is reserved, and in u64, where
+        // neither side can wrap.
+        let size = u64::from(n) * u64::from(self.config.block_size);
+        if u64::from(offset) + data.len() as u64 > size {
+            return Reply::status(Status::OutOfRange);
+        }
+        Self::extent_reply(self.alloc_extent(n, offset as usize, data), n)
     }
 
     fn read(&self, req: &Request) -> Reply {
@@ -243,6 +284,7 @@ impl Service for BlockServer {
         match req.command {
             ops::ALLOC => self.alloc(),
             ops::ALLOC_N => self.alloc_n(req),
+            ops::ALLOC_WRITE => self.alloc_write(req),
             ops::READ => self.read(req),
             ops::WRITE => self.write(req),
             ops::FREE => self.free(req),
@@ -314,11 +356,30 @@ impl BlockClient {
             ops::ALLOC_N,
             wire::Writer::new().u32(n).finish(),
         )?;
-        let mut r = wire::Reader::new(&body);
-        match (r.cap(), r.u32()) {
-            (Some(cap), Some(blocks)) => Ok((cap, blocks)),
-            _ => Err(ClientError::Malformed),
-        }
+        decode_extent(&body)
+    }
+
+    /// [`alloc_n`](Self::alloc_n) and the first [`write`](Self::write)
+    /// in one round-trip: an extent of `n` blocks holding `data` at
+    /// `offset` and zeros everywhere else. `data` is copied once, into
+    /// the request frame.
+    ///
+    /// # Errors
+    /// As for [`alloc_n`](Self::alloc_n), plus `Status::OutOfRange`
+    /// when `data` does not fit; a refused request reserves nothing.
+    pub fn alloc_write(
+        &self,
+        n: u32,
+        offset: u32,
+        data: &[u8],
+    ) -> Result<(Capability, u32), ClientError> {
+        let len = 12 + data.len();
+        let body =
+            self.svc
+                .call_with(self.port, None, &null_cap(), ops::ALLOC_WRITE, len, |w| {
+                    w.u32(n).u32(offset).bytes(data)
+                })?;
+        decode_extent(&body)
     }
 
     /// Allocates `n` *independent* single-block capabilities in one
@@ -386,28 +447,57 @@ impl BlockClient {
     /// # Errors
     /// The first entry failure, in order; transport errors.
     pub fn write_many(&self, writes: &[(Capability, u32, &[u8])]) -> Result<(), ClientError> {
-        match writes {
-            [] => Ok(()),
-            // One scatter needs no batch envelope.
-            [(cap, offset, data)] => self.write(cap, *offset, data),
+        self.write_extending(writes, None).map(|_| ())
+    }
+
+    /// [`write_many`](Self::write_many) plus, when `fresh` names one
+    /// (`n`, `offset`, `data`, as for [`alloc_write`](Self::alloc_write)),
+    /// a new extent allocated and filled by the same frame: a write
+    /// that grows a file is one disk round-trip, whatever it overlaps.
+    /// Returns the new extent. Entries run independently on the
+    /// server; if any fails, an extent that was granted is freed again
+    /// before the error is returned, so the caller never holds one it
+    /// was not told about.
+    ///
+    /// # Errors
+    /// The first entry failure, in order, the allocation last;
+    /// transport errors.
+    pub fn write_extending(
+        &self,
+        writes: &[(Capability, u32, &[u8])],
+        fresh: Option<(u32, u32, &[u8])>,
+    ) -> Result<Option<(Capability, u32)>, ClientError> {
+        match (writes, fresh) {
+            ([], None) => Ok(None),
+            // One entry needs no batch envelope.
+            ([(cap, offset, data)], None) => self.write(cap, *offset, data).map(|()| None),
+            ([], Some((n, offset, data))) => self.alloc_write(n, offset, data).map(Some),
             _ => {
-                let calls = writes
-                    .iter()
-                    .map(|(cap, offset, data)| {
-                        (
-                            *cap,
-                            ops::WRITE,
-                            wire::Writer::with_capacity(8 + data.len())
-                                .u32(*offset)
-                                .bytes(data)
-                                .finish(),
-                        )
-                    })
-                    .collect();
-                for entry in self.svc.call_batch(self.port, calls)? {
-                    entry?;
+                let scatters = writes.iter().map(|(cap, offset, data)| {
+                    let params = wire::Writer::with_capacity(8 + data.len())
+                        .u32(*offset)
+                        .bytes(data);
+                    (*cap, ops::WRITE, params.finish())
+                });
+                let grow = fresh.map(|(n, offset, data)| {
+                    let params = wire::Writer::with_capacity(12 + data.len())
+                        .u32(n)
+                        .u32(offset)
+                        .bytes(data);
+                    (null_cap(), ops::ALLOC_WRITE, params.finish())
+                });
+                let mut entries = self
+                    .svc
+                    .call_batch(self.port, scatters.chain(grow).collect())?;
+                let granted = fresh
+                    .and_then(|_| entries.pop())
+                    .map(|entry| entry.and_then(|body| decode_extent(&body)))
+                    .transpose();
+                let written = entries.into_iter().try_for_each(|entry| entry.map(drop));
+                if let (Err(_), Ok(Some((cap, _)))) = (&written, &granted) {
+                    let _ = self.free(cap);
                 }
-                Ok(())
+                written.and(granted)
             }
         }
     }
@@ -492,6 +582,16 @@ impl BlockClient {
     /// Access to the generic capability operations (restrict, revoke…).
     pub fn service(&self) -> &ServiceClient {
         &self.svc
+    }
+}
+
+/// Decodes the `capability ‖ u32 blocks` reply of `ALLOC_N` and
+/// `ALLOC_WRITE`.
+fn decode_extent(body: &[u8]) -> Result<(Capability, u32), ClientError> {
+    let mut r = wire::Reader::new(body);
+    match (r.cap(), r.u32()) {
+        (Some(cap), Some(blocks)) => Ok((cap, blocks)),
+        _ => Err(ClientError::Malformed),
     }
 }
 
@@ -705,6 +805,235 @@ mod tests {
             "the two blocks that did allocate must have been freed"
         );
         runner.stop();
+    }
+
+    #[test]
+    fn alloc_write_zero_fills_around_the_payload_after_heap_reuse() {
+        let (_net, runner, client) = setup(DiskConfig {
+            block_size: 64,
+            capacity_blocks: 8,
+        });
+        // Leave 0xFF in a heap block of exactly the size the next
+        // extent will ask the allocator for.
+        let (dirty, _) = client.alloc_n(4).unwrap();
+        client.write(&dirty, 0, &[0xFF; 256]).unwrap();
+        client.free(&dirty).unwrap();
+
+        let (ext, blocks) = client.alloc_write(4, 100, b"payload").unwrap();
+        assert_eq!(blocks, 4);
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 4);
+        let mut expected = vec![0u8; 256];
+        expected[100..107].copy_from_slice(b"payload");
+        assert_eq!(
+            client.read(&ext, 0, 256).unwrap(),
+            expected,
+            "every byte the payload does not cover must read as zero"
+        );
+        // The extent is an ordinary one afterwards.
+        client.write(&ext, 250, b"tail").unwrap();
+        assert_eq!(&client.read(&ext, 250, 4).unwrap(), b"tail");
+        client.free(&ext).unwrap();
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 0);
+        runner.stop();
+    }
+
+    #[test]
+    fn refused_alloc_write_reserves_nothing() {
+        let (_net, runner, client) = setup(DiskConfig {
+            block_size: 64,
+            capacity_blocks: 4,
+        });
+        let _held = client.alloc().unwrap();
+        let refused = [
+            ((0, 0, &b"x"[..]), Status::BadRequest),
+            ((2, 128, &b"x"[..]), Status::OutOfRange),
+            ((2, 120, &b"nine byte"[..]), Status::OutOfRange),
+            // `offset + len` wraps a u32; it must not wrap the check.
+            ((2, u32::MAX, &b"xx"[..]), Status::OutOfRange),
+            ((4, 0, &b"x"[..]), Status::NoSpace),
+        ];
+        for ((n, offset, data), status) in refused {
+            assert_eq!(
+                client.alloc_write(n, offset, data).unwrap_err(),
+                ClientError::Status(status),
+                "alloc_write({n}, {offset}, {} bytes)",
+                data.len()
+            );
+            assert_eq!(
+                client.statfs().unwrap().allocated_blocks,
+                1,
+                "a refused {status:?} must not reserve"
+            );
+        }
+        // The last byte of the extent is still in range.
+        let (ext, _) = client.alloc_write(3, 191, b"x").unwrap();
+        assert_eq!(client.read(&ext, 191, 1).unwrap(), b"x");
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 4);
+        runner.stop();
+    }
+
+    #[test]
+    fn write_extending_allocates_and_scatters_in_one_frame() {
+        let (net, runner, client) = setup(DiskConfig {
+            block_size: 32,
+            capacity_blocks: 8,
+        });
+        let (old, _) = client.alloc_n(2).unwrap();
+        let sent = || net.stats().snapshot().packets_sent;
+
+        let before = sent();
+        let (fresh, blocks) = client
+            .write_extending(
+                &[(old, 60, b"tail")],
+                Some((3, 0, b"head of the new extent")),
+            )
+            .unwrap()
+            .expect("an extent was asked for");
+        assert_eq!(sent() - before, 2, "one request frame, one reply frame");
+        assert_eq!(blocks, 3);
+        assert_eq!(&client.read(&old, 60, 4).unwrap(), b"tail");
+        assert_eq!(
+            &client.read(&fresh, 0, 22).unwrap(),
+            b"head of the new extent"
+        );
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 5);
+
+        // A scatter that fails takes the extent granted beside it back.
+        assert_eq!(
+            client
+                .write_extending(&[(old, 62, b"too long")], Some((3, 0, b"x")))
+                .unwrap_err(),
+            ClientError::Status(Status::OutOfRange)
+        );
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 5);
+        // And a refused allocation is the error when the scatters land.
+        assert_eq!(
+            client
+                .write_extending(&[(old, 0, b"ok")], Some((4, 0, b"x")))
+                .unwrap_err(),
+            ClientError::Status(Status::NoSpace)
+        );
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 5);
+        runner.stop();
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const DISK: DiskConfig = DiskConfig {
+            block_size: 16,
+            capacity_blocks: 64,
+        };
+
+        fn server() -> BlockServer {
+            let mut server = BlockServer::new(DISK, SchemeKind::OneWay);
+            server.bind(Port::new(0xB10C).unwrap());
+            server
+        }
+
+        /// One request straight into the handler — no network between
+        /// the generated bytes and the code that parses them.
+        fn ask(server: &BlockServer, cap: Capability, command: u32, params: Bytes) -> Reply {
+            let req = Request {
+                cap,
+                command,
+                params,
+            };
+            let ctx = RequestCtx {
+                source: amoeba_net::MachineId::from(1),
+                signature: None,
+            };
+            server.handle(&req, &ctx)
+        }
+
+        fn allocated(server: &BlockServer) -> u32 {
+            server.allocated.load(Ordering::Acquire)
+        }
+
+        fn read_all(server: &BlockServer, ext: Capability, n: u32) -> Bytes {
+            let params = wire::Writer::new().u32(0).u32(n * DISK.block_size).finish();
+            let reply = ask(server, ext, ops::READ, params);
+            assert_eq!(reply.status, Status::Ok);
+            reply.body
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// `ALLOC_WRITE` is `ALLOC_N` followed by `WRITE`, byte for
+            /// byte and status for status — with the one difference
+            /// that a payload that does not fit reserves nothing.
+            #[test]
+            fn alloc_write_equals_alloc_n_then_write(
+                n in 1u32..8,
+                offset in 0u32..160,
+                data in proptest::collection::vec(any::<u8>(), 0..96),
+            ) {
+                let (fused, split) = (server(), server());
+                let params = wire::Writer::new().u32(n).u32(offset).bytes(&data).finish();
+                let one = ask(&fused, null_cap(), ops::ALLOC_WRITE, params);
+
+                let granted = ask(&split, null_cap(), ops::ALLOC_N, wire::Writer::new().u32(n).finish());
+                prop_assert_eq!(granted.status, Status::Ok);
+                let ext = wire::Reader::new(&granted.body).cap().unwrap();
+                let params = wire::Writer::new().u32(offset).bytes(&data).finish();
+                let written = ask(&split, ext, ops::WRITE, params);
+
+                prop_assert_eq!(one.status, written.status);
+                if one.status == Status::Ok {
+                    let mut r = wire::Reader::new(&one.body);
+                    let (fused_ext, blocks) = (r.cap().unwrap(), r.u32().unwrap());
+                    prop_assert_eq!(blocks, n);
+                    prop_assert_eq!(allocated(&fused), n);
+                    prop_assert_eq!(read_all(&fused, fused_ext, n), read_all(&split, ext, n));
+                } else {
+                    prop_assert_eq!(one.status, Status::OutOfRange);
+                    prop_assert_eq!(allocated(&fused), 0);
+                }
+            }
+
+            /// Hostile allocation params — arbitrary bytes, and every
+            /// truncation of a well-formed request — never panic the
+            /// handler, and whatever is refused reserves nothing.
+            #[test]
+            fn hostile_allocation_params_reserve_only_what_they_are_granted(
+                command in prop_oneof![Just(ops::ALLOC_N), Just(ops::ALLOC_WRITE)],
+                noise in proptest::collection::vec(any::<u8>(), 0..48),
+                n in any::<u32>(),
+                offset in any::<u32>(),
+                data in proptest::collection::vec(any::<u8>(), 0..40),
+                cut in 0usize..64,
+            ) {
+                let server = server();
+                let whole = if command == ops::ALLOC_N {
+                    wire::Writer::new().u32(n).finish()
+                } else {
+                    wire::Writer::new().u32(n).u32(offset).bytes(&data).finish()
+                };
+                let cut = cut % whole.len();
+                for params in [Bytes::from(noise), whole.slice(..cut), whole] {
+                    let before = allocated(&server);
+                    let reply = ask(&server, null_cap(), command, params);
+                    let granted = match reply.status {
+                        Status::Ok => wire::Reader::new(&reply.body[16..]).u32().unwrap(),
+                        _ => 0,
+                    };
+                    prop_assert_eq!(allocated(&server), before + granted);
+                    prop_assert!(allocated(&server) <= DISK.capacity_blocks);
+                }
+                // A request cut short anywhere is malformed, not a
+                // smaller request.
+                if command == ops::ALLOC_WRITE {
+                    let whole = wire::Writer::new().u32(1).u32(0).bytes(&data).finish();
+                    let short = whole.slice(..cut % whole.len());
+                    prop_assert_eq!(
+                        ask(&server, null_cap(), command, short).status,
+                        Status::BadRequest
+                    );
+                }
+            }
+        }
     }
 
     #[test]

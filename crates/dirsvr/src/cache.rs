@@ -12,6 +12,16 @@
 //! [`DirClient`](crate::DirClient) invalidates eagerly on its own
 //! `NotFound`s, removes and renames.
 //!
+//! Dropping the cache wholesale is one atomic store. Every entry is
+//! written under a **generation** and served only while the cache is
+//! still in it, so [`CapCache::clear`] bumps the counter and visits no
+//! slot. The generation is also what orders an insert against a clear
+//! it races: a caller reads [`CapCache::generation`] *before* it asks
+//! the server, and records the answer under that generation
+//! ([`CapCache::insert_under`]) — if a mutation's clear came in
+//! between, the entry is born dead instead of outliving the clear for
+//! a whole TTL.
+//!
 //! Each slot is a tiny seqlock (the flight-recorder idiom, but with
 //! CAS-claimed write ownership so a torn write can never be
 //! *accepted*): an even stamp brackets stable fields, an odd stamp
@@ -25,8 +35,8 @@ use amoeba_net::Timestamp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Slot count; a power of two so indexing is one mask. 512 slots × 6
-/// words ≈ 24 KiB per client.
+/// Slot count; a power of two so indexing is one mask. 512 slots × 7
+/// words ≈ 28 KiB per client.
 const SLOTS: usize = 512;
 
 /// FNV-1a offset basis (the standard one) and a second, independent
@@ -49,6 +59,9 @@ struct Slot {
     cap_lo: AtomicU64,
     /// Timeline nanoseconds after which the entry is dead. 0 = dead.
     expires_ns: AtomicU64,
+    /// The cache generation the entry was written under; dead in any
+    /// other.
+    generation: AtomicU64,
 }
 
 impl Slot {
@@ -60,6 +73,7 @@ impl Slot {
             cap_hi: AtomicU64::new(0),
             cap_lo: AtomicU64::new(0),
             expires_ns: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
         }
     }
 
@@ -84,6 +98,11 @@ impl Slot {
 pub struct CapCache {
     slots: Box<[Slot]>,
     ttl_ns: u64,
+    /// Bumped by [`clear`](Self::clear) with `Release`, read with
+    /// `Acquire` by `get` and by callers about to ask a server: a
+    /// thread that sees the bump also sees whatever the clearing
+    /// thread learned before it (the mutation's reply).
+    generation: AtomicU64,
 }
 
 fn fnv1a(basis: u64, dir: &Capability, name: &str) -> u64 {
@@ -107,6 +126,7 @@ impl CapCache {
         CapCache {
             slots: slots.into_boxed_slice(),
             ttl_ns: ttl.as_nanos().min(u64::MAX as u128) as u64,
+            generation: AtomicU64::new(0),
         }
     }
 
@@ -119,9 +139,17 @@ impl CapCache {
         &self.slots[(key_a as usize) & (SLOTS - 1)]
     }
 
+    /// The generation the cache is in. Read it **before** sending the
+    /// request whose answer will be cached, and hand it to
+    /// [`insert_under`](Self::insert_under).
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
     /// Looks `(dir, name)` up; `now` is the network's timeline time.
     /// Zero allocations, zero locks, bounded work — a busy or torn
-    /// slot reads as a miss rather than being retried.
+    /// slot reads as a miss rather than being retried, and so does an
+    /// entry written under any generation but the current one.
     pub fn get(&self, dir: &Capability, name: &str, now: Timestamp) -> Option<Capability> {
         let key_a = fnv1a(FNV_BASIS_A, dir, name);
         let slot = self.slot(key_a);
@@ -134,13 +162,14 @@ impl CapCache {
         let cap_hi = slot.cap_hi.load(Ordering::Acquire);
         let cap_lo = slot.cap_lo.load(Ordering::Acquire);
         let expires = slot.expires_ns.load(Ordering::Acquire);
+        let written_under = slot.generation.load(Ordering::Acquire);
         if slot.stamp.load(Ordering::Acquire) != s1 {
             return None;
         }
         if seen_a != key_a || seen_b != fnv1a(FNV_BASIS_B, dir, name) {
             return None;
         }
-        if nanos(now) >= expires {
+        if nanos(now) >= expires || written_under != self.generation() {
             return None;
         }
         let mut wire = [0u8; 16];
@@ -151,7 +180,27 @@ impl CapCache {
 
     /// Records `(dir, name) → cap`, expiring `ttl` from `now`.
     /// Best-effort: a slot busy under a concurrent writer is skipped.
+    ///
+    /// For a capability that did not come from a server just now (a
+    /// test, a warm-up); an answer that raced a possible
+    /// [`clear`](Self::clear) goes through
+    /// [`insert_under`](Self::insert_under).
     pub fn insert(&self, dir: &Capability, name: &str, cap: &Capability, now: Timestamp) {
+        self.insert_under(self.generation(), dir, name, cap, now);
+    }
+
+    /// [`insert`](Self::insert) under the generation the caller read
+    /// before it asked the server. If the cache has been cleared since,
+    /// the entry never hits: what the server said before a mutation is
+    /// not served after it.
+    pub fn insert_under(
+        &self,
+        generation: u64,
+        dir: &Capability,
+        name: &str,
+        cap: &Capability,
+        now: Timestamp,
+    ) {
         let key_a = fnv1a(FNV_BASIS_A, dir, name);
         let slot = self.slot(key_a);
         let Some(s) = slot.claim() else { return };
@@ -167,6 +216,7 @@ impl CapCache {
         slot.cap_lo.store(u64::from_be_bytes(lo), Ordering::Release);
         slot.expires_ns
             .store(nanos(now).saturating_add(self.ttl_ns), Ordering::Release);
+        slot.generation.store(generation, Ordering::Release);
         slot.stamp.store(s + 2, Ordering::Release);
     }
 
@@ -185,21 +235,17 @@ impl CapCache {
         slot.stamp.store(s + 2, Ordering::Release);
     }
 
-    /// Kills *every* entry — called on remove and rename, because
-    /// resolved prefixes are memoised under composite `(dir, "a/b/c")`
-    /// keys that a targeted invalidation cannot enumerate (the slots
-    /// hold only hashes). A pure cache may always be dropped; this
-    /// keeps "this client's own mutations are never served stale"
-    /// unconditional.
+    /// Kills *every* entry, by leaving the generation they were
+    /// written under — one atomic add, no slot visited. Called after a
+    /// remove or rename, because resolved prefixes are memoised under
+    /// composite `(dir, "a/b/c")` keys that a targeted invalidation
+    /// cannot enumerate (the slots hold only hashes). A pure cache may
+    /// always be dropped; this keeps "this client's own mutations are
+    /// never served stale" unconditional — including against an answer
+    /// that was on its way while the mutation ran (see
+    /// [`insert_under`](Self::insert_under)).
     pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            // A slot busy under a concurrent insert is left alone: that
-            // insert raced the mutation and is equivalent to one that
-            // landed just after the clear.
-            let Some(s) = slot.claim() else { continue };
-            slot.expires_ns.store(0, Ordering::Release);
-            slot.stamp.store(s + 2, Ordering::Release);
-        }
+        self.generation.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -259,6 +305,90 @@ mod tests {
         assert_eq!(cache.get(&dir, "b", at(1)), Some(cap(3)));
     }
 
+    #[test]
+    fn an_insert_under_a_generation_that_has_ended_never_hits() {
+        let cache = CapCache::new(Duration::from_secs(1));
+        let (dir, target) = (cap(1), cap(2));
+        // The caller read the generation, asked its server, and the
+        // cache was cleared before the answer came back.
+        let asked_in = cache.generation();
+        cache.clear();
+        cache.insert_under(asked_in, &dir, "x", &target, at(0));
+        assert_eq!(cache.get(&dir, "x", at(1)), None, "born dead");
+        // An answer asked for after the clear is served.
+        cache.insert_under(cache.generation(), &dir, "x", &target, at(1));
+        assert_eq!(cache.get(&dir, "x", at(2)), Some(target));
+        // And a late stale answer evicts it rather than reviving
+        // itself: the slot is direct-mapped, the key identical.
+        cache.insert_under(asked_in, &dir, "x", &cap(3), at(2));
+        assert_eq!(cache.get(&dir, "x", at(3)), None);
+    }
+
+    /// Four threads on four names of one slot: two insert under the
+    /// generation they read, one clears, one reads. Whatever the reader
+    /// is served must be the capability of the name it asked for, and
+    /// written under a generation that had not ended when the read
+    /// began — each capability carries its generation in the object
+    /// number, so the reader can tell.
+    #[test]
+    fn concurrent_insert_clear_get_never_serves_an_ended_generation() {
+        use std::sync::atomic::AtomicBool;
+
+        // The reader wants both: many clears raced, many hits checked.
+        const CLEARS: u64 = 10_000;
+        const HITS: u64 = 1_000;
+        // The generation must fit the object number beside the name.
+        const LAST_GENERATION: u64 = (ObjectNum::MAX >> 2) as u64;
+
+        let cache = CapCache::new(Duration::from_secs(3600));
+        let dir = cap(1);
+        let names: Vec<String> = std::iter::once("n-0".to_owned())
+            .chain((1..4).map(|i| colliding_name(&dir, "n-0", i)))
+            .collect();
+        let tagged = |name: usize, generation: u64| cap((generation as u32) << 2 | name as u32);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for writer in 0..2usize {
+                let (cache, names, dir, done) = (&cache, &names, &dir, &done);
+                s.spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        for name in [writer, writer + 2] {
+                            let g = cache.generation();
+                            cache.insert_under(g, dir, &names[name], &tagged(name, g), at(0));
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) && cache.generation() < LAST_GENERATION {
+                    cache.clear();
+                    // A few microseconds per generation, so that some
+                    // inserts live long enough to be read.
+                    for _ in 0..1_000 {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            let mut hits = 0u64;
+            while hits < HITS || cache.generation() < CLEARS {
+                for (name, key) in names.iter().enumerate() {
+                    let began_in = cache.generation();
+                    if let Some(got) = cache.get(&dir, key, at(1)) {
+                        hits += 1;
+                        let object = got.object.value();
+                        assert_eq!(object & 3, name as u32, "served another key's capability");
+                        assert!(
+                            u64::from(object >> 2) >= began_in,
+                            "served generation {} after {began_in} began",
+                            object >> 2
+                        );
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+    }
+
     use proptest::prelude::*;
 
     /// A name that shares `reference`'s direct-mapped slot under `dir`
@@ -298,6 +428,45 @@ mod tests {
             cache.insert(&dir, &name2, &second, at(1));
             prop_assert_eq!(cache.get(&dir, &name2, at(2)), Some(second));
             prop_assert_eq!(cache.get(&dir, &name1, at(2)), None);
+        }
+
+        /// The clear contract: nothing inserted before a `clear` is
+        /// served after it, everything inserted after it is — for any
+        /// interleaving of inserts (some under a generation read
+        /// before the last clear, as a racing resolve would) and
+        /// clears over a handful of keys.
+        #[test]
+        fn nothing_inserted_before_a_clear_is_served_after_it(
+            steps in proptest::collection::vec((0u8..3, 0usize..6, any::<bool>()), 1..48),
+        ) {
+            let cache = CapCache::new(Duration::from_secs(3600));
+            let dir = cap(1);
+            // The model: what each key must read as, or None.
+            let mut live: [Option<Capability>; 6] = [None; 6];
+            let mut stale_generation = cache.generation();
+            for (i, (what, key, stale)) in steps.into_iter().enumerate() {
+                let name = format!("key-{key}");
+                let target = cap(100 + i as u32);
+                match what {
+                    0 => {
+                        stale_generation = cache.generation();
+                        cache.clear();
+                        live = [None; 6];
+                    }
+                    _ if stale && stale_generation != cache.generation() => {
+                        // Evicts whatever the key held, serves nothing.
+                        cache.insert_under(stale_generation, &dir, &name, &target, at(0));
+                        live[key] = None;
+                    }
+                    _ => {
+                        cache.insert(&dir, &name, &target, at(0));
+                        live[key] = Some(target);
+                    }
+                }
+                for (k, expected) in live.iter().enumerate() {
+                    prop_assert_eq!(&cache.get(&dir, &format!("key-{k}"), at(1)), expected);
+                }
+            }
         }
 
         /// The staleness contract: a mutation made elsewhere on the

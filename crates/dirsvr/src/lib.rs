@@ -387,7 +387,11 @@ fn split_after_segments(path: &str, n: usize) -> (&str, &str) {
 /// consult a local [`CapCache`] first: hits cost zero frames, zero
 /// heap allocations and zero locks. The cache is TTL-bounded against
 /// *other* clients' mutations and invalidated eagerly against this
-/// client's own (`remove`, `rename`, observed `NotFound`s).
+/// client's own (`remove`, `rename`, observed `NotFound`s) — on every
+/// thread that shares the client: an answer is cached under the cache
+/// generation read before its request went out, and a mutation ends
+/// that generation when its reply arrives, so a lookup that was in
+/// flight across a `remove` is not served after it.
 #[derive(Debug)]
 pub struct DirClient {
     svc: ServiceClient,
@@ -435,6 +439,25 @@ impl DirClient {
         self.svc.rpc().endpoint().now()
     }
 
+    /// The cache generation a request about to be sent is asked in;
+    /// its answer is cached under this one, whatever happens meanwhile.
+    fn generation(&self) -> u64 {
+        self.cache.as_ref().map_or(0, CapCache::generation)
+    }
+
+    /// Ends the cache generation once a mutation's reply is in, on
+    /// success and on error (an error does not say the server did
+    /// nothing). Not a targeted kill: resolved prefixes are memoised
+    /// under composite keys the name may be part of. After the reply,
+    /// not before the request: everything cached so far dies either
+    /// way, and so does an answer another thread asked for before the
+    /// mutation and records after it.
+    fn end_generation(&self) {
+        if let Some(cache) = &self.cache {
+            cache.clear();
+        }
+    }
+
     /// Creates an empty directory on the default server.
     ///
     /// # Errors
@@ -463,13 +486,14 @@ impl DirClient {
                 return Ok(cap);
             }
         }
+        let asked_in = self.generation();
         let result = self
             .svc
             .call(dir, ops::LOOKUP, wire::Writer::new().str(name).finish())
             .and_then(|body| wire::Reader::new(&body).cap().ok_or(ClientError::Malformed));
         if let Some(cache) = &self.cache {
             match &result {
-                Ok(cap) => cache.insert(dir, name, cap, self.now()),
+                Ok(cap) => cache.insert_under(asked_in, dir, name, cap, self.now()),
                 Err(ClientError::Status(Status::NotFound)) => cache.invalidate(dir, name),
                 Err(_) => {}
             }
@@ -482,13 +506,14 @@ impl DirClient {
     /// # Errors
     /// `Conflict` if the name exists; rights/validation errors.
     pub fn enter(&self, dir: &Capability, name: &str, cap: &Capability) -> Result<(), ClientError> {
+        let asked_in = self.generation();
         self.svc.call(
             dir,
             ops::ENTER,
             wire::Writer::new().str(name).cap(cap).finish(),
         )?;
         if let Some(cache) = &self.cache {
-            cache.insert(dir, name, cap, self.now());
+            cache.insert_under(asked_in, dir, name, cap, self.now());
         }
         Ok(())
     }
@@ -498,14 +523,11 @@ impl DirClient {
     /// # Errors
     /// `NotFound`; rights/validation errors.
     pub fn remove(&self, dir: &Capability, name: &str) -> Result<(), ClientError> {
-        if let Some(cache) = &self.cache {
-            // A full clear, not a targeted kill: resolved prefixes are
-            // memoised under composite keys this name may be part of.
-            cache.clear();
-        }
-        self.svc
-            .call(dir, ops::REMOVE, wire::Writer::new().str(name).finish())?;
-        Ok(())
+        let result = self
+            .svc
+            .call(dir, ops::REMOVE, wire::Writer::new().str(name).finish());
+        self.end_generation();
+        result.map(drop)
     }
 
     /// Lists the names in `dir`.
@@ -529,16 +551,13 @@ impl DirClient {
     /// `NotFound` if `from` is absent, `Conflict` if `to` exists;
     /// rights/validation errors.
     pub fn rename(&self, dir: &Capability, from: &str, to: &str) -> Result<(), ClientError> {
-        if let Some(cache) = &self.cache {
-            // See `remove` — composite path keys force a full clear.
-            cache.clear();
-        }
-        self.svc.call(
+        let result = self.svc.call(
             dir,
             ops::RENAME,
             wire::Writer::new().str(from).str(to).finish(),
-        )?;
-        Ok(())
+        );
+        self.end_generation();
+        result.map(drop)
     }
 
     /// Deletes an empty directory.
@@ -593,6 +612,9 @@ impl DirClient {
         // mint exactly this id, tying the PathResolve span event to
         // the hop-chain it summarises.
         let trace_hint = self.svc.rpc().trace_peek();
+        // One read covers every hop: the end-to-end memo below depends
+        // on all of them.
+        let asked_in = self.generation();
         let full = path.trim_start_matches('/');
         let mut current = *root;
         let mut rest = full;
@@ -640,7 +662,7 @@ impl DirClient {
             }
             let (prefix, after) = split_after_segments(rest, consumed);
             if let Some(cache) = &self.cache {
-                cache.insert(&current, prefix, &cap, endpoint.now());
+                cache.insert_under(asked_in, &current, prefix, &cap, endpoint.now());
             }
             base += consumed;
             current = cap;
@@ -650,7 +672,7 @@ impl DirClient {
             // Multi-hop chains also memoise end-to-end, so the repeat
             // resolution is a single cache probe.
             if let Some(cache) = &self.cache {
-                cache.insert(root, full, &current, endpoint.now());
+                cache.insert_under(asked_in, root, full, &current, endpoint.now());
             }
         }
         let now = endpoint
@@ -978,6 +1000,80 @@ mod tests {
         let err = dirs.resolve(&root, &path).unwrap_err();
         assert_eq!(err.index, 0);
         assert_eq!(err.error, ClientError::Status(Status::NotFound));
+        runner.stop();
+    }
+
+    /// A directory server that holds its first LOOKUP answer back
+    /// after computing it: the handler reports "answered" and then
+    /// waits to be released before the reply leaves.
+    struct HeldLookup {
+        inner: DirServer,
+        armed: std::sync::atomic::AtomicBool,
+        answered: std::sync::mpsc::SyncSender<()>,
+        release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Service for HeldLookup {
+        fn bind(&mut self, put_port: Port) {
+            self.inner.bind(put_port);
+        }
+
+        fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
+            use std::sync::atomic::Ordering;
+            let reply = self.inner.handle(req, ctx);
+            if req.command == ops::LOOKUP && self.armed.swap(false, Ordering::AcqRel) {
+                self.answered.send(()).expect("the test is listening");
+                let release = self.release.lock().expect("no holder panics");
+                release.recv().expect("the test releases the lookup");
+            }
+            reply
+        }
+    }
+
+    #[test]
+    fn a_lookup_answered_before_a_remove_is_not_served_after_it() {
+        use std::sync::mpsc::sync_channel;
+
+        let net = Network::new();
+        let (answered, is_answered) = sync_channel(1);
+        let (release, released) = sync_channel(1);
+        let runner = ServiceRunner::spawn_open_workers(
+            &net,
+            HeldLookup {
+                inner: DirServer::new(SchemeKind::Commutative),
+                armed: true.into(),
+                answered,
+                release: std::sync::Mutex::new(released),
+            },
+            2,
+        );
+        let dirs = DirClient::open(&net, runner.put_port()).with_cache(Duration::from_secs(3600));
+        // Entered by another client, so this one's cache starts cold.
+        let other = DirClient::open(&net, runner.put_port());
+        let root = other.create_dir().unwrap();
+        let target = other.create_dir().unwrap();
+        other.enter(&root, "x", &target).unwrap();
+
+        std::thread::scope(|s| {
+            // Thread A asks; the server answers `target` and holds the
+            // reply back.
+            let lookup = s.spawn(|| dirs.lookup(&root, "x"));
+            is_answered.recv().unwrap();
+            // Thread B removes the name — request, reply and cache
+            // invalidation all complete — while A's answer is in
+            // flight. Only then does A receive it and record it.
+            dirs.remove(&root, "x").unwrap();
+            release.send(()).unwrap();
+            assert_eq!(lookup.join().unwrap().unwrap(), target);
+        });
+
+        // A's answer predates the removal and must not be served after
+        // it: the next lookup misses the cache and hears the truth.
+        assert_eq!(
+            dirs.lookup(&root, "x"),
+            Err(ClientError::Status(Status::NotFound)),
+            "an answer that raced the remove outlived the invalidation"
+        );
         runner.stop();
     }
 }

@@ -27,8 +27,9 @@ use bytes::Bytes;
 
 /// One contiguous allocation: a block-server extent capability and the
 /// number of blocks it covers. Each file write that grows the file
-/// adds at most one extent (one `ALLOC_N` round-trip), so a file's
-/// metadata is O(growth events), not O(blocks).
+/// adds at most one extent (an `ALLOC_WRITE` entry in the write's one
+/// disk frame), so a file's metadata is O(growth events), not
+/// O(blocks).
 #[derive(Debug, Clone, Copy)]
 struct Extent {
     /// Full-rights extent capability, private to this server.
@@ -169,45 +170,13 @@ impl BlockFlatFsServer {
             let have: u64 = f.extents.iter().map(|e| u64::from(e.blocks)).sum();
             (f.size, have, extent_runs(&f.extents, bs, offset, end))
         });
-        let (old_size, have, mut runs) = match meta {
+        let (old_size, have, runs) = match meta {
             Ok(m) => m,
             Err(e) => return Reply::status(e.into()),
         };
-        let needed = end.div_ceil(bs);
-        // At most ONE allocation round-trip, however many blocks the
-        // write needs: the shortfall comes back as a single contiguous
-        // extent. On any failure below the fresh extent is returned
-        // whole — it is not yet in the inode and would otherwise leak
-        // disk capacity forever.
-        let mut fresh: Option<Extent> = None;
-        if needed > have {
-            let Ok(shortfall) = u32::try_from(needed - have) else {
-                return Reply::status(Status::OutOfRange);
-            };
-            match self.disk.alloc_n(shortfall) {
-                Ok((cap, blocks)) => {
-                    // The fresh extent follows the ones the inode has:
-                    // it takes whatever of the write lies past them.
-                    let from = offset.max(have * bs);
-                    runs.push((cap, (from - have * bs) as u32, (end - from) as u32));
-                    fresh = Some(Extent { cap, blocks });
-                }
-                Err(e) => {
-                    return Reply::status(match e {
-                        ClientError::Status(s) => s,
-                        _ => Status::NoSpace,
-                    });
-                }
-            }
-        }
-        let free_fresh = || {
-            if let Some(ext) = &fresh {
-                let _ = self.disk.free(&ext.cap);
-            }
-        };
-        // One scatter frame carries every byte of the write, each run
-        // forwarded from the request frame's data slice into the block
-        // server's frame.
+        // One disk frame, whatever the write touches: the runs on
+        // extents the inode has already are forwarded from the request
+        // frame's data slice as WRITE scatters...
         let mut taken = 0usize;
         let scatters: Vec<(Capability, u32, &[u8])> = runs
             .into_iter()
@@ -217,13 +186,29 @@ impl BlockFlatFsServer {
                 (cap, within, run)
             })
             .collect();
-        if let Err(e) = self.disk.write_many(&scatters) {
-            free_fresh();
-            return Reply::status(match e {
-                ClientError::Status(s) => s,
-                _ => Status::NoSpace,
-            });
-        }
+        // ...and whatever lies past them goes into ONE fresh extent
+        // that the same frame allocates, however many blocks it takes.
+        let needed = end.div_ceil(bs);
+        let grow = if needed > have {
+            let from = offset.max(have * bs);
+            let (Ok(shortfall), Ok(within)) = (
+                u32::try_from(needed - have),
+                u32::try_from(from - have * bs),
+            ) else {
+                return Reply::status(Status::OutOfRange);
+            };
+            Some((shortfall, within, &data[taken..]))
+        } else {
+            None
+        };
+        // A failed frame leaves no extent behind (the block client
+        // frees one that was granted beside a failed scatter), and the
+        // inode is not touched until the frame has succeeded.
+        let fresh = match self.disk.write_extending(&scatters, grow) {
+            Ok(granted) => granted.map(|(cap, blocks)| Extent { cap, blocks }),
+            Err(ClientError::Status(s)) => return Reply::status(s),
+            Err(_) => return Reply::status(Status::NoSpace),
+        };
         let new_size = old_size.max(end);
         match self.table.with_object_mut(&req.cap, Rights::WRITE, |f| {
             f.size = new_size;
@@ -232,8 +217,11 @@ impl BlockFlatFsServer {
             Ok(()) => Reply::ok(wire::Writer::new().u64(new_size).finish()),
             Err(e) => {
                 // The file vanished mid-write (revoked/destroyed): the
-                // new extent never made it into any inode.
-                free_fresh();
+                // new extent never made it into any inode and would
+                // otherwise leak disk capacity forever.
+                if let Some(ext) = &fresh {
+                    let _ = self.disk.free(&ext.cap);
+                }
                 Reply::status(e.into())
             }
         }
@@ -353,16 +341,27 @@ mod tests {
 
     #[test]
     fn disk_exhaustion_propagates() {
-        let (_n, disk, fsr, fs) = setup(DiskConfig {
+        let (net, disk, fsr, fs) = setup(DiskConfig {
             block_size: 64,
             capacity_blocks: 2,
         });
+        let stats = BlockClient::open(&net, disk.put_port());
         let cap = fs.create().unwrap();
         fs.write(&cap, 0, &[1u8; 128]).unwrap();
         assert_eq!(
             fs.write(&cap, 128, b"x").unwrap_err(),
             ClientError::Status(Status::NoSpace)
         );
+        // The failed write changed nothing: not the size, not a byte,
+        // and it holds no block it was refused.
+        assert_eq!(fs.size(&cap).unwrap(), 128);
+        assert_eq!(fs.read(&cap, 0, 256).unwrap(), vec![1u8; 128]);
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 2);
+        // Nor did it leave an extent in the inode: the file still
+        // takes a write that fits, and destroy returns exactly two.
+        fs.write(&cap, 64, &[2u8; 64]).unwrap();
+        fs.destroy(&cap).unwrap();
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 0);
         fsr.stop();
         disk.stop();
     }
@@ -394,11 +393,11 @@ mod tests {
         use amoeba_server::ServiceClient;
         use std::time::Duration;
 
-        // One write = 1 alloc RTT + 1 data RTT against the disk, plus
-        // the client↔fs RTT; at 200 ms per hop the modeled cost towers
-        // over any scheduler noise in the timeline. The modeled call
-        // (1.2 s) exceeds the default RPC timeout, so the outer client
-        // gets an explicit generous one.
+        // One write = 1 RTT against the disk (allocation and data in
+        // one frame) plus the client↔fs RTT; at 200 ms per hop the
+        // modeled cost towers over any scheduler noise in the
+        // timeline. The modeled call (0.8 s) exceeds the default RPC
+        // timeout, so the outer client gets an explicit generous one.
         const HOP: Duration = Duration::from_millis(200);
         const PATIENT: RpcConfig = RpcConfig {
             timeout: Duration::from_secs(120),

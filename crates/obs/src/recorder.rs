@@ -2,12 +2,20 @@
 //! events, cheap enough to leave on for an entire fault-seed run and
 //! dumped only when something goes wrong.
 //!
-//! Writers claim a slot with one `fetch_add` on the head counter and
-//! publish fields under a per-slot sequence stamp (a seqlock): readers
-//! that observe the same non-zero stamp before and after reading the
-//! fields know the slot was not being rewritten mid-read. A torn slot
-//! is simply skipped — this is forensics, not accounting; the metrics
-//! registry owns exact counts.
+//! Writers take a sequence number with one `fetch_add` on the head
+//! counter, claim the slot it maps to with one compare-exchange (the
+//! stamp goes odd: a writer is inside) and publish the fields under
+//! the slot's new even stamp (a seqlock): readers that observe the
+//! same even, non-zero stamp before and after reading the fields know
+//! the slot was not being rewritten mid-read. A writer that finds the
+//! slot busy — another writer a whole ring of sequence numbers away
+//! is still inside it — or already holding a later event drops its
+//! own: two writers never interleave their stores in one slot, so no
+//! stamp can ever validate a mix of two events. The dropped event has
+//! taken its sequence number, so it shows as a gap in `seq`, like one
+//! that was overwritten. A torn slot is simply skipped by readers —
+//! this is forensics, not accounting; the metrics registry owns exact
+//! counts.
 
 use crate::EventKind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +27,8 @@ pub const RING_CAPACITY: usize = 4096;
 
 #[derive(Debug)]
 struct Slot {
-    /// 0 = never written; otherwise `seq + 1` of the event it holds.
+    /// 0 = never written; odd = a writer is inside; otherwise
+    /// `2 × (seq + 1)` of the event it holds.
     stamp: AtomicU64,
     t_nanos: AtomicU64,
     kind: AtomicU64,
@@ -91,24 +100,37 @@ impl Ring {
         }
     }
 
-    /// Records one event: one `fetch_add` plus six relaxed stores.
+    /// Records one event: one `fetch_add`, one compare-exchange and
+    /// six stores — or drops it, if the slot is busy or already holds
+    /// a later event.
     #[inline]
     pub(crate) fn push(&self, kind: EventKind, t_nanos: u64, trace: u64, a: u64, b: u64) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq as usize) & (RING_CAPACITY - 1)];
-        // Invalidate, write fields, then publish the new stamp: a
-        // concurrent reader either sees stamp 0 / a mismatched stamp
+        let publish = 2 * (seq + 1);
+        // Claim, write fields, then publish the new stamp: a
+        // concurrent reader either sees an odd / a mismatched stamp
         // (and skips the slot) or a stable stamp bracketing its reads.
-        // Every store is Release so the chain retains program order
+        // The claim's Acquire keeps the field stores after it, and
+        // every store is Release so the chain retains program order
         // (a later relaxed store may legally hoist above a release
         // store, which would let a reader accept a torn slot).
-        slot.stamp.store(0, Ordering::Release);
+        let held = slot.stamp.load(Ordering::Relaxed);
+        if held % 2 == 1
+            || held > publish
+            || slot
+                .stamp
+                .compare_exchange(held, held + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
         slot.t_nanos.store(t_nanos, Ordering::Release);
         slot.kind.store(kind as u64, Ordering::Release);
         slot.trace.store(trace, Ordering::Release);
         slot.a.store(a, Ordering::Release);
         slot.b.store(b, Ordering::Release);
-        slot.stamp.store(seq + 1, Ordering::Release);
+        slot.stamp.store(publish, Ordering::Release);
     }
 
     /// Snapshots the ring's surviving events in recording order.
@@ -116,11 +138,11 @@ impl Ring {
         let mut out = Vec::with_capacity(RING_CAPACITY);
         for slot in &self.slots {
             let s1 = slot.stamp.load(Ordering::Acquire);
-            if s1 == 0 {
+            if s1 == 0 || s1 % 2 == 1 {
                 continue;
             }
             let ev = FlightEvent {
-                seq: s1 - 1,
+                seq: s1 / 2 - 1,
                 t_nanos: slot.t_nanos.load(Ordering::Relaxed),
                 kind: EventKind::from_u64(slot.kind.load(Ordering::Relaxed)),
                 trace: slot.trace.load(Ordering::Relaxed),

@@ -5,9 +5,10 @@
 //!
 //! * a depth-8 path resolves in **≥4× fewer frames** than the
 //!   per-segment walk (one frame per hop-chain, not per component);
-//! * a 64-block file write costs the flat file server **two disk
-//!   round-trips** (one `ALLOC_N`, one data frame) — six frames total
-//!   including the client's own call;
+//! * a 64-block file write costs the flat file server **one disk
+//!   round-trip** (`ALLOC_WRITE`: the extent is allocated by the frame
+//!   that fills it) — four frames total including the client's own
+//!   call, and as many when a write grows a file it also overwrites;
 //! * `resolve` agrees with the sequential `walk` oracle over random
 //!   trees, including cross-server links, down to the failing segment
 //!   index;
@@ -90,7 +91,7 @@ fn deep_tree_resolve_is_at_least_4x_fewer_frames() {
 }
 
 #[test]
-fn sixty_four_block_write_costs_two_disk_round_trips() {
+fn sixty_four_block_write_costs_one_disk_round_trip() {
     let net = Network::new();
     let disk = ServiceRunner::spawn_open(
         &net,
@@ -110,35 +111,42 @@ fn sixty_four_block_write_costs_two_disk_round_trips() {
     let cap = fs.create().unwrap();
     let body: Vec<u8> = (0..64 * 128u32).map(|i| (i % 251) as u8).collect();
 
+    // client→fs (2) + fs→disk ALLOC_WRITE (2): the frame that carries
+    // the 64 blocks of data is the one that allocates them, regardless
+    // of block count.
     let before = frames(&net);
     fs.write(&cap, 0, &body).unwrap();
-    let write_frames = frames(&net) - before;
-    // client→fs (2) + fs→disk ALLOC_N (2) + fs→disk data (2): the
-    // 64-block write is exactly one allocation round-trip and one data
-    // round-trip against the disk, regardless of block count.
-    assert!(
-        write_frames <= 6,
-        "64-block write took {write_frames} frames, expected ≤ 6 (2 disk RTTs)"
-    );
+    assert_eq!(frames(&net) - before, 4, "first write: 1 disk RTT");
 
-    // A rewrite touching already-allocated blocks skips allocation:
-    // one client call + one scatter frame even across the extent edge.
+    // A rewrite touching already-allocated blocks allocates nothing:
+    // one client call + one WRITE frame.
     let before = frames(&net);
     fs.write(&cap, 100, &[9u8; 64]).unwrap();
-    assert!(frames(&net) - before <= 4);
+    assert_eq!(frames(&net) - before, 4, "rewrite: 1 disk RTT");
 
-    // Growth appends ONE new extent — again a single ALLOC_N.
+    // Growth appends ONE new extent — again in the data's own frame.
     let before = frames(&net);
     fs.write(&cap, 64 * 128, &body).unwrap();
-    assert!(frames(&net) - before <= 6);
+    assert_eq!(frames(&net) - before, 4, "growth: 1 disk RTT");
+
+    // Growth that also overwrites the tail of the last extent: the
+    // WRITE on the old extent and the ALLOC_WRITE of the new one share
+    // one batch frame.
+    let before = frames(&net);
+    fs.write(&cap, 2 * 64 * 128 - 50, &[7u8; 200]).unwrap();
+    assert_eq!(frames(&net) - before, 4, "overlapping growth: 1 disk RTT");
 
     // And it all reads back: one gather round-trip against the disk.
     let before = frames(&net);
-    let read = fs.read(&cap, 0, 64 * 128).unwrap();
-    assert!(frames(&net) - before <= 4);
+    let read = fs.read(&cap, 0, 2 * 64 * 128 + 150).unwrap();
+    assert_eq!(frames(&net) - before, 4);
+    let second = 64 * 128;
     assert_eq!(read[..100], body[..100]);
     assert_eq!(read[100..164], [9u8; 64]);
-    assert_eq!(read[164..], body[164..]);
+    assert_eq!(read[164..second], body[164..]);
+    assert_eq!(read[second..2 * second - 50], body[..second - 50]);
+    assert_eq!(read[2 * second - 50..], [7u8; 200]);
+    assert_eq!(fs.size(&cap).unwrap(), 2 * second as u64 + 150);
 
     fs.destroy(&cap).unwrap();
     let stats = BlockClient::open(&net, disk.put_port());
@@ -254,7 +262,7 @@ fn cache_staleness_is_bounded_by_the_ttl() {
     runner.stop();
 }
 
-/// Pins the `RESOLVE` and `ALLOC_N` byte tables of
+/// Pins the `RESOLVE`, `ALLOC_N` and `ALLOC_WRITE` byte tables of
 /// `docs/PROTOCOL.md` ("Path-resolution and extent-allocation
 /// bodies"): request params, reply bodies, and the handoff shape of
 /// the worked example.
@@ -354,6 +362,53 @@ fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
     assert_eq!(blocks.statfs().unwrap().allocated_blocks, 64);
     blocks.free(&extent).unwrap();
     assert_eq!(blocks.statfs().unwrap().allocated_blocks, 0);
+
+    // --- ALLOC_WRITE -----------------------------------------------
+    // The worked example: 2 blocks of 64 bytes, "hello" at offset 60.
+    let body = encode_req(
+        &null_cap(),
+        amoeba::block::ops::ALLOC_WRITE,
+        wire::Writer::new().u32(2).u32(60).bytes(b"hello").finish(),
+    );
+    let mut documented = Vec::new();
+    documented.extend_from_slice(&null_cap().encode());
+    documented.extend_from_slice(&7u32.to_be_bytes());
+    documented.extend_from_slice(&2u32.to_be_bytes());
+    documented.extend_from_slice(&60u32.to_be_bytes());
+    documented.extend_from_slice(&5u32.to_be_bytes());
+    documented.extend_from_slice(b"hello");
+    assert_eq!(&body[..], &documented[..], "ALLOC_WRITE request layout");
+    let raw = dirs.service().rpc().trans(disk.put_port(), body).unwrap();
+    let reply = Reply::decode(&raw).unwrap();
+    assert_eq!(reply.status, Status::Ok);
+    assert_eq!(
+        reply.body.len(),
+        20,
+        "the ALLOC_N reply: capability + blocks"
+    );
+    assert_eq!(&reply.body[16..], &2u32.to_be_bytes(), "blocks granted = n");
+    let extent = Capability::decode(reply.body[..16].try_into().unwrap()).unwrap();
+    assert_eq!(blocks.statfs().unwrap().allocated_blocks, 2);
+    let mut expected = vec![0u8; 128];
+    expected[60..65].copy_from_slice(b"hello");
+    assert_eq!(
+        blocks.read(&extent, 0, 128).unwrap(),
+        expected,
+        "the payload where it was put, zeros everywhere else"
+    );
+
+    // Refused is refused whole: one byte too many reserves nothing.
+    let body = encode_req(
+        &null_cap(),
+        amoeba::block::ops::ALLOC_WRITE,
+        wire::Writer::new().u32(2).u32(124).bytes(b"hello").finish(),
+    );
+    let raw = dirs.service().rpc().trans(disk.put_port(), body).unwrap();
+    let reply = Reply::decode(&raw).unwrap();
+    assert_eq!(reply.status, Status::OutOfRange);
+    assert!(reply.body.is_empty());
+    assert_eq!(blocks.statfs().unwrap().allocated_blocks, 2);
+    blocks.free(&extent).unwrap();
     disk.stop();
 }
 
