@@ -407,8 +407,7 @@ impl ClusterClient {
 
     /// Spawns a background prober that calls
     /// [`probe_dead_once`](Self::probe_dead_once) every `interval` of
-    /// **timeline** time (the network's clock: virtual-time tests probe
-    /// in virtual time). Returns the prober handle; dropping (or
+    /// the network's clock. Returns the prober handle; dropping (or
     /// [`stop`](HealthProber::stop)ping) it ends the thread.
     pub fn spawn_health_prober(self: &Arc<Self>, interval: Duration) -> HealthProber {
         let client = Arc::clone(self);
@@ -737,8 +736,8 @@ mod tests {
     }
 
     #[test]
-    fn background_prober_readmits_on_the_virtual_clock() {
-        let net = Network::new_virtual();
+    fn background_prober_readmits_a_healed_replica() {
+        let net = Network::new();
         let cluster = spawn_echo_cluster(&net, 2);
         let port = cluster.put_port();
         let client = Arc::new(ClusterClient::broadcast(&net));
@@ -750,8 +749,7 @@ mod tests {
         drive_until_dead(&client, port, victim);
         set_link(&net, &client, victim, true);
 
-        // The background prober runs on the virtual clock; give it
-        // real time to do its (virtually timed) rounds.
+        // Give the prober time for a round or two.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while !client.dead_replicas(port).is_empty() {
             assert!(

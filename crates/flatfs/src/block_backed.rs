@@ -383,29 +383,21 @@ mod tests {
 
     #[test]
     fn writes_to_distinct_files_proceed_in_parallel() {
-        // Per-inode locking acceptance, measured in virtual time so
-        // the result is modeled latency, not host speed: four
-        // concurrent writers to four DISTINCT files must beat half the
-        // serial bound (4 × one write's span). The replaced global
-        // write mutex serialised exactly this workload and would fail
-        // the gate.
-        use amoeba_rpc::RpcConfig;
-        use amoeba_server::ServiceClient;
+        // Per-inode locking acceptance: four concurrent writers to
+        // four DISTINCT files must beat half the serial bound (4 × one
+        // write's span). The replaced global write mutex serialised
+        // exactly this workload and would fail the gate.
         use std::time::Duration;
 
         // One write = 1 RTT against the disk (allocation and data in
-        // one frame) plus the client↔fs RTT; at 200 ms per hop the
-        // modeled cost towers over any scheduler noise in the
-        // timeline. The modeled call (0.8 s) exceeds the default RPC
-        // timeout, so the outer client gets an explicit generous one.
-        const HOP: Duration = Duration::from_millis(200);
-        const PATIENT: RpcConfig = RpcConfig {
-            timeout: Duration::from_secs(120),
-            attempts: 2,
-        };
+        // one frame) plus the client↔fs RTT: 20 ms of slept-out hops,
+        // which a busy host does not stretch the way it stretches
+        // computation. (The file server blocks a worker on the disk,
+        // so this cannot be a simulator actor yet.)
+        const HOP: Duration = Duration::from_millis(5);
 
         let run = |writers: usize| -> Duration {
-            let net = Network::new_virtual();
+            let net = Network::new();
             let disk = ServiceRunner::spawn_open_workers(
                 &net,
                 BlockServer::new(
@@ -419,10 +411,7 @@ mod tests {
             );
             let server = BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative);
             let fs_runner = ServiceRunner::spawn_open_workers(&net, server, 4);
-            let fs = FlatFsClient::with_service(
-                ServiceClient::open_with_config(&net, PATIENT),
-                fs_runner.put_port(),
-            );
+            let fs = FlatFsClient::open(&net, fs_runner.put_port());
             let caps: Vec<Capability> = (0..writers).map(|_| fs.create().unwrap()).collect();
             net.set_latency(HOP);
             let v0 = net.now();
@@ -432,11 +421,9 @@ mod tests {
                     let net = net.clone();
                     let port = fs_runner.put_port();
                     std::thread::spawn(move || {
-                        let fs = FlatFsClient::with_service(
-                            ServiceClient::open_with_config(&net, PATIENT),
-                            port,
-                        );
-                        fs.write(&cap, 0, &[7u8; 100]).unwrap();
+                        FlatFsClient::open(&net, port)
+                            .write(&cap, 0, &[7u8; 100])
+                            .unwrap();
                     })
                 })
                 .collect();
@@ -451,11 +438,7 @@ mod tests {
         };
 
         let single = run(1);
-        // Host-scheduling lag can only *inflate* the virtual timeline
-        // (a late thread stamps later sends), never deflate it, so the
-        // minimum over a few runs is the faithful measurement on an
-        // oversubscribed host.
-        let parallel = (0..3).map(|_| run(4)).min().unwrap();
+        let parallel = run(4);
         assert!(
             parallel * 2 <= single * 4,
             "4 distinct-file writes must overlap their disk hops \

@@ -61,9 +61,7 @@ pub use network::{Endpoint, Network, RecvError, Sent, SimRelease};
 pub use nic::{NetworkInterface, OpenNic};
 pub use packet::{Header, Packet};
 pub use pool::BufPool;
-pub use reactor::{
-    Clock, Gate, Reactor, SimClock, Timestamp, VirtualClock, WallClock, QUIESCENCE_GRACE,
-};
+pub use reactor::{Clock, Reactor, SimClock, Timestamp, WallClock};
 pub use sim::{
     ActorPoll, CrashWindow, FaultCounters, FaultPlan, PartitionWindow, SimExecutor, SimStall,
     SEED_PLAN_TARGETS,

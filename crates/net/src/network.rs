@@ -44,7 +44,7 @@
 use crate::addr::{MachineId, Port};
 use crate::nic::{NetworkInterface, OpenNic};
 use crate::packet::{Header, Packet};
-use crate::reactor::{Clock, Reactor, SimClock, SimSource, Timestamp};
+use crate::reactor::{Reactor, SimClock, SimSource, Timestamp};
 use crate::sim::{FaultCounters, FaultPlan, SimController};
 use crate::stats::{HotPathSnapshot, NetworkStats};
 use amoeba_obs::Obs;
@@ -222,24 +222,7 @@ impl Network {
     /// Creates an empty network with zero latency and no loss, on the
     /// wall clock (simulated latency costs real wall-clock).
     pub fn new() -> Network {
-        Self::with_reactor(Reactor::wall())
-    }
-
-    /// Creates an empty network on the **virtual clock**: simulated
-    /// latency and timeouts advance the network's timeline without
-    /// blocking real time. See [`Reactor`] for the event/quiescence
-    /// model.
-    pub fn new_virtual() -> Network {
-        Self::with_reactor(Reactor::virtual_time())
-    }
-
-    /// Creates an empty network over an explicit clock.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Network {
-        Self::with_reactor(Reactor::new(clock))
-    }
-
-    fn with_reactor(reactor: Arc<Reactor>) -> Network {
-        Self::with_parts(reactor, None)
+        Self::with_parts(Reactor::wall(), None)
     }
 
     fn with_parts(reactor: Arc<Reactor>, sim: Option<Arc<SimController>>) -> Network {
@@ -300,7 +283,7 @@ impl Network {
     }
 
     /// Sleeps `d` of timeline time (real under the wall clock, a
-    /// scheduled wakeup under the virtual clock).
+    /// scheduled wakeup under the simulator).
     pub fn sleep(&self, d: Duration) {
         self.inner.reactor.sleep(d);
     }
@@ -515,21 +498,18 @@ impl Network {
                 // byte copy.
                 payload: payload.clone(),
                 deliver_at: if delayed { now + latency } else { now },
-                gate: None,
                 delayed,
             }
         };
 
         // Intruder taps see the frame as transmitted. Tap copies are
-        // diagnostics, not deliveries: they carry no gate and no
-        // latency.
+        // diagnostics, not deliveries: they carry no latency.
         for tap in &topology.taps {
             let _ = tap.send(Packet {
                 source: from,
                 header,
                 payload: payload.clone(),
                 deliver_at: now,
-                gate: None,
                 delayed: false,
             });
         }
@@ -540,8 +520,8 @@ impl Network {
             // order (hash-map and claim order are the kind of
             // nondeterminism the simulation exists to eliminate), each
             // copy offered to the seeded fault gate instead of a
-            // machine queue. Sim packets are never gated: ordering is
-            // enforced centrally by the controller's release schedule.
+            // machine queue; the controller's release schedule orders
+            // the deliveries.
             let mut recipients = Vec::new();
             let accepted = topology.offer(stats, from, &header, |id, _| recipients.push(id));
             recipients.sort_unstable();
@@ -554,29 +534,16 @@ impl Network {
             }
             accepted
         } else {
-            let reactor = &self.inner.reactor;
             topology.offer(stats, from, &header, |id, entry| {
-                // Under the virtual clock every enqueued packet gates
-                // the timeline at its arrival instant until consumed,
-                // keeping concurrent flows causally ordered (see
-                // Reactor::deliver).
-                let mut pkt = packet_for(id);
-                pkt.gate = reactor
-                    .uses_gates()
-                    .then(|| reactor.register_gate(pkt.deliver_at));
-                let gate = pkt.gate;
-                if entry.sender.send(pkt).is_ok() {
+                if entry.sender.send(packet_for(id)).is_ok() {
                     delivered += 1;
                     stats.packets_delivered.fetch_add(1, Ordering::Relaxed);
-                } else if let Some(gate) = gate {
-                    // Nobody will ever consume it; free the timeline.
-                    reactor.release_gate(gate);
                 }
             })
         };
         drop(topology);
         // Wake every reactor-parked receiver to re-poll its queue
-        // (virtual-clock receives, driver pools). The wall-clock paths
+        // (simulator receives, driver pools). The wall-clock paths
         // block on the queues themselves, and nobody being parked
         // costs one load here.
         self.inner.reactor.notify();
@@ -935,28 +902,19 @@ impl Endpoint {
     /// timeouts, not refusals.
     pub fn close(&self) {
         self.net.close(self.id);
-        self.discard_queued();
-    }
-
-    /// Empties the queue of an endpoint that will receive no more.
-    /// Nothing queued will ever be consumed; releasing the delivery
-    /// gates keeps the virtual timeline from wedging.
-    fn discard_queued(&self) {
-        while let Ok(pkt) = self.receiver.try_recv() {
-            self.net.reactor().discard(&pkt);
-        }
+        while self.receiver.try_recv().is_ok() {}
     }
 
     /// Blocks until a packet arrives (advancing the clock over its
     /// simulated latency: a real wait on the wall clock, a jump on the
-    /// virtual one).
+    /// simulated one).
     ///
     /// # Errors
     /// Returns [`RecvError::Disconnected`] if the endpoint has been
     /// detached.
     pub fn recv(&self) -> Result<Packet, RecvError> {
         let reactor = self.net.reactor();
-        if reactor.is_virtual() {
+        if reactor.is_deterministic() {
             return self.recv_parked(None);
         }
         let pkt = self.receiver.recv().map_err(|_| RecvError::Disconnected)?;
@@ -981,7 +939,7 @@ impl Endpoint {
     /// As for [`recv_timeout`](Endpoint::recv_timeout).
     pub fn recv_deadline(&self, deadline: Timestamp) -> Result<Packet, RecvError> {
         let reactor = self.net.reactor();
-        if reactor.is_virtual() {
+        if reactor.is_deterministic() {
             return self.recv_parked(Some(deadline));
         }
         let real = reactor
@@ -1028,7 +986,7 @@ impl Endpoint {
     }
 
     /// Pops the next queued packet **without consuming its delivery**
-    /// (the clock is not advanced, the gate not released). This is the
+    /// (the clock is not advanced). This is the
     /// building block for reactor-driven consumers whose poll runs
     /// inside [`Reactor::park_until`] (where delivering would re-enter
     /// the reactor): they pass the packet to
@@ -1055,7 +1013,6 @@ const _: () = {
 impl Drop for Endpoint {
     fn drop(&mut self) {
         self.net.detach(self.id);
-        self.discard_queued();
     }
 }
 
@@ -1361,71 +1318,6 @@ mod tests {
         }
         let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 200, "every packet claimed exactly once");
-    }
-
-    #[test]
-    fn virtual_clock_makes_latency_free_in_real_time() {
-        let net = Network::new_virtual();
-        let a = net.attach_open();
-        let b = net.attach_open();
-        b.claim(port(2));
-        net.set_latency(Duration::from_millis(500));
-        let t0 = std::time::Instant::now();
-        let v0 = net.now();
-        a.send(Header::to(port(2)), Bytes::new());
-        b.recv().unwrap();
-        assert!(
-            net.now().saturating_duration_since(v0) >= Duration::from_millis(500),
-            "virtual time must cover the hop latency"
-        );
-        assert!(
-            t0.elapsed() < Duration::from_millis(250),
-            "the 500 ms hop must not cost real wall-clock: {:?}",
-            t0.elapsed()
-        );
-    }
-
-    #[test]
-    fn virtual_recv_timeout_expires_without_real_waiting() {
-        let net = Network::new_virtual();
-        let a = net.attach_open();
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(2)).unwrap_err(),
-            RecvError::Timeout
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "a 2 s virtual timeout must expire via the reactor, not a sleep"
-        );
-        assert!(net.now().since_epoch() >= Duration::from_secs(2));
-    }
-
-    #[test]
-    fn virtual_shared_endpoint_still_delivers_each_packet_once() {
-        use std::sync::Arc;
-        let net = Network::new_virtual();
-        net.set_latency(Duration::from_millis(2));
-        let rx = Arc::new(net.attach_open());
-        rx.claim(port(88));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || {
-                    let mut got = 0u32;
-                    while rx.recv_timeout(Duration::from_millis(100)).is_ok() {
-                        got += 1;
-                    }
-                    got
-                })
-            })
-            .collect();
-        let tx = net.attach_open();
-        for _ in 0..100 {
-            tx.send(Header::to(port(88)), Bytes::from_static(b"x"));
-        }
-        let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 100, "every packet claimed exactly once");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Packets and the standard Amoeba header.
 
 use crate::addr::{MachineId, Port};
-use crate::reactor::{Gate, Timestamp};
+use crate::reactor::Timestamp;
 use bytes::Bytes;
 
 /// The three special header fields the F-box operates on (§2.2):
@@ -80,14 +80,8 @@ pub struct Packet {
     /// Simulated arrival point on the network's timeline; receivers
     /// advance the clock to it before acting on the packet (a real
     /// wait under [`WallClock`](crate::WallClock), a jump under
-    /// [`VirtualClock`](crate::VirtualClock)).
+    /// [`SimClock`](crate::SimClock)).
     pub(crate) deliver_at: Timestamp,
-    /// The delivery gate holding the virtual timeline at `deliver_at`
-    /// until this packet is consumed ([`Reactor::deliver`]); `None`
-    /// under a wall clock and on tap copies.
-    ///
-    /// [`Reactor::deliver`]: crate::Reactor::deliver
-    pub(crate) gate: Option<Gate>,
     /// Whether `deliver_at` lies after the instant the frame was sent
     /// (hop latency was added). A frame sent with zero latency has
     /// already arrived when it is received, so the wall-clock receive

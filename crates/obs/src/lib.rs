@@ -17,8 +17,8 @@
 //!    handful of relaxed atomics. No mutex is ever taken to record.
 //! 3. **Traces are causal under every clock.** Events carry timeline
 //!    timestamps (nanoseconds since the shared `Clock` epoch) handed
-//!    in by the instrumented layer, so wall, virtual and
-//!    deterministic-sim runs all produce ordered span timelines, and
+//!    in by the instrumented layer, so wall-clock and
+//!    deterministic-sim runs both produce ordered span timelines, and
 //!    a failing sim seed replays to the byte-identical trace.
 //!
 //! # Trace ids

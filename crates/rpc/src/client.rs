@@ -332,14 +332,10 @@ impl Client {
         let (_, gen8, _) = decode_reply_port(get);
         self.table.set_reserved_gen(idx, gen8);
         let wire = self.endpoint.claim(get);
-        let reactor = self.endpoint.reactor();
         match self.table.activate_fresh(idx, get, wire) {
             Some(token) => {
-                if !self
-                    .table
-                    .try_park(token, reactor, MAX_RECYCLED_REPLY_PORTS)
-                {
-                    self.table.burn(token, reactor);
+                if !self.table.try_park(token, MAX_RECYCLED_REPLY_PORTS) {
+                    self.table.burn(token);
                     self.endpoint.release(get);
                 }
             }
@@ -647,7 +643,7 @@ impl Client {
         };
         if flusher {
             // Timeline sleep: real under the wall clock, a scheduled
-            // reactor wakeup under the virtual one.
+            // reactor wakeup under the simulator.
             self.endpoint.sleep(state.config.flush_window);
             let entries = {
                 let mut queues = state.queues.lock();
@@ -697,10 +693,8 @@ impl Client {
     /// dropped.
     fn route_foreign(&self, pkt: Packet) {
         // A failed deposit means nobody owns the port (a straggler or
-        // forged packet): drop it. Its delivery gate was already
-        // released when the puller consumed it; deposit re-gates only
-        // the packets it actually hands off.
-        let _ = self.table.deposit(pkt, self.endpoint.reactor());
+        // forged packet): drop it.
+        let _ = self.table.deposit(pkt);
     }
 
     /// Records `machine` as the route-cache answer for put-port `dest`.
@@ -774,12 +768,11 @@ impl Client {
     /// Binds a reply port in the slot table (recycled when possible,
     /// minted otherwise). Returns the binding plus its get/wire ports.
     fn bind_reply_port(&self) -> (Binding, Port, Port, Receiver<Packet>) {
-        let reactor = self.endpoint.reactor();
         // Recycled from a cleanly completed transaction when one is
         // parked: the port is then already claimed (an F-box has its F
         // values memoized) and still resolvable in the index — claiming
         // it is one O(1) freelist pop.
-        if let Some((token, get, wire)) = self.table.claim_parked(reactor) {
+        if let Some((token, get, wire)) = self.table.claim_parked() {
             if let Some(m) = self.endpoint.obs().metrics() {
                 m.reply_ports_recycled.add(1);
             }
@@ -901,13 +894,11 @@ fn accept_reply(frame: Frame) -> Option<Bytes> {
 
 impl Drop for Client {
     fn drop(&mut self) {
-        let reactor = self.endpoint.reactor().clone();
         // No transaction can be in flight (completions borrow the
-        // client), but parked bindings and stale mailbox deposits
-        // remain. Export the clean parked ports — and a route-cache
-        // snapshot — to the broker, if any; their interface claims die
-        // with this endpoint either way.
-        let parked = self.table.drain_parked_for_export(&reactor);
+        // client), but parked bindings remain. Export the clean parked
+        // ports — and a route-cache snapshot — to the broker, if any;
+        // their interface claims die with this endpoint either way.
+        let parked = self.table.drain_parked_for_export();
         if let Some(broker) = &self.broker {
             broker.offer_routes(&self.routes.export(MAX_EXPORTED_ROUTES));
             if let Some(m) = self.endpoint.obs().metrics() {
@@ -917,9 +908,6 @@ impl Drop for Client {
                 broker.offer_port(get);
             }
         }
-        // Any still-gated deposit left anywhere would wedge the
-        // virtual timeline.
-        self.table.drain_all(&reactor);
     }
 }
 
@@ -937,7 +925,7 @@ enum Binding {
 /// The handle owns the transaction's demux registration and drives the
 /// retransmission schedule. Progress is made whenever the caller calls
 /// [`poll`](Self::poll) (non-blocking) or [`wait`](Self::wait)
-/// (blocking, reactor-parked under a virtual clock) — there is no
+/// (blocking, reactor-parked under the simulator) — there is no
 /// hidden thread. Dropping the handle abandons the transaction.
 pub struct Completion<'c, T> {
     client: &'c Client,
@@ -1119,10 +1107,9 @@ impl<T> Completion<'_, T> {
     ///
     /// Non-blocking caveat: consuming an arrived packet advances the
     /// clock over its remaining simulated latency — a jump under the
-    /// virtual clock, but a **real wait** under the wall clock (and a
-    /// brief ordered-delivery wait under the virtual one). A caller
+    /// simulator, but a **real wait** under the wall clock. A caller
     /// multiplexing other work on its thread should poll on a
-    /// virtual-clock network, where this returns promptly.
+    /// simulation network, where this returns promptly.
     ///
     /// Returns `Some(result)` once the transaction completed, `None`
     /// while it is still in flight. After `Some` is returned the
@@ -1133,7 +1120,7 @@ impl<T> Completion<'_, T> {
 
     /// [`poll`](Self::poll) sharing the wall-clock wait loop's one
     /// clock reading per turn. `None` reads the clock at the expiry
-    /// check itself — after the drains, which may move a virtual one.
+    /// check itself — after the drains, which move the simulator's.
     fn poll_at(&mut self, now: Option<Timestamp>) -> Option<Result<T, RpcError>> {
         loop {
             // A peer waiter may have claimed our reply from the shared
@@ -1181,8 +1168,9 @@ impl<T> Completion<'_, T> {
     }
 
     /// Blocks until the transaction completes: the blocking face of
-    /// the completion. Under a [`VirtualClock`](amoeba_net::VirtualClock)
-    /// the waiter parks on the reactor and wakes per event; under the
+    /// the completion. Under the simulator's
+    /// [`SimClock`](amoeba_net::SimClock) the waiter parks on the
+    /// reactor and releases the deliveries it waits for; under the
     /// wall clock it blocks on the shared endpoint queue in
     /// [`DemuxPolicy`] ticks, re-checking its mailbox each tick. Each
     /// block is the channel's one receive: it spins briefly before it
@@ -1197,15 +1185,15 @@ impl<T> Completion<'_, T> {
     pub fn wait(mut self) -> Result<T, RpcError> {
         let client = self.client;
         let endpoint = &client.endpoint;
-        let is_virtual = endpoint.reactor().is_virtual();
+        let simulated = endpoint.reactor().is_deterministic();
         // The first turn needs no fresh clock reading: the request went
         // out a moment after `started_at`.
         let mut now = self.started_at;
         loop {
-            if let Some(result) = self.poll_at((!is_virtual).then_some(now)) {
+            if let Some(result) = self.poll_at((!simulated).then_some(now)) {
                 return result;
             }
-            if is_virtual {
+            if simulated {
                 // Reactor-parked: wake on any mailbox deposit or
                 // endpoint arrival, or at the attempt deadline
                 // (whichever the timeline reaches first). poll() then
@@ -1243,7 +1231,6 @@ impl<T> Completion<'_, T> {
 
 impl<T> Drop for Completion<'_, T> {
     fn drop(&mut self) {
-        let reactor = self.client.endpoint.reactor();
         // The frame buffer returns to the pool for the next encode.
         self.client.pool.retire(std::mem::take(&mut self.payload));
         // A machine-targeted transaction that completed on its single
@@ -1258,9 +1245,7 @@ impl<T> Drop for Completion<'_, T> {
         // those of timed-out, retransmitted or abandoned transactions,
         // are burned instead: a late reply must find a dead port,
         // never a recycled one. Unconsumed deposits are detected (and
-        // their gates released) inside try_park/burn; either path
-        // leaves no gated packet behind, or the virtual timeline would
-        // wedge.
+        // dropped) inside try_park/burn.
         match self.binding {
             Binding::Slot(token) => {
                 let unicast = self.header.target.is_some() && !self.header.dest.is_broadcast();
@@ -1272,22 +1257,14 @@ impl<T> Drop for Completion<'_, T> {
                 // port burns.
                 let at_most_once = !self.client.endpoint.network().may_duplicate();
                 let clean = self.completed && self.transmits == 1 && unicast && at_most_once;
-                if clean
-                    && self
-                        .client
-                        .table
-                        .try_park(token, reactor, MAX_RECYCLED_REPLY_PORTS)
-                {
+                if clean && self.client.table.try_park(token, MAX_RECYCLED_REPLY_PORTS) {
                     return;
                 }
-                self.client.table.burn(token, reactor);
+                self.client.table.burn(token);
                 self.client.endpoint.release(self.reply_get);
             }
             Binding::Overflow => {
                 self.client.table.remove_overflow(self.reply_wire);
-                while let Ok(pkt) = self.mailbox.try_recv() {
-                    reactor.discard(&pkt);
-                }
                 self.client.endpoint.release(self.reply_get);
             }
         }
@@ -1705,48 +1682,11 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_transactions_round_trip_without_real_latency_cost() {
-        // A 50 ms-per-hop network under the virtual clock: the
-        // request/reply pair covers ≥100 ms of timeline but only
-        // microseconds-to-milliseconds of wall-clock.
-        let net = Network::new_virtual();
-        net.set_latency(Duration::from_millis(50));
-        let server = crate::ServerPort::bind(net.attach_open(), Port::new(0xC3).unwrap());
-        let p = server.put_port();
-        let t = std::thread::spawn(move || {
-            for _ in 0..4 {
-                let req = server.next_request().unwrap();
-                server.reply(&req, req.payload.clone());
-            }
-        });
-        let client = Client::with_config(
-            net.attach_open(),
-            RpcConfig {
-                timeout: Duration::from_secs(2),
-                attempts: 2,
-            },
-        );
-        let t0 = std::time::Instant::now();
-        let v0 = net.now();
-        for i in 0..4u32 {
-            let body = Bytes::from(i.to_be_bytes().to_vec());
-            assert_eq!(client.trans(p, body.clone()).unwrap(), body);
-        }
-        assert!(
-            net.now().saturating_duration_since(v0) >= Duration::from_millis(400),
-            "4 transactions × 2 hops × 50 ms must show on the timeline"
-        );
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "virtual hops must not cost wall-clock: {:?}",
-            t0.elapsed()
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn virtual_clock_timeout_expires_fast_in_real_time() {
-        let net = Network::new_virtual();
+    fn a_blocking_trans_on_the_simulator_times_out_in_timeline_time_only() {
+        // `wait`'s reactor park: the blocked caller is the thread that
+        // moves the simulated clock from one attempt deadline to the
+        // next.
+        let net = Network::new_sim(1);
         let client = Client::with_config(
             net.attach_open(),
             RpcConfig {
@@ -1756,6 +1696,7 @@ mod tests {
         );
         let before = net.stats().snapshot();
         let t0 = std::time::Instant::now();
+        let v0 = net.now();
         let err = client
             .trans(Port::new(0x5051).unwrap(), Bytes::from_static(b"x"))
             .unwrap_err();
@@ -1765,9 +1706,10 @@ mod tests {
             3,
             "all attempts must still be transmitted"
         );
+        assert_eq!(net.now() - v0, Duration::from_millis(1500));
         assert!(
             t0.elapsed() < Duration::from_millis(750),
-            "1.5 s of virtual timeout must not block wall-clock: {:?}",
+            "1.5 s of simulated timeout must not block wall-clock: {:?}",
             t0.elapsed()
         );
     }

@@ -34,9 +34,9 @@
 //! **burn** (port release). A depositor routing a foreign reply
 //! validates `(wire, gen)` from the index against the live slot
 //! *before and after* the deposit; the owner flips the slot state
-//! *before* draining on teardown. Between the two, any packet can be
-//! drained by exactly one side, so no gated packet is ever orphaned
-//! (which would wedge the virtual timeline) and no stale deposit can
+//! *before* draining on teardown. Between the two, any packet is
+//! drained by one side or the other, so no deposit outlives its
+//! binding in a pooled mailbox and no stale deposit can
 //! be accepted: the accepting completion still compares the packet's
 //! full 48-bit wire port against its own binding, so even a mailbox
 //! reused across bindings cannot alias transactions. The PR 5
@@ -50,7 +50,7 @@
 //! counter, so the steady state neither takes the lock nor pays for
 //! checking the map.
 
-use amoeba_net::{HotMutex, LockMeter, Network, Packet, Port, Reactor};
+use amoeba_net::{HotMutex, LockMeter, Network, Packet, Port};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -137,16 +137,15 @@ impl Slot {
         self.mailbox.get_or_init(|| net.channel())
     }
 
-    /// Drains every queued deposit, releasing its delivery gate.
-    /// Callers flip `state`/`gen` first, so a concurrent depositor
-    /// either loses the race (we drain its packet) or observes the
-    /// change and drains its own.
-    fn drain_discard(&self, reactor: &Reactor) -> bool {
+    /// Drains every queued deposit; whether there was one. Callers
+    /// flip `state`/`gen` first, so a concurrent depositor either
+    /// loses the race (we drain its packet) or observes the change and
+    /// drains its own.
+    fn drain_discard(&self) -> bool {
         let mut any = false;
         if let Some((_, rx)) = self.mailbox.get() {
-            while let Ok(pkt) = rx.try_recv() {
+            while rx.try_recv().is_ok() {
                 any = true;
-                reactor.discard(&pkt);
             }
         }
         any
@@ -340,14 +339,14 @@ impl DemuxTable {
     /// Claims a parked recycled binding — O(1) regardless of how many
     /// are parked. The port is already claimed on the interface and
     /// already resolvable in the index; this just flips it live.
-    pub(crate) fn claim_parked(&self, reactor: &Reactor) -> Option<(SlotToken, Port, Port)> {
+    pub(crate) fn claim_parked(&self) -> Option<(SlotToken, Port, Port)> {
         let idx = self.parked.pop(&self.slots, &self.recycle_pop_steps)?;
         self.parked_count.fetch_sub(1, Ordering::Relaxed);
         let slot = &self.slots[idx];
         // Defensive drain: a parked binding is quiescent by the
         // recycling invariant, but noise injected at its port must not
-        // leak into the new transaction (or wedge the timeline).
-        slot.drain_discard(reactor);
+        // leak into the new transaction.
+        slot.drain_discard();
         let gen = slot.gen.load(Ordering::Relaxed);
         let get = Port::from_raw(slot.get.load(Ordering::Relaxed));
         let wire = Port::from_raw(slot.wire.load(Ordering::Relaxed));
@@ -361,7 +360,7 @@ impl DemuxTable {
     /// the slot RESERVED) if a stale deposit raced in — the binding is
     /// then not quiescent and the caller must burn it — or if the
     /// parked set is at `cap`.
-    pub(crate) fn try_park(&self, token: SlotToken, reactor: &Reactor, cap: u32) -> bool {
+    pub(crate) fn try_park(&self, token: SlotToken, cap: u32) -> bool {
         let slot = &self.slots[token.idx];
         debug_assert_eq!(
             slot.gen.load(Ordering::Relaxed),
@@ -372,7 +371,7 @@ impl DemuxTable {
         // skip (pre-send check) or self-drain (post-send re-check).
         slot.state.store(RESERVED, Ordering::Release);
         self.active_count.fetch_sub(1, Ordering::Relaxed);
-        if slot.drain_discard(reactor) {
+        if slot.drain_discard() {
             return false; // straggler observed: caller burns
         }
         if self.parked_count.load(Ordering::Relaxed) >= cap {
@@ -391,7 +390,7 @@ impl DemuxTable {
     /// Accepts a slot in ACTIVE (abandon/burn) or RESERVED (a failed
     /// park). The currently-active count is only decremented for the
     /// former.
-    pub(crate) fn burn(&self, token: SlotToken, reactor: &Reactor) {
+    pub(crate) fn burn(&self, token: SlotToken) {
         let slot = &self.slots[token.idx];
         let was_active = slot.state.swap(RESERVED, Ordering::AcqRel) == ACTIVE;
         if was_active {
@@ -406,7 +405,7 @@ impl DemuxTable {
             self.index_remove(wire);
         }
         slot.get.store(0, Ordering::Relaxed);
-        slot.drain_discard(reactor);
+        slot.drain_discard();
         slot.state.store(EMPTY, Ordering::Release);
         self.free.push(&self.slots, token.idx);
     }
@@ -418,24 +417,21 @@ impl DemuxTable {
 
     /// The binding a parked slot holds, without claiming it — used by
     /// `Client::drop` to export parked ports as leases.
-    pub(crate) fn drain_parked_for_export(&self, reactor: &Reactor) -> Vec<(Port, Port)> {
+    pub(crate) fn drain_parked_for_export(&self) -> Vec<(Port, Port)> {
         let mut out = Vec::new();
         while let Some(idx) = self.parked.pop(&self.slots, &self.recycle_pop_steps) {
             self.parked_count.fetch_sub(1, Ordering::Relaxed);
             let slot = &self.slots[idx];
             slot.state.store(RESERVED, Ordering::Release);
-            let quiet = !slot.drain_discard(reactor);
+            let quiet = !slot.drain_discard();
             let get = Port::from_raw(slot.get.load(Ordering::Relaxed));
             let wire = Port::from_raw(slot.wire.load(Ordering::Relaxed));
             // Tear the slot down either way (the client is dying);
             // only quiescent bindings are worth exporting.
-            self.burn(
-                SlotToken {
-                    idx,
-                    gen: slot.gen.load(Ordering::Relaxed),
-                },
-                reactor,
-            );
+            self.burn(SlotToken {
+                idx,
+                gen: slot.gen.load(Ordering::Relaxed),
+            });
             if quiet {
                 out.push((get, wire));
             }
@@ -443,19 +439,12 @@ impl DemuxTable {
         out
     }
 
-    /// Releases every remaining gated deposit (client teardown).
-    pub(crate) fn drain_all(&self, reactor: &Reactor) {
-        for slot in &self.slots {
-            slot.drain_discard(reactor);
-        }
-    }
-
     /// Deposits a foreign reply with the transaction that owns its
     /// wire port. Returns `false` if nobody owns it (stale noise; the
     /// caller discards). Lock-free on the slot path; the overflow map
     /// is consulted — under its counted lock — only while overflow
     /// registrations exist.
-    pub(crate) fn deposit(&self, mut pkt: Packet, reactor: &Reactor) -> bool {
+    pub(crate) fn deposit(&self, pkt: Packet) -> bool {
         let wire = pkt.header.dest.value();
         if let Some((idx, gen8)) = self.index_resolve(wire) {
             let slot = &self.slots[idx];
@@ -467,35 +456,28 @@ impl DemuxTable {
             if !live(slot) {
                 return false;
             }
-            // Re-gate: the virtual timeline may not run past this
-            // packet's arrival until the owner consumes it.
-            reactor.regate(&mut pkt);
             let (tx, _) = slot.mailbox(&self.net);
             if tx.send(pkt).is_err() {
-                // Unreachable (the OnceLock keeps a receiver alive),
-                // but a lost packet must still release its gate.
+                // Unreachable: the OnceLock keeps a receiver alive.
                 return false;
             }
             // Post-send validation: if the owner tore the binding down
             // while we were depositing, it may have drained before our
-            // packet landed — drain ourselves so no gate is orphaned.
+            // packet landed — drain ourselves so the slot's next
+            // binding starts with an empty mailbox.
             if !live(slot) {
-                slot.drain_discard(reactor);
+                slot.drain_discard();
             }
-            reactor.notify();
+            self.net.reactor().notify();
             return true;
         }
         if self.overflow_count.load(Ordering::Acquire) > 0 {
             let overflow = self.overflow.lock();
             if let Some(tx) = overflow.get(&wire) {
-                reactor.regate(&mut pkt);
-                match tx.send(pkt) {
-                    Ok(()) => {
-                        drop(overflow);
-                        reactor.notify();
-                        return true;
-                    }
-                    Err(e) => reactor.discard(&e.0),
+                let sent = tx.send(pkt).is_ok();
+                drop(overflow);
+                if sent {
+                    self.net.reactor().notify();
                 }
                 return true;
             }
@@ -690,15 +672,9 @@ mod tests {
     use bytes::Bytes;
     use proptest::prelude::*;
 
-    fn wall_reactor() -> std::sync::Arc<Reactor> {
-        amoeba_net::Network::new().reactor().clone()
-    }
-
     fn pkt_to(wire: Port) -> Packet {
         // Build a packet through a real network so its bookkeeping
-        // (source, deliver_at) is well-formed; gates only exist under
-        // the virtual clock, so discard paths are exercised separately
-        // in the client integration tests.
+        // (source, deliver_at) is well-formed.
         let net = amoeba_net::Network::new();
         let a = net.attach_open();
         let b = net.attach_open();
@@ -709,7 +685,6 @@ mod tests {
 
     #[test]
     fn fresh_bind_resolve_and_burn() {
-        let reactor = wall_reactor();
         let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let (idx, gen8) = table.reserve_fresh().expect("slots available");
         let get = encode_reply_port(idx as u8, gen8, 0xABCD_1234);
@@ -717,29 +692,27 @@ mod tests {
         let token = table.activate_fresh(idx, get, wire).expect("index room");
         assert_eq!(table.active(), 1);
 
-        assert!(table.deposit(pkt_to(wire), &reactor), "owner must resolve");
+        assert!(table.deposit(pkt_to(wire)), "owner must resolve");
         let rx = table.receiver(token);
         let got = rx.try_recv().expect("deposited packet");
         assert_eq!(got.header.dest, wire);
-        reactor.deliver(&got);
 
-        table.burn(token, &reactor);
+        table.burn(token);
         assert_eq!(table.active(), 0);
         assert!(
-            !table.deposit(pkt_to(wire), &reactor),
+            !table.deposit(pkt_to(wire)),
             "burned binding must be unresolvable"
         );
     }
 
     #[test]
     fn stale_generation_deposits_are_rejected() {
-        let reactor = wall_reactor();
         let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let (idx, gen8) = table.reserve_fresh().unwrap();
         let get = encode_reply_port(idx as u8, gen8, 7);
         let wire = Port::new(0xABC0).unwrap();
         let token = table.activate_fresh(idx, get, wire).unwrap();
-        table.burn(token, &reactor);
+        table.burn(token);
 
         // Rebind the same slot (new generation) at a different wire.
         let (idx2, gen8_2) = table.reserve_fresh().unwrap();
@@ -750,13 +723,11 @@ mod tests {
         let token2 = table.activate_fresh(idx2, get2, wire2).unwrap();
 
         // A straggler addressed to the OLD wire finds nothing.
-        assert!(!table.deposit(pkt_to(wire), &reactor));
+        assert!(!table.deposit(pkt_to(wire)));
         // The live binding still resolves.
-        assert!(table.deposit(pkt_to(wire2), &reactor));
-        let rx = table.receiver(token2);
-        let got = rx.try_recv().unwrap();
-        reactor.deliver(&got);
-        table.burn(token2, &reactor);
+        assert!(table.deposit(pkt_to(wire2)));
+        assert!(table.receiver(token2).try_recv().is_ok());
+        table.burn(token2);
     }
 
     #[test]
@@ -764,7 +735,6 @@ mod tests {
         // The satellite regression: claiming a recycled port must stay
         // O(1) however many bindings are parked (the PR 5 code scanned
         // a Vec under a lock).
-        let reactor = wall_reactor();
         let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let park = |n: usize| {
             for k in 0..n {
@@ -772,18 +742,18 @@ mod tests {
                 let get = encode_reply_port(idx as u8, gen8, k as u32 + 1);
                 let wire = Port::new(0x4_0000 + k as u64).unwrap();
                 let token = table.activate_fresh(idx, get, wire).unwrap();
-                assert!(table.try_park(token, &reactor, 64));
+                assert!(table.try_park(token, 64));
             }
         };
         park(4);
         let before = table.recycle_pop_steps.load(Ordering::Relaxed);
-        assert!(table.claim_parked(&reactor).is_some());
+        assert!(table.claim_parked().is_some());
         let small = table.recycle_pop_steps.load(Ordering::Relaxed) - before;
 
         park(60);
         assert_eq!(table.parked(), 63);
         let before = table.recycle_pop_steps.load(Ordering::Relaxed);
-        assert!(table.claim_parked(&reactor).is_some());
+        assert!(table.claim_parked().is_some());
         let large = table.recycle_pop_steps.load(Ordering::Relaxed) - before;
         assert_eq!(
             small, large,
@@ -794,7 +764,6 @@ mod tests {
 
     #[test]
     fn park_cap_refuses_and_caller_burns() {
-        let reactor = wall_reactor();
         let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let mut tokens = Vec::new();
         for k in 0..3u64 {
@@ -803,24 +772,22 @@ mod tests {
             let wire = Port::new(0x5_0000 + k).unwrap();
             tokens.push(table.activate_fresh(idx, get, wire).unwrap());
         }
-        assert!(table.try_park(tokens[0], &reactor, 2));
-        assert!(table.try_park(tokens[1], &reactor, 2));
-        assert!(!table.try_park(tokens[2], &reactor, 2), "cap must refuse");
-        table.burn(tokens[2], &reactor);
+        assert!(table.try_park(tokens[0], 2));
+        assert!(table.try_park(tokens[1], 2));
+        assert!(!table.try_park(tokens[2], 2), "cap must refuse");
+        table.burn(tokens[2]);
         assert_eq!(table.parked(), 2);
     }
 
     #[test]
     fn overflow_path_still_routes() {
-        let reactor = wall_reactor();
         let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
         let wire = Port::new(0xFACE).unwrap();
         let rx = table.register_overflow(wire);
-        assert!(table.deposit(pkt_to(wire), &reactor));
-        let got = rx.try_recv().unwrap();
-        reactor.deliver(&got);
+        assert!(table.deposit(pkt_to(wire)));
+        assert!(rx.try_recv().is_ok());
         table.remove_overflow(wire);
-        assert!(!table.deposit(pkt_to(wire), &reactor));
+        assert!(!table.deposit(pkt_to(wire)));
     }
 
     #[test]
@@ -860,7 +827,6 @@ mod tests {
         /// never resolves again even though the slot was rebound.
         #[test]
         fn forged_and_stale_ports_never_resolve(forged in 1u64..0xFFFF_FFFF_FFFFu64, salt: u32) {
-            let reactor = wall_reactor();
             let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
             let (idx, gen8) = table.reserve_fresh().unwrap();
             let get = encode_reply_port(idx as u8, gen8, salt);
@@ -870,20 +836,20 @@ mod tests {
             if forged != wire.value() {
                 let forged_port = Port::from_raw(forged);
                 prop_assert!(
-                    !table.deposit(pkt_to(forged_port), &reactor),
+                    !table.deposit(pkt_to(forged_port)),
                     "forged port must not resolve"
                 );
             }
 
             // Burn, rebind the same slot elsewhere: the old wire is a
             // stale-generation port now and must stay dead.
-            table.burn(token, &reactor);
+            table.burn(token);
             let (idx2, gen8_2) = table.reserve_fresh().unwrap();
             let get2 = encode_reply_port(idx2 as u8, gen8_2, salt ^ 1);
             let wire2 = Port::new(0xB0B1).unwrap();
             let token2 = table.activate_fresh(idx2, get2, wire2).unwrap();
-            prop_assert!(!table.deposit(pkt_to(wire), &reactor));
-            table.burn(token2, &reactor);
+            prop_assert!(!table.deposit(pkt_to(wire)));
+            table.burn(token2);
         }
 
         /// Expired lease offers — any batch of engraved ports — are
@@ -916,7 +882,6 @@ mod tests {
             // The successor finds no lease and binds a fresh port of
             // its own; the straggler's wire value resolves nowhere in
             // its table.
-            let reactor = wall_reactor();
             let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
             let (idx, gen8) = table.reserve_fresh().unwrap();
             let get = encode_reply_port(idx as u8, gen8, 7);
@@ -924,11 +889,11 @@ mod tests {
             let token = table.activate_fresh(idx, get, wire).unwrap();
             if straggler != wire.value() {
                 prop_assert!(
-                    !table.deposit(pkt_to(Port::from_raw(straggler)), &reactor),
+                    !table.deposit(pkt_to(Port::from_raw(straggler))),
                     "straggler resolved in a table that never bound it"
                 );
             }
-            table.burn(token, &reactor);
+            table.burn(token);
         }
     }
 }

@@ -80,7 +80,8 @@ struct CacheEntry {
     /// Round-robin cursor over `replicas`.
     cursor: usize,
     /// Timeline point of insertion — TTL expiry runs on the network's
-    /// clock (virtual time in virtual tests), not the OS clock.
+    /// clock (simulated time on a simulation network), not the OS
+    /// clock.
     inserted: Timestamp,
 }
 

@@ -41,12 +41,11 @@
 
 use crate::frame::{Frame, ReplicaInfo, MAX_LOCATE_REPLICAS};
 use crate::locate::{PlacementPolicy, Replica, ReplicaCache};
-use amoeba_net::{Endpoint, Header, MachineId, Port, RecvError, Timestamp};
+use amoeba_net::{Endpoint, Header, MachineId, Port, Timestamp};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,9 +60,9 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct RendezvousNode {
     service_port: Port,
-    /// For waking the reactor-parked node thread at shutdown.
-    reactor: Arc<amoeba_net::Reactor>,
-    shutdown: Arc<AtomicBool>,
+    /// Shared with the node thread, which blocks on it untimed;
+    /// [closing](Endpoint::close) it is what stops the node.
+    endpoint: Arc<Endpoint>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -84,9 +83,8 @@ impl RendezvousNode {
     /// Like [`spawn`](Self::spawn) with an explicit registration lease.
     pub fn spawn_with_ttl(endpoint: Endpoint, get_port: Port, ttl: Duration) -> RendezvousNode {
         let service_port = endpoint.claim(get_port);
-        let reactor = Arc::clone(endpoint.reactor());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
+        let shared = Arc::new(endpoint);
+        let endpoint = Arc::clone(&shared);
         let handle = std::thread::spawn(move || {
             // port → (machine → (advertised load, lease refresh time)).
             // The registration binds the *source* machine —
@@ -96,8 +94,7 @@ impl RendezvousNode {
             // (knowing where a put-port lives does not let you claim
             // it).
             // Lease bookkeeping runs on the network's timeline (the
-            // reactor clock), so registration expiry is exercised in
-            // virtual time exactly like every other cluster timer.
+            // reactor clock), like every other cluster timer.
             let mut registry: HashMap<Port, BTreeMap<MachineId, (u32, Timestamp)>> = HashMap::new();
             let live = |registry: &mut HashMap<Port, BTreeMap<MachineId, (u32, Timestamp)>>,
                         port: Port,
@@ -112,53 +109,24 @@ impl RendezvousNode {
                 Some(set.iter().map(|(&m, &(l, _))| (m, l)).collect())
             };
             let mut last_sweep = endpoint.now();
-            while !stop.load(Ordering::Relaxed) {
+            // An untimed block: a frame, or `stop`/drop closing the
+            // endpoint, is what wakes the node.
+            while let Ok(pkt) = endpoint.recv() {
                 // Periodic full sweep: lazy pruning on lookups alone
                 // would let registrations for never-queried ports
                 // accumulate without bound (a hostile poster streaming
                 // POSTs for distinct ports, or ordinary churn of
-                // short-lived services nobody resolves).
-                let sweep_now = endpoint.now();
-                if sweep_now.saturating_duration_since(last_sweep) > ttl {
+                // short-lived services nobody resolves). Checked on
+                // every arrival, which is the only time the registry
+                // can grow.
+                let now = endpoint.now();
+                if now.saturating_duration_since(last_sweep) > ttl {
                     registry.retain(|_, set| {
-                        set.retain(|_, &mut (_, at)| {
-                            sweep_now.saturating_duration_since(at) <= ttl
-                        });
+                        set.retain(|_, &mut (_, at)| now.saturating_duration_since(at) <= ttl);
                         !set.is_empty()
                     });
-                    last_sweep = sweep_now;
+                    last_sweep = now;
                 }
-                // Event-parked under the virtual clock (a re-arming
-                // 20 ms poll tick would hand the idle virtual timeline
-                // a sleeper ladder to climb); bounded poll on the wall
-                // clock so the shutdown flag is still observed.
-                let reactor = endpoint.reactor();
-                let pkt = if reactor.is_virtual() {
-                    enum Wake {
-                        Packet(amoeba_net::Packet),
-                        Cancelled,
-                    }
-                    let woke = reactor.park_until(None, || {
-                        if stop.load(Ordering::Relaxed) {
-                            return Some(Wake::Cancelled);
-                        }
-                        endpoint.poll_arrival().map(Wake::Packet)
-                    });
-                    match woke {
-                        Some(Wake::Packet(p)) => {
-                            reactor.deliver(&p);
-                            p
-                        }
-                        Some(Wake::Cancelled) | None => continue,
-                    }
-                } else {
-                    match endpoint.recv_timeout(Duration::from_millis(20)) {
-                        Ok(p) => p,
-                        Err(RecvError::Timeout) => continue,
-                        Err(RecvError::Disconnected) => break,
-                    }
-                };
-                let now = endpoint.now();
                 match Frame::decode(&pkt.payload) {
                     Some(Frame::Post(port)) => {
                         registry
@@ -209,8 +177,7 @@ impl RendezvousNode {
         });
         RendezvousNode {
             service_port,
-            reactor,
-            shutdown,
+            endpoint: shared,
             handle: Some(handle),
         }
     }
@@ -226,9 +193,7 @@ impl RendezvousNode {
     }
 
     fn shutdown_now(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // The node thread may be event-parked on the reactor.
-        self.reactor.notify();
+        self.endpoint.close();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -426,6 +391,7 @@ impl Matchmaker {
 mod tests {
     use super::*;
     use amoeba_net::Network;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn nodes(net: &Network, n: usize) -> (Vec<RendezvousNode>, Vec<Port>) {
         let running: Vec<RendezvousNode> = (0..n)
@@ -639,6 +605,25 @@ mod tests {
         mm.invalidate(served);
         assert_eq!(mm.locate_all(&client, served).len(), 2);
         node.stop();
+    }
+
+    #[test]
+    fn an_idle_node_never_wakes_to_look_at_its_queue() {
+        let net = Network::new();
+        let (running, _) = nodes(&net, 1);
+        // Let the node thread reach its blocking receive.
+        std::thread::sleep(Duration::from_millis(20));
+        let before = net.hot_path();
+        std::thread::sleep(Duration::from_millis(100));
+        let idle = net.hot_path() - before;
+        assert_eq!(
+            (idle.queue_parks, idle.queue_wakes, idle.queue_spin_hits),
+            (0, 0, 0),
+            "an idle node stays parked in one untimed receive: {idle:?}"
+        );
+        for r in running {
+            r.stop(); // and still stops: closing the endpoint wakes it
+        }
     }
 
     #[test]

@@ -42,9 +42,7 @@
 //! for its port, implementing the software match-making of §2.2.
 
 use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp};
-use amoeba_net::{
-    BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Port, RecvError, Timestamp,
-};
+use amoeba_net::{BufPool, Endpoint, Header, HotMutex, MachineId, Port, RecvError, Timestamp};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,9 +77,6 @@ pub struct IncomingRequest {
     /// migration); `payload` is empty and the dispatch layer routes the
     /// op to the service's migrator instead of its request handler.
     transfer: Option<TransferOp>,
-    /// Virtual-clock delivery gate, held while the decoded request
-    /// waits in the ready queue and released when a worker claims it.
-    gate: Option<Gate>,
 }
 
 impl IncomingRequest {
@@ -287,17 +282,6 @@ impl ServerPort {
         self.next_request_deadline(Some(self.endpoint.now() + timeout))
     }
 
-    /// Gates a decoded request while it waits in the ready queue
-    /// (virtual clock only): the timeline may not pass its arrival
-    /// instant until a worker claims it, so a slow hand-off cannot
-    /// distort other flows' timing.
-    fn ready_gate(&self, pkt: &amoeba_net::Packet) -> Option<Gate> {
-        let reactor = self.endpoint.reactor();
-        reactor
-            .uses_gates()
-            .then(|| reactor.register_gate(pkt.deliver_at()))
-    }
-
     /// Tries to become the pump. A single compare-exchange; the
     /// returned guard releases the role on drop.
     fn try_pump(&self) -> Option<PumpGuard<'_>> {
@@ -315,14 +299,10 @@ impl ServerPort {
         !self.pump.load(Ordering::Acquire)
     }
 
-    /// Hands a decoded request to the worker that will serve it,
-    /// releasing its ready-queue gate if it waited there. Every receive
-    /// path funnels through here, so it is also where the flight
+    /// Hands a decoded request to the worker that will serve it. Every
+    /// receive path funnels through here: it is where the flight
     /// recorder sees a request leave the pump for a worker.
     fn claim(&self, req: IncomingRequest) -> IncomingRequest {
-        if let Some(gate) = req.gate {
-            self.endpoint.reactor().release_gate(gate);
-        }
         let obs = self.endpoint.obs();
         if obs.enabled() {
             obs.record(
@@ -339,19 +319,16 @@ impl ServerPort {
     /// Non-blocking receive for reactor driver loops: serves an
     /// already-decoded batch entry if one is ready, otherwise (if the
     /// pump role is free) decodes queued packets until one yields a
-    /// request, and returns it. Never parks the thread (though under a
-    /// virtual clock consuming a delivery may briefly wait for earlier
-    /// deliveries to be consumed); a driver multiplexing many bound
-    /// ports calls this in a scan and parks on the reactor only when
-    /// every port comes up empty.
+    /// request, and returns it. Never parks the thread; a driver
+    /// multiplexing many bound ports calls this in a scan and parks on
+    /// the reactor only when every port comes up empty.
     pub fn poll_request(&self) -> Option<IncomingRequest> {
         if let Ok(req) = self.ready_rx.try_recv() {
             return Some(self.claim(req));
         }
         let pumping = self.try_pump()?;
         while let Some(pkt) = self.endpoint.poll_arrival() {
-            // Consume the delivery (ordered under the virtual
-            // clock) before decoding.
+            // Consume the delivery before decoding.
             self.endpoint.reactor().deliver(&pkt);
             // A single request comes back directly; a batch frame's
             // entries are in the ready queue after `process`.
@@ -402,8 +379,7 @@ impl ServerPort {
                 let pumped = match self.ready_rx.try_recv() {
                     Ok(req) => Ok(Some(req)),
                     // We are the pump: take the next packet off the
-                    // wire — an untimed block on the queue itself (or
-                    // an event-parked wait on the virtual clock) when
+                    // wire — an untimed block on the queue itself when
                     // the caller set no deadline.
                     Err(_) => match deadline {
                         None => self.endpoint.recv(),
@@ -414,9 +390,8 @@ impl ServerPort {
                 // Every path below runs with the role released — the
                 // handler included, so a successor can pump meanwhile.
                 drop(pumping);
-                // If undecoded arrivals remain, wake a successor
-                // explicitly — a delivery may have jumped the (virtual)
-                // clock past every waiter's takeover tick.
+                // If undecoded arrivals remain, wake a reactor-parked
+                // driver explicitly: no send will announce them again.
                 if self.endpoint.has_arrivals() {
                     reactor.notify();
                 }
@@ -428,49 +403,15 @@ impl ServerPort {
             // Someone else pumps; wait for them to feed the ready
             // queue, but retry the pump role periodically in case
             // they left for a handler.
-            if reactor.is_virtual() {
-                // Reactor wakeup instead of a parked OS thread, and no
-                // takeover tick: re-arming sub-millisecond tick
-                // deadlines would hand the virtual clock a ladder to
-                // climb. Takeover is purely event-driven — two wake
-                // conditions: a ready push (the pump notifies on every
-                // one), or *undecoded arrivals with the pump role
-                // free* (the previous pump released it on the way to a
-                // handler and notified). The role-free check keeps
-                // this edge-triggered: while somebody actively pumps,
-                // waiters stay parked instead of spinning.
-                enum Wake {
-                    Ready(IncomingRequest),
-                    Takeover,
-                }
-                let woke = reactor.park_until(deadline, || {
-                    if let Ok(req) = self.ready_rx.try_recv() {
-                        return Some(Wake::Ready(req));
-                    }
-                    if self.endpoint.has_arrivals() && self.pump_is_free() {
-                        // A load-only probe (never blocks, so the
-                        // reactor lock held here cannot deadlock
-                        // against a pump holder taking it later).
-                        return Some(Wake::Takeover);
-                    }
-                    None
-                });
-                if let Some(Wake::Ready(req)) = woke {
-                    return Ok(self.claim(req));
-                }
-                // Takeover signal or deadline expiry: loop and retry
-                // the pump lock.
-            } else {
-                let tick = Instant::now() + PUMP_TAKEOVER_TICK;
-                let until = deadline
-                    .and_then(|d| reactor.clock().real_instant(d))
-                    .map_or(tick, |d| d.min(tick));
-                match self.ready_rx.recv_deadline(until) {
-                    Ok(req) => return Ok(self.claim(req)),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("we hold a ready sender")
-                    }
+            let tick = Instant::now() + PUMP_TAKEOVER_TICK;
+            let until = deadline
+                .and_then(|d| reactor.clock().real_instant(d))
+                .map_or(tick, |d| d.min(tick));
+            match self.ready_rx.recv_deadline(until) {
+                Ok(req) => return Ok(self.claim(req)),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    unreachable!("we hold a ready sender")
                 }
             }
         }
@@ -488,8 +429,6 @@ impl ServerPort {
             source: pkt.source,
             batch: None,
             transfer,
-            // Never queued, so nothing to gate.
-            gate: None,
         };
         match Frame::decode(&pkt.payload) {
             Some(Frame::Request(body)) if pkt.header.dest == self.wire_port => {
@@ -521,7 +460,6 @@ impl ServerPort {
                             index: index as u16,
                         }),
                         transfer: None,
-                        gate: self.ready_gate(&pkt),
                     });
                 }
                 // Ready pushes are not network events; wake
@@ -648,18 +586,6 @@ impl ServerPort {
                 self.endpoint
                     .send(Header::to(slot.acc.reply_to), frame.clone());
                 self.pool.retire(frame);
-            }
-        }
-    }
-}
-
-impl Drop for ServerPort {
-    fn drop(&mut self) {
-        // Decoded requests never claimed would otherwise hold their
-        // ready-queue gates forever and wedge the virtual timeline.
-        while let Ok(req) = self.ready_rx.try_recv() {
-            if let Some(gate) = req.gate {
-                self.endpoint.reactor().release_gate(gate);
             }
         }
     }

@@ -5,7 +5,7 @@ use crate::wire;
 use amoeba_cap::{Capability, Rights};
 use amoeba_crypto::oneway::ShaOneWay;
 use amoeba_fbox::FBox;
-use amoeba_net::{Endpoint, EventKind, MachineId, Network, Port, RecvError};
+use amoeba_net::{Endpoint, EventKind, MachineId, Network, Port};
 use amoeba_rpc::{Client, IncomingRequest, RpcConfig, RpcError, ServerPort};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -66,43 +66,21 @@ pub trait Service: Send + Sync + 'static {
     }
 }
 
-/// How long a worker on a **virtual-clock** network waits for a
-/// request before re-arming. Deliberately bounded, not an event-only
-/// park: keeping one worker parked *inside* the pump (and the pool's
-/// deadlines as near jump targets) measurably tightens virtual-clock
-/// timeline fidelity under concurrency. Wall-clock workers block
-/// untimed.
-const VIRTUAL_WORKER_PARK: std::time::Duration = std::time::Duration::from_millis(20);
-
 /// One dispatch worker's loop, shared by the plain and sealed runners:
 /// take the next request off the shared port and `serve` it, until the
-/// endpoint is closed or detached. On the wall clock the wait is
-/// untimed — a frame arriving, or the runner
-/// [closing](Endpoint::close) the endpoint at shutdown, is what wakes
-/// the worker.
+/// endpoint is closed or detached. The wait is untimed — a frame
+/// arriving, or the runner [closing](Endpoint::close) the endpoint at
+/// shutdown, is what wakes the worker.
 pub(crate) fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) {
     let endpoint = server.endpoint();
-    let is_virtual = endpoint.reactor().is_virtual();
-    loop {
-        let next = if is_virtual {
-            server.next_request_timeout(VIRTUAL_WORKER_PARK)
-        } else {
-            server.next_request()
-        };
-        match next {
-            Ok(req) => {
-                // Publish in-flight work on the machine's load gauge;
-                // replica placement policies compare these across a
-                // service cluster. The decrement rides a drop guard so
-                // a panicking handler cannot leave the gauge inflated
-                // for the machine's lifetime.
-                endpoint.add_load(1);
-                let _in_flight = LoadGuard(endpoint);
-                serve(&req);
-            }
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Disconnected) => break,
-        }
+    while let Ok(req) = server.next_request() {
+        // Publish in-flight work on the machine's load gauge; replica
+        // placement policies compare these across a service cluster.
+        // The decrement rides a drop guard so a panicking handler
+        // cannot leave the gauge inflated for the machine's lifetime.
+        endpoint.add_load(1);
+        let _in_flight = LoadGuard(endpoint);
+        serve(&req);
     }
 }
 

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use amoeba_net::{
         ActorPoll, BufPool, Clock, CrashWindow, Endpoint, FaultCounters, FaultPlan, Header,
         HotPathSnapshot, MachineId, Network, PartitionWindow, Port, Reactor, SimClock, SimExecutor,
-        SimStall, StatsSnapshot, Timestamp, VirtualClock, WallClock,
+        SimStall, StatsSnapshot, Timestamp, WallClock,
     };
     pub use amoeba_obs::{EventKind, FlightEvent, Metrics, MetricsSnapshot, Obs};
     pub use amoeba_rpc::{Client, Locator, Matchmaker, RendezvousNode, RpcConfig, ServerPort};

@@ -1,12 +1,11 @@
 //! The zero-allocation gate on the **wall-clock** rigs — the shapes
 //! `benchmark/` drives (`echo`, `metered_create`, `vfs_write`), which
-//! the virtual-clock gate in `tests/obs_hotpath.rs` does not cover:
+//! the recorder gate in `tests/obs_hotpath.rs` does not cover:
 //! separate pools per party, a worker that serves one port and calls
 //! through an embedded client, parameter and reply blobs built by
 //! `wire::Writer`. The metered leg is also the hot-path budget in
 //! absolute terms — frames, queue pushes, `F` evaluations, fresh
-//! buffers and hot locks per operation, recorder enabled — on both
-//! clocks.
+//! buffers and hot locks per operation, recorder enabled.
 //!
 //! This binary holds ONE test, so nothing else in the process touches
 //! the process-wide counters it reads (`bytes::stats::buffer_allocs`
@@ -56,9 +55,9 @@ impl Service for Echo {
 /// and the flight recorder **enabled**: the file server's ONE worker
 /// serves its port and calls the bank through an embedded client, so it
 /// alternates between two pools on every request. Asserts the absolute
-/// hot-path budget of an operation on whichever clock `net` carries and
-/// returns the measured counters for the clock-specific hand-off checks.
-fn metered_leg(net: Network) -> HotPathSnapshot {
+/// hot-path budget of an operation and returns the measured counters.
+fn metered_leg() -> HotPathSnapshot {
+    let net = Network::new();
     net.obs().enable();
     let dollar = CurrencyId(0);
     let (bank_server, treasury_rx) =
@@ -143,20 +142,14 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
         "echo: {OPS} calls must add no fresh buffer and no hot lock: {echo:?}"
     );
 
-    // Metered create + destroy behind F-boxes, on both clocks.
-    let metered = metered_leg(Network::new());
-    // A wall-clock receiver that finds its queue empty waits on it —
-    // parked (and then woken), or spinning where that pays: on a
-    // multi-core host a warm transaction may make no wake at all.
+    // Metered create + destroy behind F-boxes.
+    let metered = metered_leg();
+    // A receiver that finds its queue empty waits on it — parked (and
+    // then woken), or spinning where that pays: on a multi-core host a
+    // warm transaction may make no wake at all.
     assert!(
         metered.queue_parks + metered.queue_spin_hits > 0,
-        "wall-clock receivers wait on their queues: {metered:?}"
-    );
-    let virt = metered_leg(Network::new_virtual());
-    assert_eq!(
-        (virt.queue_wakes, virt.queue_parks, virt.queue_spin_hits),
-        (0, 0, 0),
-        "virtual-clock receivers only poll their queues: {virt:?}"
+        "receivers wait on their queues: {metered:?}"
     );
 
     // Block-backed 32 KiB write + read + destroy: the data crosses two
@@ -193,10 +186,9 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
         block_backed.buffer_allocs
     );
     println!(
-        "fresh buffers per op: echo {}, metered {} (virtual clock {}), block-backed {:.2} (locks/op {:.2})",
+        "fresh buffers per op: echo {}, metered {}, block-backed {:.2} (locks/op {:.2})",
         echo.buffer_allocs,
         metered.buffer_allocs,
-        virt.buffer_allocs,
         block_backed.buffer_allocs as f64 / OPS as f64,
         block_backed.lock_acquisitions as f64 / OPS as f64,
     );

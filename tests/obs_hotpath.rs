@@ -58,7 +58,7 @@ fn disabled_obs_record_path_adds_zero_allocs_and_zero_locks() {
     // Build everything that legitimately allocates *before* the
     // measured window: the network (whose obs handle stays disabled)
     // and a warmed metrics probe.
-    let net = Network::new_virtual();
+    let net = Network::new();
     let obs = net.obs().clone();
     assert!(!obs.enabled(), "a fresh network's recorder starts disabled");
     obs.record(EventKind::TransStart, 0, 0, 0, 0);
@@ -111,7 +111,7 @@ fn cached_resolve_hit_adds_zero_allocs_and_zero_locks() {
     // window: server, tree, the warming resolve that populates the
     // capability cache, and the recorder ring (enabling is a one-time
     // allocation).
-    let net = Network::new_virtual();
+    let net = Network::new();
     net.obs().enable();
     let runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
     let dirs = DirClient::open(&net, runner.put_port()).with_cache(Duration::from_secs(3600));

@@ -2,11 +2,11 @@
 //! captures must be internally ordered — event timestamps monotone
 //! along the span, and each span phase recorded before the phases it
 //! causes (start before wire, wire before demux, demux before the
-//! completion wake). The property must hold under all three clock
-//! disciplines: wall (real sleeps), virtual (timeline jumps), and the
-//! deterministic simulation executor (seeded single-threaded
-//! scheduling) — the recorder reads the shared `Clock`, so a clock
-//! whose timeline ever ran backwards would fail here.
+//! completion wake). The property must hold under both clocks: wall
+//! (real sleeps, real threads) and the deterministic simulation
+//! executor (timeline jumps, seeded single-threaded scheduling) — the
+//! recorder reads the shared `Clock`, so a clock whose timeline ever
+//! ran backwards would fail here.
 
 mod sim_support;
 
@@ -82,11 +82,12 @@ fn assert_traces_causal(events: &[FlightEvent], context: &str) -> usize {
     spans.len()
 }
 
-/// A blocking echo workload on a threaded (wall or virtual clock)
-/// network; returns the recording.
-fn threaded_workload(net: &Network, ops: usize) -> Vec<FlightEvent> {
+/// A blocking echo workload on the wall clock, threads and all;
+/// returns the recording.
+fn threaded_workload(ops: usize) -> Vec<FlightEvent> {
+    let net = Network::new();
     net.obs().enable();
-    let runner = ServiceRunner::spawn_open(net, EchoService);
+    let runner = ServiceRunner::spawn_open(&net, EchoService);
     let client = Client::new(net.attach_open());
     for i in 0..ops {
         let tag = format!("op-{i}");
@@ -178,15 +179,6 @@ proptest! {
         let spans = assert_traces_causal(&events, "sim");
         prop_assert_eq!(spans, 6, "one span per transaction");
     }
-
-    /// Virtual clock: the timeline jumps over modeled latency; spans
-    /// must still read forward.
-    #[test]
-    fn virtual_traces_are_causal(ops in 1usize..4) {
-        let events = threaded_workload(&Network::new_virtual(), ops);
-        let spans = assert_traces_causal(&events, "virtual");
-        prop_assert_eq!(spans, ops);
-    }
 }
 
 /// The registry agrees with the drivers: every completion a driver saw
@@ -223,7 +215,7 @@ fn sim_metrics_registry_agrees_with_the_drivers() {
 /// wall-clock runs cost real milliseconds, one pass is the point.
 #[test]
 fn wall_traces_are_causal() {
-    let events = threaded_workload(&Network::new(), 3);
+    let events = threaded_workload(3);
     let spans = assert_traces_causal(&events, "wall");
     assert_eq!(spans, 3);
 }
@@ -233,7 +225,7 @@ fn wall_traces_are_causal() {
 /// its FIRST hop, without breaking span causality.
 #[test]
 fn resolve_records_a_path_span_under_the_first_hop_trace() {
-    let net = Network::new_virtual();
+    let net = Network::new();
     net.obs().enable();
     let s1 = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
     let s2 = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));

@@ -445,11 +445,9 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
 
     const CALLS: usize = 16;
 
-    // Virtual clock: the 2 ms hops and the 10 ms pipeline flush window
-    // are timeline constructs, so the frame-count assertion no longer
-    // rides on wall-clock margins (the wall version spent >100 ms of
-    // real time just sleeping out hops).
-    let net = Network::new_virtual();
+    // The 2 ms hops are what hold the pool's 16 payment transfers
+    // inside one 10 ms pipeline flush window; nothing here is timed.
+    let net = Network::new();
     let (bank_server, treasury_rx) =
         BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
     let bank_runner = ServiceRunner::spawn_open(&net, bank_server);
@@ -462,9 +460,9 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
         .unwrap();
 
     // Frame counts are the assertion, so every client must be patient
-    // enough that no retransmission ever distorts them (and under the
-    // virtual clock a retransmitted non-idempotent create/destroy can
-    // race its original through two pool workers).
+    // enough that no retransmission ever distorts them (a
+    // retransmitted non-idempotent create/destroy can race its
+    // original through two pool workers).
     let patient = RpcConfig {
         timeout: Duration::from_secs(60),
         attempts: 2,
@@ -537,82 +535,6 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
     );
     runner.stop();
     bank_runner.stop();
-}
-
-/// One §3.6 metered-create round — every CREATE pays through a nested
-/// bank transaction — at 2 ms per hop, on whichever clock `net`
-/// carries. Returns the **real wall-clock** the round took: under
-/// `Network::new_virtual()` the hops are timeline jumps, under
-/// `Network::new()` they are slept out.
-fn metered_create_round(net: &Network, creates: usize) -> Duration {
-    let patient = RpcConfig {
-        timeout: Duration::from_secs(30),
-        attempts: 2,
-    };
-    let (bank_server, treasury_rx) =
-        BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
-    let bank_runner = ServiceRunner::spawn_open(net, bank_server);
-    let treasury = treasury_rx.recv().expect("treasury cap");
-    let bank = BankClient::open(net, bank_runner.put_port());
-    let server_account = bank.open_account().expect("server account");
-    let wallet = bank.open_account().expect("wallet");
-    bank.mint(&treasury, &wallet, CurrencyId(0), 100_000)
-        .expect("mint");
-    let runner = ServiceRunner::spawn_open_workers(
-        net,
-        FlatFsServer::with_quota(
-            SchemeKind::OneWay,
-            QuotaPolicy {
-                bank: BankClient::with_service(
-                    ServiceClient::open_with_config(net, patient),
-                    bank_runner.put_port(),
-                ),
-                server_account,
-                currency: CurrencyId(0),
-                price_per_kib: 1,
-            },
-        ),
-        2,
-    );
-    let fs = FlatFsClient::with_service(
-        ServiceClient::open_with_config(net, patient),
-        runner.put_port(),
-    );
-    net.set_latency(Duration::from_millis(2));
-    let t0 = std::time::Instant::now();
-    for _ in 0..creates {
-        let cap = fs.create_paid(&wallet, 1).expect("metered create");
-        fs.destroy(&cap).expect("destroy");
-    }
-    let elapsed = t0.elapsed();
-    net.set_latency(Duration::ZERO);
-    runner.stop();
-    bank_runner.stop();
-    elapsed
-}
-
-#[test]
-fn virtual_clock_metered_create_is_10x_faster_in_wall_clock() {
-    // The reactor acceptance bar: the 2 ms-hop metered-create workload
-    // under `VirtualClock` must complete ≥10× faster in *real*
-    // wall-clock than under `WallClock`, with identical request counts
-    // and reply contents. Each create costs ≥4 hops (client↔fs plus
-    // the nested fs↔bank transfer) plus the destroy's 2: ≥160 ms of
-    // modeled latency per 16-call round, which the wall clock must
-    // sleep out and the virtual clock jumps. The virtual figure takes
-    // the fastest of three runs: host-scheduling lag only ever slows a
-    // virtual run down.
-    const CALLS: usize = 16;
-    let wall = metered_create_round(&Network::new(), CALLS);
-    let virt = (0..3)
-        .map(|_| metered_create_round(&Network::new_virtual(), CALLS))
-        .min()
-        .unwrap();
-    assert!(
-        virt * 10 <= wall,
-        "virtual clock must beat wall clock ≥10× on the metered-create \
-         round: wall={wall:?} virtual={virt:?}"
-    );
 }
 
 #[test]

@@ -227,8 +227,10 @@ proptest! {
 
 #[test]
 fn cache_staleness_is_bounded_by_the_ttl() {
-    const TTL: Duration = Duration::from_millis(50);
-    let net = Network::new_virtual();
+    // Long next to the few round trips before the stale read, short
+    // enough to sleep out.
+    const TTL: Duration = Duration::from_millis(100);
+    let net = Network::new();
     let runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
     let dirs = DirClient::open(&net, runner.put_port()).with_cache(TTL);
     let other = DirClient::open(&net, runner.put_port());
@@ -248,11 +250,8 @@ fn cache_staleness_is_bounded_by_the_ttl() {
     );
 
     // ...but once the shared timeline passes the TTL, the cache MUST
-    // miss and the server's truth wins. One 100 ms round-trip pushes
-    // the virtual clock well past the 50 ms TTL.
-    net.set_latency(Duration::from_millis(100));
-    let _ = other.create_dir().unwrap();
-    net.set_latency(Duration::ZERO);
+    // miss and the server's truth wins.
+    net.sleep(TTL + Duration::from_millis(5));
     assert_eq!(
         dirs.lookup(&root, "x").unwrap_err(),
         ClientError::Status(Status::NotFound),
