@@ -1,6 +1,17 @@
 //! The client-side capability cache: (directory capability, name) →
 //! capability, with a TTL riding the network's shared [`Clock`].
 //!
+//! The **parent directory is the unit of caching**, as it is the unit
+//! of storage on the server (§3.4: a directory is a set of (name,
+//! capability) pairs). A leaf takes one slot, keyed by the directory it
+//! is entered in; a directory reached by a longer walk takes one more,
+//! keyed `(start, "a/b/c")`. [`CapCache::get`] puts the two together: a
+//! multi-segment path is its dirname's entry, then its basename under
+//! that parent — so every leaf of one directory shares the entry that
+//! names the directory, and no slot holds a whole path to a leaf.
+//! Names are normalised where they are hashed (empty segments do not
+//! count), so `"a//b/"`, `"/a/b"` and `"a/b"` are one key.
+//!
 //! The hit path is the whole point: **zero heap allocations and zero
 //! locks**, so a cached lookup costs hashing the name plus a handful
 //! of atomic loads — cheap enough to consult before every resolution
@@ -105,13 +116,44 @@ pub struct CapCache {
     generation: AtomicU64,
 }
 
-fn fnv1a(basis: u64, dir: &Capability, name: &str) -> u64 {
-    let mut h = basis;
-    for byte in dir.encode().into_iter().chain(name.bytes()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
+/// Both 64-bit FNV-1a hashes of `(dir, name)` in one pass: the two
+/// multiply chains are independent, so the second rides in the first's
+/// latency shadow instead of doubling it. `name` is hashed in its
+/// normal form — segments joined by single slashes, none leading or
+/// trailing.
+fn key(dir: &Capability, name: &str) -> (u64, u64) {
+    let (mut a, mut b) = (FNV_BASIS_A, FNV_BASIS_B);
+    let mut mix = |byte: u8| {
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    };
+    dir.encode().into_iter().for_each(&mut mix);
+    // A slash is owed once a segment has ended, and paid only when
+    // another begins.
+    let (mut in_path, mut owed) = (false, false);
+    for byte in name.bytes() {
+        if byte == b'/' {
+            owed = in_path;
+            continue;
+        }
+        if owed {
+            mix(b'/');
+            owed = false;
+        }
+        mix(byte);
+        in_path = true;
     }
-    h
+    (a, b)
+}
+
+/// Splits `path` at its last segment: `(dirname, basename)`, with
+/// `dirname` empty when the path has a single segment (or none).
+pub(crate) fn split_leaf(path: &str) -> (&str, &str) {
+    let path = path.trim_end_matches('/');
+    match path.rfind('/') {
+        Some(slash) => (path[..slash].trim_end_matches('/'), &path[slash + 1..]),
+        None => ("", path),
+    }
 }
 
 fn nanos(t: Timestamp) -> u64 {
@@ -146,12 +188,40 @@ impl CapCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Looks `(dir, name)` up; `now` is the network's timeline time.
+    /// Looks `path` up under `dir`; `now` is the network's timeline
+    /// time. A single name is one probe; a multi-segment path is two —
+    /// `(dir, dirname)` for the parent directory, then `(parent,
+    /// basename)` — which is exactly what
+    /// [`DirClient::resolve`](crate::DirClient::resolve) consults before
+    /// it sends anything: a hit here is a resolve without a frame.
+    ///
     /// Zero allocations, zero locks, bounded work — a busy or torn
     /// slot reads as a miss rather than being retried, and so does an
     /// entry written under any generation but the current one.
-    pub fn get(&self, dir: &Capability, name: &str, now: Timestamp) -> Option<Capability> {
-        let key_a = fnv1a(FNV_BASIS_A, dir, name);
+    pub fn get(&self, dir: &Capability, path: &str, now: Timestamp) -> Option<Capability> {
+        let (dirname, leaf) = split_leaf(path);
+        let parent = self.parent(dir, dirname, now)?;
+        self.probe(&parent, leaf, now)
+    }
+
+    /// The directory `dirname` names under `dir`: `dir` itself for the
+    /// empty dirname of a single-segment path, else the memoised one.
+    pub(crate) fn parent(
+        &self,
+        dir: &Capability,
+        dirname: &str,
+        now: Timestamp,
+    ) -> Option<Capability> {
+        if dirname.is_empty() {
+            Some(*dir)
+        } else {
+            self.probe(dir, dirname, now)
+        }
+    }
+
+    /// The one slot `(dir, name)` hashes to, if it holds that key alive.
+    pub(crate) fn probe(&self, dir: &Capability, name: &str, now: Timestamp) -> Option<Capability> {
+        let (key_a, key_b) = key(dir, name);
         let slot = self.slot(key_a);
         let s1 = slot.stamp.load(Ordering::Acquire);
         if s1 == 0 || s1 % 2 == 1 {
@@ -166,7 +236,7 @@ impl CapCache {
         if slot.stamp.load(Ordering::Acquire) != s1 {
             return None;
         }
-        if seen_a != key_a || seen_b != fnv1a(FNV_BASIS_B, dir, name) {
+        if seen_a != key_a || seen_b != key_b {
             return None;
         }
         if nanos(now) >= expires || written_under != self.generation() {
@@ -178,8 +248,11 @@ impl CapCache {
         Capability::decode(&wire)
     }
 
-    /// Records `(dir, name) → cap`, expiring `ttl` from `now`.
-    /// Best-effort: a slot busy under a concurrent writer is skipped.
+    /// Records `(dir, name) → cap` in one slot, expiring `ttl` from
+    /// `now`. Best-effort: a slot busy under a concurrent writer is
+    /// skipped. A multi-segment `name` is a *directory* memo — the key
+    /// [`get`](Self::get) looks a path's dirname up under, not a path
+    /// `get` would find a leaf by.
     ///
     /// For a capability that did not come from a server just now (a
     /// test, a warm-up); an answer that raced a possible
@@ -201,7 +274,7 @@ impl CapCache {
         cap: &Capability,
         now: Timestamp,
     ) {
-        let key_a = fnv1a(FNV_BASIS_A, dir, name);
+        let (key_a, key_b) = key(dir, name);
         let slot = self.slot(key_a);
         let Some(s) = slot.claim() else { return };
         let wire = cap.encode();
@@ -210,8 +283,7 @@ impl CapCache {
         hi.copy_from_slice(&wire[..8]);
         lo.copy_from_slice(&wire[8..]);
         slot.key_a.store(key_a, Ordering::Release);
-        slot.key_b
-            .store(fnv1a(FNV_BASIS_B, dir, name), Ordering::Release);
+        slot.key_b.store(key_b, Ordering::Release);
         slot.cap_hi.store(u64::from_be_bytes(hi), Ordering::Release);
         slot.cap_lo.store(u64::from_be_bytes(lo), Ordering::Release);
         slot.expires_ns
@@ -220,26 +292,37 @@ impl CapCache {
         slot.stamp.store(s + 2, Ordering::Release);
     }
 
-    /// Kills any entry for `(dir, name)` — called on `NotFound`, so a
-    /// name another client removed stops being served the moment this
-    /// client notices.
+    /// Kills the one entry keyed `(dir, name)` — called on `NotFound`,
+    /// so a name another client removed stops being served the moment
+    /// this client notices, and on a directory memo that led a resolve
+    /// to an error.
     pub fn invalidate(&self, dir: &Capability, name: &str) {
-        let key_a = fnv1a(FNV_BASIS_A, dir, name);
+        let (key_a, key_b) = key(dir, name);
         let slot = self.slot(key_a);
         let Some(s) = slot.claim() else { return };
         if slot.key_a.load(Ordering::Acquire) == key_a
-            && slot.key_b.load(Ordering::Acquire) == fnv1a(FNV_BASIS_B, dir, name)
+            && slot.key_b.load(Ordering::Acquire) == key_b
         {
             slot.expires_ns.store(0, Ordering::Release);
         }
         slot.stamp.store(s + 2, Ordering::Release);
     }
 
+    /// How many slot writes (inserts and invalidations that claimed
+    /// their slot) the cache has taken: every one moves a stamp by two.
+    #[cfg(test)]
+    pub(crate) fn writes(&self) -> u64 {
+        let stamps = self.slots.iter().map(|s| s.stamp.load(Ordering::Acquire));
+        stamps.map(|stamp| stamp / 2).sum()
+    }
+
     /// Kills *every* entry, by leaving the generation they were
     /// written under — one atomic add, no slot visited. Called after a
-    /// remove or rename, because resolved prefixes are memoised under
-    /// composite `(dir, "a/b/c")` keys that a targeted invalidation
-    /// cannot enumerate (the slots hold only hashes). A pure cache may
+    /// remove or rename, because directories reached by a longer walk
+    /// are memoised under composite `(start, "a/b/c")` keys — the
+    /// removed name may be any segment of any of them, and a targeted
+    /// invalidation cannot enumerate keys it only has hashes of; nor
+    /// can it reach an answer still in flight. A pure cache may
     /// always be dropped; this keeps "this client's own mutations are
     /// never served stale" unconditional — including against an answer
     /// that was on its way while the mutation ran (see
@@ -279,6 +362,66 @@ mod tests {
         // A different name or directory misses.
         assert_eq!(cache.get(&dir, "y", at(10)), None);
         assert_eq!(cache.get(&cap(3), "x", at(10)), None);
+    }
+
+    #[test]
+    fn a_path_is_its_dirname_entry_then_its_basename_under_that_parent() {
+        let cache = CapCache::new(Duration::from_secs(1));
+        let (root, parent, leaf, sibling) = (cap(1), cap(2), cap(3), cap(4));
+        cache.insert(&root, "a/b", &parent, at(0));
+        cache.insert(&parent, "c", &leaf, at(0));
+        assert_eq!(cache.get(&root, "a/b/c", at(1)), Some(leaf));
+        // The directory memo is an entry like any other...
+        assert_eq!(cache.probe(&root, "a/b", at(1)), Some(parent));
+        // ...but `get` reads a path as (dirname, basename): "a/b" is
+        // `b` under whatever `(root, "a")` names, which nobody recorded.
+        assert_eq!(cache.get(&root, "a/b", at(1)), None);
+        // A sibling costs one more slot, not a path of its own.
+        let before = cache.writes();
+        assert_eq!(cache.get(&root, "a/b/d", at(1)), None);
+        cache.insert(&parent, "d", &sibling, at(1));
+        assert_eq!(cache.get(&root, "a/b/d", at(2)), Some(sibling));
+        assert_eq!(cache.writes() - before, 1);
+        // Without the parent there is no way to the leaves.
+        cache.invalidate(&root, "a/b");
+        assert_eq!(cache.get(&root, "a/b/c", at(2)), None);
+        assert_eq!(cache.get(&parent, "c", at(2)), Some(leaf));
+    }
+
+    #[test]
+    fn spellings_of_one_path_are_one_key() {
+        let cache = CapCache::new(Duration::from_secs(1));
+        let (root, parent, leaf) = (cap(1), cap(2), cap(3));
+        cache.insert(&root, "/a//b/", &parent, at(0));
+        cache.insert(&parent, "c/", &leaf, at(0));
+        assert_eq!(cache.writes(), 2);
+        for spelling in ["a/b/c", "/a/b/c", "a//b/c/", "//a/b//c//"] {
+            assert_eq!(cache.get(&root, spelling, at(1)), Some(leaf), "{spelling}");
+        }
+        assert_eq!(key(&root, "a//b/"), key(&root, "a/b"));
+        assert_eq!(key(&root, "/a/b"), key(&root, "a/b"));
+        assert_ne!(key(&root, "ab"), key(&root, "a/b"));
+        assert_eq!(split_leaf("a//b/"), ("a", "b"));
+        assert_eq!(split_leaf("/a"), ("", "a"));
+        assert_eq!(split_leaf("//"), ("", ""));
+        // Rewriting under another spelling lands on the same slot.
+        cache.insert(&root, "a/b", &cap(9), at(1));
+        assert_eq!(cache.probe(&root, "/a//b/", at(2)), Some(cap(9)));
+    }
+
+    #[test]
+    fn both_hashes_are_plain_fnv1a_of_the_normal_form() {
+        let dir = cap(7);
+        let reference = |basis: u64| {
+            let bytes = dir.encode().into_iter().chain("seg0/seg1/f17".bytes());
+            bytes.fold(basis, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+            })
+        };
+        assert_eq!(
+            key(&dir, "/seg0//seg1/f17/"),
+            (reference(FNV_BASIS_A), reference(FNV_BASIS_B))
+        );
     }
 
     #[test]
@@ -395,10 +538,10 @@ mod tests {
     /// but is a different key — the adversarial collision the 128-bit
     /// key check exists for. With 512 slots, ~512 candidates suffice.
     fn colliding_name(dir: &Capability, reference: &str, tag: usize) -> String {
-        let slot = fnv1a(FNV_BASIS_A, dir, reference) as usize & (SLOTS - 1);
+        let slot = key(dir, reference).0 as usize & (SLOTS - 1);
         (0usize..)
             .map(|i| format!("collide-{tag}-{i}"))
-            .find(|n| fnv1a(FNV_BASIS_A, dir, n) as usize & (SLOTS - 1) == slot)
+            .find(|n| key(dir, n).0 as usize & (SLOTS - 1) == slot)
             .expect("the candidate stream is infinite")
     }
 

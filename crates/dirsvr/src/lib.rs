@@ -16,7 +16,10 @@
 //! walks every locally-owned segment itself and hands back either the
 //! final capability or the capability at the first cross-server
 //! boundary, where the client resumes — plus an optional client-side
-//! [`CapCache`] so repeated resolutions cost no frames at all.
+//! [`CapCache`], keyed by parent directory: a repeated resolution costs
+//! no frame at all, and a *sibling* of a resolved leaf costs one
+//! single-segment frame, because the reply also names the directory
+//! the leaf was found in.
 //!
 //! # Example
 //!
@@ -80,11 +83,17 @@ pub mod ops {
     ///
     /// The reply is always `Status::Ok` at the envelope level with a
     /// structured body — `u32 consumed`, `u32 status`, and (when
-    /// `status` is `Ok`) the capability reached — so the client learns
+    /// `status` is `Ok`) the capability reached, then the capability
+    /// of the directory its name was found in — so the client learns
     /// *how far* the walk got even on failure, which a bare error
     /// status could not carry. `consumed < total segments` with an
     /// `Ok` status is the cross-server handoff: the client resumes at
     /// the returned capability's port.
+    ///
+    /// The parent is the request capability when one segment was
+    /// consumed and otherwise the stored entry the walk just read —
+    /// what `LOOKUP`, segment by segment, would have returned, never a
+    /// capability minted for the reply.
     pub const RESOLVE: u32 = 8;
 }
 
@@ -206,12 +215,17 @@ impl DirServer {
     }
 
     /// Encodes the RESOLVE reply body: how far the walk got, what
-    /// stopped it (or `Ok`), and the capability reached if any. Always
-    /// an `Ok` envelope — a bare error status cannot carry `consumed`.
-    fn resolve_reply(consumed: u32, status: Status, cap: Option<&Capability>) -> Reply {
+    /// stopped it (or `Ok`), and — if it got anywhere — the capability
+    /// reached and the directory it was found in. Always an `Ok`
+    /// envelope: a bare error status cannot carry `consumed`.
+    fn resolve_reply(
+        consumed: u32,
+        status: Status,
+        found: Option<(&Capability, &Capability)>,
+    ) -> Reply {
         let mut w = wire::Writer::new().u32(consumed).u32(status as u32);
-        if let Some(cap) = cap {
-            w = w.cap(cap);
+        if let Some((cap, parent)) = found {
+            w = w.cap(cap).cap(parent);
         }
         Reply::ok(w.finish())
     }
@@ -226,11 +240,12 @@ impl DirServer {
         let own_port = self.table.port();
         let mut current = req.cap;
         let mut consumed = 0u32;
-        let mut segs = path.split('/').filter(|s| !s.is_empty()).peekable();
+        let mut segs = segments(path).peekable();
         if segs.peek().is_none() {
-            // An empty path still validates the starting capability.
+            // An empty path still validates the starting capability,
+            // which is then both what was reached and where.
             return match self.table.with_object(&req.cap, Rights::READ, |_| ()) {
-                Ok(()) => Self::resolve_reply(0, Status::Ok, Some(&req.cap)),
+                Ok(()) => Self::resolve_reply(0, Status::Ok, Some((&req.cap, &req.cap))),
                 Err(e) => Self::resolve_reply(0, e.into(), None),
             };
         }
@@ -243,8 +258,11 @@ impl DirServer {
                     consumed += 1;
                     if segs.peek().is_none() || cap.port != own_port {
                         // Done — or the chain crosses to another
-                        // server and the client resumes there.
-                        return Self::resolve_reply(consumed, Status::Ok, Some(&cap));
+                        // server and the client resumes there. Either
+                        // way `current` is where `segment` was found:
+                        // the request capability, or an entry read on
+                        // the way here.
+                        return Self::resolve_reply(consumed, Status::Ok, Some((&cap, &current)));
                     }
                     current = cap;
                 }
@@ -338,14 +356,14 @@ impl From<PathError> for ClientError {
     }
 }
 
+/// The segments of a `/`-separated path; empty ones do not count.
+fn segments(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|s| !s.is_empty())
+}
+
 /// Builds a [`PathError`] for segment `index` of `path`.
 fn path_error(path: &str, index: usize, error: ClientError) -> PathError {
-    let segment = path
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .nth(index)
-        .unwrap_or_default()
-        .to_owned();
+    let segment = segments(path).nth(index).unwrap_or_default().to_owned();
     PathError {
         index,
         segment,
@@ -377,6 +395,16 @@ fn split_after_segments(path: &str, n: usize) -> (&str, &str) {
     (path, "")
 }
 
+/// What one `RESOLVE` reply says of a walk that got somewhere.
+struct Hop {
+    /// Segments of the request's path the server consumed (≥ 1).
+    consumed: usize,
+    /// The capability the last of them names.
+    cap: Capability,
+    /// The directory that segment was found in.
+    parent: Capability,
+}
+
 /// A typed client for directory servers.
 ///
 /// Note the client is *not* bound to one server: every operation routes
@@ -391,7 +419,10 @@ fn split_after_segments(path: &str, n: usize) -> (&str, &str) {
 /// thread that shares the client: an answer is cached under the cache
 /// generation read before its request went out, and a mutation ends
 /// that generation when its reply arrives, so a lookup that was in
-/// flight across a `remove` is not served after it.
+/// flight across a `remove` is not served after it. What the TTL
+/// bounds is a stale *answer*; a stale *error* does not exist — a
+/// resolve that fails below a cached directory asks again from its
+/// root before it reports.
 #[derive(Debug)]
 pub struct DirClient {
     svc: ServiceClient,
@@ -439,6 +470,13 @@ impl DirClient {
         self.svc.rpc().endpoint().now()
     }
 
+    /// The cache, if enabled, with the one clock reading that every
+    /// probe and insert of an operation shares. Read before anything is
+    /// asked, so an entry's TTL starts no later than its answer.
+    fn cached(&self) -> Option<(&CapCache, Timestamp)> {
+        self.cache.as_ref().map(|cache| (cache, self.now()))
+    }
+
     /// The cache generation a request about to be sent is asked in;
     /// its answer is cached under this one, whatever happens meanwhile.
     fn generation(&self) -> u64 {
@@ -447,8 +485,8 @@ impl DirClient {
 
     /// Ends the cache generation once a mutation's reply is in, on
     /// success and on error (an error does not say the server did
-    /// nothing). Not a targeted kill: resolved prefixes are memoised
-    /// under composite keys the name may be part of. After the reply,
+    /// nothing). Not a targeted kill: directories are memoised under
+    /// composite keys the name may be a segment of. After the reply,
     /// not before the request: everything cached so far dies either
     /// way, and so does an answer another thread asked for before the
     /// mutation and records after it.
@@ -475,30 +513,45 @@ impl DirClient {
         wire::Reader::new(&body).cap().ok_or(ClientError::Malformed)
     }
 
+    /// One name in one directory, through the cache — the step
+    /// [`lookup`](Self::lookup) is and [`resolve`](Self::resolve) ends
+    /// on, owned once: probe; else `ask` the directory's server and
+    /// record what it said — an answer under the generation read before
+    /// asking, a `NotFound` as a kill.
+    fn single(
+        &self,
+        dir: &Capability,
+        name: &str,
+        cached: Option<(&CapCache, Timestamp)>,
+        ask: impl FnOnce() -> Result<Capability, ClientError>,
+    ) -> Result<Capability, ClientError> {
+        let Some((cache, now)) = cached else {
+            return ask();
+        };
+        if let Some(cap) = cache.probe(dir, name, now) {
+            return Ok(cap);
+        }
+        let asked_in = cache.generation();
+        let result = ask();
+        match &result {
+            Ok(cap) => cache.insert_under(asked_in, dir, name, cap, now),
+            Err(ClientError::Status(Status::NotFound)) => cache.invalidate(dir, name),
+            Err(_) => {}
+        }
+        result
+    }
+
     /// Looks `name` up in `dir` (routed to `dir.port`). With a cache
     /// enabled, a live cached entry answers without any frame.
     ///
     /// # Errors
     /// `NotFound`, rights/validation errors.
     pub fn lookup(&self, dir: &Capability, name: &str) -> Result<Capability, ClientError> {
-        if let Some(cache) = &self.cache {
-            if let Some(cap) = cache.get(dir, name, self.now()) {
-                return Ok(cap);
-            }
-        }
-        let asked_in = self.generation();
-        let result = self
-            .svc
-            .call(dir, ops::LOOKUP, wire::Writer::new().str(name).finish())
-            .and_then(|body| wire::Reader::new(&body).cap().ok_or(ClientError::Malformed));
-        if let Some(cache) = &self.cache {
-            match &result {
-                Ok(cap) => cache.insert_under(asked_in, dir, name, cap, self.now()),
-                Err(ClientError::Status(Status::NotFound)) => cache.invalidate(dir, name),
-                Err(_) => {}
-            }
-        }
-        result
+        self.single(dir, name, self.cached(), || {
+            self.svc
+                .call(dir, ops::LOOKUP, wire::Writer::new().str(name).finish())
+                .and_then(|body| wire::Reader::new(&body).cap().ok_or(ClientError::Malformed))
+        })
     }
 
     /// Enters `(name, cap)` into `dir`.
@@ -506,14 +559,15 @@ impl DirClient {
     /// # Errors
     /// `Conflict` if the name exists; rights/validation errors.
     pub fn enter(&self, dir: &Capability, name: &str, cap: &Capability) -> Result<(), ClientError> {
+        let cached = self.cached();
         let asked_in = self.generation();
         self.svc.call(
             dir,
             ops::ENTER,
             wire::Writer::new().str(name).cap(cap).finish(),
         )?;
-        if let Some(cache) = &self.cache {
-            cache.insert_under(asked_in, dir, name, cap, self.now());
+        if let Some((cache, now)) = cached {
+            cache.insert_under(asked_in, dir, name, cap, now);
         }
         Ok(())
     }
@@ -581,7 +635,7 @@ impl DirClient {
     /// rights/validation errors.
     pub fn walk(&self, root: &Capability, path: &str) -> Result<Capability, PathError> {
         let mut current = *root;
-        for (index, segment) in path.split('/').filter(|s| !s.is_empty()).enumerate() {
+        for (index, segment) in segments(path).enumerate() {
             current = self.lookup(&current, segment).map_err(|error| PathError {
                 index,
                 segment: segment.to_owned(),
@@ -595,9 +649,15 @@ impl DirClient {
     /// server-side walk: **one frame per hop-chain** instead of one
     /// per component. Each server consumes every segment it can serve
     /// locally; the client only resumes at genuine cross-server
-    /// boundaries, exactly the transparency §3.4 describes. With a
-    /// cache enabled, consumed prefixes and the full path are recorded
-    /// and a live hit costs zero frames.
+    /// boundaries, exactly the transparency §3.4 describes.
+    ///
+    /// With a cache enabled the parent directory is what is remembered:
+    /// the path's dirname is one entry under `root`, its last segment
+    /// one entry under that directory. Both live — no frame. Only the
+    /// leaf missing — one single-segment frame to the directory's own
+    /// server, however deep it lies and however many servers the walk
+    /// to it crossed. Otherwise the walk below, which records each
+    /// hop's parent and leaf as the replies name them.
     ///
     /// Records an [`EventKind::PathResolve`] span event (operands:
     /// hops, segments consumed) under the first hop's trace id, so
@@ -605,88 +665,140 @@ impl DirClient {
     ///
     /// # Errors
     /// A [`PathError`] naming the failing segment, in parity with
-    /// [`walk`](Self::walk).
+    /// [`walk`](Self::walk). An error met below a *cached* directory
+    /// is not reported: another client may have replaced that directory
+    /// inside the TTL, so its entry is killed and the path asked again
+    /// from `root`, and that answer stands.
     pub fn resolve(&self, root: &Capability, path: &str) -> Result<Capability, PathError> {
         let endpoint = self.svc.rpc().endpoint();
         // Peeked *before* the first hop: the first transaction will
         // mint exactly this id, tying the PathResolve span event to
         // the hop-chain it summarises.
         let trace_hint = self.svc.rpc().trace_peek();
-        // One read covers every hop: the end-to-end memo below depends
-        // on all of them.
-        let asked_in = self.generation();
-        let full = path.trim_start_matches('/');
-        let mut current = *root;
-        let mut rest = full;
-        let mut base = 0usize;
         let mut hops = 0u64;
-        while !rest.is_empty() {
-            if let Some(cache) = &self.cache {
-                if let Some(cap) = cache.get(&current, rest, endpoint.now()) {
-                    base += rest.split('/').filter(|s| !s.is_empty()).count();
-                    current = cap;
-                    break;
+        let cap = self.resolve_counting(root, path, &mut hops)?;
+        // Neither the clock nor the path is read again for an event
+        // nobody records.
+        let obs = endpoint.obs();
+        if obs.enabled() {
+            let now = endpoint
+                .now()
+                .since_epoch()
+                .as_nanos()
+                .min(u64::MAX as u128) as u64;
+            // A pure cache hit is not transaction-scoped (no trans
+            // ran): trace 0 keeps it out of per-transaction spans.
+            let trace = if hops == 0 { 0 } else { trace_hint };
+            let consumed = segments(path).count() as u64;
+            obs.record(EventKind::PathResolve, now, trace, hops, consumed);
+        }
+        Ok(cap)
+    }
+
+    /// [`resolve`](Self::resolve), counting the transactions it sends.
+    fn resolve_counting(
+        &self,
+        root: &Capability,
+        path: &str,
+        hops: &mut u64,
+    ) -> Result<Capability, PathError> {
+        let (dirname, leaf) = cache::split_leaf(path);
+        if leaf.is_empty() {
+            // No segment at all: `root` names itself.
+            return Ok(*root);
+        }
+        let cached = self.cached();
+        if let Some((cache, now)) = cached {
+            if let Some(parent) = cache.parent(root, dirname, now) {
+                let step = self.single(&parent, leaf, cached, || {
+                    *hops += 1;
+                    self.resolve_hop(&parent, leaf)
+                        .map(|hop| hop.cap)
+                        .map_err(|(_, error)| error)
+                });
+                match step {
+                    Ok(cap) => return Ok(cap),
+                    // Hearsay: the directory came out of the cache.
+                    Err(ClientError::Status(_)) if !dirname.is_empty() => {
+                        cache.invalidate(root, dirname);
+                    }
+                    Err(error) => {
+                        return Err(path_error(path, segments(dirname).count(), error));
+                    }
                 }
             }
-            hops += 1;
-            let body = self
-                .svc
-                .call(
-                    &current,
-                    ops::RESOLVE,
-                    wire::Writer::new().str(rest).finish(),
-                )
-                .map_err(|error| path_error(full, base, error))?;
-            let mut r = wire::Reader::new(&body);
-            let (Some(consumed), Some(status_raw)) = (r.u32(), r.u32()) else {
-                return Err(path_error(full, base, ClientError::Malformed));
-            };
-            let Some(status) = Status::from_u32(status_raw) else {
-                return Err(path_error(full, base, ClientError::Malformed));
-            };
-            let consumed = consumed as usize;
-            if status != Status::Ok {
-                return Err(path_error(
-                    full,
-                    base + consumed,
-                    ClientError::Status(status),
-                ));
-            }
-            let Some(cap) = r.cap() else {
-                return Err(path_error(full, base, ClientError::Malformed));
-            };
-            if consumed == 0 {
-                // A server consuming nothing on a non-empty path would
-                // loop the client forever; treat it as a broken reply.
-                return Err(path_error(full, base, ClientError::Malformed));
-            }
-            let (prefix, after) = split_after_segments(rest, consumed);
-            if let Some(cache) = &self.cache {
-                cache.insert_under(asked_in, &current, prefix, &cap, endpoint.now());
-            }
-            base += consumed;
-            current = cap;
-            rest = after.trim_start_matches('/');
         }
-        if hops > 1 {
-            // Multi-hop chains also memoise end-to-end, so the repeat
-            // resolution is a single cache probe.
-            if let Some(cache) = &self.cache {
-                cache.insert_under(asked_in, root, full, &current, endpoint.now());
+
+        // The walk from `root`, every answer fresh from its server.
+        // One generation read covers every hop: the memo across hops
+        // depends on all of them.
+        let asked_in = self.generation();
+        let (mut current, mut base) = (*root, 0usize);
+        let mut rest = path.trim_start_matches('/');
+        while !rest.is_empty() {
+            *hops += 1;
+            let hop = self
+                .resolve_hop(&current, rest)
+                .map_err(|(consumed, error)| path_error(path, base + consumed, error))?;
+            let (prefix, after) = split_after_segments(rest, hop.consumed);
+            let after = after.trim_start_matches('/');
+            if let Some((cache, now)) = cached {
+                let (to_parent, last) = cache::split_leaf(prefix);
+                if !to_parent.is_empty() {
+                    cache.insert_under(asked_in, &current, to_parent, &hop.parent, now);
+                }
+                cache.insert_under(asked_in, &hop.parent, last, &hop.cap, now);
+                if after.is_empty() && base > 0 {
+                    // The hop that finished started somewhere else, so
+                    // nothing above ties the leaf's directory to
+                    // `root`: one memo across hops, and the leaf's next
+                    // sibling is a single frame.
+                    cache.insert_under(asked_in, root, dirname, &hop.parent, now);
+                }
             }
+            base += hop.consumed;
+            current = hop.cap;
+            rest = after;
         }
-        let now = endpoint
-            .now()
-            .since_epoch()
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
-        // A pure cache hit is not transaction-scoped (no trans ran):
-        // trace 0 keeps it out of per-transaction spans.
-        let trace = if hops == 0 { 0 } else { trace_hint };
-        endpoint
-            .obs()
-            .record(EventKind::PathResolve, now, trace, hops, base as u64);
         Ok(current)
+    }
+
+    /// One `RESOLVE` transaction: `rest` asked of `dir`'s server. An
+    /// error says how many segments the server consumed before it.
+    fn resolve_hop(&self, dir: &Capability, rest: &str) -> Result<Hop, (usize, ClientError)> {
+        const MALFORMED: (usize, ClientError) = (0, ClientError::Malformed);
+        let body = self
+            .svc
+            .call(dir, ops::RESOLVE, wire::Writer::new().str(rest).finish())
+            .map_err(|error| (0, error))?;
+        let mut r = wire::Reader::new(&body);
+        let (Some(consumed), Some(status)) = (r.u32(), r.u32().and_then(Status::from_u32)) else {
+            return Err(MALFORMED);
+        };
+        let consumed = consumed as usize;
+        if status != Status::Ok {
+            return Err((consumed, ClientError::Status(status)));
+        }
+        let (Some(cap), Some(parent)) = (r.cap(), r.cap()) else {
+            return Err(MALFORMED);
+        };
+        if consumed == 0 {
+            // A server consuming nothing on a non-empty path would
+            // loop the client forever; treat it as a broken reply.
+            return Err(MALFORMED);
+        }
+        if parent.port != dir.port || (consumed == 1 && parent != *dir) {
+            // A server walks only what it serves, so the directory its
+            // last step was in is one of its own — the one asked, one
+            // step in. Entries get cached *under* this capability: a
+            // server must not be able to name a directory elsewhere.
+            return Err(MALFORMED);
+        }
+        Ok(Hop {
+            consumed,
+            cap,
+            parent,
+        })
     }
 
     /// Access to the generic capability operations.
@@ -1001,6 +1113,140 @@ mod tests {
         assert_eq!(err.index, 0);
         assert_eq!(err.error, ClientError::Status(Status::NotFound));
         runner.stop();
+    }
+
+    #[test]
+    fn cold_siblings_of_one_directory_write_one_slot_each() {
+        const SIBLINGS: usize = 16;
+        // Four directories on each of two servers, leaves in the last —
+        // entered by another client, so the cache under test is cold.
+        let net = Network::new();
+        let runner1 = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
+        let runner2 = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
+        let builder = DirClient::open(&net, runner1.put_port());
+        let root = builder.create_dir_on(runner1.put_port()).unwrap();
+        let mut dir = root;
+        for level in 0..8 {
+            let runner = if level < 4 { &runner1 } else { &runner2 };
+            let next = builder.create_dir_on(runner.put_port()).unwrap();
+            builder.enter(&dir, &format!("s{level}"), &next).unwrap();
+            dir = next;
+        }
+        let leaves: Vec<Capability> = (0..SIBLINGS)
+            .map(|i| {
+                let leaf = builder.create_dir_on(runner2.put_port()).unwrap();
+                builder.enter(&dir, &format!("f{i}"), &leaf).unwrap();
+                leaf
+            })
+            .collect();
+
+        let dirs = DirClient::open(&net, runner1.put_port()).with_cache(Duration::from_secs(60));
+        let cache = dirs.cache().unwrap();
+        for (i, leaf) in leaves.iter().enumerate() {
+            let path = format!("s0/s1/s2/s3/s4/s5/s6/s7/f{i}");
+            let before = net.stats().snapshot().packets_sent;
+            assert_eq!(dirs.resolve(&root, &path).unwrap(), *leaf);
+            let frames = net.stats().snapshot().packets_sent - before;
+            // The first walks both chains; every other asks its
+            // directory for one name.
+            assert_eq!(frames, if i == 0 { 4 } else { 2 }, "{path}");
+            assert_eq!(cache.get(&root, &path, dirs.now()), Some(*leaf));
+        }
+        // One slot per leaf, and four for the way there: `s0/s1/s2/s3`
+        // under the root, `s4` under that (the handoff), `s5/s6/s7`
+        // under that, and the whole dirname under the root. Memoising
+        // whole paths instead writes 2 × SIBLINGS + 1.
+        let chain = 4;
+        assert!(
+            cache.writes() <= (SIBLINGS + chain) as u64,
+            "{} slot writes for {SIBLINGS} siblings",
+            cache.writes()
+        );
+        runner1.stop();
+        runner2.stop();
+    }
+
+    #[test]
+    fn spellings_of_one_path_hit_the_same_slots() {
+        let (net, runner, dirs) = setup();
+        let dirs = dirs.with_cache(Duration::from_secs(60));
+        let builder = DirClient::open(&net, runner.put_port());
+        let (root, leaf, path) = deep_chain(&builder, 3);
+        assert_eq!(dirs.resolve(&root, &path).unwrap(), leaf);
+
+        let cache = dirs.cache().unwrap();
+        let (writes, frames) = (cache.writes(), net.stats().snapshot().packets_sent);
+        for spelling in ["s0/s1/s2", "/s0/s1/s2", "s0//s1/s2/", "//s0/s1//s2//"] {
+            assert_eq!(dirs.resolve(&root, spelling).unwrap(), leaf, "{spelling}");
+        }
+        // `lookup` and the leaf step are one function: the directory
+        // the resolve ended in answers for its name without a frame.
+        let s1 = dirs.walk(&root, "s0/s1").unwrap();
+        assert_eq!(dirs.lookup(&s1, "s2").unwrap(), leaf);
+        assert_eq!(
+            cache.writes(),
+            writes + 2,
+            "walk recorded s0 and s1, no more"
+        );
+        assert_eq!(net.stats().snapshot().packets_sent, frames + 4);
+        runner.stop();
+    }
+
+    /// A directory server that answers every multi-segment RESOLVE
+    /// with `planted` where the parent directory belongs.
+    struct LyingParent {
+        inner: DirServer,
+        planted: Capability,
+    }
+
+    impl Service for LyingParent {
+        fn bind(&mut self, put_port: Port) {
+            self.inner.bind(put_port);
+        }
+
+        fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
+            let reply = self.inner.handle(req, ctx);
+            if req.command != ops::RESOLVE || reply.body.len() != 40 {
+                return reply;
+            }
+            let mut body = reply.body[..24].to_vec();
+            body.extend_from_slice(&self.planted.encode());
+            Reply::ok(Bytes::from(body))
+        }
+    }
+
+    #[test]
+    fn a_parent_on_another_server_is_refused_not_cached_under() {
+        // The victim: a directory on an honest server, `x` in it.
+        let net = Network::new();
+        let honest = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
+        let builder = DirClient::open(&net, honest.put_port());
+        let (victim, x) = (builder.create_dir().unwrap(), builder.create_dir().unwrap());
+        builder.enter(&victim, "x", &x).unwrap();
+        // A server that knows the victim's capability and would like
+        // this client to believe `x` in it is something of its own.
+        let liar = ServiceRunner::spawn_open(
+            &net,
+            LyingParent {
+                inner: DirServer::new(SchemeKind::Commutative),
+                planted: victim,
+            },
+        );
+        let (root, a, evil) = (
+            builder.create_dir_on(liar.put_port()).unwrap(),
+            builder.create_dir_on(liar.put_port()).unwrap(),
+            builder.create_dir_on(liar.put_port()).unwrap(),
+        );
+        builder.enter(&root, "a", &a).unwrap();
+        builder.enter(&a, "x", &evil).unwrap();
+
+        let dirs = DirClient::open(&net, honest.put_port()).with_cache(Duration::from_secs(60));
+        let err = dirs.resolve(&root, "a/x").unwrap_err();
+        assert_eq!(err.error, ClientError::Malformed);
+        assert_eq!(dirs.cache().unwrap().writes(), 0, "nothing recorded");
+        assert_eq!(dirs.lookup(&victim, "x").unwrap(), x);
+        honest.stop();
+        liar.stop();
     }
 
     /// A directory server that holds its first LOOKUP answer back

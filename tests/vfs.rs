@@ -12,7 +12,13 @@
 //! * `resolve` agrees with the sequential `walk` oracle over random
 //!   trees, including cross-server links, down to the failing segment
 //!   index;
-//! * a cached entry never outlives an external rename beyond the TTL;
+//! * a cached entry never outlives an external rename beyond the TTL,
+//!   and an error met below a cached directory is never reported
+//!   without asking again from the root;
+//! * the capability cache is keyed by parent directory: a sibling of a
+//!   resolved leaf costs **one single-segment transaction**, a cold
+//!   path costs what it always did, and a `RESOLVE` reply names no
+//!   capability a segment-by-segment walk would not have returned;
 //! * under the deterministic simulation executor, resolution hammered
 //!   mid-rename only ever observes the two legal outcomes.
 
@@ -22,12 +28,12 @@ use amoeba::dirsvr::{ops as dir_ops, DirClient, DirServer};
 use amoeba::prelude::*;
 use amoeba::rpc::Client;
 use amoeba::server::proto::{null_cap, Reply, Request};
-use amoeba::server::wire;
+use amoeba::server::{wire, RequestCtx, Service};
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn frames(net: &Network) -> u64 {
@@ -48,17 +54,22 @@ fn cross_server_chain(
     let s1 = ServiceRunner::spawn_open(net, DirServer::new(SchemeKind::OneWay));
     let s2 = ServiceRunner::spawn_open(net, DirServer::new(SchemeKind::Commutative));
     let dirs = DirClient::open(net, s1.put_port());
-    let root = dirs.create_dir_on(s1.put_port()).unwrap();
+    let (root, leaf) = enter_deep_path(&dirs, s1.put_port(), s2.put_port());
+    (s1, s2, dirs, root, leaf)
+}
+
+/// Creates a root on `near` and enters [`DEEP_PATH`] under it — `seg0`
+/// to `seg3` on `near`, `seg4` to `seg7` on `far` — returning the root
+/// and `seg7`.
+fn enter_deep_path(dirs: &DirClient, near: Port, far: Port) -> (Capability, Capability) {
+    let root = dirs.create_dir_on(near).unwrap();
     let mut current = root;
-    let mut leaf = root;
     for i in 0..8 {
-        let port = if i < 4 { s1.put_port() } else { s2.put_port() };
-        let next = dirs.create_dir_on(port).unwrap();
+        let next = dirs.create_dir_on(if i < 4 { near } else { far }).unwrap();
         dirs.enter(&current, &format!("seg{i}"), &next).unwrap();
         current = next;
-        leaf = next;
     }
-    (s1, s2, dirs, root, leaf)
+    (root, current)
 }
 
 const DEEP_PATH: &str = "seg0/seg1/seg2/seg3/seg4/seg5/seg6/seg7";
@@ -219,6 +230,17 @@ proptest! {
             let r = dirs.resolve(&root, &ghost).unwrap_err();
             prop_assert_eq!(&w, &r);
             prop_assert_eq!(&w.segment, "ghost");
+            // The same through a warm cache, where the walk starts at
+            // the ghost's cached parent: same index, same segment —
+            // and the same again once the NotFound has been noted.
+            prop_assert_eq!(&cached.resolve(&root, &ghost).unwrap_err(), &w);
+            prop_assert_eq!(&cached.resolve(&root, &format!("/{ghost}//")).unwrap_err(), &w);
+        }
+        // Every node again, now that its siblings and the ghosts beside
+        // it have been through the cache, under another spelling.
+        for (cap, path) in caps.iter().zip(&paths) {
+            let respelt = format!("/{}/", path.replace('/', "//"));
+            prop_assert_eq!(&cached.resolve(&root, &respelt).unwrap(), cap);
         }
         s1.stop();
         s2.stop();
@@ -261,6 +283,299 @@ fn cache_staleness_is_bounded_by_the_ttl() {
     runner.stop();
 }
 
+#[test]
+fn an_error_below_a_cached_directory_is_asked_again_from_the_root() {
+    // Nothing expires here: what is under test is what the TTL does
+    // NOT excuse.
+    const TTL: Duration = Duration::from_secs(3600);
+    let net = Network::new();
+    let runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
+    let dirs = DirClient::open(&net, runner.put_port()).with_cache(TTL);
+    let other = DirClient::open(&net, runner.put_port());
+
+    let root = other.create_dir().unwrap();
+    let (old, x) = (other.create_dir().unwrap(), other.create_dir().unwrap());
+    other.enter(&root, "d", &old).unwrap();
+    other.enter(&old, "x", &x).unwrap();
+    assert_eq!(dirs.resolve(&root, "d/x").unwrap(), x); // (root, "d") is warm
+
+    // ANOTHER client replaces `d` with a directory that holds `y`.
+    let (new, y) = (other.create_dir().unwrap(), other.create_dir().unwrap());
+    other.enter(&new, "y", &y).unwrap();
+    other.remove(&root, "d").unwrap();
+    other.enter(&root, "d", &new).unwrap();
+
+    // The cached `d` has no `y`. That NotFound is the old directory's,
+    // not the path's: one failed transaction, one from the root.
+    let before = frames(&net);
+    assert_eq!(
+        dirs.resolve(&root, "d/y").unwrap(),
+        y,
+        "a NotFound below a cached directory was reported as the path's"
+    );
+    assert_eq!(frames(&net) - before, 4);
+    // The stale entry was killed on the way: `d` is the new directory
+    // now, so its sibling is one transaction and `x` is truly gone.
+    let z = other.create_dir().unwrap();
+    other.enter(&new, "z", &z).unwrap();
+    let before = frames(&net);
+    assert_eq!(dirs.resolve(&root, "d/z").unwrap(), z);
+    assert_eq!(frames(&net) - before, 2);
+    let gone = dirs.resolve(&root, "d/x").unwrap_err();
+    assert_eq!(gone, other.walk(&root, "d/x").unwrap_err());
+    assert_eq!((gone.index, gone.segment.as_str()), (1, "x"));
+
+    // The same for an error that is not NotFound: the cached directory
+    // is deleted outright, and its capability validates nowhere.
+    assert_eq!(dirs.resolve(&root, "d/z").unwrap(), z); // (root, "d") warm again
+    let newer = other.create_dir().unwrap();
+    other.enter(&newer, "y", &y).unwrap();
+    other.remove(&root, "d").unwrap();
+    other.enter(&root, "d", &newer).unwrap();
+    for name in ["y", "z"] {
+        other.remove(&new, name).unwrap();
+    }
+    other.delete_dir(&new).unwrap();
+    assert_eq!(dirs.resolve(&root, "d/y").unwrap(), y);
+
+    // What the TTL does excuse is unchanged: a stale POSITIVE. `y` is
+    // renamed by the other client and still served here.
+    other.rename(&newer, "y", "w").unwrap();
+    assert_eq!(dirs.resolve(&root, "d/y").unwrap(), y);
+    runner.stop();
+}
+
+/// A directory server that notes every `RESOLVE` it answers: the path
+/// it was asked and the `consumed` it replied.
+struct ResolveTap {
+    inner: DirServer,
+    seen: Arc<Mutex<Vec<(String, u32)>>>,
+}
+
+impl Service for ResolveTap {
+    fn bind(&mut self, put_port: Port) {
+        self.inner.bind(put_port);
+    }
+
+    fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
+        let reply = self.inner.handle(req, ctx);
+        if req.command == dir_ops::RESOLVE {
+            let path = wire::Reader::new(&req.params).str().expect("a path");
+            let consumed = wire::Reader::new(&reply.body).u32().expect("consumed");
+            self.seen.lock().unwrap().push((path, consumed));
+        }
+        reply
+    }
+}
+
+/// The benchmark's tree with taps on both servers: [`DEEP_PATH`] across
+/// the two, `files.len()` leaves `f0`, `f1`, … in its last directory.
+struct TappedTree {
+    runners: [ServiceRunner; 2],
+    /// Every `RESOLVE` either server answered: (path asked, consumed).
+    seen: Arc<Mutex<Vec<(String, u32)>>>,
+    /// A caching client that took no part in building the tree: cold.
+    dirs: DirClient,
+    root: Capability,
+    /// `seg7`, where the leaves are.
+    leaf_dir: Capability,
+    files: Vec<Capability>,
+}
+
+impl TappedTree {
+    fn build(net: &Network, leaves: usize) -> TappedTree {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let tap = |scheme| ResolveTap {
+            inner: DirServer::new(scheme),
+            seen: Arc::clone(&seen),
+        };
+        let s1 = ServiceRunner::spawn_open(net, tap(SchemeKind::OneWay));
+        let s2 = ServiceRunner::spawn_open(net, tap(SchemeKind::Commutative));
+        let builder = DirClient::open(net, s1.put_port());
+        let (root, leaf_dir) = enter_deep_path(&builder, s1.put_port(), s2.put_port());
+        let files = (0..leaves)
+            .map(|i| {
+                let file = builder.create_dir_on(s2.put_port()).unwrap();
+                builder.enter(&leaf_dir, &format!("f{i}"), &file).unwrap();
+                file
+            })
+            .collect();
+        TappedTree {
+            dirs: DirClient::open(net, s1.put_port()).with_cache(Duration::from_secs(3600)),
+            runners: [s1, s2],
+            seen,
+            root,
+            leaf_dir,
+            files,
+        }
+    }
+
+    /// The `RESOLVE`s answered since the last call.
+    fn take_seen(&self) -> Vec<(String, u32)> {
+        std::mem::take(&mut *self.seen.lock().unwrap())
+    }
+
+    fn stop(self) {
+        for runner in self.runners {
+            runner.stop();
+        }
+    }
+}
+
+#[test]
+fn a_sibling_of_a_resolved_leaf_costs_one_single_segment_transaction() {
+    let net = Network::new();
+    let tree = TappedTree::build(&net, 3);
+    let (dirs, root, files) = (&tree.dirs, tree.root, &tree.files);
+
+    // Cold, the depth-8 directory chain plus the leaf is what it was
+    // before directories were cached: one transaction per server.
+    let before = frames(&net);
+    assert_eq!(
+        dirs.resolve(&root, &format!("{DEEP_PATH}/f0")).unwrap(),
+        files[0]
+    );
+    assert_eq!(frames(&net) - before, 4);
+    assert_eq!(
+        tree.take_seen(),
+        [
+            (format!("{DEEP_PATH}/f0"), 5),
+            ("seg5/seg6/seg7/f0".to_owned(), 4)
+        ]
+    );
+
+    // Its siblings share the directory: each asks that directory's
+    // server for its own name and nothing else.
+    for (i, file) in files.iter().enumerate().skip(1) {
+        let before = frames(&net);
+        assert_eq!(
+            dirs.resolve(&root, &format!("{DEEP_PATH}/f{i}")).unwrap(),
+            *file
+        );
+        assert_eq!(frames(&net) - before, 2, "f{i}: one transaction");
+        assert_eq!(
+            tree.take_seen(),
+            [(format!("f{i}"), 1)],
+            "one segment asked, one consumed"
+        );
+    }
+
+    // And all of them are hits now.
+    let before = frames(&net);
+    for (i, file) in files.iter().enumerate() {
+        assert_eq!(
+            dirs.resolve(&root, &format!("{DEEP_PATH}/f{i}")).unwrap(),
+            *file
+        );
+    }
+    assert_eq!(frames(&net), before);
+    tree.stop();
+}
+
+#[test]
+fn cold_paths_in_distinct_directories_cost_what_whole_path_memos_did() {
+    // Keyed by whole path, the cache took two transactions for a cold
+    // path across two servers and learnt nothing its neighbour in
+    // another directory could use. Keyed by directory it must not take
+    // more: a cold path never pays a round trip to learn its parent.
+    const DIRECTORIES: usize = 8;
+    let net = Network::new();
+    let tree = TappedTree::build(&net, 0);
+    let (dirs, root, seg7) = (&tree.dirs, tree.root, tree.leaf_dir);
+    let builder = DirClient::open(&net, root.port);
+    let files: Vec<Capability> = (0..DIRECTORIES)
+        .map(|i| {
+            let dir = builder.create_dir_on(seg7.port).unwrap();
+            let file = builder.create_dir_on(seg7.port).unwrap();
+            builder.enter(&seg7, &format!("d{i}"), &dir).unwrap();
+            builder.enter(&dir, "f", &file).unwrap();
+            file
+        })
+        .collect();
+
+    let before = frames(&net);
+    for (i, file) in files.iter().enumerate() {
+        assert_eq!(
+            dirs.resolve(&root, &format!("{DEEP_PATH}/d{i}/f")).unwrap(),
+            *file
+        );
+    }
+    let transactions = tree.take_seen().len();
+    assert_eq!(transactions, 2 * DIRECTORIES, "two per cold path, as ever");
+    assert_eq!(frames(&net) - before, 4 * DIRECTORIES as u64);
+    tree.stop();
+}
+
+#[test]
+fn a_resolve_reply_names_only_capabilities_a_walk_would_return() {
+    let net = Network::new();
+    let (s1, s2, dirs, root, _leaf) = cross_server_chain(&net);
+    // The caller holds READ on the root and nothing else; `seg1` is
+    // itself entered READ-only, so "the stored entry" and "a capability
+    // for the object" are different bit patterns.
+    let ro = dirs.service().restrict(&root, Rights::READ).unwrap();
+    let seg0 = dirs.lookup(&root, "seg0").unwrap();
+    let seg1 = dirs.lookup(&seg0, "seg1").unwrap();
+    let seg1_ro = dirs.service().restrict(&seg1, Rights::READ).unwrap();
+    dirs.remove(&seg0, "seg1").unwrap();
+    dirs.enter(&seg0, "seg1", &seg1_ro).unwrap();
+
+    let segments: Vec<&str> = DEEP_PATH.split('/').collect();
+    for depth in 1..=segments.len() {
+        // Hop by hop, as the client would, decoding every reply raw.
+        let (mut current, mut done) = (ro, 0usize);
+        while done < depth {
+            let body = encode_req(
+                &current,
+                dir_ops::RESOLVE,
+                wire::Writer::new()
+                    .str(&segments[done..depth].join("/"))
+                    .finish(),
+            );
+            let raw = dirs.service().rpc().trans(current.port, body).unwrap();
+            let reply = Reply::decode(&raw).unwrap();
+            let mut r = wire::Reader::new(&reply.body);
+            let consumed = r.u32().unwrap() as usize;
+            assert_eq!(r.u32(), Some(Status::Ok as u32));
+            let (cap, parent) = (r.cap().unwrap(), r.cap().unwrap());
+            assert!(consumed >= 1);
+            let reached = segments[..done + consumed].join("/");
+            let found_in = segments[..done + consumed - 1].join("/");
+            assert_eq!(cap, dirs.walk(&ro, &reached).unwrap(), "{reached}");
+            assert_eq!(
+                parent,
+                dirs.walk(&ro, &found_in).unwrap(),
+                "parent of {reached}"
+            );
+            if consumed == 1 {
+                assert_eq!(parent, current, "one segment: the request capability");
+            }
+            (current, done) = (cap, done + consumed);
+        }
+    }
+    // The stored entry, rights and all — not one minted for the reply.
+    assert_eq!(dirs.walk(&ro, "seg0/seg1").unwrap(), seg1_ro);
+    assert_ne!(seg1_ro, seg1);
+
+    // Without READ there is no walk and no capability of either kind.
+    let blind = dirs.service().restrict(&root, Rights::NONE).unwrap();
+    let body = encode_req(
+        &blind,
+        dir_ops::RESOLVE,
+        wire::Writer::new().str(DEEP_PATH).finish(),
+    );
+    let raw = dirs.service().rpc().trans(blind.port, body).unwrap();
+    let reply = Reply::decode(&raw).unwrap();
+    assert_eq!(reply.body.len(), 8, "consumed and status, nothing else");
+    assert_eq!(&reply.body[..4], &0u32.to_be_bytes());
+    assert_eq!(
+        &reply.body[4..8],
+        &(Status::RightsViolation as u32).to_be_bytes()
+    );
+    s1.stop();
+    s2.stop();
+}
+
 /// Pins the `RESOLVE`, `ALLOC_N` and `ALLOC_WRITE` byte tables of
 /// `docs/PROTOCOL.md` ("Path-resolution and extent-allocation
 /// bodies"): request params, reply bodies, and the handoff shape of
@@ -295,12 +610,17 @@ fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
     documented.extend_from_slice(b"a/b");
     assert_eq!(&body[..], &documented[..], "RESOLVE request layout");
 
-    // Reply body: consumed(4) ‖ walk status(4) ‖ capability(16), in
-    // an OK transport envelope even though the hop only went partway.
+    // Reply body: consumed(4) ‖ walk status(4) ‖ capability(16) ‖
+    // parent(16), in an OK transport envelope even though the hop only
+    // went partway.
     let raw = dirs.service().rpc().trans(s1.put_port(), body).unwrap();
     let reply = Reply::decode(&raw).unwrap();
     assert_eq!(reply.status, Status::Ok);
-    assert_eq!(reply.body.len(), 24, "consumed + status + capability");
+    assert_eq!(
+        reply.body.len(),
+        40,
+        "consumed + status + capability + parent"
+    );
     assert_eq!(
         &reply.body[..4],
         &1u32.to_be_bytes(),
@@ -312,6 +632,11 @@ fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
         Some(a),
         "the handoff capability is `a` on its home server"
     );
+    assert_eq!(
+        Capability::decode(reply.body[24..40].try_into().unwrap()),
+        Some(root),
+        "one segment consumed: `a` was found in the request capability"
+    );
 
     // A walk that dies mid-path reports the failure INSIDE the body.
     let body = encode_req(
@@ -322,7 +647,7 @@ fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
     let raw = dirs.service().rpc().trans(s1.put_port(), body).unwrap();
     let reply = Reply::decode(&raw).unwrap();
     assert_eq!(reply.status, Status::Ok, "the envelope stays OK");
-    assert_eq!(reply.body.len(), 8, "no capability after a failed walk");
+    assert_eq!(reply.body.len(), 8, "no capabilities after a failed walk");
     assert_eq!(&reply.body[..4], &0u32.to_be_bytes());
     assert_eq!(&reply.body[4..8], &(Status::NotFound as u32).to_be_bytes());
     s1.stop();
@@ -447,8 +772,9 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
     let clients: Vec<Client> = (0..3)
         .map(|i| Client::new(net.attach_open()).with_rng_seed(seed ^ i))
         .collect();
-    // (root, a, c) once the setup actor has built the tree.
-    let ready: Rc<Cell<Option<(Capability, Capability, Capability)>>> = Rc::new(Cell::new(None));
+    // (root, a, b, c) once the setup actor has built the tree.
+    type Tree = (Capability, Capability, Capability, Capability);
+    let ready: Rc<Cell<Option<Tree>>> = Rc::new(Cell::new(None));
     let resolved = Rc::new(Cell::new(0u64));
     let renamed_away = Rc::new(Cell::new(0u64));
 
@@ -483,7 +809,7 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
                         current = None;
                         step += 1;
                         if step == 7 {
-                            ready.set(Some((caps[0], caps[1], caps[3])));
+                            ready.set(Some((caps[0], caps[1], caps[2], caps[3])));
                             return ActorPoll::Done;
                         }
                     }
@@ -524,7 +850,7 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
         let mut done = 0usize;
         let mut current: Option<amoeba::rpc::Completion<'_, Bytes>> = None;
         exec.spawn(client.endpoint().id(), move || loop {
-            let Some((root, _a, c)) = ready.get() else {
+            let Some((root, _a, b, c)) = ready.get() else {
                 // A bare `Idle` only rewakes on packet delivery, and
                 // nothing is addressed at this machine yet — poll the
                 // ready flag on a short timer instead.
@@ -542,6 +868,7 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
                             Status::Ok => {
                                 assert_eq!(consumed, 3, "full chain");
                                 assert_eq!(r.cap().expect("cap"), c);
+                                assert_eq!(r.cap().expect("parent"), b, "`c` was found in `b`");
                                 resolved.set(resolved.get() + 1);
                             }
                             Status::NotFound => {
@@ -579,7 +906,7 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
         let mut round = 0usize;
         let mut current: Option<amoeba::rpc::Completion<'_, Bytes>> = None;
         exec.spawn(client.endpoint().id(), move || loop {
-            let Some((_root, a, _c)) = ready.get() else {
+            let Some((_root, a, _b, _c)) = ready.get() else {
                 // A bare `Idle` only rewakes on packet delivery, and
                 // nothing is addressed at this machine yet — poll the
                 // ready flag on a short timer instead.
