@@ -503,25 +503,27 @@ impl BlockClient {
     }
 
     /// Reads many `(capability, offset, len)` gathers in one
-    /// BATCH_REQUEST frame, returning the bodies in order.
+    /// BATCH_REQUEST frame, returning the bodies in order. A lone
+    /// gather travels as a plain `READ`, without the batch envelope.
     ///
     /// # Errors
     /// The first entry failure, in order; transport errors.
     pub fn read_many(&self, reads: &[(Capability, u32, u32)]) -> Result<Vec<Bytes>, ClientError> {
-        if reads.is_empty() {
-            return Ok(Vec::new());
+        let read = |(cap, offset, len): &(Capability, u32, u32)| {
+            let params = wire::Writer::new().u32(*offset).u32(*len).finish();
+            (*cap, ops::READ, params)
+        };
+        match reads {
+            [] => Ok(Vec::new()),
+            [one] => {
+                let (cap, command, params) = read(one);
+                Ok(vec![self.svc.call(&cap, command, params)?])
+            }
+            _ => {
+                let calls = reads.iter().map(read).collect();
+                self.svc.call_batch(self.port, calls)?.into_iter().collect()
+            }
         }
-        let calls = reads
-            .iter()
-            .map(|(cap, offset, len)| {
-                (
-                    *cap,
-                    ops::READ,
-                    wire::Writer::new().u32(*offset).u32(*len).finish(),
-                )
-            })
-            .collect();
-        self.svc.call_batch(self.port, calls)?.into_iter().collect()
     }
 
     /// Deallocates the block (requires DELETE).

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod block_backed;
+mod page_cache;
 
 pub use block_backed::BlockFlatFsServer;
 

@@ -213,6 +213,13 @@ pub struct Metrics {
     pub server_requests: Counter,
     /// Service handler invocations completed.
     pub handlers_completed: Counter,
+    /// File pages a block-backed file server served from its page
+    /// cache (no disk frame).
+    pub page_cache_hits: Counter,
+    /// File pages it fetched from its disk.
+    pub page_cache_misses: Counter,
+    /// Fetched pages it kept (a page is admitted on its second miss).
+    pub page_cache_admissions: Counter,
     /// End-to-end transaction latency (start → completion wake), in
     /// nanoseconds of timeline time.
     pub trans_latency_ns: Histogram,
@@ -239,6 +246,9 @@ impl Metrics {
             faults_partition_dropped: self.faults_partition_dropped.get(),
             server_requests: self.server_requests.get(),
             handlers_completed: self.handlers_completed.get(),
+            page_cache_hits: self.page_cache_hits.get(),
+            page_cache_misses: self.page_cache_misses.get(),
+            page_cache_admissions: self.page_cache_admissions.get(),
             latency_count: self.trans_latency_ns.count(),
             latency_sum_ns: self.trans_latency_ns.sum(),
             latency_min_ns: self.trans_latency_ns.min().unwrap_or(0),
@@ -272,6 +282,9 @@ pub struct MetricsSnapshot {
     pub faults_partition_dropped: u64,
     pub server_requests: u64,
     pub handlers_completed: u64,
+    pub page_cache_hits: u64,
+    pub page_cache_misses: u64,
+    pub page_cache_admissions: u64,
     pub latency_count: u64,
     pub latency_sum_ns: u64,
     pub latency_min_ns: u64,
@@ -285,7 +298,7 @@ impl MetricsSnapshot {
     /// Formats the snapshot as a flat JSON object (cold path; this is
     /// the one place in the crate that allocates).
     pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 24] = [
+        let fields: [(&str, u64); 27] = [
             ("trans_started", self.trans_started),
             ("trans_completed", self.trans_completed),
             ("trans_timeouts", self.trans_timeouts),
@@ -303,6 +316,9 @@ impl MetricsSnapshot {
             ("faults_partition_dropped", self.faults_partition_dropped),
             ("server_requests", self.server_requests),
             ("handlers_completed", self.handlers_completed),
+            ("page_cache_hits", self.page_cache_hits),
+            ("page_cache_misses", self.page_cache_misses),
+            ("page_cache_admissions", self.page_cache_admissions),
             ("latency_count", self.latency_count),
             ("latency_sum_ns", self.latency_sum_ns),
             ("latency_min_ns", self.latency_min_ns),

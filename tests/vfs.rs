@@ -19,6 +19,12 @@
 //!   resolved leaf costs **one single-segment transaction**, a cold
 //!   path costs what it always did, and a `RESOLVE` reply names no
 //!   capability a segment-by-segment walk would not have returned;
+//! * the block-backed file server's page cache holds bytes and no
+//!   authority: with a file's page warm (a miss, the miss that admits
+//!   it, a hit — 1, 1, 0 disk round trips), a revoked, read-less,
+//!   forged or destroyed capability, and the old capability of a reused
+//!   object number, are answered exactly as by the in-memory server,
+//!   which has no cache: the same status and an empty body;
 //! * under the deterministic simulation executor, resolution hammered
 //!   mid-rename only ever observes the two legal outcomes.
 
@@ -733,6 +739,118 @@ fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
     assert!(reply.body.is_empty());
     assert_eq!(blocks.statfs().unwrap().allocated_blocks, 2);
     blocks.free(&extent).unwrap();
+    disk.stop();
+}
+
+/// One raw `READ` of `[0, len)`: the whole reply, so a refusal's body
+/// can be looked at as well as its status.
+fn raw_read(fs: &FlatFsClient, cap: &Capability, len: u32) -> (Status, Bytes) {
+    let params = wire::Writer::new().u64(0).u32(len).finish();
+    let body = encode_req(cap, amoeba::flatfs::ops::READ, params);
+    let raw = fs.service().rpc().trans(cap.port, body).unwrap();
+    let reply = Reply::decode(&raw).unwrap();
+    (reply.status, reply.body)
+}
+
+/// The life of one file, read at each turn through a capability that
+/// should get nothing: what each attempt was answered, in order.
+fn hostile_reads(fs: &FlatFsClient, secret: &[u8]) -> Vec<(&'static str, Status, Bytes)> {
+    let len = secret.len() as u32;
+    let cap = fs.create().unwrap();
+    fs.write(&cap, 0, secret).unwrap();
+    for _ in 0..3 {
+        assert_eq!(fs.read(&cap, 0, len).unwrap(), secret);
+    }
+    let mut answers = Vec::new();
+    let mut attempt = |why, cap: &Capability| {
+        let (status, body) = raw_read(fs, cap, len);
+        answers.push((why, status, body));
+    };
+    let blind = fs
+        .service()
+        .restrict(&cap, Rights::WRITE | Rights::DELETE)
+        .unwrap();
+    attempt("restricted to no READ", &blind);
+    let forged = Capability {
+        check: cap.check ^ 1,
+        ..cap
+    };
+    attempt("a guessed check field", &forged);
+    let fresh = fs.service().revoke(&cap).unwrap();
+    attempt("revoked", &cap);
+    assert_eq!(fs.read(&fresh, 0, len).unwrap(), secret);
+    fs.destroy(&fresh).unwrap();
+    attempt("destroyed", &fresh);
+    let reborn = fs.create().unwrap();
+    assert_eq!(reborn.object, fresh.object, "the object number is reused");
+    attempt("its number now another file's", &fresh);
+    attempt("the new file, still empty", &reborn);
+    fs.write(&reborn, 0, b"new tenant").unwrap();
+    attempt("the new file, written", &reborn);
+    answers
+}
+
+#[test]
+fn a_warm_page_cache_grants_nothing_the_object_table_refuses() {
+    let net = Network::new();
+    net.obs().enable();
+    let disk = ServiceRunner::spawn_open(
+        &net,
+        BlockServer::new(DiskConfig::small(), SchemeKind::OneWay),
+    );
+    let server =
+        amoeba::flatfs::BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative);
+    let cached = ServiceRunner::spawn_open(&net, server);
+    let plain = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::Commutative));
+    let secret: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+
+    // The cache is in play: a miss, the miss that admits the page, a
+    // hit — and from then on the file's reads send nothing to the disk.
+    let fs = FlatFsClient::open(&net, cached.put_port());
+    let cap = fs.create().unwrap();
+    fs.write(&cap, 0, &secret).unwrap();
+    let counts = || {
+        let m = net.obs().snapshot().unwrap();
+        (
+            m.page_cache_hits,
+            m.page_cache_misses,
+            m.page_cache_admissions,
+        )
+    };
+    for (disk_trips, counted) in [(1, (0, 1, 0)), (1, (0, 2, 1)), (0, (1, 2, 1))] {
+        let before = frames(&net);
+        assert_eq!(fs.read(&cap, 0, 4096).unwrap(), secret);
+        assert_eq!((frames(&net) - before - 2) / 2, disk_trips);
+        assert_eq!(counts(), counted, "hits, misses, admissions");
+    }
+
+    let before = frames(&net);
+    let answers = hostile_reads(&fs, &secret);
+    let sent = frames(&net) - before;
+    let twin = hostile_reads(&FlatFsClient::open(&net, plain.put_port()), &secret);
+    assert_eq!(answers, twin, "what the server without a cache answers");
+    for (why, status, body) in &answers[..5] {
+        assert_ne!(*status, Status::Ok, "{why}");
+        assert!(body.is_empty(), "{why}: not one byte, cached or not");
+    }
+    assert_eq!(
+        answers[5..],
+        [
+            ("the new file, still empty", Status::Ok, Bytes::new()),
+            (
+                "the new file, written",
+                Status::Ok,
+                Bytes::from_static(b"new tenant")
+            ),
+        ]
+    );
+    // 18 transactions with the client and six with the disk: two
+    // writes, the two misses that warm the page, one FREE, the new
+    // file's first read. No refusal got as far as the disk, and the
+    // warm page was served to the capability revocation put in place.
+    assert_eq!(sent, 2 * 18 + 2 * 6);
+    cached.stop();
+    plain.stop();
     disk.stop();
 }
 
