@@ -33,6 +33,25 @@ pub trait OneWay: Send + Sync + std::fmt::Debug {
     fn apply48(&self, x: u64) -> u64;
 }
 
+/// Process-wide count of one-way evaluations, for tests and reports
+/// that pin how many a workload pays per operation (a diff around the
+/// workload; the count is never reset).
+pub mod stats {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static EVALS: AtomicU64 = AtomicU64::new(0);
+
+    /// Cumulative [`ShaOneWay`](super::ShaOneWay) evaluations since
+    /// process start.
+    pub fn evals() -> u64 {
+        EVALS.load(Ordering::Relaxed)
+    }
+
+    pub(super) fn note_eval() {
+        EVALS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// SHA-256-based one-way function: `F(x) = SHA256("amoeba-port" ‖ x)`
 /// truncated to 48 bits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -40,6 +59,7 @@ pub struct ShaOneWay;
 
 impl OneWay for ShaOneWay {
     fn apply48(&self, x: u64) -> u64 {
+        stats::note_eval();
         let mut input = [0u8; 19];
         input[..11].copy_from_slice(b"amoeba-port");
         input[11..].copy_from_slice(&x.to_be_bytes());

@@ -5,12 +5,19 @@
 //! shard), each with its own entry slab, free list and RNG. Capability
 //! validation on distinct objects therefore never contends on a shared
 //! lock, which is what lets one service scale across dispatch workers.
+//!
+//! Each entry also remembers the last capability its secret validated,
+//! so a capability presented again is answered from one word instead of
+//! a second run of the scheme (`Entry::validate`; the argument for why
+//! that can grant nothing is in docs/ARCHITECTURE.md, "What a table
+//! remembers it proved").
 
 use crate::migrate::{MigrateData, ShardDisposition};
 use crate::proto::{cmd, Reply, Request, Status};
 use crate::wire;
 use amoeba_cap::schemes::{ObjectSecret, ProtectionScheme};
 use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
+use amoeba_crypto::oneway::MASK48;
 use amoeba_net::Port;
 use amoeba_rpc::TransferOp;
 use bytes::Bytes;
@@ -68,7 +75,68 @@ impl std::error::Error for ServerError {}
 
 struct Entry<T> {
     secret: ObjectSecret,
+    /// The last capability `secret` validated: presented rights (8
+    /// bits) | check field (48) | granted rights (8). Zero = nothing
+    /// proven. A memo of the scheme's computation, never of authority
+    /// (docs/ARCHITECTURE.md, "What a table remembers it proved").
+    ///
+    /// `Relaxed` throughout: the word is one self-contained value that
+    /// publishes nothing else, and it is only touched under the shard's
+    /// entry lock — the same lock `secret` changes under — so a reader
+    /// can only ever see a word stored against the secret it sees.
+    proven: AtomicU64,
     data: T,
+}
+
+/// What a capability presents, packed as the high 56 bits of
+/// [`Entry::proven`] — or 0 for the two presentations the word never
+/// holds: the null capability, and a check field wider than 48 bits
+/// (`check` is a public field; the wire cannot carry one), whose high
+/// bits would otherwise alias into the rights.
+fn presented(cap: &Capability) -> u64 {
+    if cap.check > MASK48 {
+        return 0;
+    }
+    (cap.rights.bits() as u64) << 48 | cap.check
+}
+
+impl<T> Entry<T> {
+    /// A cold entry: nothing proven yet. Every entry starts here —
+    /// fresh and reused slots and migration imports alike.
+    fn new(secret: ObjectSecret, data: T) -> Entry<T> {
+        Entry {
+            secret,
+            proven: AtomicU64::new(0),
+            data,
+        }
+    }
+
+    /// The scheme's verdict on `cap` against this entry's secret —
+    /// recalled when `cap` is the capability that secret last
+    /// validated, computed otherwise. Validation is a pure function of
+    /// (rights, check, secret) in every scheme, so a recalled answer is
+    /// the computed one. Rejections are never remembered.
+    fn validate(
+        &self,
+        scheme: &dyn ProtectionScheme,
+        cap: &Capability,
+    ) -> Result<Rights, CapError> {
+        let key = presented(cap);
+        let word = self.proven.load(Ordering::Relaxed);
+        if key != 0 && word >> 8 == key {
+            return Ok(Rights::from_bits(word as u8));
+        }
+        let granted = scheme.validate(cap, &self.secret)?;
+        self.remember(key, granted);
+        Ok(granted)
+    }
+
+    fn remember(&self, presented: u64, granted: Rights) {
+        if presented != 0 {
+            self.proven
+                .store(presented << 8 | granted.bits() as u64, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Per-shard migration mode, mirrored in a lock-free tag so the hot
@@ -476,9 +544,14 @@ impl<T> ObjectTable<T> {
         };
         let raw = (slot << self.shard_bits) | shard_index as u32;
         let object = ObjectNum::new(raw).expect("slot bounded by MAX >> shard_bits");
-        entries[slot as usize] = Some(Entry { secret, data });
-        self.note_dirty(shard_index, slot as usize);
         let cap = self.scheme.mint(port, object, &secret);
+        let entry = Entry::new(secret, data);
+        // The mint just computed this check field, and a minted
+        // capability grants every right: the owner's first
+        // presentation is already proven.
+        entry.remember(presented(&cap), Rights::ALL);
+        entries[slot as usize] = Some(entry);
+        self.note_dirty(shard_index, slot as usize);
         Ok((object, cap))
     }
 
@@ -493,7 +566,7 @@ impl<T> ObjectTable<T> {
             .get(slot)
             .and_then(|e| e.as_ref())
             .ok_or(ServerError::NoSuchObject)?;
-        Ok(self.scheme.validate(cap, &entry.secret)?)
+        Ok(entry.validate(self.scheme.as_ref(), cap)?)
     }
 
     /// Runs `f` on the object if `cap` validates with at least `need`.
@@ -513,7 +586,7 @@ impl<T> ObjectTable<T> {
             .get(slot)
             .and_then(|e| e.as_ref())
             .ok_or(ServerError::NoSuchObject)?;
-        let rights = self.scheme.validate(cap, &entry.secret)?;
+        let rights = entry.validate(self.scheme.as_ref(), cap)?;
         if !rights.contains(need) {
             return Err(ServerError::RightsViolation);
         }
@@ -536,7 +609,7 @@ impl<T> ObjectTable<T> {
             .get_mut(slot)
             .and_then(|e| e.as_mut())
             .ok_or(ServerError::NoSuchObject)?;
-        let rights = self.scheme.validate(cap, &slot_entry.secret)?;
+        let rights = slot_entry.validate(self.scheme.as_ref(), cap)?;
         if !rights.contains(need) {
             return Err(ServerError::RightsViolation);
         }
@@ -605,11 +678,13 @@ impl<T> ObjectTable<T> {
             .get_mut(slot)
             .and_then(|e| e.as_mut())
             .ok_or(ServerError::NoSuchObject)?;
-        let rights = self.scheme.validate(cap, &slot_entry.secret)?;
+        let rights = slot_entry.validate(self.scheme.as_ref(), cap)?;
         if !rights.contains(Rights::OWNER) {
             return Err(ServerError::RightsViolation);
         }
         slot_entry.secret = self.scheme.new_secret(&mut *shard.rng.lock());
+        // What the old secret proved dies with it, under the same lock.
+        *slot_entry.proven.get_mut() = 0;
         let fresh = self.scheme.mint(port, cap.object, &slot_entry.secret);
         self.note_dirty(self.shard_index(cap.object), slot);
         Ok(fresh)
@@ -627,7 +702,7 @@ impl<T> ObjectTable<T> {
             .get_mut(slot)
             .and_then(|e| e.as_mut())
             .ok_or(ServerError::NoSuchObject)?;
-        let rights = self.scheme.validate(cap, &slot_entry.secret)?;
+        let rights = slot_entry.validate(self.scheme.as_ref(), cap)?;
         if !rights.contains(need) {
             return Err(ServerError::RightsViolation);
         }
@@ -1009,10 +1084,8 @@ impl<T: MigrateData> ObjectTable<T> {
             if entries.len() <= slot {
                 entries.resize_with(slot + 1, || None);
             }
-            entries[slot] = payload.map(|(secret, data)| Entry {
-                secret: ObjectSecret::from_value(secret),
-                data,
-            });
+            entries[slot] =
+                payload.map(|(secret, data)| Entry::new(ObjectSecret::from_value(secret), data));
         }
         let free: Vec<u32> = entries
             .iter()
@@ -1598,5 +1671,128 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.len(), 8 * 100);
+    }
+
+    /// What the table would answer with nothing remembered: the scheme
+    /// run against the entry's secret as it stands.
+    fn computed<T>(t: &ObjectTable<T>, cap: &Capability) -> Result<Rights, ServerError> {
+        let (shard, slot) = t.locate(cap.object);
+        let entries = shard.entries.read();
+        let entry = entries
+            .get(slot)
+            .and_then(|e| e.as_ref())
+            .ok_or(ServerError::NoSuchObject)?;
+        Ok(t.scheme().validate(cap, &entry.secret)?)
+    }
+
+    #[test]
+    fn a_minted_capability_is_proven_and_a_revoked_or_imported_entry_is_cold() {
+        let t: ObjectTable<String> = ObjectTable::with_shards(SchemeKind::OneWay.instantiate(), 1);
+        t.set_port(Port::new(0x1111).unwrap());
+        let (_, cap) = t.create("x".into());
+        let word = |t: &ObjectTable<String>| {
+            t.shards[0].entries.read()[0]
+                .as_ref()
+                .unwrap()
+                .proven
+                .load(Ordering::Relaxed)
+        };
+        assert_eq!(
+            word(&t),
+            (cap.rights.bits() as u64) << 56 | cap.check << 8 | 0xFF,
+            "seeded at mint: presented rights | check | granted rights"
+        );
+        let fresh = t.revoke(&cap).unwrap();
+        assert_eq!(word(&t), 0, "revocation forgets with the secret");
+        assert_eq!(t.validate(&cap).unwrap_err(), ServerError::Forged);
+        assert_eq!(word(&t), 0, "a rejection is never remembered");
+        assert_eq!(t.validate(&fresh).unwrap(), Rights::ALL);
+        assert_ne!(word(&t), 0);
+
+        let dst: ObjectTable<String> =
+            ObjectTable::with_shards(SchemeKind::OneWay.instantiate(), 1);
+        dst.set_port(Port::new(0x1111).unwrap());
+        let records = t
+            .export_chunks(0, None, 8)
+            .iter()
+            .flat_map(|blob| crate::migrate::decode_records::<String>(blob).unwrap())
+            .collect();
+        dst.install_records(0, records);
+        assert_eq!(word(&dst), 0, "the word does not migrate");
+        assert_eq!(dst.validate(&cap).unwrap_err(), ServerError::Forged);
+        assert_eq!(dst.validate(&fresh).unwrap(), Rights::ALL);
+    }
+
+    #[test]
+    fn a_check_wider_than_its_field_is_computed_never_recalled() {
+        // `check` is a public field: bit 48 of an over-wide check would
+        // carry into the packed rights and make (rights − 1, check +
+        // 2^48) read as the proven (rights, check).
+        for kind in SchemeKind::ALL {
+            let t: ObjectTable<u32> = ObjectTable::with_shards(kind.instantiate(), 1);
+            t.set_port(Port::new(0x1111).unwrap());
+            let (_, cap) = t.create(0);
+            assert_eq!(t.validate(&cap).unwrap(), Rights::ALL);
+            let mut wide = cap.with_rights(Rights::from_bits(cap.rights.bits().wrapping_sub(1)));
+            wide.check |= 1 << 48;
+            assert_eq!(t.validate(&wide), computed(&t, &wide), "{kind}");
+            assert_eq!(t.validate(&wide), computed(&t, &wide), "{kind}, again");
+        }
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The remembered word against the scheme itself: whatever was
+        /// presented, restricted, revoked, deleted or re-created, the
+        /// table answers every capability ever issued exactly as the
+        /// scheme does against the entry's current secret.
+        #[test]
+        fn a_warm_table_answers_as_the_scheme_does(
+            steps in vec((0u8..10, any::<u16>(), any::<u8>()), 1..=40),
+        ) {
+            for kind in SchemeKind::ALL {
+                // One stripe: a create after a delete lands in the
+                // freed slot, under the dead capability's object number.
+                let t: ObjectTable<u32> = ObjectTable::with_shards(kind.instantiate(), 1);
+                t.set_port(Port::new(0x1111).unwrap());
+                let mut caps = vec![t.create(0).1];
+                for &(action, pick, bits) in &steps {
+                    let cap = caps[pick as usize % caps.len()];
+                    let rights = Rights::from_bits(bits);
+                    let issued = match action {
+                        0 | 1 => Some(t.create(pick as u32).1),
+                        2 => t.restrict(&cap, rights).ok(),
+                        3 => t.scheme.diminish(&cap, rights).ok(),
+                        4 => Some(cap.with_rights(rights)),
+                        5 => Some(cap.with_check(cap.check ^ 1 << (bits % 48))),
+                        6 => t.revoke(&cap).ok(),
+                        7 => {
+                            let _ = t.delete(&cap, Rights::DELETE);
+                            None
+                        }
+                        8 => {
+                            let _ = t.with_object(&cap, rights, |_| ());
+                            None
+                        }
+                        _ => {
+                            let _ = t.with_object_mut(&cap, rights, |v| *v += 1);
+                            None
+                        }
+                    };
+                    caps.extend(issued);
+                    // Start the sweep somewhere else each step, so every
+                    // capability gets presented behind every other.
+                    for i in 0..caps.len() {
+                        let c = &caps[(i + pick as usize) % caps.len()];
+                        prop_assert_eq!(
+                            t.validate(c), computed(&t, c),
+                            "{} after step {:?}: {:?}", kind, (action, pick, bits), c
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,17 +4,19 @@
 //! separate pools per party, a worker that serves one port and calls
 //! through an embedded client, parameter and reply blobs built by
 //! `wire::Writer`. The metered leg is also the hot-path budget in
-//! absolute terms — frames, queue pushes, `F` evaluations, fresh
-//! buffers and hot locks per operation, recorder enabled.
+//! absolute terms — frames, queue pushes, `F` evaluations (the
+//! F-boxes' and the object tables'), fresh buffers and hot locks per
+//! operation, recorder enabled.
 //!
 //! This binary holds ONE test, so nothing else in the process touches
 //! the process-wide counters it reads (`bytes::stats::buffer_allocs`
-//! and the hot-mutex count, both via `Network::hot_path`) and the
-//! figures are exact.
+//! and the hot-mutex count, both via `Network::hot_path`, and
+//! `crypto::oneway::stats::evals`) and the figures are exact.
 
 use amoeba::bank::{BankClient, BankServer, Currency, CurrencyId};
 use amoeba::block::{BlockServer, DiskConfig};
 use amoeba::cap::schemes::SchemeKind;
+use amoeba::crypto::oneway;
 use amoeba::flatfs::{BlockFlatFsServer, FlatFsClient, FlatFsServer, QuotaPolicy};
 use amoeba::net::{HotPathSnapshot, Network};
 use amoeba::server::proto::{Reply, Request};
@@ -31,16 +33,17 @@ const OPS: usize = 1_000;
 const SETTLING: u64 = 4;
 
 /// Runs `op` `WARMUP` times unmeasured, then `OPS` times, and returns
-/// what the measured ones added to the process-wide counters.
-fn measure(net: &Network, mut op: impl FnMut()) -> HotPathSnapshot {
+/// what the measured ones added to the process-wide counters: the hot
+/// path's, and the one-way evaluations made anywhere in the process.
+fn measure(net: &Network, mut op: impl FnMut()) -> (HotPathSnapshot, u64) {
     for _ in 0..WARMUP {
         op();
     }
-    let before = net.hot_path();
+    let before = (net.hot_path(), oneway::stats::evals());
     for _ in 0..OPS {
         op();
     }
-    net.hot_path() - before
+    (net.hot_path() - before.0, oneway::stats::evals() - before.1)
 }
 
 struct Echo;
@@ -83,7 +86,7 @@ fn metered_leg() -> HotPathSnapshot {
         ),
     );
     let fs = FlatFsClient::with_service(ServiceClient::fbox(&net), fs_runner.put_port());
-    let metered = measure(&net, || {
+    let (metered, evals) = measure(&net, || {
         let cap = fs.create_paid(&wallet, 1).expect("paid create");
         fs.destroy(&cap).expect("destroy");
     });
@@ -113,6 +116,11 @@ fn metered_leg() -> HotPathSnapshot {
         metered.oneway_evals, 0,
         "recycled reply ports and memoized F-boxes: a warm operation evaluates F nowhere: {metered:?}"
     );
+    assert_eq!(
+        evals, ops,
+        "exactly 1 one-way evaluation per warm op, the file's mint (8 before object-table \
+         entries remembered what they proved: 3 per bank TRANSFER twice, the mint, the delete)"
+    );
     assert!(
         metered.buffer_allocs <= SETTLING && metered.lock_acquisitions == 0,
         "metered create+destroy: {OPS} ops must add no fresh buffer and no hot lock: {metered:?}"
@@ -128,7 +136,7 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
     let runner = ServiceRunner::spawn_open(&net, Echo);
     let client = ServiceClient::open(&net);
     let mut seq = 0u64;
-    let echo = measure(&net, || {
+    let (echo, _) = measure(&net, || {
         seq += 1;
         let params = wire::Writer::new().u64(seq).finish();
         let body = client
@@ -172,7 +180,7 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
     );
     let fs = FlatFsClient::open(&net, files.put_port());
     let payload: Vec<u8> = (0..BYTES).map(|i| (i * 31 % 251) as u8).collect();
-    let block_backed = measure(&net, || {
+    let (block_backed, _) = measure(&net, || {
         let cap = fs.create().expect("create");
         assert_eq!(fs.write(&cap, 0, &payload).expect("write"), BYTES as u64);
         assert_eq!(fs.read(&cap, 0, BYTES as u32).expect("read"), payload);

@@ -116,6 +116,99 @@ fn file_story_scheme3_commutative() {
     file_story(SchemeKind::Commutative);
 }
 
+/// One raw `SIZE` request for `cap`: the whole reply, status and body,
+/// as the wire carries it.
+fn present(client: &FlatFsClient, cap: &Capability) -> Reply {
+    let request = Request {
+        cap: *cap,
+        command: amoeba::flatfs::ops::SIZE,
+        params: bytes::Bytes::new(),
+    };
+    let raw = client
+        .service()
+        .rpc()
+        .trans(client.port(), request.encode())
+        .expect("transport");
+    Reply::decode(&raw).expect("well-formed reply")
+}
+
+/// An object-table entry remembers the capability it validated last
+/// (docs/ARCHITECTURE.md, "What a table remembers it proved"). Every
+/// hostile neighbour of that capability — and the capability itself,
+/// once its secret or its object is gone — must get, over the wire,
+/// exactly what a table that remembers nothing answers.
+#[test]
+fn a_warm_table_refuses_what_a_cold_one_refuses() {
+    for kind in SchemeKind::ALL {
+        let net = Network::new();
+        let runner = ServiceRunner::spawn_fbox(&net, FlatFsServer::new(kind));
+        let fs = FlatFsClient::with_service(ServiceClient::fbox(&net), runner.put_port());
+        let refused = |cap: &Capability, status: Status, what: &str| {
+            let reply = present(&fs, cap);
+            assert_eq!(reply.status, status, "{kind}: {what}");
+            assert!(reply.body.is_empty(), "{kind}: {what} leaked a body");
+        };
+        let warm = |cap: &Capability| assert_eq!(fs.size(cap).unwrap(), 5, "{kind}");
+
+        let owner = fs.create().unwrap();
+        fs.write(&owner, 0, b"proof").unwrap();
+        warm(&owner);
+        refused(
+            &owner.with_check(owner.check ^ 1 << 17),
+            Status::Forged,
+            "same rights, one check bit flipped",
+        );
+        // Scheme 0 has no rights to protect: cold or warm, its check
+        // field alone decides, so the rights variants apply to 1–3.
+        // A flipped bit removes WRITE from the owner's rights and adds
+        // it to the delegate's (scheme 1's field is ciphertext: there
+        // it is simply another value).
+        let flip_write = |cap: &Capability| {
+            cap.with_rights(Rights::from_bits(cap.rights.bits() ^ Rights::WRITE.bits()))
+        };
+        let read_only = if kind == SchemeKind::Simple {
+            owner
+        } else {
+            warm(&owner);
+            refused(
+                &flip_write(&owner),
+                Status::Forged,
+                "same check, a right removed",
+            );
+            let read_only = fs.service().restrict(&owner, Rights::READ).unwrap();
+            warm(&read_only);
+            refused(
+                &flip_write(&read_only),
+                Status::Forged,
+                "same check, a right added",
+            );
+            read_only
+        };
+
+        // Revocation: the entry is warm with the very capability that
+        // asks for it.
+        warm(&owner);
+        let fresh = fs.service().revoke(&owner).unwrap();
+        refused(&owner, Status::Forged, "the pre-revoke owner capability");
+        refused(&read_only, Status::Forged, "a pre-revoke delegate");
+        warm(&fresh);
+
+        // Destruction, then the object number's next tenant.
+        fs.destroy(&fresh).unwrap();
+        refused(
+            &fresh,
+            Status::NoSuchObject,
+            "a destroyed file's capability",
+        );
+        let tenant = fs.create().unwrap();
+        assert_eq!(tenant.object, fresh.object, "{kind}: freed slot reused");
+        refused(&fresh, Status::Forged, "the slot's previous tenant");
+        refused(&owner, Status::Forged, "the tenant before that");
+        assert_eq!(fs.size(&tenant).unwrap(), 0, "{kind}");
+        runner.stop();
+    }
+}
+
 #[test]
 fn scheme3_delegation_without_server_roundtrip() {
     // The headline feature: a capability restricted entirely client-side

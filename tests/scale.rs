@@ -3,7 +3,8 @@
 //! slab reuse, cache and isolation paths that small tests never reach.
 
 use amoeba::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
+use amoeba::server::ServerError;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -312,6 +313,109 @@ fn worker_pool_free_list_reuse_is_exclusive() {
         h.join().unwrap();
     }
     runner.stop();
+}
+
+#[test]
+fn revocation_outruns_what_a_table_remembers_it_proved() {
+    // An entry remembers the last capability its secret validated
+    // (docs/ARCHITECTURE.md, "What a table remembers it proved"), and
+    // `revoke` forgets it under the same lock that replaces the secret.
+    // Four validators keep the word hot — and flipping — by alternating
+    // an owner and a restricted capability; one thread revokes 1 000
+    // times. No validator may see `Ok` for a capability whose `revoke`
+    // had returned before its call began.
+    const VALIDATORS: usize = 4;
+    const REVOKES: u64 = 1_000;
+    /// Validator rounds the revoker lets through between two
+    /// revocations, so the race is spread over the run on any number
+    /// of cores.
+    const PACE: u64 = 8;
+
+    let table: ObjectTable<u32> = ObjectTable::with_port(
+        SchemeKind::OneWay.instantiate(),
+        Port::new(0xA0EB_0022).unwrap(),
+    );
+    let (_, owner) = table.create(0);
+    let pair = |owner: Capability| (owner, table.restrict(&owner, Rights::READ).unwrap());
+    // `issued[g]` is the pair the g-th revocation returned (0: the
+    // mint); `revoked` counts revocations that have returned, so pair
+    // `g` is dead from the moment `revoked > g`.
+    let issued = std::sync::RwLock::new(vec![pair(owner)]);
+    let revoked = AtomicU64::new(0);
+    let rounds = AtomicU64::new(0);
+    // Verdicts are counted, not asserted in the threads: the revoker
+    // paces itself on the validators, so they must outlive a failure.
+    let accepted = AtomicU64::new(0);
+    let accepted_dead = AtomicU64::new(0);
+    let wrong_answers = AtomicU64::new(0);
+    let start = std::sync::Barrier::new(VALIDATORS + 1);
+
+    std::thread::scope(|scope| {
+        for _ in 0..VALIDATORS {
+            scope.spawn(|| {
+                start.wait();
+                let mut as_owner = false;
+                while revoked.load(Ordering::SeqCst) < REVOKES {
+                    let (g, latest, previous) = {
+                        let issued = issued.read().expect("no holder panics");
+                        let g = issued.len() - 1;
+                        (g, issued[g], issued[g.saturating_sub(1)])
+                    };
+                    as_owner = !as_owner;
+                    // The dead pair first: straight after a revocation
+                    // it is what the entry last proved.
+                    for (g, (owner, restricted)) in [(g.saturating_sub(1), previous), (g, latest)] {
+                        let (cap, grants) = if as_owner {
+                            (owner, Rights::ALL)
+                        } else {
+                            (restricted, Rights::READ)
+                        };
+                        let dead = revoked.load(Ordering::SeqCst) > g as u64;
+                        match table.validate(&cap) {
+                            Ok(_) if dead => accepted_dead.fetch_add(1, Ordering::Relaxed),
+                            Ok(rights) if rights == grants => {
+                                accepted.fetch_add(1, Ordering::Relaxed)
+                            }
+                            Err(ServerError::Forged) => 0,
+                            _ => wrong_answers.fetch_add(1, Ordering::Relaxed),
+                        };
+                    }
+                    rounds.fetch_add(1, Ordering::SeqCst);
+                    // Five threads on fewer cores: without this each
+                    // revocation would wait out whole time slices.
+                    std::thread::yield_now();
+                }
+            });
+        }
+        scope.spawn(|| {
+            start.wait();
+            let mut owner = owner;
+            for n in 1..=REVOKES {
+                let floor = rounds.load(Ordering::SeqCst) + PACE;
+                while rounds.load(Ordering::SeqCst) < floor {
+                    std::thread::yield_now();
+                }
+                owner = table.revoke(&owner).expect("the live owner capability");
+                revoked.store(n, Ordering::SeqCst);
+                let fresh = pair(owner);
+                issued.write().expect("no holder panics").push(fresh);
+            }
+        });
+    });
+    assert_eq!(
+        accepted_dead.load(Ordering::Relaxed),
+        0,
+        "a capability validated after its revoke had returned"
+    );
+    assert_eq!(
+        wrong_answers.load(Ordering::Relaxed),
+        0,
+        "a recalled answer is the computed one: the capability's own rights, or Forged"
+    );
+    assert!(
+        accepted.load(Ordering::Relaxed) > REVOKES,
+        "live capabilities were accepted between revocations (else the race never ran)"
+    );
 }
 
 #[test]

@@ -76,6 +76,22 @@ fn shard_of(cap: &Capability) -> usize {
     placement_range(cap.object, DEFAULT_SHARDS, DEFAULT_SHARDS)
 }
 
+/// Two replicas splitting the shard space, as an elastic pair would:
+/// the source owns the even shards, the target the odd ones. Secrets
+/// are seed-derived so two runs of one seed mint identical
+/// capabilities.
+fn replica_pair(net: &Network, kind: SchemeKind, seed: u64) -> (SimPump, SimPump) {
+    let mut src_fs = FlatFsServer::new(kind);
+    src_fs.reseed_secrets(seed ^ 0x5EC0);
+    amoeba::server::Service::bind_shard_range(&mut src_fs, 0, 2);
+    let src_pump = SimPump::bind(net.attach_open(), source_port(), src_fs);
+    let mut tgt_fs = FlatFsServer::new(kind);
+    tgt_fs.reseed_secrets(seed ^ 0x7A67);
+    amoeba::server::Service::bind_shard_range(&mut tgt_fs, 1, 2);
+    let tgt_pump = SimPump::bind(net.attach_open(), target_port(), tgt_fs);
+    (src_pump, tgt_pump)
+}
+
 /// What one seeded migration scenario observed.
 #[derive(Debug, Clone)]
 struct MigReport {
@@ -112,17 +128,7 @@ fn run_migration_scenario(
         net.sim_record_log(true);
     }
 
-    // Two replicas splitting the shard space, as an elastic pair would:
-    // source owns the even shards, target the odd ones. Secrets are
-    // seed-derived so two runs of one seed mint identical capabilities.
-    let mut src_fs = FlatFsServer::new(SchemeKind::Simple);
-    src_fs.reseed_secrets(seed ^ 0x5EC0);
-    amoeba::server::Service::bind_shard_range(&mut src_fs, 0, 2);
-    let src_pump = SimPump::bind(net.attach_open(), source_port(), src_fs);
-    let mut tgt_fs = FlatFsServer::new(SchemeKind::Simple);
-    tgt_fs.reseed_secrets(seed ^ 0x7A67);
-    amoeba::server::Service::bind_shard_range(&mut tgt_fs, 1, 2);
-    let tgt_pump = SimPump::bind(net.attach_open(), target_port(), tgt_fs);
+    let (src_pump, tgt_pump) = replica_pair(&net, SchemeKind::Simple, seed);
     net.sim_bind_fault_target(0, src_pump.machine());
     net.sim_bind_fault_target(1, tgt_pump.machine());
 
@@ -523,4 +529,112 @@ fn target_crash_mid_migration_loses_nothing() {
     };
     let report = run_migration_scenario(MIG_SEED_BASE + 0x301, plan, 4, 3, false);
     assert!(report.counters.crash_dropped > 0, "the window must bite");
+}
+
+/// A capability revoked on the source **while its shard is being
+/// copied** — after `begin_export` queued a snapshot that still carries
+/// the old secret, before `TRANSFER_COMMIT` — stays revoked on the new
+/// owner. The delta round carries the new secret over the snapshot's;
+/// nothing the source's entry remembered proving travels with it
+/// (docs/ARCHITECTURE.md, "What a table remembers it proved"), so the
+/// target answers the old capability `Forged` and the new one `Ok` on
+/// their first presentation there, and the old one `Forged` again once
+/// the new one has warmed the entry.
+#[test]
+fn a_revocation_during_the_copy_survives_the_commit() {
+    for kind in SchemeKind::ALL {
+        let seed = MIG_SEED_BASE + 0x400;
+        let net = Network::new_sim(seed);
+        net.set_latency(Duration::from_millis(1));
+        let (src_pump, tgt_pump) = replica_pair(&net, kind, seed);
+        let client = Client::with_config(
+            net.attach_open(),
+            RpcConfig {
+                timeout: Duration::from_millis(25),
+                attempts: 10,
+            },
+        )
+        .with_rng_seed(seed);
+        let migrator = src_pump.service().migrator().expect("flatfs migrates");
+
+        let mut exec = SimExecutor::new(&net);
+        for pump in [&src_pump, &tgt_pump] {
+            exec.spawn_daemon(pump.machine(), move || {
+                if pump.poll() {
+                    ActorPoll::Progress
+                } else {
+                    ActorPoll::Idle
+                }
+            });
+        }
+        // Every request takes the stale route — the source's port — so
+        // after the commit each one is forwarded to the new owner.
+        let size_of = |cap: &Capability| encode_request(cap, ops::SIZE, Bytes::new());
+        let client = &client;
+        let mut step = 0usize;
+        let mut owner = null_cap();
+        let mut fresh = null_cap();
+        let mut migration: Option<ShardMigration<'_>> = None;
+        let mut current: Option<amoeba::rpc::Completion<'_, Bytes>> = None;
+        exec.spawn(client.endpoint().id(), move || loop {
+            if let Some(comp) = current.as_mut() {
+                let Some(raw) = comp.poll() else {
+                    return ActorPoll::IdleUntil(comp.deadline());
+                };
+                let reply = Reply::decode(&raw.expect("quiet network")).expect("reply decodes");
+                current = None;
+                let expected = match step {
+                    3 | 5 => Status::Forged,
+                    _ => Status::Ok,
+                };
+                assert_eq!(reply.status, expected, "{kind}: step {step}");
+                match step {
+                    0 => owner = wire::Reader::new(&reply.body).cap().expect("create cap"),
+                    1 => fresh = wire::Reader::new(&reply.body).cap().expect("revoke cap"),
+                    4 => assert_eq!(wire::Reader::new(&reply.body).u64(), Some(0), "{kind}"),
+                    _ => assert!(reply.body.is_empty(), "{kind}: a refusal carries no body"),
+                }
+                step += 1;
+                continue;
+            }
+            let frame = match step {
+                0 => encode_request(&null_cap(), ops::CREATE, Bytes::new()),
+                1 => {
+                    // One poll is `begin_export` plus the queued
+                    // snapshot of the shard as it stands: old secret.
+                    let m = migration.insert(ShardMigration::new(
+                        client,
+                        migrator,
+                        shard_of(&owner),
+                        seed | 1,
+                        target_port(),
+                        None,
+                    ));
+                    assert_eq!(m.poll(), ActorPoll::Progress);
+                    encode_request(&owner, amoeba::server::proto::cmd::STD_REVOKE, Bytes::new())
+                }
+                2 => match migration.as_mut().expect("started").poll() {
+                    ActorPoll::Done => {
+                        let m = migration.as_ref().expect("started");
+                        let stats = m.result().expect("done").expect("quiet plan commits");
+                        assert!(stats.catchup_rounds >= 1, "{kind}: the revoke was a delta");
+                        assert_eq!(
+                            migrator.forward_target(shard_of(&owner)),
+                            Some(target_port()),
+                            "{kind}: what follows is answered by the new owner"
+                        );
+                        step = 3;
+                        continue;
+                    }
+                    p => return p,
+                },
+                3 | 5 => size_of(&owner),
+                4 => size_of(&fresh),
+                _ => return ActorPoll::Done,
+            };
+            current = Some(client.trans_async(source_port(), frame));
+        });
+        exec.run()
+            .unwrap_or_else(|stall| panic!("{kind}: scenario stalled: {stall}"));
+    }
 }
