@@ -536,28 +536,32 @@ impl BlockClient {
     }
 
     /// Frees many blocks/extents in one BATCH_REQUEST frame. Entries
-    /// fail independently; the first failure is reported after the
-    /// whole batch has been attempted, so one dead capability cannot
-    /// strand its neighbours' disk space.
+    /// fail independently; failures are reported after the whole batch
+    /// has been attempted, so one dead capability cannot strand its
+    /// neighbours' disk space.
     ///
     /// # Errors
-    /// Rights/validation errors; transport errors.
-    pub fn free_many(&self, caps: &[Capability]) -> Result<(), ClientError> {
+    /// How many entries the disk did not confirm freed, and the first
+    /// of their errors (rights/validation; a transport error is every
+    /// entry's).
+    pub fn free_many(&self, caps: &[Capability]) -> Result<(), (usize, ClientError)> {
         match caps {
             [] => Ok(()),
-            [cap] => self.free(cap),
+            [cap] => self.free(cap).map_err(|e| (1, e)),
             _ => {
                 let calls = caps
                     .iter()
                     .map(|cap| (*cap, ops::FREE, Bytes::new()))
                     .collect();
-                let mut first_err: Result<(), ClientError> = Ok(());
-                for entry in self.svc.call_batch(self.port, calls)? {
-                    if let Err(e) = entry {
-                        first_err = first_err.and(Err(e));
-                    }
+                let entries = self
+                    .svc
+                    .call_batch(self.port, calls)
+                    .map_err(|e| (caps.len(), e))?;
+                let mut failed = entries.into_iter().filter_map(Result::err);
+                match failed.next() {
+                    None => Ok(()),
+                    Some(first) => Err((1 + failed.count(), first)),
                 }
-                first_err
             }
         }
     }

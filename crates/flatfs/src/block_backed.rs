@@ -21,7 +21,7 @@ use crate::page_cache::{PageCache, PAGE};
 use amoeba_block::BlockClient;
 use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
-use amoeba_net::{Network, Port};
+use amoeba_net::{Network, Obs, Port};
 use amoeba_server::proto::{Reply, Request, Status};
 use amoeba_server::{wire, ClientError, ObjectLocks, ObjectTable, RequestCtx, Service};
 use bytes::Bytes;
@@ -97,6 +97,7 @@ pub struct BlockFlatFsServer {
     pages: PageCache,
     /// The last content version handed out.
     versions: AtomicU64,
+    obs: Obs,
 }
 
 impl BlockFlatFsServer {
@@ -119,6 +120,16 @@ impl BlockFlatFsServer {
             block_size,
             pages: PageCache::new(net.obs().clone()),
             versions: AtomicU64::new(0),
+            obs: net.obs().clone(),
+        }
+    }
+
+    /// Counts extents the disk was asked to free and did not confirm
+    /// freed. The client's reply does not change — its file is gone
+    /// either way — but the disk's capacity is, until someone looks.
+    fn leaked(&self, extents: usize) {
+        if let Some(m) = self.obs.metrics() {
+            m.extents_leaked.add(extents as u64);
         }
     }
 
@@ -282,7 +293,9 @@ impl BlockFlatFsServer {
                 // The new extent never made it into any inode and
                 // would otherwise leak disk capacity forever.
                 if let Some(ext) = &fresh {
-                    let _ = self.disk.free(&ext.cap);
+                    if self.disk.free(&ext.cap).is_err() {
+                        self.leaked(1);
+                    }
                 }
                 Reply::status(e.into())
             }
@@ -306,7 +319,9 @@ impl BlockFlatFsServer {
                 // files are unaffected.
                 let _writing = self.inode_locks.lock(req.cap.object);
                 let caps: Vec<Capability> = inode.extents.iter().map(|e| e.cap).collect();
-                let _ = self.disk.free_many(&caps);
+                if let Err((unconfirmed, _)) = self.disk.free_many(&caps) {
+                    self.leaked(unconfirmed);
+                }
                 Reply::ok(Bytes::new())
             }
             Err(e) => Reply::status(e.into()),
@@ -808,6 +823,59 @@ mod tests {
         );
         assert_eq!(disk_trips(&net, &fs, &fresh, 0, &[2u8; PAGE as usize]), 1);
         runners.into_iter().for_each(ServiceRunner::stop);
+    }
+
+    /// A disk that serves everything but `FREE`.
+    struct NeverFrees(BlockServer);
+
+    impl Service for NeverFrees {
+        fn bind(&mut self, put_port: Port) {
+            self.0.bind(put_port);
+        }
+
+        fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
+            match req.command {
+                amoeba_block::ops::FREE => Reply::status(Status::Unsupported),
+                _ => self.0.handle(req, ctx),
+            }
+        }
+    }
+
+    #[test]
+    fn extents_the_disk_did_not_free_are_counted() {
+        let net = Network::new();
+        net.obs().enable();
+        let leaked = || net.obs().snapshot().expect("recorder is on").extents_leaked;
+        let disk = ServiceRunner::spawn_open(
+            &net,
+            NeverFrees(BlockServer::new(small(), SchemeKind::OneWay)),
+        );
+        let server = BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative);
+        let fsr = ServiceRunner::spawn_open(&net, server);
+        let fs = FlatFsClient::open(&net, fsr.put_port());
+
+        // Three extents, freed in one batch frame whose entries fail
+        // one by one; then a lone extent, freed by a plain FREE.
+        let cap = fs.create().unwrap();
+        for chunk in 0..3 {
+            fs.write(&cap, chunk * 128, &[7u8; 128]).unwrap();
+        }
+        assert_eq!(leaked(), 0);
+        fs.destroy(&cap).unwrap();
+        assert_eq!(
+            leaked(),
+            3,
+            "the client's file is gone, the disk's blocks are not"
+        );
+        let cap = fs.create().unwrap();
+        fs.write(&cap, 0, b"one extent").unwrap();
+        fs.destroy(&cap).unwrap();
+        assert_eq!(leaked(), 4);
+
+        let stats = BlockClient::open(&net, disk.put_port());
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 4);
+        fsr.stop();
+        disk.stop();
     }
 
     #[test]

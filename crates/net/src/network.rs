@@ -321,8 +321,9 @@ impl Network {
     /// An unbounded MPMC queue for hand-offs between this network's
     /// parties (ready queues, reply mailboxes), counted with the
     /// machine inboxes in [`hot_path`](Network::hot_path). Like an
-    /// inbox, a blocking receive on it spins before it parks while
-    /// spinning pays on that queue (the channel crate's "Park rule").
+    /// inbox, a blocking receive on it spins, or yields once, before it
+    /// parks while that pays on that queue (the channel crate's "Park
+    /// rule" and "Yield rule").
     pub fn channel<T>(&self) -> (Sender<T>, Receiver<T>) {
         metered(&self.inner.queues)
     }
@@ -419,6 +420,8 @@ impl Network {
             queue_wakes: self.inner.queues.wakes(),
             queue_parks: self.inner.queues.parks(),
             queue_spin_hits: self.inner.queues.spin_hits(),
+            queue_yields: self.inner.queues.yields(),
+            queue_yield_hits: self.inner.queues.yield_hits(),
         }
     }
 

@@ -72,10 +72,10 @@ impl NetworkStats {
 /// frames on the wire, payload-buffer allocations, one-way-function
 /// evaluations, blocking lock acquisitions, and cross-thread hand-offs
 /// (queue pushes, the wake-ups they issue, and how the receivers
-/// waited: parked or spinning). Diff two snapshots around a workload
-/// to get per-operation costs.
+/// waited: parked, spinning or yielding). Diff two snapshots around a
+/// workload to get per-operation costs.
 ///
-/// `frames_sent` and the four `queue_*` counts are per network
+/// `frames_sent` and the six `queue_*` counts are per network
 /// (machine inboxes plus every [`Network::channel`](crate::Network::channel)); `oneway_evals` sums the
 /// [`crypto_evals`](crate::NetworkInterface::crypto_evals) of the
 /// machines *currently attached* (detached machines take their counts
@@ -112,6 +112,12 @@ pub struct HotPathSnapshot {
     /// Messages a receiver took at the end of a spin, with no park and
     /// no wake: the cross-core hand-offs the kernel never saw.
     pub queue_spin_hits: u64,
+    /// Yields (a `sched_yield` syscall each) made by receivers that
+    /// found those queues empty and were about to park.
+    pub queue_yields: u64,
+    /// Messages a receiver took on return from such a yield, with no
+    /// park and no wake: the same-core hand-offs that cost no futex.
+    pub queue_yield_hits: u64,
 }
 
 impl std::ops::Sub for HotPathSnapshot {
@@ -130,6 +136,8 @@ impl std::ops::Sub for HotPathSnapshot {
             queue_wakes: self.queue_wakes - rhs.queue_wakes,
             queue_parks: self.queue_parks - rhs.queue_parks,
             queue_spin_hits: self.queue_spin_hits - rhs.queue_spin_hits,
+            queue_yields: self.queue_yields - rhs.queue_yields,
+            queue_yield_hits: self.queue_yield_hits - rhs.queue_yield_hits,
         }
     }
 }

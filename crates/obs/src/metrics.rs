@@ -220,6 +220,10 @@ pub struct Metrics {
     pub page_cache_misses: Counter,
     /// Fetched pages it kept (a page is admitted on its second miss).
     pub page_cache_admissions: Counter,
+    /// Disk extents a block-backed file server asked its disk to free
+    /// (a destroyed file's, or an orphan of a failed write) without
+    /// the disk confirming it: capacity leaked until someone looks.
+    pub extents_leaked: Counter,
     /// End-to-end transaction latency (start → completion wake), in
     /// nanoseconds of timeline time.
     pub trans_latency_ns: Histogram,
@@ -249,6 +253,7 @@ impl Metrics {
             page_cache_hits: self.page_cache_hits.get(),
             page_cache_misses: self.page_cache_misses.get(),
             page_cache_admissions: self.page_cache_admissions.get(),
+            extents_leaked: self.extents_leaked.get(),
             latency_count: self.trans_latency_ns.count(),
             latency_sum_ns: self.trans_latency_ns.sum(),
             latency_min_ns: self.trans_latency_ns.min().unwrap_or(0),
@@ -285,6 +290,7 @@ pub struct MetricsSnapshot {
     pub page_cache_hits: u64,
     pub page_cache_misses: u64,
     pub page_cache_admissions: u64,
+    pub extents_leaked: u64,
     pub latency_count: u64,
     pub latency_sum_ns: u64,
     pub latency_min_ns: u64,
@@ -298,7 +304,7 @@ impl MetricsSnapshot {
     /// Formats the snapshot as a flat JSON object (cold path; this is
     /// the one place in the crate that allocates).
     pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 27] = [
+        let fields: [(&str, u64); 28] = [
             ("trans_started", self.trans_started),
             ("trans_completed", self.trans_completed),
             ("trans_timeouts", self.trans_timeouts),
@@ -319,6 +325,7 @@ impl MetricsSnapshot {
             ("page_cache_hits", self.page_cache_hits),
             ("page_cache_misses", self.page_cache_misses),
             ("page_cache_admissions", self.page_cache_admissions),
+            ("extents_leaked", self.extents_leaked),
             ("latency_count", self.latency_count),
             ("latency_sum_ns", self.latency_sum_ns),
             ("latency_min_ns", self.latency_min_ns),
