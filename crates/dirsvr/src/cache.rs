@@ -146,6 +146,18 @@ fn key(dir: &Capability, name: &str) -> (u64, u64) {
     (a, b)
 }
 
+/// The direct-mapped slot a key's first hash lives in.
+fn slot_of(key_a: u64) -> usize {
+    (key_a as usize) & (SLOTS - 1)
+}
+
+/// The slot `(dir, name)` lives in, for tests whose counts hold only
+/// while their entries do not evict one another.
+#[cfg(test)]
+pub(crate) fn slot_index(dir: &Capability, name: &str) -> usize {
+    slot_of(key(dir, name).0)
+}
+
 /// Splits `path` at its last segment: `(dirname, basename)`, with
 /// `dirname` empty when the path has a single segment (or none).
 pub(crate) fn split_leaf(path: &str) -> (&str, &str) {
@@ -178,7 +190,7 @@ impl CapCache {
     }
 
     fn slot(&self, key_a: u64) -> &Slot {
-        &self.slots[(key_a as usize) & (SLOTS - 1)]
+        &self.slots[slot_of(key_a)]
     }
 
     /// The generation the cache is in. Read it **before** sending the
@@ -538,10 +550,10 @@ mod tests {
     /// but is a different key — the adversarial collision the 128-bit
     /// key check exists for. With 512 slots, ~512 candidates suffice.
     fn colliding_name(dir: &Capability, reference: &str, tag: usize) -> String {
-        let slot = key(dir, reference).0 as usize & (SLOTS - 1);
+        let slot = slot_index(dir, reference);
         (0usize..)
             .map(|i| format!("collide-{tag}-{i}"))
-            .find(|n| key(dir, n).0 as usize & (SLOTS - 1) == slot)
+            .find(|n| slot_index(dir, n) == slot)
             .expect("the candidate stream is infinite")
     }
 

@@ -1012,6 +1012,20 @@ mod tests {
         (root, current, segments.join("/"))
     }
 
+    /// Whether each `(directory, name)` key has a direct-mapped slot of
+    /// its own in a [`CapCache`]. Capabilities are random, and two keys
+    /// in one slot evict each other on every access, so the tests that
+    /// assert exact frame and write counts build their trees again
+    /// until this holds of every key the tree can be cached under.
+    fn in_slots_of_their_own<S: AsRef<str>>(keys: &[(Capability, S)]) -> bool {
+        let mut slots: Vec<usize> = keys
+            .iter()
+            .map(|(dir, name)| cache::slot_index(dir, name.as_ref()))
+            .collect();
+        slots.sort_unstable();
+        slots.windows(2).all(|pair| pair[0] != pair[1])
+    }
+
     #[test]
     fn resolve_matches_walk_in_one_frame() {
         let (net, runner, dirs) = setup();
@@ -1124,21 +1138,37 @@ mod tests {
         let runner1 = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
         let runner2 = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
         let builder = DirClient::open(&net, runner1.put_port());
-        let root = builder.create_dir_on(runner1.put_port()).unwrap();
-        let mut dir = root;
-        for level in 0..8 {
-            let runner = if level < 4 { &runner1 } else { &runner2 };
-            let next = builder.create_dir_on(runner.put_port()).unwrap();
-            builder.enter(&dir, &format!("s{level}"), &next).unwrap();
-            dir = next;
-        }
-        let leaves: Vec<Capability> = (0..SIBLINGS)
-            .map(|i| {
-                let leaf = builder.create_dir_on(runner2.put_port()).unwrap();
-                builder.enter(&dir, &format!("f{i}"), &leaf).unwrap();
-                leaf
-            })
-            .collect();
+        // Built again until every key has a slot of its own (about two
+        // draws in three do): a leaf in one of the chain's slots evicts
+        // the way to its own directory.
+        let (root, leaves) = loop {
+            let mut chain = vec![builder.create_dir_on(runner1.put_port()).unwrap()];
+            for level in 0..8 {
+                let runner = if level < 4 { &runner1 } else { &runner2 };
+                let next = builder.create_dir_on(runner.put_port()).unwrap();
+                builder
+                    .enter(&chain[level], &format!("s{level}"), &next)
+                    .unwrap();
+                chain.push(next);
+            }
+            let leaves: Vec<Capability> = (0..SIBLINGS)
+                .map(|i| {
+                    let leaf = builder.create_dir_on(runner2.put_port()).unwrap();
+                    builder.enter(&chain[8], &format!("f{i}"), &leaf).unwrap();
+                    leaf
+                })
+                .collect();
+            let mut keys = vec![
+                (chain[0], "s0/s1/s2/s3".to_string()),
+                (chain[4], "s4".to_string()),
+                (chain[5], "s5/s6/s7".to_string()),
+                (chain[0], "s0/s1/s2/s3/s4/s5/s6/s7".to_string()),
+            ];
+            keys.extend((0..SIBLINGS).map(|i| (chain[8], format!("f{i}"))));
+            if in_slots_of_their_own(&keys) {
+                break (chain[0], leaves);
+            }
+        };
 
         let dirs = DirClient::open(&net, runner1.put_port()).with_cache(Duration::from_secs(60));
         let cache = dirs.cache().unwrap();
@@ -1171,8 +1201,31 @@ mod tests {
         let (net, runner, dirs) = setup();
         let dirs = dirs.with_cache(Duration::from_secs(60));
         let builder = DirClient::open(&net, runner.put_port());
-        let (root, leaf, path) = deep_chain(&builder, 3);
-        assert_eq!(dirs.resolve(&root, &path).unwrap(), leaf);
+        // The counts below are exact only while the chain's entries
+        // keep their slots: capabilities are random and the cache is
+        // direct-mapped, so two of these keys in one slot evict each
+        // other on every access (seen: 12 frames for 4). Build the
+        // chain again until every key it could be cached under has a
+        // slot of its own — about one draw in thirty does not.
+        let (root, leaf) = loop {
+            let chain: Vec<Capability> = (0..4).map(|_| builder.create_dir().unwrap()).collect();
+            for (i, link) in chain.windows(2).enumerate() {
+                builder.enter(&link[0], &format!("s{i}"), &link[1]).unwrap();
+            }
+            let (root, s0, s1, leaf) = (chain[0], chain[1], chain[2], chain[3]);
+            let keys = [
+                (root, "s0"),
+                (root, "s0/s1"),
+                (root, "s0/s1/s2"),
+                (s0, "s1"),
+                (s0, "s1/s2"),
+                (s1, "s2"),
+            ];
+            if in_slots_of_their_own(&keys) {
+                break (root, leaf);
+            }
+        };
+        assert_eq!(dirs.resolve(&root, "s0/s1/s2").unwrap(), leaf);
 
         let cache = dirs.cache().unwrap();
         let (writes, frames) = (cache.writes(), net.stats().snapshot().packets_sent);

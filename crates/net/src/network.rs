@@ -398,10 +398,10 @@ impl Network {
 
     /// Snapshots the hot-path cost counters: frames sent on this
     /// network, one-way-function evaluations by its attached
-    /// interfaces, pushes, wakes, parks and spin hits on its queues,
-    /// process-wide payload-buffer allocations, and process-wide
-    /// counted lock acquisitions. See [`HotPathSnapshot`] for the
-    /// accounting caveats.
+    /// interfaces, pushes, wakes, parks, spin hits and spinners' looks
+    /// on its queues, process-wide payload-buffer allocations, and
+    /// process-wide counted lock acquisitions. See [`HotPathSnapshot`]
+    /// for the accounting caveats.
     pub fn hot_path(&self) -> HotPathSnapshot {
         let oneway_evals = self
             .inner
@@ -420,6 +420,7 @@ impl Network {
             queue_wakes: self.inner.queues.wakes(),
             queue_parks: self.inner.queues.parks(),
             queue_spin_hits: self.inner.queues.spin_hits(),
+            queue_spin_looks: self.inner.queues.spin_looks(),
             queue_yields: self.inner.queues.yields(),
             queue_yield_hits: self.inner.queues.yield_hits(),
         }

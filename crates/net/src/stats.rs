@@ -75,7 +75,7 @@ impl NetworkStats {
 /// waited: parked, spinning or yielding). Diff two snapshots around a
 /// workload to get per-operation costs.
 ///
-/// `frames_sent` and the six `queue_*` counts are per network
+/// `frames_sent` and the seven `queue_*` counts are per network
 /// (machine inboxes plus every [`Network::channel`](crate::Network::channel)); `oneway_evals` sums the
 /// [`crypto_evals`](crate::NetworkInterface::crypto_evals) of the
 /// machines *currently attached* (detached machines take their counts
@@ -112,6 +112,11 @@ pub struct HotPathSnapshot {
     /// Messages a receiver took at the end of a spin, with no park and
     /// no wake: the cross-core hand-offs the kernel never saw.
     pub queue_spin_hits: u64,
+    /// Ticks at which a spinning receiver looked at one of those
+    /// queues, hit or miss. Per spin hit, 2.0 is a request–reply
+    /// exchange in step with the spin grid; above ≈ 2.1 the peer's step
+    /// no longer fits in a tick.
+    pub queue_spin_looks: u64,
     /// Yields (a `sched_yield` syscall each) made by receivers that
     /// found those queues empty and were about to park.
     pub queue_yields: u64,
@@ -136,6 +141,7 @@ impl std::ops::Sub for HotPathSnapshot {
             queue_wakes: self.queue_wakes - rhs.queue_wakes,
             queue_parks: self.queue_parks - rhs.queue_parks,
             queue_spin_hits: self.queue_spin_hits - rhs.queue_spin_hits,
+            queue_spin_looks: self.queue_spin_looks - rhs.queue_spin_looks,
             queue_yields: self.queue_yields - rhs.queue_yields,
             queue_yield_hits: self.queue_yield_hits - rhs.queue_yield_hits,
         }

@@ -34,17 +34,25 @@ fn port(n: u64) -> Port {
     Port::new(n).expect("48-bit port")
 }
 
-/// One line of the hand-off table: `hot` per one of `per` units.
+/// One line of the hand-off table: `hot` per one of `per` units, and
+/// the spinners' looks per spin hit — 2.00 is an exchange in step with
+/// the spin grid (one look at the tick the peer first sees the message,
+/// one that finds the answer); above ≈ 2.1 the peer's step no longer
+/// fits in a tick, or spins are running out their bound. That is the
+/// ping-pong's reading; in the chain the outer caller's spin spans the
+/// whole inner transaction, and four or so is in step. Not a number (or
+/// `inf`: a probe looked) where no spin hit: the threads shared a core.
 fn row(what: &str, hot: &HotPathSnapshot, per: u64) {
     let each = |count: u64| count as f64 / per as f64;
     println!(
         "handoff {what} ({} cores): {:.3} pushes, {:.3} wakes, {:.3} parks, \
-         {:.3} spin hits, {:.3} yields, {:.3} yield hits",
+         {:.3} spin hits, {:.2} looks per spin hit, {:.3} yields, {:.3} yield hits",
         cores(),
         each(hot.queue_pushes),
         each(hot.queue_wakes),
         each(hot.queue_parks),
         each(hot.queue_spin_hits),
+        hot.queue_spin_looks as f64 / hot.queue_spin_hits as f64,
         each(hot.queue_yields),
         each(hot.queue_yield_hits),
     );
@@ -114,8 +122,9 @@ fn a_warm_round_trip_never_pays_two_wakes() {
         // cost the other side's yield its bound). On two cores both
         // receivers spin once warm and the wakes vanish. What must not
         // survive the warm-up is two cores *and* two wakes per round
-        // trip — the parked cross-core hand-off, ten times the cost of
-        // either.
+        // trip — the parked cross-core hand-off, at 36–42 µs six times
+        // the spinning pair's two ticks and fifteen times the yielding
+        // pair's two `sched_yield`s.
         if per_trip < 1.5 {
             return;
         }
