@@ -20,7 +20,7 @@
 //! for its port. The index narrows who is asked and never decides:
 //! each candidate's interface is still consulted, and
 //! `packets_filtered` still counts every machine that did not take the
-//! frame (`docs/ARCHITECTURE.md`, "Demux and port leases").
+//! frame (`docs/ARCHITECTURE.md`, "Demux and port recycling").
 //!
 //! # Delivery model
 //!
@@ -547,7 +547,7 @@ impl Network {
         };
         drop(topology);
         // Wake every reactor-parked receiver to re-poll its queue
-        // (simulator receives, driver pools). The wall-clock paths
+        // (simulator receives). The wall-clock paths
         // block on the queues themselves, and nobody being parked
         // costs one load here.
         self.inner.reactor.notify();
@@ -870,11 +870,6 @@ impl Endpoint {
     /// The current point on the network's timeline.
     pub fn now(&self) -> Timestamp {
         self.net.now()
-    }
-
-    /// Sleeps `d` of timeline time (see [`Network::sleep`]).
-    pub fn sleep(&self, d: Duration) {
-        self.net.sleep(d);
     }
 
     /// Registers interest in `port` (a GET in the paper's terms).

@@ -237,8 +237,8 @@ impl BufPool {
     /// The lock meter every hot mutex of this pool's fleet shares.
     ///
     /// The pool feeds its own spill-queue locks into it; RPC components
-    /// built around the same pool (demux overflow, batch accumulators,
-    /// lease broker) attach theirs too, so diffing
+    /// built around the same pool (demux overflow, batch accumulators)
+    /// attach theirs too, so diffing
     /// [`lock_acquisitions`](BufPool::lock_acquisitions) around a
     /// workload counts the whole fleet's hot-path lock traffic without
     /// interference from concurrent tests.

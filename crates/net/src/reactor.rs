@@ -297,7 +297,7 @@ impl Reactor {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Announces an event (a packet enqueued, a request readied) and
+    /// Announces an event (a packet enqueued, a reply deposited) and
     /// wakes every parked thread to re-poll its sources. Called by the
     /// network on every send; timer-free layers never need it.
     pub fn notify(&self) {

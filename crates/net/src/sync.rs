@@ -13,8 +13,8 @@
 //! # Scope of the metric
 //!
 //! The counter covers the workspace's own shared-state software locks:
-//! the buffer pool's spill queues, the RPC demux overflow map, the
-//! batch accumulator, and the port-lease broker. Deliberately outside
+//! the buffer pool's spill queues, the RPC demux overflow map and the
+//! batch accumulator. Deliberately outside
 //! the count, mirroring how `bytes::stats` excludes `Arc` control
 //! blocks:
 //!

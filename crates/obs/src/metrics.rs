@@ -189,10 +189,6 @@ pub struct Metrics {
     pub reply_ports_fresh: Counter,
     /// Reply ports recycled from a parked slot (warm-path reuse).
     pub reply_ports_recycled: Counter,
-    /// Reply ports adopted from a cross-client port lease.
-    pub reply_ports_leased: Counter,
-    /// Recycled identities offered back to a lease broker.
-    pub lease_offers: Counter,
     /// Transactions that fell off the demux slot table into the
     /// locked overflow map (the gated slow path).
     pub demux_overflows: Counter,
@@ -239,8 +235,7 @@ impl Metrics {
             retransmits: self.retransmits.get(),
             reply_ports_fresh: self.reply_ports_fresh.get(),
             reply_ports_recycled: self.reply_ports_recycled.get(),
-            reply_ports_leased: self.reply_ports_leased.get(),
-            lease_offers: self.lease_offers.get(),
+            reply_ports_leased: 0,
             demux_overflows: self.demux_overflows.get(),
             failovers: self.failovers.get(),
             faults_lost: self.faults_lost.get(),
@@ -276,8 +271,9 @@ pub struct MetricsSnapshot {
     pub retransmits: u64,
     pub reply_ports_fresh: u64,
     pub reply_ports_recycled: u64,
+    /// Always 0: reply ports no longer pass between clients. Kept only
+    /// because the repository's benchmark still reads it.
     pub reply_ports_leased: u64,
-    pub lease_offers: u64,
     pub demux_overflows: u64,
     pub failovers: u64,
     pub faults_lost: u64,
@@ -304,7 +300,7 @@ impl MetricsSnapshot {
     /// Formats the snapshot as a flat JSON object (cold path; this is
     /// the one place in the crate that allocates).
     pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 28] = [
+        let fields: [(&str, u64); 27] = [
             ("trans_started", self.trans_started),
             ("trans_completed", self.trans_completed),
             ("trans_timeouts", self.trans_timeouts),
@@ -312,7 +308,6 @@ impl MetricsSnapshot {
             ("reply_ports_fresh", self.reply_ports_fresh),
             ("reply_ports_recycled", self.reply_ports_recycled),
             ("reply_ports_leased", self.reply_ports_leased),
-            ("lease_offers", self.lease_offers),
             ("demux_overflows", self.demux_overflows),
             ("failovers", self.failovers),
             ("faults_lost", self.faults_lost),

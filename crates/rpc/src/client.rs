@@ -1,5 +1,4 @@
-//! The client side: blocking transactions, explicit batches, and the
-//! opportunistic pipeliner.
+//! The client side: blocking transactions and explicit batches.
 //!
 //! # The demultiplexer and its back-off policy
 //!
@@ -30,34 +29,23 @@
 //!   wake-ups would be pure overhead; the residual coarse tick only
 //!   covers a peer *starting* mid-block.
 //!
-//! # Batching and pipelining
+//! # Batching
 //!
 //! [`Client::trans_batch`] ships many request bodies in one
 //! `BATCH_REQUEST` frame and demultiplexes the matching `BATCH_REPLY`
-//! by `(batch id, entry index)` — see `docs/PROTOCOL.md`. On top of it,
-//! a client built with [`Client::with_pipeline`] coalesces *concurrent*
-//! [`Client::trans`] calls opportunistically: the first caller into an
-//! empty per-destination queue becomes the flusher, waits one
-//! [`PipelineConfig::flush_window`], then ships everything queued for
-//! that destination as a single wire frame and hands each caller its
-//! own reply. Callers that arrive alone still progress (the window
-//! bounds their extra latency); callers that arrive together share one
-//! frame — exactly the pool-worker fan-in pattern the dispatch engine
-//! produces.
+//! by `(batch id, entry index)` — see `docs/PROTOCOL.md`. A caller
+//! batches explicitly, by handing over the requests it already has;
+//! [`Client::trans`] is always one frame out and one frame back.
 
-use crate::demux::{decode_reply_port, encode_reply_port, DemuxTable, RouteCache, SlotToken};
+use crate::demux::{encode_reply_port, DemuxTable, RouteCache, SlotToken};
 use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp, MAX_BATCH_ENTRIES};
-use crate::lease::PortLeaseBroker;
 use amoeba_net::{
     BufPool, Endpoint, EventKind, Header, MachineId, Packet, Port, RecvError, Timestamp,
 };
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::Receiver;
 use rand::{RngCore, SeedableRng};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Tunables for [`Client::trans`].
@@ -111,44 +99,10 @@ impl Default for DemuxPolicy {
     }
 }
 
-/// Tunables for the opportunistic pipeliner
-/// ([`Client::with_pipeline`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// How long the flusher waits for concurrent callers to pile onto
-    /// the queue before shipping the accumulated frame. Also the upper
-    /// bound on the extra latency a lone call pays for pipelining.
-    pub flush_window: Duration,
-    /// Maximum entries per shipped frame; a longer queue is split into
-    /// several frames. Must be `1..=`[`MAX_BATCH_ENTRIES`].
-    pub max_entries: usize,
-}
-
-impl PipelineConfig {
-    /// Default flush window: 500 µs — wide enough to catch pool workers
-    /// that blocked on the same hop, narrow next to any real wire RTT.
-    pub const DEFAULT_FLUSH_WINDOW: Duration = Duration::from_micros(500);
-
-    /// Default per-frame entry cap.
-    pub const DEFAULT_MAX_ENTRIES: usize = 16;
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            flush_window: Self::DEFAULT_FLUSH_WINDOW,
-            max_entries: Self::DEFAULT_MAX_ENTRIES,
-        }
-    }
-}
-
 /// Upper bound on recycled reply-port bindings a client parks between
 /// transactions; beyond it ports are released normally. Bounds both the
 /// claim table and the concurrency level that benefits from recycling.
 const MAX_RECYCLED_REPLY_PORTS: u32 = 64;
-
-/// Route hints a dying client exports to its lease broker.
-const MAX_EXPORTED_ROUTES: usize = 256;
 
 /// Errors from a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,24 +132,6 @@ impl std::error::Error for RpcError {}
 /// Per-entry result of a batch transaction.
 pub type BatchResult = Result<Bytes, RpcError>;
 
-type WaiterTx = Sender<BatchResult>;
-
-/// A queued-but-unflushed pipeline call for one destination.
-#[derive(Debug, Default)]
-struct DestQueue {
-    entries: Vec<(Bytes, WaiterTx)>,
-    /// Whether some caller is already sitting out the flush window for
-    /// this destination (there is at most one flusher per destination
-    /// at a time).
-    flusher_active: bool,
-}
-
-#[derive(Debug)]
-struct PipelineState {
-    config: PipelineConfig,
-    queues: Mutex<HashMap<Port, DestQueue>>,
-}
-
 /// A client able to perform blocking transactions on a network endpoint.
 ///
 /// "After making a request, a client blocks until the reply comes in"
@@ -223,9 +159,9 @@ pub struct Client {
     rng_state: AtomicU64,
     /// Monotonic source of batch ids; uniqueness per client plus the
     /// per-batch private reply port makes `(reply port, id)` unique on
-    /// the wire.
+    /// the wire — a reply port never outlives the client that minted
+    /// it, so ids restarting at 1 in the next client cannot collide.
     next_batch_id: AtomicU32,
-    pipeline: Option<PipelineState>,
     /// In-flight transactions: the lock-free slot table (see the
     /// `demux` module) that routes each wire reply port to its
     /// waiter's pooled mailbox, parks recycled bindings on an indexed
@@ -247,11 +183,6 @@ pub struct Client {
     /// failover and migrated services still work. Lock-free (see
     /// `demux::RouteCache`).
     routes: RouteCache,
-    /// Fresh reply-port mints performed (excludes recycled and leased
-    /// bindings) — observability for the warm-path guarantees.
-    minted_ports: AtomicU64,
-    /// Where parked ports and route hints go when this client dies.
-    broker: Option<Arc<PortLeaseBroker>>,
     /// Client-local trace-id mint (no cross-client coordination): the
     /// endpoint's machine id occupies the high 32 bits, a per-client
     /// counter the low 32, so spans from different clients never alias
@@ -277,12 +208,9 @@ impl Client {
             signature: None,
             rng_state: AtomicU64::new(rand::rngs::StdRng::from_entropy().next_u64()),
             next_batch_id: AtomicU32::new(1),
-            pipeline: None,
             table,
             pool,
             routes: RouteCache::new(),
-            minted_ports: AtomicU64::new(0),
-            broker: None,
             next_trace: AtomicU64::new(trace_base),
         }
     }
@@ -295,55 +223,6 @@ impl Client {
     pub fn with_rng_seed(mut self, seed: u64) -> Client {
         *self.rng_state.get_mut() = seed;
         self
-    }
-
-    /// Builder knob: connects this client to a fleet-wide
-    /// [`PortLeaseBroker`] and immediately tries to lease a pre-warmed
-    /// identity from it: a recycled reply get-port (claimed here and
-    /// parked, so the first transaction skips the mint entirely) and
-    /// the route hints that travelled with it (so that first
-    /// transaction is already machine-targeted — no LOCATE broadcast,
-    /// and its port recycles again). On drop the client offers its own
-    /// clean parked ports and routes back.
-    pub fn with_broker(mut self, broker: Arc<PortLeaseBroker>) -> Client {
-        if let Some(grant) = broker.lease() {
-            if let Some(m) = self.endpoint.obs().metrics() {
-                m.reply_ports_leased.add(1);
-            }
-            self.adopt_leased_port(grant.get);
-            for (key, val) in grant.routes {
-                self.routes.insert(key, val);
-            }
-        }
-        self.broker = Some(broker);
-        self
-    }
-
-    /// Claims a leased get-port on this endpoint and parks it, ready
-    /// for the first transaction. F is deterministic, so the claim
-    /// yields the same wire port the previous owner answered to —
-    /// which is what makes the pooled route hints line up with it.
-    fn adopt_leased_port(&self, get: Port) {
-        let Some((idx, _)) = self.table.reserve_fresh() else {
-            return;
-        };
-        // The binding keeps the generation engraved at its original
-        // mint (generation continuity across owners; see `lease`).
-        let (_, gen8, _) = decode_reply_port(get);
-        self.table.set_reserved_gen(idx, gen8);
-        let wire = self.endpoint.claim(get);
-        match self.table.activate_fresh(idx, get, wire) {
-            Some(token) => {
-                if !self.table.try_park(token, MAX_RECYCLED_REPLY_PORTS) {
-                    self.table.burn(token);
-                    self.endpoint.release(get);
-                }
-            }
-            None => {
-                self.table.abort_reserved(idx);
-                self.endpoint.release(get);
-            }
-        }
     }
 
     /// The next value of the lock-free splitmix64 stream.
@@ -379,25 +258,6 @@ impl Client {
         self
     }
 
-    /// Builder knob: enables the opportunistic pipeliner. Concurrent
-    /// [`trans`](Self::trans) calls to the same destination are
-    /// coalesced into one wire frame per flush window.
-    ///
-    /// # Panics
-    /// Panics if `config.max_entries` is zero or exceeds
-    /// [`MAX_BATCH_ENTRIES`].
-    pub fn with_pipeline(mut self, config: PipelineConfig) -> Client {
-        assert!(
-            (1..=MAX_BATCH_ENTRIES).contains(&config.max_entries),
-            "pipeline max_entries must be in 1..={MAX_BATCH_ENTRIES}"
-        );
-        self.pipeline = Some(PipelineState {
-            config,
-            queues: Mutex::new(HashMap::new()),
-        });
-        self
-    }
-
     /// Attaches a secret signature `S` to every outgoing request; the
     /// F-box will transmit `F(S)`, which servers can compare against
     /// this principal's published `F(S)`.
@@ -416,19 +276,12 @@ impl Client {
     /// (forwarding, a caller-built blob); code that *builds* its
     /// request should write it in place instead.
     ///
-    /// On a pipelined client ([`with_pipeline`](Self::with_pipeline))
-    /// the call may share a wire frame with concurrent `trans` calls to
-    /// the same destination; semantics are unchanged.
-    ///
     /// # Errors
     /// [`RpcError::Timeout`] if no reply arrives within
     /// `config.attempts × config.timeout`; [`RpcError::Disconnected`] if
     /// the endpoint is detached.
     pub fn trans(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
-        match &self.pipeline {
-            Some(_) => self.trans_pipelined(dest, request),
-            None => self.start_prebuilt(dest, None, request).wait(),
-        }
+        self.start_prebuilt(dest, None, request).wait()
     }
 
     /// The in-place transaction every request goes through: takes
@@ -448,14 +301,6 @@ impl Client {
         len: usize,
         build: impl FnOnce(&mut BytesMut),
     ) -> Result<Bytes, RpcError> {
-        if target.is_none() && self.pipeline.is_some() {
-            // A pipelined call waits in its destination's queue until
-            // the flusher writes it into a shared batch frame, so until
-            // then it needs a body of its own.
-            let mut body = self.pool.take_sized(len);
-            build(&mut body);
-            return self.trans_pipelined(dest, body.freeze());
-        }
         self.trans_async_with(dest, target, len, build).wait()
     }
 
@@ -465,9 +310,7 @@ impl Client {
     ///
     /// This is how a placement-aware caller turns a cached
     /// `(port, machine)` LOCATE answer into routing when several
-    /// replicas serve one put-port. Targeted calls never share a
-    /// pipeline frame — the batch would have a single destination
-    /// machine, defeating the placement choice of its other entries.
+    /// replicas serve one put-port.
     ///
     /// # Errors
     /// As for [`trans`](Self::trans); in particular a dead or detached
@@ -629,63 +472,6 @@ impl Client {
         self.start(dest, None, buf.freeze(), accept).wait()
     }
 
-    /// The pipelined path of [`trans`](Self::trans): enqueue, and either
-    /// become the flusher for this destination or wait for the current
-    /// flusher to deliver the reply.
-    fn trans_pipelined(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
-        let state = self.pipeline.as_ref().expect("pipelined path");
-        let (tx, rx) = self.endpoint.network().channel();
-        let flusher = {
-            let mut queues = state.queues.lock();
-            let q = queues.entry(dest).or_default();
-            q.entries.push((request, tx));
-            !std::mem::replace(&mut q.flusher_active, true)
-        };
-        if flusher {
-            // Timeline sleep: real under the wall clock, a scheduled
-            // reactor wakeup under the simulator.
-            self.endpoint.sleep(state.config.flush_window);
-            let entries = {
-                let mut queues = state.queues.lock();
-                // Everything queued so far (ours included) ships in
-                // this flush, so drop the whole map entry: a long-lived
-                // client must not grow one dead queue per destination.
-                let q = queues.remove(&dest).expect("flusher owns a queue");
-                q.entries
-            };
-            self.flush(dest, entries, state.config.max_entries);
-        }
-        // A dropped sender means the flusher died mid-flight (its
-        // thread panicked); treat it like a torn-down endpoint.
-        rx.recv().unwrap_or(Err(RpcError::Disconnected))
-    }
-
-    /// Ships a drained pipeline queue as one or more wire frames and
-    /// hands every waiter its own result.
-    fn flush(&self, dest: Port, mut entries: Vec<(Bytes, WaiterTx)>, max_entries: usize) {
-        while !entries.is_empty() {
-            let mut chunk: Vec<(Bytes, WaiterTx)> =
-                entries.drain(..entries.len().min(max_entries)).collect();
-            if chunk.len() == 1 {
-                // A lone call needs no batch container.
-                let (request, tx) = chunk.pop().expect("one entry");
-                let _ = tx.send(self.start_prebuilt(dest, None, request).wait());
-                continue;
-            }
-            // Each queued body is written into the batch frame where it
-            // stands, still paired with its waiter for reply delivery.
-            let len = chunk.iter().map(|(body, _)| 4 + body.len()).sum();
-            let outcome = self.trans_batch_chunk(dest, chunk.len(), len, |i, buf| {
-                buf.extend_from_slice(&chunk[i].0);
-            });
-            let results = outcome.unwrap_or_else(|e| vec![Err(e); chunk.len()]);
-            for ((body, tx), result) in chunk.into_iter().zip(results) {
-                let _ = tx.send(result);
-                self.pool.release(body);
-            }
-        }
-    }
-
     /// Routes a packet that is not ours to whichever in-flight
     /// transaction owns its destination port (concurrent `trans` calls
     /// share one endpoint queue) — one index load plus one generation
@@ -729,20 +515,13 @@ impl Client {
         self.table.parked()
     }
 
-    /// Fresh reply ports minted so far (recycled and leased bindings
-    /// don't count — this is the cold-start cost the port-lease broker
-    /// removes).
-    pub fn minted_reply_ports(&self) -> u64 {
-        self.minted_ports.load(Ordering::Relaxed)
-    }
-
     /// Starts a transaction and returns its completion handle without
     /// blocking: the request frame is already on the wire when this
     /// returns, and the caller decides when (and whether) to
     /// [`wait`](Completion::wait) or [`poll`](Completion::poll) for the
     /// reply. [`trans`](Self::trans) is exactly
-    /// `trans_async(..).wait()`; batch and pipelined transactions wrap
-    /// the same engine.
+    /// `trans_async(..).wait()`; batch transactions wrap the same
+    /// engine.
     ///
     /// Dropping the handle abandons the transaction (the reply port is
     /// released; a late reply is dropped as stale noise).
@@ -750,9 +529,8 @@ impl Client {
         self.start_prebuilt(dest, None, request)
     }
 
-    /// The non-blocking form of [`trans_with`](Self::trans_with) (never
-    /// pipelined): the frame `build` wrote in place is on the wire when
-    /// this returns.
+    /// The non-blocking form of [`trans_with`](Self::trans_with): the
+    /// frame `build` wrote in place is on the wire when this returns.
     pub fn trans_async_with(
         &self,
         dest: Port,
@@ -783,7 +561,6 @@ impl Client {
         // the minted get-port.
         if let Some((idx, gen8)) = self.table.reserve_fresh() {
             let get = encode_reply_port(idx as u8, gen8, self.next_rand() as u32);
-            self.minted_ports.fetch_add(1, Ordering::Relaxed);
             let wire = self.endpoint.claim(get);
             if let Some(token) = self.table.activate_fresh(idx, get, wire) {
                 if let Some(m) = self.endpoint.obs().metrics() {
@@ -801,7 +578,6 @@ impl Client {
         // pathological index collision run): a plain random port and a
         // per-transaction mailbox under the counted overflow lock.
         let get = Port::from_raw(self.next_rand());
-        self.minted_ports.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.endpoint.obs().metrics() {
             m.reply_ports_fresh.add(1);
             m.demux_overflows.add(1);
@@ -889,25 +665,6 @@ fn accept_reply(frame: Frame) -> Option<Bytes> {
     match frame {
         Frame::Reply(body) => Some(body),
         _ => None,
-    }
-}
-
-impl Drop for Client {
-    fn drop(&mut self) {
-        // No transaction can be in flight (completions borrow the
-        // client), but parked bindings remain. Export the clean parked
-        // ports — and a route-cache snapshot — to the broker, if any;
-        // their interface claims die with this endpoint either way.
-        let parked = self.table.drain_parked_for_export();
-        if let Some(broker) = &self.broker {
-            broker.offer_routes(&self.routes.export(MAX_EXPORTED_ROUTES));
-            if let Some(m) = self.endpoint.obs().metrics() {
-                m.lease_offers.add(parked.len() as u64);
-            }
-            for (get, _wire) in parked {
-                broker.offer_port(get);
-            }
-        }
     }
 }
 
@@ -1778,179 +1535,13 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_client_coalesces_concurrent_trans_calls() {
-        let net = Network::new();
-        let server = crate::ServerPort::bind(net.attach_open(), Port::new(0xAB).unwrap());
-        let p = server.put_port();
-        let t = std::thread::spawn(move || {
-            let mut served = 0;
-            while served < 6 {
-                let req = server.next_request().unwrap();
-                served += 1;
-                server.reply(&req, req.payload.clone());
-            }
-        });
-        let client = Arc::new(
-            Client::with_config(
-                net.attach_open(),
-                RpcConfig {
-                    timeout: Duration::from_secs(2),
-                    attempts: 2,
-                },
-            )
-            .with_pipeline(PipelineConfig {
-                flush_window: Duration::from_millis(5),
-                max_entries: 16,
-            }),
-        );
-        let before = net.stats().snapshot();
-        let workers: Vec<_> = (0..6u32)
-            .map(|i| {
-                let client = Arc::clone(&client);
-                std::thread::spawn(move || {
-                    let body = Bytes::from(i.to_be_bytes().to_vec());
-                    assert_eq!(client.trans(p, body.clone()).unwrap(), body);
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let frames = net.stats().snapshot().packets_sent - before.packets_sent;
-        assert!(
-            frames < 12,
-            "6 concurrent calls should coalesce below 6 request + 6 reply frames, used {frames}"
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn pipelined_lone_call_still_completes() {
-        let net = Network::new();
-        let server = crate::ServerPort::bind(net.attach_open(), Port::new(0xA1).unwrap());
-        let p = server.put_port();
-        let t = std::thread::spawn(move || {
-            let req = server.next_request().unwrap();
-            server.reply(&req, Bytes::from_static(b"solo"));
-        });
-        let client = Client::new(net.attach_open()).with_pipeline(PipelineConfig::default());
-        assert_eq!(
-            &client.trans(p, Bytes::from_static(b"one")).unwrap()[..],
-            b"solo"
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "max_entries")]
-    fn zero_max_entries_rejected() {
-        let net = Network::new();
-        let _ = Client::new(net.attach_open()).with_pipeline(PipelineConfig {
-            flush_window: Duration::from_millis(1),
-            max_entries: 0,
-        });
-    }
-
-    fn echo_server(
-        net: &Network,
-        g: Port,
-        lifetime: Duration,
-    ) -> (Port, std::thread::JoinHandle<()>) {
-        let server = crate::ServerPort::bind(net.attach_open(), g);
-        let p = server.put_port();
-        let t = std::thread::spawn(move || {
-            while let Ok(req) = server.next_request_timeout(lifetime) {
-                server.reply(&req, req.payload.clone());
-            }
-        });
-        (p, t)
-    }
-
-    #[test]
-    fn leased_client_runs_warm_from_its_first_transaction() {
-        // The cross-client hand-off: client A parks a clean reply port
-        // and a learned route, dies, and offers both to the broker.
-        // A newborn client B leases them and its very first
-        // transaction takes the warm path — no fresh mint (the leased
-        // port is parked and ready) and no associative fan-out (the
-        // seeded route targets the machine directly), which in turn
-        // lets that first transaction re-park the port.
-        let net = Network::new();
-        let (p, t) = echo_server(&net, Port::new(0xE0).unwrap(), Duration::from_millis(400));
-        let cfg = RpcConfig {
-            timeout: Duration::from_secs(2),
-            attempts: 2,
-        };
-        let broker = Arc::new(PortLeaseBroker::new());
-        {
-            let a = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
-            // Call 1 learns the route (its port burns — untargeted);
-            // call 2 is hinted, completes clean, and parks its port.
-            a.trans(p, Bytes::from_static(b"a1")).unwrap();
-            a.trans(p, Bytes::from_static(b"a2")).unwrap();
-            assert_eq!(a.parked_reply_ports(), 1);
-        }
-        assert_eq!(broker.available_ports(), 1, "drop must offer the port");
-        assert!(broker.pooled_routes() >= 1, "drop must offer the routes");
-
-        let b = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
-        assert_eq!(broker.available_ports(), 0, "birth must consume the lease");
-        assert_eq!(
-            b.parked_reply_ports(),
-            1,
-            "the leased port must be claimed and parked at birth"
-        );
-        assert!(b.cached_route(p).is_some(), "the route must be seeded");
-        assert_eq!(&b.trans(p, Bytes::from_static(b"b1")).unwrap()[..], b"b1");
-        assert_eq!(
-            b.minted_reply_ports(),
-            0,
-            "a leased client's first transaction must not mint a port"
-        );
-        assert_eq!(
-            b.parked_reply_ports(),
-            1,
-            "the warm first transaction must recycle the leased port"
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn expired_lease_is_never_granted_and_the_client_cold_starts() {
-        // TTL zero expires offers instantly: the stale-lease guard. A
-        // client born from an empty (all-expired) broker mints fresh.
-        let net = Network::new();
-        let (p, t) = echo_server(&net, Port::new(0xE1).unwrap(), Duration::from_millis(300));
-        let cfg = RpcConfig {
-            timeout: Duration::from_secs(2),
-            attempts: 2,
-        };
-        let broker = Arc::new(PortLeaseBroker::with_ttl(Duration::ZERO));
-        {
-            let a = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
-            a.trans(p, Bytes::from_static(b"a1")).unwrap();
-            a.trans(p, Bytes::from_static(b"a2")).unwrap();
-            assert_eq!(a.parked_reply_ports(), 1);
-        }
-        let b = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
-        assert_eq!(
-            b.parked_reply_ports(),
-            0,
-            "an expired lease must never be granted"
-        );
-        assert_eq!(&b.trans(p, Bytes::from_static(b"b1")).unwrap()[..], b"b1");
-        assert_eq!(b.minted_reply_ports(), 1, "cold start mints fresh");
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn dirty_ports_never_enter_the_lease_pool_and_stragglers_never_alias() {
-        // The cross-client extension of the PR 5 straggler rule: an
-        // untargeted call to a replicated port leaves a straggler reply
-        // in flight, so its port is dirty and must be *burned*, never
-        // offered to the broker — even though the client dies while
-        // the straggler is still on the wire. The next client (born
-        // from that broker) must see its own replies only.
+    fn a_dead_clients_straggler_never_reaches_its_successor() {
+        // An untargeted call to a replicated port leaves a straggler
+        // reply in flight, so its port is dirty and must burn, never
+        // park — even though the client dies while the straggler is
+        // still on the wire. The next client must see its own replies
+        // only: its reply ports are its own mints, never the dead
+        // client's.
         let net = Network::new();
         net.set_latency(Duration::from_millis(10));
         let g1 = Port::new(0xE2).unwrap();
@@ -1969,20 +1560,14 @@ mod tests {
             timeout: Duration::from_secs(2),
             attempts: 2,
         };
-        let broker = Arc::new(PortLeaseBroker::new());
         {
-            let a = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
+            let a = Client::with_config(net.attach_open(), cfg);
             // Untargeted, two replicas answer: one reply consumed, one
             // straggler in flight when the client dies.
             assert_eq!(&a.trans(g1, Bytes::from_static(b"x")).unwrap()[..], b"dup");
             assert_eq!(a.parked_reply_ports(), 0, "fan-out port must burn");
         }
-        assert_eq!(
-            broker.available_ports(),
-            0,
-            "a dirty port must never be offered for lease"
-        );
-        let b = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
+        let b = Client::with_config(net.attach_open(), cfg);
         assert_eq!(
             &b.trans(g2, Bytes::from_static(b"y")).unwrap()[..],
             b"fresh",
@@ -1992,37 +1577,5 @@ mod tests {
         for t in [ta, tb, tc] {
             t.join().unwrap();
         }
-    }
-
-    #[test]
-    fn leases_chain_across_a_generation_of_clients() {
-        // A swarm of short-lived clients sharing one broker: after the
-        // first client warms the pool, every successor runs mint-free.
-        let net = Network::new();
-        let (p, t) = echo_server(&net, Port::new(0xE4).unwrap(), Duration::from_millis(600));
-        let cfg = RpcConfig {
-            timeout: Duration::from_secs(2),
-            attempts: 2,
-        };
-        let broker = Arc::new(PortLeaseBroker::new());
-        {
-            let warm = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
-            warm.trans(p, Bytes::from_static(b"w1")).unwrap();
-            warm.trans(p, Bytes::from_static(b"w2")).unwrap();
-        }
-        for i in 0..3u8 {
-            let c = Client::with_config(net.attach_open(), cfg).with_broker(Arc::clone(&broker));
-            assert_eq!(
-                &c.trans(p, Bytes::from(vec![i])).unwrap()[..],
-                [i],
-                "generation {i} reply"
-            );
-            assert_eq!(
-                c.minted_reply_ports(),
-                0,
-                "generation {i} must run entirely on its lease"
-            );
-        }
-        t.join().unwrap();
     }
 }

@@ -10,7 +10,7 @@
 //!   minted reply get-port engraves the slot index and an 8-bit
 //!   **generation tag** in its low bits (see [`encode_reply_port`]) —
 //!   `[ salt:32 | gen:8 | slot:8 ]` — so owner-side bookkeeping
-//!   (parking, recycling, leasing) is a direct index, never a scan.
+//!   (parking, recycling) is a direct index, never a scan.
 //! * What arrives on the wire is the **F-transformed** port `F(G′)`,
 //!   whose bits carry no trace of the engraving (that is the point of
 //!   F). Incoming replies therefore resolve through a fixed
@@ -42,7 +42,8 @@
 //! reused across bindings cannot alias transactions. The PR 5
 //! recycling rules (only a machine-targeted, single-transmit,
 //! stragglerless completion may park its port) are unchanged and are
-//! what make port reuse — in-client or via the lease broker — sound.
+//! what make port reuse sound. Reuse never crosses clients: a reply
+//! port lives and dies with the client that minted it.
 //!
 //! Overflow (more concurrent transactions than free slots, or a full
 //! probe window) falls back to a mutex-guarded map. The mutex is a
@@ -90,13 +91,6 @@ pub(crate) fn encode_reply_port(slot: u8, gen: u8, salt: u32) -> Port {
     };
     let value = (u64::from(salt) << 16) | (u64::from(gen) << 8) | u64::from(slot);
     Port::new(value).expect("salt remap keeps the value off the reserved ports")
-}
-
-/// Recovers `(slot, gen, salt)` from a port minted by
-/// [`encode_reply_port`].
-pub(crate) fn decode_reply_port(port: Port) -> (u8, u8, u32) {
-    let v = port.value();
-    ((v & 0xFF) as u8, ((v >> 8) & 0xFF) as u8, (v >> 16) as u32)
 }
 
 /// One demux slot. All fields are atomics (or write-once); the slot is
@@ -301,16 +295,6 @@ impl DemuxTable {
         Some((idx, gen8))
     }
 
-    /// Overwrites a reserved slot's generation — used when adopting a
-    /// leased port, whose binding carries the generation engraved at
-    /// its original mint.
-    pub(crate) fn set_reserved_gen(&self, idx: usize, gen8: u8) {
-        debug_assert_eq!(self.slots[idx].state.load(Ordering::Relaxed), RESERVED);
-        self.slots[idx]
-            .gen
-            .store(u32::from(gen8), Ordering::Relaxed);
-    }
-
     /// Binds a reserved slot to `(get, wire)` and makes it resolvable.
     /// Returns the owner token, or `None` if the index probe window is
     /// full (the caller should abort the binding and go overflow).
@@ -413,30 +397,6 @@ impl DemuxTable {
     /// A clone of the pooled mailbox receiver for an owned binding.
     pub(crate) fn receiver(&self, token: SlotToken) -> Receiver<Packet> {
         self.slots[token.idx].mailbox(&self.net).1.clone()
-    }
-
-    /// The binding a parked slot holds, without claiming it — used by
-    /// `Client::drop` to export parked ports as leases.
-    pub(crate) fn drain_parked_for_export(&self) -> Vec<(Port, Port)> {
-        let mut out = Vec::new();
-        while let Some(idx) = self.parked.pop(&self.slots, &self.recycle_pop_steps) {
-            self.parked_count.fetch_sub(1, Ordering::Relaxed);
-            let slot = &self.slots[idx];
-            slot.state.store(RESERVED, Ordering::Release);
-            let quiet = !slot.drain_discard();
-            let get = Port::from_raw(slot.get.load(Ordering::Relaxed));
-            let wire = Port::from_raw(slot.wire.load(Ordering::Relaxed));
-            // Tear the slot down either way (the client is dying);
-            // only quiescent bindings are worth exporting.
-            self.burn(SlotToken {
-                idx,
-                gen: slot.gen.load(Ordering::Relaxed),
-            });
-            if quiet {
-                out.push((get, wire));
-            }
-        }
-        out
     }
 
     /// Deposits a foreign reply with the transaction that owns its
@@ -637,31 +597,13 @@ impl RouteCache {
         }
     }
 
-    /// Occupied (valued) entries — O(capacity), for tests and lease
-    /// export only.
+    /// Occupied (valued) entries — O(capacity), for tests and
+    /// diagnostics only.
     pub(crate) fn len(&self) -> usize {
         self.vals
             .iter()
             .filter(|v| v.load(Ordering::Relaxed) != 0)
             .count()
-    }
-
-    /// Snapshot of up to `cap` live routes, for lease export.
-    pub(crate) fn export(&self, cap: usize) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for i in 0..MAX_CACHED_ROUTES {
-            if out.len() >= cap {
-                break;
-            }
-            let val = self.vals[i].load(Ordering::Relaxed);
-            if val != 0 {
-                let key = self.keys[i].load(Ordering::Relaxed);
-                if key != 0 {
-                    out.push((key, val));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -671,6 +613,13 @@ mod tests {
     use amoeba_net::{Header, LockMeter};
     use bytes::Bytes;
     use proptest::prelude::*;
+
+    /// Recovers `(slot, gen, salt)` from a port minted by
+    /// [`encode_reply_port`].
+    fn decode_reply_port(port: Port) -> (u8, u8, u32) {
+        let v = port.value();
+        ((v & 0xFF) as u8, ((v >> 8) & 0xFF) as u8, (v >> 16) as u32)
+    }
 
     fn pkt_to(wire: Port) -> Packet {
         // Build a packet through a real network so its bookkeeping
@@ -850,50 +799,6 @@ mod tests {
             let token2 = table.activate_fresh(idx2, get2, wire2).unwrap();
             prop_assert!(!table.deposit(pkt_to(wire)));
             table.burn(token2);
-        }
-
-        /// Expired lease offers — any batch of engraved ports — are
-        /// pruned, never granted, so a successor client mints fresh
-        /// and a straggler addressed to any expired port's wire value
-        /// meets only the forged-port rejection path in the
-        /// successor's table. (The live-lease aliasing guards —
-        /// generation continuity and the full wire compare — are
-        /// covered by the integration tests in `client`.)
-        #[test]
-        fn expired_lease_stragglers_never_alias(
-            offers in proptest::collection::vec(
-                (any::<u8>(), any::<u8>(), any::<u32>()),
-                1..8,
-            ),
-            straggler in 1u64..0xFFFF_FFFF_FFFFu64,
-        ) {
-            let broker =
-                crate::lease::PortLeaseBroker::with_ttl(std::time::Duration::ZERO);
-            for &(slot, gen, salt) in &offers {
-                broker.offer_port(encode_reply_port(slot, gen, salt));
-            }
-            prop_assert_eq!(
-                broker.available_ports(),
-                0,
-                "expired offers must be pruned"
-            );
-            prop_assert!(broker.lease().is_none(), "expired offer granted");
-
-            // The successor finds no lease and binds a fresh port of
-            // its own; the straggler's wire value resolves nowhere in
-            // its table.
-            let table = DemuxTable::new(&amoeba_net::Network::new(), LockMeter::new());
-            let (idx, gen8) = table.reserve_fresh().unwrap();
-            let get = encode_reply_port(idx as u8, gen8, 7);
-            let wire = Port::new(0xFEED).unwrap();
-            let token = table.activate_fresh(idx, get, wire).unwrap();
-            if straggler != wire.value() {
-                prop_assert!(
-                    !table.deposit(pkt_to(Port::from_raw(straggler))),
-                    "straggler resolved in a table that never bound it"
-                );
-            }
-            table.burn(token);
         }
     }
 }

@@ -20,11 +20,9 @@
 //!   a dead replica without losing the survivors. The hit/miss
 //!   counters feed the match-making benchmark.
 //! * **Batching** ([`Client::trans_batch`]) ships many request bodies
-//!   in one wire frame, and a **pipelined** client
-//!   ([`Client::with_pipeline`]) opportunistically coalesces concurrent
-//!   [`Client::trans`] calls into batch frames; servers explode batches
-//!   across their worker pool and fan replies back into one frame. The
-//!   wire layout is specified in `docs/PROTOCOL.md`.
+//!   in one wire frame; servers explode batches across their worker
+//!   pool and fan replies back into one frame. The wire layout is
+//!   specified in `docs/PROTOCOL.md`.
 //!
 //! # Example
 //!
@@ -62,15 +60,11 @@
 mod client;
 mod demux;
 mod frame;
-mod lease;
 mod locate;
 pub mod matchmaker;
 mod server;
 
-pub use client::{
-    BatchResult, Client, Completion, DemuxPolicy, PipelineConfig, RpcConfig, RpcError,
-};
-pub use lease::PortLeaseBroker;
+pub use client::{BatchResult, Client, Completion, DemuxPolicy, RpcConfig, RpcError};
 
 pub use frame::{
     BatchReplyEntry, BatchStatus, Frame, FrameKind, ReplicaInfo, TransferOp, BATCH_VERSION,

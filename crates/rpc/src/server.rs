@@ -291,14 +291,6 @@ impl ServerPort {
             .then(|| PumpGuard { role: &self.pump })
     }
 
-    /// Whether the pump role is currently unheld. A probe only (a
-    /// plain load, no acquisition) — the answer may be stale by the
-    /// time the caller acts on it, which every call site tolerates by
-    /// retrying.
-    fn pump_is_free(&self) -> bool {
-        !self.pump.load(Ordering::Acquire)
-    }
-
     /// Hands a decoded request to the worker that will serve it. Every
     /// receive path funnels through here: it is where the flight
     /// recorder sees a request leave the pump for a worker.
@@ -316,12 +308,11 @@ impl ServerPort {
         req
     }
 
-    /// Non-blocking receive for reactor driver loops: serves an
-    /// already-decoded batch entry if one is ready, otherwise (if the
-    /// pump role is free) decodes queued packets until one yields a
-    /// request, and returns it. Never parks the thread; a driver
-    /// multiplexing many bound ports calls this in a scan and parks on
-    /// the reactor only when every port comes up empty.
+    /// Non-blocking receive for the simulation executor's service
+    /// actors (`amoeba_server::SimPump`): serves an already-decoded
+    /// batch entry if one is ready, otherwise (if the pump role is
+    /// free) decodes queued packets until one yields a request, and
+    /// returns it. Never parks the thread.
     pub fn poll_request(&self) -> Option<IncomingRequest> {
         if let Ok(req) = self.ready_rx.try_recv() {
             return Some(self.claim(req));
@@ -339,19 +330,6 @@ impl ServerPort {
             }
         }
         None
-    }
-
-    /// Whether a call to [`poll_request`](Self::poll_request) could
-    /// make progress right now: a decoded request is ready, or
-    /// undecoded arrivals are queued **and** the pump role is free to
-    /// claim (a held pump means another worker is already draining —
-    /// waking for that would be a busy-spin). The pump probe is a
-    /// plain atomic load, never a block and never an acquisition.
-    pub fn has_claimable_work(&self) -> bool {
-        if !self.ready_rx.is_empty() {
-            return true;
-        }
-        self.endpoint.has_arrivals() && self.pump_is_free()
     }
 
     /// The pump/serve loop shared by both receive paths. `None` means
@@ -390,11 +368,6 @@ impl ServerPort {
                 // Every path below runs with the role released — the
                 // handler included, so a successor can pump meanwhile.
                 drop(pumping);
-                // If undecoded arrivals remain, wake a reactor-parked
-                // driver explicitly: no send will announce them again.
-                if self.endpoint.has_arrivals() {
-                    reactor.notify();
-                }
                 match pumped? {
                     Some(req) => return Ok(self.claim(req)),
                     None => continue, // a batch (see the loop head) or noise
@@ -462,9 +435,6 @@ impl ServerPort {
                         transfer: None,
                     });
                 }
-                // Ready pushes are not network events; wake
-                // reactor-parked workers explicitly.
-                self.endpoint.reactor().notify();
                 None
             }
             // Someone broadcast a LOCATE for our port; answer it.

@@ -66,7 +66,6 @@ mod locks;
 pub mod migrate;
 pub mod principals;
 pub mod proto;
-mod reactor_pool;
 pub mod sealed;
 mod service;
 mod sim_pump;
@@ -76,7 +75,6 @@ pub mod wire;
 pub use locks::{ObjectLocks, DEFAULT_OBJECT_LOCK_STRIPES};
 pub use migrate::{MigrateData, ShardDisposition, ShardMigrator};
 pub use principals::PrincipalRegistry;
-pub use reactor_pool::{ReactorPool, MAX_BURST};
 pub use sealed::{SealedServiceClient, SealedServiceRunner};
 pub use service::{ClientError, RequestCtx, Service, ServiceClient, ServiceRunner};
 pub use sim_pump::SimPump;

@@ -106,8 +106,8 @@ impl Drop for LoadGuard<'_> {
 }
 
 /// Decode one raw request, dispatch it to the service, encode the
-/// reply. Shared by every worker loop (plain, pooled, and the reactor
-/// driver pool).
+/// reply. Shared by every worker loop (plain, pooled, sealed) and the
+/// simulator's [`SimPump`](crate::SimPump).
 ///
 /// The reply is written straight into its frame (see [`send_reply`]),
 /// so a steady-state dispatch loop serves without touching the
@@ -299,22 +299,6 @@ impl ServiceRunner {
             service,
             handles,
         }
-    }
-
-    /// The **reactor dispatch mode**: binds every service in
-    /// `services` (one fresh open-interface machine and random
-    /// get-port each) and multiplexes all of them onto a pool of
-    /// `threads` driver threads — N services ≫ N threads, where
-    /// [`spawn_workers`](Self::spawn_workers) would burn at least one
-    /// thread per service. Returns the owning
-    /// [`ReactorPool`](crate::ReactorPool); `spawn_workers` remains
-    /// the compatibility path for single-service deployments.
-    pub fn spawn_reactor(
-        net: &Network,
-        services: Vec<Box<dyn Service>>,
-        threads: usize,
-    ) -> crate::ReactorPool {
-        crate::ReactorPool::spawn_open(net, services, threads)
     }
 
     /// Attaches a fresh open-interface machine to `net`, picks a random

@@ -81,8 +81,8 @@ pub mod prelude {
     pub use amoeba_rpc::{Client, Locator, Matchmaker, RendezvousNode, RpcConfig, ServerPort};
     pub use amoeba_server::proto::{Reply, Request, Status};
     pub use amoeba_server::{
-        ClientError, ObjectLocks, ObjectTable, PrincipalRegistry, ReactorPool, RequestCtx,
-        SealedServiceClient, SealedServiceRunner, Service, ServiceClient, ServiceRunner, SimPump,
+        ClientError, ObjectLocks, ObjectTable, PrincipalRegistry, RequestCtx, SealedServiceClient,
+        SealedServiceRunner, Service, ServiceClient, ServiceRunner, SimPump,
     };
     pub use amoeba_softprot::{
         CapSealer, ClientSession, KeyMatrix, MachineKeys, SealedCap, SecureLink, ServerBoot,

@@ -535,22 +535,28 @@ fn mixed_batched_and_single_traffic_hammer() {
 }
 
 #[test]
-fn batched_metered_create_is_4x_cheaper_in_frames() {
-    // The acceptance bar for the batching tentpole: a 16-entry batched
-    // metered-create round must put ≥ 4× fewer frames on the wire than
-    // 16 sequential single-frame creates — counted with the net stats,
-    // nested bank traffic included (the file server's embedded bank
-    // client is pipelined, so the pool workers' payment transfers
-    // coalesce too).
+fn batched_metered_create_shares_only_the_outer_frames() {
+    // A 16-entry batched metered-create round against 16 sequential
+    // single-frame creates, counted in frames with the net stats,
+    // nested bank traffic included. Exact, because every client is
+    // patient enough that nothing retransmits:
+    //
+    // * unbatched: 16 × 4 = 64 — each create is its own request and
+    //   reply, and the file server's payment transfer to the bank is a
+    //   nested request and reply of its own;
+    // * batched: 2 + 2 × 16 = 34 — one BATCH_REQUEST and one
+    //   BATCH_REPLY carry the 16 creates, but the server's workers
+    //   still pay each create's bank transfer as its own round trip.
+    //
+    // Batching the nested hop is the handler's job: a handler that
+    // issues its independent transactions together (ROADMAP item
+    // 1(c)), not a client that waits to see whether callers pile up.
     use amoeba::flatfs::ops;
-    use amoeba::rpc::{DemuxPolicy, PipelineConfig};
     use amoeba::server::proto::null_cap;
     use amoeba::server::wire;
 
-    const CALLS: usize = 16;
+    const CALLS: u64 = 16;
 
-    // The 2 ms hops are what hold the pool's 16 payment transfers
-    // inside one 10 ms pipeline flush window; nothing here is timed.
     let net = Network::new();
     let (bank_server, treasury_rx) =
         BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
@@ -572,24 +578,9 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
         attempts: 2,
     };
     let quota_bank = BankClient::with_service(
-        ServiceClient::with_client(
-            Client::with_config(net.attach_open(), patient)
-                .with_demux_policy(DemuxPolicy {
-                    contended_tick: Duration::from_micros(250),
-                    idle_tick: DemuxPolicy::DEFAULT_IDLE_TICK,
-                })
-                .with_pipeline(PipelineConfig {
-                    flush_window: Duration::from_millis(10),
-                    max_entries: 16,
-                }),
-        ),
+        ServiceClient::with_client(Client::with_config(net.attach_open(), patient)),
         bank_port,
     );
-    // One worker per batch entry and a generous flush window: all 16
-    // payment transfers run concurrently and coalesce reliably even on
-    // a loaded single-core CI host, keeping the ≥4× gate deterministic
-    // (worst case needs only ≤7 coalesced bank rounds; this setup
-    // produces 1-2).
     let runner = ServiceRunner::spawn_open_workers(
         &net,
         FlatFsServer::with_quota(
@@ -601,12 +592,11 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
                 price_per_kib: 1,
             },
         ),
-        16,
+        4,
     );
     let port = runner.put_port();
     let svc = ServiceClient::open_with_config(&net, patient);
     let fs = FlatFsClient::with_service(ServiceClient::open_with_config(&net, patient), port);
-    net.set_latency(Duration::from_millis(2));
 
     // Unbatched: 16 sequential pre-paid creates.
     let before = net.stats().snapshot();
@@ -631,65 +621,17 @@ fn batched_metered_create_is_4x_cheaper_in_frames() {
         let cap = wire::Reader::new(&r.unwrap()).cap().unwrap();
         fs.destroy(&cap).unwrap();
     }
-    net.set_latency(Duration::ZERO);
 
-    assert!(
-        batched * 4 <= unbatched,
-        "batched metered-create must be ≥4x cheaper in frames: batched={batched} unbatched={unbatched}"
+    assert_eq!(
+        unbatched,
+        CALLS * 4,
+        "request + transfer + two replies each"
+    );
+    assert_eq!(
+        batched,
+        2 + 2 * CALLS,
+        "one batch frame each way, plus every nested transfer's round trip"
     );
     runner.stop();
     bank_runner.stop();
-}
-
-#[test]
-fn reactor_pool_drives_64_services_on_4_threads_through_the_hammer() {
-    // The spawn_reactor acceptance bar: 64 services multiplexed onto 4
-    // driver threads survive the scale hammer — concurrent clients
-    // spraying create/write/read/destroy over every port — without
-    // deadlock and with full capability semantics.
-    const SERVICES: usize = 64;
-    const DRIVERS: usize = 4;
-    const CLIENTS: usize = 8;
-    const ROUNDS: usize = 24;
-
-    let net = Network::new();
-    let services: Vec<Box<dyn Service>> = (0..SERVICES)
-        .map(|_| Box::new(FlatFsServer::new(SchemeKind::Commutative)) as Box<dyn Service>)
-        .collect();
-    let pool = ServiceRunner::spawn_reactor(&net, services, DRIVERS);
-    assert_eq!(pool.services(), SERVICES);
-    assert_eq!(pool.drivers(), DRIVERS);
-    let ports = pool.put_ports().to_vec();
-
-    let mut handles = Vec::new();
-    for t in 0..CLIENTS {
-        let net = net.clone();
-        let ports = ports.clone();
-        handles.push(std::thread::spawn(move || {
-            let fs_clients: Vec<FlatFsClient> =
-                ports.iter().map(|&p| FlatFsClient::open(&net, p)).collect();
-            for round in 0..ROUNDS {
-                // Every client walks a different stride over the 64
-                // ports, so all services see traffic from several
-                // clients at once.
-                let fs = &fs_clients[(t * 7 + round * 13) % ports.len()];
-                let cap = fs.create().unwrap();
-                let tag = format!("c{t}-r{round}");
-                fs.write(&cap, 0, tag.as_bytes()).unwrap();
-                assert_eq!(fs.read(&cap, 0, 32).unwrap(), tag.as_bytes());
-
-                // Capability checks still hold under the driver pool.
-                let forged = cap.with_check(cap.check ^ 0xA5A5);
-                assert!(matches!(
-                    fs.read(&forged, 0, 1),
-                    Err(ClientError::Status(Status::Forged))
-                ));
-                fs.destroy(&cap).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    pool.stop();
 }

@@ -1,5 +1,5 @@
 //! The seeded fault-plan hammer: cluster, failover, port-recycling and
-//! lease invariants under deterministic adversarial schedules.
+//! client-churn invariants under deterministic adversarial schedules.
 //!
 //! Every scenario is a pure function of a `u64` seed. When a seed
 //! fails, the harness prints a one-line replay command; running it
@@ -103,8 +103,8 @@ fn distinct_seeds_diverge() {
 /// Pinned regression for the PR 5/6 reply-port recycling bug: an
 /// untargeted request fans out to every replica, the client consumes
 /// one reply, and the straggler replies must never surface through a
-/// recycled (or broker-leased) reply port as another transaction's
-/// answer. This seed's plan was chosen because its run provably
+/// recycled reply port — or in the next wave's newborn clients — as
+/// another transaction's answer. This seed's plan was chosen because its run provably
 /// exercises the dangerous machinery — duplicated frames *and* crash
 /// windows (late retransmissions + restarted machines serving stale
 /// backlog), the exact straggler-alias schedule. The scenario's body

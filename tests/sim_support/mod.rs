@@ -4,24 +4,23 @@
 //!
 //! Every invariant the threaded integration tests check by hammering
 //! real schedules is asserted here under *adversarial* seeded
-//! schedules instead: replies must never alias across transactions or
-//! recycled/leased reply ports (each request carries a unique body the
-//! echo service mirrors back), every transaction must eventually
-//! complete despite loss/duplication/crash windows (the plan's faults
-//! are bounded in time), and two runs of one seed must produce
-//! identical event fingerprints.
+//! schedules instead: replies must never alias across transactions,
+//! recycled reply ports or client lifetimes (each request carries a
+//! unique body the echo service mirrors back), every transaction must
+//! eventually complete despite loss/duplication/crash windows (the
+//! plan's faults are bounded in time), and two runs of one seed must
+//! produce identical event fingerprints.
 
 // Shared by several integration-test binaries; not every binary uses
 // every helper or reads every report field.
 #![allow(dead_code)]
 
 use amoeba::prelude::*;
-use amoeba::rpc::{Client, PortLeaseBroker, RpcError};
+use amoeba::rpc::{Client, RpcError};
 use amoeba::server::proto::{null_cap, Reply, Request, Status};
 use bytes::{Bytes, BytesMut};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The echo command (anything the std handler doesn't claim).
@@ -104,7 +103,6 @@ const MAX_LOGICAL_RETRIES: u32 = 60;
 fn run_wave(
     net: &Network,
     replicas: &SimReplicaSet,
-    broker: &Arc<PortLeaseBroker>,
     wave_seed: u64,
     clients: usize,
     ops_per_client: usize,
@@ -120,7 +118,6 @@ fn run_wave(
                 },
             )
             .with_rng_seed(splitmix64(&mut seed))
-            .with_broker(Arc::clone(broker))
         })
         .collect();
     // The first few client machines become fault targets after the
@@ -183,14 +180,15 @@ fn run_wave(
         panic!("wave stalled: {stall}");
     });
     drop(exec);
-    drop(arena); // clean ports and routes flow back to the broker
+    drop(arena);
     Rc::try_unwrap(stats).expect("actors dropped").into_inner()
 }
 
 /// Runs the full seeded scenario: a 3-replica echo cluster, two waves
-/// of clients (the second leasing recycled reply-port identities from
-/// the first via the [`PortLeaseBroker`] — the lease invariant rides
-/// every run), all scheduling and faults drawn from `seed`.
+/// of clients (the second cold-starts — fresh reply ports, no learned
+/// routes — while the first wave's stragglers may still be on the
+/// wire: client churn under faults), all scheduling and faults drawn
+/// from `seed`.
 pub fn run_scenario(
     seed: u64,
     plan: FaultPlan,
@@ -210,7 +208,6 @@ pub fn run_scenario(
         net.sim_record_log(true);
     }
     let replicas = SimReplicaSet::bind(&net, service_port(), 3, |_| EchoService);
-    let broker = Arc::new(PortLeaseBroker::new());
 
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut totals = WaveStats::default();
@@ -218,7 +215,6 @@ pub fn run_scenario(
             let w = run_wave(
                 &net,
                 &replicas,
-                &broker,
                 seed ^ (0x57A6E << 8) ^ wave,
                 clients_per_wave,
                 ops_per_client,
