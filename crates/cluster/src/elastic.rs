@@ -17,7 +17,7 @@
 //! objects), and [`ElasticClient`] refreshes its map from the
 //! directory when a call hits a drained replica.
 
-use crate::migrate::{migrate_shard, MigrateError, MigrationStats};
+use crate::migrate::{MigrateError, MigrationStats, ShardMigration};
 use crate::range_capability;
 use amoeba_cap::Capability;
 use amoeba_dirsvr::DirClient;
@@ -199,14 +199,8 @@ impl ElasticCluster {
         let source_service = self.runners[from].service();
         let source = source_service.migrator().ok_or(MigrateError::NoMigrator)?;
         let xfer = self.next_xfer.fetch_add(1, Ordering::Relaxed);
-        let stats = migrate_shard(
-            client,
-            source,
-            shard,
-            xfer,
-            self.runners[to].put_port(),
-            None,
-        )?;
+        let target = self.runners[to].put_port();
+        let stats = ShardMigration::new(client, source, shard, xfer, target, None).run()?;
         self.owner.lock()[shard] = to;
         Ok(stats)
     }
@@ -645,6 +639,38 @@ mod tests {
         // Nothing was lost and stale routing still works.
         for (i, cap) in caps.iter().enumerate() {
             assert_eq!(&read(&svc, cap)[..], format!("hot-{i}").as_bytes());
+        }
+        cluster.stop();
+    }
+
+    #[test]
+    fn a_migration_to_a_silent_replica_aborts_and_the_source_serves_on() {
+        let net = Network::new();
+        let mut cluster = elastic_fs(&net, 2);
+        let svc = ServiceClient::open(&net);
+        let caps: Vec<Capability> = (0..4)
+            .map(|_| create_at(&svc, cluster.replica_port(0)))
+            .collect();
+        for (i, cap) in caps.iter().enumerate() {
+            write(&svc, cap, format!("body-{i}").as_bytes());
+        }
+        // Replica 1 keeps its port claimed but answers nothing.
+        cluster.runners[1].halt();
+        let owners = cluster.owners();
+        let rpc = Client::with_config(
+            net.attach_open(),
+            amoeba_rpc::RpcConfig {
+                timeout: std::time::Duration::from_millis(20),
+                attempts: 2,
+            },
+        );
+        assert_eq!(
+            cluster.migrate(&rpc, shard_of(&caps[0]), 1),
+            Err(MigrateError::Transport(amoeba_rpc::RpcError::Timeout))
+        );
+        assert_eq!(cluster.owners(), owners);
+        for (i, cap) in caps.iter().enumerate() {
+            assert_eq!(&read(&svc, cap)[..], format!("body-{i}").as_bytes());
         }
         cluster.stop();
     }

@@ -64,7 +64,7 @@ mod sim;
 pub use amoeba_rpc::{PlacementPolicy, Replica};
 pub use dir::ShardedDir;
 pub use elastic::{ElasticClient, ElasticCluster};
-pub use migrate::{migrate_shard, MigrateError, MigrationStats, ShardMigration};
+pub use migrate::{MigrateError, MigrationStats, ShardMigration};
 pub use rebalance::Rebalancer;
 pub use registry::ClusterRegistry;
 pub use replicated::{ClusterClient, HealthProber, ServiceCluster};

@@ -7,13 +7,16 @@
 //! module is the *conductor*: it holds a local handle on the source's
 //! [`ShardMigrator`] and an RPC [`Client`] aimed at the target, and
 //! runs the copy → catch-up → seal → quiesce → commit → release
-//! sequence. Two shapes share the logic:
+//! sequence. The sequence is one state machine, [`ShardMigration`],
+//! advanced a step per [`poll`](ShardMigration::poll), and two drivers
+//! run it:
 //!
-//! * [`migrate_shard`] — the blocking driver a control plane (the
-//!   [`Rebalancer`](crate::Rebalancer), a drain) calls from a thread;
-//! * [`ShardMigration`] — a poll-driven actor for the deterministic
-//!   simulation executor, so fault plans can crash machines *in the
-//!   middle of* a migration.
+//! * [`run`](ShardMigration::run) — the blocking driver a control
+//!   plane ([`ElasticCluster::migrate`](crate::ElasticCluster::migrate),
+//!   so the [`Rebalancer`](crate::Rebalancer) and a drain) calls from a
+//!   thread: it waits on each transfer's reply;
+//! * the deterministic simulation executor, which polls it as an actor
+//!   so fault plans can crash machines *in the middle of* a migration.
 //!
 //! Every step is observable through the flight recorder
 //! (`MigrateBegin`/`MigrateChunk`/`MigrateCommit`/`MigrateAbort`).
@@ -77,126 +80,6 @@ pub struct MigrationStats {
     pub catchup_rounds: usize,
 }
 
-fn check_reply(raw: Bytes) -> Result<(), MigrateError> {
-    let reply = Reply::decode(&raw).ok_or(MigrateError::Refused(Status::BadRequest))?;
-    if reply.status == Status::Ok {
-        Ok(())
-    } else {
-        Err(MigrateError::Refused(reply.status))
-    }
-}
-
-/// Migrates `shard` from the local `source` table to the replica
-/// serving `target_port` (on `target_machine` when several machines
-/// serve the port), blocking until the cutover completes or fails.
-///
-/// Sequence: snapshot-copy while serving → bounded catch-up of dirty
-/// slots → seal (new requests held) → wait for in-flight handlers to
-/// drain → ship the final delta → `TRANSFER_COMMIT` (target installs
-/// and adopts) → release the source shard into forwarding mode. On any
-/// transport or protocol failure the export is aborted and the source
-/// keeps serving — `xfer` ids make a retried migration idempotent on
-/// the target.
-///
-/// # Errors
-/// [`MigrateError`]; the source is rolled back to normal service.
-pub fn migrate_shard(
-    client: &Client,
-    source: &dyn ShardMigrator,
-    shard: usize,
-    xfer: u64,
-    target_port: Port,
-    target_machine: Option<MachineId>,
-) -> Result<MigrationStats, MigrateError> {
-    let endpoint = client.endpoint();
-    let obs = endpoint.obs();
-    let stamp = |kind: EventKind, a: u64, b: u64| {
-        if obs.enabled() {
-            obs.record(
-                kind,
-                endpoint.now().since_epoch().as_nanos() as u64,
-                0,
-                a,
-                b,
-            );
-        }
-    };
-    if !source.begin_export(shard) {
-        return Err(MigrateError::SourceBusy);
-    }
-    stamp(EventKind::MigrateBegin, shard as u64, xfer);
-
-    let send = |op: &TransferOp| -> Result<(), MigrateError> {
-        let raw = client
-            .trans_transfer_to(target_port, target_machine, op)
-            .map_err(MigrateError::Transport)?;
-        check_reply(raw)
-    };
-    let mut seq: u32 = 0;
-    let mut rounds = 0usize;
-    let mut run = || -> Result<(), MigrateError> {
-        send(&TransferOp::Begin {
-            xfer,
-            shard: shard as u8,
-        })?;
-        // Full snapshot while the shard keeps serving.
-        for records in source.export_chunks(shard, None, CHUNK_RECORDS) {
-            stamp(EventKind::MigrateChunk, seq as u64, records.len() as u64);
-            send(&TransferOp::Chunk { xfer, seq, records })?;
-            seq += 1;
-        }
-        // Catch up writes that landed during the copy.
-        loop {
-            let dirty = source.take_dirty(shard);
-            if dirty.is_empty() {
-                break;
-            }
-            for records in source.export_chunks(shard, Some(&dirty), CHUNK_RECORDS) {
-                stamp(EventKind::MigrateChunk, seq as u64, records.len() as u64);
-                send(&TransferOp::Chunk { xfer, seq, records })?;
-                seq += 1;
-            }
-            rounds += 1;
-            if rounds >= MAX_CATCHUP_ROUNDS {
-                break;
-            }
-        }
-        // Cutover: hold new requests, let dispatched ones drain, ship
-        // whatever they dirtied, then commit.
-        source.seal(shard);
-        while source.inflight(shard) > 0 {
-            std::thread::yield_now();
-        }
-        loop {
-            let dirty = source.take_dirty(shard);
-            if dirty.is_empty() {
-                break;
-            }
-            for records in source.export_chunks(shard, Some(&dirty), CHUNK_RECORDS) {
-                stamp(EventKind::MigrateChunk, seq as u64, records.len() as u64);
-                send(&TransferOp::Chunk { xfer, seq, records })?;
-                seq += 1;
-            }
-        }
-        send(&TransferOp::Commit { xfer, chunks: seq })
-    };
-    match run() {
-        Ok(()) => {
-            source.release(shard, target_port);
-            stamp(EventKind::MigrateCommit, shard as u64, xfer);
-            Ok(MigrationStats {
-                chunks: seq,
-                catchup_rounds: rounds,
-            })
-        }
-        Err(e) => {
-            source.abort(shard);
-            stamp(EventKind::MigrateAbort, shard as u64, xfer);
-            Err(e)
-        }
-    }
-}
-
 enum Phase {
     Start,
     CatchUp,
@@ -206,14 +89,24 @@ enum Phase {
     Done,
 }
 
-/// A poll-driven shard migration for the deterministic simulation
-/// executor: the same sequence as [`migrate_shard`], advanced one step
-/// per [`poll`](Self::poll) so seeded fault plans can crash the source
-/// or target machine mid-copy, mid-catch-up, or mid-commit.
+/// One shard migration of `shard` to the replica serving `target_port`
+/// (on `target_machine` when several machines serve the port), as a
+/// state machine advanced one step per [`poll`](Self::poll).
 ///
-/// Terminal state is reported by [`result`](Self::result): `Ok` after
-/// the source released the shard, `Err` after a clean abort (the
-/// source serves on as if the migration never started).
+/// Sequence: snapshot-copy while serving → bounded catch-up of dirty
+/// slots → seal (new requests held) → wait for in-flight handlers to
+/// drain → ship the final delta → `TRANSFER_COMMIT` (target installs
+/// and adopts) → release the source shard into forwarding mode. On any
+/// transport or protocol failure the export is aborted and the source
+/// keeps serving — `xfer` ids make a retried migration idempotent on
+/// the target.
+///
+/// The simulation executor polls it, so seeded fault plans can crash
+/// the source or target machine mid-copy, mid-catch-up, or mid-commit;
+/// [`run`](Self::run) drives it to the end on a thread. Terminal state
+/// is reported by [`result`](Self::result): `Ok` after the source
+/// released the shard, `Err` after a clean abort (the source serves on
+/// as if the migration never started).
 pub struct ShardMigration<'a> {
     client: &'a Client,
     source: &'a dyn ShardMigrator,
@@ -273,6 +166,29 @@ impl<'a> ShardMigration<'a> {
         self.outcome.as_ref()
     }
 
+    /// Runs the migration to its end on the calling thread: the
+    /// blocking driver. A transfer on the wire is waited for, never
+    /// busy-polled; the quiesce phase yields until the source's
+    /// in-flight handlers have drained.
+    ///
+    /// # Errors
+    /// [`MigrateError`]; the source is rolled back to normal service.
+    pub fn run(mut self) -> Result<MigrationStats, MigrateError> {
+        loop {
+            match self.poll() {
+                ActorPoll::Progress => {}
+                ActorPoll::Idle => std::thread::yield_now(),
+                ActorPoll::IdleUntil(_) => {
+                    let transfer = self.pending.take().expect("only a transfer idles until");
+                    self.settle(transfer.wait());
+                }
+                ActorPoll::Done => {
+                    return self.outcome.take().expect("a finished one has an outcome")
+                }
+            }
+        }
+    }
+
     fn stamp(&self, kind: EventKind, a: u64, b: u64) {
         let endpoint = self.client.endpoint();
         let obs = endpoint.obs();
@@ -295,6 +211,20 @@ impl<'a> ShardMigration<'a> {
         self.phase = Phase::Done;
         self.outcome = Some(Err(err));
         ActorPoll::Done
+    }
+
+    /// Settles a finished transfer: an acknowledged op lets the
+    /// sequence go on; a transport error or a refusal aborts it.
+    fn settle(&mut self, reply: Result<Bytes, RpcError>) -> ActorPoll {
+        let status = match reply {
+            Ok(raw) => Reply::decode(&raw).map_or(Status::BadRequest, |r| r.status),
+            Err(e) => return self.fail(MigrateError::Transport(e)),
+        };
+        if status == Status::Ok {
+            ActorPoll::Progress
+        } else {
+            self.fail(MigrateError::Refused(status))
+        }
     }
 
     fn queue_chunks(&mut self, slots: Option<&[u32]>) -> usize {
@@ -324,24 +254,12 @@ impl<'a> ShardMigration<'a> {
             return ActorPoll::Done;
         }
         // 1. An op on the wire: drive its completion.
-        if let Some(completion) = self.pending.as_mut() {
-            return match completion.poll() {
-                None => {
-                    let deadline = completion.deadline();
-                    ActorPoll::IdleUntil(deadline)
-                }
-                Some(Ok(raw)) => {
-                    self.pending = None;
-                    match check_reply(raw) {
-                        Ok(()) => ActorPoll::Progress,
-                        Err(e) => self.fail(e),
-                    }
-                }
-                Some(Err(e)) => {
-                    self.pending = None;
-                    self.fail(MigrateError::Transport(e))
-                }
+        if let Some(transfer) = self.pending.as_mut() {
+            let Some(reply) = transfer.poll() else {
+                return ActorPoll::IdleUntil(transfer.deadline());
             };
+            self.pending = None;
+            return self.settle(reply);
         }
         // 2. Queued ops: put the next one on the wire.
         if let Some(op) = self.queue.pop_front() {

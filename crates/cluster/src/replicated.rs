@@ -11,7 +11,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -405,34 +406,23 @@ impl ClusterClient {
         readmitted
     }
 
-    /// Spawns a background prober that calls
+    /// Spawns a background prober thread that calls
     /// [`probe_dead_once`](Self::probe_dead_once) every `interval` of
-    /// the network's clock. Returns the prober handle; dropping (or
-    /// [`stop`](HealthProber::stop)ping) it ends the thread.
+    /// real time — a wall-clock network's prober; under the simulator
+    /// an actor calls `probe_dead_once` itself. Returns the prober
+    /// handle; dropping (or [`stop`](HealthProber::stop)ping) it ends
+    /// the thread at once, mid-interval.
     pub fn spawn_health_prober(self: &Arc<Self>, interval: Duration) -> HealthProber {
         let client = Arc::clone(self);
-        let reactor = Arc::clone(self.discovery_ep.reactor());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
-            let reactor = Arc::clone(client.discovery_ep.reactor());
-            while !stop.load(Ordering::Relaxed) {
-                // Interruptible timeline sleep: wakes at the interval
-                // or when the stop flag is raised (stop() notifies).
-                let deadline = reactor.now() + interval;
-                let _: Option<()> = reactor.park_until(Some(deadline), || {
-                    stop.load(Ordering::Relaxed).then_some(())
-                });
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            // The handle never sends: dropping its end disconnects.
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                 client.probe_dead_once();
             }
         });
         HealthProber {
-            shutdown,
-            reactor,
-            handle: Some(handle),
+            running: Some((stop, handle)),
         }
     }
 
@@ -543,9 +533,8 @@ impl ClusterClient {
 /// [`ClusterClient::spawn_health_prober`]. Stops on drop.
 #[derive(Debug)]
 pub struct HealthProber {
-    shutdown: Arc<AtomicBool>,
-    reactor: Arc<amoeba_net::Reactor>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// The stop signal the prober thread waits on, and the thread.
+    running: Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
 }
 
 impl HealthProber {
@@ -555,12 +544,9 @@ impl HealthProber {
     }
 
     fn shutdown_now(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // The prober parks on the reactor between rounds; wake it so
-        // it observes the flag.
-        self.reactor.notify();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some((stop, handle)) = self.running.take() {
+            drop(stop);
+            let _ = handle.join();
         }
     }
 }
@@ -766,6 +752,20 @@ mod tests {
         assert!(live.contains(&victim));
         prober.stop();
         cluster.stop();
+    }
+
+    #[test]
+    fn a_prober_stops_without_sitting_out_its_interval() {
+        let net = Network::new();
+        let client = Arc::new(ClusterClient::broadcast(&net));
+        let prober = client.spawn_health_prober(Duration::from_secs(60));
+        let t0 = std::time::Instant::now();
+        prober.stop();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "stop waited {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -546,11 +546,6 @@ impl Network {
             })
         };
         drop(topology);
-        // Wake every reactor-parked receiver to re-poll its queue
-        // (simulator receives). The wall-clock paths
-        // block on the queues themselves, and nobody being parked
-        // costs one load here.
-        self.inner.reactor.notify();
         Sent {
             accepted,
             delivered,
@@ -632,7 +627,6 @@ impl Network {
                 .stats
                 .packets_dropped
                 .fetch_add(1, Ordering::Relaxed);
-            self.inner.reactor.notify();
             return SimRelease::Dropped { at };
         };
         let delivered = {
@@ -642,7 +636,6 @@ impl Network {
                 .get(&target)
                 .is_some_and(|entry| entry.sender.send(pkt).is_ok())
         };
-        self.inner.reactor.notify();
         if delivered {
             self.inner
                 .stats
@@ -707,9 +700,6 @@ impl Network {
         if let Some(entry) = self.inner.topology.write().machines.get_mut(&id) {
             entry.sender = unbounded().0;
         }
-        // Reactor-parked receivers observe the disconnect on their
-        // next poll.
-        self.inner.reactor.notify();
     }
 
     fn detach(&self, id: MachineId) {
@@ -719,9 +709,6 @@ impl Network {
                 unindex(&mut topology.claims, id, wire);
             }
         }
-        // Parked receivers of the detached endpoint observe the
-        // disconnect on their next poll.
-        self.inner.reactor.notify();
     }
 }
 
@@ -956,43 +943,43 @@ impl Endpoint {
         Ok(pkt)
     }
 
-    /// The reactor-parked receive: registers this waiter with the
-    /// reactor and re-polls the queue on every event, instead of
-    /// blocking an OS thread on the channel.
+    /// The simulator's receive: parks on the reactor, which releases
+    /// deliveries until one lands in this queue or the deadline passes.
     fn recv_parked(&self, deadline: Option<Timestamp>) -> Result<Packet, RecvError> {
         let reactor = self.net.reactor();
-        let got = reactor.park_until(deadline, || match self.receiver.try_recv() {
-            Ok(pkt) => Some(Ok(pkt)),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(RecvError::Disconnected)),
-        });
-        match got {
-            Some(Ok(pkt)) => {
-                reactor.deliver(&pkt);
-                Ok(pkt)
-            }
-            Some(Err(e)) => Err(e),
-            None => Err(RecvError::Timeout),
-        }
+        let pkt = reactor
+            .park_until(deadline, || match self.poll_arrival() {
+                Err(RecvError::Timeout) => None,
+                arrival => Some(arrival),
+            })
+            .unwrap_or(Err(RecvError::Timeout))?;
+        reactor.deliver(&pkt);
+        Ok(pkt)
     }
 
     /// Non-blocking receive of an already-arrived packet (the clock is
     /// still advanced over the packet's simulated latency).
     pub fn try_recv(&self) -> Option<Packet> {
-        let pkt = self.poll_arrival()?;
+        let pkt = self.poll_arrival().ok()?;
         self.net.reactor().deliver(&pkt);
         Some(pkt)
     }
 
     /// Pops the next queued packet **without consuming its delivery**
     /// (the clock is not advanced). This is the
-    /// building block for reactor-driven consumers whose poll runs
-    /// inside [`Reactor::park_until`] (where delivering would re-enter
-    /// the reactor): they pass the packet to
-    /// [`Reactor::deliver`](crate::Reactor::deliver) once parked-out.
-    /// Most callers want [`try_recv`](Endpoint::try_recv).
-    pub fn poll_arrival(&self) -> Option<Packet> {
-        self.receiver.try_recv().ok()
+    /// building block for poll-driven consumers: they pass the packet
+    /// to [`Reactor::deliver`](crate::Reactor::deliver) before they
+    /// act on it. Most callers want [`try_recv`](Endpoint::try_recv).
+    ///
+    /// # Errors
+    /// [`RecvError::Timeout`] when nothing is queued (a receive that
+    /// waits for nothing), [`RecvError::Disconnected`] once the
+    /// endpoint is closed or detached.
+    pub fn poll_arrival(&self) -> Result<Packet, RecvError> {
+        self.receiver.try_recv().map_err(|e| match e {
+            TryRecvError::Empty => RecvError::Timeout,
+            TryRecvError::Disconnected => RecvError::Disconnected,
+        })
     }
 
     /// Whether at least one packet is queued on this endpoint

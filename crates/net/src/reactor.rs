@@ -1,17 +1,18 @@
-//! The event-driven transport core: a shared timeline, two
-//! interchangeable clocks, and a scheduler for time-bounded waits.
+//! The transport core's timeline: two interchangeable clocks, and the
+//! simulator's scheduler for time-bounded waits.
 //!
 //! Every [`Network`](crate::Network) owns one [`Reactor`]. The reactor
 //! carries the network's **clock** — the single source of truth for
-//! "now" on the network's timeline — and a scheduler that parks
-//! waiting threads until an event arrives or a timeline deadline
-//! passes. Two clocks implement the [`Clock`] contract:
+//! "now" on the network's timeline. Two clocks implement the [`Clock`]
+//! contract:
 //!
 //! * [`WallClock`] — the timeline is real time: the real system.
-//!   Waiting until a deadline blocks the OS thread, and simulated
-//!   latency costs real wall-clock.
+//!   Simulated latency costs real wall-clock, and a thread that waits
+//!   blocks on its own queue (or signal) with a real deadline; the
+//!   reactor schedules nobody.
 //! * [`SimClock`] — the timeline is a counter owned by the
-//!   single-threaded deterministic simulator: the model. A parked
+//!   single-threaded deterministic simulator: the model. Its waits are
+//!   the reactor's to schedule ([`Reactor::park_until`]): a parked
 //!   actor makes progress by releasing the simulation controller's
 //!   next delivery or jumping to the next registered deadline, never
 //!   by waiting in real time, so the same seed gives the same timeline
@@ -31,8 +32,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A point on a reactor's timeline: the duration since the clock's
@@ -216,8 +217,8 @@ struct ReactorState {
     next_id: u64,
 }
 
-/// The per-network scheduler: owns the clock and parks waiting threads
-/// until an event or a timeline deadline.
+/// The per-network timeline: owns the clock and, under the simulator,
+/// parks waiting actors until an event or a timeline deadline.
 ///
 /// Shared by every [`Endpoint`](crate::Endpoint) of a network; higher
 /// layers reach it through [`Endpoint::reactor`](crate::Endpoint::reactor)
@@ -225,11 +226,6 @@ struct ReactorState {
 pub struct Reactor {
     clock: Arc<dyn Clock>,
     state: Mutex<ReactorState>,
-    cv: Condvar,
-    /// Threads currently inside [`park_until`](Self::park_until) — lets
-    /// [`notify`](Self::notify) skip the lock entirely on the
-    /// (wall-clock hot path) common case of nobody waiting.
-    waiters: AtomicUsize,
     /// The deterministic executor's delivery source (set once by
     /// `Network::new_sim`, never on wall-clock networks).
     sim_source: std::sync::OnceLock<Arc<dyn SimSource>>,
@@ -253,8 +249,6 @@ impl Reactor {
         Arc::new(Reactor {
             clock,
             state: Mutex::new(ReactorState::default()),
-            cv: Condvar::new(),
-            waiters: AtomicUsize::new(0),
             sim_source: std::sync::OnceLock::new(),
             obs: std::sync::OnceLock::new(),
         })
@@ -297,36 +291,12 @@ impl Reactor {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Announces an event (a packet enqueued, a reply deposited) and
-    /// wakes every parked thread to re-poll its sources. Called by the
-    /// network on every send; timer-free layers never need it.
-    pub fn notify(&self) {
-        // Fast path: nobody is parked, so there is nothing to wake (a
-        // thread that parks later re-reads its sources under the lock
-        // and sees this event's effects). SeqCst pairs with the
-        // waiter-count increment that park performs while holding the
-        // state lock: if the load sees 0, the parker has not yet
-        // polled, and its poll will observe whatever this notify
-        // announces.
-        if self.waiters.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        // Passing through the lock orders this wake after a parker's
-        // poll-then-wait, which it performs without releasing it.
-        drop(self.lock());
-        self.cv.notify_all();
-    }
-
-    /// Moves the timeline to `t`: jumps the simulation clock (waking
-    /// parked threads whose deadlines passed), blocks the thread until
-    /// the real instant on the wall clock. Receivers call this with a
-    /// packet's `deliver_at` — it is the reactor replacement for
-    /// "sleep out the simulated latency".
+    /// Moves the timeline to `t`: jumps the simulation clock, blocks
+    /// the thread until the real instant on the wall clock. Receivers
+    /// call this with a packet's `deliver_at` — it is the reactor
+    /// replacement for "sleep out the simulated latency".
     pub fn advance_to(&self, t: Timestamp) {
         if self.clock.try_jump_to(t) {
-            // Deadlines at or before `t` may have fired; their owners
-            // re-check when woken.
-            self.cv.notify_all();
             return;
         }
         let deadline = self.clock.real_instant(t).expect("wall clock");
@@ -358,26 +328,36 @@ impl Reactor {
         }
     }
 
-    /// Parks the calling thread until `poll` yields a value or the
-    /// timeline reaches `deadline` (`None` = wait for events forever).
+    /// Parks the calling simulator actor until `poll` yields a value
+    /// or the timeline reaches `deadline` (`None` = wait for events
+    /// forever). The parked thread is the one that advances the clock:
+    /// each turn it releases the simulation controller's earliest
+    /// pending delivery, or jumps straight to the next registered
+    /// deadline — exact simulated time, zero heuristics.
     ///
     /// `poll` is invoked under the reactor's internal lock on every
-    /// wakeup, so it must be quick and must not call back into the
-    /// reactor (channel `try_recv`s are the intended shape). Senders
-    /// that feed a polled source must call [`notify`](Self::notify)
-    /// after enqueueing — the network does this for every packet —
-    /// which is what makes the check-then-park sequence race-free.
+    /// turn, so it must be quick and must not call back into the
+    /// reactor (channel `try_recv`s are the intended shape).
     ///
     /// Returns `Some(value)` when `poll` produced one, `None` on
-    /// deadline expiry. Under the simulator the parked thread is the
-    /// one that advances the clock.
+    /// deadline expiry.
+    ///
+    /// # Panics
+    /// On a wall-clock reactor: a wall-clock thread blocks on its own
+    /// queue or signal with a real deadline, never here. Also when the
+    /// simulation has nothing left to release or jump to (an actor
+    /// blocked on an event that can never arrive).
     pub fn park_until<T>(
         &self,
         deadline: Option<Timestamp>,
         mut poll: impl FnMut() -> Option<T>,
     ) -> Option<T> {
+        assert!(
+            self.is_deterministic(),
+            "Reactor::park_until schedules the simulator only; a wall-clock \
+             thread blocks on its own queue or signal"
+        );
         let mut state = self.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
         let id = {
             state.next_id = state.next_id.wrapping_add(1);
             state.next_id
@@ -393,65 +373,34 @@ impl Reactor {
             if deadline.is_some_and(|d| now >= d) {
                 break None;
             }
-            if self.clock.is_deterministic() {
-                // The deterministic executor: single-threaded, so a
-                // real-time wait here is one nothing can interrupt.
-                // Progress instead comes from releasing the simulation
-                // controller's earliest pending delivery, or jumping
-                // straight to the next registered deadline — exact
-                // simulated time, zero heuristics.
-                let next_delivery = self.sim_source.get().and_then(|s| s.next_delivery_at());
-                let next_sleeper = state.sleepers.iter().map(|&(t, _)| t).find(|&t| t > now);
-                let release = match (next_delivery, next_sleeper) {
-                    (Some(d), Some(s)) => d <= s,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => {
-                        if let Some(obs) = self.obs.get() {
-                            obs.dump("deterministic reactor stalled");
-                        }
-                        panic!(
-                            "deterministic reactor stalled: parked with no pending \
-                             deliveries or deadlines (an actor blocked on an event \
-                             that can never arrive)"
-                        )
-                    }
-                };
-                if release {
-                    let source = Arc::clone(self.sim_source.get().expect("checked above"));
-                    // Releasing pushes into a machine queue and
-                    // notifies this reactor; the state lock must not
-                    // be held across it.
-                    drop(state);
-                    let _ = source.release_next();
-                    state = self.lock();
-                } else if let Some(t) = next_sleeper {
-                    self.clock.try_jump_to(t);
-                    self.cv.notify_all();
+            let source = self.sim_source.get();
+            let next_delivery = source.and_then(|s| s.next_delivery_at());
+            let next_sleeper = state.sleepers.iter().map(|&(t, _)| t).find(|&t| t > now);
+            match (next_delivery, next_sleeper) {
+                (Some(d), Some(s)) if d > s => {
+                    self.clock.try_jump_to(s);
                 }
-                continue;
-            }
-            match deadline.and_then(|d| self.clock.real_instant(d)) {
-                Some(real) => {
-                    let now_r = Instant::now();
-                    if real <= now_r {
-                        continue; // the loop head reports expiry
-                    }
-                    let (s, _) = self
-                        .cv
-                        .wait_timeout(state, real - now_r)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state = s;
+                (Some(_), _) => {
+                    let _ = source.expect("a delivery has a source").release_next();
                 }
-                None => {
-                    state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+                (None, Some(s)) => {
+                    self.clock.try_jump_to(s);
+                }
+                (None, None) => {
+                    if let Some(obs) = self.obs.get() {
+                        obs.dump("deterministic reactor stalled");
+                    }
+                    panic!(
+                        "deterministic reactor stalled: parked with no pending \
+                         deliveries or deadlines (an actor blocked on an event \
+                         that can never arrive)"
+                    )
                 }
             }
         };
         if let Some(d) = registered {
             state.sleepers.remove(&(d, id));
         }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
         result
     }
 }
@@ -481,30 +430,6 @@ mod tests {
         // Jumps never go backwards.
         c.try_jump_to(Timestamp::ZERO + Duration::from_millis(10));
         assert_eq!(c.now().since_epoch(), Duration::from_millis(40));
-    }
-
-    #[test]
-    fn wall_park_wakes_on_notify() {
-        let r = Reactor::wall();
-        let r2 = Arc::clone(&r);
-        let flag = Arc::new(AtomicU64::new(0));
-        let f2 = Arc::clone(&flag);
-        let t = std::thread::spawn(move || {
-            r2.park_until(None, || (f2.load(Ordering::Acquire) == 1).then_some(()))
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        flag.store(1, Ordering::Release);
-        r.notify();
-        assert_eq!(t.join().unwrap(), Some(()));
-    }
-
-    #[test]
-    fn wall_park_times_out() {
-        let r = Reactor::wall();
-        let deadline = r.now() + Duration::from_millis(10);
-        let got: Option<()> = r.park_until(Some(deadline), || None);
-        assert!(got.is_none());
-        assert!(r.now() >= deadline);
     }
 
     /// A one-slot delivery schedule: releasing it jumps the clock to

@@ -796,7 +796,7 @@ mod tests {
         let mut exec = SimExecutor::new(&net);
         let b_id = b.id();
         exec.spawn(b_id, move || {
-            if let Some(pkt) = b.poll_arrival() {
+            if let Ok(pkt) = b.poll_arrival() {
                 b.reactor().deliver(&pkt);
                 assert_eq!(&pkt.payload[..], b"ping");
                 got2.set(true);

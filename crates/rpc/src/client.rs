@@ -16,18 +16,26 @@
 //! 2. a bounded block on the shared endpoint queue (which spins before
 //!    it parks while that has been paying — see [`Completion::wait`]).
 //!
-//! The bound on (2) is the **demux tick**. It back-offs in two steps,
-//! both configurable via [`DemuxPolicy`]:
+//! The bound on (2) is the **demux tick**, a constant in two steps:
 //!
-//! * **contended** ([`DemuxPolicy::contended_tick`], default
-//!   [`DemuxPolicy::DEFAULT_CONTENDED_TICK`]): while more than one
-//!   transaction is in flight, a waiter's reply can be claimed by a
-//!   peer at any moment, so it re-checks its mailbox frequently.
-//! * **idle** ([`DemuxPolicy::idle_tick`], default
-//!   [`DemuxPolicy::DEFAULT_IDLE_TICK`]): when a waiter is the *only*
-//!   in-flight transaction nobody can steal its reply, so frequent
-//!   wake-ups would be pure overhead; the residual coarse tick only
-//!   covers a peer *starting* mid-block.
+//! * **contended** (1 ms): while more than one transaction is in
+//!   flight, a waiter's reply can be claimed by a peer at any moment,
+//!   so it re-checks its mailbox frequently.
+//! * **idle** (25 ms): when a waiter is the *only* in-flight
+//!   transaction nobody can steal its reply, so frequent wake-ups would
+//!   be pure overhead; the residual coarse tick only covers a peer
+//!   *starting* mid-block.
+//!
+//! # One completion step, two drivers
+//!
+//! A [`Completion`] is the transaction's state machine, and every
+//! arrival — from the mailbox, from a non-blocking look at the shared
+//! queue, or from a blocking receive — goes through its one completion
+//! step, which also decides a closed endpoint
+//! ([`RpcError::Disconnected`]). [`Completion::poll`] takes what has
+//! already arrived; [`Completion::wait`] is a driver over the same
+//! step: on the wall clock it blocks on the shared queue a tick at a
+//! time, under the simulator it parks on the reactor, then polls.
 //!
 //! # Batching
 //!
@@ -67,37 +75,18 @@ impl Default for RpcConfig {
     }
 }
 
-/// The two-step back-off a waiter applies while blocking on the shared
-/// endpoint queue (see the module docs for the policy rationale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemuxPolicy {
-    /// Re-check period while *other* transactions are in flight and a
-    /// peer may have routed this waiter's reply to its mailbox.
-    pub contended_tick: Duration,
-    /// Re-check period while this is the only in-flight transaction.
-    pub idle_tick: Duration,
-}
+/// The wall-clock demux tick while *other* transactions are in flight
+/// and a peer may have routed this waiter's reply to its mailbox: short
+/// enough that such a reply is picked up promptly, long enough that a
+/// pool of blocked waiters is not a spin loop.
+const CONTENDED_TICK: Duration = Duration::from_millis(1);
 
-impl DemuxPolicy {
-    /// Default contended tick: 1 ms. Short enough that a reply parked
-    /// in a waiter's mailbox by a peer is picked up promptly; long
-    /// enough that a pool of blocked waiters is not a spin loop.
-    pub const DEFAULT_CONTENDED_TICK: Duration = Duration::from_millis(1);
+/// The wall-clock demux tick while this is the only transaction in
+/// flight: its reply can only arrive on the queue it is blocked on, so
+/// this only bounds how stale its "am I still alone?" view may get.
+const IDLE_TICK: Duration = Duration::from_millis(25);
 
-    /// Default idle tick: 25 ms. A lone waiter's reply can only arrive
-    /// via the endpoint queue it is already blocked on, so this only
-    /// bounds how stale its "am I still alone?" view may get.
-    pub const DEFAULT_IDLE_TICK: Duration = Duration::from_millis(25);
-}
-
-impl Default for DemuxPolicy {
-    fn default() -> Self {
-        DemuxPolicy {
-            contended_tick: Self::DEFAULT_CONTENDED_TICK,
-            idle_tick: Self::DEFAULT_IDLE_TICK,
-        }
-    }
-}
+const _: () = assert!(CONTENDED_TICK.as_nanos() < IDLE_TICK.as_nanos());
 
 /// Upper bound on recycled reply-port bindings a client parks between
 /// transactions; beyond it ports are released normally. Bounds both the
@@ -143,13 +132,12 @@ pub type BatchResult = Result<Bytes, RpcError>;
 /// whichever waiter pulls a packet off the shared endpoint routes it to
 /// the transaction it belongs to. This is what lets a service embed a
 /// client (file server → bank server, file server → block server) and
-/// still run on a dispatch worker pool. The waiting cadence is governed
-/// by the [`DemuxPolicy`] (see the module docs).
+/// still run on a dispatch worker pool (see the module docs for the
+/// waiting cadence).
 #[derive(Debug)]
 pub struct Client {
     endpoint: Endpoint,
     config: RpcConfig,
-    demux: DemuxPolicy,
     signature: Option<Port>,
     /// splitmix64 state: a lock-free source of port salts, replacing
     /// the mutex-guarded `StdRng` of earlier revisions. Reply-port
@@ -204,7 +192,6 @@ impl Client {
         Client {
             endpoint,
             config,
-            demux: DemuxPolicy::default(),
             signature: None,
             rng_state: AtomicU64::new(rand::rngs::StdRng::from_entropy().next_u64()),
             next_batch_id: AtomicU32::new(1),
@@ -248,14 +235,6 @@ impl Client {
     /// their own span events with the hop-chain's trace id.
     pub fn trace_peek(&self) -> u64 {
         self.next_trace.load(Ordering::Relaxed)
-    }
-
-    /// Builder knob: replaces the demux back-off policy (see
-    /// [`DemuxPolicy`]). A tighter contended tick routes batch replies
-    /// with less added latency.
-    pub fn with_demux_policy(mut self, demux: DemuxPolicy) -> Client {
-        self.demux = demux;
-        self
     }
 
     /// Attaches a secret signature `S` to every outgoing request; the
@@ -325,28 +304,13 @@ impl Client {
         self.start_prebuilt(dest, Some(machine), request).wait()
     }
 
-    /// Performs a blocking shard-transfer transaction: send `op` to
-    /// put-port `dest` (targeted at `machine` when given) and await the
-    /// acknowledging reply body. Transfer frames ride the same
-    /// at-least-once machinery as requests — the receiving side keeps
-    /// every op idempotent (see [`TransferOp`]), so a retransmitted
-    /// chunk or commit is harmless.
-    ///
-    /// # Errors
-    /// As for [`trans`](Self::trans).
-    pub fn trans_transfer_to(
-        &self,
-        dest: Port,
-        machine: Option<MachineId>,
-        op: &TransferOp,
-    ) -> Result<Bytes, RpcError> {
-        self.start_transfer_to(dest, machine, op).wait()
-    }
-
-    /// The non-blocking form of
-    /// [`trans_transfer_to`](Self::trans_transfer_to): returns the
-    /// in-flight [`Completion`], for pollable migration drivers running
-    /// under the simulation executor.
+    /// Starts a shard-transfer transaction: sends `op` to put-port
+    /// `dest` (targeted at `machine` when given) and returns the
+    /// in-flight [`Completion`] of its acknowledging reply body — the
+    /// migration's state machine polls it or waits on it. Transfer
+    /// frames ride the same at-least-once machinery as requests — the
+    /// receiving side keeps every op idempotent (see [`TransferOp`]), so
+    /// a retransmitted chunk or commit is harmless.
     pub fn start_transfer_to(
         &self,
         dest: Port,
@@ -804,8 +768,8 @@ impl<T> Completion<'_, T> {
 
     /// Closes the span: records the completion wake-up (with the
     /// start-to-finish latency as payload) and feeds the latency
-    /// histogram. Shared by the poll and wait completion sites so
-    /// reported percentiles and live metrics come from one code path.
+    /// histogram, so reported percentiles and live metrics come from
+    /// the one completion step.
     fn note_completed(&self) {
         let obs = self.client.endpoint.obs();
         if !obs.enabled() {
@@ -828,9 +792,17 @@ impl<T> Completion<'_, T> {
         }
     }
 
-    /// Decodes a packet against this transaction; foreign packets are
-    /// routed to their owner and yield `None`.
-    fn check_packet(&self, pkt: Packet) -> Option<T> {
+    /// The one completion step, fed whatever arrived for this
+    /// transaction (`Err(Timeout)`: nothing yet). A closed endpoint
+    /// ends the transaction; a packet owned by another in-flight
+    /// transaction is routed to it; the accepted reply marks the
+    /// transaction completed and closes its span.
+    fn step(&mut self, arrival: Result<Packet, RecvError>) -> Option<Result<T, RpcError>> {
+        let pkt = match arrival {
+            Ok(pkt) => pkt,
+            Err(RecvError::Timeout) => return None,
+            Err(RecvError::Disconnected) => return Some(Err(RpcError::Disconnected)),
+        };
         if pkt.header.dest != self.reply_wire {
             self.client.route_foreign(pkt);
             return None;
@@ -855,7 +827,9 @@ impl<T> Completion<'_, T> {
         if self.header.target.is_none_or(|t| t == source) {
             self.client.note_route(self.header.dest, source);
         }
-        Some(value)
+        self.completed = true;
+        self.note_completed();
+        Some(Ok(value))
     }
 
     /// Makes all currently-possible progress: drains the mailbox and
@@ -868,9 +842,10 @@ impl<T> Completion<'_, T> {
     /// multiplexing other work on its thread should poll on a
     /// simulation network, where this returns promptly.
     ///
-    /// Returns `Some(result)` once the transaction completed, `None`
-    /// while it is still in flight. After `Some` is returned the
-    /// handle is spent and must be dropped.
+    /// Returns `Some(result)` once the transaction completed — with
+    /// [`RpcError::Disconnected`] at once if the endpoint was closed —
+    /// and `None` while it is still in flight. After `Some` is returned
+    /// the handle is spent and must be dropped.
     pub fn poll(&mut self) -> Option<Result<T, RpcError>> {
         self.poll_at(None)
     }
@@ -879,27 +854,24 @@ impl<T> Completion<'_, T> {
     /// clock reading per turn. `None` reads the clock at the expiry
     /// check itself — after the drains, which move the simulator's.
     fn poll_at(&mut self, now: Option<Timestamp>) -> Option<Result<T, RpcError>> {
+        let client = self.client;
         loop {
             // A peer waiter may have claimed our reply from the shared
-            // endpoint and routed it to our mailbox.
-            while let Ok(pkt) = self.mailbox.try_recv() {
-                self.client.endpoint.reactor().deliver(&pkt);
-                if let Some(value) = self.check_packet(pkt) {
-                    self.completed = true;
-                    self.note_completed();
-                    return Some(Ok(value));
-                }
+            // endpoint and routed it to our mailbox; then our own queue.
+            let arrival = self
+                .mailbox
+                .try_recv()
+                .or_else(|_| client.endpoint.poll_arrival());
+            if let Ok(pkt) = &arrival {
+                client.endpoint.reactor().deliver(pkt);
             }
-            if let Some(pkt) = self.client.endpoint.poll_arrival() {
-                self.client.endpoint.reactor().deliver(&pkt);
-                if let Some(value) = self.check_packet(pkt) {
-                    self.completed = true;
-                    self.note_completed();
-                    return Some(Ok(value));
+            if !matches!(arrival, Err(RecvError::Timeout)) {
+                if let Some(done) = self.step(arrival) {
+                    return Some(done);
                 }
                 continue; // keep draining
             }
-            let now = now.unwrap_or_else(|| self.client.endpoint.now());
+            let now = now.unwrap_or_else(|| client.endpoint.now());
             if now < self.attempt_deadline {
                 return None;
             }
@@ -915,7 +887,7 @@ impl<T> Completion<'_, T> {
                 self.evict_hint();
             }
             if self.attempts_left == 0 {
-                if let Some(m) = self.client.endpoint.obs().metrics() {
+                if let Some(m) = client.endpoint.obs().metrics() {
                     m.trans_timeouts.add(1);
                 }
                 return Some(Err(RpcError::Timeout));
@@ -924,12 +896,13 @@ impl<T> Completion<'_, T> {
         }
     }
 
-    /// Blocks until the transaction completes: the blocking face of
-    /// the completion. Under the simulator's
+    /// Blocks until the transaction completes: a driver over the
+    /// completion step. Under the simulator's
     /// [`SimClock`](amoeba_net::SimClock) the waiter parks on the
-    /// reactor and releases the deliveries it waits for; under the
-    /// wall clock it blocks on the shared endpoint queue in
-    /// [`DemuxPolicy`] ticks, re-checking its mailbox each tick. Each
+    /// reactor, which releases the deliveries it waits for, then
+    /// polls. Under the wall clock it blocks on the shared endpoint
+    /// queue a demux tick at a time (see the module docs), feeds what
+    /// arrives to the step, and re-checks its mailbox each tick. Each
     /// block is the channel's one receive: it spins briefly before it
     /// parks while replies on this endpoint have been arriving within
     /// a spin (the channel crate's "Park rule"), so between two cores
@@ -938,50 +911,44 @@ impl<T> Completion<'_, T> {
     ///
     /// # Errors
     /// [`RpcError::Timeout`] after all attempts,
-    /// [`RpcError::Disconnected`] if the endpoint is detached.
+    /// [`RpcError::Disconnected`] if the endpoint is closed or detached.
     pub fn wait(mut self) -> Result<T, RpcError> {
         let client = self.client;
         let endpoint = &client.endpoint;
-        let simulated = endpoint.reactor().is_deterministic();
-        // The first turn needs no fresh clock reading: the request went
-        // out a moment after `started_at`.
-        let mut now = self.started_at;
-        loop {
-            if let Some(result) = self.poll_at((!simulated).then_some(now)) {
-                return result;
-            }
-            if simulated {
-                // Reactor-parked: wake on any mailbox deposit or
-                // endpoint arrival, or at the attempt deadline
-                // (whichever the timeline reaches first). poll() then
-                // classifies what happened.
-                let deadline = self.attempt_deadline;
+        let reactor = endpoint.reactor();
+        if reactor.is_deterministic() {
+            loop {
+                if let Some(result) = self.poll() {
+                    return result;
+                }
+                // Wake on a mailbox deposit or an endpoint arrival, or
+                // at the attempt deadline, whichever the timeline
+                // reaches first.
                 let mailbox = &self.mailbox;
-                let _woke: Option<()> = endpoint.reactor().park_until(Some(deadline), || {
+                let _: Option<()> = reactor.park_until(Some(self.attempt_deadline), || {
                     (!mailbox.is_empty() || endpoint.has_arrivals()).then_some(())
                 });
-            } else {
-                let tick = if client.table.active() > 1 {
-                    client.demux.contended_tick
-                } else {
-                    client.demux.idle_tick
-                };
-                // This wait keeps its timer: it is the retransmission
-                // deadline (and the demux tick).
-                let deadline = self.attempt_deadline.min(now + tick);
-                match endpoint.recv_deadline(deadline) {
-                    Ok(pkt) => {
-                        if let Some(value) = self.check_packet(pkt) {
-                            self.completed = true;
-                            self.note_completed();
-                            return Ok(value);
-                        }
-                    }
-                    Err(RecvError::Timeout) => {} // tick: poll_at re-checks
-                    Err(RecvError::Disconnected) => return Err(RpcError::Disconnected),
-                }
-                now = endpoint.now();
             }
+        }
+        // The first turn needs no fresh clock reading: the request went
+        // out a moment after `started_at`. Every later turn takes one.
+        let mut now = self.started_at;
+        loop {
+            if let Some(result) = self.poll_at(Some(now)) {
+                return result;
+            }
+            let tick = if client.table.active() > 1 {
+                CONTENDED_TICK
+            } else {
+                IDLE_TICK
+            };
+            // This wait keeps its timer: it is the retransmission
+            // deadline (and the demux tick).
+            let arrival = endpoint.recv_deadline(self.attempt_deadline.min(now + tick));
+            if let Some(result) = self.step(arrival) {
+                return result;
+            }
+            now = endpoint.now();
         }
     }
 }
@@ -998,7 +965,7 @@ impl<T> Drop for Completion<'_, T> {
         // requests are offered to every claimer of the destination
         // port: N replicas send N replies, and stragglers still in
         // flight would alias whatever transaction reused the port —
-        // check_packet correlates by reply port alone. Those ports, and
+        // the completion step correlates by reply port alone. Those ports, and
         // those of timed-out, retransmitted or abandoned transactions,
         // are burned instead: a late reply must find a dead port,
         // never a recycled one. Unconsumed deposits are detected (and
@@ -1479,12 +1446,20 @@ mod tests {
     }
 
     #[test]
-    fn demux_policy_defaults_back_off() {
-        let p = DemuxPolicy::default();
-        assert!(
-            p.contended_tick < p.idle_tick,
-            "idle must be the coarser tick"
+    fn closing_the_endpoint_disconnects_a_simulated_transaction_at_once() {
+        let net = Network::new_sim(3);
+        let client = Client::new(net.attach_open());
+        let dest = Port::new(0x5052).unwrap();
+        let mut pending = client.trans_async(dest, Bytes::from_static(b"x"));
+        let t0 = net.now();
+        client.endpoint().close();
+        assert_eq!(pending.poll(), Some(Err(RpcError::Disconnected)));
+        drop(pending);
+        assert_eq!(
+            client.trans(dest, Bytes::from_static(b"y")),
+            Err(RpcError::Disconnected)
         );
+        assert_eq!(net.now(), t0, "a disconnect is not waited out");
     }
 
     #[test]

@@ -428,17 +428,11 @@ impl DemuxTable {
             if !live(slot) {
                 slot.drain_discard();
             }
-            self.net.reactor().notify();
             return true;
         }
         if self.overflow_count.load(Ordering::Acquire) > 0 {
-            let overflow = self.overflow.lock();
-            if let Some(tx) = overflow.get(&wire) {
-                let sent = tx.send(pkt).is_ok();
-                drop(overflow);
-                if sent {
-                    self.net.reactor().notify();
-                }
+            if let Some(tx) = self.overflow.lock().get(&wire) {
+                let _ = tx.send(pkt);
                 return true;
             }
         }

@@ -64,7 +64,7 @@ mod locate;
 pub mod matchmaker;
 mod server;
 
-pub use client::{BatchResult, Client, Completion, DemuxPolicy, RpcConfig, RpcError};
+pub use client::{BatchResult, Client, Completion, RpcConfig, RpcError};
 
 pub use frame::{
     BatchReplyEntry, BatchStatus, Frame, FrameKind, ReplicaInfo, TransferOp, BATCH_VERSION,

@@ -318,7 +318,7 @@ impl ServerPort {
             return Some(self.claim(req));
         }
         let pumping = self.try_pump()?;
-        while let Some(pkt) = self.endpoint.poll_arrival() {
+        while let Ok(pkt) = self.endpoint.poll_arrival() {
             // Consume the delivery before decoding.
             self.endpoint.reactor().deliver(&pkt);
             // A single request comes back directly; a batch frame's
