@@ -36,9 +36,10 @@
 #![warn(missing_docs)]
 
 use amoeba_cap::schemes::SchemeKind;
-use amoeba_cap::{Capability, Rights};
+use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{null_cap, Reply, Request, Status};
+use amoeba_server::wire::FrameWriter;
 use amoeba_server::{wire, ClientError, ObjectTable, RequestCtx, Service, ServiceClient};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -64,14 +65,22 @@ pub mod ops {
     /// of how many blocks it needs.
     pub const ALLOC_N: u32 = 6;
     /// [`ALLOC_N`] and the first [`WRITE`] in one request; anonymous.
-    /// Params: `u32 n` (≥ 1), `u32 offset`, `bytes data`. Reply:
-    /// capability, `u32 blocks`. The extent is built from the payload —
-    /// `data` at `offset`, zeros everywhere else — so a file server
-    /// that grows a file pays one disk round-trip, not two, and no byte
-    /// of the extent is written twice. All-or-nothing: a request that
-    /// is refused (`BadRequest` for `n == 0`, `OutOfRange` when
-    /// `offset + len` exceeds `n × block_size`, `NoSpace`) reserves
-    /// nothing.
+    /// Params: `u32 n` (≥ 1), `u32 offset`, `bytes data`, then
+    /// optionally a retire list: `u32 count` and that many extent
+    /// capabilities to free. Reply: capability, `u32 blocks`, and —
+    /// when the request carried a list — `u32` how many listed extents
+    /// were not freed. The extent is built from the payload — `data` at
+    /// `offset`, zeros everywhere else — so a file server that grows a
+    /// file pays one disk round-trip, not two, and no byte of the
+    /// extent is written twice; the list lets it return a destroyed
+    /// file's extents in that same frame. Each listed extent is freed
+    /// exactly as [`FREE`] would free it (DELETE is needed; a forged,
+    /// dead, duplicated or rights-less entry frees nothing and is
+    /// counted), and the `n` blocks are reserved net of what the list
+    /// frees. All-or-nothing: a request that is refused (`BadRequest`
+    /// for `n == 0` or a malformed list, `OutOfRange` when
+    /// `offset + len` exceeds `n × block_size`, `NoSpace`) reserves and
+    /// frees nothing.
     pub const ALLOC_WRITE: u32 = 7;
 }
 
@@ -106,6 +115,10 @@ impl Default for DiskConfig {
 struct Extent {
     data: Box<[u8]>,
     blocks: u32,
+    /// Set by the one request freeing the extent, between its
+    /// capability check and its removal, so no `FREE` or retire list
+    /// running beside it can count the same blocks twice.
+    freeing: bool,
 }
 
 /// The block server.
@@ -131,14 +144,25 @@ impl BlockServer {
         }
     }
 
-    /// Atomically reserves `n` blocks against capacity and mints one
-    /// capability covering all of them: `data` at `offset`, zeros
-    /// everywhere else. The caller has checked that `data` fits.
-    fn alloc_extent(&self, n: u32, offset: usize, data: &[u8]) -> Result<Capability, Status> {
+    /// Atomically reserves `n` blocks against capacity, net of `freed`
+    /// blocks of claimed extents that leave with this reservation, and
+    /// mints one capability covering all of them: `data` at `offset`,
+    /// zeros everywhere else. The caller has checked that `data` fits.
+    fn alloc_extent(
+        &self,
+        n: u32,
+        freed: u32,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<Capability, Status> {
         let capacity = self.config.capacity_blocks;
         self.allocated
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                cur.checked_add(n).filter(|&next| next <= capacity)
+                // Claimed blocks are still counted in `cur`, and only
+                // their claimant can take them out.
+                cur.checked_sub(freed)?
+                    .checked_add(n)
+                    .filter(|&next| next <= capacity)
             })
             .map_err(|_| Status::NoSpace)?;
         let len = self.config.block_size as usize * n as usize;
@@ -158,23 +182,26 @@ impl BlockServer {
         let (_, cap) = self.table.create(Extent {
             data: bytes.into_boxed_slice(),
             blocks: n,
+            freeing: false,
         });
         Ok(cap)
+    }
+
+    /// Claims the extent `cap` names for freeing, on the terms `FREE`
+    /// sets: DELETE, and no other request freeing it already. Returns
+    /// its blocks, still counted as allocated.
+    fn claim(&self, cap: &Capability) -> Result<u32, Status> {
+        let claimed = self.table.with_object_mut(cap, Rights::DELETE, |ext| {
+            (!std::mem::replace(&mut ext.freeing, true)).then_some(ext.blocks)
+        });
+        claimed.map_err(Status::from)?.ok_or(Status::NoSuchObject)
     }
 
     fn alloc(&self) -> Reply {
         // A single block's reply carries only the capability — the
         // pre-extent wire shape, kept frozen for old clients.
-        match self.alloc_extent(1, 0, &[]) {
+        match self.alloc_extent(1, 0, 0, &[]) {
             Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
-            Err(status) => Reply::status(status),
-        }
-    }
-
-    /// The reply `ALLOC_N` and `ALLOC_WRITE` share: capability, blocks.
-    fn extent_reply(granted: Result<Capability, Status>, n: u32) -> Reply {
-        match granted {
-            Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).u32(n).finish()),
             Err(status) => Reply::status(status),
         }
     }
@@ -186,7 +213,10 @@ impl BlockServer {
         if n == 0 {
             return Reply::status(Status::BadRequest);
         }
-        Self::extent_reply(self.alloc_extent(n, 0, &[]), n)
+        match self.alloc_extent(n, 0, 0, &[]) {
+            Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).u32(n).finish()),
+            Err(status) => Reply::status(status),
+        }
     }
 
     fn alloc_write(&self, req: &Request) -> Reply {
@@ -194,16 +224,54 @@ impl BlockServer {
         let (Some(n), Some(offset), Some(data)) = (r.u32(), r.u32(), r.bytes()) else {
             return Reply::status(Status::BadRequest);
         };
+        // Whatever follows the payload is the retire list: a count and
+        // exactly that many capabilities.
+        let retire = if r.is_empty() {
+            None
+        } else {
+            match r
+                .u32()
+                .and_then(|k| (0..k).map(|_| r.cap()).collect::<Option<Vec<_>>>())
+            {
+                Some(caps) if r.is_empty() => Some(caps),
+                _ => return Reply::status(Status::BadRequest),
+            }
+        };
         if n == 0 {
             return Reply::status(Status::BadRequest);
         }
-        // Checked before anything is reserved, and in u64, where
-        // neither side can wrap.
+        // Checked before anything is claimed or reserved, and in u64,
+        // where neither side can wrap.
         let size = u64::from(n) * u64::from(self.config.block_size);
         if u64::from(offset) + data.len() as u64 > size {
             return Reply::status(Status::OutOfRange);
         }
-        Self::extent_reply(self.alloc_extent(n, offset as usize, data), n)
+        let listed = retire.as_deref().unwrap_or_default();
+        let claimed: Vec<(ObjectNum, u32)> = listed
+            .iter()
+            .filter_map(|cap| Some((cap.object, self.claim(cap).ok()?)))
+            .collect();
+        let freed = claimed.iter().map(|&(_, blocks)| blocks).sum();
+        match self.alloc_extent(n, freed, offset as usize, data) {
+            Ok(cap) => {
+                for &(object, _) in &claimed {
+                    self.table.remove(object);
+                }
+                let reply = wire::Writer::new().cap(&cap).u32(n);
+                let reply = match retire {
+                    Some(_) => reply.u32((listed.len() - claimed.len()) as u32),
+                    None => reply,
+                };
+                Reply::ok(reply.finish())
+            }
+            Err(status) => {
+                // Refused whole: what was claimed stays as it was.
+                for &(object, _) in &claimed {
+                    self.table.with_data_mut(object, |ext| ext.freeing = false);
+                }
+                Reply::status(status)
+            }
+        }
     }
 
     fn read(&self, req: &Request) -> Reply {
@@ -249,15 +317,16 @@ impl BlockServer {
     }
 
     fn free(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(ext) => {
+        match self.claim(&req.cap) {
+            Ok(blocks) => {
                 // The whole extent comes back at once — a failed
                 // multi-block allocation can never strand part of its
                 // reservation.
-                self.allocated.fetch_sub(ext.blocks, Ordering::AcqRel);
+                self.table.remove(req.cap.object);
+                self.allocated.fetch_sub(blocks, Ordering::AcqRel);
                 Reply::ok(Bytes::new())
             }
-            Err(e) => Reply::status(e.into()),
+            Err(status) => Reply::status(status),
         }
     }
 
@@ -303,6 +372,73 @@ pub struct DiskStats {
     pub capacity_blocks: u32,
     /// Currently allocated blocks.
     pub allocated_blocks: u32,
+}
+
+/// An `ALLOC_WRITE`: the extent [`BlockClient::write_extending`]
+/// allocates and fills in a write's own frame, and the extents that
+/// frame frees.
+#[derive(Debug, Clone, Copy)]
+pub struct Fresh<'a> {
+    /// Blocks in the extent (≥ 1).
+    pub n: u32,
+    /// Where `data` starts in the extent.
+    pub offset: u32,
+    /// The payload; every other byte of the extent reads as zero.
+    pub data: &'a [u8],
+    /// Extents to free in the same frame, each named by a capability
+    /// with DELETE. Empty, the request is the one without a list.
+    pub retire: &'a [Capability],
+}
+
+impl Fresh<'_> {
+    /// The params' length.
+    fn len(&self) -> usize {
+        let list = match self.retire.len() {
+            0 => 0,
+            k => 4 + 16 * k,
+        };
+        12 + self.data.len() + list
+    }
+
+    /// Writes the params in place: the retire list only if there is one.
+    fn params<'w>(&self, w: FrameWriter<'w>) -> FrameWriter<'w> {
+        let w = w.u32(self.n).u32(self.offset).bytes(self.data);
+        if self.retire.is_empty() {
+            return w;
+        }
+        let w = w.u32(self.retire.len() as u32);
+        self.retire.iter().fold(w, |w, cap| w.cap(cap))
+    }
+
+    /// Decodes the reply: the extent, its blocks, and how many listed
+    /// extents the disk did not free — all of them when the reply
+    /// carries no count, as from a disk that predates the list.
+    fn granted(&self, body: &[u8]) -> Result<(Capability, u32, u32), ClientError> {
+        let mut r = wire::Reader::new(body);
+        let (Some(cap), Some(blocks)) = (r.cap(), r.u32()) else {
+            return Err(ClientError::Malformed);
+        };
+        let listed = self.retire.len() as u32;
+        let not_freed = match listed {
+            0 => 0,
+            _ => r.u32().map_or(listed, |k| k.min(listed)),
+        };
+        Ok((cap, blocks, not_freed))
+    }
+}
+
+/// What [`BlockClient::write_extending`] did.
+#[derive(Debug)]
+pub struct Extended {
+    /// The write, and the fresh extent and its blocks if one was asked
+    /// for.
+    pub written: Result<Option<(Capability, u32)>, ClientError>,
+    /// How many of the fresh extent's `retire` list the disk did not
+    /// free — `Some` exactly when the allocation was granted, which is
+    /// when the list was acted on, even if a scatter beside it failed.
+    /// `None`: refused, and the listed extents are as they were; or
+    /// unanswered, and nobody knows.
+    pub not_freed: Option<u32>,
 }
 
 /// A typed client for the block server.
@@ -373,13 +509,31 @@ impl BlockClient {
         offset: u32,
         data: &[u8],
     ) -> Result<(Capability, u32), ClientError> {
-        let len = 12 + data.len();
-        let body =
-            self.svc
-                .call_with(self.port, None, &null_cap(), ops::ALLOC_WRITE, len, |w| {
-                    w.u32(n).u32(offset).bytes(data)
-                })?;
-        decode_extent(&body)
+        let fresh = Fresh {
+            n,
+            offset,
+            data,
+            retire: &[],
+        };
+        let (cap, blocks, _) = self.alloc_write_retiring(&fresh)?;
+        Ok((cap, blocks))
+    }
+
+    /// One `ALLOC_WRITE` frame, its retire list included: the extent,
+    /// its blocks, and how many listed extents were not freed.
+    fn alloc_write_retiring(
+        &self,
+        fresh: &Fresh<'_>,
+    ) -> Result<(Capability, u32, u32), ClientError> {
+        let body = self.svc.call_with(
+            self.port,
+            None,
+            &null_cap(),
+            ops::ALLOC_WRITE,
+            fresh.len(),
+            |w| fresh.params(w),
+        )?;
+        fresh.granted(&body)
     }
 
     /// Allocates `n` *independent* single-block capabilities in one
@@ -447,58 +601,79 @@ impl BlockClient {
     /// # Errors
     /// The first entry failure, in order; transport errors.
     pub fn write_many(&self, writes: &[(Capability, u32, &[u8])]) -> Result<(), ClientError> {
-        self.write_extending(writes, None).map(|_| ())
+        self.write_extending(writes, None).written.map(drop)
     }
 
-    /// [`write_many`](Self::write_many) plus, when `fresh` names one
-    /// (`n`, `offset`, `data`, as for [`alloc_write`](Self::alloc_write)),
-    /// a new extent allocated and filled by the same frame: a write
-    /// that grows a file is one disk round-trip, whatever it overlaps.
-    /// Returns the new extent. Entries run independently on the
-    /// server; if any fails, an extent that was granted is freed again
-    /// before the error is returned, so the caller never holds one it
-    /// was not told about.
+    /// [`write_many`](Self::write_many) plus, when `fresh` names one, a
+    /// new extent allocated and filled by the same frame, which also
+    /// frees `fresh.retire`: a write that grows a file is one disk
+    /// round-trip, whatever it overlaps and whatever it frees. Every
+    /// scatter and the allocation are written once, into the frame.
+    /// Entries run independently on the server; if any fails, an extent
+    /// that was granted is freed again before the error is returned, so
+    /// the caller never holds one it was not told about.
     ///
     /// # Errors
-    /// The first entry failure, in order, the allocation last;
-    /// transport errors.
+    /// In [`Extended::written`]: the first entry failure, in order, the
+    /// allocation last; transport errors.
     pub fn write_extending(
         &self,
         writes: &[(Capability, u32, &[u8])],
-        fresh: Option<(u32, u32, &[u8])>,
-    ) -> Result<Option<(Capability, u32)>, ClientError> {
-        match (writes, fresh) {
-            ([], None) => Ok(None),
+        fresh: Option<Fresh<'_>>,
+    ) -> Extended {
+        let (written, granted) = match (writes, &fresh) {
+            ([], None) => (Ok(()), None),
             // One entry needs no batch envelope.
-            ([(cap, offset, data)], None) => self.write(cap, *offset, data).map(|()| None),
-            ([], Some((n, offset, data))) => self.alloc_write(n, offset, data).map(Some),
+            ([(cap, offset, data)], None) => (self.write(cap, *offset, data), None),
+            ([], Some(fresh)) => (Ok(()), Some(self.alloc_write_retiring(fresh))),
             _ => {
-                let scatters = writes.iter().map(|(cap, offset, data)| {
-                    let params = wire::Writer::with_capacity(8 + data.len())
-                        .u32(*offset)
-                        .bytes(data);
-                    (*cap, ops::WRITE, params.finish())
+                let count = writes.len() + usize::from(fresh.is_some());
+                let len = writes
+                    .iter()
+                    .map(|(_, _, data)| 8 + data.len())
+                    .sum::<usize>()
+                    + fresh.as_ref().map_or(0, Fresh::len);
+                let batch = self.svc.call_batch_with(self.port, count, len, |i, buf| {
+                    match (writes.get(i), &fresh) {
+                        (Some((cap, offset, data)), _) => {
+                            Request::encode_with(buf, cap, ops::WRITE, |w| {
+                                w.u32(*offset).bytes(data)
+                            })
+                        }
+                        (None, Some(fresh)) => {
+                            Request::encode_with(buf, &null_cap(), ops::ALLOC_WRITE, |w| {
+                                fresh.params(w)
+                            })
+                        }
+                        (None, None) => unreachable!("one entry per scatter, one for the extent"),
+                    }
                 });
-                let grow = fresh.map(|(n, offset, data)| {
-                    let params = wire::Writer::with_capacity(12 + data.len())
-                        .u32(n)
-                        .u32(offset)
-                        .bytes(data);
-                    (null_cap(), ops::ALLOC_WRITE, params.finish())
-                });
-                let mut entries = self
-                    .svc
-                    .call_batch(self.port, scatters.chain(grow).collect())?;
-                let granted = fresh
-                    .and_then(|_| entries.pop())
-                    .map(|entry| entry.and_then(|body| decode_extent(&body)))
-                    .transpose();
-                let written = entries.into_iter().try_for_each(|entry| entry.map(drop));
-                if let (Err(_), Ok(Some((cap, _)))) = (&written, &granted) {
-                    let _ = self.free(cap);
+                match batch {
+                    Ok(mut entries) => {
+                        let granted = fresh.as_ref().and_then(|fresh| {
+                            let entry = entries.pop()?;
+                            Some(entry.and_then(|body| fresh.granted(&body)))
+                        });
+                        let written = entries.into_iter().try_for_each(|entry| entry.map(drop));
+                        (written, granted)
+                    }
+                    Err(e) => (Err(e), None),
                 }
-                written.and(granted)
             }
+        };
+        let not_freed = match &granted {
+            Some(Ok((_, _, not_freed))) => Some(*not_freed),
+            _ => None,
+        };
+        if let (Err(_), Some(Ok((cap, _, _)))) = (&written, &granted) {
+            let _ = self.free(cap);
+        }
+        let granted = granted
+            .map(|entry| entry.map(|(cap, blocks, _)| (cap, blocks)))
+            .transpose();
+        Extended {
+            written: written.and(granted),
+            not_freed,
         }
     }
 
@@ -878,6 +1053,16 @@ mod tests {
         runner.stop();
     }
 
+    /// An `ALLOC_WRITE` of `n` blocks, `data` at 0, freeing `retire`.
+    fn fresh<'a>(n: u32, data: &'a [u8], retire: &'a [Capability]) -> Option<Fresh<'a>> {
+        Some(Fresh {
+            n,
+            offset: 0,
+            data,
+            retire,
+        })
+    }
+
     #[test]
     fn write_extending_allocates_and_scatters_in_one_frame() {
         let (net, runner, client) = setup(DiskConfig {
@@ -885,41 +1070,97 @@ mod tests {
             capacity_blocks: 8,
         });
         let (old, _) = client.alloc_n(2).unwrap();
+        let (victim, _) = client.alloc_n(1).unwrap();
+        let allocated = || client.statfs().unwrap().allocated_blocks;
         let sent = || net.stats().snapshot().packets_sent;
 
-        let before = sent();
-        let (fresh, blocks) = client
-            .write_extending(
-                &[(old, 60, b"tail")],
-                Some((3, 0, b"head of the new extent")),
-            )
-            .unwrap()
-            .expect("an extent was asked for");
+        // Every payload is written once, into the one frame: no
+        // parameter blob is built to be copied in after.
+        let (before, taken) = (sent(), amoeba_net::BufPool::taken_on_this_thread());
+        let done = client.write_extending(
+            &[(old, 60, b"tail")],
+            fresh(3, b"head of the new extent", &[victim]),
+        );
+        let taken = amoeba_net::BufPool::taken_on_this_thread() - taken;
+        assert_eq!(taken, 1, "one buffer taken: the frame");
         assert_eq!(sent() - before, 2, "one request frame, one reply frame");
+        assert_eq!(done.not_freed, Some(0), "the victim went with the frame");
+        let (new, blocks) = done.written.unwrap().expect("an extent was asked for");
         assert_eq!(blocks, 3);
         assert_eq!(&client.read(&old, 60, 4).unwrap(), b"tail");
         assert_eq!(
-            &client.read(&fresh, 0, 22).unwrap(),
+            &client.read(&new, 0, 22).unwrap(),
             b"head of the new extent"
         );
-        assert_eq!(client.statfs().unwrap().allocated_blocks, 5);
+        assert!(client.read(&victim, 0, 1).is_err());
+        assert_eq!(allocated(), 5);
 
-        // A scatter that fails takes the extent granted beside it back.
+        // A scatter that fails takes the extent granted beside it back;
+        // the list went with the grant.
+        let (victim, _) = client.alloc_n(1).unwrap();
+        let done = client.write_extending(&[(old, 62, b"too long")], fresh(3, b"x", &[victim]));
         assert_eq!(
-            client
-                .write_extending(&[(old, 62, b"too long")], Some((3, 0, b"x")))
-                .unwrap_err(),
+            done.written.unwrap_err(),
             ClientError::Status(Status::OutOfRange)
         );
-        assert_eq!(client.statfs().unwrap().allocated_blocks, 5);
-        // And a refused allocation is the error when the scatters land.
+        assert_eq!(done.not_freed, Some(0));
+        assert_eq!(allocated(), 5);
+
+        // A refused allocation is the error when the scatters land, and
+        // leaves the listed extent where it was...
+        let (victim, _) = client.alloc_n(1).unwrap();
+        let done = client.write_extending(&[(old, 0, b"ok")], fresh(4, b"x", &[victim]));
         assert_eq!(
-            client
-                .write_extending(&[(old, 0, b"ok")], Some((4, 0, b"x")))
-                .unwrap_err(),
+            done.written.unwrap_err(),
             ClientError::Status(Status::NoSpace)
         );
-        assert_eq!(client.statfs().unwrap().allocated_blocks, 5);
+        assert_eq!(done.not_freed, None);
+        assert_eq!(allocated(), 6);
+        // ...which counts toward the reservation: 6 - 1 + 3 fills the disk.
+        let done = client.write_extending(&[], fresh(3, b"x", &[victim]));
+        assert_eq!(done.not_freed, Some(0));
+        assert!(done.written.unwrap().is_some());
+        assert_eq!(allocated(), 8);
+        runner.stop();
+    }
+
+    /// A disk from before retire lists: it reads `ALLOC_WRITE`'s params
+    /// up to the payload and ignores the rest, so its reply has no count.
+    struct Predates(BlockServer);
+
+    impl Service for Predates {
+        fn bind(&mut self, put_port: Port) {
+            self.0.bind(put_port);
+        }
+
+        fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
+            let mut r = wire::Reader::new(&req.params);
+            let (ops::ALLOC_WRITE, Some(_), Some(_), Some(_)) =
+                (req.command, r.u32(), r.u32(), r.bytes())
+            else {
+                return self.0.handle(req, ctx);
+            };
+            let upto = req.params.len() - r.remainder().len();
+            let req = Request {
+                cap: req.cap,
+                command: req.command,
+                params: req.params.slice(..upto),
+            };
+            self.0.handle(&req, ctx)
+        }
+    }
+
+    #[test]
+    fn a_disk_that_predates_the_list_has_every_listed_extent_counted() {
+        let net = Network::new();
+        let disk = Predates(BlockServer::new(DiskConfig::small(), SchemeKind::OneWay));
+        let runner = ServiceRunner::spawn_open(&net, disk);
+        let client = BlockClient::open(&net, runner.put_port());
+        let (kept, _) = client.alloc_n(1).unwrap();
+        let done = client.write_extending(&[], fresh(2, b"x", &[kept, kept]));
+        assert_eq!(done.not_freed, Some(2), "no count: nothing confirmed freed");
+        assert!(done.written.unwrap().is_some());
+        assert_eq!(client.statfs().unwrap().allocated_blocks, 3);
         runner.stop();
     }
 
@@ -964,79 +1205,204 @@ mod tests {
             reply.body
         }
 
+        fn alloc_n(server: &BlockServer, n: u32) -> Option<Capability> {
+            let reply = ask(
+                server,
+                null_cap(),
+                ops::ALLOC_N,
+                wire::Writer::new().u32(n).finish(),
+            );
+            (reply.status == Status::Ok).then(|| wire::Reader::new(&reply.body).cap().unwrap())
+        }
+
+        fn write(server: &BlockServer, ext: Capability, offset: u32, data: &[u8]) -> Status {
+            let params = wire::Writer::new().u32(offset).bytes(data).finish();
+            ask(server, ext, ops::WRITE, params).status
+        }
+
+        /// `ALLOC_WRITE`'s params, encoded by hand: the retire list
+        /// (count, capabilities) only if there is one.
+        fn alloc_write_params(n: u32, offset: u32, data: &[u8], retire: &[Capability]) -> Bytes {
+            let w = wire::Writer::new().u32(n).u32(offset).bytes(data);
+            if retire.is_empty() {
+                return w.finish();
+            }
+            let w = w.u32(retire.len() as u32);
+            retire.iter().fold(w, |w, cap| w.cap(cap)).finish()
+        }
+
+        /// The extents of the given sizes that fit, and a retire list
+        /// drawn from them by `recipe`: which extent, presented how —
+        /// as minted, restricted to DELETE, restricted to everything
+        /// but DELETE, forged, or as a capability freed before any of
+        /// them was allocated (whose number the first one reuses).
+        fn extents_and_list(
+            server: &BlockServer,
+            sizes: &[u32],
+            recipe: &[(usize, u8)],
+        ) -> (Vec<Capability>, Vec<Capability>) {
+            let stale = alloc_n(server, 1).unwrap();
+            assert_eq!(
+                ask(server, stale, ops::FREE, Bytes::new()).status,
+                Status::Ok
+            );
+            let held: Vec<Capability> = sizes.iter().filter_map(|&n| alloc_n(server, n)).collect();
+            let restrict = |cap: Capability, keep: Rights| {
+                let params = wire::Writer::new().u32(keep.bits() as u32).finish();
+                let reply = ask(server, cap, amoeba_server::proto::cmd::STD_RESTRICT, params);
+                wire::Reader::new(&reply.body).cap().unwrap()
+            };
+            let list = recipe
+                .iter()
+                .map(|&(i, how)| match held.get(i % held.len().max(1)) {
+                    None => stale,
+                    Some(&cap) => match how {
+                        0 => cap,
+                        1 => restrict(cap, Rights::DELETE),
+                        2 => restrict(cap, Rights::ALL.without(Rights::DELETE)),
+                        3 => Capability {
+                            check: cap.check ^ 1,
+                            ..cap
+                        },
+                        _ => stale,
+                    },
+                })
+                .collect();
+            (held, list)
+        }
+
+        /// Whether the extent `cap` was minted for is still on the disk.
+        fn alive(server: &BlockServer, cap: Capability) -> bool {
+            let info = amoeba_server::proto::cmd::STD_INFO;
+            ask(server, cap, info, Bytes::new()).status == Status::Ok
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// `ALLOC_WRITE` is `ALLOC_N` followed by `WRITE`, byte for
-            /// byte and status for status — with the one difference
-            /// that a payload that does not fit reserves nothing.
+            /// A granted `ALLOC_WRITE` is `FREE` of each retire-list
+            /// entry, then `ALLOC_N`, then `WRITE` — byte for byte,
+            /// extent for extent, and with the `FREE`s that failed as
+            /// its count; without a list its reply is `ALLOC_N`'s. A
+            /// refused one is refused whole: it frees and reserves
+            /// nothing (a payload that does not fit, where `ALLOC_N`
+            /// would have reserved).
             #[test]
             fn alloc_write_equals_alloc_n_then_write(
-                n in 1u32..8,
+                n in prop_oneof![1u32..8, 24u32..72],
                 offset in 0u32..160,
                 data in proptest::collection::vec(any::<u8>(), 0..96),
+                sizes in proptest::collection::vec(4u32..32, 0..5),
+                recipe in proptest::collection::vec((any::<usize>(), 0u8..5), 0..6),
             ) {
                 let (fused, split) = (server(), server());
-                let params = wire::Writer::new().u32(n).u32(offset).bytes(&data).finish();
+                let (held_fused, list_fused) = extents_and_list(&fused, &sizes, &recipe);
+                let (held_split, list_split) = extents_and_list(&split, &sizes, &recipe);
+                let before = allocated(&fused);
+                let params = alloc_write_params(n, offset, &data, &list_fused);
                 let one = ask(&fused, null_cap(), ops::ALLOC_WRITE, params);
 
-                let granted = ask(&split, null_cap(), ops::ALLOC_N, wire::Writer::new().u32(n).finish());
-                prop_assert_eq!(granted.status, Status::Ok);
-                let ext = wire::Reader::new(&granted.body).cap().unwrap();
-                let params = wire::Writer::new().u32(offset).bytes(&data).finish();
-                let written = ask(&split, ext, ops::WRITE, params);
-
-                prop_assert_eq!(one.status, written.status);
+                let refused_frees = list_split
+                    .iter()
+                    .filter(|&&cap| ask(&split, cap, ops::FREE, Bytes::new()).status != Status::Ok)
+                    .count() as u32;
+                let granted = alloc_n(&split, n);
                 if one.status == Status::Ok {
+                    let ext = granted.expect("reserved net of the list, so after its FREEs");
+                    prop_assert_eq!(write(&split, ext, offset, &data), Status::Ok);
                     let mut r = wire::Reader::new(&one.body);
                     let (fused_ext, blocks) = (r.cap().unwrap(), r.u32().unwrap());
                     prop_assert_eq!(blocks, n);
-                    prop_assert_eq!(allocated(&fused), n);
+                    prop_assert_eq!(r.u32(), (!list_fused.is_empty()).then_some(refused_frees));
+                    prop_assert!(r.is_empty());
+                    prop_assert_eq!(allocated(&fused), allocated(&split));
                     prop_assert_eq!(read_all(&fused, fused_ext, n), read_all(&split, ext, n));
+                    for (&f, &s) in held_fused.iter().zip(&held_split) {
+                        prop_assert_eq!(alive(&fused, f), alive(&split, s));
+                    }
                 } else {
-                    prop_assert_eq!(one.status, Status::OutOfRange);
+                    match (one.status, granted) {
+                        (Status::NoSpace, granted) => prop_assert!(granted.is_none()),
+                        (Status::OutOfRange, Some(ext)) => {
+                            prop_assert_eq!(write(&split, ext, offset, &data), Status::OutOfRange)
+                        }
+                        (Status::OutOfRange, None) => {}
+                        (other, _) => prop_assert!(false, "refused with {other:?}"),
+                    }
+                    prop_assert!(one.body.is_empty());
+                    prop_assert_eq!(allocated(&fused), before);
+                    // Nothing is left claimed: each extent still frees.
+                    for &cap in &held_fused {
+                        prop_assert_eq!(ask(&fused, cap, ops::FREE, Bytes::new()).status, Status::Ok);
+                    }
                     prop_assert_eq!(allocated(&fused), 0);
                 }
             }
 
-            /// Hostile allocation params — arbitrary bytes, and every
-            /// truncation of a well-formed request — never panic the
-            /// handler, and whatever is refused reserves nothing.
+            /// Hostile allocation params — arbitrary bytes, retire lists
+            /// of forged, rights-less, stale and duplicated entries, and
+            /// every truncation of a well-formed request — never panic
+            /// the handler: whatever is refused reserves and frees
+            /// nothing, a grant frees exactly the listed extents `FREE`
+            /// would have and counts the rest, and the count of
+            /// allocated blocks neither passes capacity nor wraps.
             #[test]
             fn hostile_allocation_params_reserve_only_what_they_are_granted(
                 command in prop_oneof![Just(ops::ALLOC_N), Just(ops::ALLOC_WRITE)],
                 noise in proptest::collection::vec(any::<u8>(), 0..48),
-                n in any::<u32>(),
-                offset in any::<u32>(),
+                n in prop_oneof![0u32..8, any::<u32>()],
+                offset in prop_oneof![0u32..16, any::<u32>()],
                 data in proptest::collection::vec(any::<u8>(), 0..40),
-                cut in 0usize..64,
+                recipe in proptest::collection::vec((any::<usize>(), 0u8..5), 0..6),
+                cut in any::<usize>(),
             ) {
                 let server = server();
+                // One-block extents: what a request frees is how many
+                // of them it kills.
+                let (held, list) = extents_and_list(&server, &[1, 1, 1], &recipe);
+                let live = || held.iter().filter(|&&cap| alive(&server, cap)).count() as u32;
                 let whole = if command == ops::ALLOC_N {
                     wire::Writer::new().u32(n).finish()
                 } else {
-                    wire::Writer::new().u32(n).u32(offset).bytes(&data).finish()
+                    alloc_write_params(n, offset, &data, &list)
                 };
                 let cut = cut % whole.len();
-                for params in [Bytes::from(noise), whole.slice(..cut), whole] {
-                    let before = allocated(&server);
+                for params in [Bytes::from(noise), whole.slice(..cut), whole.clone()] {
+                    let listed = params == whole && command == ops::ALLOC_WRITE && !list.is_empty();
+                    let before = (allocated(&server), live());
                     let reply = ask(&server, null_cap(), command, params);
+                    let freed = before.1 - live();
                     let granted = match reply.status {
-                        Status::Ok => wire::Reader::new(&reply.body[16..]).u32().unwrap(),
-                        _ => 0,
+                        Status::Ok => {
+                            let mut r = wire::Reader::new(&reply.body[16..]);
+                            let granted = r.u32().unwrap();
+                            if listed {
+                                prop_assert_eq!(r.u32(), Some(list.len() as u32 - freed));
+                            }
+                            granted
+                        }
+                        _ => {
+                            prop_assert_eq!(freed, 0);
+                            0
+                        }
                     };
-                    prop_assert_eq!(allocated(&server), before + granted);
+                    prop_assert_eq!(allocated(&server), before.0 + granted - freed);
                     prop_assert!(allocated(&server) <= DISK.capacity_blocks);
                 }
                 // A request cut short anywhere is malformed, not a
-                // smaller request.
+                // smaller request — except right after the payload,
+                // where the list is optional.
                 if command == ops::ALLOC_WRITE {
-                    let whole = wire::Writer::new().u32(1).u32(0).bytes(&data).finish();
-                    let short = whole.slice(..cut % whole.len());
-                    prop_assert_eq!(
-                        ask(&server, null_cap(), command, short).status,
-                        Status::BadRequest
-                    );
+                    let whole = alloc_write_params(1, 0, &data, &list);
+                    let short = cut % whole.len();
+                    if short != 12 + data.len() {
+                        let before = (allocated(&server), live());
+                        prop_assert_eq!(
+                            ask(&server, null_cap(), command, whole.slice(..short)).status,
+                            Status::BadRequest
+                        );
+                        prop_assert_eq!((allocated(&server), live()), before);
+                    }
                 }
             }
         }

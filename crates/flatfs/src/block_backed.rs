@@ -14,17 +14,32 @@
 //! an ablation pair: the same client code runs against either, which
 //! prices the extra block-server hop.
 //!
+//! A `DESTROY` sends nothing to the disk. The server holds the
+//! destroyed file's extents as *retired*, and the next `ALLOC_WRITE`
+//! it sends anyway — the next write that grows a file — carries them
+//! to the block server, which frees them inside that handler
+//! (docs/PROTOCOL.md, `ALLOC_WRITE`). It holds one destroyed file's
+//! extents at most: a destroy that finds some already held frees
+//! those, in one frame, before it holds its own. What an observer can
+//! tell: the disk's `STATFS` may count one destroyed file's blocks
+//! until this server's next allocation, and a crash leaks that one
+//! file's extents (as a crash between the table delete and the `FREE`
+//! always could). Nothing else: no client capability reaches a retired
+//! extent, and the file's cached pages sit under a version no inode
+//! holds.
+//!
 //! [`FlatFsClient`]: crate::FlatFsClient
 
 use crate::ops;
 use crate::page_cache::{PageCache, PAGE};
-use amoeba_block::BlockClient;
+use amoeba_block::{BlockClient, Extended, Fresh};
 use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Obs, Port};
 use amoeba_server::proto::{Reply, Request, Status};
 use amoeba_server::{wire, ClientError, ObjectLocks, ObjectTable, RequestCtx, Service};
 use bytes::Bytes;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One contiguous allocation: a block-server extent capability and the
@@ -97,6 +112,9 @@ pub struct BlockFlatFsServer {
     pages: PageCache,
     /// The last content version handed out.
     versions: AtomicU64,
+    /// Extents no inode holds any more — the last destroyed file's, or
+    /// a write's orphan — for the next `ALLOC_WRITE` to free.
+    retired: Mutex<Vec<Capability>>,
     obs: Obs,
 }
 
@@ -120,6 +138,7 @@ impl BlockFlatFsServer {
             block_size,
             pages: PageCache::new(net.obs().clone()),
             versions: AtomicU64::new(0),
+            retired: Mutex::new(Vec::new()),
             obs: net.obs().clone(),
         }
     }
@@ -130,6 +149,21 @@ impl BlockFlatFsServer {
     fn leaked(&self, extents: usize) {
         if let Some(m) = self.obs.metrics() {
             m.extents_leaked.add(extents as u64);
+        }
+    }
+
+    /// Holds `caps` — one destroyed file's extents, or one write's
+    /// orphan — for the next `ALLOC_WRITE` to free in its own frame. The
+    /// one way an extent goes back to the disk. Whatever was held
+    /// already is freed now, in one frame, so no more than one such set
+    /// is ever held.
+    fn retire(&self, caps: Vec<Capability>) {
+        if caps.is_empty() {
+            return;
+        }
+        let earlier = std::mem::replace(&mut *self.retired.lock(), caps);
+        if let Err((unconfirmed, _)) = self.disk.free_many(&earlier) {
+            self.leaked(unconfirmed);
         }
     }
 
@@ -258,10 +292,26 @@ impl BlockFlatFsServer {
         } else {
             None
         };
+        // An allocating frame carries the retired extents; one the
+        // disk turned down leaves them held for the next.
+        let retiring = match grow {
+            Some(_) => std::mem::take(&mut *self.retired.lock()),
+            None => Vec::new(),
+        };
+        let fresh = grow.map(|(n, offset, data)| Fresh {
+            n,
+            offset,
+            data,
+            retire: &retiring,
+        });
         // A failed frame leaves no extent behind (the block client
         // frees one that was granted beside a failed scatter), and the
         // inode's size and extents change only if it succeeded.
-        let written = self.disk.write_extending(&scatters, grow);
+        let Extended { written, not_freed } = self.disk.write_extending(&scatters, fresh);
+        match not_freed {
+            Some(not_freed) => self.leaked(not_freed as usize),
+            None => self.retire(retiring),
+        }
         let fresh = match &written {
             Ok(granted) => granted.map(|(cap, blocks)| Extent { cap, blocks }),
             Err(_) => None,
@@ -292,11 +342,7 @@ impl BlockFlatFsServer {
             (Ok(_), Err(e)) => {
                 // The new extent never made it into any inode and
                 // would otherwise leak disk capacity forever.
-                if let Some(ext) = &fresh {
-                    if self.disk.free(&ext.cap).is_err() {
-                        self.leaked(1);
-                    }
-                }
+                self.retire(fresh.iter().map(|ext| ext.cap).collect());
                 Reply::status(e.into())
             }
             (Err(ClientError::Status(s)), _) => Reply::status(s),
@@ -315,13 +361,9 @@ impl BlockFlatFsServer {
         match self.table.delete(&req.cap, Rights::DELETE) {
             Ok(inode) => {
                 // Wait for any in-flight writer of this inode before
-                // freeing its extents (one batch frame); unrelated
-                // files are unaffected.
+                // retiring its extents; unrelated files are unaffected.
                 let _writing = self.inode_locks.lock(req.cap.object);
-                let caps: Vec<Capability> = inode.extents.iter().map(|e| e.cap).collect();
-                if let Err((unconfirmed, _)) = self.disk.free_many(&caps) {
-                    self.leaked(unconfirmed);
-                }
+                self.retire(inode.extents.iter().map(|e| e.cap).collect());
                 Reply::ok(Bytes::new())
             }
             Err(e) => Reply::status(e.into()),
@@ -431,12 +473,45 @@ mod tests {
         let cap = fs.create().unwrap();
         fs.write(&cap, 0, &vec![3u8; 300]).unwrap(); // 3 × 128B blocks
         assert_eq!(stats.statfs().unwrap().allocated_blocks, 3);
+        // Destroy sends the disk nothing: its blocks are held until the
+        // server's next allocation, whose frame frees them.
+        let before = frames(&net);
         fs.destroy(&cap).unwrap();
+        assert_eq!(frames(&net) - before, 2, "no disk frame");
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 3, "held");
+        let next = fs.create().unwrap();
+        fs.write(&next, 0, b"x").unwrap();
         assert_eq!(
             stats.statfs().unwrap().allocated_blocks,
-            0,
-            "destroy must return its blocks"
+            1,
+            "the next allocation must return the destroyed file's blocks"
         );
+        fsr.stop();
+        disk.stop();
+    }
+
+    #[test]
+    fn a_destroy_then_a_write_of_its_size_fits_a_full_disk_in_one_round_trip() {
+        let (net, disk, fsr, fs) = setup(DiskConfig {
+            block_size: 64,
+            capacity_blocks: 2,
+        });
+        let stats = BlockClient::open(&net, disk.put_port());
+        let old = fs.create().unwrap();
+        fs.write(&old, 0, &[1u8; 128]).unwrap();
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 2, "full");
+        let new = fs.create().unwrap();
+        let before = frames(&net);
+        fs.destroy(&old).unwrap();
+        fs.write(&new, 0, &[2u8; 128]).unwrap();
+        assert_eq!(
+            frames(&net) - before,
+            2 + 4,
+            "the destroy sends the disk nothing, and the write's one disk \
+             round trip frees the two blocks it is granted"
+        );
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 2);
+        assert_eq!(fs.read(&new, 0, 128).unwrap(), [2u8; 128]);
         fsr.stop();
         disk.stop();
     }
@@ -491,10 +566,14 @@ mod tests {
         assert_eq!(disk_trips(&net, &fs, &cap, 0, &on_disk), 1);
         assert_eq!(stats.statfs().unwrap().allocated_blocks, 2);
         // Nor did either leave an extent in the inode: the file still
-        // takes a write that fits, and destroy returns exactly two.
+        // takes a write that fits, and its destroy retires exactly two —
+        // which a new file's write of two blocks gets on the full disk.
         fs.write(&cap, 64, &[2u8; 64]).unwrap();
         fs.destroy(&cap).unwrap();
-        assert_eq!(stats.statfs().unwrap().allocated_blocks, 0);
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 2);
+        let next = fs.create().unwrap();
+        fs.write(&next, 0, &[3u8; 128]).unwrap();
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 2);
         fsr.stop();
         disk.stop();
     }
@@ -618,12 +697,17 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        // Every write came before its own file's destroy, so the last
+        // destroy's three blocks are the only ones the server holds.
         let stats = BlockClient::open(&net, disk.put_port());
         assert_eq!(
             stats.statfs().unwrap().allocated_blocks,
-            0,
-            "every destroyed file must have returned its blocks"
+            3,
+            "every destroyed file but the last must have returned its blocks"
         );
+        let fs = FlatFsClient::open(&net, port);
+        fs.write(&fs.create().unwrap(), 0, b"x").unwrap();
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 1);
         fs_runner.stop();
         disk.stop();
     }
@@ -732,11 +816,13 @@ mod tests {
         disk.stop();
     }
 
-    /// A block server whose `WRITE`s wait at the door until the test
-    /// lets them in, so the interleavings below are forced, not hoped
-    /// for. (A file's first write is an `ALLOC_WRITE` and walks through.)
+    /// A block server where the first frame of one command to arrive
+    /// once the gate is armed waits at the door until the test lets it
+    /// in, so the interleavings below are forced, not hoped for.
     struct GatedDisk {
         inner: BlockServer,
+        gated: u32,
+        armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
         arrived: std::sync::mpsc::Sender<()>,
         admit: parking_lot::Mutex<std::sync::mpsc::Receiver<()>>,
     }
@@ -747,7 +833,7 @@ mod tests {
         }
 
         fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
-            if req.command == amoeba_block::ops::WRITE {
+            if req.command == self.gated && self.armed.swap(false, Ordering::SeqCst) {
                 self.arrived.send(()).unwrap();
                 self.admit.lock().recv().unwrap();
             }
@@ -755,11 +841,15 @@ mod tests {
         }
     }
 
-    /// A one-page file of 1s, and a second client overwriting it with
-    /// 2s whose disk frame has arrived at the disk and is held there;
-    /// the closure lets the frame in and returns what the write was
-    /// answered.
-    fn write_held_at_the_disk() -> (
+    /// A one-page file of 1s, and a second client writing `with` at
+    /// `offset` whose disk frame — the first of command `gated` — has
+    /// arrived at the disk and is held there; the closure lets the
+    /// frame in and returns what the write was answered.
+    fn write_held_at_the_disk(
+        gated: u32,
+        offset: u64,
+        with: u8,
+    ) -> (
         Network,
         [ServiceRunner; 2],
         FlatFsClient,
@@ -769,20 +859,24 @@ mod tests {
         let net = Network::new();
         let (arrived, at_the_door) = std::sync::mpsc::channel();
         let (let_in, admit) = std::sync::mpsc::channel();
-        let gated = GatedDisk {
+        let armed = std::sync::Arc::default();
+        let door = GatedDisk {
             inner: BlockServer::new(paged(), SchemeKind::OneWay),
+            gated,
+            armed: std::sync::Arc::clone(&armed),
             arrived,
             admit: parking_lot::Mutex::new(admit),
         };
-        let disk = ServiceRunner::spawn_open_workers(&net, gated, 2);
+        let disk = ServiceRunner::spawn_open_workers(&net, door, 2);
         let server = BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative);
         let fsr = ServiceRunner::spawn_open_workers(&net, server, 2);
         let fs = FlatFsClient::open(&net, fsr.put_port());
         let cap = fs.create().unwrap();
         fs.write(&cap, 0, &[1u8; PAGE as usize]).unwrap();
+        armed.store(true, Ordering::SeqCst);
         let writer = {
             let other = FlatFsClient::open(&net, fsr.put_port());
-            std::thread::spawn(move || other.write(&cap, 0, &[2u8; PAGE as usize]))
+            std::thread::spawn(move || other.write(&cap, offset, &[with; PAGE as usize]))
         };
         at_the_door.recv().unwrap();
         let finish = move || {
@@ -792,9 +886,20 @@ mod tests {
         (net, [disk, fsr], fs, cap, finish)
     }
 
+    /// An overwrite of the one page with 2s, held at the disk.
+    fn overwrite_held_at_the_disk() -> (
+        Network,
+        [ServiceRunner; 2],
+        FlatFsClient,
+        Capability,
+        impl FnOnce() -> Result<u64, ClientError>,
+    ) {
+        write_held_at_the_disk(amoeba_block::ops::WRITE, 0, 2)
+    }
+
     #[test]
     fn pages_fetched_while_a_write_is_in_flight_are_not_served_after_it() {
-        let (net, runners, fs, cap, finish_write) = write_held_at_the_disk();
+        let (net, runners, fs, cap, finish_write) = overwrite_held_at_the_disk();
         // The write is unacknowledged: reading the old bytes is right,
         // and reading them twice admits the page — under the version
         // the file had before the write, because the inode is stamped
@@ -811,7 +916,7 @@ mod tests {
 
     #[test]
     fn a_write_that_outlives_its_capability_still_ends_the_cached_version() {
-        let (net, runners, fs, cap, finish_write) = write_held_at_the_disk();
+        let (net, runners, fs, cap, finish_write) = overwrite_held_at_the_disk();
         warm(&net, &fs, &cap, 0, &[1u8; PAGE as usize]);
         // Revoked under the writer: its frame lands on the disk all the
         // same, the write is refused, and the file lives on under the
@@ -825,7 +930,31 @@ mod tests {
         runners.into_iter().for_each(ServiceRunner::stop);
     }
 
-    /// A disk that serves everything but `FREE`.
+    #[test]
+    fn an_extent_orphaned_under_its_writer_is_retired_like_a_destroyed_files() {
+        // A write that grows the one-page file by a page, held at the
+        // disk while the file is revoked.
+        let (net, runners, fs, cap, finish_write) =
+            write_held_at_the_disk(amoeba_block::ops::ALLOC_WRITE, PAGE, 3);
+        let fresh = fs.service().revoke(&cap).unwrap();
+        assert_eq!(
+            finish_write().unwrap_err(),
+            ClientError::Status(Status::Forged)
+        );
+        // The extent it was granted is in no inode: held, as a destroyed
+        // file's would be, and gone with the next allocation.
+        let stats = BlockClient::open(&net, runners[0].put_port());
+        let blocks = |bytes: u64| bytes.div_ceil(paged().block_size as u64) as u32;
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, blocks(2 * PAGE));
+        assert_eq!(fs.size(&fresh).unwrap(), PAGE);
+        fs.write(&fs.create().unwrap(), 0, b"x").unwrap();
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, blocks(PAGE) + 1);
+        runners.into_iter().for_each(ServiceRunner::stop);
+    }
+
+    /// A disk that serves everything but freeing: `FREE` is refused,
+    /// and an `ALLOC_WRITE` is served without its retire list, every
+    /// listed extent counted as not freed.
     struct NeverFrees(BlockServer);
 
     impl Service for NeverFrees {
@@ -834,8 +963,24 @@ mod tests {
         }
 
         fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
-            match req.command {
-                amoeba_block::ops::FREE => Reply::status(Status::Unsupported),
+            let mut r = wire::Reader::new(&req.params);
+            match (req.command, r.u32(), r.u32(), r.bytes()) {
+                (amoeba_block::ops::FREE, ..) => Reply::status(Status::Unsupported),
+                (amoeba_block::ops::ALLOC_WRITE, Some(_), Some(_), Some(_)) if !r.is_empty() => {
+                    let bare = Request {
+                        cap: req.cap,
+                        command: req.command,
+                        params: req.params.slice(..req.params.len() - r.remainder().len()),
+                    };
+                    let listed = r.u32().unwrap_or_default();
+                    let reply = self.0.handle(&bare, ctx);
+                    match reply.status {
+                        Status::Ok => {
+                            Reply::ok(wire::Writer::new().raw(&reply.body).u32(listed).finish())
+                        }
+                        _ => reply,
+                    }
+                }
                 _ => self.0.handle(req, ctx),
             }
         }
@@ -854,26 +999,36 @@ mod tests {
         let fsr = ServiceRunner::spawn_open(&net, server);
         let fs = FlatFsClient::open(&net, fsr.put_port());
 
-        // Three extents, freed in one batch frame whose entries fail
-        // one by one; then a lone extent, freed by a plain FREE.
-        let cap = fs.create().unwrap();
-        for chunk in 0..3 {
-            fs.write(&cap, chunk * 128, &[7u8; 128]).unwrap();
-        }
+        // Files of three extents, one and three, written while nothing
+        // is held, so no write carries a list.
+        let files = [3, 1, 3].map(|extents| {
+            let cap = fs.create().unwrap();
+            for chunk in 0..extents {
+                fs.write(&cap, chunk * 128, &[7u8; 128]).unwrap();
+            }
+            cap
+        });
+        // A destroy holds its file's extents and tells the disk nothing.
+        fs.destroy(&files[0]).unwrap();
         assert_eq!(leaked(), 0);
-        fs.destroy(&cap).unwrap();
+        // The next one frees the three held in one batch frame, whose
+        // entries fail one by one...
+        fs.destroy(&files[1]).unwrap();
         assert_eq!(
             leaked(),
             3,
             "the client's file is gone, the disk's blocks are not"
         );
-        let cap = fs.create().unwrap();
-        fs.write(&cap, 0, b"one extent").unwrap();
-        fs.destroy(&cap).unwrap();
+        // ...and the one after that the lone extent, by a plain FREE.
+        fs.destroy(&files[2]).unwrap();
         assert_eq!(leaked(), 4);
+        // The last three go with the next allocation, which frees none.
+        let next = fs.create().unwrap();
+        fs.write(&next, 0, b"one extent").unwrap();
+        assert_eq!(leaked(), 7);
 
         let stats = BlockClient::open(&net, disk.put_port());
-        assert_eq!(stats.statfs().unwrap().allocated_blocks, 4);
+        assert_eq!(stats.statfs().unwrap().allocated_blocks, 8);
         fsr.stop();
         disk.stop();
     }
@@ -888,5 +1043,175 @@ mod tests {
         assert_eq!(&fs.read(&fresh, 0, 4).unwrap(), b"will");
         fsr.stop();
         disk.stop();
+    }
+
+    /// Disk-capacity conservation: a model of the files' sizes checked
+    /// against the disk's own count after every step.
+    mod conservation {
+        use super::*;
+        use amoeba_server::proto::{cmd, null_cap};
+        use proptest::prelude::*;
+
+        const DISK: DiskConfig = DiskConfig {
+            block_size: 64,
+            capacity_blocks: 16,
+        };
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            Create,
+            /// Bytes the file has already: nothing is allocated.
+            Overwrite {
+                file: usize,
+                at: u64,
+                len: u64,
+            },
+            /// From `back` bytes before the end of the file to `len`
+            /// past it: a fresh write on an empty file, and growth that
+            /// overlaps the last extent whenever `back` reaches into it.
+            Grow {
+                file: usize,
+                back: u64,
+                len: u64,
+            },
+            Destroy {
+                file: usize,
+            },
+            Revoke {
+                file: usize,
+            },
+        }
+
+        fn steps() -> impl Strategy<Value = Vec<Step>> {
+            let step =
+                prop_oneof![
+                    Just(Step::Create),
+                    (any::<usize>(), any::<u64>(), 0u64..200)
+                        .prop_map(|(file, at, len)| Step::Overwrite { file, at, len }),
+                    (any::<usize>(), 0u64..200, 1u64..400)
+                        .prop_map(|(file, back, len)| Step::Grow { file, back, len }),
+                    any::<usize>().prop_map(|file| Step::Destroy { file }),
+                    any::<usize>().prop_map(|file| Step::Revoke { file }),
+                ];
+            proptest::collection::vec(step, 1..32)
+        }
+
+        /// A live file, as the model sees it.
+        struct File {
+            cap: Capability,
+            size: u64,
+            extents: usize,
+        }
+
+        fn blocks(size: u64) -> u32 {
+            size.div_ceil(u64::from(DISK.block_size)) as u32
+        }
+
+        /// One request straight into the handler, so the test can look
+        /// at what the server holds between requests.
+        fn ask(server: &BlockFlatFsServer, cap: Capability, command: u32, params: Bytes) -> Reply {
+            let req = Request {
+                cap,
+                command,
+                params,
+            };
+            let ctx = RequestCtx {
+                source: amoeba_net::MachineId::from(1),
+                signature: None,
+            };
+            server.handle(&req, &ctx)
+        }
+
+        fn write(server: &BlockFlatFsServer, cap: Capability, offset: u64, len: u64) -> Status {
+            let data = vec![0xA5; len as usize];
+            let params = wire::Writer::new().u64(offset).bytes(&data).finish();
+            ask(server, cap, ops::WRITE, params).status
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// After every create, fresh write, overwrite, overlapping
+            /// growth, destroy and revoke, the disk counts exactly the
+            /// blocks of every live file's extents plus those the server
+            /// holds retired; and what it holds is the last destroyed
+            /// file's extents (the last one that had any), or nothing
+            /// once an allocation has carried them — never more.
+            #[test]
+            fn the_disk_counts_live_extents_and_one_destroyed_files(steps in steps()) {
+                let net = Network::new();
+                net.obs().enable();
+                let disk = ServiceRunner::spawn_open(&net, BlockServer::new(DISK, SchemeKind::OneWay));
+                let stats = BlockClient::open(&net, disk.put_port());
+                let mut server = BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative);
+                server.bind(Port::new(0xF5).unwrap());
+                let mut files: Vec<File> = Vec::new();
+                // The retired set's blocks and extents, and the blocks of
+                // the last file destroyed with any.
+                let (mut held, mut held_extents, mut last_destroyed) = (0u32, 0usize, 0u32);
+                for step in steps {
+                    let live: u32 = files.iter().map(|f| blocks(f.size)).sum();
+                    let pick = |i: usize| (!files.is_empty()).then(|| i % files.len());
+                    match step {
+                        Step::Create => {
+                            let reply = ask(&server, null_cap(), ops::CREATE, Bytes::new());
+                            prop_assert_eq!(reply.status, Status::Ok);
+                            let cap = wire::Reader::new(&reply.body).cap().unwrap();
+                            files.push(File { cap, size: 0, extents: 0 });
+                        }
+                        Step::Overwrite { file, at, len } => {
+                            let Some(i) = pick(file) else { continue };
+                            let f = &files[i];
+                            let offset = at % (f.size + 1);
+                            let len = len.min(f.size - offset);
+                            prop_assert_eq!(write(&server, f.cap, offset, len), Status::Ok);
+                        }
+                        Step::Grow { file, back, len } => {
+                            let Some(i) = pick(file) else { continue };
+                            let f = &mut files[i];
+                            let offset = f.size - back.min(f.size);
+                            let end = f.size + len;
+                            let grows = blocks(end) - blocks(f.size);
+                            // Reserved net of what the server holds.
+                            let fits = live + grows <= DISK.capacity_blocks;
+                            let status = write(&server, f.cap, offset, end - offset);
+                            if grows == 0 || fits {
+                                prop_assert_eq!(status, Status::Ok);
+                                f.size = end;
+                            } else {
+                                prop_assert_eq!(status, Status::NoSpace);
+                            }
+                            if grows > 0 && fits {
+                                f.extents += 1;
+                                (held, held_extents) = (0, 0);
+                            }
+                        }
+                        Step::Destroy { file } => {
+                            let Some(i) = pick(file) else { continue };
+                            let f = files.remove(i);
+                            let reply = ask(&server, f.cap, ops::DESTROY, Bytes::new());
+                            prop_assert_eq!(reply.status, Status::Ok);
+                            if f.extents > 0 {
+                                (held, held_extents) = (blocks(f.size), f.extents);
+                                last_destroyed = held;
+                            }
+                        }
+                        Step::Revoke { file } => {
+                            let Some(i) = pick(file) else { continue };
+                            let reply = ask(&server, files[i].cap, cmd::STD_REVOKE, Bytes::new());
+                            prop_assert_eq!(reply.status, Status::Ok);
+                            files[i].cap = wire::Reader::new(&reply.body).cap().unwrap();
+                        }
+                    }
+                    let live: u32 = files.iter().map(|f| blocks(f.size)).sum();
+                    prop_assert_eq!(stats.statfs().unwrap().allocated_blocks, live + held);
+                    prop_assert_eq!(server.retired.lock().len(), held_extents);
+                    prop_assert!(held <= last_destroyed);
+                }
+                let leaked = net.obs().snapshot().expect("recorder is on").extents_leaked;
+                prop_assert_eq!(leaked, 0);
+                disk.stop();
+            }
+        }
     }
 }

@@ -118,6 +118,8 @@ const TL_MAX_RETIRED: usize = 16;
 struct TlCache {
     free: Vec<Vec<u8>>,
     retired: Vec<Bytes>,
+    /// Takes made on this thread, cached, shared or fresh.
+    taken: u64,
 }
 
 thread_local! {
@@ -125,6 +127,7 @@ thread_local! {
         RefCell::new(TlCache {
             free: Vec::new(),
             retired: Vec::new(),
+            taken: 0,
         })
     };
 }
@@ -138,6 +141,7 @@ impl TlCache {
     /// frames are swept for ones whose receivers have finished only
     /// when no free buffer fits.
     fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        self.taken += 1;
         self.best_fit(len).or_else(|| {
             self.sweep();
             self.best_fit(len)
@@ -423,6 +427,14 @@ impl BufPool {
             cache.sweep();
             cache.retired.len()
         })
+    }
+
+    /// Buffers the calling thread has taken so far, through any pool or
+    /// none ([`take_local`](Self::take_local)): what a per-pool count
+    /// cannot see, a parameter blob built before the frame that copies
+    /// it. A test diagnostic — a frame built in place takes one.
+    pub fn taken_on_this_thread() -> u64 {
+        with_cache(|cache| cache.taken)
     }
 
     /// Takes served so far (fresh + reused).

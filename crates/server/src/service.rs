@@ -645,16 +645,40 @@ impl ServiceClient {
         port: Port,
         calls: Vec<(Capability, u32, Bytes)>,
     ) -> Result<Vec<Result<Bytes, ClientError>>, ClientError> {
-        // Every entry is written in place into the one batch frame.
-        let len = calls.iter().map(|(_, _, p)| 24 + p.len()).sum();
-        let results = self.rpc.trans_batch_with(port, calls.len(), len, |i, buf| {
+        let len = calls.iter().map(|(_, _, p)| p.len()).sum();
+        let results = self.call_batch_with(port, calls.len(), len, |i, buf| {
             let (cap, command, params) = &calls[i];
             Request::encode_with(buf, cap, *command, |w| w.raw(params));
         });
+        // The frame holds copies; the blobs go back to their pools.
         for (_, _, params) in calls {
             self.rpc.buf_pool().release(params);
         }
-        Ok(results?
+        results
+    }
+
+    /// The in-place batch call [`call_batch`](Self::call_batch) goes
+    /// through: `entry(i, buf)` appends request `i` — with
+    /// [`Request::encode_with`] — straight into the one `BATCH_REQUEST`
+    /// frame, which is taken sized for `count` requests carrying `len`
+    /// bytes of params between them. Typed clients whose entries carry
+    /// payloads (a file server's write scatters) call this directly, so
+    /// each payload is copied once, into the frame.
+    ///
+    /// # Errors
+    /// As for [`call_batch`](Self::call_batch).
+    pub fn call_batch_with(
+        &self,
+        port: Port,
+        count: usize,
+        len: usize,
+        entry: impl FnMut(usize, &mut bytes::BytesMut),
+    ) -> Result<Vec<Result<Bytes, ClientError>>, ClientError> {
+        // Per entry: a 4-byte length prefix, capability and command.
+        let results = self
+            .rpc
+            .trans_batch_with(port, count, 24 * count + len, entry)?;
+        Ok(results
             .into_iter()
             .map(|entry| decode_reply(&entry?))
             .collect())

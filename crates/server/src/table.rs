@@ -706,11 +706,37 @@ impl<T> ObjectTable<T> {
         if !rights.contains(need) {
             return Err(ServerError::RightsViolation);
         }
-        let entry = entries[slot].take().expect("checked above");
+        Ok(self
+            .vacate(cap.object, &mut entries, slot)
+            .expect("checked above"))
+    }
+
+    /// Deletes the object by number, **bypassing capability checks** —
+    /// for a server removing an object whose capability it checked
+    /// earlier, and which it has kept every other request from
+    /// removing since (the block server's extents claimed for freeing).
+    /// Same warning as [`with_data`](Self::with_data).
+    pub fn remove(&self, object: ObjectNum) -> Option<T> {
+        let (shard, slot) = self.locate(object);
+        let mut entries = shard.entries.write();
+        self.vacate(object, &mut entries, slot)
+    }
+
+    /// Empties `object`'s slot, under its shard's entry lock, and frees
+    /// the number for reuse.
+    fn vacate(
+        &self,
+        object: ObjectNum,
+        entries: &mut [Option<Entry<T>>],
+        slot: usize,
+    ) -> Option<T> {
+        let entry = entries.get_mut(slot)?.take()?;
+        let index = self.shard_index(object);
+        let shard = &self.shards[index];
         shard.free.lock().push(slot as u32);
         shard.free_count.fetch_add(1, Ordering::AcqRel);
-        self.note_dirty(self.shard_index(cap.object), slot);
-        Ok(entry.data)
+        self.note_dirty(index, slot);
+        Some(entry.data)
     }
 
     /// Answers the standard commands ([`cmd::STD_RESTRICT`],

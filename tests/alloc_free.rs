@@ -189,9 +189,17 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
     });
     files.stop();
     disk.stop();
+    assert_eq!(
+        block_backed.frames_sent,
+        12 * OPS as u64,
+        "block-backed create + write + read + destroy is 6 transactions: the write's and the \
+         read's each nest one disk round trip, and the destroy's extents ride the next \
+         write's ALLOC_WRITE (14 frames when the destroy paid its own FREE): {block_backed:?}"
+    );
     assert!(
-        block_backed.buffer_allocs <= 3 * OPS as u64,
-        "block-backed write+read+destroy: {} fresh buffers over {OPS} ops (> 3 per op)",
+        block_backed.buffer_allocs <= 3 * OPS as u64 && block_backed.lock_acquisitions == 0,
+        "block-backed write+read+destroy: {} fresh buffers over {OPS} ops (> 3 per op), \
+         or a hot lock: {block_backed:?}",
         block_backed.buffer_allocs
     );
     println!("metered create + destroy, {OPS} ops: {metered:?}");

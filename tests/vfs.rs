@@ -8,7 +8,9 @@
 //! * a 64-block file write costs the flat file server **one disk
 //!   round-trip** (`ALLOC_WRITE`: the extent is allocated by the frame
 //!   that fills it) — four frames total including the client's own
-//!   call, and as many when a write grows a file it also overwrites;
+//!   call, and as many when a write grows a file it also overwrites
+//!   and frees a destroyed file's extent besides, each frame built in
+//!   one buffer; the destroy itself costs the disk nothing;
 //! * `resolve` agrees with the sequential `walk` oracle over random
 //!   trees, including cross-server links, down to the failing segment
 //!   index;
@@ -31,6 +33,7 @@
 mod sim_support;
 
 use amoeba::dirsvr::{ops as dir_ops, DirClient, DirServer};
+use amoeba::net::BufPool;
 use amoeba::prelude::*;
 use amoeba::rpc::Client;
 use amoeba::server::proto::{null_cap, Reply, Request};
@@ -39,6 +42,7 @@ use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -120,8 +124,15 @@ fn sixty_four_block_write_costs_one_disk_round_trip() {
             SchemeKind::OneWay,
         ),
     );
-    let server =
-        amoeba::flatfs::BlockFlatFsServer::new(&net, disk.put_port(), SchemeKind::Commutative);
+    let taken = Arc::new(AtomicU64::new(0));
+    let server = Metered {
+        inner: amoeba::flatfs::BlockFlatFsServer::new(
+            &net,
+            disk.put_port(),
+            SchemeKind::Commutative,
+        ),
+        taken: Arc::clone(&taken),
+    };
     let fs_runner = ServiceRunner::spawn_open(&net, server);
     let fs = FlatFsClient::open(&net, fs_runner.put_port());
 
@@ -146,12 +157,30 @@ fn sixty_four_block_write_costs_one_disk_round_trip() {
     fs.write(&cap, 64 * 128, &body).unwrap();
     assert_eq!(frames(&net) - before, 4, "growth: 1 disk RTT");
 
+    // A destroy sends the disk nothing: the file server holds the
+    // destroyed file's extent for its next allocation to free.
+    let scratch = fs.create().unwrap();
+    fs.write(&scratch, 0, b"scratch").unwrap();
+    let before = frames(&net);
+    fs.destroy(&scratch).unwrap();
+    assert_eq!(frames(&net) - before, 2, "destroy: no disk RTT");
+
     // Growth that also overwrites the tail of the last extent: the
     // WRITE on the old extent and the ALLOC_WRITE of the new one share
-    // one batch frame.
-    let before = frames(&net);
+    // one batch frame, and the ALLOC_WRITE frees the destroyed file's
+    // extent. Each frame is built in one pooled buffer, the payload
+    // copied straight in: the client's request, and the file server's
+    // disk frame beside its 8-byte reply body.
+    let before = (frames(&net), BufPool::taken_on_this_thread());
+    taken.store(0, Ordering::Relaxed);
     fs.write(&cap, 2 * 64 * 128 - 50, &[7u8; 200]).unwrap();
-    assert_eq!(frames(&net) - before, 4, "overlapping growth: 1 disk RTT");
+    assert_eq!(frames(&net) - before.0, 4, "overlapping growth: 1 disk RTT");
+    assert_eq!(BufPool::taken_on_this_thread() - before.1, 1, "the request");
+    assert_eq!(
+        taken.load(Ordering::Relaxed),
+        2,
+        "the disk frame and the reply body, and no parameter blob"
+    );
 
     // And it all reads back: one gather round-trip against the disk.
     let before = frames(&net);
@@ -165,11 +194,38 @@ fn sixty_four_block_write_costs_one_disk_round_trip() {
     assert_eq!(read[2 * second - 50..], [7u8; 200]);
     assert_eq!(fs.size(&cap).unwrap(), 2 * second as u64 + 150);
 
-    fs.destroy(&cap).unwrap();
+    // The scratch file's block is gone; the destroyed file's 130 are
+    // held until the next allocation, which takes them back.
     let stats = BlockClient::open(&net, disk.put_port());
-    assert_eq!(stats.statfs().unwrap().allocated_blocks, 0);
+    fs.destroy(&cap).unwrap();
+    assert_eq!(stats.statfs().unwrap().allocated_blocks, 130);
+    let next = fs.create().unwrap();
+    fs.write(&next, 0, b"x").unwrap();
+    assert_eq!(stats.statfs().unwrap().allocated_blocks, 1);
     fs_runner.stop();
     disk.stop();
+}
+
+/// A service that counts the buffers its handler takes on the worker
+/// thread: every frame it sends as a client, every reply body, and any
+/// parameter blob built on the way to a frame.
+struct Metered<S> {
+    inner: S,
+    taken: Arc<AtomicU64>,
+}
+
+impl<S: Service> Service for Metered<S> {
+    fn bind(&mut self, put_port: Port) {
+        self.inner.bind(put_port);
+    }
+
+    fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply {
+        let before = BufPool::taken_on_this_thread();
+        let reply = self.inner.handle(req, ctx);
+        let taken = BufPool::taken_on_this_thread() - before;
+        self.taken.fetch_add(taken, Ordering::Relaxed);
+        reply
+    }
 }
 
 /// One generated tree node: which existing node it hangs under (taken
@@ -584,8 +640,8 @@ fn a_resolve_reply_names_only_capabilities_a_walk_would_return() {
 
 /// Pins the `RESOLVE`, `ALLOC_N` and `ALLOC_WRITE` byte tables of
 /// `docs/PROTOCOL.md` ("Path-resolution and extent-allocation
-/// bodies"): request params, reply bodies, and the handoff shape of
-/// the worked example.
+/// bodies"): request params, reply bodies, the handoff shape of the
+/// worked example, and the retire list's.
 #[test]
 fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
     let net = Network::new();
@@ -738,7 +794,51 @@ fn documented_resolve_and_extent_frames_are_what_the_wire_carries() {
     assert_eq!(reply.status, Status::OutOfRange);
     assert!(reply.body.is_empty());
     assert_eq!(blocks.statfs().unwrap().allocated_blocks, 2);
-    blocks.free(&extent).unwrap();
+
+    // With a retire list: 1 block holding "hi", and the 2-block extent
+    // above listed twice — freed once, and the duplicate counted.
+    let body = encode_req(
+        &null_cap(),
+        amoeba::block::ops::ALLOC_WRITE,
+        wire::Writer::new()
+            .u32(1)
+            .u32(0)
+            .bytes(b"hi")
+            .u32(2)
+            .cap(&extent)
+            .cap(&extent)
+            .finish(),
+    );
+    let mut documented = Vec::new();
+    documented.extend_from_slice(&null_cap().encode());
+    documented.extend_from_slice(&7u32.to_be_bytes());
+    documented.extend_from_slice(&1u32.to_be_bytes());
+    documented.extend_from_slice(&0u32.to_be_bytes());
+    documented.extend_from_slice(&2u32.to_be_bytes());
+    documented.extend_from_slice(b"hi");
+    documented.extend_from_slice(&2u32.to_be_bytes());
+    documented.extend_from_slice(&extent.encode());
+    documented.extend_from_slice(&extent.encode());
+    assert_eq!(&body[..], &documented[..], "ALLOC_WRITE retire-list layout");
+    assert_eq!(body.len(), 20 + 50, "params: 14 as before, then 4 + 2 × 16");
+    let raw = dirs.service().rpc().trans(disk.put_port(), body).unwrap();
+    let reply = Reply::decode(&raw).unwrap();
+    assert_eq!(reply.status, Status::Ok);
+    assert_eq!(
+        reply.body.len(),
+        24,
+        "capability + blocks + listed extents not freed"
+    );
+    assert_eq!(&reply.body[16..20], &1u32.to_be_bytes(), "blocks granted");
+    assert_eq!(&reply.body[20..], &1u32.to_be_bytes(), "the duplicate");
+    assert_eq!(
+        blocks.statfs().unwrap().allocated_blocks,
+        1,
+        "2 freed, 1 granted"
+    );
+    assert!(blocks.read(&extent, 0, 1).is_err(), "the extent is gone");
+    let granted = Capability::decode(reply.body[..16].try_into().unwrap()).unwrap();
+    blocks.free(&granted).unwrap();
     disk.stop();
 }
 
@@ -844,11 +944,12 @@ fn a_warm_page_cache_grants_nothing_the_object_table_refuses() {
             ),
         ]
     );
-    // 18 transactions with the client and six with the disk: two
-    // writes, the two misses that warm the page, one FREE, the new
-    // file's first read. No refusal got as far as the disk, and the
-    // warm page was served to the capability revocation put in place.
-    assert_eq!(sent, 2 * 18 + 2 * 6);
+    // 18 transactions with the client and five with the disk: two
+    // writes, the two misses that warm the page, the new file's first
+    // read. The destroy sent the disk nothing (its extent rode the new
+    // file's write), no refusal got as far as the disk, and the warm
+    // page was served to the capability revocation put in place.
+    assert_eq!(sent, 2 * 18 + 2 * 5);
     cached.stop();
     plain.stop();
     disk.stop();
