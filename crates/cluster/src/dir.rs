@@ -5,7 +5,7 @@
 //! §3.4's directory server is a single object — fine until one
 //! directory (a build tree's `obj/`, a mail spool) becomes the hot
 //! spot every client hammers. A [`ShardedDir`] splits the *name space
-//! of one directory* the same way [`ShardedCluster`](crate::ShardedCluster)
+//! of one directory* the same way [`ElasticCluster`](crate::ElasticCluster)
 //! splits object placement: each entry name hashes to one of `n`
 //! backing directories, so enters and lookups spread `n`-ways while
 //! the caller still sees a single flat directory. Fan-out operations
@@ -15,7 +15,7 @@
 //!
 //! The shard map itself is published as ordinary directory entries
 //! (`"<name>.dirshard-<i>"`), so a fresh client bootstraps it with
-//! plain lookups, exactly like a sharded service's range map.
+//! plain lookups, exactly like a sharded service's shard map.
 
 use amoeba_cap::Capability;
 use amoeba_dirsvr::{ops, DirClient};

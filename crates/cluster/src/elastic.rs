@@ -1,25 +1,36 @@
-//! Elastic placement: a sharded group whose shard→replica map can
-//! change at runtime via live migration.
+//! Sharded placement: each replica owns a set of object-table shards,
+//! the shard index in a capability's object number routes to its
+//! owner, and the shard→replica map can change at runtime via live
+//! migration.
 //!
-//! [`ShardedCluster`](crate::ShardedCluster) freezes placement at
-//! spawn: shard `s` lives on replica `s % n` forever, so a skewed
-//! workload melts one machine while the rest idle. An
-//! [`ElasticCluster`] starts from the same static assignment but keeps
-//! the map *mutable*: [`migrate`](ElasticCluster::migrate) streams one
-//! shard to a new owner (the cutover protocol of
-//! [`crate::migrate`]), [`drain`](ElasticCluster::drain) empties a
-//! replica for maintenance, and the per-shard directory entries are
-//! republished so new clients bootstrap the fresh map.
+//! A stateful service cannot be served by "any replica" — an object
+//! lives where it was created. The [`ObjectTable`] stamps a shard index
+//! into the low bits of every object number (the lock-striping key);
+//! here that index becomes the **placement key**. Replica `i` of an
+//! `n`-way group starts owning the shards with `shard % n == i` (via
+//! [`Service::bind_shard_range`]), the directory server stores one
+//! locator capability per shard (§3.4: clients walk names, not
+//! machines), and [`ElasticClient`] routes every call with
+//! [`placement_range`]. A group that never migrates keeps that static
+//! map for its whole life.
+//!
+//! Static placement melts under a skewed workload, so the map is
+//! *mutable*: [`migrate`](ElasticCluster::migrate) streams one shard to
+//! a new owner (the cutover protocol of [`crate::migrate`]),
+//! [`drain`](ElasticCluster::drain) empties a replica for maintenance,
+//! and the per-shard directory entries are republished so new clients
+//! bootstrap the fresh map.
 //!
 //! Clients with a stale map stay correct throughout: the old owner
 //! *forwards* requests for a released shard to the new owner
 //! (capability validation happens there — the secrets moved with the
 //! objects), and [`ElasticClient`] refreshes its map from the
 //! directory when a call hits a drained replica.
+//!
+//! [`ObjectTable`]: amoeba_server::ObjectTable
 
 use crate::migrate::{MigrateError, MigrationStats, ShardMigration};
-use crate::range_capability;
-use amoeba_cap::Capability;
+use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_dirsvr::DirClient;
 use amoeba_net::{Network, Port};
 use amoeba_rpc::Client;
@@ -33,6 +44,21 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 fn shard_entry_name(service: &str, shard: usize) -> String {
     format!("{service}.shard-{shard}")
+}
+
+/// The capability a directory stores for one shard: it names the
+/// owner's put-port and nothing else (object 0, no secret). It is a
+/// *locator*, not an authorisation — the real per-object capabilities
+/// are minted and validated by the owner; this entry only tells clients
+/// where requests for the shard go, exactly like the per-server
+/// directory entries of §3.4.
+pub fn range_capability(port: Port) -> Capability {
+    Capability::new(
+        port,
+        ObjectNum::new(0).expect("zero is a valid object number"),
+        Rights::NONE,
+        0,
+    )
 }
 
 /// A placement group of `n` replicas serving all [`DEFAULT_SHARDS`]
@@ -57,9 +83,7 @@ impl std::fmt::Debug for ElasticCluster {
 impl ElasticCluster {
     /// Spawns `replicas` instances (one per fresh open-interface
     /// machine, `workers` dispatch workers each); replica `i` starts
-    /// owning the shards with `shard % replicas == i`, exactly like a
-    /// [`ShardedCluster`](crate::ShardedCluster) — the difference is
-    /// what happens next.
+    /// owning the shards with `shard % replicas == i`.
     ///
     /// # Panics
     /// Panics if `replicas` is zero or exceeds [`DEFAULT_SHARDS`].
@@ -278,41 +302,71 @@ impl std::fmt::Debug for ElasticClient {
 
 impl ElasticClient {
     /// Bootstraps the shard map from the `"<service>.shard-<s>"`
-    /// entries an [`ElasticCluster::publish`] stored under `dir`.
+    /// entries an [`ElasticCluster::publish`] stored under `dir`, over
+    /// a fresh open-interface client.
     ///
     /// # Errors
-    /// [`ClientError`] from the directory lookups (all
-    /// [`DEFAULT_SHARDS`] entries must exist).
+    /// As for [`with_service`](Self::with_service).
     pub fn from_directory(
         net: &Network,
         dirs: DirClient,
         dir: &Capability,
         service: &str,
     ) -> Result<ElasticClient, ClientError> {
+        Self::with_service(ServiceClient::open(net), dirs, dir, service)
+    }
+
+    /// Like [`from_directory`](Self::from_directory), calling through
+    /// `svc` — how a caller picks its own transport configuration.
+    ///
+    /// The create cursor starts at an offset taken from `svc`'s machine
+    /// id: clients built together would otherwise march over the owners
+    /// in lockstep, convoying on one replica at a time.
+    ///
+    /// # Errors
+    /// [`ClientError`] from the directory lookups (all
+    /// [`DEFAULT_SHARDS`] entries must exist; an unpublished service
+    /// surfaces as the lookup's `NotFound`).
+    pub fn with_service(
+        svc: ServiceClient,
+        dirs: DirClient,
+        dir: &Capability,
+        service: &str,
+    ) -> Result<ElasticClient, ClientError> {
+        let start = svc.rpc().endpoint().id().as_u32() as usize % DEFAULT_SHARDS;
         let client = ElasticClient {
-            svc: ServiceClient::open(net),
+            svc,
             dirs,
             dir: *dir,
             service: service.to_string(),
             ports: RwLock::new(Vec::new()),
-            next_shard: AtomicUsize::new(0),
+            next_shard: AtomicUsize::new(start),
         };
         client.refresh()?;
         Ok(client)
     }
 
-    /// Re-reads the whole shard map from the directory.
+    /// Re-reads the whole shard map from the directory. A shard whose
+    /// entry is missing keeps the port it had — a republish removes
+    /// the entry before it enters the new one, and the old owner
+    /// forwards meanwhile. On the bootstrap read a missing entry is an
+    /// error.
     ///
     /// # Errors
     /// [`ClientError`] from the directory lookups.
     pub fn refresh(&self) -> Result<(), ClientError> {
+        let known = self.ports.read().clone();
         let mut fresh = Vec::with_capacity(DEFAULT_SHARDS);
         for s in 0..DEFAULT_SHARDS {
-            fresh.push(
-                self.dirs
-                    .lookup(&self.dir, &shard_entry_name(&self.service, s))?
-                    .port,
-            );
+            let port = match self
+                .dirs
+                .lookup(&self.dir, &shard_entry_name(&self.service, s))
+            {
+                Ok(cap) => cap.port,
+                Err(ClientError::Status(Status::NotFound)) if !known.is_empty() => known[s],
+                Err(e) => return Err(e),
+            };
+            fresh.push(port);
         }
         *self.ports.write() = fresh;
         Ok(())
@@ -597,6 +651,50 @@ mod tests {
             let cap = wire::Reader::new(&body).cap().unwrap();
             assert_ne!(cap.port, cluster.replica_port(0), "drained replica minted");
         }
+        cluster.stop();
+        dir_runner.stop();
+    }
+
+    #[test]
+    fn a_refresh_inside_a_republish_window_keeps_the_old_port() {
+        // `republish` removes a shard's entry before it enters the new
+        // one. A refresh that reads the map in between keeps that
+        // shard's old port — its owner serves or forwards — instead of
+        // failing the call that asked for the refresh.
+        let net = Network::new();
+        let dir_runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
+        let dirs = DirClient::open(&net, dir_runner.put_port());
+        let root = dirs.create_dir().unwrap();
+        let cluster = elastic_fs(&net, 2);
+        cluster.publish(&dirs, &root, "fs").unwrap();
+        let bootstrap = || {
+            ElasticClient::from_directory(
+                &net,
+                DirClient::open(&net, dir_runner.put_port()),
+                &root,
+                "fs",
+            )
+        };
+        let client = bootstrap().unwrap();
+
+        // Shard 1 stays on replica 1; its entry is caught mid-republish.
+        dirs.remove(&root, &shard_entry_name("fs", 1)).unwrap();
+        let rpc = Client::new(net.attach_open());
+        for (shard, _) in cluster.drain(&rpc, 0).unwrap() {
+            cluster.republish(&dirs, &root, "fs", shard).unwrap();
+        }
+        // The creates the stale map sends to the drained replica come
+        // back `Unsupported` and refresh the map past the gap.
+        for _ in 0..DEFAULT_SHARDS {
+            let body = client.call_create(ops::CREATE, Bytes::new()).unwrap();
+            let cap = wire::Reader::new(&body).cap().unwrap();
+            assert_eq!(cap.port, cluster.replica_port(1));
+        }
+        // A bootstrap has no old port to keep.
+        assert_eq!(
+            bootstrap().unwrap_err(),
+            ClientError::Status(Status::NotFound)
+        );
         cluster.stop();
         dir_runner.stop();
     }

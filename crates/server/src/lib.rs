@@ -75,7 +75,7 @@ pub mod wire;
 pub use locks::{ObjectLocks, DEFAULT_OBJECT_LOCK_STRIPES};
 pub use migrate::{MigrateData, ShardDisposition, ShardMigrator};
 pub use principals::PrincipalRegistry;
-pub use sealed::{SealedServiceClient, SealedServiceRunner};
+pub use sealed::SealedServiceClient;
 pub use service::{ClientError, RequestCtx, Service, ServiceClient, ServiceRunner};
 pub use sim_pump::SimPump;
 pub use table::{placement_range, ObjectTable, ServerError, DEFAULT_SHARDS};

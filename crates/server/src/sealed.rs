@@ -19,15 +19,13 @@
 //! ```
 
 use crate::proto::{null_cap, Reply, Request, Status};
-use crate::service::{decode_reply, run_worker, send_reply, stop_workers, RequestCtx, Service};
+use crate::service::{decode_reply, send_reply, RequestCtx, Service, ServiceRunner};
 use amoeba_cap::Capability;
 use amoeba_net::{Endpoint, Network, Port};
-use amoeba_rpc::{Client, RpcConfig, ServerPort};
+use amoeba_rpc::{Client, RpcConfig};
 use amoeba_softprot::matrix::SealError;
 use amoeba_softprot::{CapSealer, SealedCap};
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Marker value in the sealed slot for capability-less requests
@@ -47,7 +45,7 @@ fn decode_sealed(data: &Bytes) -> Option<(u128, u32, Bytes)> {
 /// Serve one sealed request: unseal the capability slot with the key
 /// selected by the packet's unforgeable source, dispatch, reply.
 fn serve_sealed_one(
-    service: &impl Service,
+    service: &dyn Service,
     sealer: &CapSealer,
     server: &amoeba_rpc::ServerPort,
     incoming: &amoeba_rpc::IncomingRequest,
@@ -84,110 +82,28 @@ fn serve_sealed_one(
     send_reply(server, incoming, reply);
 }
 
-/// Runs a [`Service`] behind sealed-capability transport, on one or
-/// more dispatch workers sharing the bound port.
-#[derive(Debug)]
-pub struct SealedServiceRunner {
-    put_port: Port,
-    machine: amoeba_net::MachineId,
-    /// The bound port the workers share; closed at shutdown to wake
-    /// them.
-    server: Arc<ServerPort>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl SealedServiceRunner {
-    /// Binds `get_port` on `endpoint` and serves `service` on one
-    /// worker, unsealing every incoming capability with `sealer` (keyed
-    /// by packet source).
-    pub fn spawn(
-        endpoint: Endpoint,
-        get_port: Port,
-        service: impl Service,
-        sealer: Arc<CapSealer>,
-    ) -> SealedServiceRunner {
-        Self::spawn_workers(endpoint, get_port, service, sealer, 1)
-    }
-
-    /// Like [`spawn`](Self::spawn) with a pool of `workers` threads
-    /// draining the same bound port.
+impl ServiceRunner {
+    /// Binds `get_port` on `endpoint` and serves `service` behind
+    /// sealed-capability transport on a pool of `workers` threads,
+    /// unsealing every incoming capability with `sealer` (keyed by
+    /// packet source).
     ///
     /// # Panics
     /// Panics if `workers` is zero.
-    pub fn spawn_workers(
+    pub fn spawn_sealed(
         endpoint: Endpoint,
         get_port: Port,
-        mut service: impl Service,
-        sealer: Arc<CapSealer>,
-        workers: usize,
-    ) -> SealedServiceRunner {
-        assert!(workers > 0, "a service needs at least one worker");
-        let machine = endpoint.id();
-        let server = ServerPort::bind(endpoint, get_port);
-        let put_port = server.put_port();
-        service.bind(put_port);
-        let service = Arc::new(service);
-        let server = Arc::new(server);
-        let handles = (0..workers)
-            .map(|_| {
-                let service = Arc::clone(&service);
-                let server = Arc::clone(&server);
-                let sealer = Arc::clone(&sealer);
-                std::thread::spawn(move || {
-                    run_worker(&server, |incoming| {
-                        serve_sealed_one(&*service, &sealer, &server, incoming)
-                    })
-                })
-            })
-            .collect();
-        SealedServiceRunner {
-            put_port,
-            machine,
-            server,
-            handles,
-        }
-    }
-
-    /// Attaches a fresh open-interface machine and serves on a random
-    /// get-port.
-    pub fn spawn_open(
-        net: &Network,
         service: impl Service,
         sealer: Arc<CapSealer>,
-    ) -> SealedServiceRunner {
-        let endpoint = net.attach_open();
-        let get_port = Port::random(&mut StdRng::from_entropy());
-        Self::spawn(endpoint, get_port, service, sealer)
-    }
-
-    /// The published put-port.
-    pub fn put_port(&self) -> Port {
-        self.put_port
-    }
-
-    /// The machine the service runs on.
-    pub fn machine(&self) -> amoeba_net::MachineId {
-        self.machine
-    }
-
-    /// Number of dispatch workers serving this port.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Stops every worker and waits for them to exit.
-    pub fn stop(mut self) {
-        self.shutdown_now();
-    }
-
-    fn shutdown_now(&mut self) {
-        stop_workers(&self.server, &mut self.handles);
-    }
-}
-
-impl Drop for SealedServiceRunner {
-    fn drop(&mut self) {
-        self.shutdown_now();
+        workers: usize,
+    ) -> ServiceRunner {
+        Self::spawn_serving(
+            endpoint,
+            get_port,
+            service,
+            workers,
+            move |service, server, req| serve_sealed_one(service, &sealer, server, req),
+        )
     }
 }
 
@@ -308,6 +224,8 @@ mod tests {
     use amoeba_cap::Rights;
     use amoeba_server_test_util::Echo;
     use amoeba_softprot::KeyMatrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     // A tiny echo service shared with the sealed tests.
     mod amoeba_server_test_util {
@@ -366,7 +284,7 @@ mod tests {
     /// populated matrix.
     fn world() -> (
         Network,
-        SealedServiceRunner,
+        ServiceRunner,
         SealedServiceClient,
         Endpoint,
         Arc<CapSealer>,
@@ -386,7 +304,7 @@ mod tests {
         let client_sealer = Arc::new(CapSealer::new(matrix.view_for(client_ep_for_id.id())));
 
         let server_machine = server_ep.id();
-        let runner = SealedServiceRunner::spawn(
+        let runner = ServiceRunner::spawn_sealed(
             server_ep,
             Port::new(0x5EA1ED).unwrap(),
             Echo {
@@ -394,6 +312,7 @@ mod tests {
                 sealer: Arc::clone(&server_sealer),
             },
             server_sealer,
+            1,
         );
         let client = SealedServiceClient {
             rpc: Client::new(client_ep_for_id),
@@ -458,9 +377,9 @@ mod tests {
                     sealer: Arc::clone(&sealer),
                 };
                 let port = Port::new(0x5EA1).unwrap();
-                SealedServiceRunner::spawn_workers(endpoint, port, echo, sealer, workers)
+                ServiceRunner::spawn_sealed(endpoint, port, echo, sealer, workers)
             };
-            crate::service::tests::assert_ends_promptly(spawn, SealedServiceRunner::stop);
+            crate::service::tests::assert_ends_promptly(spawn, ServiceRunner::stop);
             crate::service::tests::assert_ends_promptly(spawn, drop);
         }
     }

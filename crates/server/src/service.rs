@@ -66,12 +66,12 @@ pub trait Service: Send + Sync + 'static {
     }
 }
 
-/// One dispatch worker's loop, shared by the plain and sealed runners:
-/// take the next request off the shared port and `serve` it, until the
-/// endpoint is closed or detached. The wait is untimed — a frame
-/// arriving, or the runner [closing](Endpoint::close) the endpoint at
-/// shutdown, is what wakes the worker.
-pub(crate) fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) {
+/// One dispatch worker's loop: take the next request off the shared
+/// port and `serve` it, until the endpoint is closed or detached. The
+/// wait is untimed — a frame arriving, or the runner
+/// [closing](Endpoint::close) the endpoint at shutdown, is what wakes
+/// the worker.
+fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) {
     let endpoint = server.endpoint();
     while let Ok(req) = server.next_request() {
         // Publish in-flight work on the machine's load gauge; replica
@@ -81,17 +81,6 @@ pub(crate) fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) 
         endpoint.add_load(1);
         let _in_flight = LoadGuard(endpoint);
         serve(&req);
-    }
-}
-
-/// Stops a runner's workers: closes the endpoint, which discards what
-/// is queued and wakes every worker blocked on it (the machine stays
-/// attached and keeps its claims — peers see a crashed server), and
-/// joins them.
-pub(crate) fn stop_workers(server: &ServerPort, handles: &mut Vec<std::thread::JoinHandle<()>>) {
-    server.endpoint().close();
-    for h in handles.drain(..) {
-        let _ = h.join();
     }
 }
 
@@ -106,8 +95,8 @@ impl Drop for LoadGuard<'_> {
 }
 
 /// Decode one raw request, dispatch it to the service, encode the
-/// reply. Shared by every worker loop (plain, pooled, sealed) and the
-/// simulator's [`SimPump`](crate::SimPump).
+/// reply. Shared by the plain runners' workers and the simulator's
+/// [`SimPump`](crate::SimPump).
 ///
 /// The reply is written straight into its frame (see [`send_reply`]),
 /// so a steady-state dispatch loop serves without touching the
@@ -273,9 +262,29 @@ impl ServiceRunner {
     pub fn spawn_workers(
         endpoint: Endpoint,
         get_port: Port,
-        mut service: impl Service,
+        service: impl Service,
         workers: usize,
     ) -> ServiceRunner {
+        Self::spawn_serving(endpoint, get_port, service, workers, serve_one)
+    }
+
+    /// Binds `get_port` on `endpoint` and starts `workers` threads that
+    /// hand every request on the shared port to `serve` — [`serve_one`]
+    /// for the plain runners, the unsealing dispatch for
+    /// [`spawn_sealed`](Self::spawn_sealed).
+    ///
+    /// # Panics
+    /// Panics if `workers` is zero.
+    pub(crate) fn spawn_serving<F>(
+        endpoint: Endpoint,
+        get_port: Port,
+        mut service: impl Service,
+        workers: usize,
+        serve: F,
+    ) -> ServiceRunner
+    where
+        F: Fn(&(dyn Service + 'static), &ServerPort, &IncomingRequest) + Clone + Send + 'static,
+    {
         assert!(workers > 0, "a service needs at least one worker");
         let machine = endpoint.id();
         let server = ServerPort::bind(endpoint, get_port);
@@ -287,8 +296,9 @@ impl ServiceRunner {
             .map(|_| {
                 let service = Arc::clone(&service);
                 let server = Arc::clone(&server);
+                let serve = serve.clone();
                 std::thread::spawn(move || {
-                    run_worker(&server, |req| serve_one(&*service, &server, req))
+                    run_worker(&server, |req| serve(&*service, &server, req))
                 })
             })
             .collect();
@@ -398,8 +408,14 @@ impl ServiceRunner {
         self.shutdown_now();
     }
 
+    /// Closes the endpoint, which discards what is queued and wakes
+    /// every worker blocked on it (the machine stays attached and keeps
+    /// its claims — peers see a crashed server), and joins the workers.
     fn shutdown_now(&mut self) {
-        stop_workers(&self.server, &mut self.handles);
+        self.server.endpoint().close();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 

@@ -63,8 +63,8 @@ pub mod prelude {
     pub use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
     pub use amoeba_cluster::{
         ClusterClient, ClusterRegistry, ElasticClient, ElasticCluster, HealthProber, MigrateError,
-        MigrationStats, PlacementPolicy, Rebalancer, ServiceCluster, ShardMigration, ShardedClient,
-        ShardedCluster, ShardedDir, SimReplicaSet,
+        MigrationStats, PlacementPolicy, Rebalancer, ServiceCluster, ShardMigration, ShardedDir,
+        SimReplicaSet,
     };
     pub use amoeba_crypto::oneway::{OneWay, PurdyOneWay, ShaOneWay};
     pub use amoeba_dirsvr::{CapCache, DirClient, DirServer, PathError};
@@ -82,7 +82,7 @@ pub mod prelude {
     pub use amoeba_server::proto::{Reply, Request, Status};
     pub use amoeba_server::{
         ClientError, ObjectLocks, ObjectTable, PrincipalRegistry, RequestCtx, SealedServiceClient,
-        SealedServiceRunner, Service, ServiceClient, ServiceRunner, SimPump,
+        Service, ServiceClient, ServiceRunner, SimPump,
     };
     pub use amoeba_softprot::{
         CapSealer, ClientSession, KeyMatrix, MachineKeys, SealedCap, SecureLink, ServerBoot,

@@ -5,11 +5,11 @@
 //! hops are slept out for real. Sleeping needs no core, so the
 //! modelled ratio survives a loaded runner; the nested flatfs→bank
 //! call blocks a worker thread, which is why that test cannot be a
-//! simulator actor yet (ROADMAP item 4, step 2).
+//! simulator actor yet (ROADMAP item 1(b)).
 
 use amoeba::prelude::*;
 use amoeba::server::proto::Reply;
-use amoeba::server::wire;
+use amoeba::server::{wire, DEFAULT_SHARDS};
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -121,93 +121,129 @@ fn killing_one_of_three_replicas_mid_hammer_loses_no_requests() {
     cluster.stop();
 }
 
-/// Builds the metered flat file service (§3.6 pre-payment through a
-/// nested bank transaction) behind a sharded cluster of `replicas`
-/// machines, plus a funded wallet.
-fn metered_rig(
-    net: &Network,
-    replicas: usize,
-    workers: usize,
-) -> (ServiceRunner, ShardedCluster, Capability) {
-    let (bank_server, treasury_rx) =
-        BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
-    let bank_runner = ServiceRunner::spawn_open(net, bank_server);
-    let bank_port = bank_runner.put_port();
-    let treasury = treasury_rx.recv().unwrap();
-    let bank = BankClient::open(net, bank_port);
-    let server_account = bank.open_account().unwrap();
-    let wallet = bank.open_account().unwrap();
-    bank.mint(&treasury, &wallet, CurrencyId(0), 1_000_000)
-        .unwrap();
-
-    let cluster = ShardedCluster::spawn_open(net, replicas, workers, |_| {
-        // Every replica runs its own embedded bank client against the
-        // one shared bank; payments land in one server account. The
-        // embedded client is patient: a payment retransmitted while
-        // queued at the single bank would be made twice.
-        FlatFsServer::with_quota(
-            SchemeKind::OneWay,
-            QuotaPolicy {
-                bank: BankClient::with_service(
-                    ServiceClient::open_with_config(net, patient()),
-                    bank_port,
-                ),
-                server_account,
-                currency: CurrencyId(0),
-                price_per_kib: 1,
-            },
-        )
-    });
-    (bank_runner, cluster, wallet)
+/// The metered flat file service (§3.6 pre-payment through a nested
+/// bank transaction) on a sharded cluster of `replicas` machines, its
+/// shard map published in a directory, and a funded wallet.
+struct MeteredRig {
+    bank: ServiceRunner,
+    directory: ServiceRunner,
+    root: Capability,
+    cluster: ElasticCluster,
+    wallet: Capability,
 }
 
-/// One client thread's share of the metered-create workload. Every
-/// create parks the owning replica's dispatch worker on a nested bank
-/// round-trip, so replica count is what sets throughput.
-fn hammer_creates(client: &ShardedClient, wallet: &Capability, calls: usize) {
-    for _ in 0..calls {
-        let params = wire::Writer::new().cap(wallet).u64(1).finish();
-        let body = client
-            .call_create(amoeba::flatfs::ops::CREATE, params)
+impl MeteredRig {
+    fn spawn(net: &Network, replicas: usize) -> MeteredRig {
+        let (bank_server, treasury_rx) =
+            BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
+        let bank_runner = ServiceRunner::spawn_open(net, bank_server);
+        let bank_port = bank_runner.put_port();
+        let treasury = treasury_rx.recv().unwrap();
+        let bank = BankClient::open(net, bank_port);
+        let server_account = bank.open_account().unwrap();
+        let wallet = bank.open_account().unwrap();
+        bank.mint(&treasury, &wallet, CurrencyId(0), 1_000_000)
             .unwrap();
-        wire::Reader::new(&body).cap().unwrap();
+
+        let cluster = ElasticCluster::spawn_open(net, replicas, 1, |_| {
+            // Every replica runs its own embedded bank client against the
+            // one shared bank; payments land in one server account. The
+            // embedded client is patient: a payment retransmitted while
+            // queued at the single bank would be made twice.
+            FlatFsServer::with_quota(
+                SchemeKind::OneWay,
+                QuotaPolicy {
+                    bank: BankClient::with_service(
+                        ServiceClient::open_with_config(net, patient()),
+                        bank_port,
+                    ),
+                    server_account,
+                    currency: CurrencyId(0),
+                    price_per_kib: 1,
+                },
+            )
+        });
+        let directory = ServiceRunner::spawn_open(net, DirServer::new(SchemeKind::OneWay));
+        let dirs = DirClient::open(net, directory.put_port());
+        let root = dirs.create_dir().unwrap();
+        cluster.publish(&dirs, &root, "fs").unwrap();
+        MeteredRig {
+            bank: bank_runner,
+            directory,
+            root,
+            cluster,
+            wallet,
+        }
     }
+
+    /// A client calling through `svc` that knows nothing but the
+    /// directory.
+    fn client(&self, net: &Network, svc: ServiceClient) -> ElasticClient {
+        let dirs = DirClient::open(net, self.directory.put_port());
+        ElasticClient::with_service(svc, dirs, &self.root, "fs").unwrap()
+    }
+
+    fn stop(self) {
+        self.cluster.stop();
+        self.directory.stop();
+        self.bank.stop();
+    }
+}
+
+/// One client thread's share of the metered-create workload: the ports
+/// of the minted capabilities, in order. Every create parks the owning
+/// replica's dispatch worker on a nested bank round-trip, so replica
+/// count is what sets throughput.
+fn hammer_creates(client: &ElasticClient, wallet: &Capability, calls: usize) -> Vec<Port> {
+    (0..calls)
+        .map(|_| {
+            let params = wire::Writer::new().cap(wallet).u64(1).finish();
+            let body = client
+                .call_create(amoeba::flatfs::ops::CREATE, params)
+                .unwrap();
+            wire::Reader::new(&body).cap().unwrap().port
+        })
+        .collect()
 }
 
 fn timed_metered_round(net: &Network, replicas: usize) -> Duration {
     // Large enough that hop latency dominates what host scheduling
-    // adds per hand-off: the model says 3x for 3 replicas, and the
-    // gate is 2x. CALLS is a multiple of the replica count because
-    // every client's create
-    // cursor starts at an entropy-seeded offset and then walks the
-    // replicas round-robin: with 6 calls each replica serves 24 of the
-    // 72 creates whatever the offsets, where 4 calls left 2 per client
-    // on one random replica — 12 to 24 of 48, and the worst draw is
-    // exactly the 2x bar before any inflation.
-    const CLIENTS: usize = 12;
-    const CALLS: usize = 6;
-    let (bank_runner, cluster, wallet) = metered_rig(net, replicas, 1);
-    let clients: Vec<Arc<ShardedClient>> = (0..CLIENTS)
-        .map(|_| {
-            Arc::new(ShardedClient::new(
-                ServiceClient::open_with_config(net, patient()),
-                cluster.range_ports().to_vec(),
-            ))
-        })
+    // adds per hand-off. CALLS is a multiple of the shard count: every
+    // client's create cursor starts at its own offset and then walks
+    // the shards round-robin, so whatever the offset each client
+    // creates once per shard — 6 : 5 : 5 over 3 replicas, which makes
+    // the model 96 / 36 ≈ 2.7× for the gate's 2×.
+    const CLIENTS: usize = 6;
+    const CALLS: usize = DEFAULT_SHARDS;
+    let rig = MeteredRig::spawn(net, replicas);
+    let clients: Vec<Arc<ElasticClient>> = (0..CLIENTS)
+        .map(|_| Arc::new(rig.client(net, ServiceClient::open_with_config(net, patient()))))
         .collect();
+    let wallet = rig.wallet;
     net.set_latency(Duration::from_millis(2));
     let v0 = net.now();
     let handles: Vec<_> = clients
         .into_iter()
         .map(|client| std::thread::spawn(move || hammer_creates(&client, &wallet, CALLS)))
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    let minted: Vec<Vec<Port>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let elapsed = net.now().saturating_duration_since(v0);
     net.set_latency(Duration::ZERO);
-    cluster.stop();
-    bank_runner.stop();
+    // Replica r owns the shards with s % replicas == r, so each client
+    // minted exactly that many capabilities there.
+    for ports in &minted {
+        let split: Vec<usize> = (0..replicas)
+            .map(|r| {
+                let port = rig.cluster.replica_port(r);
+                ports.iter().filter(|&&p| p == port).count()
+            })
+            .collect();
+        let owned: Vec<usize> = (0..replicas)
+            .map(|r| (0..DEFAULT_SHARDS).filter(|s| s % replicas == r).count())
+            .collect();
+        assert_eq!(split, owned, "creates per replica");
+    }
+    rig.stop();
     elapsed
 }
 
@@ -230,13 +266,13 @@ fn three_sharded_replicas_at_least_double_metered_create_throughput() {
 #[test]
 fn sharded_capabilities_survive_cross_client_use() {
     // Capabilities minted through one sharded client route correctly
-    // through another (the range map, not client state, places them).
+    // through another (the shard map, not client state, places them).
     let net = Network::new();
-    let (bank_runner, cluster, wallet) = metered_rig(&net, 3, 1);
-    let a = ShardedClient::new(ServiceClient::open(&net), cluster.range_ports().to_vec());
-    let b = ShardedClient::new(ServiceClient::open(&net), cluster.range_ports().to_vec());
+    let rig = MeteredRig::spawn(&net, 3);
+    let a = rig.client(&net, ServiceClient::open(&net));
+    let b = rig.client(&net, ServiceClient::open(&net));
 
-    let params = wire::Writer::new().cap(&wallet).u64(1).finish();
+    let params = wire::Writer::new().cap(&rig.wallet).u64(1).finish();
     let caps: Vec<Capability> = (0..6)
         .map(|_| {
             let body = a
@@ -264,8 +300,7 @@ fn sharded_capabilities_survive_cross_client_use() {
             .unwrap();
         assert_eq!(&read[..], format!("x{i}").as_bytes());
     }
-    cluster.stop();
-    bank_runner.stop();
+    rig.stop();
 }
 
 #[test]

@@ -8,11 +8,11 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Builds a sealed flat-file deployment: the flat file server behind a
-/// [`SealedServiceRunner`], a client with matching matrix keys, and an
+/// sealed [`ServiceRunner`], a client with matching matrix keys, and an
 /// intruder machine with its own (useless) keys.
 struct SealedWorld {
     net: Network,
-    runner: SealedServiceRunner,
+    runner: ServiceRunner,
     client: SealedServiceClient,
     server_machine: MachineId,
 }
@@ -32,11 +32,12 @@ fn world() -> SealedWorld {
     let server_sealer = Arc::new(CapSealer::new(matrix.view_for(server_machine)));
     let client_sealer = Arc::new(CapSealer::new(matrix.view_for(client_ep.id())));
 
-    let runner = SealedServiceRunner::spawn(
+    let runner = ServiceRunner::spawn_sealed(
         server_ep,
         Port::new(0xF17E5).unwrap(),
         FlatFsServer::new(SchemeKind::Commutative),
         server_sealer,
+        1,
     );
     // The matrix keys bind to client_ep's machine id, so the sealing
     // client must ride exactly that endpoint.
