@@ -39,7 +39,6 @@ use amoeba_server::DEFAULT_SHARDS;
 use amoeba_server::{placement_range, ClientError, Service, ServiceClient, ServiceRunner};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 fn shard_entry_name(service: &str, shard: usize) -> String {
@@ -97,13 +96,11 @@ impl ElasticCluster {
             (1..=DEFAULT_SHARDS).contains(&replicas),
             "1..={DEFAULT_SHARDS} replicas per elastic group"
         );
-        let mut rng = rand::rngs::StdRng::from_entropy();
         let runners: Vec<ServiceRunner> = (0..replicas)
             .map(|i| {
                 let mut service = factory(i);
                 service.bind_shard_range(i, replicas);
-                let get_port = Port::random(&mut rng);
-                ServiceRunner::spawn_workers(net.attach_open(), get_port, service, workers)
+                ServiceRunner::spawn_workers(net.attach_open(), Port::random(), service, workers)
             })
             .collect();
         let owner = (0..DEFAULT_SHARDS).map(|s| s % replicas).collect();

@@ -3,8 +3,6 @@
 
 use amoeba_net::{Network, Port};
 use amoeba_rpc::{Matchmaker, PlacementPolicy, RendezvousNode};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A running set of rendezvous registry nodes for a cluster.
 ///
@@ -29,9 +27,8 @@ impl ClusterRegistry {
     /// Panics if `nodes` is zero.
     pub fn spawn(net: &Network, nodes: usize) -> ClusterRegistry {
         assert!(nodes > 0, "a registry needs at least one node");
-        let mut rng = StdRng::from_entropy();
         let running: Vec<RendezvousNode> = (0..nodes)
-            .map(|_| RendezvousNode::spawn(net.attach_open(), Port::random(&mut rng)))
+            .map(|_| RendezvousNode::spawn(net.attach_open(), Port::random()))
             .collect();
         let ports = running.iter().map(|n| n.service_port()).collect();
         ClusterRegistry {

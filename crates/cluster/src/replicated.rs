@@ -8,8 +8,6 @@ use amoeba_server::proto::null_cap;
 use amoeba_server::{ClientError, Service, ServiceClient, ServiceRunner};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -44,7 +42,7 @@ impl ServiceCluster {
         mut factory: impl FnMut(usize) -> S,
     ) -> ServiceCluster {
         assert!(replicas > 0, "a cluster needs at least one replica");
-        let get_port = Port::random(&mut StdRng::from_entropy());
+        let get_port = Port::random();
         let runners: Vec<ServiceRunner> = (0..replicas)
             .map(|i| ServiceRunner::spawn_workers(net.attach_open(), get_port, factory(i), workers))
             .collect();

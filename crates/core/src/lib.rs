@@ -31,12 +31,11 @@
 //!
 //! ```
 //! use amoeba_cap::{schemes::{CommutativeScheme, ProtectionScheme}, ObjectNum, Rights};
+//! use amoeba_crypto::SecretStream;
 //! use amoeba_net::Port;
-//! use rand::SeedableRng;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 //! let scheme = CommutativeScheme::standard();
-//! let secret = scheme.new_secret(&mut rng);
+//! let secret = scheme.new_secret(&mut SecretStream::from_entropy());
 //!
 //! let port = Port::new(0xF11E).unwrap();
 //! let cap = scheme.mint(port, ObjectNum::new(7).unwrap(), &secret);

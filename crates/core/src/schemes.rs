@@ -22,8 +22,8 @@ use crate::rights::Rights;
 use amoeba_crypto::commutative::CommutativeOwfFamily;
 use amoeba_crypto::feistel::{Block56, Cipher56, Feistel56, XorCipher};
 use amoeba_crypto::oneway::{OneWay, ShaOneWay};
+use amoeba_crypto::SecretStream;
 use amoeba_net::Port;
-use rand::RngCore;
 use std::fmt;
 
 /// The per-object secret a server stores in its object table: "the
@@ -61,7 +61,7 @@ pub trait ProtectionScheme: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Draws a fresh per-object secret with this scheme's constraints.
-    fn new_secret(&self, rng: &mut dyn RngCore) -> ObjectSecret;
+    fn new_secret(&self, stream: &mut SecretStream) -> ObjectSecret;
 
     /// Mints the initial all-rights capability for a new object.
     fn mint(&self, port: Port, object: ObjectNum, secret: &ObjectSecret) -> Capability;
@@ -106,9 +106,9 @@ pub trait ProtectionScheme: fmt::Debug + Send + Sync {
     }
 }
 
-fn random_check(rng: &mut dyn RngCore) -> u64 {
+fn random_check(stream: &mut SecretStream) -> u64 {
     loop {
-        let v = rng.next_u64() & CHECK_MASK;
+        let v = stream.next_u64() & CHECK_MASK;
         // 0 would collide with scheme 1's known constant and is a fixed
         // point of the commutative functions; skip it for all schemes.
         if v != 0 {
@@ -140,8 +140,8 @@ impl ProtectionScheme for SimpleScheme {
         "simple"
     }
 
-    fn new_secret(&self, rng: &mut dyn RngCore) -> ObjectSecret {
-        ObjectSecret::from_value(random_check(rng))
+    fn new_secret(&self, stream: &mut SecretStream) -> ObjectSecret {
+        ObjectSecret::from_value(random_check(stream))
     }
 
     fn mint(&self, port: Port, object: ObjectNum, secret: &ObjectSecret) -> Capability {
@@ -251,9 +251,9 @@ impl<CF: CipherFactory> ProtectionScheme for EncryptedScheme<CF> {
         "encrypted"
     }
 
-    fn new_secret(&self, rng: &mut dyn RngCore) -> ObjectSecret {
+    fn new_secret(&self, stream: &mut SecretStream) -> ObjectSecret {
         // The secret is a cipher key; any nonzero 64-bit value works.
-        ObjectSecret::from_value(rng.next_u64().max(1))
+        ObjectSecret::from_value(stream.next_u64().max(1))
     }
 
     fn mint(&self, port: Port, object: ObjectNum, secret: &ObjectSecret) -> Capability {
@@ -323,8 +323,8 @@ impl<F: OneWay> ProtectionScheme for OneWayScheme<F> {
         "one-way"
     }
 
-    fn new_secret(&self, rng: &mut dyn RngCore) -> ObjectSecret {
-        ObjectSecret::from_value(random_check(rng))
+    fn new_secret(&self, stream: &mut SecretStream) -> ObjectSecret {
+        ObjectSecret::from_value(random_check(stream))
     }
 
     fn mint(&self, port: Port, object: ObjectNum, secret: &ObjectSecret) -> Capability {
@@ -435,15 +435,9 @@ impl ProtectionScheme for CommutativeScheme {
         "commutative"
     }
 
-    fn new_secret(&self, rng: &mut dyn RngCore) -> ObjectSecret {
+    fn new_secret(&self, stream: &mut SecretStream) -> ObjectSecret {
         // Must be a high-order element of GF(p): avoid 0, 1, p−1.
-        let p = self.family.modulus();
-        loop {
-            let v = rng.next_u64() % p;
-            if v >= 2 && v != p - 1 {
-                return ObjectSecret::from_value(v);
-            }
-        }
+        ObjectSecret::from_value(self.family.random_element(stream))
     }
 
     fn mint(&self, port: Port, object: ObjectNum, secret: &ObjectSecret) -> Capability {
@@ -550,11 +544,9 @@ impl fmt::Display for SchemeKind {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
+    fn rng(seed: u64) -> SecretStream {
+        SecretStream::from_seed(seed)
     }
 
     fn port() -> Port {
@@ -800,8 +792,7 @@ mod tests {
             let genuine = scheme.mint(port(), obj(), &secret);
             let mut hits = 0u32;
             for _ in 0..100_000 {
-                use rand::Rng;
-                let guess = genuine.with_check(r.gen::<u64>());
+                let guess = genuine.with_check(r.next_u64());
                 if guess.check != genuine.check && scheme.validate(&guess, &secret).is_ok() {
                     hits += 1;
                 }

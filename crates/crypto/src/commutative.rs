@@ -35,7 +35,7 @@
 //! ```
 
 use crate::modmath::{gcd, pow_mod};
-use rand::Rng;
+use crate::secret::SecretStream;
 
 /// The largest prime below 2^48: `2^48 − 59`. All check-field values
 /// live in `GF(p)` and therefore fit the capability's 48-bit slot.
@@ -121,8 +121,8 @@ impl CommutativeOwfFamily {
     /// Draws a check value suitable as a per-object random number:
     /// uniform in `[2, p − 1)`, avoiding the fixed points 0 and 1 and
     /// the order-2 element `p − 1`.
-    pub fn random_element<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        rng.gen_range(2..self.p - 1)
+    pub fn random_element(&self, stream: &mut SecretStream) -> u64 {
+        2 + stream.below(self.p - 3)
     }
 }
 
@@ -130,7 +130,6 @@ impl CommutativeOwfFamily {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     #[test]
     fn p48_is_prime_and_48_bits() {
@@ -173,9 +172,9 @@ mod tests {
     #[test]
     fn random_element_avoids_degenerate_values() {
         let fam = CommutativeOwfFamily::standard();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut stream = SecretStream::from_seed(1);
         for _ in 0..1000 {
-            let x = fam.random_element(&mut rng);
+            let x = fam.random_element(&mut stream);
             assert!((2..P48 - 1).contains(&x));
         }
     }
@@ -191,11 +190,12 @@ mod tests {
         fn mask_application_order_independent(mask: u8, x in 2u64..P48, seed: u64) {
             // Apply the bits of `mask` one at a time in a random order and
             // compare with apply_mask.
-            use rand::seq::SliceRandom;
             let fam = CommutativeOwfFamily::standard();
             let mut bits: Vec<usize> = (0..NUM_RIGHTS).filter(|k| mask & (1 << k) != 0).collect();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            bits.shuffle(&mut rng);
+            let mut stream = SecretStream::from_seed(seed);
+            for i in (1..bits.len()).rev() {
+                bits.swap(i, stream.below(i as u64 + 1) as usize);
+            }
             let mut acc = x;
             for k in bits {
                 acc = fam.apply(k, acc);

@@ -17,11 +17,13 @@
 //! * **DES**, the "conventional" cipher the paper names for the software
 //!   key-matrix scheme of §2.4 ([`des`]);
 //! * a **public-key system** for the key-establishment handshake of §2.4
-//!   ([`rsa`] — simulation-scale, *not* secure).
+//!   ([`rsa`] — simulation-scale, *not* secure);
+//! * the **one source of secrets** every check field, object secret,
+//!   port and key is drawn from: SHA-256 in counter mode ([`secret`]).
 //!
-//! Everything here is deterministic, dependency-free (apart from `rand`
-//! for key generation) and extensively tested against published vectors
-//! where they exist (SHA-256, DES).
+//! Everything here is dependency-free, deterministic apart from the
+//! entropy-keyed [`SecretStream`], and extensively tested against
+//! published vectors where they exist (SHA-256, DES).
 //!
 //! # Example
 //!
@@ -46,10 +48,12 @@ pub mod modmath;
 pub mod oneway;
 pub mod purdy;
 pub mod rsa;
+pub mod secret;
 pub mod sha256;
 
 pub use commutative::CommutativeOwfFamily;
 pub use des::{Des, TripleDes};
 pub use feistel::Feistel56;
 pub use oneway::{OneWay, PurdyOneWay, ShaOneWay};
+pub use secret::{secret_u64, SecretStream};
 pub use sha256::Sha256;

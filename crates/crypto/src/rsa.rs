@@ -16,17 +16,16 @@
 //!
 //! ```
 //! use amoeba_crypto::rsa::KeyPair;
-//! use rand::SeedableRng;
+//! use amoeba_crypto::SecretStream;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let kp = KeyPair::generate(&mut rng);
+//! let kp = KeyPair::generate(&mut SecretStream::from_seed(7));
 //! let secret = b"des key material";
 //! let ct = kp.public().encrypt_bytes(secret);
 //! assert_eq!(kp.decrypt_bytes(&ct).unwrap(), secret);
 //! ```
 
 use crate::modmath::{gcd, inv_mod, is_prime, pow_mod};
-use rand::Rng;
+use crate::secret::SecretStream;
 
 /// The conventional public exponent.
 pub const E: u64 = 65537;
@@ -125,10 +124,10 @@ pub struct KeyPair {
 
 impl KeyPair {
     /// Generates a key pair from two random 32-bit primes.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    pub fn generate(stream: &mut SecretStream) -> Self {
         loop {
-            let p = random_prime_32(rng);
-            let q = random_prime_32(rng);
+            let p = random_prime_32(stream);
+            let q = random_prime_32(stream);
             if p == q {
                 continue;
             }
@@ -201,10 +200,10 @@ impl KeyPair {
     }
 }
 
-fn random_prime_32<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+fn random_prime_32(stream: &mut SecretStream) -> u64 {
     loop {
         // Force the top and bottom bits: full 32-bit size and odd.
-        let candidate = (rng.gen::<u32>() | 0x8000_0001) as u64;
+        let candidate = (stream.next_u64() as u32 | 0x8000_0001) as u64;
         if is_prime(candidate) {
             return candidate;
         }
@@ -215,11 +214,9 @@ fn random_prime_32<R: Rng + ?Sized>(rng: &mut R) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     fn keypair(seed: u64) -> KeyPair {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        KeyPair::generate(&mut rng)
+        KeyPair::generate(&mut SecretStream::from_seed(seed))
     }
 
     #[test]

@@ -88,11 +88,11 @@ impl Port {
         }
     }
 
-    /// Draws a uniformly random (secret) port — how servers pick
-    /// get-ports and clients pick reply get-ports.
-    pub fn random<R: rand::Rng + ?Sized>(rng: &mut R) -> Port {
+    /// Draws a secret port ([`secret_u64`](amoeba_crypto::secret_u64)) —
+    /// how servers pick get-ports and clients pick reply get-ports.
+    pub fn random() -> Port {
         loop {
-            if let Some(p) = Port::new(rng.gen::<u64>() & PORT_MASK) {
+            if let Some(p) = Port::new(amoeba_crypto::secret_u64() & PORT_MASK) {
                 return p;
             }
         }
@@ -130,7 +130,6 @@ impl fmt::Display for Port {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     #[test]
     fn reserved_values_rejected_by_new() {
@@ -151,10 +150,9 @@ mod tests {
 
     #[test]
     fn random_ports_are_valid_and_spread() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1000 {
-            let p = Port::random(&mut rng);
+            let p = Port::random();
             assert!(!p.is_broadcast() && !p.is_null());
             seen.insert(p);
         }

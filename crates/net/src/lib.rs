@@ -63,8 +63,8 @@ pub use packet::{Header, Packet};
 pub use pool::BufPool;
 pub use reactor::{Clock, Reactor, SimClock, Timestamp, WallClock};
 pub use sim::{
-    ActorPoll, CrashWindow, FaultCounters, FaultPlan, PartitionWindow, SimExecutor, SimStall,
-    SEED_PLAN_TARGETS,
+    splitmix64, ActorPoll, CrashWindow, FaultCounters, FaultPlan, PartitionWindow, SimExecutor,
+    SimStall, SEED_PLAN_TARGETS,
 };
 pub use stats::{HotPathSnapshot, NetworkStats, StatsSnapshot};
 pub use sync::{hot_lock_acquisitions, HotMutex, HotMutexGuard, LockMeter};

@@ -45,14 +45,12 @@ use crate::addr::{MachineId, Port};
 use crate::nic::{NetworkInterface, OpenNic};
 use crate::packet::{Header, Packet};
 use crate::reactor::{Reactor, SimClock, SimSource, Timestamp};
-use crate::sim::{FaultCounters, FaultPlan, SimController};
+use crate::sim::{splitmix64, FaultCounters, FaultPlan, SimController};
 use crate::stats::{HotPathSnapshot, NetworkStats};
 use amoeba_obs::Obs;
 use bytes::Bytes;
 use crossbeam::channel::{metered, unbounded, Meter, Receiver, Sender, TryRecvError};
-use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -171,9 +169,11 @@ struct NetworkInner {
     latency_nanos: AtomicU64,
     /// Loss probability, stored as `f64` bits. Zero bits == 0.0 == no
     /// loss, so the send fast path is a single load-and-compare; the
-    /// loss RNG below is only locked when the rate is nonzero.
+    /// loss stream below is only drawn when the rate is nonzero.
     drop_rate_bits: AtomicU64,
-    rng: Mutex<StdRng>,
+    /// [`splitmix64`] state of the loss draws: one lock-free `fetch_add`
+    /// per draw gives the stream a sequential generator would.
+    loss_state: AtomicU64,
     stats: NetworkStats,
     /// Counts the hand-offs of this network's queues: machine
     /// inboxes and every queue made with [`Network::channel`].
@@ -240,7 +240,7 @@ impl Network {
                 next_id: AtomicU32::new(1),
                 latency_nanos: AtomicU64::new(0),
                 drop_rate_bits: AtomicU64::new(0),
-                rng: Mutex::new(StdRng::seed_from_u64(0x0A11_0E8A)),
+                loss_state: AtomicU64::new(0x0A11_0E8A),
                 stats: NetworkStats::default(),
                 queues: Meter::new(),
                 obs,
@@ -346,9 +346,9 @@ impl Network {
             .store(rate.to_bits(), Ordering::Relaxed);
     }
 
-    /// Reseeds the loss-decision RNG, for reproducible failure injection.
+    /// Reseeds the loss-decision stream, for reproducible failure injection.
     pub fn reseed(&self, seed: u64) {
-        *self.inner.rng.lock() = StdRng::seed_from_u64(seed);
+        self.inner.loss_state.store(seed, Ordering::Relaxed);
     }
 
     /// Declares two machines co-located (same physical host): traffic
@@ -475,15 +475,21 @@ impl Network {
             );
         }
 
-        // The legacy probabilistic drop knob draws from a shared RNG;
-        // in simulation mode loss comes from the seeded fault plan
-        // instead, so the knob is ignored for reproducibility.
+        // The legacy probabilistic drop knob draws from a shared
+        // stream; in simulation mode loss comes from the seeded fault
+        // plan instead, so the knob is ignored for reproducibility.
         let drop_rate = if self.inner.sim.is_some() {
             0.0
         } else {
             f64::from_bits(self.inner.drop_rate_bits.load(Ordering::Relaxed))
         };
-        if drop_rate > 0.0 && self.inner.rng.lock().gen::<f64>() < drop_rate {
+        // One draw uniform in [0, 1): 53 mantissa bits.
+        let loss = || {
+            let gamma = 0x9E37_79B9_7F4A_7C15;
+            let mut state = self.inner.loss_state.fetch_add(gamma, Ordering::Relaxed);
+            (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        if drop_rate > 0.0 && loss() < drop_rate {
             stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
             return Sent::default();
         }

@@ -36,9 +36,10 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// The splitmix64 mixer: the simulation's only randomness primitive.
-/// Statistically uniform, one u64 of state, trivially reproducible.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// The splitmix64 mixer: the one generator for simulation and statistics
+/// draws. Statistically uniform, one u64 of state, trivially reproducible
+/// — so never a source of secrets (`amoeba_crypto::SecretStream` is).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -48,11 +48,10 @@
 use crate::demux::{encode_reply_port, DemuxTable, RouteCache, SlotToken};
 use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp, MAX_BATCH_ENTRIES};
 use amoeba_net::{
-    BufPool, Endpoint, EventKind, Header, MachineId, Packet, Port, RecvError, Timestamp,
+    splitmix64, BufPool, Endpoint, EventKind, Header, MachineId, Packet, Port, RecvError, Timestamp,
 };
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Receiver;
-use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -139,11 +138,11 @@ pub struct Client {
     endpoint: Endpoint,
     config: RpcConfig,
     signature: Option<Port>,
-    /// splitmix64 state: a lock-free source of port salts, replacing
-    /// the mutex-guarded `StdRng` of earlier revisions. Reply-port
+    /// [`splitmix64`] state: a lock-free source of port salts and
+    /// request ids, advanced with one `fetch_add` per draw. Reply-port
     /// secrecy rests on the 48-bit sparseness argument of §2.2, not on
     /// cryptographic stream quality, so a statistically-uniform mixer
-    /// seeded from entropy is the right tool on the hot path.
+    /// seeded from a secret word is the right tool on the hot path.
     rng_state: AtomicU64,
     /// Monotonic source of batch ids; uniqueness per client plus the
     /// per-batch private reply port makes `(reply port, id)` unique on
@@ -193,7 +192,7 @@ impl Client {
             endpoint,
             config,
             signature: None,
-            rng_state: AtomicU64::new(rand::rngs::StdRng::from_entropy().next_u64()),
+            rng_state: AtomicU64::new(amoeba_crypto::secret_u64()),
             next_batch_id: AtomicU32::new(1),
             table,
             pool,
@@ -214,13 +213,10 @@ impl Client {
 
     /// The next value of the lock-free splitmix64 stream.
     fn next_rand(&self) -> u64 {
-        let mut z = self
+        let mut state = self
             .rng_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
+        splitmix64(&mut state)
     }
 
     /// The frame-buffer pool this client encodes into.

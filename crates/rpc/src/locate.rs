@@ -34,8 +34,6 @@
 use crate::frame::Frame;
 use amoeba_net::{Endpoint, Header, MachineId, Port, RecvError, Timestamp};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -214,7 +212,6 @@ pub struct Locator {
     policy: PlacementPolicy,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
-    rng: Mutex<StdRng>,
     timeout: Duration,
     gather: Duration,
     /// Serialises cache-miss resolution: two threads gathering LOCATE
@@ -253,7 +250,6 @@ impl Locator {
             policy: PlacementPolicy::default(),
             hits: Default::default(),
             misses: Default::default(),
-            rng: Mutex::new(StdRng::from_entropy()),
             timeout,
             gather: Self::DEFAULT_GATHER_WINDOW,
             resolving: Mutex::new(()),
@@ -337,7 +333,7 @@ impl Locator {
     /// to the query timeout for the first reply, then keeps collecting
     /// for the gather window so slower replicas make it into the set.
     fn broadcast_locate(&self, endpoint: &Endpoint, port: Port) -> Vec<Replica> {
-        let reply_get = Port::random(&mut *self.rng.lock());
+        let reply_get = Port::random();
         let reply_wire = endpoint.claim(reply_get);
         let header = Header::to(Port::BROADCAST).with_reply(reply_get);
         endpoint.send(header, Frame::Locate(port).encode());

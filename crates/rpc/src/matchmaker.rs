@@ -43,8 +43,6 @@ use crate::frame::{Frame, ReplicaInfo, MAX_LOCATE_REPLICAS};
 use crate::locate::{PlacementPolicy, Replica, ReplicaCache};
 use amoeba_net::{Endpoint, Header, MachineId, Port, Timestamp};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -213,7 +211,6 @@ pub struct Matchmaker {
     nodes: Vec<Port>,
     cache: ReplicaCache,
     policy: PlacementPolicy,
-    rng: Mutex<StdRng>,
     timeout: Duration,
     /// Serialises cache-miss queries: two threads awaiting replies on
     /// one endpoint would consume each other's answers (see
@@ -233,7 +230,6 @@ impl Matchmaker {
             cache: ReplicaCache::new(crate::Locator::DEFAULT_TTL),
             policy: PlacementPolicy::default(),
             resolving: Mutex::new(()),
-            rng: Mutex::new(StdRng::from_entropy()),
             timeout: Duration::from_millis(200),
         }
     }
@@ -340,7 +336,7 @@ impl Matchmaker {
     /// One `LOCATE_ALL` round-trip to the responsible node.
     fn resolve_all(&self, endpoint: &Endpoint, port: Port) -> Vec<Replica> {
         let node = self.node_for(port);
-        let reply_get = Port::random(&mut *self.rng.lock());
+        let reply_get = Port::random();
         let reply_wire = endpoint.claim(reply_get);
         endpoint.send(
             Header::to(node).with_reply(reply_get),

@@ -222,10 +222,9 @@ mod tests {
 
     use amoeba_cap::schemes::SchemeKind;
     use amoeba_cap::Rights;
+    use amoeba_crypto::SecretStream;
     use amoeba_server_test_util::Echo;
     use amoeba_softprot::KeyMatrix;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     // A tiny echo service shared with the sealed tests.
     mod amoeba_server_test_util {
@@ -294,10 +293,9 @@ mod tests {
         let server_ep = net.attach_open();
         let client_ep_for_id = net.attach_open();
         let intruder = net.attach_open();
-        let mut rng = StdRng::seed_from_u64(77);
         let matrix = KeyMatrix::random(
             &[server_ep.id(), client_ep_for_id.id(), intruder.id()],
-            &mut rng,
+            &mut SecretStream::from_seed(77),
         );
 
         let server_sealer = Arc::new(CapSealer::new(matrix.view_for(server_ep.id())));
@@ -369,7 +367,7 @@ mod tests {
             let spawn = || {
                 let endpoint = net.attach_open();
                 let sealer = Arc::new(CapSealer::new(
-                    KeyMatrix::random(&[endpoint.id()], &mut StdRng::seed_from_u64(1))
+                    KeyMatrix::random(&[endpoint.id()], &mut SecretStream::from_seed(1))
                         .view_for(endpoint.id()),
                 ));
                 let echo = Echo {

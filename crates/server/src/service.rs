@@ -8,8 +8,6 @@ use amoeba_fbox::FBox;
 use amoeba_net::{Endpoint, EventKind, MachineId, Network, Port};
 use amoeba_rpc::{Client, IncomingRequest, RpcConfig, RpcError, ServerPort};
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Per-request context derived from the network layer.
@@ -316,7 +314,7 @@ impl ServiceRunner {
     /// and unit tests.)
     pub fn spawn_open(net: &Network, service: impl Service) -> ServiceRunner {
         let endpoint = net.attach_open();
-        let get_port = Port::random(&mut StdRng::from_entropy());
+        let get_port = Port::random();
         Self::spawn(endpoint, get_port, service)
     }
 
@@ -327,7 +325,7 @@ impl ServiceRunner {
         workers: usize,
     ) -> ServiceRunner {
         let endpoint = net.attach_open();
-        let get_port = Port::random(&mut StdRng::from_entropy());
+        let get_port = Port::random();
         Self::spawn_workers(endpoint, get_port, service, workers)
     }
 
@@ -335,7 +333,7 @@ impl ServiceRunner {
     /// serves on a random secret get-port.
     pub fn spawn_fbox(net: &Network, service: impl Service) -> ServiceRunner {
         let endpoint = net.attach(Arc::new(FBox::hardware(ShaOneWay)));
-        let get_port = Port::random(&mut StdRng::from_entropy());
+        let get_port = Port::random();
         Self::spawn(endpoint, get_port, service)
     }
 
@@ -346,7 +344,7 @@ impl ServiceRunner {
         workers: usize,
     ) -> ServiceRunner {
         let endpoint = net.attach(Arc::new(FBox::hardware(ShaOneWay)));
-        let get_port = Port::random(&mut StdRng::from_entropy());
+        let get_port = Port::random();
         Self::spawn_workers(endpoint, get_port, service, workers)
     }
 

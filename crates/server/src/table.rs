@@ -2,7 +2,7 @@
 //!
 //! Since the worker-pool refactor the table is **lock-striped**: entries
 //! are spread over `N` independent shards (object number low bits →
-//! shard), each with its own entry slab, free list and RNG. Capability
+//! shard), each with its own entry slab, free list and secret stream. Capability
 //! validation on distinct objects therefore never contends on a shared
 //! lock, which is what lets one service scale across dispatch workers.
 //!
@@ -18,12 +18,11 @@ use crate::wire;
 use amoeba_cap::schemes::{ObjectSecret, ProtectionScheme};
 use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
 use amoeba_crypto::oneway::MASK48;
+use amoeba_crypto::SecretStream;
 use amoeba_net::Port;
 use amoeba_rpc::TransferOp;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
@@ -203,15 +202,15 @@ const MAX_STAGED_TRANSFERS: usize = 8;
 const REMEMBERED_TRANSFERS: usize = 64;
 
 /// One independent stripe of the table: a slab of entries plus its own
-/// free list and RNG, so operations on different shards never touch the
-/// same lock.
+/// free list and secret stream, so operations on different shards never
+/// touch the same lock.
 struct Shard<T> {
     entries: RwLock<Vec<Option<Entry<T>>>>,
     free: Mutex<Vec<u32>>,
     /// Mirror of `free.len()`, readable without the lock so `create`
     /// can prefer shards holding reusable slots.
     free_count: AtomicUsize,
-    rng: Mutex<StdRng>,
+    secrets: Mutex<SecretStream>,
 }
 
 impl<T> Shard<T> {
@@ -220,7 +219,7 @@ impl<T> Shard<T> {
             entries: RwLock::new(Vec::new()),
             free: Mutex::new(Vec::new()),
             free_count: AtomicUsize::new(0),
-            rng: Mutex::new(StdRng::from_entropy()),
+            secrets: Mutex::new(SecretStream::from_entropy()),
         }
     }
 }
@@ -340,14 +339,14 @@ impl<T> ObjectTable<T> {
         *self.port.write() = Some(port);
     }
 
-    /// Replaces every shard's secret RNG with a deterministic stream
+    /// Replaces every shard's secret stream with a deterministic one
     /// derived from `seed`. **Simulation only**: real deployments keep
     /// the entropy-seeded default — predictable secrets are forgeable
     /// secrets. The deterministic executor needs this so two runs of
     /// one scenario seed mint byte-identical capabilities.
     pub fn reseed_secrets(&self, seed: u64) {
         for (i, shard) in self.shards.iter().enumerate() {
-            *shard.rng.lock() = StdRng::seed_from_u64(seed ^ ((i as u64) << 32));
+            *shard.secrets.lock() = SecretStream::from_seed(seed ^ ((i as u64) << 32));
         }
     }
 
@@ -525,7 +524,7 @@ impl<T> ObjectTable<T> {
         self.migration[shard_index]
             .ops
             .fetch_add(1, Ordering::Relaxed);
-        let secret = self.scheme.new_secret(&mut *shard.rng.lock());
+        let secret = self.scheme.new_secret(&mut shard.secrets.lock());
         let mut entries = shard.entries.write();
         let slot = match shard.free.lock().pop() {
             Some(i) => {
@@ -682,7 +681,7 @@ impl<T> ObjectTable<T> {
         if !rights.contains(Rights::OWNER) {
             return Err(ServerError::RightsViolation);
         }
-        slot_entry.secret = self.scheme.new_secret(&mut *shard.rng.lock());
+        slot_entry.secret = self.scheme.new_secret(&mut shard.secrets.lock());
         // What the old secret proved dies with it, under the same lock.
         *slot_entry.proven.get_mut() = 0;
         let fresh = self.scheme.mint(port, cap.object, &slot_entry.secret);
@@ -1346,6 +1345,24 @@ mod tests {
         let mut swapped = cross;
         swapped.object = caps[1].object;
         assert!(t.validate(&swapped).is_err());
+    }
+
+    #[test]
+    fn reseeded_tables_mint_alike_and_unseeded_tables_differ() {
+        let checks = |seed: Option<u64>| {
+            let t = table(SchemeKind::OneWay);
+            if let Some(seed) = seed {
+                t.reseed_secrets(seed);
+            }
+            (0..2 * DEFAULT_SHARDS)
+                .map(|i| t.create(i.to_string()).1)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(checks(Some(7)), checks(Some(7)));
+        let (a, b) = (checks(Some(7)), checks(Some(8)));
+        assert!(a.iter().zip(&b).all(|(x, y)| x.check != y.check));
+        let (c, d) = (checks(None), checks(None));
+        assert!(c.iter().zip(&d).all(|(x, y)| x.check != y.check));
     }
 
     #[test]

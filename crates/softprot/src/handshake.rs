@@ -30,8 +30,8 @@
 
 use amoeba_crypto::des::Des;
 use amoeba_crypto::rsa::{KeyPair, PublicKey};
+use amoeba_crypto::SecretStream;
 use amoeba_net::Port;
-use rand::Rng;
 
 /// A server's broadcast announcement: its put-port and public key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,9 +104,9 @@ pub struct ServerBoot {
 
 impl ServerBoot {
     /// Starts a boot epoch: generates this boot's key pair.
-    pub fn new<R: Rng + ?Sized>(port: Port, rng: &mut R) -> ServerBoot {
+    pub fn new(port: Port, stream: &mut SecretStream) -> ServerBoot {
         ServerBoot {
-            keypair: KeyPair::generate(rng),
+            keypair: KeyPair::generate(stream),
             port,
         }
     }
@@ -129,10 +129,10 @@ impl ServerBoot {
     /// # Errors
     /// [`HandshakeError::Malformed`] if the request does not decrypt to
     /// an 8-byte key.
-    pub fn handle_keyreq<R: Rng + ?Sized>(
+    pub fn handle_keyreq(
         &self,
         keyreq: &[u8],
-        rng: &mut R,
+        stream: &mut SecretStream,
     ) -> Result<(Vec<u8>, u64, u64), HandshakeError> {
         let k_bytes = self
             .keypair
@@ -144,7 +144,7 @@ impl ServerBoot {
                 .try_into()
                 .map_err(|_| HandshakeError::Malformed)?,
         );
-        let k_reverse: u64 = rng.gen();
+        let k_reverse = stream.next_u64();
         // Plaintext: K ‖ K′, encrypted under K itself…
         let plain = ((k as u128) << 64) | k_reverse as u128;
         let ct = Des::new(k).encrypt_u128(plain);
@@ -168,11 +168,11 @@ pub struct ClientSession {
 impl ClientSession {
     /// Starts a handshake against an announced server: picks the fresh
     /// conventional key `K` and builds the KEYREQ.
-    pub fn start<R: Rng + ?Sized>(
+    pub fn start(
         announcement: Announcement,
-        rng: &mut R,
+        stream: &mut SecretStream,
     ) -> (ClientSession, Vec<u8>) {
-        let k: u64 = rng.gen();
+        let k = stream.next_u64();
         let keyreq = announcement.public_key().encrypt_bytes(&k.to_be_bytes());
         (ClientSession { announcement, k }, keyreq)
     }
@@ -210,11 +210,9 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
+    fn rng(seed: u64) -> SecretStream {
+        SecretStream::from_seed(seed)
     }
 
     fn port() -> Port {

@@ -16,15 +16,12 @@ use amoeba_crypto::des::Des;
 use amoeba_net::{Endpoint, Header, MachineId, Packet, RecvError};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// An endpoint whose payloads are link-encrypted per machine pair.
 #[derive(Debug)]
 pub struct SecureLink {
     endpoint: Endpoint,
     keys: Mutex<MachineKeys>,
-    rng: Mutex<StdRng>,
 }
 
 /// Errors from secure-link receives.
@@ -57,7 +54,6 @@ impl SecureLink {
         SecureLink {
             endpoint,
             keys: Mutex::new(keys),
-            rng: Mutex::new(StdRng::from_entropy()),
         }
     }
 
@@ -80,7 +76,7 @@ impl SecureLink {
         let Some(key) = self.keys.lock().send_key(peer) else {
             return false;
         };
-        let iv: u64 = self.rng.lock().gen();
+        let iv = amoeba_crypto::secret_u64();
         let ct = Des::new(key).encrypt_cbc(payload, iv);
         self.endpoint.send(header, Bytes::from(ct));
         true
@@ -110,14 +106,14 @@ impl SecureLink {
 mod tests {
     use super::*;
     use crate::matrix::KeyMatrix;
+    use amoeba_crypto::SecretStream;
     use amoeba_net::{Network, Port};
 
     fn linked_pair() -> (Network, SecureLink, SecureLink) {
         let net = Network::new();
         let a = net.attach_open();
         let b = net.attach_open();
-        let mut rng = StdRng::seed_from_u64(5);
-        let matrix = KeyMatrix::random(&[a.id(), b.id()], &mut rng);
+        let matrix = KeyMatrix::random(&[a.id(), b.id()], &mut SecretStream::from_seed(5));
         let ka = matrix.view_for(a.id());
         let kb = matrix.view_for(b.id());
         (net.clone(), SecureLink::new(a, ka), SecureLink::new(b, kb))

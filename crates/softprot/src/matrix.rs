@@ -2,9 +2,9 @@
 
 use amoeba_cap::Capability;
 use amoeba_crypto::des::Des;
+use amoeba_crypto::SecretStream;
 use amoeba_net::MachineId;
 use parking_lot::Mutex;
-use rand::Rng;
 use std::collections::HashMap;
 
 /// A capability as it travels inside a message under §2.4 protection:
@@ -30,12 +30,12 @@ impl KeyMatrix {
 
     /// Fills the matrix with random keys for every ordered pair of the
     /// given machines.
-    pub fn random<R: Rng + ?Sized>(machines: &[MachineId], rng: &mut R) -> KeyMatrix {
+    pub fn random(machines: &[MachineId], stream: &mut SecretStream) -> KeyMatrix {
         let mut m = KeyMatrix::new();
         for &src in machines {
             for &dst in machines {
                 if src != dst {
-                    m.keys.insert((src, dst), rng.gen());
+                    m.keys.insert((src, dst), stream.next_u64());
                 }
             }
         }
@@ -231,7 +231,6 @@ mod tests {
     use super::*;
     use amoeba_cap::{ObjectNum, Rights};
     use amoeba_net::{Network, Port};
-    use rand::SeedableRng;
 
     fn cap(check: u64) -> Capability {
         Capability::new(
@@ -247,8 +246,7 @@ mod tests {
         let c = net.attach_open().id();
         let s = net.attach_open().id();
         let i = net.attach_open().id();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let m = KeyMatrix::random(&[c, s, i], &mut rng);
+        let m = KeyMatrix::random(&[c, s, i], &mut SecretStream::from_seed(99));
         (c, s, i, m)
     }
 

@@ -19,7 +19,7 @@ fn main() {
 
     // --- The server: GET(G), publish P = F(G) ---------------------------
     let server_ep = net.attach(Arc::new(FBox::hardware(f.clone())));
-    let g = Port::random(&mut rand::thread_rng());
+    let g = Port::random();
     let g_value = g.value(); // kept for the "did G ever leak?" check
     let server = ServerPort::bind(server_ep, g);
     let p = server.put_port();
@@ -89,7 +89,7 @@ fn main() {
     // knows F(S). The intruder can only put F(S) in the signature
     // field, which its F-box transmits as F(F(S)) ≠ F(S).
     println!("\n[attack 4] intruder forges the client's signature…");
-    let s = Port::random(&mut rand::thread_rng());
+    let s = Port::random();
     let published = amoeba::fbox::put_port_of(&f, s);
     let honest_box = FBox::hardware(f.clone());
     let mut honest_hdr = Header::to(p).with_signature(s);

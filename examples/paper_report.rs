@@ -28,11 +28,9 @@ use amoeba::crypto::commutative::CommutativeOwfFamily;
 use amoeba::crypto::des::{Des, TripleDes};
 use amoeba::crypto::feistel::{Block56, Cipher56, Feistel56};
 use amoeba::crypto::sha256::Sha256;
-use amoeba::net::NetworkInterface;
+use amoeba::net::{splitmix64, NetworkInterface};
 use amoeba::prelude::*;
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -87,8 +85,8 @@ fn row(what: impl std::fmt::Display, per_call: Duration) {
     println!("| {what} | {per_call:.2?} |");
 }
 
-fn report_rng() -> StdRng {
-    StdRng::seed_from_u64(0xBE_7C_4A_11)
+fn report_rng() -> SecretStream {
+    SecretStream::from_seed(0xBE_7C_4A_11)
 }
 
 fn fbox_machine(net: &Network) -> Endpoint {
@@ -304,7 +302,7 @@ fn e1_scheme_ladder() {
         "E1 — sparseness: random check-field forgeries (100k/scheme)",
         "| scheme | trials | forgeries accepted |",
     );
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = SecretStream::from_seed(7);
     let port = Port::new(0xAB).unwrap();
     let obj = ObjectNum::new(1).unwrap();
     for kind in SchemeKind::ALL {
@@ -313,7 +311,7 @@ fn e1_scheme_ladder() {
         let cap = scheme.mint(port, obj, &secret);
         let mut hits = 0u64;
         for _ in 0..100_000 {
-            let guess = cap.with_check(rng.gen());
+            let guess = cap.with_check(rng.next_u64());
             if guess.check != cap.check && scheme.validate(&guess, &secret).is_ok() {
                 hits += 1;
             }
@@ -522,7 +520,7 @@ fn e5_softprot() {
     let c = net.attach_open();
     let s = net.attach_open();
     let i = net.attach_open();
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = SecretStream::from_seed(11);
     let matrix = KeyMatrix::random(&[c.id(), s.id(), i.id()], &mut rng);
     let client = CapSealer::new(matrix.view_for(c.id()));
     let server = CapSealer::new(matrix.view_for(s.id()));
@@ -547,9 +545,10 @@ fn e5_softprot() {
 
     // Cache hit rate for a zipf-ish working set.
     let sealer = CapSealer::new(matrix.view_for(c.id()));
-    let mut rng2 = StdRng::seed_from_u64(12);
+    let mut state = 12;
     for _ in 0..10_000 {
-        let obj = (rng2.gen::<f64>().powi(3) * 100.0) as u32; // skewed
+        let unit = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let obj = (unit.powi(3) * 100.0) as u32; // skewed
         let cap = Capability::new(
             Port::new(0xE5).unwrap(),
             ObjectNum::new(obj).unwrap(),

@@ -12,7 +12,6 @@ use amoeba::prelude::*;
 use amoeba::softprot::matrix::SealError;
 use amoeba::softprot::Announcement;
 use bytes::Bytes;
-use rand::SeedableRng;
 
 fn main() {
     let net = Network::new();
@@ -21,7 +20,7 @@ fn main() {
     let client_ep = net.attach_open();
     let intruder_ep = net.attach_open();
     let wire = net.tap();
-    let mut rng = rand::rngs::StdRng::from_entropy();
+    let mut rng = SecretStream::from_entropy();
 
     // --- Boot + announcement ----------------------------------------------
     let service_port = Port::new(0xF11E).unwrap();

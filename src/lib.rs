@@ -67,6 +67,7 @@ pub mod prelude {
         SimReplicaSet,
     };
     pub use amoeba_crypto::oneway::{OneWay, PurdyOneWay, ShaOneWay};
+    pub use amoeba_crypto::SecretStream;
     pub use amoeba_dirsvr::{CapCache, DirClient, DirServer, PathError};
     pub use amoeba_fbox::FBox;
     pub use amoeba_flatfs::{BlockFlatFsServer, FlatFsClient, FlatFsServer, QuotaPolicy};

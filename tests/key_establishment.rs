@@ -6,7 +6,6 @@ use amoeba::prelude::*;
 use amoeba::softprot::handshake::HandshakeError;
 use amoeba::softprot::Announcement;
 use bytes::Bytes;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Runs the server side of one handshake: announce, answer one KEYREQ.
@@ -23,7 +22,7 @@ fn serve_one_handshake(
             Header::to(Port::BROADCAST),
             Bytes::copy_from_slice(&boot.announcement().encode()),
         );
-        let mut rng = rand::rngs::StdRng::from_entropy();
+        let mut rng = SecretStream::from_entropy();
         loop {
             let pkt = server.recv().expect("server endpoint alive");
             if pkt.header.dest != served_port || pkt.header.reply.is_null() {
@@ -45,7 +44,7 @@ fn full_handshake_over_broadcast_network() {
     let net = Network::new();
     let server_ep = net.attach_open();
     let client_ep = net.attach_open();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut rng = SecretStream::from_seed(5);
 
     let served_port = Port::new(0xF5).unwrap();
     let boot = ServerBoot::new(served_port, &mut rng);
@@ -75,7 +74,7 @@ fn full_handshake_over_broadcast_network() {
 
 #[test]
 fn replay_of_previous_boot_reply_rejected() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    let mut rng = SecretStream::from_seed(6);
     let port = Port::new(0xB007).unwrap();
 
     // Boot 1: intruder records the whole exchange.
@@ -107,7 +106,7 @@ fn impostor_announcement_cannot_complete_handshake() {
     // requires the reply prove ownership of the ANNOUNCED key. Flip it:
     // the intruder announces the real key (it is public), then cannot
     // sign the reply.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut rng = SecretStream::from_seed(7);
     let port = Port::new(0x1337).unwrap();
     let real = ServerBoot::new(port, &mut rng);
     let intruder = ServerBoot::new(port, &mut rng); // different private key
@@ -130,7 +129,7 @@ fn handshake_survives_packet_loss_with_retries() {
     net.reseed(11);
     let server_ep = net.attach_open();
     let client_ep = net.attach_open();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let mut rng = SecretStream::from_seed(8);
 
     let served_port = Port::new(0xFA11).unwrap();
     let boot = ServerBoot::new(served_port, &mut rng);

@@ -6,7 +6,6 @@
 
 use amoeba::prelude::*;
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 // ---------------------------------------------------------------------
 // Capability invariants across all schemes
@@ -31,7 +30,7 @@ proptest! {
     #[test]
     fn no_bitflip_of_a_capability_validates(kind in scheme_strategy(), flip in 0u32..128, seed: u64) {
         let scheme = kind.instantiate();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = SecretStream::from_seed(seed);
         let secret = scheme.new_secret(&mut rng);
         let cap = scheme.mint(Port::new(0xF00).unwrap(), ObjectNum::new(3).unwrap(), &secret);
 
@@ -62,7 +61,7 @@ proptest! {
     #[test]
     fn diminish_chains_are_monotone(masks in proptest::collection::vec(any::<u8>(), 0..6), seed: u64) {
         let scheme = CommutativeScheme::standard();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = SecretStream::from_seed(seed);
         let secret = scheme.new_secret(&mut rng);
         let mut cap = scheme.mint(Port::new(0xF01).unwrap(), ObjectNum::new(1).unwrap(), &secret);
         let mut expected = Rights::ALL;
@@ -79,7 +78,7 @@ proptest! {
     #[test]
     fn cross_object_check_transplant_fails(kind in scheme_strategy(), seed: u64) {
         let scheme = kind.instantiate();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = SecretStream::from_seed(seed);
         let s1 = scheme.new_secret(&mut rng);
         let s2 = scheme.new_secret(&mut rng);
         prop_assume!(s1 != s2);

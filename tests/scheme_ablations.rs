@@ -5,11 +5,10 @@
 use amoeba::cap::schemes::{EncryptedScheme, OneWayScheme, ProtectionScheme, XorFactory};
 use amoeba::prelude::*;
 use bytes::Bytes;
-use rand::SeedableRng;
 use std::sync::Arc;
 
-fn rng() -> rand::rngs::StdRng {
-    rand::rngs::StdRng::seed_from_u64(1986)
+fn rng() -> SecretStream {
+    SecretStream::from_seed(1986)
 }
 
 #[test]

@@ -4,7 +4,6 @@
 
 use amoeba::prelude::*;
 use bytes::Bytes;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Builds a sealed flat-file deployment: the flat file server behind a
@@ -22,7 +21,7 @@ fn world() -> SealedWorld {
     let server_ep = net.attach_open();
     let client_ep = net.attach_open();
     let intruder_ep = net.attach_open();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+    let mut rng = SecretStream::from_seed(24);
     let matrix = KeyMatrix::random(
         &[server_ep.id(), client_ep.id(), intruder_ep.id()],
         &mut rng,

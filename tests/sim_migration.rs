@@ -23,6 +23,7 @@
 //! `SIM_SHARDS`/`SIM_SHARD` split a sweep across CI jobs.
 
 use amoeba::flatfs::ops;
+use amoeba::net::splitmix64;
 use amoeba::prelude::*;
 use amoeba::rpc::{Client, RpcError};
 use amoeba::server::proto::{null_cap, Reply, Request, Status};
@@ -47,14 +48,6 @@ fn source_port() -> Port {
 
 fn target_port() -> Port {
     Port::new(0xA0EB_0011).unwrap()
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn env_u64(name: &str) -> Option<u64> {

@@ -15,6 +15,7 @@
 // every helper or reads every report field.
 #![allow(dead_code)]
 
+use amoeba::net::splitmix64;
 use amoeba::prelude::*;
 use amoeba::rpc::{Client, RpcError};
 use amoeba::server::proto::{null_cap, Reply, Request, Status};
@@ -63,14 +64,6 @@ pub struct ScenarioReport {
     pub metrics: MetricsSnapshot,
     /// The raw event log (empty unless `record_log` was set).
     pub log: Vec<u8>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Encodes one echo request carrying `tag` as its body.

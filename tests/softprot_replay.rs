@@ -5,7 +5,6 @@
 use amoeba::prelude::*;
 use amoeba::softprot::matrix::SealError;
 use bytes::Bytes;
-use rand::SeedableRng;
 
 /// Builds a 3-machine open network (client, server, intruder) with a
 /// fully populated key matrix.
@@ -14,7 +13,7 @@ fn world() -> (Network, Endpoint, Endpoint, Endpoint, KeyMatrix) {
     let client = net.attach_open();
     let server = net.attach_open();
     let intruder = net.attach_open();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
+    let mut rng = SecretStream::from_seed(2024);
     let matrix = KeyMatrix::random(&[client.id(), server.id(), intruder.id()], &mut rng);
     (net, client, server, intruder, matrix)
 }
@@ -139,7 +138,7 @@ fn keys_from_handshake_plug_into_the_sealer() {
     // End-to-end §2.4: establish keys with the public-key handshake,
     // install them in both parties' matrix views, then seal/unseal.
     let (_net, client, server, _intruder, _matrix) = world();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut rng = SecretStream::from_seed(7);
 
     let boot = ServerBoot::new(Port::new(0xF00D).unwrap(), &mut rng);
     let (session, keyreq) = ClientSession::start(boot.announcement(), &mut rng);
