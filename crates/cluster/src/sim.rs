@@ -9,8 +9,7 @@ use std::sync::Arc;
 /// get-port (the §3.4 replicated placement shape), each driven by a
 /// polled executor actor instead of worker threads.
 ///
-/// On a simulation network the replicas are bound as fault-plan
-/// targets `0..n`, so a seeded [`FaultPlan`](amoeba_net::FaultPlan)'s
+/// The replicas are bound as fault-plan targets `0..n`, so a seeded [`FaultPlan`](amoeba_net::FaultPlan)'s
 /// crash and partition windows land on them — replica death
 /// mid-transaction is part of the schedule, not a separate harness.
 pub struct SimReplicaSet {
@@ -44,10 +43,8 @@ impl SimReplicaSet {
         let pumps: Vec<Arc<SimPump>> = (0..n)
             .map(|i| Arc::new(SimPump::bind(net.attach_open(), get_port, make(i))))
             .collect();
-        if net.is_sim() {
-            for (i, pump) in pumps.iter().enumerate() {
-                net.sim_bind_fault_target(i, pump.machine());
-            }
+        for (i, pump) in pumps.iter().enumerate() {
+            net.bind_fault_target(i, pump.machine());
         }
         let put_port = pumps[0].put_port();
         SimReplicaSet { pumps, put_port }

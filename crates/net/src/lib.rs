@@ -21,9 +21,10 @@
 //!    address) and replay — everything the paper's adversary can do, so
 //!    the security claims can be validated by real attacks in tests.
 //!
-//! The simulator also offers per-link latency and probabilistic drop for
-//! failure injection, and atomic [traffic counters](NetworkStats) used
-//! by the locate/broadcast benchmarks.
+//! The simulator also offers per-link latency and a seeded
+//! [`FaultPlan`] for failure injection on either clock, and atomic
+//! [traffic counters](NetworkStats) used by the locate/broadcast
+//! benchmarks.
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod faults;
 mod network;
 mod nic;
 mod packet;
@@ -57,15 +59,13 @@ mod stats;
 mod sync;
 
 pub use addr::{MachineId, Port};
+pub use faults::{CrashWindow, FaultPlan, PartitionWindow, SEED_PLAN_TARGETS};
 pub use network::{Endpoint, Network, RecvError, Sent, SimRelease};
 pub use nic::{NetworkInterface, OpenNic};
 pub use packet::{Header, Packet};
 pub use pool::BufPool;
 pub use reactor::{Clock, Reactor, SimClock, Timestamp, WallClock};
-pub use sim::{
-    splitmix64, ActorPoll, CrashWindow, FaultCounters, FaultPlan, PartitionWindow, SimExecutor,
-    SimStall, SEED_PLAN_TARGETS,
-};
+pub use sim::{splitmix64, ActorPoll, FaultCounters, SimExecutor, SimStall};
 pub use stats::{HotPathSnapshot, NetworkStats, StatsSnapshot};
 pub use sync::{hot_lock_acquisitions, HotMutex, HotMutexGuard, LockMeter};
 

@@ -33,19 +33,22 @@
 //!
 //! # Fault and topology injection
 //!
-//! [`Network::set_latency`], [`Network::set_drop_rate`],
-//! [`Network::partition`]/[`Network::heal`] and [`Network::colocate`]
-//! inject wide-area behaviour into tests and benchmarks;
+//! [`Network::new_with_plan`] and [`Network::new_sim_with_plan`] apply
+//! a seeded [`FaultPlan`] at the delivery gate on either clock, and
+//! [`Network::partition`]/[`Network::heal`] open and close a window of
+//! it; [`Network::set_latency`] and [`Network::colocate`] inject
+//! wide-area behaviour into tests and benchmarks;
 //! [`Network::tap`] wiretaps every frame as transmitted (the intruder's
 //! view). [`Network::stats`] exposes the cumulative frame/byte
 //! counters ([`NetworkStats`]) that the locate and RPC-batching
 //! benchmarks diff around workloads.
 
 use crate::addr::{MachineId, Port};
+use crate::faults::{mirror, FaultPlan, Faults, Verdict};
 use crate::nic::{NetworkInterface, OpenNic};
 use crate::packet::{Header, Packet};
 use crate::reactor::{Reactor, SimClock, SimSource, Timestamp};
-use crate::sim::{splitmix64, FaultCounters, FaultPlan, SimController};
+use crate::sim::{splitmix64, FaultCounters, SimController};
 use crate::stats::{HotPathSnapshot, NetworkStats};
 use amoeba_obs::Obs;
 use bytes::Bytes;
@@ -80,14 +83,14 @@ struct Topology {
     claims: HashMap<Port, Vec<MachineId>>,
     taps: Vec<Sender<Packet>>,
     colocated: HashSet<(MachineId, MachineId)>,
-    partitioned: HashSet<(MachineId, MachineId)>,
+    /// The fault plan and the machines bound to its targets.
+    faults: Faults,
 }
 
 impl Topology {
-    /// Calls `deliver` for every machine that takes a frame `from`
-    /// sends under `header` (its interface accepts it and the link is
-    /// not severed), counting filtered and partition-dropped frames.
-    /// Returns how many interfaces accepted, severed links included.
+    /// Calls `deliver` for every machine whose interface accepts a
+    /// frame `from` sends under `header`, counting filtered frames.
+    /// Returns how many interfaces accepted.
     fn offer(
         &self,
         stats: &NetworkStats,
@@ -98,13 +101,7 @@ impl Topology {
         let mut accepted = 0;
         let mut take = |id: MachineId, entry: &MachineEntry| {
             accepted += 1;
-            // A severed link only "drops" frames the peer would actually
-            // have taken; counting filtered noise would be misleading.
-            if !self.partitioned.is_empty() && self.partitioned.contains(&(from, id)) {
-                stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                deliver(id, entry);
-            }
+            deliver(id, entry);
         };
         if header.dest.is_broadcast() {
             // Broadcast bypasses the interfaces' port filter (and
@@ -155,8 +152,8 @@ pub struct Sent {
     /// partition or fault-plan draw, so it is the same on every run.
     /// Zero means nobody listens where the frame was addressed.
     pub accepted: usize,
-    /// Copies that entered a machine's queue (or, on a simulation
-    /// network, its delivery schedule).
+    /// Recipients (not copies) whose frame entered a machine's queue,
+    /// or on a simulation network its delivery schedule.
     pub delivered: usize,
 }
 
@@ -167,13 +164,11 @@ struct NetworkInner {
     /// One-way hop latency, stored as whole nanoseconds so the send
     /// path reads it with one atomic load instead of a lock.
     latency_nanos: AtomicU64,
-    /// Loss probability, stored as `f64` bits. Zero bits == 0.0 == no
-    /// loss, so the send fast path is a single load-and-compare; the
-    /// loss stream below is only drawn when the rate is nonzero.
-    drop_rate_bits: AtomicU64,
-    /// [`splitmix64`] state of the loss draws: one lock-free `fetch_add`
-    /// per draw gives the stream a sequential generator would.
-    loss_state: AtomicU64,
+    /// [`splitmix64`] state of the wall gate's draws: one lock-free
+    /// `fetch_add` per draw gives a sequential generator's stream.
+    draws: AtomicU64,
+    /// Whether the plan duplicates frames; fixed at construction.
+    may_duplicate: bool,
     stats: NetworkStats,
     /// Counts the hand-offs of this network's queues: machine
     /// inboxes and every queue made with [`Network::channel`].
@@ -185,9 +180,9 @@ struct NetworkInner {
     obs: Obs,
     /// The deterministic-simulation controller, present only on
     /// networks built with [`Network::new_sim`]. When set, every send
-    /// is parked in its schedule instead of entering machine queues
-    /// directly, and the seeded fault plan is applied at this gate.
-    sim: Option<Arc<SimController>>,
+    /// is judged with its seeded stream and parked in its schedule
+    /// instead of entering machine queues directly.
+    sim: Option<SimController>,
 }
 
 /// A simulated broadcast network.
@@ -219,32 +214,39 @@ impl Default for Network {
 }
 
 impl Network {
-    /// Creates an empty network with zero latency and no loss, on the
-    /// wall clock (simulated latency costs real wall-clock).
+    /// Creates an empty network with zero latency and no faults, on
+    /// the wall clock (simulated latency costs real wall-clock).
     pub fn new() -> Network {
-        Self::with_parts(Reactor::wall(), None)
+        Self::new_with_plan(0, FaultPlan::quiet())
     }
 
-    fn with_parts(reactor: Arc<Reactor>, sim: Option<Arc<SimController>>) -> Network {
+    /// As [`new`](Network::new), with `plan` applied at the delivery
+    /// gate, its draws seeded by `seed` and its windows in wall time
+    /// since construction (`docs/ARCHITECTURE.md`, "Fault plans").
+    pub fn new_with_plan(seed: u64, plan: FaultPlan) -> Network {
+        Self::with_parts(Reactor::wall(), seed, plan, false)
+    }
+
+    fn with_parts(reactor: Arc<Reactor>, seed: u64, plan: FaultPlan, sim: bool) -> Network {
         let obs = Obs::new();
         // The reactor dumps the flight recorder before its stall
-        // panic; the sim controller mirrors fault verdicts into it.
+        // panic; the sim controller mirrors its schedule into it.
         reactor.set_obs(obs.clone());
-        if let Some(sim) = &sim {
-            sim.attach_obs(obs.clone());
-        }
         Network {
             inner: Arc::new(NetworkInner {
                 reactor,
-                topology: RwLock::new(Topology::default()),
+                may_duplicate: plan.dup_per_mille > 0,
+                topology: RwLock::new(Topology {
+                    faults: Faults::new(plan),
+                    ..Topology::default()
+                }),
                 next_id: AtomicU32::new(1),
                 latency_nanos: AtomicU64::new(0),
-                drop_rate_bits: AtomicU64::new(0),
-                loss_state: AtomicU64::new(0x0A11_0E8A),
+                draws: AtomicU64::new(seed),
                 stats: NetworkStats::default(),
                 queues: Meter::new(),
+                sim: sim.then(|| SimController::new(seed, obs.clone())),
                 obs,
-                sim,
             }),
         }
     }
@@ -263,9 +265,7 @@ impl Network {
     /// applied at the delivery gate (loss, duplication, delay spikes,
     /// reorder jitter, partitions, machine crash windows).
     pub fn new_sim_with_plan(seed: u64, plan: FaultPlan) -> Network {
-        let reactor = Reactor::new(Arc::new(SimClock::new()));
-        let sim = Arc::new(SimController::new(seed, plan));
-        let net = Self::with_parts(reactor, Some(sim));
+        let net = Self::with_parts(Reactor::new(Arc::new(SimClock::new())), seed, plan, true);
         net.inner.reactor.set_sim_source(Arc::new(SimHook {
             net: Arc::downgrade(&net.inner),
         }));
@@ -335,22 +335,6 @@ impl Network {
         self.inner.latency_nanos.store(nanos, Ordering::Relaxed);
     }
 
-    /// Sets the probability (0.0–1.0) that a transmitted packet is lost.
-    ///
-    /// # Panics
-    /// Panics if `rate` is not within `[0, 1]`.
-    pub fn set_drop_rate(&self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "drop rate must be in [0,1]");
-        self.inner
-            .drop_rate_bits
-            .store(rate.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Reseeds the loss-decision stream, for reproducible failure injection.
-    pub fn reseed(&self, seed: u64) {
-        self.inner.loss_state.store(seed, Ordering::Relaxed);
-    }
-
     /// Declares two machines co-located (same physical host): traffic
     /// between them skips the network latency. Used to model local
     /// vs remote memory-server placement (§3.1).
@@ -361,19 +345,25 @@ impl Network {
     }
 
     /// Severs the link between two machines in both directions: frames
-    /// between them silently vanish until [`heal`](Network::heal) —
-    /// failure injection for partition testing.
+    /// between them vanish until [`heal`](Network::heal). The cut is a
+    /// partition window of the network's [`FaultPlan`], opened now and
+    /// binding either machine to a fresh fault target if it has none.
     pub fn partition(&self, a: MachineId, b: MachineId) {
-        let set = &mut self.inner.topology.write().partitioned;
-        set.insert((a, b));
-        set.insert((b, a));
+        let now = self.now();
+        self.inner.topology.write().faults.partition(a, b, now);
     }
 
-    /// Restores the link severed by [`partition`](Network::partition).
+    /// Restores the link severed by [`partition`](Network::partition):
+    /// the pair's open windows close now.
     pub fn heal(&self, a: MachineId, b: MachineId) {
-        let set = &mut self.inner.topology.write().partitioned;
-        set.remove(&(a, b));
-        set.remove(&(b, a));
+        self.inner.topology.write().faults.heal(a, b, self.now());
+    }
+
+    /// Binds fault-target index `index` of the [`FaultPlan`] to a
+    /// machine. Plan windows naming unbound indices are inert, so a
+    /// harness chooses which machines a seeded plan may victimise.
+    pub fn bind_fault_target(&self, index: usize, machine: MachineId) {
+        self.inner.topology.write().faults.bind(index, machine);
     }
 
     /// Opens a promiscuous tap: the returned receiver observes every
@@ -475,31 +465,14 @@ impl Network {
             );
         }
 
-        // The legacy probabilistic drop knob draws from a shared
-        // stream; in simulation mode loss comes from the seeded fault
-        // plan instead, so the knob is ignored for reproducibility.
-        let drop_rate = if self.inner.sim.is_some() {
-            0.0
-        } else {
-            f64::from_bits(self.inner.drop_rate_bits.load(Ordering::Relaxed))
-        };
-        // One draw uniform in [0, 1): 53 mantissa bits.
-        let loss = || {
-            let gamma = 0x9E37_79B9_7F4A_7C15;
-            let mut state = self.inner.loss_state.fetch_add(gamma, Ordering::Relaxed);
-            (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64
-        };
-        if drop_rate > 0.0 && loss() < drop_rate {
-            stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-            return Sent::default();
-        }
-
         let latency = Duration::from_nanos(self.inner.latency_nanos.load(Ordering::Relaxed));
         // The one clock read of a frame's path.
         let now = self.inner.reactor.now();
-        let packet_for = |id: MachineId| {
-            let delayed = !latency.is_zero()
+        // A copy for `id`, due `extra` after its hop latency.
+        let packet_for = |id: MachineId, extra: Duration| {
+            let hop = !latency.is_zero()
                 && (topology.colocated.is_empty() || !topology.colocated.contains(&(from, id)));
+            let delay = if hop { latency + extra } else { extra };
             Packet {
                 source: from,
                 header,
@@ -507,8 +480,8 @@ impl Network {
                 // the one shared payload buffer — a refcount bump, no
                 // byte copy.
                 payload: payload.clone(),
-                deliver_at: if delayed { now + latency } else { now },
-                delayed,
+                deliver_at: now + delay,
+                delayed: !delay.is_zero(),
             }
         };
 
@@ -536,7 +509,7 @@ impl Network {
             let accepted = topology.offer(stats, from, &header, |id, _| recipients.push(id));
             recipients.sort_unstable();
             for id in recipients {
-                if sim.offer(now, id, packet_for(id)) {
+                if sim.offer(&topology.faults, now, id, packet_for(id, Duration::ZERO)) {
                     delivered += 1;
                 } else {
                     stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
@@ -544,10 +517,29 @@ impl Network {
             }
             accepted
         } else {
+            // The wall gate: the same verdict, from a lock-free stream;
+            // a duplicate is a second queued copy due later.
+            let mut draw = || {
+                let gamma = 0x9E37_79B9_7F4A_7C15;
+                splitmix64(&mut self.inner.draws.fetch_add(gamma, Ordering::Relaxed))
+            };
+            let push = |entry: &MachineEntry, pkt| {
+                let ok = entry.sender.send(pkt).is_ok();
+                stats
+                    .packets_delivered
+                    .fetch_add(ok.into(), Ordering::Relaxed);
+                usize::from(ok)
+            };
             topology.offer(stats, from, &header, |id, entry| {
-                if entry.sender.send(packet_for(id)).is_ok() {
-                    delivered += 1;
-                    stats.packets_delivered.fetch_add(1, Ordering::Relaxed);
+                let verdict = topology.faults.judge(now, from, id, &mut draw);
+                mirror(&self.inner.obs, verdict, now, id, header.dest);
+                let Verdict::Deliver { delay, dup, .. } = verdict else {
+                    stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
+                    return;
+                };
+                delivered += push(entry, packet_for(id, delay));
+                if let Some(lag) = dup {
+                    push(entry, packet_for(id, delay + lag));
                 }
             })
         };
@@ -564,19 +556,16 @@ impl Network {
     }
 
     /// Whether this network may deliver **more than one copy** of a
-    /// transmitted frame (a simulation fault plan with duplication).
-    /// Layers above consult this to disable optimizations whose
+    /// transmitted frame (a fault plan with duplication, on either
+    /// clock). Layers above consult this to disable optimizations whose
     /// soundness rests on at-most-once delivery — reply-port recycling
     /// reasons "one transmit to one machine ⇒ at most one reply",
     /// which a duplicating wire falsifies.
     pub fn may_duplicate(&self) -> bool {
-        self.inner
-            .sim
-            .as_deref()
-            .is_some_and(SimController::duplicates)
+        self.inner.may_duplicate
     }
 
-    fn sim(&self) -> &Arc<SimController> {
+    fn sim(&self) -> &SimController {
         self.inner
             .sim
             .as_ref()
@@ -591,27 +580,9 @@ impl Network {
         self.sim().seed()
     }
 
-    /// Binds fault-target index `index` of the [`FaultPlan`] to a
-    /// machine. Plan windows naming unbound indices are inert, so a
-    /// harness chooses which machines a seeded plan may victimise.
-    pub fn sim_bind_fault_target(&self, index: usize, machine: MachineId) {
-        self.sim().bind_target(index, machine);
-    }
-
-    /// Schedules an explicit crash/restart window for `machine` (in
-    /// addition to any windows in the plan).
-    pub fn sim_crash(&self, machine: MachineId, from: Timestamp, until: Timestamp) {
-        self.sim().crash_machine(machine, from, until);
-    }
-
     /// The end of the crash window covering `machine` at `t`, if any.
     pub fn sim_down_until(&self, machine: MachineId, t: Timestamp) -> Option<Timestamp> {
-        self.sim().down_until(machine, t)
-    }
-
-    /// Whether `machine` is inside a crash window at `t`.
-    pub fn sim_is_down(&self, machine: MachineId, t: Timestamp) -> bool {
-        self.sim_down_until(machine, t).is_some()
+        self.inner.topology.read().faults.down_until(machine, t)
     }
 
     /// The instant of the earliest parked delivery, if any.
@@ -624,35 +595,18 @@ impl Network {
     /// queue (unless the target crashed or detached in the meantime —
     /// then the in-flight frame is gone).
     pub fn sim_release_next(&self) -> SimRelease {
-        let Some((at, target, pkt)) = self.sim().pop_next() else {
+        let topology = self.inner.topology.read();
+        let Some((at, target, pkt)) = self.sim().pop_next(&topology.faults) else {
             return SimRelease::Idle;
         };
         self.inner.reactor.advance_to(at);
-        let Some(pkt) = pkt else {
-            self.inner
-                .stats
-                .packets_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            return SimRelease::Dropped { at };
-        };
-        let delivered = {
-            let topology = self.inner.topology.read();
-            topology
-                .machines
-                .get(&target)
-                .is_some_and(|entry| entry.sender.send(pkt).is_ok())
-        };
-        if delivered {
-            self.inner
-                .stats
-                .packets_delivered
-                .fetch_add(1, Ordering::Relaxed);
+        let stats = &self.inner.stats;
+        let entry = topology.machines.get(&target);
+        if pkt.is_some_and(|pkt| entry.is_some_and(|e| e.sender.send(pkt).is_ok())) {
+            stats.packets_delivered.fetch_add(1, Ordering::Relaxed);
             SimRelease::Delivered { at, to: target }
         } else {
-            self.inner
-                .stats
-                .packets_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
             SimRelease::Dropped { at }
         }
     }
@@ -1080,22 +1034,56 @@ mod tests {
     }
 
     #[test]
-    fn drop_rate_one_loses_everything() {
-        let net = Network::new();
+    fn a_full_loss_plan_loses_everything() {
+        let plan = FaultPlan {
+            loss_per_mille: 1000,
+            ..FaultPlan::quiet()
+        };
+        let net = Network::new_with_plan(1, plan);
         let a = net.attach_open();
         let b = net.attach_open();
         b.claim(port(2));
-        net.set_drop_rate(1.0);
-        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 0);
+        let sent = a.send(Header::to(port(2)), Bytes::new());
+        assert_eq!((sent.accepted, sent.delivered), (1, 0));
         assert_eq!(net.stats().snapshot().packets_dropped, 1);
-        net.set_drop_rate(0.0);
-        assert_eq!(a.send(Header::to(port(2)), Bytes::new()).delivered, 1);
+        assert!(b.try_recv().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "drop rate")]
-    fn invalid_drop_rate_panics() {
-        Network::new().set_drop_rate(1.5);
+    fn may_duplicate_is_fixed_by_the_plan_on_both_clocks() {
+        for dup_per_mille in [0, 1, 1000] {
+            let plan = FaultPlan {
+                dup_per_mille,
+                ..FaultPlan::quiet()
+            };
+            let want = dup_per_mille > 0;
+            assert_eq!(
+                Network::new_with_plan(1, plan.clone()).may_duplicate(),
+                want
+            );
+            assert_eq!(Network::new_sim_with_plan(1, plan).may_duplicate(), want);
+        }
+    }
+
+    #[test]
+    fn a_wall_duplicate_is_a_second_copy_queued_behind_the_first() {
+        let plan = FaultPlan {
+            dup_per_mille: 1000,
+            ..FaultPlan::quiet()
+        };
+        let net = Network::new_with_plan(1, plan);
+        net.obs().enable();
+        let a = net.attach_open();
+        let b = net.attach_open();
+        b.claim(port(2));
+        let sent = a.send(Header::to(port(2)), Bytes::from_static(b"x"));
+        assert_eq!((sent.accepted, sent.delivered), (1, 1));
+        assert_eq!(net.stats().snapshot().packets_delivered, 2);
+        let first = b.recv().unwrap();
+        let second = b.recv().unwrap();
+        assert!(!first.delayed && second.delayed);
+        assert!(second.deliver_at() >= first.deliver_at() + Duration::from_micros(100));
+        assert_eq!(net.obs().snapshot().unwrap().faults_duplicated, 1);
     }
 
     #[test]

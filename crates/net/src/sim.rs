@@ -1,5 +1,5 @@
-//! Deterministic simulation: seeded fault plans, the delivery
-//! controller, and the single-threaded [`SimExecutor`].
+//! Deterministic simulation: the delivery controller and the
+//! single-threaded [`SimExecutor`].
 //!
 //! A network created with [`Network::new_sim`](crate::Network::new_sim)
 //! runs on a [`SimClock`](crate::SimClock): one thread, exact virtual
@@ -12,10 +12,10 @@
 //! drawn from the seed, so "two replies arrive at the same instant" is
 //! a *scheduled* adversarial event, not an OS scheduling accident.
 //!
-//! On top of the controller sits the [`FaultPlan`]: packet loss,
-//! duplication, delay spikes, reorder jitter, link partitions and
-//! machine crash/restart windows, all drawn deterministically from the
-//! seed at the delivery gate. The controller folds every event into a
+//! The network's [`FaultPlan`](crate::FaultPlan) judges each copy with
+//! draws from the controller's seeded stream, so loss, duplication,
+//! delay spikes, reorder jitter, partitions and crash windows are
+//! exact functions of the seed. The controller folds every event into a
 //! running FNV-1a fingerprint (and, on request, a byte log), which is
 //! what lets tests assert that two runs of one seed are bit-identical
 //! and that a failing seed replays exactly.
@@ -28,13 +28,13 @@
 //! timer in a B-tree.
 
 use crate::addr::MachineId;
+use crate::faults::{mirror, note, Faults, Verdict};
 use crate::network::{Network, SimRelease};
 use crate::packet::Packet;
 use crate::reactor::Timestamp;
 use amoeba_obs::{EventKind, Obs};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// The splitmix64 mixer: the one generator for simulation and statistics
 /// draws. Statistically uniform, one u64 of state, trivially reproducible
@@ -45,127 +45,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A machine crash/restart window: the victim is unreachable (frames
-/// to and from it vanish, its actors are not polled) from `from` until
-/// `until` of simulated time, then comes back with whatever backlog
-/// queued at its endpoint — a restart that serves stale requests, the
-/// classic straggler generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashWindow {
-    /// Fault-target index (bound to a machine by the harness via
-    /// [`Network::sim_bind_fault_target`](crate::Network::sim_bind_fault_target)).
-    pub victim: usize,
-    /// Window start, as simulated time since the epoch.
-    pub from: Duration,
-    /// Window end (exclusive).
-    pub until: Duration,
-}
-
-/// A bidirectional link cut between two fault targets for a bounded
-/// window of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// First fault-target index.
-    pub a: usize,
-    /// Second fault-target index.
-    pub b: usize,
-    /// Window start, as simulated time since the epoch.
-    pub from: Duration,
-    /// Window end (exclusive).
-    pub until: Duration,
-}
-
-/// How many fault-target indices [`FaultPlan::from_seed`] draws its
-/// crash and partition victims from. Harnesses bind their replicas
-/// (and optionally clients) to indices `0..SEED_PLAN_TARGETS`; unbound
-/// indices leave their windows inert.
-pub const SEED_PLAN_TARGETS: usize = 6;
-
-/// A seeded fault schedule, applied at the network's delivery gate.
-///
-/// Probabilities are per-mille so the plan is pure integers — no
-/// float rounding can creep into the schedule. All windows are bounded
-/// (they end by ~500 ms of simulated time), so an invariant harness
-/// that retries past them always terminates.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultPlan {
-    /// Per-mille probability that a transmitted frame is lost.
-    pub loss_per_mille: u16,
-    /// Per-mille probability that a frame is delivered twice (the
-    /// second copy arrives later by a seeded extra delay).
-    pub dup_per_mille: u16,
-    /// Per-mille probability that a frame's delivery is delayed by a
-    /// spike in `spike_min..=spike_max`.
-    pub spike_per_mille: u16,
-    /// Minimum delay-spike magnitude.
-    pub spike_min: Duration,
-    /// Maximum delay-spike magnitude.
-    pub spike_max: Duration,
-    /// Maximum reorder jitter added to every delivery (uniform in
-    /// `0..=jitter_max`); nonzero jitter is what lets two frames sent
-    /// in order arrive swapped.
-    pub jitter_max: Duration,
-    /// Machine crash/restart windows.
-    pub crashes: Vec<CrashWindow>,
-    /// Link-cut windows.
-    pub partitions: Vec<PartitionWindow>,
-}
-
-impl FaultPlan {
-    /// The no-fault plan: deterministic scheduling and seeded
-    /// tie-breaking only.
-    pub fn quiet() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// Derives a bounded adversarial plan from `seed`: moderate loss,
-    /// duplication and delay spikes for the whole run, plus up to two
-    /// crash windows and one partition window among the first
-    /// [`SEED_PLAN_TARGETS`] fault targets, all inside the first
-    /// ~500 ms of simulated time.
-    pub fn from_seed(seed: u64) -> FaultPlan {
-        let mut s = seed ^ 0xFA_07_1A_0B_5E_ED_00_01;
-        let loss_per_mille = (splitmix64(&mut s) % 81) as u16;
-        let dup_per_mille = (splitmix64(&mut s) % 61) as u16;
-        let spike_per_mille = (splitmix64(&mut s) % 51) as u16;
-        let spike_min = Duration::from_millis(1 + splitmix64(&mut s) % 3);
-        let spike_max = spike_min + Duration::from_millis(2 + splitmix64(&mut s) % 14);
-        let jitter_max = Duration::from_micros(splitmix64(&mut s) % 2001);
-        let crashes = (0..splitmix64(&mut s) % 3)
-            .map(|_| {
-                let victim = (splitmix64(&mut s) as usize) % SEED_PLAN_TARGETS;
-                let from = Duration::from_millis(20 + splitmix64(&mut s) % 350);
-                let until = from + Duration::from_millis(15 + splitmix64(&mut s) % 60);
-                CrashWindow {
-                    victim,
-                    from,
-                    until,
-                }
-            })
-            .collect();
-        let partitions = (0..splitmix64(&mut s) % 2)
-            .map(|_| {
-                let a = (splitmix64(&mut s) as usize) % SEED_PLAN_TARGETS;
-                let b = (a + 1 + (splitmix64(&mut s) as usize) % (SEED_PLAN_TARGETS - 1))
-                    % SEED_PLAN_TARGETS;
-                let from = Duration::from_millis(20 + splitmix64(&mut s) % 350);
-                let until = from + Duration::from_millis(20 + splitmix64(&mut s) % 80);
-                PartitionWindow { a, b, from, until }
-            })
-            .collect();
-        FaultPlan {
-            loss_per_mille,
-            dup_per_mille,
-            spike_per_mille,
-            spike_min,
-            spike_max,
-            jitter_max,
-            crashes,
-            partitions,
-        }
-    }
 }
 
 /// Cumulative per-kind fault counters, for tests asserting that a plan
@@ -197,10 +76,6 @@ struct Pending {
 struct SimState {
     rng: u64,
     seq: u64,
-    plan: FaultPlan,
-    /// Fault-target index → bound machine. Windows naming an unbound
-    /// index are inert.
-    targets: Vec<Option<MachineId>>,
     /// The schedule: deliveries keyed by `(instant, seeded tie)`.
     pending: BTreeMap<(Timestamp, u64), Pending>,
     /// FNV-1a over every event record — the run's fingerprint.
@@ -211,9 +86,8 @@ struct SimState {
     log: Option<Vec<u8>>,
     counters: FaultCounters,
     /// The network's observability handle: every schedule event is
-    /// mirrored into the flight recorder (and fault verdicts into the
-    /// metrics) when enabled. Recording never touches the RNG, the
-    /// fingerprint, or the byte log, so determinism is unaffected.
+    /// mirrored into it; that never touches the RNG, the fingerprint
+    /// or the byte log, so determinism is unaffected.
     obs: Obs,
 }
 
@@ -221,18 +95,11 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 impl SimState {
-    fn record(
-        &mut self,
-        tag: u8,
-        at: Timestamp,
-        source: MachineId,
-        target: MachineId,
-        pkt: &Packet,
-    ) {
+    fn record(&mut self, tag: u8, at: Timestamp, target: MachineId, pkt: &Packet) {
         let mut buf = [0u8; 29];
         buf[0] = tag;
         buf[1..9].copy_from_slice(&(at.since_epoch().as_nanos() as u64).to_le_bytes());
-        buf[9..13].copy_from_slice(&source.as_u32().to_le_bytes());
+        buf[9..13].copy_from_slice(&pkt.source.as_u32().to_le_bytes());
         buf[13..17].copy_from_slice(&target.as_u32().to_le_bytes());
         buf[17..25].copy_from_slice(&pkt.header.dest.value().to_le_bytes());
         buf[25..29].copy_from_slice(&(pkt.payload.len() as u32).to_le_bytes());
@@ -243,95 +110,6 @@ impl SimState {
         if let Some(log) = &mut self.log {
             log.extend_from_slice(&buf);
         }
-        if self.obs.enabled() {
-            let kind = match tag {
-                b'E' => EventKind::DeliveryGate,
-                b'L' => EventKind::Loss,
-                b'C' => EventKind::CrashDrop,
-                b'P' => EventKind::PartitionDrop,
-                b'D' => EventKind::Delivered,
-                _ => EventKind::Unknown,
-            };
-            self.obs.record(
-                kind,
-                at.since_epoch().as_nanos() as u64,
-                0,
-                pkt.header.dest.value(),
-                u64::from(target.as_u32()),
-            );
-            if let Some(m) = self.obs.metrics() {
-                match tag {
-                    b'L' => m.faults_lost.add(1),
-                    b'C' => m.faults_crash_dropped.add(1),
-                    b'P' => m.faults_partition_dropped.add(1),
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    fn victim_of(&self, machine: MachineId) -> Option<usize> {
-        self.targets.iter().position(|&t| t == Some(machine))
-    }
-
-    /// The end of the crash window covering `machine` at `t`, if any.
-    fn down_until(&self, machine: MachineId, t: Timestamp) -> Option<Timestamp> {
-        let victim = self.victim_of(machine)?;
-        self.plan
-            .crashes
-            .iter()
-            .filter(|w| w.victim == victim)
-            .filter(|w| {
-                let d = t.since_epoch();
-                w.from <= d && d < w.until
-            })
-            .map(|w| Timestamp::ZERO + w.until)
-            .max()
-    }
-
-    fn partitioned(&self, a: MachineId, b: MachineId, t: Timestamp) -> bool {
-        let (Some(va), Some(vb)) = (self.victim_of(a), self.victim_of(b)) else {
-            return false;
-        };
-        let d = t.since_epoch();
-        self.plan.partitions.iter().any(|w| {
-            ((w.a == va && w.b == vb) || (w.a == vb && w.b == va)) && w.from <= d && d < w.until
-        })
-    }
-
-    fn duration_draw(&mut self, max: Duration) -> Duration {
-        let nanos = max.as_nanos().min(u64::MAX as u128) as u64;
-        if nanos == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(splitmix64(&mut self.rng) % (nanos + 1))
-    }
-
-    fn roll(&mut self, per_mille: u16) -> bool {
-        per_mille > 0 && splitmix64(&mut self.rng) % 1000 < u64::from(per_mille)
-    }
-
-    /// Mirrors a spike/duplicate verdict into the flight recorder and
-    /// metrics (the loss/crash/partition verdicts piggyback on
-    /// [`record`](Self::record)'s tag mapping instead).
-    fn obs_fault(&self, kind: EventKind, at: Timestamp, target: MachineId, pkt: &Packet) {
-        if !self.obs.enabled() {
-            return;
-        }
-        self.obs.record(
-            kind,
-            at.since_epoch().as_nanos() as u64,
-            0,
-            pkt.header.dest.value(),
-            u64::from(target.as_u32()),
-        );
-        if let Some(m) = self.obs.metrics() {
-            match kind {
-                EventKind::Spike => m.faults_spiked.add(1),
-                EventKind::Duplicate => m.faults_duplicated.add(1),
-                _ => {}
-            }
-        }
     }
 
     /// Parks one copy of `pkt` for `target` at `at`, with a seeded
@@ -340,13 +118,22 @@ impl SimState {
         pkt.deliver_at = at;
         self.seq += 1;
         let tie = (splitmix64(&mut self.rng) << 32) | (self.seq & 0xFFFF_FFFF);
-        self.record(b'E', at, pkt.source, target, &pkt);
+        self.record(b'E', at, target, &pkt);
+        note(
+            &self.obs,
+            EventKind::DeliveryGate,
+            at,
+            target,
+            pkt.header.dest,
+        );
         self.pending.insert((at, tie), Pending { target, pkt });
     }
 }
 
 /// The per-network simulation controller: owns the seeded RNG, the
-/// pending-delivery schedule, the fault plan and the event fingerprint.
+/// pending-delivery schedule and the event fingerprint. The fault plan
+/// it draws against lives in the network's topology, which is always
+/// locked before the controller.
 #[derive(Debug)]
 pub(crate) struct SimController {
     seed: u64,
@@ -354,118 +141,51 @@ pub(crate) struct SimController {
 }
 
 impl SimController {
-    pub(crate) fn new(seed: u64, plan: FaultPlan) -> SimController {
+    pub(crate) fn new(seed: u64, obs: Obs) -> SimController {
         SimController {
             seed,
             state: Mutex::new(SimState {
                 rng: seed,
                 seq: 0,
-                plan,
-                targets: Vec::new(),
                 pending: BTreeMap::new(),
                 hash: FNV_OFFSET,
                 events: 0,
                 log: None,
                 counters: FaultCounters::default(),
-                obs: Obs::new(),
+                obs,
             }),
         }
-    }
-
-    /// Shares the network's observability handle with the controller
-    /// (called once from the network constructor).
-    pub(crate) fn attach_obs(&self, obs: Obs) {
-        self.state.lock().obs = obs;
     }
 
     pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
-    /// Whether the plan can deliver duplicate copies of a frame.
-    pub(crate) fn duplicates(&self) -> bool {
-        self.state.lock().plan.dup_per_mille > 0
-    }
-
-    pub(crate) fn bind_target(&self, index: usize, machine: MachineId) {
-        let mut st = self.state.lock();
-        if st.targets.len() <= index {
-            st.targets.resize(index + 1, None);
-        }
-        st.targets[index] = Some(machine);
-    }
-
-    /// Appends an explicit crash window for `machine` (binding it to a
-    /// fresh fault-target index if needed).
-    pub(crate) fn crash_machine(&self, machine: MachineId, from: Timestamp, until: Timestamp) {
-        let mut st = self.state.lock();
-        let victim = match st.victim_of(machine) {
-            Some(v) => v,
-            None => {
-                st.targets.push(Some(machine));
-                st.targets.len() - 1
+    /// Offers the copy for `to` to the fault gate: judges it with the
+    /// seeded stream and parks 0, 1 or 2 deliveries. Returns `true` if
+    /// at least one copy was parked.
+    pub(crate) fn offer(&self, gate: &Faults, now: Timestamp, to: MachineId, pkt: Packet) -> bool {
+        let st = &mut *self.state.lock();
+        let verdict = gate.judge(now, pkt.source, to, &mut || splitmix64(&mut st.rng));
+        mirror(&st.obs, verdict, now, to, pkt.header.dest);
+        let (tag, counter) = match verdict {
+            Verdict::CrashDrop => (b'C', &mut st.counters.crash_dropped),
+            Verdict::PartitionDrop => (b'P', &mut st.counters.partition_dropped),
+            Verdict::Lost => (b'L', &mut st.counters.lost),
+            Verdict::Deliver { delay, spiked, dup } => {
+                st.counters.spiked += u64::from(spiked);
+                let at = pkt.deliver_at + delay;
+                if let Some(lag) = dup {
+                    st.counters.duplicated += 1;
+                    st.park(to, pkt.clone(), at + lag);
+                }
+                st.park(to, pkt, at);
+                return true;
             }
         };
-        st.plan.crashes.push(CrashWindow {
-            victim,
-            from: from.since_epoch(),
-            until: until.since_epoch(),
-        });
-    }
-
-    pub(crate) fn down_until(&self, machine: MachineId, t: Timestamp) -> Option<Timestamp> {
-        self.state.lock().down_until(machine, t)
-    }
-
-    /// Offers one recipient's copy to the fault gate: applies the
-    /// seeded loss/duplication/spike/jitter draws and the crash and
-    /// partition windows, parking 0, 1 or 2 deliveries. Returns `true`
-    /// if at least one copy was parked.
-    pub(crate) fn offer(&self, now: Timestamp, target: MachineId, pkt: Packet) -> bool {
-        let mut st = self.state.lock();
-        if st.down_until(pkt.source, now).is_some() || st.down_until(target, now).is_some() {
-            // A dead transmitter or a dead interface: the frame never
-            // makes it onto the wire segment.
-            st.counters.crash_dropped += 1;
-            st.record(b'C', now, pkt.source, target, &pkt);
-            return false;
-        }
-        if st.partitioned(pkt.source, target, now) {
-            st.counters.partition_dropped += 1;
-            st.record(b'P', now, pkt.source, target, &pkt);
-            return false;
-        }
-        let (loss, dup_pm, spike_pm, spike_min, spike_max, jitter_max) = (
-            st.plan.loss_per_mille,
-            st.plan.dup_per_mille,
-            st.plan.spike_per_mille,
-            st.plan.spike_min,
-            st.plan.spike_max,
-            st.plan.jitter_max,
-        );
-        if st.roll(loss) {
-            st.counters.lost += 1;
-            st.record(b'L', now, pkt.source, target, &pkt);
-            return false;
-        }
-        let mut at = pkt.deliver_at + st.duration_draw(jitter_max);
-        if st.roll(spike_pm) {
-            let extra = spike_max.saturating_sub(spike_min);
-            at = at + spike_min + st.duration_draw(extra);
-            st.counters.spiked += 1;
-            st.obs_fault(EventKind::Spike, now, target, &pkt);
-        }
-        let dup = st.roll(dup_pm);
-        if dup {
-            let lag = spike_min.max(Duration::from_micros(100))
-                + st.duration_draw(spike_max.max(Duration::from_millis(1)));
-            let copy_at = at + lag;
-            st.counters.duplicated += 1;
-            st.obs_fault(EventKind::Duplicate, now, target, &pkt);
-            st.park(target, pkt.clone(), copy_at);
-        }
-        st.park(target, pkt, at);
-        true
+        *counter += 1;
+        st.record(tag, now, to, &pkt);
+        false
     }
 
     pub(crate) fn next_at(&self) -> Option<Timestamp> {
@@ -477,17 +197,20 @@ impl SimController {
     /// before it landed is gone). `None` when nothing is pending;
     /// otherwise the instant, the target, and the packet unless it was
     /// crash-dropped on arrival.
-    pub(crate) fn pop_next(&self) -> Option<(Timestamp, MachineId, Option<Packet>)> {
+    pub(crate) fn pop_next(
+        &self,
+        faults: &Faults,
+    ) -> Option<(Timestamp, MachineId, Option<Packet>)> {
         let mut st = self.state.lock();
-        let (&key, _) = st.pending.iter().next()?;
-        let Pending { target, pkt } = st.pending.remove(&key).expect("key just observed");
-        let at = key.0;
-        if st.down_until(target, at).is_some() {
+        let ((at, _), Pending { target, pkt }) = st.pending.pop_first()?;
+        if faults.down_until(target, at).is_some() {
             st.counters.crash_dropped += 1;
-            st.record(b'C', at, pkt.source, target, &pkt);
+            st.record(b'C', at, target, &pkt);
+            mirror(&st.obs, Verdict::CrashDrop, at, target, pkt.header.dest);
             return Some((at, target, None));
         }
-        st.record(b'D', at, pkt.source, target, &pkt);
+        st.record(b'D', at, target, &pkt);
+        note(&st.obs, EventKind::Delivered, at, target, pkt.header.dest);
         Some((at, target, Some(pkt)))
     }
 
@@ -741,11 +464,11 @@ impl<'a> SimExecutor<'a> {
 mod tests {
     use super::*;
     use crate::packet::Header;
-    use crate::Port;
+    use crate::{FaultPlan, Port};
     use bytes::Bytes;
     use std::cell::Cell;
     use std::rc::Rc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn port(v: u64) -> Port {
         Port::new(v).unwrap()

@@ -30,7 +30,7 @@ pub struct StatsSnapshot {
     pub packets_delivered: u64,
     /// Sends whose destination was the broadcast port.
     pub broadcasts_sent: u64,
-    /// Packets lost to the configured drop rate.
+    /// Copies dropped at the delivery gate, or on arrival (simulator).
     pub packets_dropped: u64,
     /// (machine, packet) pairs rejected by interface filtering — the
     /// associative-addressing misses.

@@ -63,12 +63,12 @@ pub enum EventKind {
     /// The sim delivery gate parked a copy (`a` = dest port,
     /// `b` = target machine).
     DeliveryGate = 5,
-    /// The sim fault plan lost a frame (`a` = dest port, `b` = target).
+    /// The fault plan lost a frame (`a` = dest port, `b` = target).
     Loss = 6,
-    /// The sim fault plan duplicated a frame (`a` = dest port,
+    /// The fault plan duplicated a frame (`a` = dest port,
     /// `b` = target machine).
     Duplicate = 7,
-    /// The sim fault plan delay-spiked a frame (`a` = dest port,
+    /// The fault plan delay-spiked a frame (`a` = dest port,
     /// `b` = target machine).
     Spike = 8,
     /// A crash window dropped a frame (`a` = dest port, `b` = target).

@@ -195,15 +195,15 @@ pub struct Metrics {
     /// Cluster-client failovers (a replica timed out or disconnected
     /// and the call moved on).
     pub failovers: Counter,
-    /// Frames lost by the sim fault plan.
+    /// Frames lost by the fault plan.
     pub faults_lost: Counter,
-    /// Duplicate frame copies injected by the sim fault plan.
+    /// Duplicate frame copies injected by the fault plan.
     pub faults_duplicated: Counter,
-    /// Frames delay-spiked by the sim fault plan.
+    /// Frames delay-spiked by the fault plan.
     pub faults_spiked: Counter,
-    /// Frames dropped by sim crash windows.
+    /// Frames dropped by crash windows.
     pub faults_crash_dropped: Counter,
-    /// Frames dropped by sim partition windows.
+    /// Frames dropped by partition windows.
     pub faults_partition_dropped: Counter,
     /// Requests dequeued by server pumps.
     pub server_requests: Counter,

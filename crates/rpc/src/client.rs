@@ -971,10 +971,10 @@ impl<T> Drop for Completion<'_, T> {
                 let unicast = self.header.target.is_some() && !self.header.dest.is_broadcast();
                 // "One transmit, one machine ⇒ at most one reply" is
                 // only a theorem on a network that never duplicates
-                // frames. A simulation fault plan that duplicates can
-                // turn one targeted request into two served requests —
-                // two replies — so recycling is unsound there and every
-                // port burns.
+                // frames. A fault plan that duplicates, on either clock,
+                // can turn one targeted request into two served
+                // requests — two replies — so recycling is unsound there
+                // and every port burns.
                 let at_most_once = !self.client.endpoint.network().may_duplicate();
                 let clean = self.completed && self.transmits == 1 && unicast && at_most_once;
                 if clean && self.client.table.try_park(token, MAX_RECYCLED_REPLY_PORTS) {
@@ -1178,6 +1178,37 @@ mod tests {
         );
         ta.join().unwrap();
         tb.join().unwrap();
+    }
+
+    #[test]
+    fn a_duplicating_wall_plan_turns_reply_port_recycling_off() {
+        for (dup_per_mille, recycles) in [(0, true), (1000, false)] {
+            let plan = amoeba_net::FaultPlan {
+                dup_per_mille,
+                ..amoeba_net::FaultPlan::quiet()
+            };
+            let net = Network::new_with_plan(1, plan);
+            net.obs().enable();
+            let server = crate::ServerPort::bind(net.attach_open(), Port::new(0xD1).unwrap());
+            let p = server.put_port();
+            let serve = std::thread::spawn(move || {
+                while let Ok(req) = server.next_request_timeout(Duration::from_millis(200)) {
+                    server.reply(&req, Bytes::from_static(b"ok"));
+                }
+            });
+            // The first call learns the route; targeted calls after it
+            // may park their port, and the next one reuses it.
+            let client = Client::new(net.attach_open());
+            for _ in 0..4 {
+                assert_eq!(
+                    &client.trans(p, Bytes::from_static(b"hi")).unwrap()[..],
+                    b"ok"
+                );
+            }
+            let recycled = net.obs().snapshot().unwrap().reply_ports_recycled;
+            assert_eq!(recycled > 0, recycles, "dup {dup_per_mille}‰: {recycled}");
+            serve.join().unwrap();
+        }
     }
 
     #[test]

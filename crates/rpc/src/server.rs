@@ -903,17 +903,15 @@ mod tests {
     #[test]
     fn retransmission_reaches_server_after_loss() {
         let net = Network::new();
-        net.reseed(7);
         let server = ServerPort::bind(net.attach_open(), Port::new(0x55).unwrap());
         let p = server.put_port();
+        let server_machine = server.endpoint().id();
         let t = std::thread::spawn(move || {
             let req = server.next_request().unwrap();
             server.reply(&req, Bytes::from_static(b"ok"));
             // Absorb a possible duplicate from the retry.
             let _ = server.next_request_timeout(Duration::from_millis(50));
         });
-        // Drop everything for the first attempt...
-        net.set_drop_rate(1.0);
         let client = Client::with_config(
             net.attach_open(),
             RpcConfig {
@@ -921,10 +919,13 @@ mod tests {
                 attempts: 10,
             },
         );
+        // Lose everything for the first attempt...
+        let client_machine = client.endpoint().id();
+        net.partition(client_machine, server_machine);
         let net2 = net.clone();
         let heal = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(45));
-            net2.set_drop_rate(0.0);
+            net2.heal(client_machine, server_machine);
         });
         let reply = client.trans(p, Bytes::from_static(b"once more")).unwrap();
         assert_eq!(&reply[..], b"ok");

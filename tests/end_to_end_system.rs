@@ -171,29 +171,30 @@ fn user_session_across_all_services() {
 
 #[test]
 fn services_under_packet_loss() {
-    // RPC retries make the system usable on a lossy network.
-    let w = boot_world();
-    w.net.reseed(42);
-    w.net.set_drop_rate(0.3);
-
+    // RPC retries make the system usable on a lossy network. Only the
+    // file server boots: in `boot_world` the unix file server's
+    // boot-time `statfs` would run under the same loss with default
+    // retries.
+    let plan = FaultPlan {
+        loss_per_mille: 300,
+        ..FaultPlan::quiet()
+    };
+    let net = Network::new_with_plan(42, plan);
+    let runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::Commutative));
     let fs = FlatFsClient::with_service(
         ServiceClient::open_with_config(
-            &w.net,
+            &net,
             RpcConfig {
                 timeout: Duration::from_millis(50),
                 attempts: 20,
             },
         ),
-        w.fs_port,
+        runner.put_port(),
     );
     let cap = fs.create().expect("create despite 30% loss");
     fs.write(&cap, 0, b"lossy but alive").expect("write");
     assert_eq!(&fs.read(&cap, 0, 100).unwrap(), b"lossy but alive");
-
-    w.net.set_drop_rate(0.0);
-    for r in w.runners {
-        r.stop();
-    }
+    runner.stop();
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! no state machinery — a retransmitted request either reaches a server
 //! or it does not.
 //!
-//! The hand-rolled schedules below are kept as smoke tests; the seeded
-//! `FaultPlan` variants at the bottom run the same failure classes
-//! through the deterministic simulation, where the schedule is exact,
-//! replayable, and adversarial (see `tests/sim_fault_plans.rs`).
+//! The threaded tests run a `FaultPlan` on the wall clock: seeded, but
+//! not replayable across thread interleavings. The seeded variants at
+//! the bottom run the same failure classes through the deterministic
+//! simulation, where the schedule is exact, replayable, and adversarial
+//! (see `tests/sim_fault_plans.rs`).
 
 mod sim_support;
 
@@ -24,20 +25,20 @@ fn patient() -> RpcConfig {
 
 #[test]
 fn rpc_completes_under_heavy_loss() {
-    let net = Network::new();
-    net.reseed(1);
+    let plan = FaultPlan {
+        loss_per_mille: 500,
+        ..FaultPlan::quiet()
+    };
+    let net = Network::new_with_plan(1, plan);
     let runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::OneWay));
     let fs = FlatFsClient::with_service(
         ServiceClient::open_with_config(&net, patient()),
         runner.put_port(),
     );
-
-    net.set_drop_rate(0.5);
     let cap = fs.create().expect("create at 50% loss");
     for i in 0..10u64 {
         fs.write(&cap, i * 3, b"abc").expect("write at 50% loss");
     }
-    net.set_drop_rate(0.0);
     assert_eq!(fs.size(&cap).unwrap(), 9 * 3 + 3);
     runner.stop();
 }
@@ -47,17 +48,30 @@ fn writes_are_idempotent_under_duplication() {
     // At-least-once delivery duplicates operations; absolute-offset
     // writes are naturally idempotent, which is why the flat file
     // interface uses them (no append).
-    let net = Network::new();
+    let plan = FaultPlan {
+        dup_per_mille: 500,
+        ..FaultPlan::quiet()
+    };
+    let net = Network::new_with_plan(7, plan);
     let runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::Simple));
     let fs = FlatFsClient::with_service(ServiceClient::open(&net), runner.put_port());
     let cap = fs.create().unwrap();
-    for _ in 0..5 {
-        // The same logical write delivered five times...
+    let before = net.stats().snapshot();
+    for _ in 0..20 {
+        // The same logical write twenty times, each frame duplicated
+        // on the wire half the time...
         fs.write(&cap, 0, b"exactly these bytes").unwrap();
     }
     // ...leaves exactly one copy of the data.
     assert_eq!(fs.size(&cap).unwrap(), 19);
     assert_eq!(&fs.read(&cap, 0, 100).unwrap(), b"exactly these bytes");
+    // Every frame since `create` is a unicast request or reply, which
+    // at most one machine accepts: more copies landed than were sent.
+    let wire = net.stats().snapshot() - before;
+    assert!(
+        wire.packets_delivered > wire.packets_sent,
+        "duplicates must land: {wire:?}"
+    );
     runner.stop();
 }
 
@@ -116,10 +130,12 @@ fn slow_network_still_correct() {
 
 #[test]
 fn mixed_loss_and_latency_with_concurrent_clients() {
-    let net = Network::new();
-    net.reseed(99);
+    let plan = FaultPlan {
+        loss_per_mille: 200,
+        ..FaultPlan::quiet()
+    };
+    let net = Network::new_with_plan(99, plan);
     net.set_latency(Duration::from_millis(1));
-    net.set_drop_rate(0.2);
     let runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::OneWay));
     let port = runner.put_port();
 
@@ -207,4 +223,53 @@ fn seeded_crash_window_mid_transaction_recovers() {
         "the crash window must intersect live traffic, got {:?}",
         report.counters
     );
+}
+
+/// The seeded plans on the wall clock, against a real flat file server
+/// and a patient client bound as fault targets 0 and 1. Each pinned
+/// seed's plan has loss and a crash or partition window on one of
+/// them (checked below: a window on an unbound target is inert).
+/// Nothing deduplicates, so a retransmitted write may run twice; every
+/// write the server acknowledged must still read back byte-exact.
+#[test]
+fn acknowledged_writes_read_back_under_a_seeded_wall_plan() {
+    for seed in [10, 24, 31] {
+        let plan = FaultPlan::from_seed(seed);
+        let bites = plan.crashes.iter().any(|w| w.victim < 2)
+            || plan.partitions.iter().any(|w| w.a < 2 && w.b < 2);
+        assert!(plan.loss_per_mille > 0 && bites, "seed {seed} bites");
+        let windows = plan.crashes.iter().map(|w| w.until);
+        let horizon = windows.chain(plan.partitions.iter().map(|w| w.until)).max();
+        let net = Network::new_with_plan(seed, plan);
+        net.obs().enable();
+        let runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::OneWay));
+        let fs = FlatFsClient::with_service(
+            ServiceClient::open_with_config(&net, patient()),
+            runner.put_port(),
+        );
+        net.bind_fault_target(0, runner.machine());
+        net.bind_fault_target(1, fs.service().rpc().endpoint().id());
+        let cap = fs.create().expect("create");
+        let mut acknowledged = Vec::new();
+        let mut i = 0u64;
+        while Some(net.now().since_epoch()) <= horizon {
+            if fs.write(&cap, i * 8, &i.to_le_bytes()).is_ok() {
+                acknowledged.push(i);
+            }
+            i += 1;
+            net.sleep(Duration::from_millis(4));
+        }
+        let data = fs.read(&cap, 0, (i * 8) as u32).expect("read back");
+        for i in acknowledged {
+            let at = (i * 8) as usize;
+            assert_eq!(data[at..at + 8], i.to_le_bytes(), "seed {seed}, write {i}");
+        }
+        let m = net.obs().snapshot().unwrap();
+        assert!(m.faults_lost > 0, "seed {seed}: {m:?}");
+        assert!(
+            m.faults_crash_dropped + m.faults_partition_dropped > 0,
+            "seed {seed}: {m:?}"
+        );
+        runner.stop();
+    }
 }

@@ -122,8 +122,8 @@ fn run_migration_scenario(
     }
 
     let (src_pump, tgt_pump) = replica_pair(&net, SchemeKind::Simple, seed);
-    net.sim_bind_fault_target(0, src_pump.machine());
-    net.sim_bind_fault_target(1, tgt_pump.machine());
+    net.bind_fault_target(0, src_pump.machine());
+    net.bind_fault_target(1, tgt_pump.machine());
 
     // The shard under migration: one of the source's (even) shards.
     let shard = (seed as usize % (DEFAULT_SHARDS / 2)) * 2;
@@ -138,14 +138,14 @@ fn run_migration_scenario(
     // The driver is a fault target too: a crash window over it freezes
     // the migration mid-protocol, then resumes it against a target that
     // may have staged chunks long ago.
-    net.sim_bind_fault_target(2, mig_client.endpoint().id());
+    net.bind_fault_target(2, mig_client.endpoint().id());
     let arena: Vec<Client> = (0..clients)
         .map(|_| {
             Client::with_config(net.attach_open(), config).with_rng_seed(splitmix64(&mut rng_seed))
         })
         .collect();
     for (i, client) in arena.iter().take(3).enumerate() {
-        net.sim_bind_fault_target(3 + i, client.endpoint().id());
+        net.bind_fault_target(3 + i, client.endpoint().id());
     }
     let verifier =
         Client::with_config(net.attach_open(), config).with_rng_seed(splitmix64(&mut rng_seed));

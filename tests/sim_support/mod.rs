@@ -117,7 +117,7 @@ fn run_wave(
     // replicas, so seeded crash windows can kill a client
     // mid-transaction (its in-flight request or reply dies with it).
     for (i, client) in arena.iter().take(3).enumerate() {
-        net.sim_bind_fault_target(replicas.replicas() + i, client.endpoint().id());
+        net.bind_fault_target(replicas.replicas() + i, client.endpoint().id());
     }
 
     let stats = Rc::new(RefCell::new(WaveStats::default()));
