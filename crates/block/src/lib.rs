@@ -548,10 +548,9 @@ impl BlockClient {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let calls = (0..n)
-            .map(|_| (null_cap(), ops::ALLOC, Bytes::new()))
-            .collect();
-        let results = self.svc.call_batch(self.port, calls)?;
+        let results = self.svc.batch(self.port, n, 0, |_, buf| {
+            Request::encode_with(buf, &null_cap(), ops::ALLOC, |w| w)
+        })?;
         let mut caps = Vec::with_capacity(n);
         for entry in results {
             match entry
@@ -572,11 +571,9 @@ impl BlockClient {
     /// # Errors
     /// `Status::OutOfRange` beyond the block; rights/validation errors.
     pub fn read(&self, cap: &Capability, offset: u32, len: u32) -> Result<Vec<u8>, ClientError> {
-        let body = self.svc.call(
-            cap,
-            ops::READ,
-            wire::Writer::new().u32(offset).u32(len).finish(),
-        )?;
+        let body = self.svc.call_with(cap.port, None, cap, ops::READ, 8, |w| {
+            w.u32(offset).u32(len)
+        })?;
         Ok(body.to_vec())
     }
 
@@ -633,7 +630,7 @@ impl BlockClient {
                     .map(|(_, _, data)| 8 + data.len())
                     .sum::<usize>()
                     + fresh.as_ref().map_or(0, Fresh::len);
-                let batch = self.svc.call_batch_with(self.port, count, len, |i, buf| {
+                let batch = self.svc.batch(self.port, count, len, |i, buf| {
                     match (writes.get(i), &fresh) {
                         (Some((cap, offset, data)), _) => {
                             Request::encode_with(buf, cap, ops::WRITE, |w| {
@@ -684,20 +681,22 @@ impl BlockClient {
     /// # Errors
     /// The first entry failure, in order; transport errors.
     pub fn read_many(&self, reads: &[(Capability, u32, u32)]) -> Result<Vec<Bytes>, ClientError> {
-        let read = |(cap, offset, len): &(Capability, u32, u32)| {
-            let params = wire::Writer::new().u32(*offset).u32(*len).finish();
-            (*cap, ops::READ, params)
-        };
         match reads {
             [] => Ok(Vec::new()),
-            [one] => {
-                let (cap, command, params) = read(one);
-                Ok(vec![self.svc.call(&cap, command, params)?])
+            [(cap, offset, len)] => {
+                let body = self.svc.call_with(cap.port, None, cap, ops::READ, 8, |w| {
+                    w.u32(*offset).u32(*len)
+                })?;
+                Ok(vec![body])
             }
-            _ => {
-                let calls = reads.iter().map(read).collect();
-                self.svc.call_batch(self.port, calls)?.into_iter().collect()
-            }
+            _ => self
+                .svc
+                .batch(self.port, reads.len(), 8 * reads.len(), |i, buf| {
+                    let (cap, offset, len) = &reads[i];
+                    Request::encode_with(buf, cap, ops::READ, |w| w.u32(*offset).u32(*len))
+                })?
+                .into_iter()
+                .collect(),
         }
     }
 
@@ -724,13 +723,11 @@ impl BlockClient {
             [] => Ok(()),
             [cap] => self.free(cap).map_err(|e| (1, e)),
             _ => {
-                let calls = caps
-                    .iter()
-                    .map(|cap| (*cap, ops::FREE, Bytes::new()))
-                    .collect();
                 let entries = self
                     .svc
-                    .call_batch(self.port, calls)
+                    .batch(self.port, caps.len(), 0, |i, buf| {
+                        Request::encode_with(buf, &caps[i], ops::FREE, |w| w)
+                    })
                     .map_err(|e| (caps.len(), e))?;
                 let mut failed = entries.into_iter().filter_map(Result::err);
                 match failed.next() {

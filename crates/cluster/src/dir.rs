@@ -20,6 +20,8 @@
 use amoeba_cap::Capability;
 use amoeba_dirsvr::{ops, DirClient};
 use amoeba_net::Port;
+use amoeba_server::proto::Request;
+use amoeba_server::wire::FrameWriter;
 use amoeba_server::{wire, ClientError};
 use bytes::Bytes;
 
@@ -170,35 +172,28 @@ impl ShardedDir {
     }
 
     /// Groups per-shard calls by backing **port**, so shards colocated
-    /// on one replica share a single BATCH_REQUEST frame.
+    /// on one replica share a single BATCH_REQUEST frame. Call `i` is
+    /// `command` on shard directory `on[i]`, its `len(i)` bytes of
+    /// params written in place by `params(i, ..)`.
     fn batched<T>(
-        &self,
         dirs: &DirClient,
-        calls: Vec<(Capability, u32, Bytes)>,
+        command: u32,
+        on: &[Capability],
+        len: impl Fn(usize) -> usize,
+        params: impl Fn(usize, FrameWriter<'_>) -> FrameWriter<'_>,
         mut parse: impl FnMut(Result<Bytes, ClientError>) -> Result<T, ClientError>,
     ) -> Result<Vec<Result<T, ClientError>>, ClientError> {
-        let mut order: Vec<usize> = (0..calls.len()).collect();
-        order.sort_by_key(|&i| calls[i].0.port);
+        let mut order: Vec<usize> = (0..on.len()).collect();
+        order.sort_by_key(|&i| on[i].port);
         let mut out: Vec<Option<Result<T, ClientError>>> = Vec::new();
-        out.resize_with(calls.len(), || None);
-        let mut calls: Vec<Option<(Capability, u32, Bytes)>> =
-            calls.into_iter().map(Some).collect();
-        let mut i = 0;
-        while i < order.len() {
-            let port = calls[order[i]].as_ref().expect("unconsumed").0.port;
-            let mut group_idx = Vec::new();
-            let mut group = Vec::new();
-            while i < order.len() {
-                let call = calls[order[i]].as_ref().expect("unconsumed");
-                if call.0.port != port {
-                    break;
-                }
-                group.push(calls[order[i]].take().expect("unconsumed"));
-                group_idx.push(order[i]);
-                i += 1;
-            }
-            let replies = dirs.service().call_batch(port, group)?;
-            for (slot, reply) in group_idx.into_iter().zip(replies) {
+        out.resize_with(on.len(), || None);
+        for group in order.chunk_by(|&a, &b| on[a].port == on[b].port) {
+            let port = on[group[0]].port;
+            let bytes = group.iter().map(|&i| len(i)).sum();
+            let replies = dirs.service().batch(port, group.len(), bytes, |k, buf| {
+                Request::encode_with(buf, &on[group[k]], command, |w| params(group[k], w))
+            })?;
+            for (&slot, reply) in group.iter().zip(replies) {
                 out[slot] = Some(parse(reply));
             }
         }
@@ -218,19 +213,17 @@ impl ShardedDir {
         dirs: &DirClient,
         names: &[&str],
     ) -> Result<Vec<Result<Capability, ClientError>>, ClientError> {
-        let calls = names
-            .iter()
-            .map(|name| {
-                (
-                    *self.shard_for(name),
-                    ops::LOOKUP,
-                    wire::Writer::new().str(name).finish(),
-                )
-            })
-            .collect();
-        self.batched(dirs, calls, |reply| {
-            reply.and_then(|body| wire::Reader::new(&body).cap().ok_or(ClientError::Malformed))
-        })
+        let on: Vec<Capability> = names.iter().map(|name| *self.shard_for(name)).collect();
+        Self::batched(
+            dirs,
+            ops::LOOKUP,
+            &on,
+            |i| 4 + names[i].len(),
+            |i, w| w.str(names[i]),
+            |reply| {
+                reply.and_then(|body| wire::Reader::new(&body).cap().ok_or(ClientError::Malformed))
+            },
+        )
     }
 
     /// Enters many `(name, cap)` pairs at once — one frame per backing
@@ -243,17 +236,18 @@ impl ShardedDir {
         dirs: &DirClient,
         entries: &[(&str, Capability)],
     ) -> Result<Vec<Result<(), ClientError>>, ClientError> {
-        let calls = entries
+        let on: Vec<Capability> = entries
             .iter()
-            .map(|(name, cap)| {
-                (
-                    *self.shard_for(name),
-                    ops::ENTER,
-                    wire::Writer::new().str(name).cap(cap).finish(),
-                )
-            })
+            .map(|(name, _)| *self.shard_for(name))
             .collect();
-        self.batched(dirs, calls, |reply| reply.map(|_| ()))
+        Self::batched(
+            dirs,
+            ops::ENTER,
+            &on,
+            |i| 4 + entries[i].0.len() + 16,
+            |i, w| w.str(entries[i].0).cap(&entries[i].1),
+            |reply| reply.map(|_| ()),
+        )
     }
 
     /// Lists the whole logical directory: every shard's LIST rides a
@@ -263,21 +257,23 @@ impl ShardedDir {
     /// # Errors
     /// Any shard's failure fails the list.
     pub fn list(&self, dirs: &DirClient) -> Result<Vec<String>, ClientError> {
-        let calls = self
-            .shards
-            .iter()
-            .map(|shard| (*shard, ops::LIST, Bytes::new()))
-            .collect();
-        let per_shard = self.batched(dirs, calls, |reply| {
-            let body = reply?;
-            let mut r = wire::Reader::new(&body);
-            let n = r.u32().ok_or(ClientError::Malformed)?;
-            let mut names = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                names.push(r.str().ok_or(ClientError::Malformed)?);
-            }
-            Ok(names)
-        })?;
+        let per_shard = Self::batched(
+            dirs,
+            ops::LIST,
+            &self.shards,
+            |_| 0,
+            |_, w| w,
+            |reply| {
+                let body = reply?;
+                let mut r = wire::Reader::new(&body);
+                let n = r.u32().ok_or(ClientError::Malformed)?;
+                let mut names = Vec::with_capacity(n as usize);
+                for _ in 0..n {
+                    names.push(r.str().ok_or(ClientError::Malformed)?);
+                }
+                Ok(names)
+            },
+        )?;
         let mut all = Vec::new();
         for names in per_shard {
             all.extend(names?);

@@ -34,7 +34,7 @@ use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_dirsvr::DirClient;
 use amoeba_net::{Network, Port};
 use amoeba_rpc::Client;
-use amoeba_server::proto::Status;
+use amoeba_server::proto::{null_cap, Status};
 use amoeba_server::DEFAULT_SHARDS;
 use amoeba_server::{placement_range, ClientError, Service, ServiceClient, ServiceRunner};
 use bytes::Bytes;
@@ -394,24 +394,7 @@ impl ElasticClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, ClientError> {
-        match self
-            .svc
-            .call_at(self.port_for(cap), cap, command, params.clone())
-        {
-            Err(e) if Self::should_refresh(&e) => {
-                self.refresh()?;
-                self.svc.call_at(self.port_for(cap), cap, command, params)
-            }
-            settled => self.settle(params, settled),
-        }
-    }
-
-    /// Hands back `settled`, the outcome of a call that needs no retry,
-    /// after releasing the parameter blob kept for one: the call held
-    /// only a clone, so this is the handle that recycles the storage.
-    fn settle<T>(&self, params: Bytes, settled: T) -> T {
-        self.svc.rpc().buf_pool().release(params);
-        settled
+        self.call_refreshing(|| self.port_for(cap), cap, command, params)
     }
 
     /// Invokes a capability-less placement command (CREATE and
@@ -424,15 +407,32 @@ impl ElasticClient {
     /// As for [`ServiceClient::call_anonymous`], after the retry.
     pub fn call_create(&self, command: u32, params: Bytes) -> Result<Bytes, ClientError> {
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % DEFAULT_SHARDS;
-        let port = self.ports.read()[shard];
-        match self.svc.call_anonymous(port, command, params.clone()) {
-            Err(e) if Self::should_refresh(&e) => {
-                self.refresh()?;
-                let port = self.ports.read()[shard];
-                self.svc.call_anonymous(port, command, params)
-            }
-            settled => self.settle(params, settled),
-        }
+        self.call_refreshing(|| self.ports.read()[shard], &null_cap(), command, params)
+    }
+
+    /// Calls the port `route` names, and once more on the port it names
+    /// after a map refresh when the first attempt calls for one. Each
+    /// attempt writes `params` into its own frame; the blob is released
+    /// once, at the end.
+    fn call_refreshing(
+        &self,
+        route: impl Fn() -> Port,
+        cap: &Capability,
+        command: u32,
+        params: Bytes,
+    ) -> Result<Bytes, ClientError> {
+        let attempt = || {
+            self.svc
+                .call_with(route(), None, cap, command, params.len(), |w| {
+                    w.raw(&params)
+                })
+        };
+        let result = match attempt() {
+            Err(e) if Self::should_refresh(&e) => self.refresh().and_then(|()| attempt()),
+            settled => settled,
+        };
+        self.svc.rpc().buf_pool().release(params);
+        result
     }
 
     /// The underlying generic service client.

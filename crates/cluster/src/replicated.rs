@@ -18,9 +18,10 @@ use std::time::Duration;
 /// distinct machines.
 ///
 /// Every replica binds the same get-port; with machine-targeted frames
-/// (`Client::trans_to`) each request reaches exactly the replica a
-/// placement policy picked, while broadcast LOCATE reaches all of them
-/// — every live replica answers, which is how clients learn the set.
+/// (`Client::start` with a target) each request reaches exactly the
+/// replica a placement policy picked, while broadcast LOCATE reaches
+/// all of them — every live replica answers, which is how clients
+/// learn the set.
 #[derive(Debug)]
 pub struct ServiceCluster {
     put_port: Port,
@@ -472,6 +473,8 @@ impl ClusterClient {
         self.call_routed(port, &null_cap(), command, params)
     }
 
+    /// Every attempt writes `params` into its own frame; the blob is
+    /// released once, after the last.
     fn call_routed(
         &self,
         port: Port,
@@ -479,19 +482,21 @@ impl ClusterClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, ClientError> {
-        let mut last = ClientError::Rpc(RpcError::Timeout);
+        let mut result = Err(ClientError::Rpc(RpcError::Timeout));
         for attempt in 0..self.max_attempts {
             let Some(machine) = self.pick(port) else {
                 // Nobody answers LOCATE at all — either everything is
                 // down or discovery itself timed out; surface the last
                 // transport error.
-                return Err(last);
+                break;
             };
-            match self
+            result = self
                 .svc
-                .call_at_on(port, machine, cap, command, params.clone())
-            {
-                Err(e @ ClientError::Rpc(RpcError::Timeout | RpcError::Disconnected)) => {
+                .call_with(port, Some(machine), cap, command, params.len(), |w| {
+                    w.raw(&params)
+                });
+            match result {
+                Err(ClientError::Rpc(RpcError::Timeout | RpcError::Disconnected)) => {
                     // The §3.4 moment: drop the dead replica from the
                     // cached set and let the next iteration route the
                     // same request to a survivor. The caller never
@@ -518,12 +523,12 @@ impl ClusterClient {
                             }
                         }
                     }
-                    last = e;
                 }
-                other => return other,
+                _ => break,
             }
         }
-        Err(last)
+        self.svc.rpc().buf_pool().release(params);
+        result
     }
 }
 

@@ -39,11 +39,11 @@
 //!
 //! # Batching
 //!
-//! [`Client::trans_batch`] ships many request bodies in one
+//! [`Client::batch`] writes many request bodies into one
 //! `BATCH_REQUEST` frame and demultiplexes the matching `BATCH_REPLY`
 //! by `(batch id, entry index)` — see `docs/PROTOCOL.md`. A caller
 //! batches explicitly, by handing over the requests it already has;
-//! [`Client::trans`] is always one frame out and one frame back.
+//! [`Client::start`] is always one frame out and one frame back.
 
 use crate::demux::{encode_reply_port, DemuxTable, RouteCache, SlotToken};
 use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp, MAX_BATCH_ENTRIES};
@@ -246,58 +246,63 @@ impl Client {
     }
 
     /// Performs a blocking transaction: send `request` to put-port
-    /// `dest`, await the reply. A thin caller of
-    /// [`trans_with`](Self::trans_with) for a body that already exists
-    /// (forwarding, a caller-built blob); code that *builds* its
-    /// request should write it in place instead.
+    /// `dest`, await the reply. A thin caller of [`start`](Self::start)
+    /// for a body that already exists (forwarding, a caller-built
+    /// blob); code that *builds* its request writes it in place
+    /// instead.
     ///
     /// # Errors
-    /// [`RpcError::Timeout`] if no reply arrives within
-    /// `config.attempts × config.timeout`; [`RpcError::Disconnected`] if
-    /// the endpoint is detached.
+    /// As for [`start`](Self::start).
     pub fn trans(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
-        self.start_prebuilt(dest, None, request).wait()
+        self.trans_async(dest, request).wait()
     }
 
-    /// The in-place transaction every request goes through: takes
+    /// [`start`](Self::start) for a body that already exists: copies
+    /// `request` behind the tag and lets the handle go (its storage
+    /// recycles if this was the last one).
+    pub fn trans_async(&self, dest: Port, request: Bytes) -> Completion<'_, Bytes> {
+        let completion = self.start(dest, None, request.len(), |buf| {
+            buf.extend_from_slice(&request);
+        });
+        self.pool.release(request);
+        completion
+    }
+
+    /// Starts a transaction, the one way every request goes out: takes
     /// **one** pooled buffer sized for a `len`-byte body, writes the
     /// `REQUEST` tag, and lets `build` append the body straight after
     /// it — the frame is the only buffer the message ever lives in.
-    /// `target` pins delivery to one machine (see
-    /// [`trans_to`](Self::trans_to)). `len` is a capacity hint: a body
-    /// that outgrows it still goes out, at the price of a reallocation.
+    /// `len` is a capacity hint: a body that outgrows it still goes
+    /// out, at the price of a reallocation.
+    ///
+    /// The frame is on the wire when this returns; the caller decides
+    /// when (and whether) to [`wait`](Completion::wait) or
+    /// [`poll`](Completion::poll) for the reply. Dropping the handle
+    /// abandons the transaction (the reply port is released; a late
+    /// reply is dropped as stale noise).
+    ///
+    /// `target` pins delivery to one machine: the frame reaches only
+    /// that machine (if it claims `dest`), not every claimer of the
+    /// port. This is how a placement-aware caller turns a cached
+    /// `(port, machine)` LOCATE answer into routing when several
+    /// replicas serve one put-port. `None` lets the route cache pick.
     ///
     /// # Errors
-    /// As for [`trans`](Self::trans).
-    pub fn trans_with(
+    /// The completion yields [`RpcError::Timeout`] if no reply arrives
+    /// within `config.attempts × config.timeout` — in particular from a
+    /// dead or detached `target`, which failover callers treat as
+    /// "invalidate this replica and try the next" — and
+    /// [`RpcError::Disconnected`] if the endpoint is detached.
+    pub fn start(
         &self,
         dest: Port,
         target: Option<MachineId>,
         len: usize,
         build: impl FnOnce(&mut BytesMut),
-    ) -> Result<Bytes, RpcError> {
-        self.trans_async_with(dest, target, len, build).wait()
-    }
-
-    /// Performs a blocking transaction addressed to one specific
-    /// machine: the frame is delivered only to `machine` (if it claims
-    /// `dest`), not to every claimer of the port.
-    ///
-    /// This is how a placement-aware caller turns a cached
-    /// `(port, machine)` LOCATE answer into routing when several
-    /// replicas serve one put-port.
-    ///
-    /// # Errors
-    /// As for [`trans`](Self::trans); in particular a dead or detached
-    /// `machine` surfaces as [`RpcError::Timeout`], which failover
-    /// callers treat as "invalidate this replica and try the next".
-    pub fn trans_to(
-        &self,
-        dest: Port,
-        machine: MachineId,
-        request: Bytes,
-    ) -> Result<Bytes, RpcError> {
-        self.start_prebuilt(dest, Some(machine), request).wait()
+    ) -> Completion<'_, Bytes> {
+        let mut buf = self.pool.take_sized(1 + len);
+        Frame::request_with(&mut buf, build);
+        self.launch(dest, target, buf.freeze(), accept_reply)
     }
 
     /// Starts a shard-transfer transaction: sends `op` to put-port
@@ -319,40 +324,15 @@ impl Client {
         };
         let mut buf = self.pool.take_sized(18 + records);
         frame::encode_transfer_into(&mut buf, op);
-        self.start(dest, machine, buf.freeze(), accept_reply)
+        self.launch(dest, machine, buf.freeze(), accept_reply)
     }
 
-    /// Performs a batch transaction: ships every request body in one
-    /// `BATCH_REQUEST` frame (several frames if `requests` exceeds
-    /// [`MAX_BATCH_ENTRIES`]) and returns one result per entry, in
-    /// request order. A thin caller of
-    /// [`trans_batch_with`](Self::trans_batch_with) for bodies that
-    /// already exist.
-    ///
-    /// # Errors
-    /// As for [`trans_batch_with`](Self::trans_batch_with).
-    pub fn trans_batch(
-        &self,
-        dest: Port,
-        requests: Vec<Bytes>,
-    ) -> Result<Vec<BatchResult>, RpcError> {
-        let len = requests.iter().map(|body| 4 + body.len()).sum();
-        let results = self.trans_batch_with(dest, requests.len(), len, |i, buf| {
-            buf.extend_from_slice(&requests[i]);
-        });
-        // The wire frames carried copies of every body — on the failure
-        // path too, where the frames are just as spent.
-        for body in requests {
-            self.pool.release(body);
-        }
-        results
-    }
-
-    /// The in-place batch transaction: `entry(i, buf)` appends the
-    /// body of entry `i` straight into the `BATCH_REQUEST` frame (its
-    /// length prefix is back-patched), so `count` requests cost one
-    /// pooled buffer, sized for `len` bytes of entries. More than
-    /// [`MAX_BATCH_ENTRIES`] entries go out as several frames.
+    /// Performs a batch transaction: `entry(i, buf)` appends the body
+    /// of entry `i` straight into the `BATCH_REQUEST` frame (its length
+    /// prefix is back-patched), so `count` requests cost one pooled
+    /// buffer, sized for `len` bytes of entries. More than
+    /// [`MAX_BATCH_ENTRIES`] entries go out as several frames. Returns
+    /// one result per entry, in request order.
     ///
     /// Partial failure is per entry: an entry the server rejected
     /// before dispatch comes back as [`RpcError::Rejected`]; entries
@@ -362,10 +342,10 @@ impl Client {
     ///
     /// # Errors
     /// [`RpcError::Timeout`]/[`RpcError::Disconnected`] as for
-    /// [`trans`](Self::trans), applied per wire frame: if one chunk's
+    /// [`start`](Self::start), applied per wire frame: if one chunk's
     /// frame times out the whole call fails, since the caller can no
     /// longer line results up with requests.
-    pub fn trans_batch_with(
+    pub fn batch(
         &self,
         dest: Port,
         count: usize,
@@ -375,30 +355,13 @@ impl Client {
         let mut results = Vec::with_capacity(count);
         for first in (0..count).step_by(MAX_BATCH_ENTRIES) {
             let n = (count - first).min(MAX_BATCH_ENTRIES);
-            results.extend(self.trans_batch_chunk(dest, n, len, |i, buf| entry(first + i, buf))?);
+            results.extend(self.batch_chunk(dest, n, len, |i, buf| entry(first + i, buf))?);
         }
         Ok(results)
     }
 
-    /// The prebuilt-body form of
-    /// [`trans_async_with`](Self::trans_async_with): copies `request`
-    /// behind the tag and lets the handle go (its storage recycles if
-    /// this was the last one).
-    fn start_prebuilt(
-        &self,
-        dest: Port,
-        target: Option<MachineId>,
-        request: Bytes,
-    ) -> Completion<'_, Bytes> {
-        let completion = self.trans_async_with(dest, target, request.len(), |buf| {
-            buf.extend_from_slice(&request);
-        });
-        self.pool.release(request);
-        completion
-    }
-
     /// One wire frame's worth of a batch transaction, written in place.
-    fn trans_batch_chunk(
+    fn batch_chunk(
         &self,
         dest: Port,
         n: usize,
@@ -429,7 +392,7 @@ impl Client {
             }
             _ => None,
         };
-        self.start(dest, None, buf.freeze(), accept).wait()
+        self.launch(dest, None, buf.freeze(), accept).wait()
     }
 
     /// Routes a packet that is not ours to whichever in-flight
@@ -473,34 +436,6 @@ impl Client {
     /// Reply-port bindings currently parked for recycling.
     pub fn parked_reply_ports(&self) -> u32 {
         self.table.parked()
-    }
-
-    /// Starts a transaction and returns its completion handle without
-    /// blocking: the request frame is already on the wire when this
-    /// returns, and the caller decides when (and whether) to
-    /// [`wait`](Completion::wait) or [`poll`](Completion::poll) for the
-    /// reply. [`trans`](Self::trans) is exactly
-    /// `trans_async(..).wait()`; batch transactions wrap the same
-    /// engine.
-    ///
-    /// Dropping the handle abandons the transaction (the reply port is
-    /// released; a late reply is dropped as stale noise).
-    pub fn trans_async(&self, dest: Port, request: Bytes) -> Completion<'_, Bytes> {
-        self.start_prebuilt(dest, None, request)
-    }
-
-    /// The non-blocking form of [`trans_with`](Self::trans_with): the
-    /// frame `build` wrote in place is on the wire when this returns.
-    pub fn trans_async_with(
-        &self,
-        dest: Port,
-        target: Option<MachineId>,
-        len: usize,
-        build: impl FnOnce(&mut BytesMut),
-    ) -> Completion<'_, Bytes> {
-        let mut buf = self.pool.take_sized(1 + len);
-        Frame::request_with(&mut buf, build);
-        self.start(dest, target, buf.freeze(), accept_reply)
     }
 
     /// Binds a reply port in the slot table (recycled when possible,
@@ -547,9 +482,9 @@ impl Client {
         (Binding::Overflow, get, wire, rx)
     }
 
-    /// Registers the demux entry, transmits the first attempt, and
-    /// hands back the in-flight transaction state.
-    fn start<T>(
+    /// Registers the demux entry, transmits the first attempt of the
+    /// frame `payload`, and hands back the in-flight transaction state.
+    fn launch<T>(
         &self,
         dest: Port,
         target: Option<MachineId>,
@@ -637,7 +572,7 @@ enum Binding {
 }
 
 /// An in-flight transaction: the completion side of
-/// [`Client::trans_async`].
+/// [`Client::start`] (and of [`Client::start_transfer_to`]).
 ///
 /// The handle owns the transaction's demux registration and drives the
 /// retransmission schedule. Progress is made whenever the caller calls
@@ -659,7 +594,7 @@ pub struct Completion<'c, T> {
     mailbox: Receiver<Packet>,
     accept: Box<dyn Fn(Frame) -> Option<T> + Send + Sync>,
     /// Attempts not yet transmitted (the first transmit happens in
-    /// [`Client::start`]).
+    /// [`Client::launch`]).
     attempts_left: u32,
     attempt_deadline: Timestamp,
     /// Attempts actually put on the wire.
@@ -1090,7 +1025,8 @@ mod tests {
             },
         );
         let reply = client
-            .trans_to(p, a_machine, Bytes::from_static(b"hi"))
+            .start(p, Some(a_machine), 2, |buf| buf.extend_from_slice(b"hi"))
+            .wait()
             .unwrap();
         assert_eq!(&reply[..], b"from-a");
         t.join().unwrap();
@@ -1116,7 +1052,7 @@ mod tests {
             },
         );
         assert_eq!(
-            client.trans_to(p, ghost, Bytes::new()).unwrap_err(),
+            client.start(p, Some(ghost), 0, |_| {}).wait().unwrap_err(),
             RpcError::Timeout,
             "failover callers need Timeout, not a hang"
         );
@@ -1316,7 +1252,10 @@ mod tests {
         let client = Client::new(net.attach_open());
         for _ in 0..2 {
             let reply = client
-                .trans_to(old_port, old_machine, Bytes::from_static(b"x"))
+                .start(old_port, Some(old_machine), 1, |buf| {
+                    buf.extend_from_slice(b"x")
+                })
+                .wait()
                 .unwrap();
             assert_eq!(&reply[..], b"from-new");
             assert_eq!(client.cached_route(old_port), None);
@@ -1495,7 +1434,9 @@ mod tests {
         let client = Client::new(net.attach_open());
         let before = net.stats().snapshot();
         let results = client
-            .trans_batch(Port::new(0x7).unwrap(), Vec::new())
+            .batch(Port::new(0x7).unwrap(), 0, 0, |_, _| {
+                unreachable!("no entries")
+            })
             .unwrap();
         assert!(results.is_empty());
         assert_eq!(net.stats().snapshot().packets_sent, before.packets_sent);
@@ -1523,7 +1464,9 @@ mod tests {
         );
         let before = net.stats().snapshot();
         let results = client
-            .trans_batch(p, (0..8u8).map(|i| Bytes::from(vec![i, b'x'])).collect())
+            .batch(p, 8, 8 * 6, |i, buf| {
+                buf.extend_from_slice(&[i as u8, b'x'])
+            })
             .unwrap();
         let frames = net.stats().snapshot().packets_sent - before.packets_sent;
         assert_eq!(
@@ -1533,6 +1476,54 @@ mod tests {
         for (i, r) in results.into_iter().enumerate() {
             assert_eq!(r.unwrap(), Bytes::from(vec![b'x', i as u8]));
         }
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_over_the_entry_limit_splits_into_frames_in_request_order() {
+        const COUNT: usize = MAX_BATCH_ENTRIES + 3;
+        let net = Network::new();
+        let server = crate::ServerPort::bind(net.attach_open(), Port::new(0xB1).unwrap());
+        let p = server.put_port();
+        let t = std::thread::spawn(move || {
+            for _ in 0..COUNT {
+                let req = server.next_request().unwrap();
+                server.reply(&req, req.payload.clone());
+            }
+        });
+        let client = Client::with_config(
+            net.attach_open(),
+            RpcConfig {
+                timeout: Duration::from_secs(5),
+                attempts: 1,
+            },
+        );
+        let tap = net.tap();
+        let before = net.stats().snapshot();
+        let results = client
+            .batch(p, COUNT, 8 * COUNT, |i, buf| {
+                buf.extend_from_slice(&(i as u32).to_be_bytes())
+            })
+            .unwrap();
+        let sent = net.stats().snapshot() - before;
+        assert_eq!(results.len(), COUNT);
+        for (i, r) in results.into_iter().enumerate() {
+            assert_eq!(r.unwrap()[..], (i as u32).to_be_bytes(), "entry {i}");
+        }
+        let (mut requests, mut replies) = (0, 0);
+        while let Ok(pkt) = tap.try_recv() {
+            match Frame::decode(&pkt.payload) {
+                Some(Frame::BatchRequest { .. }) => requests += 1,
+                Some(Frame::BatchReply { .. }) => replies += 1,
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(
+            (requests, replies),
+            (2, 2),
+            "{COUNT} entries: two frames each way"
+        );
+        assert_eq!(sent.packets_sent, 4);
         t.join().unwrap();
     }
 

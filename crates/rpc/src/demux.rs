@@ -20,7 +20,7 @@
 //!   table, no allocation.
 //! * Each slot owns one **pooled mailbox** (created once, in a
 //!   `OnceLock`, reused by every transaction that occupies the slot),
-//!   so `trans_async` performs zero channel construction in steady
+//!   so `Client::start` performs zero channel construction in steady
 //!   state.
 //! * Recycled bindings park on an **indexed freelist** — a Treiber
 //!   stack of slot indices whose head packs a version counter against

@@ -19,7 +19,7 @@
 //!   exposes [`Locator::invalidate_machine`] so failover code can drop
 //!   a dead replica without losing the survivors. The hit/miss
 //!   counters feed the match-making benchmark.
-//! * **Batching** ([`Client::trans_batch`]) ships many request bodies
+//! * **Batching** ([`Client::batch`]) ships many request bodies
 //!   in one wire frame; servers explode batches across their worker
 //!   pool and fan replies back into one frame. The wire layout is
 //!   specified in `docs/PROTOCOL.md`.

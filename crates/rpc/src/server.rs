@@ -708,7 +708,11 @@ mod tests {
         );
         let before = net.stats().snapshot();
         let bodies: Vec<Bytes> = (0..12u8).map(|i| Bytes::from(vec![i])).collect();
-        let results = client.trans_batch(p, bodies.clone()).unwrap();
+        let results = client
+            .batch(p, bodies.len(), 5 * bodies.len(), |i, buf| {
+                buf.extend_from_slice(&bodies[i])
+            })
+            .unwrap();
         for (expect, got) in bodies.iter().zip(&results) {
             assert_eq!(got.as_ref().unwrap(), expect);
         }
@@ -777,7 +781,11 @@ mod tests {
                         let single = body(c, r, BATCH);
                         assert_eq!(client.trans(p, single.clone()).unwrap(), single);
                         let bodies: Vec<Bytes> = (0..BATCH).map(|e| body(c, r, e)).collect();
-                        let replies = client.trans_batch(p, bodies.clone()).unwrap();
+                        let replies = client
+                            .batch(p, bodies.len(), 16 * bodies.len(), |i, buf| {
+                                buf.extend_from_slice(&bodies[i])
+                            })
+                            .unwrap();
                         for (sent, got) in bodies.iter().zip(replies) {
                             assert_eq!(&got.unwrap(), sent);
                         }

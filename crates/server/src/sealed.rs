@@ -22,7 +22,7 @@ use crate::proto::{null_cap, Reply, Request, Status};
 use crate::service::{decode_reply, send_reply, RequestCtx, Service, ServiceRunner};
 use amoeba_cap::Capability;
 use amoeba_net::{Endpoint, Network, Port};
-use amoeba_rpc::{Client, RpcConfig};
+use amoeba_rpc::Client;
 use amoeba_softprot::matrix::SealError;
 use amoeba_softprot::{CapSealer, SealedCap};
 use bytes::Bytes;
@@ -150,20 +150,6 @@ impl SealedServiceClient {
         &self.sealer
     }
 
-    /// With explicit RPC configuration.
-    pub fn open_with_config(
-        net: &Network,
-        config: RpcConfig,
-        sealer: Arc<CapSealer>,
-        server_machine: amoeba_net::MachineId,
-    ) -> SealedServiceClient {
-        SealedServiceClient {
-            rpc: Client::with_config(net.attach_open(), config),
-            sealer,
-            server_machine,
-        }
-    }
-
     /// Invokes `command` with a sealed capability.
     ///
     /// # Errors
@@ -205,13 +191,13 @@ impl SealedServiceClient {
     ) -> Result<Bytes, crate::ClientError> {
         // Sealed slot ‖ command ‖ params, built in place in the request
         // frame like the plain client's.
-        let raw = self.rpc.trans_with(port, None, 20 + params.len(), |buf| {
+        let raw = self.rpc.start(port, None, 20 + params.len(), |buf| {
             buf.extend_from_slice(&sealed.to_be_bytes());
             buf.extend_from_slice(&command.to_be_bytes());
             buf.extend_from_slice(&params);
         });
         self.rpc.buf_pool().release(params);
-        decode_reply(&raw?)
+        decode_reply(&raw.wait()?)
     }
 }
 

@@ -337,17 +337,6 @@ impl ServiceRunner {
         Self::spawn(endpoint, get_port, service)
     }
 
-    /// Like [`spawn_fbox`](Self::spawn_fbox) with a worker pool.
-    pub fn spawn_fbox_workers(
-        net: &Network,
-        service: impl Service,
-        workers: usize,
-    ) -> ServiceRunner {
-        let endpoint = net.attach(Arc::new(FBox::hardware(ShaOneWay)));
-        let get_port = Port::random();
-        Self::spawn_workers(endpoint, get_port, service, workers)
-    }
-
     /// The published put-port clients send to.
     pub fn put_port(&self) -> Port {
         self.put_port
@@ -502,11 +491,11 @@ impl ServiceClient {
     }
 
     /// Invokes `command` on the object named by `cap`, routing to
-    /// `cap.port`.
+    /// `cap.port`. A thin caller of [`call_with`](Self::call_with) for
+    /// a parameter blob that already exists.
     ///
     /// # Errors
-    /// [`ClientError::Rpc`] on transport failure, [`ClientError::Status`]
-    /// for any non-OK server status.
+    /// As for [`call_with`](Self::call_with).
     pub fn call(
         &self,
         cap: &Capability,
@@ -520,7 +509,7 @@ impl ServiceClient {
     /// public server).
     ///
     /// # Errors
-    /// As for [`call`](Self::call).
+    /// As for [`call_with`](Self::call_with).
     pub fn call_anonymous(
         &self,
         port: Port,
@@ -531,10 +520,13 @@ impl ServiceClient {
     }
 
     /// Invokes `command` at an explicit port (when the capability's port
-    /// field should not be trusted for routing).
+    /// field should not be trusted for routing). The blob is released
+    /// once the frame holds its copy (reclaimed only if this was the
+    /// last handle — params are often slices of buffers owned
+    /// elsewhere).
     ///
     /// # Errors
-    /// As for [`call`](Self::call).
+    /// As for [`call_with`](Self::call_with).
     pub fn call_at(
         &self,
         port: Port,
@@ -542,108 +534,49 @@ impl ServiceClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, ClientError> {
-        self.call_prebuilt(port, None, cap, command, params)
+        let reply = self.call_with(port, None, cap, command, params.len(), |w| w.raw(&params));
+        self.rpc.buf_pool().release(params);
+        reply
     }
 
-    /// The in-place call every other variant goes through: the request
-    /// frame is built in **one** pooled buffer — tag, `cap`, `command`,
-    /// then whatever `params` appends (`len` bytes; a capacity hint) —
-    /// and sent to `port`, delivered only to `machine` when one is
-    /// named. Typed clients with payload-sized parameters (a file
-    /// write) call this directly, so the caller's slice is copied once,
-    /// into the frame.
+    /// The one blocking call: the request frame is built in **one**
+    /// pooled buffer — tag, `cap`, `command`, then whatever `params`
+    /// appends (`len` bytes; a capacity hint) — and sent to `port`,
+    /// delivered only to `target` when one is named (the replica a
+    /// placement policy picked among the machines serving `port`).
+    /// Typed clients with payload-sized parameters (a file write) call
+    /// this directly, so the caller's slice is copied once, into the
+    /// frame.
     ///
     /// # Errors
-    /// As for [`call`](Self::call).
+    /// [`ClientError::Rpc`] on transport failure — a dead `target`
+    /// surfaces as `Rpc(RpcError::Timeout)` — and
+    /// [`ClientError::Status`] for any non-OK server status.
     pub fn call_with(
         &self,
         port: Port,
-        machine: Option<MachineId>,
+        target: Option<MachineId>,
         cap: &Capability,
         command: u32,
         len: usize,
         params: impl FnOnce(wire::FrameWriter<'_>) -> wire::FrameWriter<'_>,
     ) -> Result<Bytes, ClientError> {
-        let raw = self.rpc.trans_with(port, machine, 20 + len, |buf| {
-            Request::encode_with(buf, cap, command, params);
-        })?;
+        let raw = self
+            .rpc
+            .start(port, target, 20 + len, |buf| {
+                Request::encode_with(buf, cap, command, params);
+            })
+            .wait()?;
         decode_reply(&raw)
-    }
-
-    /// [`call_with`](Self::call_with) for a parameter blob that already
-    /// exists; the blob is released once the frame holds its copy
-    /// (reclaimed only if this was the last handle — params are often
-    /// slices of buffers owned elsewhere).
-    fn call_prebuilt(
-        &self,
-        port: Port,
-        machine: Option<MachineId>,
-        cap: &Capability,
-        command: u32,
-        params: Bytes,
-    ) -> Result<Bytes, ClientError> {
-        let reply = self.call_with(port, machine, cap, command, params.len(), |w| {
-            w.raw(&params)
-        });
-        self.rpc.buf_pool().release(params);
-        reply
-    }
-
-    /// Invokes `command` on the object named by `cap`, delivered only
-    /// to `machine` — the replica a placement policy picked among the
-    /// machines serving `cap.port`. Semantics are otherwise identical
-    /// to [`call`](Self::call).
-    ///
-    /// # Errors
-    /// As for [`call`](Self::call); a dead replica surfaces as
-    /// `ClientError::Rpc(RpcError::Timeout)`.
-    pub fn call_on(
-        &self,
-        machine: MachineId,
-        cap: &Capability,
-        command: u32,
-        params: Bytes,
-    ) -> Result<Bytes, ClientError> {
-        self.call_at_on(cap.port, machine, cap, command, params)
-    }
-
-    /// Invokes a capability-less command at `port`, delivered only to
-    /// `machine` (the targeted variant of
-    /// [`call_anonymous`](Self::call_anonymous)).
-    ///
-    /// # Errors
-    /// As for [`call_on`](Self::call_on).
-    pub fn call_anonymous_on(
-        &self,
-        port: Port,
-        machine: MachineId,
-        command: u32,
-        params: Bytes,
-    ) -> Result<Bytes, ClientError> {
-        self.call_at_on(port, machine, &null_cap(), command, params)
-    }
-
-    /// The fully general machine-targeted call: `command` with `cap`,
-    /// routed to `port`, delivered only to `machine`. The other
-    /// targeted variants and the cluster failover client delegate
-    /// here.
-    ///
-    /// # Errors
-    /// As for [`call_on`](Self::call_on).
-    pub fn call_at_on(
-        &self,
-        port: Port,
-        machine: MachineId,
-        cap: &Capability,
-        command: u32,
-        params: Bytes,
-    ) -> Result<Bytes, ClientError> {
-        self.call_prebuilt(port, Some(machine), cap, command, params)
     }
 
     /// Invokes many commands at `port` in **one wire frame**
     /// (`BATCH_REQUEST`; see `docs/PROTOCOL.md`), returning one result
-    /// per call in request order.
+    /// per call in request order: `entry(i, buf)` appends request `i`
+    /// — with [`Request::encode_with`] — straight into the frame, which
+    /// is taken sized for `count` requests carrying `len` bytes of
+    /// params between them, so each payload is copied once, into the
+    /// frame.
     ///
     /// The server dispatches the entries across its worker pool and
     /// fans the replies back into a single frame, so a batch of N calls
@@ -654,34 +587,7 @@ impl ServiceClient {
     /// # Errors
     /// A top-level [`ClientError::Rpc`] if the batch itself could not
     /// be transacted (timeout, detached endpoint).
-    pub fn call_batch(
-        &self,
-        port: Port,
-        calls: Vec<(Capability, u32, Bytes)>,
-    ) -> Result<Vec<Result<Bytes, ClientError>>, ClientError> {
-        let len = calls.iter().map(|(_, _, p)| p.len()).sum();
-        let results = self.call_batch_with(port, calls.len(), len, |i, buf| {
-            let (cap, command, params) = &calls[i];
-            Request::encode_with(buf, cap, *command, |w| w.raw(params));
-        });
-        // The frame holds copies; the blobs go back to their pools.
-        for (_, _, params) in calls {
-            self.rpc.buf_pool().release(params);
-        }
-        results
-    }
-
-    /// The in-place batch call [`call_batch`](Self::call_batch) goes
-    /// through: `entry(i, buf)` appends request `i` — with
-    /// [`Request::encode_with`] — straight into the one `BATCH_REQUEST`
-    /// frame, which is taken sized for `count` requests carrying `len`
-    /// bytes of params between them. Typed clients whose entries carry
-    /// payloads (a file server's write scatters) call this directly, so
-    /// each payload is copied once, into the frame.
-    ///
-    /// # Errors
-    /// As for [`call_batch`](Self::call_batch).
-    pub fn call_batch_with(
+    pub fn batch(
         &self,
         port: Port,
         count: usize,
@@ -689,9 +595,7 @@ impl ServiceClient {
         entry: impl FnMut(usize, &mut bytes::BytesMut),
     ) -> Result<Vec<Result<Bytes, ClientError>>, ClientError> {
         // Per entry: a 4-byte length prefix, capability and command.
-        let results = self
-            .rpc
-            .trans_batch_with(port, count, 24 * count + len, entry)?;
+        let results = self.rpc.batch(port, count, 24 * count + len, entry)?;
         Ok(results
             .into_iter()
             .map(|entry| decode_reply(&entry?))

@@ -16,6 +16,7 @@
 use amoeba::bank::{BankClient, BankServer, Currency, CurrencyId};
 use amoeba::block::{BlockServer, DiskConfig};
 use amoeba::cap::schemes::SchemeKind;
+use amoeba::cluster::{ClusterClient, ServiceCluster};
 use amoeba::crypto::oneway;
 use amoeba::flatfs::{BlockFlatFsServer, FlatFsClient, FlatFsServer, QuotaPolicy};
 use amoeba::net::{HotPathSnapshot, Network};
@@ -150,6 +151,26 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
         "echo: {OPS} calls must add no fresh buffer and no hot lock: {echo:?}"
     );
 
+    // The same echo through a failover client on two replicas: every
+    // attempt writes the parameter blob into its own frame, and the
+    // blob goes back to the pool once, after the call.
+    let net = Network::new();
+    let cluster = ServiceCluster::spawn_open(&net, 2, 1, |_| Echo);
+    let client = ClusterClient::broadcast(&net);
+    let (replicated, _) = measure(&net, || {
+        seq += 1;
+        let params = wire::Writer::new().u64(seq).finish();
+        let body = client
+            .call_anonymous(cluster.put_port(), 0xEC40, params)
+            .expect("replicated echo");
+        assert_eq!(body[..], seq.to_be_bytes());
+    });
+    cluster.stop();
+    assert!(
+        replicated.buffer_allocs <= SETTLING && replicated.lock_acquisitions == 0,
+        "replicated echo: {OPS} calls must add no fresh buffer and no hot lock: {replicated:?}"
+    );
+
     // Metered create + destroy behind F-boxes.
     let metered = metered_leg();
     // A receiver that finds its queue empty waits on it — parked (and
@@ -204,8 +225,10 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
     );
     println!("metered create + destroy, {OPS} ops: {metered:?}");
     println!(
-        "fresh buffers per op: echo {}, metered {}, block-backed {:.2} (locks/op {:.2})",
+        "fresh buffers per op: echo {}, replicated echo {}, metered {}, block-backed {:.2} \
+         (locks/op {:.2})",
         echo.buffer_allocs,
+        replicated.buffer_allocs,
         metered.buffer_allocs,
         block_backed.buffer_allocs as f64 / OPS as f64,
         block_backed.lock_acquisitions as f64 / OPS as f64,

@@ -426,9 +426,8 @@ fn mixed_batched_and_single_traffic_hammer() {
     // deliberately forged entry inside each batch must fail alone
     // without poisoning its neighbours.
     use amoeba::flatfs::ops;
-    use amoeba::server::proto::null_cap;
+    use amoeba::server::proto::{null_cap, Request};
     use amoeba::server::wire;
-    use bytes::Bytes;
 
     const WORKERS: usize = 4;
     const ROUNDS: usize = 6;
@@ -450,11 +449,10 @@ fn mixed_batched_and_single_traffic_hammer() {
             let svc = ServiceClient::open(&net);
             for round in 0..ROUNDS {
                 // One batch: create BATCH files.
-                let creates = (0..BATCH)
-                    .map(|_| (null_cap(), ops::CREATE, Bytes::new()))
-                    .collect();
                 let caps: Vec<Capability> = svc
-                    .call_batch(port, creates)
+                    .batch(port, BATCH, 0, |_, buf| {
+                        Request::encode_with(buf, &null_cap(), ops::CREATE, |w| w)
+                    })
                     .unwrap()
                     .into_iter()
                     .map(|r| wire::Reader::new(&r.unwrap()).cap().unwrap())
@@ -462,28 +460,21 @@ fn mixed_batched_and_single_traffic_hammer() {
 
                 // One batch: write every file, with a forged-capability
                 // entry slipped into the middle.
-                let mut writes: Vec<(Capability, u32, Bytes)> = caps
+                let mut writes: Vec<(Capability, String)> = caps
                     .iter()
                     .enumerate()
-                    .map(|(i, cap)| {
-                        let tag = format!("b{t}-r{round}-f{i}");
-                        (
-                            *cap,
-                            ops::WRITE,
-                            wire::Writer::new().u64(0).bytes(tag.as_bytes()).finish(),
-                        )
-                    })
+                    .map(|(i, cap)| (*cap, format!("b{t}-r{round}-f{i}")))
                     .collect();
                 let forged = caps[0].with_check(caps[0].check ^ 0x0F0F);
-                writes.insert(
-                    BATCH / 2,
-                    (
-                        forged,
-                        ops::WRITE,
-                        wire::Writer::new().u64(0).bytes(b"evil").finish(),
-                    ),
-                );
-                let results = svc.call_batch(port, writes).unwrap();
+                writes.insert(BATCH / 2, (forged, "evil".to_string()));
+                let results = svc
+                    .batch(port, writes.len(), 64 * writes.len(), |i, buf| {
+                        let (cap, tag) = &writes[i];
+                        Request::encode_with(buf, cap, ops::WRITE, |w| {
+                            w.u64(0).bytes(tag.as_bytes())
+                        })
+                    })
+                    .unwrap();
                 for (i, r) in results.iter().enumerate() {
                     if i == BATCH / 2 {
                         assert!(
@@ -496,19 +487,19 @@ fn mixed_batched_and_single_traffic_hammer() {
                 }
 
                 // One batch: read back and verify, then destroy.
-                let reads = caps
-                    .iter()
-                    .map(|cap| (*cap, ops::READ, wire::Writer::new().u64(0).u32(64).finish()))
-                    .collect();
-                for (i, r) in svc.call_batch(port, reads).unwrap().into_iter().enumerate() {
+                let reads = svc
+                    .batch(port, BATCH, 12 * BATCH, |i, buf| {
+                        Request::encode_with(buf, &caps[i], ops::READ, |w| w.u64(0).u32(64))
+                    })
+                    .unwrap();
+                for (i, r) in reads.into_iter().enumerate() {
                     let expect = format!("b{t}-r{round}-f{i}");
                     assert_eq!(&r.unwrap()[..], expect.as_bytes());
                 }
-                let destroys = caps
-                    .iter()
-                    .map(|cap| (*cap, ops::DESTROY, Bytes::new()))
-                    .collect();
-                for r in svc.call_batch(port, destroys).unwrap() {
+                let destroys = svc.batch(port, BATCH, 0, |i, buf| {
+                    Request::encode_with(buf, &caps[i], ops::DESTROY, |w| w)
+                });
+                for r in destroys.unwrap() {
                     r.unwrap();
                 }
             }
@@ -552,7 +543,7 @@ fn batched_metered_create_shares_only_the_outer_frames() {
     // issues its independent transactions together (ROADMAP item
     // 1(c)), not a client that waits to see whether callers pile up.
     use amoeba::flatfs::ops;
-    use amoeba::server::proto::null_cap;
+    use amoeba::server::proto::{null_cap, Request};
     use amoeba::server::wire;
 
     const CALLS: u64 = 16;
@@ -611,11 +602,11 @@ fn batched_metered_create_shares_only_the_outer_frames() {
 
     // Batched: the same 16 creates in one BATCH_REQUEST frame.
     let before = net.stats().snapshot();
-    let create = wire::Writer::new().cap(&wallet).u64(1).finish();
-    let calls = (0..CALLS)
-        .map(|_| (null_cap(), ops::CREATE, create.clone()))
-        .collect();
-    let results = svc.call_batch(port, calls).unwrap();
+    let results = svc
+        .batch(port, CALLS as usize, 24 * CALLS as usize, |_, buf| {
+            Request::encode_with(buf, &null_cap(), ops::CREATE, |w| w.cap(&wallet).u64(1))
+        })
+        .unwrap();
     let batched = (net.stats().snapshot() - before).packets_sent;
     for r in results {
         let cap = wire::Reader::new(&r.unwrap()).cap().unwrap();
