@@ -1,6 +1,8 @@
 //! The live shard-migration driver: streams one [`ObjectTable`] shard
-//! from its current owner to a new one over the `TRANSFER_*` wire
-//! frames, then flips ownership without clients observing a gap.
+//! from its current owner to a new one as ordinary requests — the
+//! three standard `STD_TRANSFER_*` commands, null capability, in plain
+//! `REQUEST` frames — then flips ownership without clients observing a
+//! gap.
 //!
 //! The table-side mechanics (dirty tracking, sealing, the inflight
 //! gauge, idempotent staging) live in `amoeba_server::migrate`; this
@@ -14,7 +16,7 @@
 //! * [`run`](ShardMigration::run) — the blocking driver a control
 //!   plane ([`ElasticCluster::migrate`](crate::ElasticCluster::migrate),
 //!   so the [`Rebalancer`](crate::Rebalancer) and a drain) calls from a
-//!   thread: it waits on each transfer's reply;
+//!   thread: it waits on each op's reply;
 //! * the deterministic simulation executor, which polls it as an actor
 //!   so fault plans can crash machines *in the middle of* a migration.
 //!
@@ -25,13 +27,14 @@
 //! [`ShardMigrator`]: amoeba_server::ShardMigrator
 
 use amoeba_net::{ActorPoll, EventKind, MachineId, Port};
-use amoeba_rpc::{Client, Completion, RpcError, TransferOp};
-use amoeba_server::proto::{Reply, Status};
+use amoeba_rpc::{Client, Completion, RpcError};
+use amoeba_server::migrate::TransferOp;
+use amoeba_server::proto::{null_cap, Reply, Request, Status};
 use amoeba_server::ShardMigrator;
 use bytes::Bytes;
 use std::collections::VecDeque;
 
-/// Records per transfer chunk: small enough that one chunk frame stays
+/// Records per transfer chunk: small enough that one chunk request stays
 /// comfortably inside a single simulated packet, large enough that a
 /// populated shard ships in a handful of round trips.
 pub const CHUNK_RECORDS: usize = 64;
@@ -43,7 +46,7 @@ pub const CHUNK_RECORDS: usize = 64;
 pub const MAX_CATCHUP_ROUNDS: usize = 8;
 
 /// Why a migration did not complete. The source table is always rolled
-/// back to normal service on failure (`abort_export`), so a failed
+/// back to normal service on failure (`ShardMigrator::abort`), so a failed
 /// migration is invisible to clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrateError {
@@ -74,7 +77,7 @@ impl std::error::Error for MigrateError {}
 /// What a completed migration shipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationStats {
-    /// Total `TRANSFER_CHUNK` frames sent (snapshot + deltas).
+    /// Total `STD_TRANSFER_CHUNK` requests sent (snapshot + deltas).
     pub chunks: u32,
     /// Catch-up rounds run before the shard was sealed.
     pub catchup_rounds: usize,
@@ -95,7 +98,7 @@ enum Phase {
 ///
 /// Sequence: snapshot-copy while serving → bounded catch-up of dirty
 /// slots → seal (new requests held) → wait for in-flight handlers to
-/// drain → ship the final delta → `TRANSFER_COMMIT` (target installs
+/// drain → ship the final delta → `STD_TRANSFER_COMMIT` (target installs
 /// and adopts) → release the source shard into forwarding mode. On any
 /// transport or protocol failure the export is aborted and the source
 /// keeps serving — `xfer` ids make a retried migration idempotent on
@@ -261,12 +264,14 @@ impl<'a> ShardMigration<'a> {
             self.pending = None;
             return self.settle(reply);
         }
-        // 2. Queued ops: put the next one on the wire.
+        // 2. Queued ops: put the next one on the wire, as a request.
         if let Some(op) = self.queue.pop_front() {
-            self.pending = Some(self.client.start_transfer_to(
+            let len = 20 + op.params_len();
+            self.pending = Some(self.client.start(
                 self.target_port,
                 self.target_machine,
-                &op,
+                len,
+                |buf| Request::encode_with(buf, &null_cap(), op.command(), |w| op.write_params(w)),
             ));
             return ActorPoll::Progress;
         }

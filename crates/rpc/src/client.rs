@@ -46,7 +46,7 @@
 //! [`Client::start`] is always one frame out and one frame back.
 
 use crate::demux::{encode_reply_port, DemuxTable, RouteCache, SlotToken};
-use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp, MAX_BATCH_ENTRIES};
+use crate::frame::{self, BatchStatus, Frame, FrameKind, MAX_BATCH_ENTRIES};
 use amoeba_net::{
     splitmix64, BufPool, Endpoint, EventKind, Header, MachineId, Packet, Port, RecvError, Timestamp,
 };
@@ -305,28 +305,6 @@ impl Client {
         self.launch(dest, target, buf.freeze(), accept_reply)
     }
 
-    /// Starts a shard-transfer transaction: sends `op` to put-port
-    /// `dest` (targeted at `machine` when given) and returns the
-    /// in-flight [`Completion`] of its acknowledging reply body — the
-    /// migration's state machine polls it or waits on it. Transfer
-    /// frames ride the same at-least-once machinery as requests — the
-    /// receiving side keeps every op idempotent (see [`TransferOp`]), so
-    /// a retransmitted chunk or commit is harmless.
-    pub fn start_transfer_to(
-        &self,
-        dest: Port,
-        machine: Option<MachineId>,
-        op: &TransferOp,
-    ) -> Completion<'_, Bytes> {
-        let records = match op {
-            TransferOp::Chunk { records, .. } => records.len(),
-            _ => 0,
-        };
-        let mut buf = self.pool.take_sized(18 + records);
-        frame::encode_transfer_into(&mut buf, op);
-        self.launch(dest, machine, buf.freeze(), accept_reply)
-    }
-
     /// Performs a batch transaction: `entry(i, buf)` appends the body
     /// of entry `i` straight into the `BATCH_REQUEST` frame (its length
     /// prefix is back-patched), so `count` requests cost one pooled
@@ -572,7 +550,7 @@ enum Binding {
 }
 
 /// An in-flight transaction: the completion side of
-/// [`Client::start`] (and of [`Client::start_transfer_to`]).
+/// [`Client::start`].
 ///
 /// The handle owns the transaction's demux registration and drives the
 /// retransmission schedule. Progress is made whenever the caller calls

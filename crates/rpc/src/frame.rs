@@ -25,17 +25,10 @@
 //!   machines at once — the §3.4 transparent-distribution story scaled
 //!   horizontally. Each carries an explicit version byte
 //!   ([`CLUSTER_VERSION`]) after the tag.
-//! * **Transfer frames** (tags `0x0B`–`0x0D`, added in transfer-format
-//!   version 1): the shard-migration stream. `TRANSFER_BEGIN` opens a
-//!   transfer for one table shard, `TRANSFER_CHUNK` carries a batch of
-//!   serialised object records, and `TRANSFER_COMMIT` asks the target
-//!   to install the staged records and take ownership. Each is
-//!   acknowledged with an ordinary REPLY frame (the client machinery
-//!   correlates on the reply port alone), so the migration driver rides
-//!   the existing at-least-once transaction layer; every transfer op is
-//!   idempotent on the receiving side to make retransmission safe. Each
-//!   carries an explicit version byte ([`TRANSFER_VERSION`]) after the
-//!   tag.
+//!
+//! Nothing else has a frame of its own. Shard migration, in particular,
+//! is three standard commands in ordinary `REQUEST` frames, defined by
+//! `amoeba-server`; this layer does not know it exists.
 //!
 //! # Versioning policy
 //!
@@ -47,7 +40,8 @@
 //! understand it simply never reply, which the client's retransmission
 //! logic already handles (the sender can then fall back to single
 //! frames). New frame *kinds* take new tag values; tags are never
-//! reused.
+//! reused. Tags `0x0B`–`0x0D` are retired: they once carried shard
+//! migration, and a decoder drops them like any unknown tag.
 //!
 //! # Robustness
 //!
@@ -95,15 +89,6 @@ pub enum FrameKind {
     /// Answer to a [`FrameKind::LocateAll`]: the full replica set with
     /// per-replica loads (cluster-format v1).
     LocateReplyMulti = 10,
-    /// Opens a shard transfer: "stage records for this transfer id,
-    /// covering this table shard" (transfer-format v1).
-    TransferBegin = 11,
-    /// One batch of serialised object records within an open transfer
-    /// (transfer-format v1).
-    TransferChunk = 12,
-    /// Closes a transfer: "install the staged records and take
-    /// ownership of the shard" (transfer-format v1).
-    TransferCommit = 13,
 }
 
 impl FrameKind {
@@ -120,9 +105,6 @@ impl FrameKind {
             8 => Some(FrameKind::Unpost),
             9 => Some(FrameKind::LocateAll),
             10 => Some(FrameKind::LocateReplyMulti),
-            11 => Some(FrameKind::TransferBegin),
-            12 => Some(FrameKind::TransferChunk),
-            13 => Some(FrameKind::TransferCommit),
             _ => None,
         }
     }
@@ -147,50 +129,6 @@ pub const CLUSTER_VERSION: u8 = 1;
 /// handful of replicas per port; the cap keeps a hostile count field
 /// from driving allocations.
 pub const MAX_LOCATE_REPLICAS: usize = 32;
-
-/// The transfer-frame format version this implementation speaks
-/// (tags `0x0B`–`0x0D`). Same policy as [`BATCH_VERSION`]: bumped on
-/// any incompatible layout change; decoders drop unknown versions.
-pub const TRANSFER_VERSION: u8 = 1;
-
-/// One shard-migration operation, as carried by the transfer frames
-/// (tags `0x0B`–`0x0D`). The `xfer` id is chosen by the migration
-/// driver and keys the target's staging area, which is what makes every
-/// op idempotent under the at-least-once transaction layer: a repeated
-/// `Begin` resets the same staging entry, a repeated `Chunk` with an
-/// already-staged `seq` is acknowledged without re-staging, and a
-/// repeated `Commit` for an already-installed transfer acknowledges
-/// success again.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransferOp {
-    /// Open (or reset) the staging area for transfer `xfer`, covering
-    /// table shard `shard` on the source.
-    Begin {
-        /// Driver-chosen transfer identifier.
-        xfer: u64,
-        /// The table shard index being migrated.
-        shard: u8,
-    },
-    /// Stage chunk `seq` of transfer `xfer`; `records` is an opaque
-    /// concatenation of serialised object records (defined by
-    /// `amoeba-server`'s export surface, not by this layer).
-    Chunk {
-        /// Driver-chosen transfer identifier.
-        xfer: u64,
-        /// Chunk sequence number, starting at 0.
-        seq: u32,
-        /// Serialised object records (zero-copy slice of the frame).
-        records: Bytes,
-    },
-    /// Install the staged records of transfer `xfer` — all `chunks`
-    /// of them — and take ownership of the shard named by the `Begin`.
-    Commit {
-        /// Driver-chosen transfer identifier.
-        xfer: u64,
-        /// Total number of chunks the transfer carried.
-        chunks: u32,
-    },
-}
 
 /// One live replica of a port, as carried in a
 /// [`Frame::LocateReplyMulti`].
@@ -287,9 +225,6 @@ pub enum Frame {
         /// All live replicas (at most [`MAX_LOCATE_REPLICAS`]).
         replicas: Vec<ReplicaInfo>,
     },
-    /// A shard-migration operation (tags `0x0B`–`0x0D`), answered with
-    /// an ordinary [`Frame::Reply`].
-    Transfer(TransferOp),
 }
 
 impl Frame {
@@ -374,7 +309,6 @@ impl Frame {
                     buf.extend_from_slice(&r.load.to_be_bytes());
                 }
             }
-            Frame::Transfer(op) => encode_transfer_into(buf, op),
         }
     }
 
@@ -483,31 +417,6 @@ impl Frame {
                 }
                 (at == rest.len()).then_some(Frame::LocateReplyMulti { port, replicas })
             }
-            FrameKind::TransferBegin => {
-                let rest = transfer_body(rest)?;
-                let xfer = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let shard = *rest.get(8)?;
-                (rest.len() == 9).then_some(Frame::Transfer(TransferOp::Begin { xfer, shard }))
-            }
-            FrameKind::TransferChunk => {
-                let rest = transfer_body(rest)?;
-                let xfer = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let seq = u32::from_be_bytes(rest.get(8..12)?.try_into().ok()?);
-                let len = u32::from_be_bytes(rest.get(12..16)?.try_into().ok()?) as usize;
-                if rest.len() != 16usize.checked_add(len)? {
-                    return None; // truncated or oversized record blob
-                }
-                // Zero-copy slice of the received buffer: `rest` starts
-                // 2 bytes into `data` (tag + version byte).
-                let records = data.slice(2 + 16..2 + 16 + len);
-                Some(Frame::Transfer(TransferOp::Chunk { xfer, seq, records }))
-            }
-            FrameKind::TransferCommit => {
-                let rest = transfer_body(rest)?;
-                let xfer = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let chunks = u32::from_be_bytes(rest.get(8..12)?.try_into().ok()?);
-                (rest.len() == 12).then_some(Frame::Transfer(TransferOp::Commit { xfer, chunks }))
-            }
         }
     }
 }
@@ -517,44 +426,6 @@ impl Frame {
 /// unknown tag).
 fn cluster_body(rest: &[u8]) -> Option<&[u8]> {
     (*rest.first()? == CLUSTER_VERSION).then(|| &rest[1..])
-}
-
-/// Checks the transfer-format version byte and returns the bytes after
-/// it, or `None` for an unknown version (frame dropped, like an
-/// unknown tag).
-fn transfer_body(rest: &[u8]) -> Option<&[u8]> {
-    (*rest.first()? == TRANSFER_VERSION).then(|| &rest[1..])
-}
-
-/// Appends a transfer frame (`tag ‖ version ‖ op fields`); exposed to
-/// the client so a migration driver encodes straight into a pooled
-/// buffer.
-///
-/// # Panics
-/// Panics if a chunk's record blob is longer than `u32::MAX` — a
-/// programming error on the sending side, never reachable from
-/// received data.
-pub(crate) fn encode_transfer_into(buf: &mut BytesMut, op: &TransferOp) {
-    match op {
-        TransferOp::Begin { xfer, shard } => {
-            buf.extend_from_slice(&[FrameKind::TransferBegin as u8, TRANSFER_VERSION]);
-            buf.extend_from_slice(&xfer.to_be_bytes());
-            buf.extend_from_slice(&[*shard]);
-        }
-        TransferOp::Chunk { xfer, seq, records } => {
-            buf.extend_from_slice(&[FrameKind::TransferChunk as u8, TRANSFER_VERSION]);
-            buf.extend_from_slice(&xfer.to_be_bytes());
-            buf.extend_from_slice(&seq.to_be_bytes());
-            let len = u32::try_from(records.len()).expect("transfer chunk fits in u32");
-            buf.extend_from_slice(&len.to_be_bytes());
-            buf.extend_from_slice(records);
-        }
-        TransferOp::Commit { xfer, chunks } => {
-            buf.extend_from_slice(&[FrameKind::TransferCommit as u8, TRANSFER_VERSION]);
-            buf.extend_from_slice(&xfer.to_be_bytes());
-            buf.extend_from_slice(&chunks.to_be_bytes());
-        }
-    }
 }
 
 /// Appends a BATCH_REQUEST frame from a borrowed entry table, so the
@@ -1024,133 +895,6 @@ mod tests {
             *b = 0;
         }
         assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-    }
-
-    #[test]
-    fn transfer_frame_roundtrips() {
-        let frames = [
-            Frame::Transfer(TransferOp::Begin {
-                xfer: 0xFEED_F00D_0000_0001,
-                shard: 13,
-            }),
-            Frame::Transfer(TransferOp::Chunk {
-                xfer: 0xFEED_F00D_0000_0001,
-                seq: 2,
-                records: Bytes::from_static(b"opaque record bytes"),
-            }),
-            Frame::Transfer(TransferOp::Chunk {
-                xfer: 1,
-                seq: 0,
-                records: Bytes::new(),
-            }),
-            Frame::Transfer(TransferOp::Commit {
-                xfer: 0xFEED_F00D_0000_0001,
-                chunks: 3,
-            }),
-        ];
-        for f in frames {
-            assert_eq!(Frame::decode(&f.encode()), Some(f));
-        }
-    }
-
-    /// The transfer example frames from `docs/PROTOCOL.md`, byte for
-    /// byte. If this fails, either the encoder or the documentation is
-    /// wrong — fix whichever diverged.
-    #[test]
-    fn documented_transfer_example_frames() {
-        // PROTOCOL.md "Worked example (transfer frames)": transfer
-        // 0x000000000000002A opens for table shard 5.
-        let documented: &[u8] = &[
-            0x0B, // tag: TRANSFER_BEGIN
-            0x01, // transfer-format version 1
-            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // xfer 42
-            0x05, // shard 5
-        ];
-        let expect = Frame::Transfer(TransferOp::Begin { xfer: 42, shard: 5 });
-        assert_eq!(expect.encode(), Bytes::from_static(documented));
-        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
-
-        // Chunk 0 of the same transfer, carrying three record bytes.
-        let documented: &[u8] = &[
-            0x0C, // tag: TRANSFER_CHUNK
-            0x01, // transfer-format version 1
-            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // xfer 42
-            0x00, 0x00, 0x00, 0x00, // seq 0
-            0x00, 0x00, 0x00, 0x03, // record blob length 3
-            0xAA, 0xBB, 0xCC, // record bytes (opaque)
-        ];
-        let expect = Frame::Transfer(TransferOp::Chunk {
-            xfer: 42,
-            seq: 0,
-            records: Bytes::from_static(&[0xAA, 0xBB, 0xCC]),
-        });
-        assert_eq!(expect.encode(), Bytes::from_static(documented));
-        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
-
-        // The commit: one chunk in total.
-        let documented: &[u8] = &[
-            0x0D, // tag: TRANSFER_COMMIT
-            0x01, // transfer-format version 1
-            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // xfer 42
-            0x00, 0x00, 0x00, 0x01, // chunk count 1
-        ];
-        let expect = Frame::Transfer(TransferOp::Commit {
-            xfer: 42,
-            chunks: 1,
-        });
-        assert_eq!(expect.encode(), Bytes::from_static(documented));
-        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
-    }
-
-    #[test]
-    fn hostile_transfer_frames_rejected() {
-        let begin = Frame::Transfer(TransferOp::Begin { xfer: 7, shard: 1 }).encode();
-
-        // Unknown transfer-format version.
-        let mut bad = begin.to_vec();
-        bad[1] = 2;
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Truncated BEGIN (missing the shard byte).
-        assert_eq!(
-            Frame::decode(&Bytes::from(begin[..begin.len() - 1].to_vec())),
-            None
-        );
-        // Trailing garbage on a fixed-size transfer frame.
-        let mut bad = begin.to_vec();
-        bad.push(0);
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        let chunk = Frame::Transfer(TransferOp::Chunk {
-            xfer: 7,
-            seq: 0,
-            records: Bytes::from_static(b"abc"),
-        })
-        .encode();
-
-        // Record-blob length overruns the buffer.
-        let mut bad = chunk.to_vec();
-        bad[17] = 0xFF;
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Record-blob length ~u32::MAX must not overflow offset math.
-        let mut bad = chunk.to_vec();
-        for b in &mut bad[14..18] {
-            *b = 0xFF;
-        }
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Record-blob shorter than its length field claims.
-        let mut bad = chunk.to_vec();
-        bad.truncate(bad.len() - 1);
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Truncated COMMIT (missing the chunk count).
-        let commit = Frame::Transfer(TransferOp::Commit { xfer: 7, chunks: 2 }).encode();
-        assert_eq!(
-            Frame::decode(&Bytes::from(commit[..commit.len() - 2].to_vec())),
-            None
-        );
     }
 
     #[test]

@@ -67,8 +67,8 @@ mod server;
 pub use client::{BatchResult, Client, Completion, RpcConfig, RpcError};
 
 pub use frame::{
-    BatchReplyEntry, BatchStatus, Frame, FrameKind, ReplicaInfo, TransferOp, BATCH_VERSION,
-    CLUSTER_VERSION, MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS, TRANSFER_VERSION,
+    BatchReplyEntry, BatchStatus, Frame, FrameKind, ReplicaInfo, BATCH_VERSION, CLUSTER_VERSION,
+    MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS,
 };
 pub use locate::{Locator, PlacementPolicy, Replica, ReplicaCache};
 pub use matchmaker::{Matchmaker, RendezvousNode};

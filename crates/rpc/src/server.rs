@@ -8,8 +8,8 @@
 //! * At most one worker at a time is the *pump* (a lock-free atomic
 //!   flag decides — a single compare-exchange, no mutex): it takes
 //!   packets off the endpoint's queue and decodes them. **The pump
-//!   serves what it decodes**: a single-frame request (or transfer
-//!   frame) is returned straight to the pumping worker, which releases
+//!   serves what it decodes**: a single-frame request is returned
+//!   straight to the pumping worker, which releases
 //!   the role and runs the handler — no queue hop, no wake. Only a
 //!   `BATCH_REQUEST` frame uses the internal MPMC *ready queue*: it is
 //!   **exploded** into one entry per batch element, so the elements
@@ -41,7 +41,7 @@
 //! The server loop also transparently answers broadcast LOCATE queries
 //! for its port, implementing the software match-making of §2.2.
 
-use crate::frame::{self, BatchStatus, Frame, FrameKind, TransferOp};
+use crate::frame::{self, BatchStatus, Frame, FrameKind};
 use amoeba_net::{BufPool, Endpoint, Header, HotMutex, MachineId, Port, RecvError, Timestamp};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -73,10 +73,6 @@ pub struct IncomingRequest {
     /// Present when this request arrived as one entry of a batch frame;
     /// routes the reply into the batch's fan-in accumulator.
     batch: Option<BatchSlot>,
-    /// Present when this request arrived as a transfer frame (shard
-    /// migration); `payload` is empty and the dispatch layer routes the
-    /// op to the service's migrator instead of its request handler.
-    transfer: Option<TransferOp>,
 }
 
 impl IncomingRequest {
@@ -84,13 +80,6 @@ impl IncomingRequest {
     /// `BATCH_REQUEST` frame, `None` for a single-frame request.
     pub fn batch_context(&self) -> Option<(u32, u16)> {
         self.batch.as_ref().map(|s| (s.acc.id, s.index))
-    }
-
-    /// The shard-migration op when this "request" arrived as a transfer
-    /// frame, `None` for an ordinary request. Transfer ops are answered
-    /// with [`ServerPort::reply`] like any other request.
-    pub fn transfer_op(&self) -> Option<&TransferOp> {
-        self.transfer.as_ref()
     }
 }
 
@@ -390,25 +379,20 @@ impl ServerPort {
         }
     }
 
-    /// Decodes one packet. A single-frame request or transfer comes
-    /// back for the pumping worker to serve itself; a batch frame's
-    /// entries go onto the ready queue for the whole pool; anything
-    /// else is answered or dropped here.
+    /// Decodes one packet. A single-frame request comes back for the
+    /// pumping worker to serve itself; a batch frame's entries go onto
+    /// the ready queue for the whole pool; anything else is answered or
+    /// dropped here.
     fn process(&self, pkt: amoeba_net::Packet) -> Option<IncomingRequest> {
-        let single = |payload, transfer| IncomingRequest {
-            payload,
-            reply_to: pkt.header.reply,
-            signature: signature_of(&pkt),
-            source: pkt.source,
-            batch: None,
-            transfer,
-        };
         match Frame::decode(&pkt.payload) {
             Some(Frame::Request(body)) if pkt.header.dest == self.wire_port => {
-                Some(single(body, None))
-            }
-            Some(Frame::Transfer(op)) if pkt.header.dest == self.wire_port => {
-                Some(single(Bytes::new(), Some(op)))
+                Some(IncomingRequest {
+                    payload: body,
+                    reply_to: pkt.header.reply,
+                    signature: signature_of(&pkt),
+                    source: pkt.source,
+                    batch: None,
+                })
             }
             Some(Frame::BatchRequest { id, entries }) if pkt.header.dest == self.wire_port => {
                 // One-way batches (null reply port) are dispatched with
@@ -432,7 +416,6 @@ impl ServerPort {
                             acc: Arc::clone(acc),
                             index: index as u16,
                         }),
-                        transfer: None,
                     });
                 }
                 None

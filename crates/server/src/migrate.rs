@@ -6,8 +6,8 @@
 //!
 //! 1. **Track** — [`begin_export`] flips the shard into dirty-tracking
 //!    mode: every mutation records its slot while the driver streams a
-//!    full snapshot to the target (`TRANSFER_BEGIN` + `TRANSFER_CHUNK`
-//!    frames, staged there keyed by transfer id).
+//!    full snapshot to the target (a [`STD_TRANSFER_BEGIN`] request,
+//!    then [`STD_TRANSFER_CHUNK`]s, staged there keyed by transfer id).
 //! 2. **Catch up** — the driver repeatedly drains [`take_dirty`] and
 //!    ships delta chunks until the dirty set runs dry.
 //! 3. **Seal** — [`seal`] closes the shard: newly dispatched requests
@@ -16,7 +16,7 @@
 //!    transport contract already). The driver waits for [`inflight`]
 //!    to reach zero, drains the final dirty delta, and commits.
 //! 4. **Flip** — the target installs the staged records and adopts the
-//!    shard ([`handle_transfer`] with `TRANSFER_COMMIT`); the source
+//!    shard ([`handle_transfer`] with [`STD_TRANSFER_COMMIT`]); the source
 //!    [`release`]s it into forwarding mode, relaying the held
 //!    retransmissions (and any stale-map traffic) straight to the new
 //!    owner, which replies directly to the client.
@@ -43,11 +43,22 @@
 //! [`inflight`]: ShardMigrator::inflight
 //! [`release`]: ShardMigrator::release
 //! [`handle_transfer`]: ShardMigrator::handle_transfer
+//! [`STD_TRANSFER_BEGIN`]: cmd::STD_TRANSFER_BEGIN
+//! [`STD_TRANSFER_CHUNK`]: cmd::STD_TRANSFER_CHUNK
+//! [`STD_TRANSFER_COMMIT`]: cmd::STD_TRANSFER_COMMIT
+//!
+//! # Migration ops are ordinary requests
+//!
+//! The three ops are standard requests with the null capability (see
+//! `docs/PROTOCOL.md`, "Migration bodies"). Dispatch hands them to the
+//! migrator before any shard disposition, so they are never held or
+//! forwarded; without a migrator, `ObjectTable::handle_std` refuses them.
 
-use crate::proto::{Reply, Request};
+use crate::proto::{cmd, Reply, Request};
+use crate::wire::{Reader, Writer};
 use amoeba_net::Port;
-use amoeba_rpc::TransferOp;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+use std::borrow::BorrowMut;
 
 /// What the dispatch layer should do with a request, given the
 /// migration mode of the shard its capability addresses.
@@ -141,26 +152,131 @@ pub(crate) fn decode_records<T: MigrateData>(mut bytes: &[u8]) -> Option<Vec<Rec
     Some(records)
 }
 
+/// One shard-migration op: the params of a `STD_TRANSFER_*` request.
+/// The `xfer` id is chosen by the migration driver and keys the
+/// target's staging area, which is what makes every op idempotent under
+/// the at-least-once transaction layer: a repeated `Begin` resets the
+/// same staging entry, a repeated `Chunk` with an already-staged `seq`
+/// is acknowledged without re-staging, and a repeated `Commit` for an
+/// already-installed transfer acknowledges success again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TransferOp {
+    /// Open (or reset) the staging area for transfer `xfer`, covering
+    /// table shard `shard` on the source.
+    Begin {
+        /// Driver-chosen transfer identifier.
+        xfer: u64,
+        /// The table shard index being migrated.
+        shard: u8,
+    },
+    /// Stage chunk `seq` of transfer `xfer`; `records` is a
+    /// concatenation of serialised object records.
+    Chunk {
+        /// Driver-chosen transfer identifier.
+        xfer: u64,
+        /// Chunk sequence number, starting at 0.
+        seq: u32,
+        /// Serialised object records (zero-copy slice of the request
+        /// frame).
+        records: Bytes,
+    },
+    /// Install the staged records of transfer `xfer` — all `chunks`
+    /// of them — and take ownership of the shard named by the `Begin`.
+    Commit {
+        /// Driver-chosen transfer identifier.
+        xfer: u64,
+        /// Total number of chunks the transfer carried.
+        chunks: u32,
+    },
+}
+
+impl TransferOp {
+    /// The standard command that carries this op.
+    pub fn command(&self) -> u32 {
+        match self {
+            TransferOp::Begin { .. } => cmd::STD_TRANSFER_BEGIN,
+            TransferOp::Chunk { .. } => cmd::STD_TRANSFER_CHUNK,
+            TransferOp::Commit { .. } => cmd::STD_TRANSFER_COMMIT,
+        }
+    }
+
+    /// The length of what [`write_params`](Self::write_params) appends.
+    pub fn params_len(&self) -> usize {
+        match self {
+            TransferOp::Begin { .. } => 9,
+            TransferOp::Chunk { records, .. } => 16 + records.len(),
+            TransferOp::Commit { .. } => 12,
+        }
+    }
+
+    /// Appends this op's params: `xfer ‖ shard` (one byte),
+    /// `xfer ‖ seq ‖ len ‖ records`, or `xfer ‖ chunks`.
+    pub fn write_params<B: BorrowMut<BytesMut>>(&self, w: Writer<B>) -> Writer<B> {
+        match self {
+            TransferOp::Begin { xfer, shard } => w.u64(*xfer).raw(&[*shard]),
+            TransferOp::Chunk { xfer, seq, records } => w.u64(*xfer).u32(*seq).bytes(records),
+            TransferOp::Commit { xfer, chunks } => w.u64(*xfer).u32(*chunks),
+        }
+    }
+
+    /// Decodes the op a request carries; `None` if its command is not
+    /// one of the three or its params are malformed (truncated, a
+    /// record length past the end, trailing bytes). A chunk's records
+    /// are a slice of the request, not a copy.
+    pub fn decode(req: &Request) -> Option<TransferOp> {
+        let mut r = Reader::new(&req.params);
+        let xfer = r.u64()?;
+        let op = match req.command {
+            cmd::STD_TRANSFER_BEGIN => {
+                let &[shard] = r.remainder() else {
+                    return None;
+                };
+                return Some(TransferOp::Begin { xfer, shard });
+            }
+            cmd::STD_TRANSFER_CHUNK => {
+                let seq = r.u32()?;
+                let len = r.bytes()?.len();
+                TransferOp::Chunk {
+                    xfer,
+                    seq,
+                    records: req.params.slice(16..16 + len),
+                }
+            }
+            cmd::STD_TRANSFER_COMMIT => TransferOp::Commit {
+                xfer,
+                chunks: r.u32()?,
+            },
+            _ => return None,
+        };
+        r.is_empty().then_some(op)
+    }
+}
+
 /// The object-safe migration handle a [`Service`] exposes so generic
 /// machinery (the dispatch loop, the cluster-layer migration driver,
 /// the rebalancer) can move its shards without knowing the service
-/// type. [`ObjectTable`] implements it whenever its payload type
-/// implements [`MigrateData`]; a service built on one table simply
-/// returns `Some(&self.table)` from [`Service::migrator`].
+/// type. It is the table's only migration API: [`ObjectTable`]
+/// implements it whenever its payload type implements
+/// [`MigrateData`], and a service built on one table simply returns
+/// `Some(&self.table)` from [`Service::migrator`].
 ///
 /// [`Service`]: crate::Service
 /// [`Service::migrator`]: crate::Service::migrator
 /// [`ObjectTable`]: crate::ObjectTable
 pub trait ShardMigrator: Send + Sync {
     /// The shard a request's capability addresses, or `None` for
-    /// anonymous requests (null or range capabilities), which are
-    /// always served locally.
+    /// anonymous capabilities (the null capability and published range
+    /// capabilities both carry no rights and a zero check field);
+    /// anonymous requests are always served locally.
     fn shard_of(&self, req: &Request) -> Option<usize>;
-    /// The dispatch disposition for a shard right now.
+    /// The dispatch disposition for a shard right now. Only sealed and
+    /// forwarded shards deviate from [`ShardDisposition::Serve`].
     fn disposition(&self, shard: usize) -> ShardDisposition;
-    /// Marks one request for `shard` as inside a handler.
+    /// Counts one request for `shard` entering a service handler.
+    /// Paired with [`exit`](Self::exit) by the dispatch layer; the
+    /// gauge lets a migration driver prove quiescence after sealing.
     fn enter(&self, shard: usize);
-    /// Marks one request for `shard` as done with its handler.
+    /// Counts one request for `shard` leaving its service handler.
     fn exit(&self, shard: usize);
     /// Requests for `shard` currently inside handlers.
     fn inflight(&self, shard: usize) -> u64;
@@ -168,30 +284,305 @@ pub trait ShardMigrator: Send + Sync {
     fn shard_count(&self) -> usize;
     /// The shards this replica currently owns (mints into).
     fn owned_shards(&self) -> Vec<usize>;
-    /// Cumulative per-shard operation counters — the load signal the
-    /// rebalancer steers by.
+    /// Cumulative operations per shard (lookups + creates) — the load
+    /// signal the rebalancer steers by. Index = shard.
     fn shard_ops(&self) -> Vec<u64>;
     /// Starts (or restarts) dirty-tracking for an export of `shard`.
-    /// `false` if the shard is sealed, already migrated away, or not
-    /// owned.
+    /// `false` if the shard is sealed, already migrated away, out of
+    /// range, or not owned by this replica.
     fn begin_export(&self, shard: usize) -> bool;
     /// Serialises records into chunk blobs of at most `max_records`
-    /// records each: the full shard when `slots` is `None`, otherwise
-    /// exactly the listed slots (absent slots become tombstones).
+    /// records each: the whole shard when `slots` is `None` (snapshot),
+    /// otherwise exactly the listed slots, with absent ones encoded as
+    /// tombstones (catch-up delta — a dirty slot whose object was
+    /// deleted must erase the target's copy).
     fn export_chunks(&self, shard: usize, slots: Option<&[u32]>, max_records: usize) -> Vec<Bytes>;
-    /// Drains the shard's dirty-slot set (sorted, deduplicated).
+    /// Drains the shard's dirty-slot set, sorted so the export stream
+    /// is deterministic for a given mutation history.
     fn take_dirty(&self, shard: usize) -> Vec<u32>;
-    /// Seals the shard for cutover: dispatch holds new requests.
+    /// Seals a tracking shard for cutover: dispatch holds new requests
+    /// while already-dispatched ones drain (watch
+    /// [`inflight`](Self::inflight)).
     fn seal(&self, shard: usize);
-    /// Completes the export: the shard leaves the owned set and
-    /// requests relay to `forward_to` (the new owner's put-port).
+    /// Completes an export: the shard leaves this replica's owned set
+    /// and every subsequent request for it is relayed to `forward_to`
+    /// (the new owner's put-port).
     fn release(&self, shard: usize, forward_to: Port);
-    /// Abandons an export: back to normal service, ownership kept.
+    /// Abandons an in-progress export: back to normal service with
+    /// ownership unchanged. No-op unless the shard is tracking or
+    /// sealed.
     fn abort(&self, shard: usize);
-    /// The import side: stages/installs transfer ops, replying with an
-    /// ordinary wire [`Reply`] (status `Ok` on success). Every op is
-    /// idempotent so retransmitted frames are harmless.
+    /// The import side, which the dispatch loop calls for the three
+    /// `STD_TRANSFER_*` requests: stages `Begin` / `Chunk` ops and
+    /// installs + adopts the shard on `Commit`. Every op is idempotent
+    /// (an op for an already-committed transfer is re-acknowledged with
+    /// `Ok`), so the driver's at-least-once transactions are safe.
+    ///
+    /// Commit is all-or-nothing: every chunk `0..chunks` must be
+    /// staged and every record must decode before anything is
+    /// installed, so a half-arrived transfer can never leave the shard
+    /// in a mixed state.
     fn handle_transfer(&self, op: &TransferOp) -> Reply;
-    /// The port requests for `shard` are being relayed to, if any.
+    /// The port requests for `shard` are being relayed to, if the
+    /// shard has been migrated away.
     fn forward_target(&self, shard: usize) -> Option<Port>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{null_cap, Status};
+    use crate::DEFAULT_SHARDS;
+    use crate::{ClientError, ObjectTable, RequestCtx, Service, ServiceClient, ServiceRunner};
+    use amoeba_cap::schemes::SchemeKind;
+    use amoeba_net::Network;
+    use amoeba_rpc::Frame;
+
+    /// A table-backed service, with or without its migrator.
+    struct Store {
+        table: ObjectTable<Vec<u8>>,
+        migrates: bool,
+    }
+
+    impl Service for Store {
+        fn bind(&mut self, put_port: Port) {
+            self.table.set_port(put_port);
+        }
+        fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
+            self.table
+                .handle_std(req)
+                .unwrap_or(Reply::status(Status::BadCommand))
+        }
+        fn migrator(&self) -> Option<&dyn ShardMigrator> {
+            self.migrates.then_some(&self.table as &dyn ShardMigrator)
+        }
+    }
+
+    fn store(net: &Network, migrates: bool) -> ServiceRunner {
+        let table = ObjectTable::unbound(SchemeKind::Commutative.instantiate());
+        ServiceRunner::spawn_open(net, Store { table, migrates })
+    }
+
+    fn params(op: &TransferOp) -> Vec<u8> {
+        op.write_params(Writer::new()).finish().to_vec()
+    }
+
+    /// The REQUEST frame a migration driver puts on the wire for `op`.
+    fn request_frame(op: &TransferOp) -> Bytes {
+        let mut frame = BytesMut::new();
+        Frame::request_with(&mut frame, |buf| {
+            Request::encode_with(buf, &null_cap(), op.command(), |w| op.write_params(w));
+        });
+        assert_eq!(frame.len(), 1 + 20 + op.params_len());
+        frame.freeze()
+    }
+
+    /// What the dispatch loop decodes from a received frame.
+    fn decode_frame(frame: &Bytes) -> Option<TransferOp> {
+        let Some(Frame::Request(body)) = Frame::decode(frame) else {
+            return None;
+        };
+        TransferOp::decode(&Request::decode(&body)?)
+    }
+
+    #[test]
+    fn transfer_frame_roundtrips() {
+        let ops = [
+            TransferOp::Begin {
+                xfer: 0xFEED_F00D_0000_0001,
+                shard: 13,
+            },
+            TransferOp::Chunk {
+                xfer: 0xFEED_F00D_0000_0001,
+                seq: 2,
+                records: Bytes::from_static(b"opaque record bytes"),
+            },
+            TransferOp::Chunk {
+                xfer: 1,
+                seq: 0,
+                records: Bytes::new(),
+            },
+            TransferOp::Commit {
+                xfer: 0xFEED_F00D_0000_0001,
+                chunks: 3,
+            },
+        ];
+        for op in ops {
+            let frame = request_frame(&op);
+            let decoded = decode_frame(&frame).expect("decodes");
+            if let TransferOp::Chunk { records, .. } = &decoded {
+                assert!(records.is_empty() || records.shares_storage(&frame));
+            }
+            assert_eq!(decoded, op);
+        }
+    }
+
+    /// The migration example frames from `docs/PROTOCOL.md`, byte for
+    /// byte. If this fails, either the encoder or the documentation is
+    /// wrong — fix whichever diverged.
+    #[test]
+    fn documented_transfer_example_frames() {
+        // PROTOCOL.md "Worked example (migration bodies)": transfer
+        // 0x000000000000002A opens for table shard 5.
+        const NULL_CAP: [u8; 16] = [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let frame = |command: [u8; 4], params: &[u8]| {
+            let mut f = vec![0x00]; // tag: REQUEST
+            f.extend_from_slice(&NULL_CAP);
+            f.extend_from_slice(&command);
+            f.extend_from_slice(params);
+            Bytes::from(f)
+        };
+        let documented = frame(
+            [0xFF, 0xFF, 0x00, 0x04], // STD_TRANSFER_BEGIN
+            &[
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // xfer 42
+                0x05, // shard 5
+            ],
+        );
+        let expect = TransferOp::Begin { xfer: 42, shard: 5 };
+        assert_eq!(documented.len(), 30);
+        assert_eq!(request_frame(&expect), documented);
+        assert_eq!(decode_frame(&documented), Some(expect));
+
+        // Chunk 0 of the same transfer, carrying three record bytes.
+        let documented = frame(
+            [0xFF, 0xFF, 0x00, 0x05], // STD_TRANSFER_CHUNK
+            &[
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // xfer 42
+                0x00, 0x00, 0x00, 0x00, // seq 0
+                0x00, 0x00, 0x00, 0x03, // record blob length 3
+                0xAA, 0xBB, 0xCC, // record bytes
+            ],
+        );
+        let expect = TransferOp::Chunk {
+            xfer: 42,
+            seq: 0,
+            records: Bytes::from_static(&[0xAA, 0xBB, 0xCC]),
+        };
+        assert_eq!(documented.len(), 40);
+        assert_eq!(request_frame(&expect), documented);
+        assert_eq!(decode_frame(&documented), Some(expect));
+
+        // The commit: one chunk in total.
+        let documented = frame(
+            [0xFF, 0xFF, 0x00, 0x06], // STD_TRANSFER_COMMIT
+            &[
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // xfer 42
+                0x00, 0x00, 0x00, 0x01, // chunk count 1
+            ],
+        );
+        let expect = TransferOp::Commit {
+            xfer: 42,
+            chunks: 1,
+        };
+        assert_eq!(documented.len(), 33);
+        assert_eq!(request_frame(&expect), documented);
+        assert_eq!(decode_frame(&documented), Some(expect));
+    }
+
+    /// Hostile params get `BadRequest` from a live dispatch and stage
+    /// nothing.
+    #[test]
+    fn hostile_transfer_frames_rejected() {
+        let net = Network::new();
+        let runner = store(&net, true);
+        let client = ServiceClient::open(&net);
+        let call = |command: u32, params: &[u8]| {
+            client.call_anonymous(runner.put_port(), command, Bytes::copy_from_slice(params))
+        };
+        let bad = Err(ClientError::Status(Status::BadRequest));
+
+        let begin = params(&TransferOp::Begin { xfer: 7, shard: 1 });
+        let chunk = params(&TransferOp::Chunk {
+            xfer: 8,
+            seq: 0,
+            records: Bytes::from_static(b"abc"),
+        });
+        let commit = params(&TransferOp::Commit { xfer: 7, chunks: 0 });
+        let mut hostile = vec![
+            // Truncated bodies.
+            (cmd::STD_TRANSFER_BEGIN, Vec::new()),
+            (cmd::STD_TRANSFER_BEGIN, begin[..begin.len() - 1].to_vec()),
+            (cmd::STD_TRANSFER_CHUNK, chunk[..15].to_vec()),
+            (
+                cmd::STD_TRANSFER_COMMIT,
+                commit[..commit.len() - 2].to_vec(),
+            ),
+            // A record blob shorter than its length field claims.
+            (cmd::STD_TRANSFER_CHUNK, chunk[..chunk.len() - 1].to_vec()),
+        ];
+        // Record lengths past the end, up to ~u32::MAX (no overflow).
+        for len in [[0, 0, 0, 0xFF], [0xFF; 4]] {
+            let mut bad = chunk.clone();
+            bad[12..16].copy_from_slice(&len);
+            hostile.push((cmd::STD_TRANSFER_CHUNK, bad));
+        }
+        // Trailing bytes.
+        for (command, good) in [
+            (cmd::STD_TRANSFER_BEGIN, &begin),
+            (cmd::STD_TRANSFER_CHUNK, &chunk),
+            (cmd::STD_TRANSFER_COMMIT, &commit),
+        ] {
+            let mut bad = good.clone();
+            bad.push(0);
+            hostile.push((command, bad));
+        }
+        for (command, p) in &hostile {
+            let req = Request {
+                cap: null_cap(),
+                command: *command,
+                params: Bytes::copy_from_slice(p),
+            };
+            assert_eq!(TransferOp::decode(&req), None, "{p:02x?}");
+        }
+        // Well-formed, but naming a shard the table does not have.
+        let out_of_range = TransferOp::Begin {
+            xfer: 7,
+            shard: DEFAULT_SHARDS as u8,
+        };
+        hostile.push((cmd::STD_TRANSFER_BEGIN, params(&out_of_range)));
+
+        // Transfer 8 is open, so a staged hostile chunk would show.
+        let open = TransferOp::Begin { xfer: 8, shard: 1 };
+        assert!(call(open.command(), &params(&open)).is_ok());
+        for (command, p) in &hostile {
+            assert_eq!(call(*command, p), bad, "{p:02x?}");
+        }
+
+        // Nothing was staged: transfer 7 never opened, and transfer 8
+        // holds no chunk 0.
+        let conflict = Err(ClientError::Status(Status::Conflict));
+        let stray = TransferOp::Chunk {
+            xfer: 7,
+            seq: 0,
+            records: Bytes::new(),
+        };
+        assert_eq!(call(stray.command(), &params(&stray)), conflict);
+        let commit8 = TransferOp::Commit { xfer: 8, chunks: 1 };
+        assert_eq!(call(commit8.command(), &params(&commit8)), conflict);
+        runner.stop();
+    }
+
+    #[test]
+    fn a_service_without_a_migrator_answers_unsupported() {
+        let net = Network::new();
+        let runner = store(&net, false);
+        let client = ServiceClient::open(&net);
+        for op in [
+            TransferOp::Begin { xfer: 1, shard: 0 },
+            TransferOp::Chunk {
+                xfer: 1,
+                seq: 0,
+                records: Bytes::new(),
+            },
+            TransferOp::Commit { xfer: 1, chunks: 0 },
+        ] {
+            assert_eq!(
+                client.call_anonymous(runner.put_port(), op.command(), Bytes::from(params(&op))),
+                Err(ClientError::Status(Status::Unsupported)),
+                "{op:?}"
+            );
+        }
+        runner.stop();
+    }
 }

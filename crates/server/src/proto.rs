@@ -28,6 +28,13 @@ pub mod cmd {
     /// Validate the capability and return its effective rights mask as a
     /// `u32` (diagnostics, and the cheapest possible "is this genuine?").
     pub const STD_INFO: u32 = 0xFFFF_0003;
+    /// Shard migration: open staging for a transfer. Null capability;
+    /// params and reply in [`crate::migrate::TransferOp`].
+    pub const STD_TRANSFER_BEGIN: u32 = 0xFFFF_0004;
+    /// Shard migration: stage one chunk of records.
+    pub const STD_TRANSFER_CHUNK: u32 = 0xFFFF_0005;
+    /// Shard migration: install the staged records and adopt the shard.
+    pub const STD_TRANSFER_COMMIT: u32 = 0xFFFF_0006;
 }
 
 /// A placeholder capability for capability-less requests.

@@ -19,11 +19,10 @@
 //! ```
 
 use crate::proto::{null_cap, Reply, Request, Status};
-use crate::service::{decode_reply, send_reply, RequestCtx, Service, ServiceRunner};
+use crate::service::{decode_reply, recorded, send_reply, RequestCtx, Service, ServiceRunner};
 use amoeba_cap::Capability;
 use amoeba_net::{Endpoint, Network, Port};
 use amoeba_rpc::Client;
-use amoeba_softprot::matrix::SealError;
 use amoeba_softprot::{CapSealer, SealedCap};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -43,43 +42,43 @@ fn decode_sealed(data: &Bytes) -> Option<(u128, u32, Bytes)> {
 }
 
 /// Serve one sealed request: unseal the capability slot with the key
-/// selected by the packet's unforgeable source, dispatch, reply.
+/// selected by the packet's unforgeable source, dispatch, reply. There
+/// is no migration dispatch here: `handle` sees (and refuses) the
+/// `STD_TRANSFER_*` requests.
 fn serve_sealed_one(
     service: &dyn Service,
     sealer: &CapSealer,
     server: &amoeba_rpc::ServerPort,
     incoming: &amoeba_rpc::IncomingRequest,
 ) {
-    let ctx = RequestCtx {
-        source: incoming.source,
-        signature: incoming.signature,
-    };
-    let reply = match decode_sealed(&incoming.payload) {
-        None => Reply::status(Status::BadRequest),
-        Some((sealed, command, params)) => {
-            let cap = if sealed == ANONYMOUS {
-                Ok(null_cap())
-            } else {
-                match sealer.unseal(SealedCap(sealed), incoming.source) {
-                    Ok(cap) => Ok(cap),
-                    Err(SealError::Garbage) => Err(Status::Forged),
-                    Err(SealError::NoKey) => Err(Status::Forged),
+    recorded(server, incoming, || {
+        let ctx = RequestCtx {
+            source: incoming.source,
+            signature: incoming.signature,
+        };
+        let reply = match decode_sealed(&incoming.payload) {
+            None => Reply::status(Status::BadRequest),
+            Some((sealed, command, params)) => {
+                // Garbage and a missing key alike mean a forged capability.
+                let cap = match sealed {
+                    ANONYMOUS => Ok(null_cap()),
+                    _ => sealer.unseal(SealedCap(sealed), incoming.source),
+                };
+                match cap {
+                    Ok(cap) => service.handle(
+                        &Request {
+                            cap,
+                            command,
+                            params,
+                        },
+                        &ctx,
+                    ),
+                    Err(_) => Reply::status(Status::Forged),
                 }
-            };
-            match cap {
-                Ok(cap) => service.handle(
-                    &Request {
-                        cap,
-                        command,
-                        params,
-                    },
-                    &ctx,
-                ),
-                Err(status) => Reply::status(status),
             }
-        }
-    };
-    send_reply(server, incoming, reply);
+        };
+        send_reply(server, incoming, reply);
+    });
 }
 
 impl ServiceRunner {

@@ -1,11 +1,12 @@
 //! The service loop and the client used to call services.
 
-use crate::proto::{null_cap, Reply, Request, Status};
+use crate::migrate::TransferOp;
+use crate::proto::{cmd, null_cap, Reply, Request, Status};
 use crate::wire;
 use amoeba_cap::{Capability, Rights};
 use amoeba_crypto::oneway::ShaOneWay;
 use amoeba_fbox::FBox;
-use amoeba_net::{Endpoint, EventKind, MachineId, Network, Port};
+use amoeba_net::{Counter, Endpoint, EventKind, MachineId, Metrics, Network, Port};
 use amoeba_rpc::{Client, IncomingRequest, RpcConfig, RpcError, ServerPort};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -56,7 +57,8 @@ pub trait Service: Send + Sync + 'static {
     /// The live-migration handle for this service's shards, if any.
     /// Returning `Some` opts the dispatch layer into per-request shard
     /// dispositions (serve / hold / forward during a cutover) and into
-    /// answering `TRANSFER_*` frames — see [`crate::migrate`]. Services
+    /// answering the three `STD_TRANSFER_*` requests, which then never
+    /// reach [`handle`](Self::handle) — see [`crate::migrate`]. Services
     /// built on one [`ObjectTable`](crate::ObjectTable) of
     /// [`MigrateData`](crate::MigrateData) return `Some(&self.table)`.
     fn migrator(&self) -> Option<&dyn crate::migrate::ShardMigrator> {
@@ -104,55 +106,47 @@ pub(crate) fn serve_one(
     server: &ServerPort,
     incoming: &IncomingRequest,
 ) {
-    let ctx = RequestCtx {
-        source: incoming.source,
-        signature: incoming.signature,
-    };
-    let endpoint = server.endpoint();
-    let obs = endpoint.obs();
-    if obs.enabled() {
-        obs.record(
-            EventKind::HandlerStart,
-            endpoint.now().since_epoch().as_nanos() as u64,
-            0,
-            incoming.reply_to.value(),
-            u64::from(incoming.source.as_u32()),
-        );
-        if let Some(m) = obs.metrics() {
-            m.server_requests.add(1);
-        }
-    }
-    let reply = if let Some(op) = incoming.transfer_op() {
-        // Shard-transfer frames bypass request decoding: they carry a
-        // TransferOp instead of a capability-framed body.
-        Some(match service.migrator() {
-            Some(migrator) => migrator.handle_transfer(op),
-            None => Reply::status(Status::Unsupported),
-        })
-    } else {
-        match Request::decode(&incoming.payload) {
+    recorded(server, incoming, || {
+        let ctx = RequestCtx {
+            source: incoming.source,
+            signature: incoming.signature,
+        };
+        let reply = match Request::decode(&incoming.payload) {
             Some(decoded) => dispatch(service, server, incoming, &decoded, &ctx),
             None => Some(Reply::status(Status::BadRequest)),
+        };
+        // Hold/forward dispositions answer nothing from here: held
+        // requests are retried by the client, forwarded ones are
+        // answered by the new owner.
+        if let Some(reply) = reply {
+            send_reply(server, incoming, reply);
+        }
+    });
+}
+
+/// Runs `serve` for one request between `HandlerStart` and
+/// `HandlerEnd` events, counted in `server_requests` and
+/// `handlers_completed`: plain and sealed runners record alike.
+pub(crate) fn recorded(server: &ServerPort, incoming: &IncomingRequest, serve: impl FnOnce()) {
+    let endpoint = server.endpoint();
+    let obs = endpoint.obs();
+    let record = |kind, counter: fn(&Metrics) -> &Counter| {
+        if obs.enabled() {
+            obs.record(
+                kind,
+                endpoint.now().since_epoch().as_nanos() as u64,
+                0,
+                incoming.reply_to.value(),
+                u64::from(incoming.source.as_u32()),
+            );
+            if let Some(m) = obs.metrics() {
+                counter(m).add(1);
+            }
         }
     };
-    // Hold/forward dispositions answer nothing from here: held requests
-    // are retried by the client, forwarded ones are answered by the new
-    // owner.
-    if let Some(reply) = reply {
-        send_reply(server, incoming, reply);
-    }
-    if obs.enabled() {
-        obs.record(
-            EventKind::HandlerEnd,
-            endpoint.now().since_epoch().as_nanos() as u64,
-            0,
-            incoming.reply_to.value(),
-            u64::from(incoming.source.as_u32()),
-        );
-        if let Some(m) = obs.metrics() {
-            m.handlers_completed.add(1);
-        }
-    }
+    record(EventKind::HandlerStart, |m| &m.server_requests);
+    serve();
+    record(EventKind::HandlerEnd, |m| &m.handlers_completed);
 }
 
 /// Writes `reply` (status ‖ body) straight into the reply frame — one
@@ -164,10 +158,11 @@ pub(crate) fn send_reply(server: &ServerPort, incoming: &IncomingRequest, reply:
     server.buf_pool().release(reply.body);
 }
 
-/// Routes one decoded request through the service's migration
-/// disposition (when it has a migrator): serve locally, hold during a
-/// cutover window, or relay to the shard's new owner. Returns the
-/// reply to send, or `None` when no reply leaves this machine.
+/// Routes one decoded request through the service's migrator, when it
+/// has one: a `STD_TRANSFER_*` op goes to its `handle_transfer`; any
+/// other request is served locally, held during a cutover window, or
+/// relayed to its shard's new owner. Returns the reply to send, or
+/// `None` when no reply leaves this machine.
 ///
 /// The inflight gauge brackets the *disposition read* as well as the
 /// handler: a migration driver that seals a shard and then observes
@@ -183,6 +178,12 @@ fn dispatch(
     let Some(migrator) = service.migrator() else {
         return Some(service.handle(req, ctx));
     };
+    if (cmd::STD_TRANSFER_BEGIN..=cmd::STD_TRANSFER_COMMIT).contains(&req.command) {
+        return Some(match TransferOp::decode(req) {
+            Some(op) => migrator.handle_transfer(&op),
+            None => Reply::status(Status::BadRequest),
+        });
+    }
     let Some(shard) = migrator.shard_of(req) else {
         return Some(service.handle(req, ctx));
     };

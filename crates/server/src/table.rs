@@ -12,7 +12,7 @@
 //! that can grant nothing is in docs/ARCHITECTURE.md, "What a table
 //! remembers it proved").
 
-use crate::migrate::{MigrateData, ShardDisposition};
+use crate::migrate::{MigrateData, ShardDisposition, ShardMigrator, TransferOp};
 use crate::proto::{cmd, Reply, Request, Status};
 use crate::wire;
 use amoeba_cap::schemes::{ObjectSecret, ProtectionScheme};
@@ -20,7 +20,6 @@ use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
 use amoeba_crypto::oneway::MASK48;
 use amoeba_crypto::SecretStream;
 use amoeba_net::Port;
-use amoeba_rpc::TransferOp;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -160,7 +159,7 @@ struct MigrationState {
     tag: AtomicU8,
     /// The new owner's put-port (raw value) while [`mode::FORWARDED`].
     forward_to: AtomicU64,
-    /// Slots mutated since the last [`ObjectTable::take_dirty`], kept
+    /// Slots mutated since the last [`ShardMigrator::take_dirty`], kept
     /// sorted on drain so exports are deterministic.
     dirty: Mutex<Vec<u32>>,
     /// Requests for this shard currently inside a service handler
@@ -198,7 +197,7 @@ struct Staging {
 const MAX_STAGED_TRANSFERS: usize = 8;
 
 /// How many committed transfer ids are remembered for idempotent
-/// re-acknowledgement of retransmitted `Commit`/`Begin` frames.
+/// re-acknowledgement of retransmitted `Commit`/`Begin` ops.
 const REMEMBERED_TRANSFERS: usize = 64;
 
 /// One independent stripe of the table: a slab of entries plus its own
@@ -276,7 +275,7 @@ pub struct ObjectTable<T> {
     /// transfer id.
     staging: Mutex<BTreeMap<u64, Staging>>,
     /// Recently committed transfer ids (newest last), for idempotent
-    /// acknowledgement of retransmitted transfer frames.
+    /// acknowledgement of retransmitted transfer ops.
     committed_transfers: Mutex<Vec<u64>>,
 }
 
@@ -740,7 +739,10 @@ impl<T> ObjectTable<T> {
 
     /// Answers the standard commands ([`cmd::STD_RESTRICT`],
     /// [`cmd::STD_REVOKE`], [`cmd::STD_INFO`]); returns `None` for
-    /// service-specific commands the caller should handle itself.
+    /// service-specific commands the caller should handle itself. The
+    /// three `STD_TRANSFER_*` commands get `Unsupported`: a migration
+    /// op reaches a handler only when the dispatch loop has no
+    /// [`ShardMigrator`] to give it to.
     pub fn handle_std(&self, req: &Request) -> Option<Reply> {
         match req.command {
             cmd::STD_RESTRICT => {
@@ -763,15 +765,16 @@ impl<T> ObjectTable<T> {
                 Ok(rights) => Reply::ok(wire::Writer::new().u32(rights.bits() as u32).finish()),
                 Err(e) => Reply::status(e.into()),
             }),
+            cmd::STD_TRANSFER_BEGIN..=cmd::STD_TRANSFER_COMMIT => {
+                Some(Reply::status(Status::Unsupported))
+            }
             _ => None,
         }
     }
 }
 
-/// Live shard migration: the table-side export/import machinery. The
-/// protocol narrative (tracking → catch-up → seal → flip) lives in
-/// [`crate::migrate`]; the cluster layer drives these methods over the
-/// `TRANSFER_*` wire frames.
+/// Live shard migration: private helpers of the [`ShardMigrator`] impl
+/// below, the table's only migration API (protocol in [`crate::migrate`]).
 impl<T> ObjectTable<T> {
     /// Whether this replica currently owns `shard` (may mint into it
     /// and is the authority for its objects).
@@ -782,141 +785,9 @@ impl<T> ObjectTable<T> {
         }
     }
 
-    /// The shards this replica currently owns.
-    pub fn owned_shards(&self) -> Vec<usize> {
-        match self.owned.read().as_deref() {
-            Some(owned) => owned.to_vec(),
-            None => (0..self.shards.len()).collect(),
-        }
-    }
-
-    /// Cumulative operations per shard (lookups + creates) — the load
-    /// signal the rebalancer steers by. Index = shard.
-    pub fn shard_ops(&self) -> Vec<u64> {
-        self.migration
-            .iter()
-            .map(|m| m.ops.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The shard a request's capability addresses, or `None` for
-    /// anonymous capabilities (the null capability and published range
-    /// capabilities both carry no rights and a zero check field);
-    /// anonymous requests are always served locally.
-    pub fn request_shard(&self, req: &Request) -> Option<usize> {
-        if req.cap.rights.bits() == 0 && req.cap.check == 0 {
-            return None;
-        }
-        Some(self.shard_index(req.cap.object))
-    }
-
-    /// The dispatch disposition for a shard right now. Only sealed and
-    /// forwarded shards deviate from [`ShardDisposition::Serve`].
-    pub fn disposition(&self, shard: usize) -> ShardDisposition {
-        let m = &self.migration[shard];
-        match m.tag.load(Ordering::SeqCst) {
-            mode::SEALED => ShardDisposition::Hold,
-            mode::FORWARDED => match Port::new(m.forward_to.load(Ordering::SeqCst)) {
-                Some(port) => ShardDisposition::Forward(port),
-                None => ShardDisposition::Hold,
-            },
-            _ => ShardDisposition::Serve,
-        }
-    }
-
-    /// Counts one request for `shard` entering a service handler.
-    /// Paired with [`exit_shard`](Self::exit_shard) by the dispatch
-    /// layer; the gauge lets a migration driver prove quiescence after
-    /// sealing.
-    pub fn enter_shard(&self, shard: usize) {
-        self.migration[shard]
-            .inflight
-            .fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Counts one request for `shard` leaving its service handler.
-    pub fn exit_shard(&self, shard: usize) {
-        self.migration[shard]
-            .inflight
-            .fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Requests for `shard` currently inside handlers.
-    pub fn shard_inflight(&self, shard: usize) -> u64 {
-        self.migration[shard].inflight.load(Ordering::SeqCst)
-    }
-
-    /// Starts (or restarts) dirty-tracking for an export of `shard`.
-    /// Returns `false` if the shard is sealed, already migrated away,
-    /// out of range, or not owned by this replica.
-    pub fn begin_export(&self, shard: usize) -> bool {
-        if shard >= self.shards.len() || !self.owns_shard(shard) {
-            return false;
-        }
-        let m = &self.migration[shard];
-        let tag = m.tag.load(Ordering::SeqCst);
-        if tag != mode::NORMAL && tag != mode::TRACKING {
-            return false;
-        }
-        m.dirty.lock().clear();
-        m.tag.store(mode::TRACKING, Ordering::SeqCst);
-        true
-    }
-
-    /// Drains the shard's dirty-slot set, sorted so the export stream
-    /// is deterministic for a given mutation history.
-    pub fn take_dirty(&self, shard: usize) -> Vec<u32> {
-        let mut out = std::mem::take(&mut *self.migration[shard].dirty.lock());
-        out.sort_unstable();
-        out
-    }
-
-    /// Seals a tracking shard for cutover: dispatch holds new requests
-    /// while already-dispatched ones drain (watch
-    /// [`shard_inflight`](Self::shard_inflight)).
-    pub fn seal_shard(&self, shard: usize) {
-        let _ = self.migration[shard].tag.compare_exchange(
-            mode::TRACKING,
-            mode::SEALED,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-    }
-
-    /// Abandons an in-progress export: back to normal service with
-    /// ownership unchanged. No-op unless the shard is tracking or
-    /// sealed.
-    pub fn abort_export(&self, shard: usize) {
-        let m = &self.migration[shard];
-        let tag = m.tag.load(Ordering::SeqCst);
-        if tag == mode::TRACKING || tag == mode::SEALED {
-            m.tag.store(mode::NORMAL, Ordering::SeqCst);
-            m.dirty.lock().clear();
-        }
-    }
-
-    /// Completes an export: the shard leaves this replica's owned set
-    /// and every subsequent request for it is relayed to `forward_to`
-    /// (the new owner's put-port).
-    pub fn release_shard(&self, shard: usize, forward_to: Port) {
-        {
-            let mut owned = self.owned.write();
-            let remaining: Box<[usize]> = match owned.as_deref() {
-                Some(o) => o.iter().copied().filter(|&s| s != shard).collect(),
-                None => (0..self.shards.len()).filter(|&s| s != shard).collect(),
-            };
-            *owned = Some(remaining);
-        }
-        let m = &self.migration[shard];
-        m.forward_to.store(forward_to.value(), Ordering::SeqCst);
-        m.tag.store(mode::FORWARDED, Ordering::SeqCst);
-        m.dirty.lock().clear();
-    }
-
-    /// Takes ownership of a shard (the import side of a cutover, also
-    /// used directly in tests): the shard joins the owned set and
-    /// serves normally.
-    pub fn adopt_shard(&self, shard: usize) {
+    /// Takes ownership of a shard (the import side of a cutover): the
+    /// shard joins the owned set and serves normally.
+    fn adopt_shard(&self, shard: usize) {
         {
             let mut owned = self.owned.write();
             if let Some(o) = owned.as_deref() {
@@ -934,34 +805,96 @@ impl<T> ObjectTable<T> {
         m.dirty.lock().clear();
     }
 
-    /// The port requests for `shard` are being relayed to, if the
-    /// shard has been migrated away.
-    pub fn forward_target(&self, shard: usize) -> Option<Port> {
-        let m = &self.migration[shard];
-        if m.tag.load(Ordering::SeqCst) == mode::FORWARDED {
-            Port::new(m.forward_to.load(Ordering::SeqCst))
-        } else {
-            None
-        }
-    }
-
     fn transfer_committed(&self, xfer: u64) -> bool {
         self.committed_transfers.lock().contains(&xfer)
     }
+
+    /// Installs decoded records into a shard slab (live records
+    /// overwrite, tombstones clear) and rebuilds the free list so
+    /// future creates reuse the holes. Object numbers and secrets are
+    /// preserved exactly: outstanding capabilities keep validating.
+    fn install_records(&self, shard_index: usize, records: Vec<crate::migrate::Record<T>>) {
+        let shard = &self.shards[shard_index];
+        let mut entries = shard.entries.write();
+        for (slot, payload) in records {
+            let slot = slot as usize;
+            if entries.len() <= slot {
+                entries.resize_with(slot + 1, || None);
+            }
+            entries[slot] =
+                payload.map(|(secret, data)| Entry::new(ObjectSecret::from_value(secret), data));
+        }
+        let free: Vec<u32> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.is_none())
+            .map(|(i, _)| i as u32)
+            .collect();
+        shard.free_count.store(free.len(), Ordering::Release);
+        *shard.free.lock() = free;
+    }
 }
 
-impl<T: MigrateData> ObjectTable<T> {
-    /// Serialises migration records into chunk blobs of at most
-    /// `max_records` records each: the whole shard when `slots` is
-    /// `None` (snapshot), otherwise exactly the listed slots, with
-    /// absent ones encoded as tombstones (catch-up delta — a dirty
-    /// slot whose object was deleted must erase the target's copy).
-    pub fn export_chunks(
-        &self,
-        shard: usize,
-        slots: Option<&[u32]>,
-        max_records: usize,
-    ) -> Vec<Bytes> {
+impl<T: MigrateData + Send + Sync> ShardMigrator for ObjectTable<T> {
+    fn shard_of(&self, req: &Request) -> Option<usize> {
+        if req.cap.rights.bits() == 0 && req.cap.check == 0 {
+            return None;
+        }
+        Some(self.shard_index(req.cap.object))
+    }
+    fn disposition(&self, shard: usize) -> ShardDisposition {
+        let m = &self.migration[shard];
+        match m.tag.load(Ordering::SeqCst) {
+            mode::SEALED => ShardDisposition::Hold,
+            mode::FORWARDED => match Port::new(m.forward_to.load(Ordering::SeqCst)) {
+                Some(port) => ShardDisposition::Forward(port),
+                None => ShardDisposition::Hold,
+            },
+            _ => ShardDisposition::Serve,
+        }
+    }
+    fn enter(&self, shard: usize) {
+        self.migration[shard]
+            .inflight
+            .fetch_add(1, Ordering::SeqCst);
+    }
+    fn exit(&self, shard: usize) {
+        self.migration[shard]
+            .inflight
+            .fetch_sub(1, Ordering::SeqCst);
+    }
+    fn inflight(&self, shard: usize) -> u64 {
+        self.migration[shard].inflight.load(Ordering::SeqCst)
+    }
+    fn shard_count(&self) -> usize {
+        ObjectTable::shard_count(self)
+    }
+    fn owned_shards(&self) -> Vec<usize> {
+        match self.owned.read().as_deref() {
+            Some(owned) => owned.to_vec(),
+            None => (0..self.shards.len()).collect(),
+        }
+    }
+    fn shard_ops(&self) -> Vec<u64> {
+        self.migration
+            .iter()
+            .map(|m| m.ops.load(Ordering::Relaxed))
+            .collect()
+    }
+    fn begin_export(&self, shard: usize) -> bool {
+        if shard >= self.shards.len() || !self.owns_shard(shard) {
+            return false;
+        }
+        let m = &self.migration[shard];
+        let tag = m.tag.load(Ordering::SeqCst);
+        if tag != mode::NORMAL && tag != mode::TRACKING {
+            return false;
+        }
+        m.dirty.lock().clear();
+        m.tag.store(mode::TRACKING, Ordering::SeqCst);
+        true
+    }
+    fn export_chunks(&self, shard: usize, slots: Option<&[u32]>, max_records: usize) -> Vec<Bytes> {
         let max_records = max_records.max(1);
         let entries = self.shards[shard].entries.read();
         let mut chunks = Vec::new();
@@ -1008,18 +941,42 @@ impl<T: MigrateData> ObjectTable<T> {
         }
         chunks
     }
-
-    /// The import side of a migration: stages `TRANSFER_BEGIN` /
-    /// `TRANSFER_CHUNK` ops and installs + adopts the shard on
-    /// `TRANSFER_COMMIT`. Every op is idempotent — a retransmitted
-    /// frame for an already-committed transfer is re-acknowledged with
-    /// `Ok` — so the driver's at-least-once RPCs are safe.
-    ///
-    /// Commit is all-or-nothing: every chunk `0..chunks` must be
-    /// staged and every record must decode before anything is
-    /// installed, so a half-arrived transfer can never leave the shard
-    /// in a mixed state.
-    pub fn handle_transfer(&self, op: &TransferOp) -> Reply {
+    fn take_dirty(&self, shard: usize) -> Vec<u32> {
+        let mut out = std::mem::take(&mut *self.migration[shard].dirty.lock());
+        out.sort_unstable();
+        out
+    }
+    fn seal(&self, shard: usize) {
+        let _ = self.migration[shard].tag.compare_exchange(
+            mode::TRACKING,
+            mode::SEALED,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+    }
+    fn release(&self, shard: usize, forward_to: Port) {
+        {
+            let mut owned = self.owned.write();
+            let remaining: Box<[usize]> = match owned.as_deref() {
+                Some(o) => o.iter().copied().filter(|&s| s != shard).collect(),
+                None => (0..self.shards.len()).filter(|&s| s != shard).collect(),
+            };
+            *owned = Some(remaining);
+        }
+        let m = &self.migration[shard];
+        m.forward_to.store(forward_to.value(), Ordering::SeqCst);
+        m.tag.store(mode::FORWARDED, Ordering::SeqCst);
+        m.dirty.lock().clear();
+    }
+    fn abort(&self, shard: usize) {
+        let m = &self.migration[shard];
+        let tag = m.tag.load(Ordering::SeqCst);
+        if tag == mode::TRACKING || tag == mode::SEALED {
+            m.tag.store(mode::NORMAL, Ordering::SeqCst);
+            m.dirty.lock().clear();
+        }
+    }
+    fn handle_transfer(&self, op: &TransferOp) -> Reply {
         match op {
             TransferOp::Begin { xfer, shard } => {
                 if self.transfer_committed(*xfer) {
@@ -1096,81 +1053,13 @@ impl<T: MigrateData> ObjectTable<T> {
             }
         }
     }
-
-    /// Installs decoded records into a shard slab (live records
-    /// overwrite, tombstones clear) and rebuilds the free list so
-    /// future creates reuse the holes. Object numbers and secrets are
-    /// preserved exactly: outstanding capabilities keep validating.
-    fn install_records(&self, shard_index: usize, records: Vec<crate::migrate::Record<T>>) {
-        let shard = &self.shards[shard_index];
-        let mut entries = shard.entries.write();
-        for (slot, payload) in records {
-            let slot = slot as usize;
-            if entries.len() <= slot {
-                entries.resize_with(slot + 1, || None);
-            }
-            entries[slot] =
-                payload.map(|(secret, data)| Entry::new(ObjectSecret::from_value(secret), data));
-        }
-        let free: Vec<u32> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_none())
-            .map(|(i, _)| i as u32)
-            .collect();
-        shard.free_count.store(free.len(), Ordering::Release);
-        *shard.free.lock() = free;
-    }
-}
-
-impl<T: MigrateData + Send + Sync> crate::migrate::ShardMigrator for ObjectTable<T> {
-    fn shard_of(&self, req: &Request) -> Option<usize> {
-        ObjectTable::request_shard(self, req)
-    }
-    fn disposition(&self, shard: usize) -> ShardDisposition {
-        ObjectTable::disposition(self, shard)
-    }
-    fn enter(&self, shard: usize) {
-        self.enter_shard(shard);
-    }
-    fn exit(&self, shard: usize) {
-        self.exit_shard(shard);
-    }
-    fn inflight(&self, shard: usize) -> u64 {
-        self.shard_inflight(shard)
-    }
-    fn shard_count(&self) -> usize {
-        ObjectTable::shard_count(self)
-    }
-    fn owned_shards(&self) -> Vec<usize> {
-        ObjectTable::owned_shards(self)
-    }
-    fn shard_ops(&self) -> Vec<u64> {
-        ObjectTable::shard_ops(self)
-    }
-    fn begin_export(&self, shard: usize) -> bool {
-        ObjectTable::begin_export(self, shard)
-    }
-    fn export_chunks(&self, shard: usize, slots: Option<&[u32]>, max_records: usize) -> Vec<Bytes> {
-        ObjectTable::export_chunks(self, shard, slots, max_records)
-    }
-    fn take_dirty(&self, shard: usize) -> Vec<u32> {
-        ObjectTable::take_dirty(self, shard)
-    }
-    fn seal(&self, shard: usize) {
-        self.seal_shard(shard);
-    }
-    fn release(&self, shard: usize, forward_to: Port) {
-        self.release_shard(shard, forward_to);
-    }
-    fn abort(&self, shard: usize) {
-        self.abort_export(shard);
-    }
-    fn handle_transfer(&self, op: &TransferOp) -> Reply {
-        ObjectTable::handle_transfer(self, op)
-    }
     fn forward_target(&self, shard: usize) -> Option<Port> {
-        ObjectTable::forward_target(self, shard)
+        let m = &self.migration[shard];
+        if m.tag.load(Ordering::SeqCst) == mode::FORWARDED {
+            Port::new(m.forward_to.load(Ordering::SeqCst))
+        } else {
+            None
+        }
     }
 }
 
@@ -1576,18 +1465,18 @@ mod tests {
         assert_eq!(t.disposition(shard), ShardDisposition::Serve);
         assert!(t.begin_export(shard));
         assert_eq!(t.disposition(shard), ShardDisposition::Serve);
-        t.seal_shard(shard);
+        t.seal(shard);
         assert_eq!(t.disposition(shard), ShardDisposition::Hold);
         let new_owner = Port::new(0xBEEF).unwrap();
-        t.release_shard(shard, new_owner);
+        t.release(shard, new_owner);
         assert_eq!(t.disposition(shard), ShardDisposition::Forward(new_owner));
         assert_eq!(t.forward_target(shard), Some(new_owner));
         assert!(!t.owned_shards().contains(&shard));
         assert!(!t.begin_export(shard), "cannot re-export a released shard");
         // Aborting an export restores normal service.
         assert!(t.begin_export(0));
-        t.seal_shard(0);
-        t.abort_export(0);
+        t.seal(0);
+        t.abort(0);
         assert_eq!(t.disposition(0), ShardDisposition::Serve);
     }
 
@@ -1597,7 +1486,7 @@ mod tests {
         t.set_owned_shards(0, 4);
         let fwd = Port::new(0xD00D).unwrap();
         for shard in t.owned_shards() {
-            t.release_shard(shard, fwd);
+            t.release(shard, fwd);
         }
         assert_eq!(
             t.try_create("x".into()).unwrap_err(),
@@ -1613,7 +1502,7 @@ mod tests {
         let t = table(SchemeKind::Simple);
         let mask = (DEFAULT_SHARDS - 1) as u32;
         t.begin_export(2);
-        t.seal_shard(2);
+        t.seal(2);
         for i in 0..(DEFAULT_SHARDS * 4) {
             let (obj, _) = t.create(format!("{i}"));
             assert_ne!(obj.value() & mask, 2, "sealed shard must not mint");
@@ -1673,13 +1562,13 @@ mod tests {
     #[test]
     fn inflight_gauge_tracks_enter_exit() {
         let t = table(SchemeKind::Simple);
-        assert_eq!(t.shard_inflight(7), 0);
-        t.enter_shard(7);
-        t.enter_shard(7);
-        assert_eq!(t.shard_inflight(7), 2);
-        t.exit_shard(7);
-        t.exit_shard(7);
-        assert_eq!(t.shard_inflight(7), 0);
+        assert_eq!(t.inflight(7), 0);
+        t.enter(7);
+        t.enter(7);
+        assert_eq!(t.inflight(7), 2);
+        t.exit(7);
+        t.exit(7);
+        assert_eq!(t.inflight(7), 0);
     }
 
     #[test]

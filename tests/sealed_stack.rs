@@ -176,3 +176,110 @@ fn stolen_sealed_bits_are_useless_to_another_machine() {
     ));
     w.runner.stop();
 }
+
+/// Creates a file holding `data` through the sealed client.
+fn sealed_file(w: &SealedWorld, data: &[u8]) -> Capability {
+    let body = w
+        .client
+        .call_anonymous(
+            w.runner.put_port(),
+            amoeba::flatfs::ops::CREATE,
+            Bytes::new(),
+        )
+        .unwrap();
+    let cap = amoeba::server::wire::Reader::new(&body).cap().unwrap();
+    w.client
+        .call(
+            w.runner.put_port(),
+            &cap,
+            amoeba::flatfs::ops::WRITE,
+            amoeba::server::wire::Writer::new()
+                .u64(0)
+                .bytes(data)
+                .finish(),
+        )
+        .unwrap();
+    cap
+}
+
+fn read_back(w: &SealedWorld, cap: &Capability) -> Bytes {
+    w.client
+        .call(
+            w.runner.put_port(),
+            cap,
+            amoeba::flatfs::ops::READ,
+            amoeba::server::wire::Writer::new().u64(0).u32(64).finish(),
+        )
+        .unwrap()
+}
+
+#[test]
+fn sealed_requests_are_recorded_like_plain_ones() {
+    let w = world();
+    let cap = sealed_file(&w, b"counted");
+    w.net.obs().enable();
+    for _ in 0..8 {
+        assert_eq!(&read_back(&w, &cap)[..], b"counted");
+    }
+    // Stopping joins the worker, so its last count has landed.
+    w.runner.stop();
+    let m = w.net.obs().snapshot().unwrap();
+    assert_eq!(m.server_requests, 8);
+    assert_eq!(m.handlers_completed, 8);
+    let events = w.net.obs().events();
+    for kind in [EventKind::HandlerStart, EventKind::HandlerEnd] {
+        assert!(
+            events.iter().any(|e| e.kind == kind),
+            "no {} recorded",
+            kind.name()
+        );
+    }
+}
+
+/// A sealed runner calls the service's handler directly, with no
+/// migration dispatch: the three migration ops, sent anonymously, are
+/// refused, and a live file keeps its bytes and its capability.
+#[test]
+fn a_sealed_runner_refuses_migration_ops() {
+    use amoeba::server::migrate::TransferOp;
+    use amoeba::server::DEFAULT_SHARDS;
+
+    let w = world();
+    let cap = sealed_file(&w, b"still mine");
+    // The file's shard and slot, and a record that would overwrite it
+    // with a secret of the sender's choosing: slot ‖ live ‖ secret ‖
+    // length ‖ data.
+    let object = cap.object.value();
+    let shard = object % DEFAULT_SHARDS as u32;
+    let slot = object / DEFAULT_SHARDS as u32;
+    let mut record = slot.to_be_bytes().to_vec();
+    record.push(1);
+    record.extend_from_slice(&7u64.to_be_bytes());
+    record.extend_from_slice(&0u32.to_be_bytes());
+    let xfer = 0xBAD;
+    for op in [
+        TransferOp::Begin {
+            xfer,
+            shard: shard as u8,
+        },
+        TransferOp::Chunk {
+            xfer,
+            seq: 0,
+            records: Bytes::from(record),
+        },
+        TransferOp::Commit { xfer, chunks: 1 },
+    ] {
+        let params = op
+            .write_params(amoeba::server::wire::Writer::new())
+            .finish();
+        let refused = w
+            .client
+            .call_anonymous(w.runner.put_port(), op.command(), params);
+        assert!(
+            matches!(refused, Err(ClientError::Status(s)) if s != Status::Ok),
+            "{op:?}: {refused:?}"
+        );
+    }
+    assert_eq!(&read_back(&w, &cap)[..], b"still mine");
+    w.runner.stop();
+}

@@ -526,7 +526,7 @@ fn target_crash_mid_migration_loses_nothing() {
 
 /// A capability revoked on the source **while its shard is being
 /// copied** — after `begin_export` queued a snapshot that still carries
-/// the old secret, before `TRANSFER_COMMIT` — stays revoked on the new
+/// the old secret, before `STD_TRANSFER_COMMIT` — stays revoked on the new
 /// owner. The delta round carries the new secret over the snapshot's;
 /// nothing the source's entry remembered proving travels with it
 /// (docs/ARCHITECTURE.md, "What a table remembers it proved"), so the
