@@ -2,7 +2,6 @@
 
 use amoeba_net::{ActorPoll, MachineId, Network, Port, SimExecutor};
 use amoeba_server::{Service, SimPump};
-use std::sync::Arc;
 
 /// A replicated service group built for the deterministic simulation:
 /// `n` [`SimPump`]s on distinct machines, all claiming the **same**
@@ -13,7 +12,7 @@ use std::sync::Arc;
 /// crash and partition windows land on them — replica death
 /// mid-transaction is part of the schedule, not a separate harness.
 pub struct SimReplicaSet {
-    pumps: Vec<Arc<SimPump>>,
+    pumps: Vec<SimPump>,
     put_port: Port,
 }
 
@@ -40,8 +39,8 @@ impl SimReplicaSet {
         mut make: impl FnMut(usize) -> S,
     ) -> SimReplicaSet {
         assert!(n > 0, "a replica set needs at least one replica");
-        let pumps: Vec<Arc<SimPump>> = (0..n)
-            .map(|i| Arc::new(SimPump::bind(net.attach_open(), get_port, make(i))))
+        let pumps: Vec<SimPump> = (0..n)
+            .map(|i| SimPump::bind(net.attach_open(), get_port, make(i)))
             .collect();
         for (i, pump) in pumps.iter().enumerate() {
             net.bind_fault_target(i, pump.machine());
@@ -55,7 +54,6 @@ impl SimReplicaSet {
     /// run ends when the workload actors do.
     pub fn spawn_actors<'a>(&'a self, exec: &mut SimExecutor<'a>) {
         for pump in &self.pumps {
-            let pump = Arc::clone(pump);
             exec.spawn_daemon(pump.machine(), move || {
                 if pump.poll() {
                     ActorPoll::Progress

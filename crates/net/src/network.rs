@@ -319,7 +319,7 @@ impl Network {
     }
 
     /// An unbounded MPMC queue for hand-offs between this network's
-    /// parties (ready queues, reply mailboxes), counted with the
+    /// parties (the RPC client's reply mailboxes), counted with the
     /// machine inboxes in [`hot_path`](Network::hot_path). Like an
     /// inbox, a blocking receive on it spins, or yields once, before it
     /// parks while that pays on that queue (the channel crate's "Park

@@ -79,7 +79,9 @@ pub enum EventKind {
     /// The sim released a delivery into a machine queue (`a` = dest
     /// port, `b` = target machine).
     Delivered = 11,
-    /// A server pump dequeued a request (`a` = put port, `b` = machine).
+    /// A server worker took a request to serve: a single frame, or the
+    /// next entry of a batch frame it received (`a` = put port,
+    /// `b` = machine).
     PumpDequeue = 12,
     /// A service handler started (`a` = put port, `b` = machine).
     HandlerStart = 13,

@@ -205,7 +205,7 @@ pub struct Metrics {
     pub faults_crash_dropped: Counter,
     /// Frames dropped by partition windows.
     pub faults_partition_dropped: Counter,
-    /// Requests dequeued by server pumps.
+    /// Requests taken by server workers.
     pub server_requests: Counter,
     /// Service handler invocations completed.
     pub handlers_completed: Counter,

@@ -20,8 +20,8 @@
 //!   a dead replica without losing the survivors. The hit/miss
 //!   counters feed the match-making benchmark.
 //! * **Batching** ([`Client::batch`]) ships many request bodies
-//!   in one wire frame; servers explode batches across their worker
-//!   pool and fan replies back into one frame. The wire layout is
+//!   in one wire frame; the server worker that receives it serves the
+//!   entries in order and writes their replies into one frame. The wire layout is
 //!   specified in `docs/PROTOCOL.md`.
 //!
 //! # Example
@@ -72,4 +72,4 @@ pub use frame::{
 };
 pub use locate::{Locator, PlacementPolicy, Replica, ReplicaCache};
 pub use matchmaker::{Matchmaker, RendezvousNode};
-pub use server::{IncomingRequest, ServerPort, PUMP_TAKEOVER_TICK};
+pub use server::{IncomingRequest, ServerPort};

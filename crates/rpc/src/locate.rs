@@ -498,12 +498,12 @@ mod tests {
         t.join().unwrap();
     }
 
-    /// Spawns a thread that pumps `n` LOCATE broadcasts through a bound
-    /// server port (the pump answers them as a side effect of waiting).
+    /// Spawns a thread that waits `n` times on a bound server port,
+    /// which answers LOCATE broadcasts as a side effect of waiting.
     fn answer_locates_for(server: ServerPort, n: usize) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             for _ in 0..n {
-                // Each locate wakes the pump once; the timeout bounds
+                // Each locate wakes the worker once; the timeout bounds
                 // the test if a broadcast goes missing.
                 let _ = server.next_request_timeout(Duration::from_millis(500));
             }

@@ -2,29 +2,23 @@
 //!
 //! # Dispatch model
 //!
-//! A [`ServerPort`] is shared (via `Arc`) by every worker of a dispatch
-//! pool. Internally it separates **pumping** from **serving**:
+//! A [`ServerPort`] is one worker's handle on a bound port:
+//! [`bind`](ServerPort::bind) returns the first, and
+//! [`worker`](ServerPort::worker) one more for each further worker of a
+//! dispatch pool. Every handle receives straight from the endpoint's
+//! MPMC inbox, so each frame is claimed by exactly one worker, and
+//! **the worker that receives a frame serves the whole frame**:
 //!
-//! * At most one worker at a time is the *pump* (a lock-free atomic
-//!   flag decides — a single compare-exchange, no mutex): it takes
-//!   packets off the endpoint's queue and decodes them. **The pump
-//!   serves what it decodes**: a single-frame request is returned
-//!   straight to the pumping worker, which releases
-//!   the role and runs the handler — no queue hop, no wake. Only a
-//!   `BATCH_REQUEST` frame uses the internal MPMC *ready queue*: it is
-//!   **exploded** into one entry per batch element, so the elements
-//!   fan out across the whole pool.
-//! * Every other worker blocks on the ready queue (waking when the
-//!   pump pushes batch entries) and periodically — every
-//!   [`PUMP_TAKEOVER_TICK`] — retries the pump role, so it migrates
-//!   when its holder goes off to execute a handler.
+//! * a single-frame request comes back to the receiving worker, which
+//!   runs the handler — no queue hop, no wake;
+//! * a `BATCH_REQUEST` frame is **exploded** into the receiving
+//!   handle's own cursor, and its entries come back in index order from
+//!   that handle's next receives.
 //!
-//! Order is kept (only the pump pushes, and every receive path serves
-//! the ready queue before it pumps), and only the takeover tick and a
-//! caller's own deadline arm a timer — an undeadlined pump blocks
-//! untimed until a frame arrives or the endpoint
-//! [closes](amoeba_net::Endpoint::close). Both arguments are spelled
-//! out in `docs/ARCHITECTURE.md`, "Request lifecycle".
+//! A worker's only wait is on the inbox: untimed unless its caller set
+//! a deadline, until a frame arrives or the endpoint
+//! [closes](amoeba_net::Endpoint::close), which wakes every worker at
+//! once. See `docs/ARCHITECTURE.md`, "Request lifecycle".
 //!
 //! # Batch fan-in
 //!
@@ -32,28 +26,21 @@
 //! `BATCH_REPLY` frame under construction. [`ServerPort::reply_with`]
 //! writes the entry's reply straight into that frame instead of
 //! sending one (entries sit in deposit order; each names its index);
-//! whichever worker deposits the **last** entry transmits it. One frame
-//! in, one frame out, one buffer, regardless of how many workers served
-//! the entries. If any entry is never replied to, no batch reply is sent
-//! and the client's retransmission machinery takes over — identical to
-//! the single-frame contract.
+//! the deposit of the **last** entry transmits it. One frame in, one
+//! frame out, one buffer. If any entry is never replied to, no batch
+//! reply is sent and the client's retransmission machinery takes over
+//! — identical to the single-frame contract.
 //!
 //! The server loop also transparently answers broadcast LOCATE queries
 //! for its port, implementing the software match-making of §2.2.
 
 use crate::frame::{self, BatchStatus, Frame, FrameKind};
-use amoeba_net::{BufPool, Endpoint, Header, HotMutex, MachineId, Port, RecvError, Timestamp};
+use amoeba_net::{BufPool, Endpoint, Header, HotMutex, MachineId, Packet, Port, RecvError};
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How often a worker blocked on the ready queue retries the pump role.
-/// Bounds the hand-off gap when the current pump leaves for a handler:
-/// packets sit undecoded for at most this long while blocked workers
-/// are available.
-pub const PUMP_TAKEOVER_TICK: Duration = Duration::from_millis(1);
+use std::time::Duration;
 
 /// A request as seen by the server.
 #[derive(Debug, Clone)]
@@ -91,10 +78,11 @@ struct BatchSlot {
 }
 
 /// Builds a batch's `BATCH_REPLY` frame entry by entry until it is
-/// complete. The slot lock is a counted [`HotMutex`] (metered against
-/// the server's pool): batch fan-in is inherently a rendezvous, so its
-/// cost is accounted, not hidden — the lock-free single-frame path
-/// never touches it.
+/// complete. The entries are served by the worker that received the
+/// frame, but an [`IncomingRequest`] is `Send` and may be answered from
+/// another thread, so the slot lock stays: a counted [`HotMutex`]
+/// (metered against the server's pool), its cost accounted, not hidden
+/// — the lock-free single-frame path never touches it.
 #[derive(Debug)]
 struct BatchAccumulator {
     id: u32,
@@ -137,7 +125,7 @@ impl BatchAccumulator {
     /// in place — and returns the finished `BATCH_REPLY` frame when
     /// this was the last outstanding entry. Duplicate deposits for an
     /// index — before or after the batch completed — are ignored (a
-    /// retransmitted batch can race its original through two workers).
+    /// handler that answers one entry twice sends nothing twice).
     fn submit(
         &self,
         index: u16,
@@ -168,233 +156,159 @@ impl BatchAccumulator {
     }
 }
 
-/// A bound server port: the result of `GET(G)`.
+/// One worker's handle on a bound server port: the result of `GET(G)`.
 ///
-/// A `ServerPort` is safe to share (e.g. in an `Arc`) across a pool of
-/// dispatch workers: concurrent [`next_request`](Self::next_request)
-/// calls each claim a distinct request (batch entries included), and
-/// [`reply`](Self::reply) is stateless for single frames and
-/// internally synchronised for batch fan-in. See the module docs for
-/// the pump/serve split.
+/// Every handle of a port receives straight from the endpoint's MPMC
+/// inbox, so concurrent [`next_request`](Self::next_request) calls on
+/// distinct handles each claim a distinct frame; the entries of a batch
+/// frame stay with the handle that received it. A handle is `Send` but
+/// not `Sync`: give each worker thread its own, from
+/// [`worker`](Self::worker). See the module docs.
 #[derive(Debug)]
 pub struct ServerPort {
+    bound: Arc<Bound>,
+    /// Entries of the last batch frame this handle received that it has
+    /// not yet handed out, in index order.
+    batch: RefCell<VecDeque<IncomingRequest>>,
+}
+
+/// What every handle of one bound port shares.
+#[derive(Debug)]
+struct Bound {
     endpoint: Endpoint,
     get_port: Port,
     wire_port: Port,
-    /// Decoded batch entries awaiting a worker (MPMC: each claimed
-    /// once). Single-frame requests never pass through here.
-    ready_tx: Sender<IncomingRequest>,
-    ready_rx: Receiver<IncomingRequest>,
-    /// `true` while one worker holds the pump role (drains the
-    /// endpoint). A bare atomic, not a mutex: acquisition is a single
-    /// compare-exchange and probing is a load, so the hot receive path
-    /// takes no lock.
-    pump: AtomicBool,
     /// Reply frames are built in and retired back to this pool;
     /// steady-state replies allocate nothing.
     pool: BufPool,
 }
 
-// The worker-pool dispatch engine shares one bound port across
-// threads; keep that property from regressing silently.
+// A handle moves to its worker thread (`Send`) but is never shared
+// between threads (not `Sync`: its batch cursor is its own).
 const _: () = {
-    const fn assert_shareable<T: Send + Sync>() {}
-    assert_shareable::<ServerPort>();
+    const fn assert_send<T: Send>() {}
+    assert_send::<ServerPort>();
 };
-
-/// RAII ownership of the pump role: releases the flag on drop, so every
-/// early-return path in the pump loop hands the role back correctly.
-#[derive(Debug)]
-struct PumpGuard<'a> {
-    role: &'a AtomicBool,
-}
-
-impl Drop for PumpGuard<'_> {
-    fn drop(&mut self) {
-        self.role.store(false, Ordering::Release);
-    }
-}
 
 impl ServerPort {
     /// `GET(G)`: claims the get-port on the endpoint's interface and
-    /// returns the bound server.
+    /// returns the first handle on the bound port.
     pub fn bind(endpoint: Endpoint, get_port: Port) -> ServerPort {
         let wire_port = endpoint.claim(get_port);
-        let (ready_tx, ready_rx) = endpoint.network().channel();
         ServerPort {
-            endpoint,
-            get_port,
-            wire_port,
-            ready_tx,
-            ready_rx,
-            pump: AtomicBool::new(false),
-            pool: BufPool::new(),
+            bound: Arc::new(Bound {
+                endpoint,
+                get_port,
+                wire_port,
+                pool: BufPool::new(),
+            }),
+            batch: RefCell::default(),
+        }
+    }
+
+    /// Another handle on the same bound port, for one more worker: it
+    /// receives from the same inbox and replies through the same pool.
+    pub fn worker(&self) -> ServerPort {
+        ServerPort {
+            bound: Arc::clone(&self.bound),
+            batch: RefCell::default(),
         }
     }
 
     /// The frame-buffer pool replies are built in.
     pub fn buf_pool(&self) -> &BufPool {
-        &self.pool
+        &self.bound.pool
     }
 
     /// The put-port clients should send to (`F(G)` under an F-box;
     /// `G` itself on an open interface).
     pub fn put_port(&self) -> Port {
-        self.wire_port
+        self.bound.wire_port
     }
 
     /// The secret get-port (never goes on the wire).
     pub fn get_port(&self) -> Port {
-        self.get_port
+        self.bound.get_port
     }
 
     /// The underlying endpoint.
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        &self.bound.endpoint
     }
 
     /// Blocks for the next client request, transparently answering
     /// LOCATE broadcasts in the meantime.
     ///
     /// # Errors
-    /// [`RecvError::Disconnected`] if the endpoint is detached.
+    /// [`RecvError::Disconnected`] if the endpoint is closed or
+    /// detached.
     pub fn next_request(&self) -> Result<IncomingRequest, RecvError> {
-        self.next_request_deadline(None)
+        self.next_request_with(Endpoint::recv)
     }
 
     /// Like [`next_request`](Self::next_request) with a deadline.
     ///
     /// # Errors
     /// [`RecvError::Timeout`] on expiry; [`RecvError::Disconnected`] if
-    /// detached.
+    /// closed or detached.
     pub fn next_request_timeout(&self, timeout: Duration) -> Result<IncomingRequest, RecvError> {
-        self.next_request_deadline(Some(self.endpoint.now() + timeout))
+        let deadline = self.endpoint().now() + timeout;
+        self.next_request_with(|endpoint| endpoint.recv_deadline(deadline))
     }
 
-    /// Tries to become the pump. A single compare-exchange; the
-    /// returned guard releases the role on drop.
-    fn try_pump(&self) -> Option<PumpGuard<'_>> {
-        self.pump
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-            .then(|| PumpGuard { role: &self.pump })
+    /// Non-blocking receive for the simulation executor's service
+    /// actors (`amoeba_server::SimPump`): hands out the next entry of a
+    /// batch this handle received, otherwise decodes queued packets
+    /// until one yields a request. Never parks the thread.
+    pub fn poll_request(&self) -> Option<IncomingRequest> {
+        self.next_request_with(|endpoint| endpoint.try_recv().ok_or(RecvError::Timeout))
+            .ok()
     }
 
-    /// Hands a decoded request to the worker that will serve it. Every
-    /// receive path funnels through here: it is where the flight
-    /// recorder sees a request leave the pump for a worker.
-    fn claim(&self, req: IncomingRequest) -> IncomingRequest {
-        let obs = self.endpoint.obs();
+    /// The one receive loop: the next entry of this handle's batch if
+    /// one is left, otherwise packets from `recv` until one decodes to
+    /// a request for this port. Every receive path funnels through
+    /// here: it is where the flight recorder sees a request handed to
+    /// its worker.
+    fn next_request_with(
+        &self,
+        recv: impl Fn(&Endpoint) -> Result<Packet, RecvError>,
+    ) -> Result<IncomingRequest, RecvError> {
+        let req = loop {
+            if let Some(req) = self.batch.borrow_mut().pop_front() {
+                break req;
+            }
+            if let Some(req) = self.process(recv(self.endpoint())?) {
+                break req;
+            }
+        };
+        let obs = self.endpoint().obs();
         if obs.enabled() {
             obs.record(
                 amoeba_net::EventKind::PumpDequeue,
-                self.endpoint.now().since_epoch().as_nanos() as u64,
+                self.endpoint().now().since_epoch().as_nanos() as u64,
                 0,
                 req.reply_to.value(),
                 u64::from(req.source.as_u32()),
             );
         }
-        req
+        Ok(req)
     }
 
-    /// Non-blocking receive for the simulation executor's service
-    /// actors (`amoeba_server::SimPump`): serves an already-decoded
-    /// batch entry if one is ready, otherwise (if the pump role is
-    /// free) decodes queued packets until one yields a request, and
-    /// returns it. Never parks the thread.
-    pub fn poll_request(&self) -> Option<IncomingRequest> {
-        if let Ok(req) = self.ready_rx.try_recv() {
-            return Some(self.claim(req));
-        }
-        let pumping = self.try_pump()?;
-        while let Ok(pkt) = self.endpoint.poll_arrival() {
-            // Consume the delivery before decoding.
-            self.endpoint.reactor().deliver(&pkt);
-            // A single request comes back directly; a batch frame's
-            // entries are in the ready queue after `process`.
-            let next = self.process(pkt).or_else(|| self.ready_rx.try_recv().ok());
-            if let Some(req) = next {
-                drop(pumping);
-                return Some(self.claim(req));
-            }
-        }
-        None
-    }
-
-    /// The pump/serve loop shared by both receive paths. `None` means
-    /// "no deadline": the pump then blocks until a frame arrives or the
-    /// endpoint closes.
-    fn next_request_deadline(
-        &self,
-        deadline: Option<Timestamp>,
-    ) -> Result<IncomingRequest, RecvError> {
-        let reactor = self.endpoint.reactor();
-        loop {
-            // Serve decoded work first — the pump may have queued
-            // several entries from one batch frame.
-            if let Ok(req) = self.ready_rx.try_recv() {
-                return Ok(self.claim(req));
-            }
-            if deadline.is_some_and(|d| self.endpoint.now() >= d) {
-                return Err(RecvError::Timeout);
-            }
-            if let Some(pumping) = self.try_pump() {
-                // The previous pump may have pushed entries between
-                // our ready-queue check above and winning the role;
-                // serve those before blocking on the wire (only the
-                // role holder can push, so this check cannot race).
-                let pumped = match self.ready_rx.try_recv() {
-                    Ok(req) => Ok(Some(req)),
-                    // We are the pump: take the next packet off the
-                    // wire — an untimed block on the queue itself when
-                    // the caller set no deadline.
-                    Err(_) => match deadline {
-                        None => self.endpoint.recv(),
-                        Some(d) => self.endpoint.recv_deadline(d),
-                    }
-                    .map(|pkt| self.process(pkt)),
-                };
-                // Every path below runs with the role released — the
-                // handler included, so a successor can pump meanwhile.
-                drop(pumping);
-                match pumped? {
-                    Some(req) => return Ok(self.claim(req)),
-                    None => continue, // a batch (see the loop head) or noise
-                }
-            }
-            // Someone else pumps; wait for them to feed the ready
-            // queue, but retry the pump role periodically in case
-            // they left for a handler.
-            let tick = Instant::now() + PUMP_TAKEOVER_TICK;
-            let until = deadline
-                .and_then(|d| reactor.clock().real_instant(d))
-                .map_or(tick, |d| d.min(tick));
-            match self.ready_rx.recv_deadline(until) {
-                Ok(req) => return Ok(self.claim(req)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("we hold a ready sender")
-                }
-            }
-        }
-    }
-
-    /// Decodes one packet. A single-frame request comes back for the
-    /// pumping worker to serve itself; a batch frame's entries go onto
-    /// the ready queue for the whole pool; anything else is answered or
-    /// dropped here.
-    fn process(&self, pkt: amoeba_net::Packet) -> Option<IncomingRequest> {
+    /// Decodes one packet. A single-frame request comes back to be
+    /// served; a batch frame's entries go into this handle's cursor and
+    /// the first comes back; anything else is answered or dropped here.
+    fn process(&self, pkt: Packet) -> Option<IncomingRequest> {
+        let wire_port = self.put_port();
         match Frame::decode(&pkt.payload) {
-            Some(Frame::Request(body)) if pkt.header.dest == self.wire_port => {
-                Some(IncomingRequest {
-                    payload: body,
-                    reply_to: pkt.header.reply,
-                    signature: signature_of(&pkt),
-                    source: pkt.source,
-                    batch: None,
-                })
-            }
-            Some(Frame::BatchRequest { id, entries }) if pkt.header.dest == self.wire_port => {
+            Some(Frame::Request(body)) if pkt.header.dest == wire_port => Some(IncomingRequest {
+                payload: body,
+                reply_to: pkt.header.reply,
+                signature: signature_of(&pkt),
+                source: pkt.source,
+                batch: None,
+            }),
+            Some(Frame::BatchRequest { id, entries }) if pkt.header.dest == wire_port => {
                 // One-way batches (null reply port) are dispatched with
                 // no accumulator: every entry is served, nothing is
                 // sent back — mirroring one-way single frames.
@@ -403,11 +317,12 @@ impl ServerPort {
                         id,
                         pkt.header.reply,
                         entries.len(),
-                        &self.pool,
+                        self.buf_pool(),
                     ))
                 });
-                for (index, body) in entries.into_iter().enumerate() {
-                    let _ = self.ready_tx.send(IncomingRequest {
+                let mut batch = self.batch.borrow_mut();
+                batch.extend(entries.into_iter().enumerate().map(|(index, body)| {
+                    IncomingRequest {
                         payload: body,
                         reply_to: pkt.header.reply,
                         signature: signature_of(&pkt),
@@ -416,22 +331,22 @@ impl ServerPort {
                             acc: Arc::clone(acc),
                             index: index as u16,
                         }),
-                    });
-                }
-                None
+                    }
+                }));
+                batch.pop_front()
             }
             // Someone broadcast a LOCATE for our port; answer it.
             Some(Frame::Locate(port))
                 if pkt.header.dest.is_broadcast()
-                    && port == self.wire_port
+                    && port == wire_port
                     && !pkt.header.reply.is_null() =>
             {
-                let mut buf = self.pool.take();
-                Frame::LocateReply(self.wire_port, self.endpoint.id()).encode_into(&mut buf);
+                let mut buf = self.buf_pool().take();
+                Frame::LocateReply(wire_port, self.endpoint().id()).encode_into(&mut buf);
                 let reply = buf.freeze();
-                self.endpoint
+                self.endpoint()
                     .send(Header::to(pkt.header.reply), reply.clone());
-                self.pool.retire(reply);
+                self.buf_pool().retire(reply);
                 None
             }
             _ => None,
@@ -447,7 +362,7 @@ impl ServerPort {
     /// that can never become unique here.
     pub fn reply(&self, request: &IncomingRequest, body: Bytes) {
         self.reply_with(request, body.len(), |buf| buf.extend_from_slice(&body));
-        self.pool.release(body);
+        self.bound.pool.release(body);
     }
 
     /// Replies to `request` **in place**: takes one pooled buffer sized
@@ -455,8 +370,8 @@ impl ServerPort {
     /// append the body straight after it; the frame is retired after
     /// transmission, so a steady-state server replies without touching
     /// the allocator. For a batch entry `build` writes into the batch's
-    /// shared `BATCH_REPLY` frame instead, and the worker depositing
-    /// the final entry transmits it. A one-way request (null reply
+    /// shared `BATCH_REPLY` frame instead, and the deposit of the final
+    /// entry transmits it. A one-way request (null reply
     /// port) is answered with nothing: `build` does not run.
     pub fn reply_with(
         &self,
@@ -466,21 +381,23 @@ impl ServerPort {
     ) {
         let (reply_to, frame) = match &request.batch {
             Some(slot) => {
-                let done = slot
-                    .acc
-                    .submit(slot.index, BatchStatus::Ok, len, build, &self.pool);
+                let done =
+                    slot.acc
+                        .submit(slot.index, BatchStatus::Ok, len, build, &self.bound.pool);
                 (slot.acc.reply_to, done)
             }
             None if request.reply_to.is_null() => return,
             None => {
-                let mut buf = self.pool.take_sized(1 + len);
+                let mut buf = self.bound.pool.take_sized(1 + len);
                 Frame::reply_with(&mut buf, build);
                 (request.reply_to, Some(buf.freeze()))
             }
         };
         if let Some(frame) = frame {
-            self.endpoint.send(Header::to(reply_to), frame.clone());
-            self.pool.retire(frame);
+            self.bound
+                .endpoint
+                .send(Header::to(reply_to), frame.clone());
+            self.bound.pool.retire(frame);
         }
     }
 
@@ -503,20 +420,20 @@ impl ServerPort {
             self.reject(request);
             return false;
         }
-        let mut buf = self.pool.take_sized(1 + request.payload.len());
+        let mut buf = self.bound.pool.take_sized(1 + request.payload.len());
         Frame::request_with(&mut buf, |b| b.extend_from_slice(&request.payload));
         let frame = buf.freeze();
         let mut header = Header::to(dest).with_reply(request.reply_to);
         if let Some(sig) = request.signature {
             header = header.with_signature(sig);
         }
-        self.endpoint.send(header, frame.clone());
-        self.pool.retire(frame);
-        let obs = self.endpoint.obs();
+        self.bound.endpoint.send(header, frame.clone());
+        self.bound.pool.retire(frame);
+        let obs = self.bound.endpoint.obs();
         if obs.enabled() {
             obs.record(
                 amoeba_net::EventKind::RequestForwarded,
-                self.endpoint.now().since_epoch().as_nanos() as u64,
+                self.bound.endpoint.now().since_epoch().as_nanos() as u64,
                 0,
                 dest.value(),
                 request.reply_to.value(),
@@ -532,13 +449,17 @@ impl ServerPort {
     /// sealed shard relies on during the migration cutover window.
     pub fn reject(&self, request: &IncomingRequest) {
         if let Some(slot) = &request.batch {
-            if let Some(frame) =
-                slot.acc
-                    .submit(slot.index, BatchStatus::Rejected, 0, |_| {}, &self.pool)
-            {
-                self.endpoint
+            if let Some(frame) = slot.acc.submit(
+                slot.index,
+                BatchStatus::Rejected,
+                0,
+                |_| {},
+                &self.bound.pool,
+            ) {
+                self.bound
+                    .endpoint
                     .send(Header::to(slot.acc.reply_to), frame.clone());
-                self.pool.retire(frame);
+                self.bound.pool.retire(frame);
             }
         }
     }
@@ -616,16 +537,12 @@ mod tests {
     fn shared_port_workers_claim_disjoint_requests() {
         // Two threads drain one bound port; every request is answered
         // exactly once no matter which worker claims it.
-        use std::sync::Arc;
         let net = Network::new();
-        let server = Arc::new(ServerPort::bind(
-            net.attach_open(),
-            Port::new(0x66).unwrap(),
-        ));
+        let server = ServerPort::bind(net.attach_open(), Port::new(0x66).unwrap());
         let p = server.put_port();
         let workers: Vec<_> = (0..2)
             .map(|_| {
-                let server = Arc::clone(&server);
+                let server = server.worker();
                 std::thread::spawn(move || {
                     let mut served = 0u32;
                     while let Ok(req) = server.next_request_timeout(Duration::from_millis(200)) {
@@ -660,25 +577,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_entries_fan_out_across_workers_and_fan_in_one_reply() {
-        use std::sync::Arc;
+    fn a_batch_is_served_whole_by_the_worker_that_received_it() {
+        use std::sync::Mutex;
         let net = Network::new();
-        let server = Arc::new(ServerPort::bind(
-            net.attach_open(),
-            Port::new(0x77).unwrap(),
-        ));
+        let server = ServerPort::bind(net.attach_open(), Port::new(0x77).unwrap());
         let p = server.put_port();
+        // (serving thread, entry index), in the order entries were served.
+        let served: Arc<Mutex<Vec<(std::thread::ThreadId, u16)>>> = Arc::default();
         let workers: Vec<_> = (0..4)
             .map(|_| {
-                let server = Arc::clone(&server);
+                let server = server.worker();
+                let served = Arc::clone(&served);
                 std::thread::spawn(move || {
-                    let mut served = 0u32;
                     while let Ok(req) = server.next_request_timeout(Duration::from_millis(300)) {
-                        assert!(req.batch_context().is_some());
+                        let (_, index) = req.batch_context().expect("a batch entry");
+                        served
+                            .lock()
+                            .unwrap()
+                            .push((std::thread::current().id(), index));
                         server.reply(&req, req.payload.clone());
-                        served += 1;
                     }
-                    served
                 })
             })
             .collect();
@@ -704,15 +622,23 @@ mod tests {
             2,
             "12 entries, 1 frame each way"
         );
-        let total: u32 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert_eq!(total, 12, "every batch entry claimed exactly once");
+        for w in workers {
+            w.join().unwrap();
+        }
+        let served = served.lock().unwrap();
+        let indices: Vec<u16> = served.iter().map(|&(_, index)| index).collect();
+        assert_eq!(indices, (0..12).collect::<Vec<u16>>(), "in index order");
+        assert!(
+            served.iter().all(|&(thread, _)| thread == served[0].0),
+            "one worker served the whole frame: {served:?}"
+        );
     }
 
     #[test]
-    fn pool_claims_each_single_and_batch_entry_once_with_the_pump_serving() {
+    fn pool_claims_each_single_and_batch_entry_once() {
         // Four workers share the port while clients mix single frames
-        // (served by whichever worker pumps them) with batches (fanned
-        // out through the ready queue). Every request body is unique;
+        // with batches, each frame served by whichever worker receives
+        // it. Every request body is unique;
         // each must be claimed by exactly one worker, whichever path it
         // took, and answered. One attempt and a long timeout: nothing is
         // retransmitted, so a second claim would be a dispatch bug.
@@ -722,17 +648,14 @@ mod tests {
         const ROUNDS: u32 = 40;
         const BATCH: u32 = 5;
         let net = Network::new();
-        let server = Arc::new(ServerPort::bind(
-            net.attach_open(),
-            Port::new(0x99).unwrap(),
-        ));
+        let server = ServerPort::bind(net.attach_open(), Port::new(0x99).unwrap());
         let p = server.put_port();
         /// Request body → (times claimed, arrived in a batch).
         type Claims = Mutex<HashMap<Vec<u8>, (u32, bool)>>;
         let claims: Arc<Claims> = Arc::default();
         let workers: Vec<_> = (0..4)
             .map(|_| {
-                let server = Arc::clone(&server);
+                let server = server.worker();
                 let claims = Arc::clone(&claims);
                 std::thread::spawn(move || {
                     while let Ok(req) = server.next_request_timeout(Duration::from_millis(300)) {
@@ -854,10 +777,9 @@ mod tests {
 
     #[test]
     fn duplicate_batch_deposit_after_completion_is_ignored() {
-        // A retransmitted batch can race its original through two
-        // workers, so deposits may land *after* the reply frame
-        // shipped. They must be no-ops — not panics, not second
-        // frames.
+        // A handler may answer an entry twice, so deposits may land
+        // *after* the reply frame shipped. They must be no-ops — not
+        // panics, not second frames.
         let pool = amoeba_net::BufPool::new();
         let acc = BatchAccumulator::new(7, Port::new(0x99).unwrap(), 2, &pool);
         let deposit = |index, status, body: &'static [u8]| {

@@ -66,9 +66,9 @@ pub trait Service: Send + Sync + 'static {
     }
 }
 
-/// One dispatch worker's loop: take the next request off the shared
-/// port and `serve` it, until the endpoint is closed or detached. The
-/// wait is untimed — a frame arriving, or the runner
+/// One dispatch worker's loop: take the next request off its handle on
+/// the port and `serve` it, until the endpoint is closed or detached.
+/// The wait is untimed — a frame arriving, or the runner
 /// [closing](Endpoint::close) the endpoint at shutdown, is what wakes
 /// the worker.
 fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) {
@@ -206,10 +206,10 @@ fn dispatch(
 /// Runs a [`Service`] on one or more background dispatch workers.
 ///
 /// The runner owns the server's secret get-port; only the put-port is
-/// exposed. All workers share a single bound [`ServerPort`] and drain
-/// its underlying MPMC packet channel concurrently — the classic
-/// worker-pool dispatch engine. [`stop`](ServiceRunner::stop) (or drop)
-/// shuts every worker down.
+/// exposed. Each worker holds its own handle on one bound
+/// [`ServerPort`] and receives from the endpoint's MPMC inbox — the
+/// classic worker-pool dispatch engine. [`stop`](ServiceRunner::stop)
+/// (or drop) shuts every worker down.
 pub struct ServiceRunner {
     put_port: Port,
     machine: MachineId,
@@ -218,7 +218,7 @@ pub struct ServiceRunner {
     /// unforgeable source address). Also pins the endpoint: a *stopped*
     /// runner still claims its port, modelling a crashed server whose
     /// clients see timeouts rather than instant disconnects.
-    server: Arc<ServerPort>,
+    server: ServerPort,
     /// The shared service instance the workers dispatch into, exposed
     /// via [`service`](Self::service) so local control planes (the
     /// cluster migration driver, the rebalancer) can reach its
@@ -249,11 +249,12 @@ impl ServiceRunner {
     /// `workers` threads.
     ///
     /// All workers receive from the **same** bound port: the endpoint's
-    /// packet queue is a crossbeam MPMC channel, so each request is
-    /// claimed by exactly one worker and handled with `&self` on the
-    /// shared service. Use more than one worker only with services
-    /// whose handlers tolerate concurrent execution (every service in
-    /// this repository does — state lives in the lock-striped
+    /// packet queue is a crossbeam MPMC channel, so each frame is
+    /// claimed by exactly one worker, which serves the whole frame
+    /// (every entry of a batch) with `&self` on the shared service.
+    /// Use more than one worker only with services whose handlers
+    /// tolerate concurrent execution (every service in this repository
+    /// does — state lives in the lock-striped
     /// [`ObjectTable`](crate::ObjectTable) or in atomics).
     ///
     /// # Panics
@@ -267,10 +268,10 @@ impl ServiceRunner {
         Self::spawn_serving(endpoint, get_port, service, workers, serve_one)
     }
 
-    /// Binds `get_port` on `endpoint` and starts `workers` threads that
-    /// hand every request on the shared port to `serve` — [`serve_one`]
-    /// for the plain runners, the unsealing dispatch for
-    /// [`spawn_sealed`](Self::spawn_sealed).
+    /// Binds `get_port` on `endpoint` and starts `workers` threads, each
+    /// with its own handle on the port, that hand every request to
+    /// `serve` — [`serve_one`] for the plain runners, the unsealing
+    /// dispatch for [`spawn_sealed`](Self::spawn_sealed).
     ///
     /// # Panics
     /// Panics if `workers` is zero.
@@ -290,11 +291,10 @@ impl ServiceRunner {
         let put_port = server.put_port();
         service.bind(put_port);
         let service: Arc<dyn Service> = Arc::new(service);
-        let server = Arc::new(server);
         let handles = (0..workers)
             .map(|_| {
                 let service = Arc::clone(&service);
-                let server = Arc::clone(&server);
+                let server = server.worker();
                 let serve = serve.clone();
                 std::thread::spawn(move || {
                     run_worker(&server, |req| serve(&*service, &server, req))
@@ -579,9 +579,9 @@ impl ServiceClient {
     /// params between them, so each payload is copied once, into the
     /// frame.
     ///
-    /// The server dispatches the entries across its worker pool and
-    /// fans the replies back into a single frame, so a batch of N calls
-    /// costs 2 frames on the wire instead of 2·N. Entries fail
+    /// The worker that receives the frame serves its entries in order
+    /// and writes their replies into a single frame, so a batch of N
+    /// calls costs 2 frames on the wire instead of 2·N. Entries fail
     /// independently: a bad capability in one entry yields
     /// [`ClientError::Status`] for that entry only.
     ///
@@ -841,6 +841,31 @@ pub(crate) mod tests {
             assert_ends_promptly(spawn, ServiceRunner::stop);
             assert_ends_promptly(spawn, drop);
         }
+    }
+
+    #[test]
+    fn an_idle_pool_parks_each_worker_once() {
+        // A worker's only wait is an untimed receive on the inbox: once
+        // the pool has gone idle, nothing wakes and nothing re-parks.
+        let idle: Vec<(usize, u64, u64)> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                let net = Network::new();
+                let runner =
+                    ServiceRunner::spawn_open_workers(&net, Echo::new(SchemeKind::Simple), workers);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                let before = net.hot_path();
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                let idle = net.hot_path() - before;
+                runner.stop();
+                (workers, idle.queue_parks, idle.queue_wakes)
+            })
+            .collect();
+        assert!(
+            idle.iter()
+                .all(|&(workers, parks, wakes)| parks <= workers as u64 && wakes == 0),
+            "(workers, parks, wakes) over 50 idle ms: {idle:?}"
+        );
     }
 
     #[test]

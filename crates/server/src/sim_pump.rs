@@ -6,7 +6,7 @@
 //! [`SimPump`] binds the same [`ServerPort`] but exposes serving as a
 //! single non-blocking [`poll`](SimPump::poll), so a
 //! [`SimExecutor`](amoeba_net::SimExecutor) actor can drive the whole
-//! dispatch loop (pump, decode, handle, reply) from the one simulation
+//! dispatch loop (receive, decode, handle, reply) from the one simulation
 //! thread. Ports are explicit — nothing in the pump draws entropy.
 
 use crate::service::{serve_one, LoadGuard, Service};

@@ -107,7 +107,7 @@ fn metered_leg() -> HotPathSnapshot {
     );
     assert_eq!(
         metered.queue_pushes, metered.frames_sent,
-        "one queue push per frame — nothing re-queued between the pump and the handler: {metered:?}"
+        "one queue push per frame — nothing re-queued between receive and handler: {metered:?}"
     );
     assert!(
         metered.queue_wakes <= metered.queue_pushes,

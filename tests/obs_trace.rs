@@ -17,7 +17,6 @@ use proptest::prelude::*;
 use sim_support::EchoService;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Groups the recording into per-trace spans and asserts causal order
@@ -112,7 +111,7 @@ fn sim_workload(seed: u64, clients: usize, ops: usize) -> (Network, Vec<u64>) {
     net.obs().enable();
     net.set_latency(Duration::from_millis(1));
     let port = Port::new(0x0B5_7ACE).unwrap();
-    let pump = Arc::new(SimPump::bind(net.attach_open(), port, EchoService));
+    let pump = SimPump::bind(net.attach_open(), port, EchoService);
     let put_port = pump.put_port();
 
     let arena: Vec<Client> = (0..clients)
@@ -121,7 +120,7 @@ fn sim_workload(seed: u64, clients: usize, ops: usize) -> (Network, Vec<u64>) {
     let latencies = Rc::new(RefCell::new(Vec::with_capacity(clients * ops)));
     let mut exec = SimExecutor::new(&net);
     {
-        let pump = Arc::clone(&pump);
+        let pump = &pump;
         exec.spawn_daemon(pump.machine(), move || {
             if pump.poll() {
                 ActorPoll::Progress

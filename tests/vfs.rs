@@ -981,11 +981,11 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
     let net = Network::new_sim(seed);
     net.set_latency(Duration::from_millis(1));
     let port = Port::new(0xD1_25_07).unwrap();
-    let pump = Arc::new(SimPump::bind(
+    let pump = SimPump::bind(
         net.attach_open(),
         port,
         DirServer::new(SchemeKind::Commutative),
-    ));
+    );
     let put_port = pump.put_port();
 
     let clients: Vec<Client> = (0..3)
@@ -999,7 +999,7 @@ fn resolve_mid_rename_run(seed: u64, resolves: usize, renames: usize) -> RaceOut
 
     let mut exec = SimExecutor::new(&net);
     {
-        let pump = Arc::clone(&pump);
+        let pump = &pump;
         exec.spawn_daemon(pump.machine(), move || {
             if pump.poll() {
                 ActorPoll::Progress
