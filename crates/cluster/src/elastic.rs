@@ -219,8 +219,9 @@ impl ElasticCluster {
         }
         let source_service = self.runners[from].service();
         let source = source_service.migrator().ok_or(MigrateError::NoMigrator)?;
+        let target = self.runners[to].service().migrator();
+        let target = target.ok_or(MigrateError::NoMigrator)?.capability();
         let xfer = self.next_xfer.fetch_add(1, Ordering::Relaxed);
-        let target = self.runners[to].put_port();
         let stats = ShardMigration::new(client, source, shard, xfer, target, None).run()?;
         self.owner.lock()[shard] = to;
         Ok(stats)

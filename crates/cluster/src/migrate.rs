@@ -1,13 +1,13 @@
 //! The live shard-migration driver: streams one [`ObjectTable`] shard
 //! from its current owner to a new one as ordinary requests — the
-//! three standard `STD_TRANSFER_*` commands, null capability, in plain
-//! `REQUEST` frames — then flips ownership without clients observing a
-//! gap.
+//! three standard `STD_TRANSFER_*` commands in plain `REQUEST` frames,
+//! each carrying the target's migration capability — then flips
+//! ownership without clients observing a gap.
 //!
 //! The table-side mechanics (dirty tracking, sealing, the inflight
 //! gauge, idempotent staging) live in `amoeba_server::migrate`; this
-//! module is the *conductor*: it holds a local handle on the source's
-//! [`ShardMigrator`] and an RPC [`Client`] aimed at the target, and
+//! module is the *conductor*: it holds the source's [`ShardMigrator`],
+//! the target's migration capability and an RPC [`Client`], and
 //! runs the copy → catch-up → seal → quiesce → commit → release
 //! sequence. The sequence is one state machine, [`ShardMigration`],
 //! advanced a step per [`poll`](ShardMigration::poll), and two drivers
@@ -26,10 +26,11 @@
 //! [`ObjectTable`]: amoeba_server::ObjectTable
 //! [`ShardMigrator`]: amoeba_server::ShardMigrator
 
-use amoeba_net::{ActorPoll, EventKind, MachineId, Port};
+use amoeba_cap::Capability;
+use amoeba_net::{ActorPoll, EventKind, MachineId};
 use amoeba_rpc::{Client, Completion, RpcError};
 use amoeba_server::migrate::TransferOp;
-use amoeba_server::proto::{null_cap, Reply, Request, Status};
+use amoeba_server::proto::{Reply, Request, Status};
 use amoeba_server::ShardMigrator;
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -53,7 +54,7 @@ pub enum MigrateError {
     /// The source refused to export (shard sealed, already migrated
     /// away, or not owned).
     SourceBusy,
-    /// The source service has no [`ShardMigrator`] handle.
+    /// The source or target service has no [`ShardMigrator`] handle.
     NoMigrator,
     /// The transfer RPC failed (target crashed or unreachable).
     Transport(RpcError),
@@ -92,9 +93,9 @@ enum Phase {
     Done,
 }
 
-/// One shard migration of `shard` to the replica serving `target_port`
-/// (on `target_machine` when several machines serve the port), as a
-/// state machine advanced one step per [`poll`](Self::poll).
+/// One shard migration of `shard` to the replica whose migration
+/// capability is `target` (on `target_machine` when several machines
+/// serve its port), advanced one step per [`poll`](Self::poll).
 ///
 /// Sequence: snapshot-copy while serving → bounded catch-up of dirty
 /// slots → seal (new requests held) → wait for in-flight handlers to
@@ -115,7 +116,7 @@ pub struct ShardMigration<'a> {
     source: &'a dyn ShardMigrator,
     shard: usize,
     xfer: u64,
-    target_port: Port,
+    target: Capability,
     target_machine: Option<MachineId>,
     phase: Phase,
     queue: VecDeque<TransferOp>,
@@ -137,14 +138,14 @@ impl std::fmt::Debug for ShardMigration<'_> {
 
 impl<'a> ShardMigration<'a> {
     /// Prepares (but does not start) a migration of `shard` from
-    /// `source` to the replica at `target_port`/`target_machine`,
-    /// driven through `client`'s endpoint.
+    /// `source` to the replica whose [`ShardMigrator::capability`] is
+    /// `target`, driven through `client`'s endpoint.
     pub fn new(
         client: &'a Client,
         source: &'a dyn ShardMigrator,
         shard: usize,
         xfer: u64,
-        target_port: Port,
+        target: Capability,
         target_machine: Option<MachineId>,
     ) -> ShardMigration<'a> {
         ShardMigration {
@@ -152,7 +153,7 @@ impl<'a> ShardMigration<'a> {
             source,
             shard,
             xfer,
-            target_port,
+            target,
             target_machine,
             phase: Phase::Start,
             queue: VecDeque::new(),
@@ -268,10 +269,10 @@ impl<'a> ShardMigration<'a> {
         if let Some(op) = self.queue.pop_front() {
             let len = 20 + op.params_len();
             self.pending = Some(self.client.start(
-                self.target_port,
+                self.target.port,
                 self.target_machine,
                 len,
-                |buf| Request::encode_with(buf, &null_cap(), op.command(), |w| op.write_params(w)),
+                |buf| Request::encode_with(buf, &self.target, op.command(), |w| op.write_params(w)),
             ));
             return ActorPoll::Progress;
         }
@@ -327,7 +328,7 @@ impl<'a> ShardMigration<'a> {
             }
             Phase::Committing => {
                 // The commit's reply has been verified OK.
-                self.source.release(self.shard, self.target_port);
+                self.source.release(self.shard, self.target.port);
                 self.stamp(EventKind::MigrateCommit, self.shard as u64, self.xfer);
                 self.phase = Phase::Done;
                 self.outcome = Some(Ok(MigrationStats {

@@ -295,13 +295,6 @@ impl Service for DirServer {
         self.table.set_port(put_port);
     }
 
-    fn bind_shard_range(&mut self, owner: usize, replicas: usize) {
-        // A directory server can itself be one replica of a sharded
-        // placement group (§3.4 scaled horizontally): restrict minting
-        // so each directory's number names the replica storing it.
-        self.table.set_owned_shards(owner, replicas);
-    }
-
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
         if let Some(reply) = self.table.handle_std(req) {
             return reply;

@@ -54,9 +54,11 @@ use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{Reply, Request, Status};
 use amoeba_server::{
-    wire, ClientError, MigrateData, ObjectTable, RequestCtx, Service, ServiceClient, ShardMigrator,
+    wire, ClientError, MigrateData, ObjectTable, RequestCtx, Service, ServiceClient, ShardHost,
+    ShardMigrator,
 };
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// Flat-file-server operation codes.
 pub mod ops {
@@ -139,7 +141,9 @@ pub struct QuotaPolicy {
 /// The flat file server.
 #[derive(Debug)]
 pub struct FlatFsServer {
-    table: ObjectTable<File>,
+    table: Arc<ObjectTable<File>>,
+    /// Set once a cluster places this server: its shards can move.
+    host: Option<ShardHost<File>>,
     quota: Option<QuotaPolicy>,
 }
 
@@ -147,7 +151,8 @@ impl FlatFsServer {
     /// An unmetered server: files grow without limit.
     pub fn new(scheme: SchemeKind) -> FlatFsServer {
         FlatFsServer {
-            table: ObjectTable::unbound(scheme.instantiate()),
+            table: Arc::new(ObjectTable::unbound(scheme.instantiate())),
+            host: None,
             quota: None,
         }
     }
@@ -156,7 +161,8 @@ impl FlatFsServer {
     /// bank.
     pub fn with_quota(scheme: SchemeKind, quota: QuotaPolicy) -> FlatFsServer {
         FlatFsServer {
-            table: ObjectTable::unbound(scheme.instantiate()),
+            table: Arc::new(ObjectTable::unbound(scheme.instantiate())),
+            host: None,
             quota: Some(quota),
         }
     }
@@ -307,8 +313,9 @@ impl Service for FlatFsServer {
     fn bind_shard_range(&mut self, owner: usize, replicas: usize) {
         // As replica `owner` of a sharded placement group, only mint
         // file numbers in the owned shard range so every capability's
-        // object number names the replica that stores the file.
-        self.table.set_owned_shards(owner, replicas);
+        // object number names the replica that stores the file. Only
+        // a placed server migrates.
+        self.host = Some(ShardHost::new(Arc::clone(&self.table), owner, replicas));
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
@@ -326,7 +333,7 @@ impl Service for FlatFsServer {
     }
 
     fn migrator(&self) -> Option<&dyn ShardMigrator> {
-        Some(&self.table)
+        self.host.as_ref().map(|host| host as &dyn ShardMigrator)
     }
 }
 

@@ -73,7 +73,7 @@ mod table;
 pub mod wire;
 
 pub use locks::{ObjectLocks, DEFAULT_OBJECT_LOCK_STRIPES};
-pub use migrate::{MigrateData, ShardDisposition, ShardMigrator};
+pub use migrate::{MigrateData, ShardDisposition, ShardHost, ShardMigrator};
 pub use principals::PrincipalRegistry;
 pub use sealed::SealedServiceClient;
 pub use service::{ClientError, RequestCtx, Service, ServiceClient, ServiceRunner};

@@ -1,6 +1,6 @@
 //! The shard-migration surface: how a live [`ObjectTable`] shard is
 //! exported off one machine and imported on another without clients
-//! observing a gap.
+//! observing a gap. A [`ShardHost`] does it for one placed table.
 //!
 //! # The cutover protocol (driven from `amoeba-cluster`)
 //!
@@ -49,16 +49,28 @@
 //!
 //! # Migration ops are ordinary requests
 //!
-//! The three ops are standard requests with the null capability (see
-//! `docs/PROTOCOL.md`, "Migration bodies"). Dispatch hands them to the
-//! migrator before any shard disposition, so they are never held or
-//! forwarded; without a migrator, `ObjectTable::handle_std` refuses them.
+//! The three ops are standard requests (see `docs/PROTOCOL.md`,
+//! "Migration bodies") whose capability field carries the target's
+//! migration capability ([`ShardMigrator::capability`]); the target
+//! answers any other capability `Forged` before it reads the params.
+//! Dispatch hands them to the migrator before any shard disposition, so
+//! they are never held or forwarded. Only a server a cluster placed has
+//! a migrator — the [`ShardHost`] `Service::bind_shard_range` creates —
+//! so an unplaced server answers all three `Unsupported`.
 
-use crate::proto::{cmd, Reply, Request};
+use crate::proto::{cmd, Reply, Request, Status};
 use crate::wire::{Reader, Writer};
+use crate::ObjectTable;
+use amoeba_cap::schemes::ObjectSecret;
+use amoeba_cap::{Capability, ObjectNum, Rights};
+use amoeba_crypto::SecretStream;
 use amoeba_net::Port;
 use bytes::{Bytes, BytesMut};
+use parking_lot::Mutex;
 use std::borrow::BorrowMut;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// What the dispatch layer should do with a request, given the
 /// migration mode of the shard its capability addresses.
@@ -255,15 +267,17 @@ impl TransferOp {
 /// The object-safe migration handle a [`Service`] exposes so generic
 /// machinery (the dispatch loop, the cluster-layer migration driver,
 /// the rebalancer) can move its shards without knowing the service
-/// type. It is the table's only migration API: [`ObjectTable`]
-/// implements it whenever its payload type implements
-/// [`MigrateData`], and a service built on one table simply returns
-/// `Some(&self.table)` from [`Service::migrator`].
+/// type. [`ShardHost`] implements it; a service holds one only once a
+/// cluster placed it, and returns it from [`Service::migrator`].
 ///
 /// [`Service`]: crate::Service
 /// [`Service::migrator`]: crate::Service::migrator
-/// [`ObjectTable`]: crate::ObjectTable
 pub trait ShardMigrator: Send + Sync {
+    /// The capability every migration op sent here must carry; it names
+    /// the service's put-port, so read it once the service is bound.
+    /// The control plane reads it locally and hands it to the driver;
+    /// it never travels in a reply.
+    fn capability(&self) -> Capability;
     /// The shard a request's capability addresses, or `None` for
     /// anonymous capabilities (the null capability and published range
     /// capabilities both carry no rights and a zero check field);
@@ -280,16 +294,15 @@ pub trait ShardMigrator: Send + Sync {
     fn exit(&self, shard: usize);
     /// Requests for `shard` currently inside handlers.
     fn inflight(&self, shard: usize) -> u64;
-    /// Total shard count.
-    fn shard_count(&self) -> usize;
     /// The shards this replica currently owns (mints into).
     fn owned_shards(&self) -> Vec<usize>;
-    /// Cumulative operations per shard (lookups + creates) — the load
-    /// signal the rebalancer steers by. Index = shard.
+    /// Cumulative requests per shard that reached dispatch with a
+    /// capability for it — the load signal the rebalancer steers by.
+    /// Index = shard.
     fn shard_ops(&self) -> Vec<u64>;
     /// Starts (or restarts) dirty-tracking for an export of `shard`.
-    /// `false` if the shard is sealed, already migrated away, out of
-    /// range, or not owned by this replica.
+    /// `false` if the shard is out of range or not owned by this
+    /// replica (sealed and migrated-away shards are not).
     fn begin_export(&self, shard: usize) -> bool;
     /// Serialises records into chunk blobs of at most `max_records`
     /// records each: the whole shard when `slots` is `None` (snapshot),
@@ -302,7 +315,7 @@ pub trait ShardMigrator: Send + Sync {
     fn take_dirty(&self, shard: usize) -> Vec<u32>;
     /// Seals a tracking shard for cutover: dispatch holds new requests
     /// while already-dispatched ones drain (watch
-    /// [`inflight`](Self::inflight)).
+    /// [`inflight`](Self::inflight)), and `create` stops minting there.
     fn seal(&self, shard: usize);
     /// Completes an export: the shard leaves this replica's owned set
     /// and every subsequent request for it is relayed to `forward_to`
@@ -313,40 +326,389 @@ pub trait ShardMigrator: Send + Sync {
     /// sealed.
     fn abort(&self, shard: usize);
     /// The import side, which the dispatch loop calls for the three
-    /// `STD_TRANSFER_*` requests: stages `Begin` / `Chunk` ops and
-    /// installs + adopts the shard on `Commit`. Every op is idempotent
-    /// (an op for an already-committed transfer is re-acknowledged with
-    /// `Ok`), so the driver's at-least-once transactions are safe.
+    /// `STD_TRANSFER_*` requests: refuses any capability but
+    /// [`capability`](Self::capability) with `Forged`, then stages
+    /// `Begin` / `Chunk` ops and installs + adopts the shard on
+    /// `Commit`. Every op is idempotent (an op for an already-committed
+    /// transfer is re-acknowledged with `Ok`), so the driver's
+    /// at-least-once transactions are safe.
     ///
     /// Commit is all-or-nothing: every chunk `0..chunks` must be
     /// staged and every record must decode before anything is
     /// installed, so a half-arrived transfer can never leave the shard
-    /// in a mixed state.
-    fn handle_transfer(&self, op: &TransferOp) -> Reply;
-    /// The port requests for `shard` are being relayed to, if the
-    /// shard has been migrated away.
-    fn forward_target(&self, shard: usize) -> Option<Port>;
+    /// in a mixed state. A commit into a shard this replica already
+    /// owns gets `Conflict`.
+    fn handle_transfer(&self, req: &Request) -> Reply;
+}
+
+/// Slots mutated in the shards an export is tracking: the one place an
+/// [`ObjectTable`] mutation meets its [`ShardHost`]. Until an export
+/// runs it is empty, and a mutation pays one atomic load.
+#[derive(Default)]
+pub(crate) struct DirtyHook {
+    /// How many shards are tracked.
+    armed: AtomicUsize,
+    /// Per tracked shard, the slots mutated since the last drain.
+    sets: Mutex<Vec<(usize, Vec<u32>)>>,
+}
+
+impl DirtyHook {
+    /// Records `slot` of `shard` when an export tracks the shard.
+    /// Called under the shard's entry write lock, so an export round
+    /// that drained the set and then read the entries sees either the
+    /// mutation or its record.
+    pub(crate) fn note(&self, shard: usize, slot: usize) {
+        if self.armed.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        if let Some((_, dirty)) = self.sets.lock().iter_mut().find(|(s, _)| *s == shard) {
+            let slot = slot as u32;
+            if !dirty.contains(&slot) {
+                dirty.push(slot);
+            }
+        }
+    }
+
+    /// Tracks `shard` from an empty set (`on`), or stops tracking it.
+    fn track(&self, shard: usize, on: bool) {
+        let mut sets = self.sets.lock();
+        sets.retain(|(s, _)| *s != shard);
+        if on {
+            sets.push((shard, Vec::new()));
+        }
+        self.armed.store(sets.len(), Ordering::SeqCst);
+    }
+
+    fn take(&self, shard: usize) -> Vec<u32> {
+        let mut sets = self.sets.lock();
+        let dirty = sets.iter_mut().find(|(s, _)| *s == shard);
+        let mut out = dirty.map(|(_, d)| std::mem::take(d)).unwrap_or_default();
+        out.sort_unstable();
+        out
+    }
+}
+
+/// Per-shard migration mode, mirrored in a lock-free tag so the hot
+/// request path reads one atomic.
+mod mode {
+    pub const NORMAL: u8 = 0;
+    /// Being exported: mutations are recorded in the dirty hook.
+    pub const TRACKING: u8 = 1;
+    /// Cutover window: requests for the shard are held (dropped, so
+    /// clients retransmit); mutations from already-dispatched requests
+    /// still record dirty slots.
+    pub const SEALED: u8 = 2;
+    /// Migrated away: requests are relayed to the new owner's port.
+    pub const FORWARDED: u8 = 3;
+}
+
+/// What a host keeps per table shard.
+#[derive(Default)]
+struct HostedShard {
+    /// One of the [`mode`] tags.
+    mode: AtomicU8,
+    /// The new owner's put-port (raw value) while [`mode::FORWARDED`].
+    forward_to: AtomicU64,
+    /// Requests for this shard currently inside a service handler
+    /// (maintained by the dispatch layer via enter/exit). The
+    /// migration driver waits for this to reach zero after sealing,
+    /// so every mutation that passed the dispatch check lands in the
+    /// dirty set before the final catch-up round.
+    inflight: AtomicU64,
+    /// Requests that entered for this shard: the load signal.
+    ops: AtomicU64,
+}
+
+/// One incoming transfer's staged (still serialised) chunks, keyed by
+/// chunk sequence number.
+struct Staging {
+    shard: usize,
+    chunks: BTreeMap<u32, Bytes>,
+}
+
+/// Bound on concurrently staged incoming transfers — a hostile or
+/// confused peer cannot grow the staging map without bound.
+pub(crate) const MAX_STAGED_TRANSFERS: usize = 8;
+
+/// How many committed transfer ids are remembered for idempotent
+/// re-acknowledgement of retransmitted `Commit`/`Begin` ops.
+const REMEMBERED_TRANSFERS: usize = 64;
+
+/// The shard migration of one placed [`ObjectTable`]: the dispositions
+/// and gauges dispatch reads, the export side the cluster's driver
+/// calls, and the import side behind one migration capability.
+///
+/// A service holds one only after a cluster placed it
+/// (`Service::bind_shard_range`), so a server no cluster placed has
+/// nothing that answers a migration op.
+pub struct ShardHost<T> {
+    table: Arc<ObjectTable<T>>,
+    /// The migration capability's secret, drawn from a stream of its
+    /// own: no table's secret draws move.
+    secret: ObjectSecret,
+    shards: Box<[HostedShard]>,
+    /// Incoming transfers staged ahead of their commit, keyed by
+    /// transfer id.
+    staging: Mutex<BTreeMap<u64, Staging>>,
+    /// Recently committed transfer ids (newest last), for idempotent
+    /// acknowledgement of retransmitted transfer ops.
+    committed: Mutex<Vec<u64>>,
+}
+
+impl<T> std::fmt::Debug for ShardHost<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardHost").finish_non_exhaustive()
+    }
+}
+
+impl<T> ShardHost<T> {
+    /// Places `table` as replica `owner` of a `replicas`-way sharded
+    /// group — it mints only into the shards with
+    /// `shard % replicas == owner` (see
+    /// [`placement_range`](crate::placement_range)) — and hosts those
+    /// shards' migrations.
+    ///
+    /// # Panics
+    /// Panics unless `owner < replicas` and `replicas ≤ shard count`.
+    pub fn new(table: Arc<ObjectTable<T>>, owner: usize, replicas: usize) -> ShardHost<T> {
+        table.set_owned_shards(owner, replicas);
+        ShardHost {
+            secret: table.scheme().new_secret(&mut SecretStream::from_entropy()),
+            shards: (0..table.shard_count())
+                .map(|_| HostedShard::default())
+                .collect(),
+            staging: Mutex::default(),
+            committed: Mutex::default(),
+            table,
+        }
+    }
+
+    /// Whether `cap` is this host's migration capability: its port,
+    /// and every right under its secret.
+    fn admits(&self, cap: &Capability) -> bool {
+        cap.port == self.table.port()
+            && self.table.scheme().validate(cap, &self.secret) == Ok(Rights::ALL)
+    }
+
+    /// Takes ownership of a shard (the import side of a cutover): the
+    /// shard joins the owned set and serves normally.
+    fn adopt_shard(&self, shard: usize) {
+        self.table.own_shard(shard, true);
+        let s = &self.shards[shard];
+        s.mode.store(mode::NORMAL, Ordering::SeqCst);
+        s.forward_to.store(0, Ordering::SeqCst);
+        self.table.dirty.track(shard, false);
+    }
+}
+
+impl<T: MigrateData + Send + Sync> ShardMigrator for ShardHost<T> {
+    fn capability(&self) -> Capability {
+        let object = ObjectNum::new(0).expect("zero is a valid object number");
+        self.table
+            .scheme()
+            .mint(self.table.port(), object, &self.secret)
+    }
+    fn shard_of(&self, req: &Request) -> Option<usize> {
+        if req.cap.rights.bits() == 0 && req.cap.check == 0 {
+            return None;
+        }
+        Some(self.table.shard_index(req.cap.object))
+    }
+    fn disposition(&self, shard: usize) -> ShardDisposition {
+        let s = &self.shards[shard];
+        match s.mode.load(Ordering::SeqCst) {
+            mode::SEALED => ShardDisposition::Hold,
+            mode::FORWARDED => match Port::new(s.forward_to.load(Ordering::SeqCst)) {
+                Some(port) => ShardDisposition::Forward(port),
+                None => ShardDisposition::Hold,
+            },
+            _ => ShardDisposition::Serve,
+        }
+    }
+    fn enter(&self, shard: usize) {
+        let s = &self.shards[shard];
+        s.ops.fetch_add(1, Ordering::Relaxed);
+        s.inflight.fetch_add(1, Ordering::SeqCst);
+    }
+    fn exit(&self, shard: usize) {
+        self.shards[shard].inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+    fn inflight(&self, shard: usize) -> u64 {
+        self.shards[shard].inflight.load(Ordering::SeqCst)
+    }
+    fn owned_shards(&self) -> Vec<usize> {
+        self.table.owned_shards()
+    }
+    fn shard_ops(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|s| s.ops.load(Ordering::Relaxed))
+            .collect()
+    }
+    fn begin_export(&self, shard: usize) -> bool {
+        // An owned shard is serving or already tracking: sealing and
+        // releasing disown it.
+        if shard >= self.shards.len() || !self.table.owns_shard(shard) {
+            return false;
+        }
+        self.table.dirty.track(shard, true);
+        let s = &self.shards[shard];
+        s.mode.store(mode::TRACKING, Ordering::SeqCst);
+        true
+    }
+    fn export_chunks(&self, shard: usize, slots: Option<&[u32]>, max_records: usize) -> Vec<Bytes> {
+        let max_records = max_records.max(1);
+        let (mut chunks, mut cur, mut count) = (Vec::new(), Vec::new(), 0);
+        self.table.export_records(shard, slots, |slot, record| {
+            match record {
+                Some((secret, data)) => encode_live_record(&mut cur, slot, secret, &data.encode()),
+                None => encode_tombstone(&mut cur, slot),
+            }
+            count += 1;
+            if count == max_records {
+                chunks.push(Bytes::from(std::mem::take(&mut cur)));
+                count = 0;
+            }
+        });
+        if count > 0 {
+            chunks.push(Bytes::from(cur));
+        }
+        chunks
+    }
+    fn take_dirty(&self, shard: usize) -> Vec<u32> {
+        self.table.dirty.take(shard)
+    }
+    fn seal(&self, shard: usize) {
+        let sealed = self.shards[shard].mode.compare_exchange(
+            mode::TRACKING,
+            mode::SEALED,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        if sealed.is_ok() {
+            self.table.own_shard(shard, false);
+        }
+    }
+    fn release(&self, shard: usize, forward_to: Port) {
+        self.table.own_shard(shard, false);
+        let s = &self.shards[shard];
+        s.forward_to.store(forward_to.value(), Ordering::SeqCst);
+        s.mode.store(mode::FORWARDED, Ordering::SeqCst);
+        self.table.dirty.track(shard, false);
+    }
+    fn abort(&self, shard: usize) {
+        let s = &self.shards[shard];
+        let tag = s.mode.load(Ordering::SeqCst);
+        if tag == mode::TRACKING || tag == mode::SEALED {
+            self.table.own_shard(shard, true);
+            s.mode.store(mode::NORMAL, Ordering::SeqCst);
+            self.table.dirty.track(shard, false);
+        }
+    }
+    fn handle_transfer(&self, req: &Request) -> Reply {
+        if !self.admits(&req.cap) {
+            return Reply::status(Status::Forged);
+        }
+        let Some(op) = TransferOp::decode(req) else {
+            return Reply::status(Status::BadRequest);
+        };
+        // An op of a committed transfer is re-acknowledged, not re-run.
+        let (TransferOp::Begin { xfer, .. }
+        | TransferOp::Chunk { xfer, .. }
+        | TransferOp::Commit { xfer, .. }) = &op;
+        if self.committed.lock().contains(xfer) {
+            return Reply::ok(Bytes::new());
+        }
+        match &op {
+            TransferOp::Begin { xfer, shard } => {
+                let shard = *shard as usize;
+                if shard >= self.shards.len() {
+                    return Reply::status(Status::BadRequest);
+                }
+                let mut staging = self.staging.lock();
+                if !staging.contains_key(xfer) && staging.len() >= MAX_STAGED_TRANSFERS {
+                    return Reply::status(Status::NoSpace);
+                }
+                staging.insert(
+                    *xfer,
+                    Staging {
+                        shard,
+                        chunks: BTreeMap::new(),
+                    },
+                );
+                Reply::ok(Bytes::new())
+            }
+            TransferOp::Chunk { xfer, seq, records } => {
+                let mut staging = self.staging.lock();
+                match staging.get_mut(xfer) {
+                    Some(st) => {
+                        st.chunks.entry(*seq).or_insert_with(|| records.clone());
+                        Reply::ok(Bytes::new())
+                    }
+                    None => Reply::status(Status::Conflict),
+                }
+            }
+            TransferOp::Commit { xfer, chunks } => {
+                // Install while holding the staging lock, so a racing
+                // retransmitted commit observes either "still staged"
+                // or "committed" — never a window where the transfer
+                // has vanished (which would read as Conflict).
+                let mut staging = self.staging.lock();
+                let Some(st) = staging.get(xfer) else {
+                    return Reply::status(Status::Conflict);
+                };
+                let complete = st.chunks.len() == *chunks as usize
+                    && st.chunks.keys().enumerate().all(|(i, &s)| s == i as u32);
+                // A shard this replica owns is live here: nothing may
+                // overwrite it.
+                if !complete || self.table.owns_shard(st.shard) {
+                    return Reply::status(Status::Conflict);
+                }
+                let mut records = Vec::new();
+                for blob in st.chunks.values() {
+                    match decode_records::<T>(blob) {
+                        Some(r) => records.extend(r),
+                        None => return Reply::status(Status::BadRequest),
+                    }
+                }
+                let shard = st.shard;
+                if !self.table.install_records(shard, records) {
+                    return Reply::status(Status::BadRequest);
+                }
+                self.adopt_shard(shard);
+                staging.remove(xfer);
+                let mut committed = self.committed.lock();
+                committed.push(*xfer);
+                if committed.len() > REMEMBERED_TRANSFERS {
+                    committed.remove(0);
+                }
+                Reply::ok(Bytes::new())
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{null_cap, Status};
     use crate::DEFAULT_SHARDS;
-    use crate::{ClientError, ObjectTable, RequestCtx, Service, ServiceClient, ServiceRunner};
+    use crate::{ClientError, RequestCtx, Service, ServiceClient, ServiceRunner};
     use amoeba_cap::schemes::SchemeKind;
     use amoeba_net::Network;
     use amoeba_rpc::Frame;
 
-    /// A table-backed service, with or without its migrator.
+    /// A table-backed service that migrates once a cluster places it.
     struct Store {
-        table: ObjectTable<Vec<u8>>,
-        migrates: bool,
+        table: Arc<ObjectTable<Vec<u8>>>,
+        host: Option<ShardHost<Vec<u8>>>,
     }
 
     impl Service for Store {
         fn bind(&mut self, put_port: Port) {
             self.table.set_port(put_port);
+        }
+        fn bind_shard_range(&mut self, owner: usize, replicas: usize) {
+            self.host = Some(ShardHost::new(Arc::clone(&self.table), owner, replicas));
         }
         fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
             self.table
@@ -354,24 +716,43 @@ mod tests {
                 .unwrap_or(Reply::status(Status::BadCommand))
         }
         fn migrator(&self) -> Option<&dyn ShardMigrator> {
-            self.migrates.then_some(&self.table as &dyn ShardMigrator)
+            self.host.as_ref().map(|h| h as &dyn ShardMigrator)
         }
     }
 
-    fn store(net: &Network, migrates: bool) -> ServiceRunner {
-        let table = ObjectTable::unbound(SchemeKind::Commutative.instantiate());
-        ServiceRunner::spawn_open(net, Store { table, migrates })
+    /// A store, placed as replica 0 of 2 when `placed`.
+    fn store(net: &Network, placed: bool) -> ServiceRunner {
+        let mut store = Store {
+            table: Arc::new(ObjectTable::unbound(SchemeKind::Commutative.instantiate())),
+            host: None,
+        };
+        if placed {
+            store.bind_shard_range(0, 2);
+        }
+        ServiceRunner::spawn_open(net, store)
     }
 
     fn params(op: &TransferOp) -> Vec<u8> {
         op.write_params(Writer::new()).finish().to_vec()
     }
 
+    /// The capability of the worked example in `docs/PROTOCOL.md`: the
+    /// target's put-port, object 0, every right, and a check field
+    /// that only the target's secret produces.
+    fn example_cap() -> Capability {
+        Capability::new(
+            Port::new(0xA0EB_0011).unwrap(),
+            ObjectNum::new(0).unwrap(),
+            Rights::ALL,
+            0x1234_5678_9ABC,
+        )
+    }
+
     /// The REQUEST frame a migration driver puts on the wire for `op`.
     fn request_frame(op: &TransferOp) -> Bytes {
         let mut frame = BytesMut::new();
         Frame::request_with(&mut frame, |buf| {
-            Request::encode_with(buf, &null_cap(), op.command(), |w| op.write_params(w));
+            Request::encode_with(buf, &example_cap(), op.command(), |w| op.write_params(w));
         });
         assert_eq!(frame.len(), 1 + 20 + op.params_len());
         frame.freeze()
@@ -424,10 +805,15 @@ mod tests {
     fn documented_transfer_example_frames() {
         // PROTOCOL.md "Worked example (migration bodies)": transfer
         // 0x000000000000002A opens for table shard 5.
-        const NULL_CAP: [u8; 16] = [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        const MIGRATION_CAP: [u8; 16] = [
+            0x00, 0x00, 0xA0, 0xEB, 0x00, 0x11, // port
+            0x00, 0x00, 0x00, // object 0
+            0xFF, // every right
+            0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, // check
+        ];
         let frame = |command: [u8; 4], params: &[u8]| {
             let mut f = vec![0x00]; // tag: REQUEST
-            f.extend_from_slice(&NULL_CAP);
+            f.extend_from_slice(&MIGRATION_CAP);
             f.extend_from_slice(&command);
             f.extend_from_slice(params);
             Bytes::from(f)
@@ -480,15 +866,21 @@ mod tests {
         assert_eq!(decode_frame(&documented), Some(expect));
     }
 
-    /// Hostile params get `BadRequest` from a live dispatch and stage
-    /// nothing.
+    /// Hostile params under the valid migration capability get
+    /// `BadRequest` from a live dispatch and stage nothing.
     #[test]
     fn hostile_transfer_frames_rejected() {
         let net = Network::new();
         let runner = store(&net, true);
+        let cap = runner.service().migrator().unwrap().capability();
         let client = ServiceClient::open(&net);
         let call = |command: u32, params: &[u8]| {
-            client.call_anonymous(runner.put_port(), command, Bytes::copy_from_slice(params))
+            client.call_at(
+                runner.put_port(),
+                &cap,
+                command,
+                Bytes::copy_from_slice(params),
+            )
         };
         let bad = Err(ClientError::Status(Status::BadRequest));
 
@@ -529,7 +921,7 @@ mod tests {
         }
         for (command, p) in &hostile {
             let req = Request {
-                cap: null_cap(),
+                cap,
                 command: *command,
                 params: Bytes::copy_from_slice(p),
             };

@@ -28,8 +28,9 @@ pub mod cmd {
     /// Validate the capability and return its effective rights mask as a
     /// `u32` (diagnostics, and the cheapest possible "is this genuine?").
     pub const STD_INFO: u32 = 0xFFFF_0003;
-    /// Shard migration: open staging for a transfer. Null capability;
-    /// params and reply in [`crate::migrate::TransferOp`].
+    /// Shard migration: open staging for a transfer. Carries the
+    /// target's migration capability; params and reply in
+    /// [`crate::migrate::TransferOp`].
     pub const STD_TRANSFER_BEGIN: u32 = 0xFFFF_0004;
     /// Shard migration: stage one chunk of records.
     pub const STD_TRANSFER_CHUNK: u32 = 0xFFFF_0005;

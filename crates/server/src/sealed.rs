@@ -43,8 +43,8 @@ fn decode_sealed(data: &Bytes) -> Option<(u128, u32, Bytes)> {
 
 /// Serve one sealed request: unseal the capability slot with the key
 /// selected by the packet's unforgeable source, dispatch, reply. There
-/// is no migration dispatch here: `handle` sees (and refuses) the
-/// `STD_TRANSFER_*` requests.
+/// is no migration dispatch here: `handle` sees the `STD_TRANSFER_*`
+/// requests and refuses them as commands it does not serve.
 fn serve_sealed_one(
     service: &dyn Service,
     sealer: &CapSealer,

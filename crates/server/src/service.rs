@@ -1,6 +1,5 @@
 //! The service loop and the client used to call services.
 
-use crate::migrate::TransferOp;
 use crate::proto::{cmd, null_cap, Reply, Request, Status};
 use crate::wire;
 use amoeba_cap::{Capability, Rights};
@@ -34,14 +33,16 @@ pub trait Service: Send + Sync + 'static {
     /// to [`ObjectTable::set_port`](crate::ObjectTable::set_port).
     fn bind(&mut self, _put_port: Port) {}
 
-    /// Called once, before serving begins, when this instance is
-    /// replica `owner` of a `replicas`-way sharded placement group.
-    /// Stateful services forward this to
-    /// [`ObjectTable::set_owned_shards`](crate::ObjectTable::set_owned_shards)
-    /// so every object they mint carries the replica's placement range
-    /// in its number; stateless services may ignore it (the default).
+    /// Called once, before [`bind`](Self::bind), when a cluster places
+    /// this instance as replica `owner` of a `replicas`-way sharded
+    /// group. A service that can migrate builds its
+    /// [`ShardHost`](crate::ShardHost) here — which restricts its table
+    /// to minting objects whose numbers carry the replica's placement
+    /// range — and from then on returns it from
+    /// [`migrator`](Self::migrator). Other services ignore it (the
+    /// default).
     ///
-    /// Contract: an implementation that forwards this must do so on a
+    /// Contract: an implementation that places a table must do so on a
     /// table striped with the default
     /// [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) — routing clients
     /// recover the placement range with
@@ -54,13 +55,14 @@ pub trait Service: Send + Sync + 'static {
     /// once.
     fn handle(&self, req: &Request, ctx: &RequestCtx) -> Reply;
 
-    /// The live-migration handle for this service's shards, if any.
+    /// The live-migration handle for this service's shards: `Some` only
+    /// once [`bind_shard_range`](Self::bind_shard_range) built one.
     /// Returning `Some` opts the dispatch layer into per-request shard
     /// dispositions (serve / hold / forward during a cutover) and into
-    /// answering the three `STD_TRANSFER_*` requests, which then never
-    /// reach [`handle`](Self::handle) — see [`crate::migrate`]. Services
-    /// built on one [`ObjectTable`](crate::ObjectTable) of
-    /// [`MigrateData`](crate::MigrateData) return `Some(&self.table)`.
+    /// answering the three `STD_TRANSFER_*` requests — see
+    /// [`crate::migrate`]. With `None`, dispatch answers those three
+    /// `Unsupported`; either way they never reach
+    /// [`handle`](Self::handle).
     fn migrator(&self) -> Option<&dyn crate::migrate::ShardMigrator> {
         None
     }
@@ -159,10 +161,11 @@ pub(crate) fn send_reply(server: &ServerPort, incoming: &IncomingRequest, reply:
 }
 
 /// Routes one decoded request through the service's migrator, when it
-/// has one: a `STD_TRANSFER_*` op goes to its `handle_transfer`; any
-/// other request is served locally, held during a cutover window, or
-/// relayed to its shard's new owner. Returns the reply to send, or
-/// `None` when no reply leaves this machine.
+/// has one: a `STD_TRANSFER_*` op goes to its `handle_transfer` (and is
+/// answered `Unsupported` without one); any other request is served
+/// locally, held during a cutover window, or relayed to its shard's
+/// new owner. Returns the reply to send, or `None` when no reply leaves
+/// this machine.
 ///
 /// The inflight gauge brackets the *disposition read* as well as the
 /// handler: a migration driver that seals a shard and then observes
@@ -175,15 +178,15 @@ fn dispatch(
     req: &Request,
     ctx: &RequestCtx,
 ) -> Option<Reply> {
+    if (cmd::STD_TRANSFER_BEGIN..=cmd::STD_TRANSFER_COMMIT).contains(&req.command) {
+        return Some(match service.migrator() {
+            Some(migrator) => migrator.handle_transfer(req),
+            None => Reply::status(Status::Unsupported),
+        });
+    }
     let Some(migrator) = service.migrator() else {
         return Some(service.handle(req, ctx));
     };
-    if (cmd::STD_TRANSFER_BEGIN..=cmd::STD_TRANSFER_COMMIT).contains(&req.command) {
-        return Some(match TransferOp::decode(req) {
-            Some(op) => migrator.handle_transfer(&op),
-            None => Reply::status(Status::BadRequest),
-        });
-    }
     let Some(shard) = migrator.shard_of(req) else {
         return Some(service.handle(req, ctx));
     };

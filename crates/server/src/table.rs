@@ -12,7 +12,7 @@
 //! that can grant nothing is in docs/ARCHITECTURE.md, "What a table
 //! remembers it proved").
 
-use crate::migrate::{MigrateData, ShardDisposition, ShardMigrator, TransferOp};
+use crate::migrate::{DirtyHook, Record};
 use crate::proto::{cmd, Reply, Request, Status};
 use crate::wire;
 use amoeba_cap::schemes::{ObjectSecret, ProtectionScheme};
@@ -20,10 +20,8 @@ use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
 use amoeba_crypto::oneway::MASK48;
 use amoeba_crypto::SecretStream;
 use amoeba_net::Port;
-use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Errors from object-table operations, mapping 1:1 onto wire
 /// [`Status`] codes.
@@ -137,69 +135,6 @@ impl<T> Entry<T> {
     }
 }
 
-/// Per-shard migration mode, mirrored in a lock-free tag so the hot
-/// request path (and `create`'s shard pick) reads one atomic.
-mod mode {
-    pub const NORMAL: u8 = 0;
-    /// Being exported: mutations are recorded in the dirty set.
-    pub const TRACKING: u8 = 1;
-    /// Cutover window: requests for the shard are held (dropped, so
-    /// clients retransmit); mutations from already-dispatched requests
-    /// still record dirty slots.
-    pub const SEALED: u8 = 2;
-    /// Migrated away: requests are relayed to the new owner's port.
-    pub const FORWARDED: u8 = 3;
-}
-
-/// Per-shard migration state riding next to the entry slab. All cold
-/// unless a migration is in progress; the steady-state cost is one
-/// relaxed load per mutation.
-struct MigrationState {
-    /// One of the [`mode`] tags.
-    tag: AtomicU8,
-    /// The new owner's put-port (raw value) while [`mode::FORWARDED`].
-    forward_to: AtomicU64,
-    /// Slots mutated since the last [`ShardMigrator::take_dirty`], kept
-    /// sorted on drain so exports are deterministic.
-    dirty: Mutex<Vec<u32>>,
-    /// Requests for this shard currently inside a service handler
-    /// (maintained by the dispatch layer via enter/exit). The
-    /// migration driver waits for this to reach zero after sealing,
-    /// so every mutation that passed the dispatch check lands in the
-    /// dirty set before the final catch-up round.
-    inflight: AtomicU64,
-    /// Table operations touching this shard (lookups and creates) —
-    /// the per-shard load signal the rebalancer steers by.
-    ops: AtomicU64,
-}
-
-impl MigrationState {
-    fn new() -> MigrationState {
-        MigrationState {
-            tag: AtomicU8::new(mode::NORMAL),
-            forward_to: AtomicU64::new(0),
-            dirty: Mutex::new(Vec::new()),
-            inflight: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One incoming transfer's staged (still serialised) chunks, keyed by
-/// chunk sequence number.
-struct Staging {
-    shard: usize,
-    chunks: BTreeMap<u32, Bytes>,
-}
-
-/// Bound on concurrently staged incoming transfers — a hostile or
-/// confused peer cannot grow the staging map without bound.
-const MAX_STAGED_TRANSFERS: usize = 8;
-
-/// How many committed transfer ids are remembered for idempotent
-/// re-acknowledgement of retransmitted `Commit`/`Begin` ops.
-const REMEMBERED_TRANSFERS: usize = 64;
-
 /// One independent stripe of the table: a slab of entries plus its own
 /// free list and secret stream, so operations on different shards never
 /// touch the same lock.
@@ -229,9 +164,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 
 /// The placement key of an object in a `replicas`-way sharded group:
 /// which replica owns the object, derived from the shard index in the
-/// object number's low bits. The inverse of
-/// [`ObjectTable::set_owned_shards`] — a table configured as
-/// `set_owned_shards(i, replicas)` only mints objects whose
+/// object number's low bits. The inverse of placement — a table a
+/// [`ShardHost`](crate::ShardHost) placed as replica `i` of `replicas`
+/// only mints objects whose
 /// `placement_range(object, shards, replicas) == i`.
 ///
 /// # Panics
@@ -264,19 +199,12 @@ pub struct ObjectTable<T> {
     /// Round-robin cursor for `create`, so fresh objects spread evenly
     /// over the stripes no matter which thread creates them.
     next_shard: AtomicUsize,
-    /// When this table is one replica of a sharded placement group
-    /// ([`set_owned_shards`](Self::set_owned_shards)): the shard
-    /// indices `create` may mint into. `None` = every shard (the
-    /// single-machine default).
-    owned: RwLock<Option<Box<[usize]>>>,
-    /// Per-shard migration state, parallel to `shards`.
-    migration: Box<[MigrationState]>,
-    /// Incoming transfers staged ahead of their commit, keyed by
-    /// transfer id.
-    staging: Mutex<BTreeMap<u64, Staging>>,
-    /// Recently committed transfer ids (newest last), for idempotent
-    /// acknowledgement of retransmitted transfer ops.
-    committed_transfers: Mutex<Vec<u64>>,
+    /// The shard indices `create` may mint into: every shard, unless a
+    /// [`ShardHost`](crate::ShardHost) placed the table or moved a
+    /// shard.
+    owned: RwLock<Box<[usize]>>,
+    /// Where mutations report to an export in progress.
+    pub(crate) dirty: DirtyHook,
 }
 
 impl<T> std::fmt::Debug for ObjectTable<T> {
@@ -318,10 +246,8 @@ impl<T> ObjectTable<T> {
             shards: (0..shards).map(|_| Shard::new()).collect(),
             shard_bits: shards.trailing_zeros(),
             next_shard: AtomicUsize::new(0),
-            owned: RwLock::new(None),
-            migration: (0..shards).map(|_| MigrationState::new()).collect(),
-            staging: Mutex::new(BTreeMap::new()),
-            committed_transfers: Mutex::new(Vec::new()),
+            owned: RwLock::new((0..shards).collect()),
+            dirty: DirtyHook::default(),
         }
     }
 
@@ -380,7 +306,7 @@ impl<T> ObjectTable<T> {
     ///
     /// # Panics
     /// Panics unless `owner < replicas` and `replicas ≤ shard count`.
-    pub fn set_owned_shards(&self, owner: usize, replicas: usize) {
+    pub(crate) fn set_owned_shards(&self, owner: usize, replicas: usize) {
         assert!(
             owner < replicas,
             "shard owner index must be below the replica count"
@@ -390,10 +316,9 @@ impl<T> ObjectTable<T> {
             "cannot split {} shards over {replicas} replicas",
             self.shards.len()
         );
-        let owned: Box<[usize]> = (0..self.shards.len())
+        *self.owned.write() = (0..self.shards.len())
             .filter(|s| s % replicas == owner)
             .collect();
-        *self.owned.write() = Some(owned);
     }
 
     /// Number of live objects (sums over all shards).
@@ -410,82 +335,29 @@ impl<T> ObjectTable<T> {
     }
 
     /// The shard index an object number lives in (its low bits).
-    fn shard_index(&self, object: ObjectNum) -> usize {
+    pub(crate) fn shard_index(&self, object: ObjectNum) -> usize {
         (object.value() as usize) & (self.shards.len() - 1)
     }
 
-    /// Splits an object number into (shard, slot), counting the touch
-    /// on the shard's load gauge.
+    /// Splits an object number into (shard, slot).
     fn locate(&self, object: ObjectNum) -> (&Shard<T>, usize) {
         let raw = object.value();
         let shard = self.shard_index(object);
-        self.migration[shard].ops.fetch_add(1, Ordering::Relaxed);
         (&self.shards[shard], (raw >> self.shard_bits) as usize)
     }
 
-    /// Records a mutated slot in the shard's dirty set when an export
-    /// is tracking it. Called while the caller still holds the shard's
-    /// entry write lock, so an export round that drained the dirty set
-    /// and then read the entries is guaranteed to see either the
-    /// mutation or its dirty record.
-    fn note_dirty(&self, shard: usize, slot: usize) {
-        let m = &self.migration[shard];
-        let tag = m.tag.load(Ordering::SeqCst);
-        if tag == mode::TRACKING || tag == mode::SEALED {
-            let mut dirty = m.dirty.lock();
-            let slot = slot as u32;
-            if !dirty.contains(&slot) {
-                dirty.push(slot);
-            }
-        }
-    }
-
-    /// Picks the shard for a new object: any shard advertising a
-    /// reusable slot wins (keeping slabs dense and preserving the
-    /// slot-reuse behaviour of the unsharded table), otherwise the
-    /// round-robin cursor spreads fresh objects evenly. With an owned
-    /// set ([`set_owned_shards`](Self::set_owned_shards)) only owned
-    /// shards are considered.
+    /// Picks the shard for a new object among the owned ones: any shard
+    /// advertising a reusable slot wins (keeping slabs dense and
+    /// preserving the slot-reuse behaviour of the unsharded table),
+    /// otherwise the round-robin cursor spreads fresh objects evenly.
     fn create_shard_index(&self) -> Option<usize> {
         let rr = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let owned = self.owned.read();
-        match owned.as_deref() {
-            Some(owned) => {
-                for offset in 0..owned.len() {
-                    let idx = owned[(rr + offset) % owned.len()];
-                    if self.shard_mintable(idx)
-                        && self.shards[idx].free_count.load(Ordering::Acquire) > 0
-                    {
-                        return Some(idx);
-                    }
-                }
-                (0..owned.len())
-                    .map(|offset| owned[(rr + offset) % owned.len()])
-                    .find(|&idx| self.shard_mintable(idx))
-            }
-            None => {
-                let mask = self.shards.len() - 1;
-                for offset in 0..self.shards.len() {
-                    let idx = (rr + offset) & mask;
-                    if self.shard_mintable(idx)
-                        && self.shards[idx].free_count.load(Ordering::Acquire) > 0
-                    {
-                        return Some(idx);
-                    }
-                }
-                (0..self.shards.len())
-                    .map(|offset| (rr + offset) & mask)
-                    .find(|&idx| self.shard_mintable(idx))
-            }
-        }
-    }
-
-    /// Whether `create` may mint into the shard right now: sealed and
-    /// migrated-away shards are off limits (a mint there would bypass
-    /// the cutover or land on a shard this table no longer owns).
-    fn shard_mintable(&self, shard: usize) -> bool {
-        let tag = self.migration[shard].tag.load(Ordering::SeqCst);
-        tag == mode::NORMAL || tag == mode::TRACKING
+        let mut order = (0..owned.len()).map(|offset| owned[(rr + offset) % owned.len()]);
+        let first = order.clone().next();
+        order
+            .find(|&idx| self.shards[idx].free_count.load(Ordering::Acquire) > 0)
+            .or(first)
     }
 
     /// Creates an object: picks a random number, stores it, and mints
@@ -520,9 +392,6 @@ impl<T> ObjectTable<T> {
         let port = self.port();
         let shard_index = self.create_shard_index().ok_or(ServerError::Unsupported)?;
         let shard = &self.shards[shard_index];
-        self.migration[shard_index]
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
         let secret = self.scheme.new_secret(&mut shard.secrets.lock());
         let mut entries = shard.entries.write();
         let slot = match shard.free.lock().pop() {
@@ -549,7 +418,7 @@ impl<T> ObjectTable<T> {
         // presentation is already proven.
         entry.remember(presented(&cap), Rights::ALL);
         entries[slot as usize] = Some(entry);
-        self.note_dirty(shard_index, slot as usize);
+        self.dirty.note(shard_index, slot as usize);
         Ok((object, cap))
     }
 
@@ -612,7 +481,7 @@ impl<T> ObjectTable<T> {
             return Err(ServerError::RightsViolation);
         }
         let out = f(&mut slot_entry.data);
-        self.note_dirty(self.shard_index(cap.object), slot);
+        self.dirty.note(self.shard_index(cap.object), slot);
         Ok(out)
     }
 
@@ -638,7 +507,7 @@ impl<T> ObjectTable<T> {
             .and_then(|e| e.as_mut())
             .map(|e| f(&mut e.data));
         if out.is_some() {
-            self.note_dirty(self.shard_index(object), slot);
+            self.dirty.note(self.shard_index(object), slot);
         }
         out
     }
@@ -684,7 +553,7 @@ impl<T> ObjectTable<T> {
         // What the old secret proved dies with it, under the same lock.
         *slot_entry.proven.get_mut() = 0;
         let fresh = self.scheme.mint(port, cap.object, &slot_entry.secret);
-        self.note_dirty(self.shard_index(cap.object), slot);
+        self.dirty.note(self.shard_index(cap.object), slot);
         Ok(fresh)
     }
 
@@ -733,16 +602,13 @@ impl<T> ObjectTable<T> {
         let shard = &self.shards[index];
         shard.free.lock().push(slot as u32);
         shard.free_count.fetch_add(1, Ordering::AcqRel);
-        self.note_dirty(index, slot);
+        self.dirty.note(index, slot);
         Some(entry.data)
     }
 
     /// Answers the standard commands ([`cmd::STD_RESTRICT`],
     /// [`cmd::STD_REVOKE`], [`cmd::STD_INFO`]); returns `None` for
-    /// service-specific commands the caller should handle itself. The
-    /// three `STD_TRANSFER_*` commands get `Unsupported`: a migration
-    /// op reaches a handler only when the dispatch loop has no
-    /// [`ShardMigrator`] to give it to.
+    /// service-specific commands the caller should handle itself.
     pub fn handle_std(&self, req: &Request) -> Option<Reply> {
         match req.command {
             cmd::STD_RESTRICT => {
@@ -765,55 +631,69 @@ impl<T> ObjectTable<T> {
                 Ok(rights) => Reply::ok(wire::Writer::new().u32(rights.bits() as u32).finish()),
                 Err(e) => Reply::status(e.into()),
             }),
-            cmd::STD_TRANSFER_BEGIN..=cmd::STD_TRANSFER_COMMIT => {
-                Some(Reply::status(Status::Unsupported))
-            }
             _ => None,
         }
     }
 }
 
-/// Live shard migration: private helpers of the [`ShardMigrator`] impl
-/// below, the table's only migration API (protocol in [`crate::migrate`]).
+/// What a [`ShardHost`](crate::ShardHost) reaches of the table: the
+/// owned set, and the slots of one shard as migration records.
 impl<T> ObjectTable<T> {
-    /// Whether this replica currently owns `shard` (may mint into it
-    /// and is the authority for its objects).
-    fn owns_shard(&self, shard: usize) -> bool {
-        match self.owned.read().as_deref() {
-            Some(owned) => owned.contains(&shard),
-            None => shard < self.shards.len(),
-        }
+    /// Whether this replica owns `shard` (may mint into it and is the
+    /// authority for its objects).
+    pub(crate) fn owns_shard(&self, shard: usize) -> bool {
+        self.owned.read().contains(&shard)
     }
 
-    /// Takes ownership of a shard (the import side of a cutover): the
-    /// shard joins the owned set and serves normally.
-    fn adopt_shard(&self, shard: usize) {
-        {
-            let mut owned = self.owned.write();
-            if let Some(o) = owned.as_deref() {
-                if !o.contains(&shard) {
-                    let mut v = o.to_vec();
-                    v.push(shard);
-                    v.sort_unstable();
-                    *owned = Some(v.into_boxed_slice());
-                }
-            }
-        }
-        let m = &self.migration[shard];
-        m.tag.store(mode::NORMAL, Ordering::SeqCst);
-        m.forward_to.store(0, Ordering::SeqCst);
-        m.dirty.lock().clear();
+    /// The owned shards, ascending.
+    pub(crate) fn owned_shards(&self) -> Vec<usize> {
+        self.owned.read().to_vec()
     }
 
-    fn transfer_committed(&self, xfer: u64) -> bool {
-        self.committed_transfers.lock().contains(&xfer)
+    /// Adds `shard` to the owned set (`own`), or takes it out.
+    pub(crate) fn own_shard(&self, shard: usize, own: bool) {
+        let mut owned = self.owned.write();
+        let mut v: Vec<usize> = owned.iter().copied().filter(|&s| s != shard).collect();
+        if own {
+            v.push(shard);
+            v.sort_unstable();
+        }
+        *owned = v.into_boxed_slice();
+    }
+
+    /// Calls `f` with each listed slot of `shard` and its (secret,
+    /// data), `None` for an empty slot — with every live slot, in
+    /// order, when `slots` is `None`. Runs under the shard's read lock.
+    pub(crate) fn export_records(
+        &self,
+        shard: usize,
+        slots: Option<&[u32]>,
+        mut f: impl FnMut(u32, Option<(u64, &T)>),
+    ) {
+        let entries = self.shards[shard].entries.read();
+        let record = |slot: u32| {
+            let entry = entries.get(slot as usize)?.as_ref()?;
+            Some((entry.secret.value(), &entry.data))
+        };
+        match slots {
+            Some(list) => list.iter().for_each(|&slot| f(slot, record(slot))),
+            None => (0..entries.len() as u32)
+                .filter_map(|slot| Some((slot, record(slot)?)))
+                .for_each(|(slot, r)| f(slot, Some(r))),
+        }
     }
 
     /// Installs decoded records into a shard slab (live records
     /// overwrite, tombstones clear) and rebuilds the free list so
     /// future creates reuse the holes. Object numbers and secrets are
     /// preserved exactly: outstanding capabilities keep validating.
-    fn install_records(&self, shard_index: usize, records: Vec<crate::migrate::Record<T>>) {
+    /// Installs nothing and returns `false` if a slot lies past the
+    /// shard's slice of the object-number space.
+    pub(crate) fn install_records(&self, shard_index: usize, records: Vec<Record<T>>) -> bool {
+        let max_slot = ObjectNum::MAX >> self.shard_bits;
+        if records.iter().any(|(slot, _)| *slot > max_slot) {
+            return false;
+        }
         let shard = &self.shards[shard_index];
         let mut entries = shard.entries.write();
         for (slot, payload) in records {
@@ -832,241 +712,16 @@ impl<T> ObjectTable<T> {
             .collect();
         shard.free_count.store(free.len(), Ordering::Release);
         *shard.free.lock() = free;
-    }
-}
-
-impl<T: MigrateData + Send + Sync> ShardMigrator for ObjectTable<T> {
-    fn shard_of(&self, req: &Request) -> Option<usize> {
-        if req.cap.rights.bits() == 0 && req.cap.check == 0 {
-            return None;
-        }
-        Some(self.shard_index(req.cap.object))
-    }
-    fn disposition(&self, shard: usize) -> ShardDisposition {
-        let m = &self.migration[shard];
-        match m.tag.load(Ordering::SeqCst) {
-            mode::SEALED => ShardDisposition::Hold,
-            mode::FORWARDED => match Port::new(m.forward_to.load(Ordering::SeqCst)) {
-                Some(port) => ShardDisposition::Forward(port),
-                None => ShardDisposition::Hold,
-            },
-            _ => ShardDisposition::Serve,
-        }
-    }
-    fn enter(&self, shard: usize) {
-        self.migration[shard]
-            .inflight
-            .fetch_add(1, Ordering::SeqCst);
-    }
-    fn exit(&self, shard: usize) {
-        self.migration[shard]
-            .inflight
-            .fetch_sub(1, Ordering::SeqCst);
-    }
-    fn inflight(&self, shard: usize) -> u64 {
-        self.migration[shard].inflight.load(Ordering::SeqCst)
-    }
-    fn shard_count(&self) -> usize {
-        ObjectTable::shard_count(self)
-    }
-    fn owned_shards(&self) -> Vec<usize> {
-        match self.owned.read().as_deref() {
-            Some(owned) => owned.to_vec(),
-            None => (0..self.shards.len()).collect(),
-        }
-    }
-    fn shard_ops(&self) -> Vec<u64> {
-        self.migration
-            .iter()
-            .map(|m| m.ops.load(Ordering::Relaxed))
-            .collect()
-    }
-    fn begin_export(&self, shard: usize) -> bool {
-        if shard >= self.shards.len() || !self.owns_shard(shard) {
-            return false;
-        }
-        let m = &self.migration[shard];
-        let tag = m.tag.load(Ordering::SeqCst);
-        if tag != mode::NORMAL && tag != mode::TRACKING {
-            return false;
-        }
-        m.dirty.lock().clear();
-        m.tag.store(mode::TRACKING, Ordering::SeqCst);
         true
-    }
-    fn export_chunks(&self, shard: usize, slots: Option<&[u32]>, max_records: usize) -> Vec<Bytes> {
-        let max_records = max_records.max(1);
-        let entries = self.shards[shard].entries.read();
-        let mut chunks = Vec::new();
-        let mut cur: Vec<u8> = Vec::new();
-        let mut count = 0usize;
-        let emit = |cur: &mut Vec<u8>, count: &mut usize, chunks: &mut Vec<Bytes>| {
-            *count += 1;
-            if *count == max_records {
-                chunks.push(Bytes::from(std::mem::take(cur)));
-                *count = 0;
-            }
-        };
-        match slots {
-            None => {
-                for (slot, entry) in entries.iter().enumerate() {
-                    if let Some(e) = entry {
-                        crate::migrate::encode_live_record(
-                            &mut cur,
-                            slot as u32,
-                            e.secret.value(),
-                            &e.data.encode(),
-                        );
-                        emit(&mut cur, &mut count, &mut chunks);
-                    }
-                }
-            }
-            Some(list) => {
-                for &slot in list {
-                    match entries.get(slot as usize).and_then(|e| e.as_ref()) {
-                        Some(e) => crate::migrate::encode_live_record(
-                            &mut cur,
-                            slot,
-                            e.secret.value(),
-                            &e.data.encode(),
-                        ),
-                        None => crate::migrate::encode_tombstone(&mut cur, slot),
-                    }
-                    emit(&mut cur, &mut count, &mut chunks);
-                }
-            }
-        }
-        if count > 0 {
-            chunks.push(Bytes::from(cur));
-        }
-        chunks
-    }
-    fn take_dirty(&self, shard: usize) -> Vec<u32> {
-        let mut out = std::mem::take(&mut *self.migration[shard].dirty.lock());
-        out.sort_unstable();
-        out
-    }
-    fn seal(&self, shard: usize) {
-        let _ = self.migration[shard].tag.compare_exchange(
-            mode::TRACKING,
-            mode::SEALED,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-    }
-    fn release(&self, shard: usize, forward_to: Port) {
-        {
-            let mut owned = self.owned.write();
-            let remaining: Box<[usize]> = match owned.as_deref() {
-                Some(o) => o.iter().copied().filter(|&s| s != shard).collect(),
-                None => (0..self.shards.len()).filter(|&s| s != shard).collect(),
-            };
-            *owned = Some(remaining);
-        }
-        let m = &self.migration[shard];
-        m.forward_to.store(forward_to.value(), Ordering::SeqCst);
-        m.tag.store(mode::FORWARDED, Ordering::SeqCst);
-        m.dirty.lock().clear();
-    }
-    fn abort(&self, shard: usize) {
-        let m = &self.migration[shard];
-        let tag = m.tag.load(Ordering::SeqCst);
-        if tag == mode::TRACKING || tag == mode::SEALED {
-            m.tag.store(mode::NORMAL, Ordering::SeqCst);
-            m.dirty.lock().clear();
-        }
-    }
-    fn handle_transfer(&self, op: &TransferOp) -> Reply {
-        match op {
-            TransferOp::Begin { xfer, shard } => {
-                if self.transfer_committed(*xfer) {
-                    return Reply::ok(Bytes::new());
-                }
-                let shard = *shard as usize;
-                if shard >= self.shards.len() {
-                    return Reply::status(Status::BadRequest);
-                }
-                let mut staging = self.staging.lock();
-                if !staging.contains_key(xfer) && staging.len() >= MAX_STAGED_TRANSFERS {
-                    return Reply::status(Status::NoSpace);
-                }
-                staging.insert(
-                    *xfer,
-                    Staging {
-                        shard,
-                        chunks: BTreeMap::new(),
-                    },
-                );
-                Reply::ok(Bytes::new())
-            }
-            TransferOp::Chunk { xfer, seq, records } => {
-                if self.transfer_committed(*xfer) {
-                    return Reply::ok(Bytes::new());
-                }
-                let mut staging = self.staging.lock();
-                match staging.get_mut(xfer) {
-                    Some(st) => {
-                        st.chunks.entry(*seq).or_insert_with(|| records.clone());
-                        Reply::ok(Bytes::new())
-                    }
-                    None => Reply::status(Status::Conflict),
-                }
-            }
-            TransferOp::Commit { xfer, chunks } => {
-                if self.transfer_committed(*xfer) {
-                    return Reply::ok(Bytes::new());
-                }
-                // Install while holding the staging lock, so a racing
-                // retransmitted commit observes either "still staged"
-                // or "committed" — never a window where the transfer
-                // has vanished (which would read as Conflict).
-                let mut staging = self.staging.lock();
-                let Some(st) = staging.get(xfer) else {
-                    return Reply::status(Status::Conflict);
-                };
-                let complete = st.chunks.len() == *chunks as usize
-                    && st.chunks.keys().enumerate().all(|(i, &s)| s == i as u32);
-                if !complete {
-                    return Reply::status(Status::Conflict);
-                }
-                let mut records = Vec::new();
-                for blob in st.chunks.values() {
-                    match crate::migrate::decode_records::<T>(blob) {
-                        Some(r) => records.extend(r),
-                        None => return Reply::status(Status::BadRequest),
-                    }
-                }
-                let max_slot = ObjectNum::MAX >> self.shard_bits;
-                if records.iter().any(|(slot, _)| *slot > max_slot) {
-                    return Reply::status(Status::BadRequest);
-                }
-                let shard = st.shard;
-                self.install_records(shard, records);
-                self.adopt_shard(shard);
-                staging.remove(xfer);
-                let mut committed = self.committed_transfers.lock();
-                committed.push(*xfer);
-                if committed.len() > REMEMBERED_TRANSFERS {
-                    committed.remove(0);
-                }
-                Reply::ok(Bytes::new())
-            }
-        }
-    }
-    fn forward_target(&self, shard: usize) -> Option<Port> {
-        let m = &self.migration[shard];
-        if m.tag.load(Ordering::SeqCst) == mode::FORWARDED {
-            Port::new(m.forward_to.load(Ordering::SeqCst))
-        } else {
-            None
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::migrate::{ShardDisposition, ShardHost, ShardMigrator, TransferOp};
     use amoeba_cap::schemes::SchemeKind;
+    use bytes::Bytes;
     use std::sync::Arc;
 
     fn table(kind: SchemeKind) -> ObjectTable<String> {
@@ -1365,48 +1020,68 @@ mod tests {
         assert_eq!(t.len(), 400);
     }
 
+    /// A fresh table placed as replica `owner` of `replicas`, and its
+    /// shard host.
+    fn placed(
+        kind: SchemeKind,
+        owner: usize,
+        replicas: usize,
+    ) -> (Arc<ObjectTable<String>>, ShardHost<String>) {
+        let t = Arc::new(table(kind));
+        let host = ShardHost::new(Arc::clone(&t), owner, replicas);
+        (t, host)
+    }
+
+    /// `op` as dispatch hands it to the host: under its migration
+    /// capability.
+    fn send(host: &ShardHost<String>, op: TransferOp) -> Status {
+        let req = Request {
+            cap: host.capability(),
+            command: op.command(),
+            params: op.write_params(wire::Writer::new()).finish(),
+        };
+        host.handle_transfer(&req).status
+    }
+
     #[test]
     fn export_import_preserves_objects_and_capabilities() {
         for kind in SchemeKind::ALL {
-            let src = table(kind);
-            let dst: ObjectTable<String> =
-                ObjectTable::with_port(kind.instantiate(), Port::new(0x1111).unwrap());
-            // Empty owned set on the target: it owns nothing until it
-            // adopts the migrated shard.
-            dst.set_owned_shards(0, 1);
-            *dst.owned.write() = Some(Box::new([]));
+            let (src, src_host) = placed(kind, 0, 1);
+            let (dst, dst_host) = placed(kind, 0, 1);
+            // The target owns nothing until it adopts the migrated
+            // shard.
+            for shard in 0..DEFAULT_SHARDS {
+                dst.own_shard(shard, false);
+            }
 
             let caps: Vec<(ObjectNum, Capability)> =
                 (0..40).map(|i| src.create(format!("obj-{i}"))).collect();
             let shard = 3usize;
-            assert!(src.begin_export(shard));
-            let chunks = src.export_chunks(shard, None, 4);
+            assert!(src_host.begin_export(shard));
+            let chunks = src_host.export_chunks(shard, None, 4);
             let xfer = 7u64;
-            assert_eq!(
-                dst.handle_transfer(&TransferOp::Begin {
-                    xfer,
-                    shard: shard as u8
-                })
-                .status,
-                Status::Ok
-            );
+            let begin = TransferOp::Begin {
+                xfer,
+                shard: shard as u8,
+            };
+            assert_eq!(send(&dst_host, begin), Status::Ok);
             for (seq, records) in chunks.iter().enumerate() {
                 let op = TransferOp::Chunk {
                     xfer,
                     seq: seq as u32,
                     records: records.clone(),
                 };
-                assert_eq!(dst.handle_transfer(&op).status, Status::Ok);
+                assert_eq!(send(&dst_host, op), Status::Ok);
             }
             let commit = TransferOp::Commit {
                 xfer,
                 chunks: chunks.len() as u32,
             };
-            assert_eq!(dst.handle_transfer(&commit).status, Status::Ok);
+            assert_eq!(send(&dst_host, commit.clone()), Status::Ok);
             // Retransmitted commit is re-acknowledged, not re-executed.
-            assert_eq!(dst.handle_transfer(&commit).status, Status::Ok);
+            assert_eq!(send(&dst_host, commit), Status::Ok);
 
-            assert_eq!(dst.owned_shards(), vec![shard]);
+            assert_eq!(dst_host.owned_shards(), vec![shard]);
             for (obj, cap) in &caps {
                 if (obj.value() as usize) & (DEFAULT_SHARDS - 1) != shard {
                     continue;
@@ -1423,12 +1098,12 @@ mod tests {
 
     #[test]
     fn dirty_tracking_captures_mutations_and_deletes() {
-        let t = table(SchemeKind::OneWay);
+        let (t, host) = placed(SchemeKind::OneWay, 0, 1);
         let caps: Vec<(ObjectNum, Capability)> =
             (0..32).map(|i| t.create(format!("{i}"))).collect();
         let shard = 0usize;
-        assert!(t.begin_export(shard));
-        assert!(t.take_dirty(shard).is_empty(), "tracking starts clean");
+        assert!(host.begin_export(shard));
+        assert!(host.take_dirty(shard).is_empty(), "tracking starts clean");
         let in_shard: Vec<&(ObjectNum, Capability)> = caps
             .iter()
             .filter(|(o, _)| (o.value() as usize) & (DEFAULT_SHARDS - 1) == shard)
@@ -1445,12 +1120,12 @@ mod tests {
             .unwrap();
         t.with_object_mut(&foreign.1, Rights::WRITE, |s| s.push('?'))
             .unwrap();
-        let dirty = t.take_dirty(shard);
+        let dirty = host.take_dirty(shard);
         assert_eq!(dirty.len(), 2);
         assert!(dirty.contains(&(obj_w.value() >> t.shard_bits)));
-        assert!(t.take_dirty(shard).is_empty(), "drain empties the set");
+        assert!(host.take_dirty(shard).is_empty(), "drain empties the set");
         // Delta export of the dirty slots: one live record, one tombstone.
-        let delta = t.export_chunks(shard, Some(&dirty), 64);
+        let delta = host.export_chunks(shard, Some(&dirty), 64);
         assert_eq!(delta.len(), 1);
         let records = crate::migrate::decode_records::<String>(&delta[0]).unwrap();
         assert_eq!(records.len(), 2);
@@ -1459,8 +1134,7 @@ mod tests {
 
     #[test]
     fn seal_and_release_change_disposition() {
-        use crate::migrate::ShardDisposition;
-        let t = table(SchemeKind::Simple);
+        let (_, t) = placed(SchemeKind::Simple, 0, 1);
         let shard = 5usize;
         assert_eq!(t.disposition(shard), ShardDisposition::Serve);
         assert!(t.begin_export(shard));
@@ -1470,7 +1144,6 @@ mod tests {
         let new_owner = Port::new(0xBEEF).unwrap();
         t.release(shard, new_owner);
         assert_eq!(t.disposition(shard), ShardDisposition::Forward(new_owner));
-        assert_eq!(t.forward_target(shard), Some(new_owner));
         assert!(!t.owned_shards().contains(&shard));
         assert!(!t.begin_export(shard), "cannot re-export a released shard");
         // Aborting an export restores normal service.
@@ -1482,27 +1155,34 @@ mod tests {
 
     #[test]
     fn drained_replica_refuses_creates() {
-        let t = table(SchemeKind::OneWay);
-        t.set_owned_shards(0, 4);
+        let (t, host) = placed(SchemeKind::OneWay, 0, 4);
         let fwd = Port::new(0xD00D).unwrap();
-        for shard in t.owned_shards() {
-            t.release(shard, fwd);
+        for shard in host.owned_shards() {
+            host.release(shard, fwd);
         }
         assert_eq!(
             t.try_create("x".into()).unwrap_err(),
             ServerError::Unsupported
         );
-        // Re-adopting one shard makes the replica mintable again.
-        t.adopt_shard(0);
+        // Re-adopting one shard (an empty transfer of it) makes the
+        // replica mintable again.
+        assert_eq!(
+            send(&host, TransferOp::Begin { xfer: 1, shard: 0 }),
+            Status::Ok
+        );
+        assert_eq!(
+            send(&host, TransferOp::Commit { xfer: 1, chunks: 0 }),
+            Status::Ok
+        );
         assert!(t.try_create("y".into()).is_ok());
     }
 
     #[test]
     fn sealed_shard_is_skipped_by_create() {
-        let t = table(SchemeKind::Simple);
+        let (t, host) = placed(SchemeKind::Simple, 0, 1);
         let mask = (DEFAULT_SHARDS - 1) as u32;
-        t.begin_export(2);
-        t.seal(2);
+        host.begin_export(2);
+        host.seal(2);
         for i in 0..(DEFAULT_SHARDS * 4) {
             let (obj, _) = t.create(format!("{i}"));
             assert_ne!(obj.value() & mask, 2, "sealed shard must not mint");
@@ -1511,10 +1191,13 @@ mod tests {
 
     #[test]
     fn transfer_chunks_out_of_order_and_incomplete_commits() {
-        let t = table(SchemeKind::OneWay);
+        // Replica 0 of 2: shard 1 belongs to the other replica.
+        let (t, host) = placed(SchemeKind::OneWay, 0, 2);
         let xfer = 99u64;
-        let begin = TransferOp::Begin { xfer, shard: 1 };
-        assert_eq!(t.handle_transfer(&begin).status, Status::Ok);
+        assert_eq!(
+            send(&host, TransferOp::Begin { xfer, shard: 1 }),
+            Status::Ok
+        );
         // Commit before all chunks arrive: refused, staging intact.
         let mut blob = Vec::new();
         crate::migrate::encode_tombstone(&mut blob, 4);
@@ -1523,16 +1206,16 @@ mod tests {
             seq: 1,
             records: Bytes::from(blob.clone()),
         };
-        assert_eq!(t.handle_transfer(&chunk1).status, Status::Ok);
+        assert_eq!(send(&host, chunk1.clone()), Status::Ok);
         let commit = TransferOp::Commit { xfer, chunks: 2 };
-        assert_eq!(t.handle_transfer(&commit).status, Status::Conflict);
+        assert_eq!(send(&host, commit.clone()), Status::Conflict);
         // Chunk for an unknown transfer: refused.
         let stray = TransferOp::Chunk {
             xfer: 1234,
             seq: 0,
             records: Bytes::new(),
         };
-        assert_eq!(t.handle_transfer(&stray).status, Status::Conflict);
+        assert_eq!(send(&host, stray), Status::Conflict);
         // The missing chunk arrives (duplicate of seq 1 is ignored),
         // then commit succeeds.
         let chunk0 = TransferOp::Chunk {
@@ -1540,28 +1223,53 @@ mod tests {
             seq: 0,
             records: Bytes::from(blob),
         };
-        assert_eq!(t.handle_transfer(&chunk0).status, Status::Ok);
-        assert_eq!(t.handle_transfer(&chunk1).status, Status::Ok);
-        assert_eq!(t.handle_transfer(&commit).status, Status::Ok);
+        assert_eq!(send(&host, chunk0), Status::Ok);
+        assert_eq!(send(&host, chunk1), Status::Ok);
+        assert_eq!(send(&host, commit), Status::Ok);
+
+        // A complete commit into a shard the target owns: refused, and
+        // the live object there is untouched.
+        let (object, cap) = t.create("live".into());
+        let (shard, slot) = (t.shard_index(object), object.value() >> t.shard_bits);
+        let mut blob = Vec::new();
+        crate::migrate::encode_live_record(&mut blob, slot, 7, b"pwned");
+        let xfer = 100u64;
+        let shard = shard as u8;
+        assert_eq!(send(&host, TransferOp::Begin { xfer, shard }), Status::Ok);
+        let records = Bytes::from(blob);
+        let chunk = TransferOp::Chunk {
+            xfer,
+            seq: 0,
+            records,
+        };
+        assert_eq!(send(&host, chunk), Status::Ok);
+        let commit = TransferOp::Commit { xfer, chunks: 1 };
+        assert_eq!(send(&host, commit), Status::Conflict);
+        assert_eq!(
+            t.with_object(&cap, Rights::READ, |s| s.clone()).unwrap(),
+            "live"
+        );
     }
 
     #[test]
     fn staging_is_bounded() {
-        let t = table(SchemeKind::Simple);
-        for xfer in 0..MAX_STAGED_TRANSFERS as u64 {
-            let op = TransferOp::Begin { xfer, shard: 0 };
-            assert_eq!(t.handle_transfer(&op).status, Status::Ok);
+        let (_, host) = placed(SchemeKind::Simple, 0, 1);
+        for xfer in 0..crate::migrate::MAX_STAGED_TRANSFERS as u64 {
+            assert_eq!(
+                send(&host, TransferOp::Begin { xfer, shard: 0 }),
+                Status::Ok
+            );
         }
         let overflow = TransferOp::Begin {
             xfer: 1_000,
             shard: 0,
         };
-        assert_eq!(t.handle_transfer(&overflow).status, Status::NoSpace);
+        assert_eq!(send(&host, overflow), Status::NoSpace);
     }
 
     #[test]
     fn inflight_gauge_tracks_enter_exit() {
-        let t = table(SchemeKind::Simple);
+        let (_, t) = placed(SchemeKind::Simple, 0, 1);
         assert_eq!(t.inflight(7), 0);
         t.enter(7);
         t.enter(7);
@@ -1644,12 +1352,11 @@ mod tests {
         let dst: ObjectTable<String> =
             ObjectTable::with_shards(SchemeKind::OneWay.instantiate(), 1);
         dst.set_port(Port::new(0x1111).unwrap());
-        let records = t
-            .export_chunks(0, None, 8)
-            .iter()
-            .flat_map(|blob| crate::migrate::decode_records::<String>(blob).unwrap())
-            .collect();
-        dst.install_records(0, records);
+        let mut records = Vec::new();
+        t.export_records(0, None, |slot, record| {
+            records.push((slot, record.map(|(secret, data)| (secret, data.clone()))));
+        });
+        assert!(dst.install_records(0, records));
         assert_eq!(word(&dst), 0, "the word does not migrate");
         assert_eq!(dst.validate(&cap).unwrap_err(), ServerError::Forged);
         assert_eq!(dst.validate(&fresh).unwrap(), Rights::ALL);

@@ -27,7 +27,7 @@ use amoeba::net::splitmix64;
 use amoeba::prelude::*;
 use amoeba::rpc::{Client, RpcError};
 use amoeba::server::proto::{null_cap, Reply, Request, Status};
-use amoeba::server::{placement_range, wire, DEFAULT_SHARDS};
+use amoeba::server::{placement_range, wire, ShardDisposition, DEFAULT_SHARDS};
 use bytes::{Bytes, BytesMut};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -169,12 +169,13 @@ fn run_migration_scenario(
         }
 
         let migrator = src_pump.service().migrator().expect("flatfs migrates");
+        let target = tgt_pump.service().migrator().unwrap().capability();
         let mut migration = ShardMigration::new(
             &mig_client,
             migrator,
             shard,
             seed | 1, // nonzero transfer id
-            target_port(),
+            target,
             None,
         );
         {
@@ -380,8 +381,8 @@ fn run_migration_scenario(
                 "a committed migration leaves the target owning the shard"
             );
             assert_eq!(
-                src.forward_target(shard),
-                Some(target_port()),
+                src.disposition(shard),
+                ShardDisposition::Forward(target_port()),
                 "the source must forward the released shard"
             );
         }
@@ -390,7 +391,7 @@ fn run_migration_scenario(
                 src.owned_shards().contains(&shard),
                 "an aborted migration leaves the source serving, untouched"
             );
-            assert_eq!(src.forward_target(shard), None);
+            assert_eq!(src.disposition(shard), ShardDisposition::Serve);
         }
     }
     let (completed, timeouts) = *stats.borrow();
@@ -549,6 +550,7 @@ fn a_revocation_during_the_copy_survives_the_commit() {
         )
         .with_rng_seed(seed);
         let migrator = src_pump.service().migrator().expect("flatfs migrates");
+        let target = tgt_pump.service().migrator().unwrap().capability();
 
         let mut exec = SimExecutor::new(&net);
         for pump in [&src_pump, &tgt_pump] {
@@ -600,7 +602,7 @@ fn a_revocation_during_the_copy_survives_the_commit() {
                         migrator,
                         shard_of(&owner),
                         seed | 1,
-                        target_port(),
+                        target,
                         None,
                     ));
                     assert_eq!(m.poll(), ActorPoll::Progress);
@@ -612,8 +614,8 @@ fn a_revocation_during_the_copy_survives_the_commit() {
                         let stats = m.result().expect("done").expect("quiet plan commits");
                         assert!(stats.catchup_rounds >= 1, "{kind}: the revoke was a delta");
                         assert_eq!(
-                            migrator.forward_target(shard_of(&owner)),
-                            Some(target_port()),
+                            migrator.disposition(shard_of(&owner)),
+                            ShardDisposition::Forward(target_port()),
                             "{kind}: what follows is answered by the new owner"
                         );
                         step = 3;
