@@ -115,7 +115,9 @@ pub struct HotPathSnapshot {
     /// Ticks at which a spinning receiver looked at one of those
     /// queues, hit or miss. Per spin hit, 2.0 is a request–reply
     /// exchange in step with the spin grid; above ≈ 2.1 the peer's step
-    /// no longer fits in a tick.
+    /// no longer fits in a tick (`vendor/crossbeam`'s `SPIN_TICK_NANOS`;
+    /// its length and scan: `docs/ARCHITECTURE.md`, "The frame path's
+    /// budget").
     pub queue_spin_looks: u64,
     /// Yields (a `sched_yield` syscall each) made by receivers that
     /// found those queues empty and were about to park.

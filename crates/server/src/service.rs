@@ -251,10 +251,10 @@ impl ServiceRunner {
     /// Binds `get_port` on `endpoint` and serves `service` on a pool of
     /// `workers` threads.
     ///
-    /// All workers receive from the **same** bound port: the endpoint's
-    /// packet queue is a crossbeam MPMC channel, so each frame is
-    /// claimed by exactly one worker, which serves the whole frame
-    /// (every entry of a batch) with `&self` on the shared service.
+    /// All workers receive from the **same** bound port, through the
+    /// endpoint's MPMC inbox, so each frame is claimed by exactly one
+    /// worker, which serves the whole frame (every entry of a batch)
+    /// with `&self` on the shared service.
     /// Use more than one worker only with services whose handlers
     /// tolerate concurrent execution (every service in this repository
     /// does — state lives in the lock-striped

@@ -38,10 +38,12 @@ fn port(n: u64) -> Port {
 /// the spinners' looks per spin hit — 2.00 is an exchange in step with
 /// the spin grid (one look at the tick the peer first sees the message,
 /// one that finds the answer); above ≈ 2.1 the peer's step no longer
-/// fits in a tick, or spins are running out their bound. That is the
-/// ping-pong's reading; in the chain the outer caller's spin spans the
-/// whole inner transaction, and four or so is in step. Not a number (or
-/// `inf`: a probe looked) where no spin hit: the threads shared a core.
+/// fits in a tick (`vendor/crossbeam`'s `SPIN_TICK_NANOS`, priced in
+/// `docs/ARCHITECTURE.md`, "The frame path's budget"), or spins are
+/// running out their bound. That is the ping-pong's reading; in the
+/// chain the outer caller's spin spans the whole inner transaction, and
+/// four or so is in step. Not a number (or `inf`: a probe looked) where
+/// no spin hit: the threads shared a core.
 fn row(what: &str, hot: &HotPathSnapshot, per: u64) {
     let each = |count: u64| count as f64 / per as f64;
     println!(
@@ -122,9 +124,10 @@ fn a_warm_round_trip_never_pays_two_wakes() {
         // cost the other side's yield its bound). On two cores both
         // receivers spin once warm and the wakes vanish. What must not
         // survive the warm-up is two cores *and* two wakes per round
-        // trip — the parked cross-core hand-off, at 36–42 µs six times
-        // the spinning pair's two ticks and fifteen times the yielding
-        // pair's two `sched_yield`s.
+        // trip — the parked cross-core hand-off, at 36–42 µs many times
+        // the spinning pair's two ticks (`SPIN_TICK_NANOS`; see
+        // `docs/ARCHITECTURE.md`, "The frame path's budget") and
+        // fifteen times the yielding pair's two `sched_yield`s.
         if per_trip < 1.5 {
             return;
         }
