@@ -13,12 +13,12 @@
 //!
 //! * **Replicated** ([`ServiceCluster`] + [`ClusterClient`]) — every
 //!   replica can serve every request (stateless or replicated-state
-//!   services). All replicas bind the *same* put-port; discovery
-//!   (broadcast LOCATE or the rendezvous [`ClusterRegistry`]) yields
-//!   the live replica set, a [`PlacementPolicy`] picks one per call,
-//!   and the frame is machine-targeted at it. A replica that stops
-//!   answering is invalidated on timeout and the call transparently
-//!   retries the next replica — callers see retries, not errors.
+//!   services). All replicas bind the *same* put-port; a broadcast
+//!   LOCATE yields the live replica set, the client takes one replica
+//!   per call round-robin, and the frame is machine-targeted at it. A
+//!   replica that stops answering is invalidated on timeout and the
+//!   call transparently retries the next replica — callers see
+//!   retries, not errors.
 //! * **Sharded** ([`ElasticCluster`] + [`ElasticClient`]) — stateful
 //!   services whose objects live exactly where they were created. The
 //!   [`ObjectTable`](amoeba_server::ObjectTable) shard index (the low
@@ -30,40 +30,30 @@
 //!   exactly as §3.4 prescribes, so clients bootstrap the shard map
 //!   with ordinary directory lookups. The map starts static (shard `s`
 //!   on replica `s % n`) and may move: **live migration**
-//!   ([`migrate`] streams a shard's objects and secrets over the
-//!   TRANSFER frames, then flips ownership with the old owner
+//!   ([`migrate`] streams a shard's objects and secrets to the new
+//!   owner as `STD_TRANSFER_*` requests, each carrying the target's
+//!   migration capability, then flips ownership with the old owner
 //!   forwarding stale traffic) relieves skew, a load-driven
 //!   [`Rebalancer`] decides which shards should move, and the client
 //!   refreshes its map from the directory when a call hits a drained
 //!   replica. A group that never migrates is the static case.
 //!
-//! A finer-grained helper handles hot *directories* rather than hot
-//! services: [`ShardedDir`] hashes the entries of one logical
-//! directory across several directory-server replicas, with fan-out
-//! operations batched one frame per replica.
-//!
-//! The discovery machinery lives in `amoeba-rpc` (`Locator` replica
-//! sets, `Matchmaker` registration, the cluster wire frames of
-//! `docs/PROTOCOL.md`); this crate composes it with the server runtime
-//! into deployable placement groups.
+//! The discovery machinery lives in `amoeba-rpc` (the `Locator`'s
+//! replica-set cache over broadcast LOCATE); this crate composes it
+//! with the server runtime into deployable placement groups.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dir;
 mod elastic;
 pub mod migrate;
 mod rebalance;
-mod registry;
 mod replicated;
 mod sim;
 
-pub use amoeba_rpc::{PlacementPolicy, Replica};
-pub use dir::ShardedDir;
 pub use elastic::{range_capability, ElasticClient, ElasticCluster};
 pub use migrate::{MigrateError, MigrationStats, ShardMigration};
 pub use rebalance::Rebalancer;
-pub use registry::ClusterRegistry;
 pub use replicated::{ClusterClient, HealthProber, ServiceCluster};
 pub use sim::SimReplicaSet;
 

@@ -3,7 +3,7 @@
 
 use amoeba_cap::Capability;
 use amoeba_net::{MachineId, Network, Port};
-use amoeba_rpc::{Client, Locator, Matchmaker, PlacementPolicy, Replica, RpcConfig, RpcError};
+use amoeba_rpc::{Client, Locator, RpcConfig, RpcError};
 use amoeba_server::proto::null_cap;
 use amoeba_server::{ClientError, Service, ServiceClient, ServiceRunner};
 use bytes::Bytes;
@@ -19,7 +19,7 @@ use std::time::Duration;
 ///
 /// Every replica binds the same get-port; with machine-targeted frames
 /// (`Client::start` with a target) each request reaches exactly the
-/// replica a placement policy picked, while broadcast LOCATE reaches
+/// replica the client picked, while broadcast LOCATE reaches
 /// all of them — every live replica answers, which is how clients
 /// learn the set.
 #[derive(Debug)]
@@ -66,20 +66,6 @@ impl ServiceCluster {
         self.runners.len()
     }
 
-    /// Registers every replica (with its current load) at a registry.
-    pub fn register_all(&self, registry: &Matchmaker) {
-        for r in &self.runners {
-            r.register(registry);
-        }
-    }
-
-    /// Deregisters every replica.
-    pub fn deregister_all(&self, registry: &Matchmaker) {
-        for r in &self.runners {
-            r.deregister(registry);
-        }
-    }
-
     /// Simulates a crash of replica `index`: its workers stop but its
     /// machine stays attached and keeps claiming the port, so clients
     /// that pick it see timeouts — exactly what the failover path must
@@ -101,47 +87,9 @@ impl ServiceCluster {
     }
 }
 
-/// How a [`ClusterClient`] discovers the live replica set of a port.
-#[derive(Debug)]
-enum Discovery {
-    /// Broadcast LOCATE; every live replica answers for itself.
-    Broadcast(Locator),
-    /// A rendezvous registry lookup (no broadcast; carries loads).
-    Registry(Matchmaker),
-}
-
-impl Discovery {
-    fn pick_cached(&self, endpoint: &amoeba_net::Endpoint, port: Port) -> Option<MachineId> {
-        match self {
-            Discovery::Broadcast(l) => l.pick_cached(endpoint, port),
-            Discovery::Registry(m) => m.pick_cached(endpoint, port),
-        }
-    }
-
-    fn replicas(&self, endpoint: &amoeba_net::Endpoint, port: Port) -> Vec<Replica> {
-        match self {
-            Discovery::Broadcast(l) => l.replicas(endpoint, port),
-            Discovery::Registry(m) => m.locate_all(endpoint, port),
-        }
-    }
-
-    fn invalidate_machine(&self, port: Port, machine: MachineId) {
-        match self {
-            Discovery::Broadcast(l) => l.invalidate_machine(port, machine),
-            Discovery::Registry(m) => m.invalidate_machine(port, machine),
-        }
-    }
-
-    fn invalidate(&self, port: Port) {
-        match self {
-            Discovery::Broadcast(l) => l.invalidate(port),
-            Discovery::Registry(m) => m.invalidate(port),
-        }
-    }
-}
-
 /// A service client for replicated clusters: resolves the replica set
-/// of the destination port, picks one replica per call, and **fails
+/// of the destination port by broadcast LOCATE, picks one replica per
+/// call round-robin, and **fails
 /// over transparently** — a transport timeout invalidates the picked
 /// machine and retries the next replica, so callers see (slower)
 /// successes, never errors, while at least one replica lives.
@@ -164,12 +112,12 @@ impl Discovery {
 #[derive(Debug)]
 pub struct ClusterClient {
     svc: ServiceClient,
-    discovery: Discovery,
+    locator: Locator,
     /// Discovery runs on its **own** endpoint (a second interface on
     /// the client host): LOCATE gathers drain their endpoint's queue
     /// wholesale, which must never race the transaction demux on the
-    /// RPC endpoint. (Concurrent resolves are serialised inside
-    /// `Locator`/`Matchmaker` themselves.)
+    /// RPC endpoint. (Concurrent resolves are serialised inside the
+    /// `Locator` itself.)
     discovery_ep: amoeba_net::Endpoint,
     /// Upper bound on distinct replicas tried per call.
     max_attempts: usize,
@@ -204,42 +152,12 @@ impl ClusterClient {
 
     /// A broadcast-discovery client on a fresh open-interface machine.
     pub fn broadcast(net: &Network) -> ClusterClient {
-        Self::with_parts(
-            net,
-            Discovery::Broadcast(Locator::new()),
-            Self::DEFAULT_ATTEMPT_CONFIG,
-        )
-    }
-
-    /// A registry-discovery client on a fresh open-interface machine.
-    /// `registry` is a [`Matchmaker`] handle, e.g. from
-    /// [`ClusterRegistry::handle`](crate::ClusterRegistry::handle).
-    pub fn with_registry(net: &Network, registry: Matchmaker) -> ClusterClient {
-        Self::with_parts(
-            net,
-            Discovery::Registry(registry),
-            Self::DEFAULT_ATTEMPT_CONFIG,
-        )
-    }
-
-    /// A broadcast-discovery client with an explicit placement policy
-    /// and per-attempt RPC config.
-    pub fn broadcast_with(
-        net: &Network,
-        policy: PlacementPolicy,
-        config: RpcConfig,
-    ) -> ClusterClient {
-        Self::with_parts(
-            net,
-            Discovery::Broadcast(Locator::new().with_policy(policy)),
-            config,
-        )
-    }
-
-    fn with_parts(net: &Network, discovery: Discovery, config: RpcConfig) -> ClusterClient {
         ClusterClient {
-            svc: ServiceClient::with_client(Client::with_config(net.attach_open(), config)),
-            discovery,
+            svc: ServiceClient::with_client(Client::with_config(
+                net.attach_open(),
+                Self::DEFAULT_ATTEMPT_CONFIG,
+            )),
+            locator: Locator::new(),
             discovery_ep: net.attach_open(),
             max_attempts: 4,
             failovers: AtomicU64::new(0),
@@ -251,15 +169,15 @@ impl ClusterClient {
     fn pick(&self, port: Port) -> Option<MachineId> {
         // Fast path: a cached set costs one cache lock, no network;
         // only misses enter the (internally serialised) resolve path.
-        if let Some(machine) = self.discovery.pick_cached(&self.discovery_ep, port) {
+        if let Some(machine) = self.locator.pick_cached(&self.discovery_ep, port) {
             return Some(machine);
         }
-        // Cache miss: resolve the full set (one broadcast/lookup, same
-        // cost as a single pick) so the vanish detection sees it, then
-        // pick from the refreshed cache.
-        let set = self.discovery.replicas(&self.discovery_ep, port);
+        // Cache miss: resolve the full set (one broadcast, same cost as
+        // a single pick) so the vanish detection sees it, then pick
+        // from the refreshed cache.
+        let set = self.locator.replicas(&self.discovery_ep, port);
         self.note_live(port, &set);
-        self.discovery.pick_cached(&self.discovery_ep, port)
+        self.locator.pick_cached(&self.discovery_ep, port)
     }
 
     /// Records a fresh resolve: machines seen before but missing from
@@ -267,7 +185,7 @@ impl ClusterClient {
     /// TTL expiry never produces a transport error to catch them);
     /// dead-listed machines present in `live` are re-admitted. Returns
     /// how many were re-admitted.
-    fn note_live(&self, port: Port, live: &[Replica]) -> usize {
+    fn note_live(&self, port: Port, live: &[MachineId]) -> usize {
         // An empty set is a failed or timed-out resolve, not evidence
         // that every replica vanished: dead-listing the whole baseline
         // on one discovery blip would have the prober tearing down the
@@ -276,7 +194,7 @@ impl ClusterClient {
         if live.is_empty() {
             return 0;
         }
-        let live_set: HashSet<MachineId> = live.iter().map(|r| r.machine).collect();
+        let live_set: HashSet<MachineId> = live.iter().copied().collect();
         let mut known = self.known.lock();
         let baseline = known.entry(port).or_default();
         let mut dead = self.dead.lock();
@@ -311,8 +229,8 @@ impl ClusterClient {
 
     /// The live replica set of `port` as this client currently sees it
     /// (resolving if uncached).
-    pub fn replicas(&self, port: Port) -> Vec<Replica> {
-        let set = self.discovery.replicas(&self.discovery_ep, port);
+    pub fn replicas(&self, port: Port) -> Vec<MachineId> {
+        let set = self.locator.replicas(&self.discovery_ep, port);
         self.note_live(port, &set);
         set
     }
@@ -321,7 +239,7 @@ impl ClusterClient {
     /// to re-resolve — e.g. after a known topology change, or when a
     /// resolve raced replica startup and cached a partial set.
     pub fn invalidate(&self, port: Port) {
-        self.discovery.invalidate(port);
+        self.locator.invalidate(port);
     }
 
     /// Transparent failovers performed so far.
@@ -332,7 +250,7 @@ impl ClusterClient {
     /// Consecutive health-probe misses before a dead-listed machine is
     /// presumed permanently departed (planned scale-down rather than a
     /// crash) and dropped from the probe's worklist — without this, a
-    /// deregistered replica would keep the prober broadcasting LOCATE
+    /// retired replica would keep the prober broadcasting LOCATE
     /// and churning the replica cache forever.
     pub const MAX_PROBE_MISSES: u32 = 8;
 
@@ -349,11 +267,11 @@ impl ClusterClient {
 
     /// The **active health probe** (PR 3 follow-up: re-join used to be
     /// passive). For every port with dead-listed machines, forces one
-    /// fresh discovery round (broadcast LOCATE / registry `LOCATE_ALL`)
-    /// and re-admits every dead machine that answered — the fresh set
-    /// replaces the cache, so a revived replica starts taking traffic
-    /// on the next call instead of waiting out the cache TTL. Returns
-    /// the number of machines re-admitted.
+    /// fresh broadcast LOCATE and re-admits every dead machine that
+    /// answered — the fresh set replaces the cache, so a revived
+    /// replica starts taking traffic on the next call instead of
+    /// waiting out the cache TTL. Returns the number of machines
+    /// re-admitted.
     ///
     /// Cheap when healthy: with an empty dead list this is one lock
     /// acquisition, no network traffic.
@@ -363,8 +281,8 @@ impl ClusterClient {
         for port in worklist {
             // Force a fresh resolution (the cached set, by
             // construction, excludes the dead machines).
-            self.discovery.invalidate(port);
-            let set = self.discovery.replicas(&self.discovery_ep, port);
+            self.locator.invalidate(port);
+            let set = self.locator.replicas(&self.discovery_ep, port);
             readmitted += self.note_live(port, &set);
             // Charge a miss to every machine still dead after the
             // resolve; persistent no-shows are presumed departed and
@@ -443,7 +361,7 @@ impl ClusterClient {
     }
 
     /// Invokes `command` on the object named by `cap`, on whichever
-    /// live replica of `cap.port` the placement policy picks.
+    /// live replica of `cap.port` comes next round-robin.
     ///
     /// # Errors
     /// Application errors ([`ClientError::Status`]) pass straight
@@ -504,7 +422,7 @@ impl ClusterClient {
                     // health probe's dead list for later re-admission
                     // (a fresh transport error restarts its probe
                     // budget).
-                    self.discovery.invalidate_machine(port, machine);
+                    self.locator.invalidate_machine(port, machine);
                     self.dead.lock().entry(port).or_default().insert(machine, 0);
                     if attempt + 1 < self.max_attempts {
                         self.failovers.fetch_add(1, Ordering::Relaxed);
@@ -645,11 +563,7 @@ mod tests {
             assert_eq!(&body[..], i.to_be_bytes());
         }
         assert!(client.failovers() >= 1, "the dead replica was cached");
-        let survivors: Vec<MachineId> = client
-            .replicas(cluster.put_port())
-            .into_iter()
-            .map(|r| r.machine)
-            .collect();
+        let survivors = client.replicas(cluster.put_port());
         assert!(!survivors.contains(&dead), "dead replica stays dropped");
         cluster.stop();
     }
@@ -706,11 +620,7 @@ mod tests {
         set_link(&net, &client, victim, true);
         assert_eq!(client.probe_dead_once(), 1, "healed replica re-admitted");
         assert!(client.dead_replicas(port).is_empty());
-        let live: Vec<MachineId> = client
-            .replicas(port)
-            .into_iter()
-            .map(|r| r.machine)
-            .collect();
+        let live = client.replicas(port);
         assert!(live.contains(&victim), "revived replica back in the set");
 
         // And it serves traffic again: spread calls until the victim
@@ -747,11 +657,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        let live: Vec<MachineId> = client
-            .replicas(port)
-            .into_iter()
-            .map(|r| r.machine)
-            .collect();
+        let live = client.replicas(port);
         assert!(live.contains(&victim));
         prober.stop();
         cluster.stop();
@@ -769,29 +675,6 @@ mod tests {
             "stop waited {:?}",
             t0.elapsed()
         );
-    }
-
-    #[test]
-    fn registry_discovery_without_broadcast() {
-        let net = Network::new();
-        let registry = crate::ClusterRegistry::spawn(&net, 2);
-        let cluster = spawn_echo_cluster(&net, 2);
-        cluster.register_all(&registry.handle());
-
-        let client = ClusterClient::with_registry(&net, registry.handle());
-        let before = net.stats().snapshot();
-        for _ in 0..4 {
-            client
-                .call_anonymous(cluster.put_port(), CMD_ECHO, Bytes::from_static(b"x"))
-                .unwrap();
-        }
-        assert_eq!(
-            net.stats().snapshot().broadcasts_sent - before.broadcasts_sent,
-            0,
-            "registry discovery must not broadcast"
-        );
-        cluster.stop();
-        registry.stop();
     }
 
     #[test]

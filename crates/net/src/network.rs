@@ -64,10 +64,6 @@ struct MachineEntry {
     /// queue with no receiver: frames its interface accepts vanish.
     sender: Sender<Packet>,
     nic: Arc<dyn NetworkInterface>,
-    /// The machine's advertised load gauge (e.g. in-flight requests),
-    /// shared with the machine's [`Endpoint`]. Placement policies read
-    /// it when choosing among service replicas.
-    load: Arc<AtomicU32>,
     /// The wire ports this machine holds in [`Topology::claims`], so
     /// detaching removes exactly its own index entries.
     claimed: HashSet<Port>,
@@ -292,13 +288,11 @@ impl Network {
     pub fn attach(&self, nic: Arc<dyn NetworkInterface>) -> Endpoint {
         let id = MachineId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         let (tx, rx) = self.channel();
-        let load = Arc::new(AtomicU32::new(0));
         self.inner.topology.write().machines.insert(
             id,
             MachineEntry {
                 sender: tx,
                 nic: Arc::clone(&nic),
-                load: Arc::clone(&load),
                 claimed: HashSet::new(),
             },
         );
@@ -309,7 +303,6 @@ impl Network {
             net: self.clone(),
             nic,
             receiver: rx,
-            load,
         }
     }
 
@@ -414,17 +407,6 @@ impl Network {
             queue_yields: self.inner.queues.yields(),
             queue_yield_hits: self.inner.queues.yield_hits(),
         }
-    }
-
-    /// The advertised load gauge of an attached machine, or `None` if
-    /// the machine has detached. See [`Endpoint::set_load`].
-    pub fn load_of(&self, id: MachineId) -> Option<u32> {
-        self.inner
-            .topology
-            .read()
-            .machines
-            .get(&id)
-            .map(|e| e.load.load(Ordering::Relaxed))
     }
 
     /// Number of currently attached machines.
@@ -756,7 +738,6 @@ pub struct Endpoint {
     net: Network,
     nic: Arc<dyn NetworkInterface>,
     receiver: Receiver<Packet>,
-    load: Arc<AtomicU32>,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -779,33 +760,6 @@ impl Endpoint {
     /// The network's observability handle (see [`Network::obs`]).
     pub fn obs(&self) -> &Obs {
         self.net.obs()
-    }
-
-    /// Sets this machine's advertised load gauge (an arbitrary
-    /// unit — the dispatch engine publishes its in-flight request
-    /// count). Placement policies compare gauges across the replicas
-    /// of a service; see [`Network::load_of`].
-    pub fn set_load(&self, load: u32) {
-        self.load.store(load, Ordering::Relaxed);
-    }
-
-    /// Increments the load gauge (a request entered service).
-    pub fn add_load(&self, delta: u32) {
-        self.load.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Decrements the load gauge, saturating at zero.
-    pub fn sub_load(&self, delta: u32) {
-        let _ = self
-            .load
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(delta))
-            });
-    }
-
-    /// The current value of this machine's load gauge.
-    pub fn load(&self) -> u32 {
-        self.load.load(Ordering::Relaxed)
     }
 
     /// The network's reactor (scheduler + clock) — the clock every
@@ -1235,23 +1189,6 @@ mod tests {
         );
         assert!(b.try_recv().is_some());
         assert!(c.try_recv().is_some());
-    }
-
-    #[test]
-    fn load_gauge_is_shared_and_saturating() {
-        let net = Network::new();
-        let a = net.attach_open();
-        assert_eq!(net.load_of(a.id()), Some(0));
-        a.add_load(3);
-        assert_eq!(a.load(), 3);
-        assert_eq!(net.load_of(a.id()), Some(3));
-        a.sub_load(5);
-        assert_eq!(net.load_of(a.id()), Some(0), "gauge saturates at zero");
-        a.set_load(7);
-        assert_eq!(net.load_of(a.id()), Some(7));
-        let id = a.id();
-        drop(a);
-        assert_eq!(net.load_of(id), None, "detached machines have no gauge");
     }
 
     #[test]

@@ -18,17 +18,13 @@
 //!   zero-latency profile. A batch is identified by a 32-bit **batch
 //!   id** chosen by the client; reply entries are matched to request
 //!   entries by `(batch id, entry index)`.
-//! * **Cluster frames** (tags `0x07`–`0x0A`, added in cluster-format
-//!   version 1): load-aware replica registration (`POST_LOAD` /
-//!   `UNPOST`) and the multi-replica LOCATE (`LOCATE_ALL` /
-//!   `LOCATE_REPLY_MULTI`) that let one put-port be served by several
-//!   machines at once — the §3.4 transparent-distribution story scaled
-//!   horizontally. Each carries an explicit version byte
-//!   ([`CLUSTER_VERSION`]) after the tag.
 //!
 //! Nothing else has a frame of its own. Shard migration, in particular,
 //! is three standard commands in ordinary `REQUEST` frames, defined by
-//! `amoeba-server`; this layer does not know it exists.
+//! `amoeba-server`; this layer does not know it exists. Finding the
+//! replicas of a port is the v0 `LOCATE` (broadcast, every replica
+//! answers for itself) or `POST` + unicast `LOCATE` at a rendezvous
+//! node — one machine per answer, as in the paper.
 //!
 //! # Versioning policy
 //!
@@ -40,8 +36,9 @@
 //! understand it simply never reply, which the client's retransmission
 //! logic already handles (the sender can then fall back to single
 //! frames). New frame *kinds* take new tag values; tags are never
-//! reused. Tags `0x0B`–`0x0D` are retired: they once carried shard
-//! migration, and a decoder drops them like any unknown tag.
+//! reused. Tags `0x07`–`0x0D` are retired and a decoder drops them like
+//! any unknown tag: `0x07`–`0x0A` once carried a load-aware replica
+//! registry, `0x0B`–`0x0D` shard migration.
 //!
 //! # Robustness
 //!
@@ -76,19 +73,6 @@ pub enum FrameKind {
     BatchRequest = 5,
     /// The batch of replies answering a [`FrameKind::BatchRequest`].
     BatchReply = 6,
-    /// Replica registration with a load gauge: "the sending machine
-    /// serves this port at this load" (cluster-format v1).
-    PostLoad = 7,
-    /// Replica deregistration: "the sending machine no longer serves
-    /// this port" (cluster-format v1).
-    Unpost = 8,
-    /// "Send me *every* live replica of this port" — the multi-replica
-    /// LOCATE a placement-aware client sends a registry node
-    /// (cluster-format v1).
-    LocateAll = 9,
-    /// Answer to a [`FrameKind::LocateAll`]: the full replica set with
-    /// per-replica loads (cluster-format v1).
-    LocateReplyMulti = 10,
 }
 
 impl FrameKind {
@@ -101,10 +85,6 @@ impl FrameKind {
             4 => Some(FrameKind::Post),
             5 => Some(FrameKind::BatchRequest),
             6 => Some(FrameKind::BatchReply),
-            7 => Some(FrameKind::PostLoad),
-            8 => Some(FrameKind::Unpost),
-            9 => Some(FrameKind::LocateAll),
-            10 => Some(FrameKind::LocateReplyMulti),
             _ => None,
         }
     }
@@ -118,28 +98,6 @@ pub const BATCH_VERSION: u8 = 1;
 /// decoder. Keeps a hostile `count` field from driving large allocations
 /// and bounds the per-frame work a server commits to before replying.
 pub const MAX_BATCH_ENTRIES: usize = 1024;
-
-/// The cluster-frame format version this implementation speaks
-/// (tags `0x07`–`0x0A`). Same policy as [`BATCH_VERSION`]: bumped on
-/// any incompatible layout change; decoders drop unknown versions.
-pub const CLUSTER_VERSION: u8 = 1;
-
-/// Upper bound on replicas per [`Frame::LocateReplyMulti`], enforced by
-/// encoder and decoder alike. One service rarely needs more than a
-/// handful of replicas per port; the cap keeps a hostile count field
-/// from driving allocations.
-pub const MAX_LOCATE_REPLICAS: usize = 32;
-
-/// One live replica of a port, as carried in a
-/// [`Frame::LocateReplyMulti`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReplicaInfo {
-    /// The machine serving the port.
-    pub machine: MachineId,
-    /// The machine's advertised load gauge at registration/answer time
-    /// (0 when unknown — e.g. converted from a plain `LOCATE_REPLY`).
-    pub load: u32,
-}
 
 /// Per-entry outcome carried in a [`Frame::BatchReply`].
 ///
@@ -209,22 +167,6 @@ pub enum Frame {
         /// One entry per request entry, each tagged with its index.
         entries: Vec<BatchReplyEntry>,
     },
-    /// "I (the packet's source) serve `port` at this load" — the
-    /// load-aware replica registration a cluster member sends its
-    /// registry node.
-    PostLoad(Port, u32),
-    /// "I (the packet's source) no longer serve `port`" — replica
-    /// departure.
-    Unpost(Port),
-    /// "Which machines serve `port`? Send them all."
-    LocateAll(Port),
-    /// The live replica set for `port`, least-loaded first.
-    LocateReplyMulti {
-        /// The port the replicas serve.
-        port: Port,
-        /// All live replicas (at most [`MAX_LOCATE_REPLICAS`]).
-        replicas: Vec<ReplicaInfo>,
-    },
 }
 
 impl Frame {
@@ -277,36 +219,6 @@ impl Frame {
                     batch_reply_entry_with(buf, e.index, e.status, |b| {
                         b.extend_from_slice(&e.body);
                     });
-                }
-            }
-            Frame::PostLoad(port, load) => {
-                buf.extend_from_slice(&[FrameKind::PostLoad as u8, CLUSTER_VERSION]);
-                buf.extend_from_slice(&port.value().to_be_bytes());
-                buf.extend_from_slice(&load.to_be_bytes());
-            }
-            Frame::Unpost(port) => {
-                buf.extend_from_slice(&[FrameKind::Unpost as u8, CLUSTER_VERSION]);
-                buf.extend_from_slice(&port.value().to_be_bytes());
-            }
-            Frame::LocateAll(port) => {
-                buf.extend_from_slice(&[FrameKind::LocateAll as u8, CLUSTER_VERSION]);
-                buf.extend_from_slice(&port.value().to_be_bytes());
-            }
-            Frame::LocateReplyMulti { port, replicas } => {
-                assert!(
-                    !replicas.is_empty(),
-                    "multi locate replies must carry at least one replica"
-                );
-                assert!(
-                    replicas.len() <= MAX_LOCATE_REPLICAS,
-                    "multi locate replies carry at most {MAX_LOCATE_REPLICAS} replicas"
-                );
-                buf.extend_from_slice(&[FrameKind::LocateReplyMulti as u8, CLUSTER_VERSION]);
-                buf.extend_from_slice(&port.value().to_be_bytes());
-                buf.extend_from_slice(&[replicas.len() as u8]);
-                for r in replicas {
-                    buf.extend_from_slice(&r.machine.as_u32().to_be_bytes());
-                    buf.extend_from_slice(&r.load.to_be_bytes());
                 }
             }
         }
@@ -381,51 +293,8 @@ impl Frame {
                 }
                 (at == rest.len()).then_some(Frame::BatchReply { id, entries })
             }
-            FrameKind::PostLoad => {
-                let rest = cluster_body(rest)?;
-                let port = Port::new(u64::from_be_bytes(rest.get(..8)?.try_into().ok()?))?;
-                let load = u32::from_be_bytes(rest.get(8..12)?.try_into().ok()?);
-                (rest.len() == 12).then_some(Frame::PostLoad(port, load))
-            }
-            FrameKind::Unpost => {
-                let rest = cluster_body(rest)?;
-                let port = Port::new(u64::from_be_bytes(rest.get(..8)?.try_into().ok()?))?;
-                (rest.len() == 8).then_some(Frame::Unpost(port))
-            }
-            FrameKind::LocateAll => {
-                let rest = cluster_body(rest)?;
-                let port = Port::new(u64::from_be_bytes(rest.get(..8)?.try_into().ok()?))?;
-                (rest.len() == 8).then_some(Frame::LocateAll(port))
-            }
-            FrameKind::LocateReplyMulti => {
-                let rest = cluster_body(rest)?;
-                let port = Port::new(u64::from_be_bytes(rest.get(..8)?.try_into().ok()?))?;
-                let count = *rest.get(8)? as usize;
-                if count == 0 || count > MAX_LOCATE_REPLICAS {
-                    return None;
-                }
-                let mut replicas = Vec::with_capacity(count);
-                let mut at = 9;
-                for _ in 0..count {
-                    let machine = u32::from_be_bytes(rest.get(at..at + 4)?.try_into().ok()?);
-                    let load = u32::from_be_bytes(rest.get(at + 4..at + 8)?.try_into().ok()?);
-                    replicas.push(ReplicaInfo {
-                        machine: machine_from_u32(machine),
-                        load,
-                    });
-                    at += 8;
-                }
-                (at == rest.len()).then_some(Frame::LocateReplyMulti { port, replicas })
-            }
         }
     }
-}
-
-/// Checks the cluster-format version byte and returns the bytes after
-/// it, or `None` for an unknown version (frame dropped, like an
-/// unknown tag).
-fn cluster_body(rest: &[u8]) -> Option<&[u8]> {
-    (*rest.first()? == CLUSTER_VERSION).then(|| &rest[1..])
 }
 
 /// Appends a BATCH_REQUEST frame from a borrowed entry table, so the
@@ -771,146 +640,58 @@ mod tests {
         assert_eq!(Frame::decode(&Bytes::from(bad)), None);
     }
 
+    /// Tags `0x07`–`0x0D` are retired: `0x07`–`0x0A` carried the
+    /// load-aware replica registry, `0x0B`–`0x0D` shard migration.
+    /// Whatever follows one of them — its former valid encoding
+    /// included — decodes to nothing, so the tags can never be
+    /// mistaken for a frame this protocol speaks.
     #[test]
-    fn cluster_frame_roundtrips() {
-        let frames = [
-            Frame::PostLoad(Port::new(0x5E21CE).unwrap(), 42),
-            Frame::Unpost(Port::new(0x5E21CE).unwrap()),
-            Frame::LocateAll(Port::new(0xF00D).unwrap()),
-            Frame::LocateReplyMulti {
-                port: Port::new(0xF00D).unwrap(),
-                replicas: vec![
-                    ReplicaInfo {
-                        machine: machine_from_u32(3),
-                        load: 0,
-                    },
-                    ReplicaInfo {
-                        machine: machine_from_u32(9),
-                        load: 17,
-                    },
-                ],
-            },
+    fn retired_tags_decode_to_none() {
+        // The former valid encodings, as the protocol document gave them:
+        // POST_LOAD, UNPOST, LOCATE_ALL and LOCATE_REPLY_MULTI
+        // (cluster-format v1, port 0xC1A57E04), then TRANSFER_BEGIN,
+        // TRANSFER_CHUNK and TRANSFER_COMMIT (transfer-format v1,
+        // transfer 42).
+        let port = [0x00, 0x00, 0x00, 0x00, 0xC1, 0xA5, 0x7E, 0x04];
+        let xfer = [0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A];
+        let former: [Vec<u8>; 7] = [
+            [&[0x07, 0x01][..], &port, &[0, 0, 0, 3]].concat(),
+            [&[0x08, 0x01][..], &port].concat(),
+            [&[0x09, 0x01][..], &port].concat(),
+            [
+                &[0x0A, 0x01][..],
+                &port,
+                &[2, 0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 9, 0, 0, 0, 8],
+            ]
+            .concat(),
+            [&[0x0B, 0x01][..], &xfer, &[5]].concat(),
+            [
+                &[0x0C, 0x01][..],
+                &xfer,
+                &[0, 0, 0, 0, 0, 0, 0, 3, 0xAA, 0xBB, 0xCC],
+            ]
+            .concat(),
+            [&[0x0D, 0x01][..], &xfer, &[0, 0, 0, 1]].concat(),
         ];
-        for f in frames {
-            assert_eq!(Frame::decode(&f.encode()), Some(f));
+        for bytes in former {
+            assert_eq!(
+                Frame::decode(&Bytes::from(bytes.clone())),
+                None,
+                "{bytes:02x?}"
+            );
         }
     }
 
-    /// The cluster example frames from `docs/PROTOCOL.md`, byte for
-    /// byte. If this fails, either the encoder or the documentation is
-    /// wrong — fix whichever diverged.
-    #[test]
-    fn documented_cluster_example_frames() {
-        // PROTOCOL.md "Worked example (cluster frames)": machine 5
-        // registers port 0x0000C1A57E04 at load 3.
-        let documented: &[u8] = &[
-            0x07, // tag: POST_LOAD
-            0x01, // cluster-format version 1
-            0x00, 0x00, 0x00, 0x00, 0xC1, 0xA5, 0x7E, 0x04, // port
-            0x00, 0x00, 0x00, 0x03, // load 3
-        ];
-        let expect = Frame::PostLoad(Port::new(0xC1A5_7E04).unwrap(), 3);
-        assert_eq!(expect.encode(), Bytes::from_static(documented));
-        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
-
-        // The registry's answer to a LOCATE_ALL for the same port: two
-        // replicas, machine 5 at load 3 and machine 9 at load 8,
-        // least-loaded first.
-        let documented: &[u8] = &[
-            0x0A, // tag: LOCATE_REPLY_MULTI
-            0x01, // cluster-format version 1
-            0x00, 0x00, 0x00, 0x00, 0xC1, 0xA5, 0x7E, 0x04, // port
-            0x02, // replica count 2
-            0x00, 0x00, 0x00, 0x05, // machine 5
-            0x00, 0x00, 0x00, 0x03, // load 3
-            0x00, 0x00, 0x00, 0x09, // machine 9
-            0x00, 0x00, 0x00, 0x08, // load 8
-        ];
-        let expect = Frame::LocateReplyMulti {
-            port: Port::new(0xC1A5_7E04).unwrap(),
-            replicas: vec![
-                ReplicaInfo {
-                    machine: machine_from_u32(5),
-                    load: 3,
-                },
-                ReplicaInfo {
-                    machine: machine_from_u32(9),
-                    load: 8,
-                },
-            ],
-        };
-        assert_eq!(expect.encode(), Bytes::from_static(documented));
-        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
-    }
-
-    #[test]
-    fn hostile_cluster_frames_rejected() {
-        let good = Frame::LocateReplyMulti {
-            port: Port::new(0xF00D).unwrap(),
-            replicas: vec![ReplicaInfo {
-                machine: machine_from_u32(1),
-                load: 0,
-            }],
+    proptest! {
+        /// … and neither does any other body behind a retired tag.
+        #[test]
+        fn retired_tags_decode_to_none_whatever_follows(
+            tag in 0x07u8..=0x0D,
+            body in vec(any::<u8>(), 0..256),
+        ) {
+            let frame = Bytes::from([&[tag][..], &body].concat());
+            prop_assert_eq!(Frame::decode(&frame), None);
         }
-        .encode();
-
-        // Unknown cluster-format version.
-        let mut bad = good.to_vec();
-        bad[1] = 2;
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Zero replica count.
-        let mut bad = good.to_vec();
-        bad[10] = 0;
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Count exceeding MAX_LOCATE_REPLICAS.
-        let mut bad = good.to_vec();
-        bad[10] = (MAX_LOCATE_REPLICAS + 1) as u8;
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Count claiming more replicas than the buffer holds.
-        let mut bad = good.to_vec();
-        bad[10] = 2;
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Trailing garbage after the last replica.
-        let mut bad = good.to_vec();
-        bad.push(0);
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-
-        // Truncated POST_LOAD (missing the load field).
-        let post = Frame::PostLoad(Port::new(7).unwrap(), 1).encode();
-        assert_eq!(
-            Frame::decode(&Bytes::from(post[..post.len() - 2].to_vec())),
-            None
-        );
-        // Trailing garbage on a fixed-size cluster frame.
-        let mut bad = Frame::Unpost(Port::new(7).unwrap()).encode().to_vec();
-        bad.push(0);
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-        // Reserved port value (broadcast) inside a cluster frame.
-        let mut bad = Frame::LocateAll(Port::new(7).unwrap()).encode().to_vec();
-        for b in &mut bad[2..10] {
-            *b = 0;
-        }
-        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most")]
-    fn encoding_oversized_replica_set_panics() {
-        let _ = Frame::LocateReplyMulti {
-            port: Port::new(1).unwrap(),
-            replicas: vec![
-                ReplicaInfo {
-                    machine: machine_from_u32(0),
-                    load: 0,
-                };
-                MAX_LOCATE_REPLICAS + 1
-            ],
-        }
-        .encode();
     }
 
     #[test]

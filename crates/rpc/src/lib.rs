@@ -15,10 +15,11 @@
 //!   serves a port by broadcasting a LOCATE message; servers answer for
 //!   ports they have claimed. One port may be served by several
 //!   machines (service replicas): the [`Locator`] caches the full
-//!   replica set, picks one per call under a [`PlacementPolicy`], and
-//!   exposes [`Locator::invalidate_machine`] so failover code can drop
-//!   a dead replica without losing the survivors. The hit/miss
-//!   counters feed the match-making benchmark.
+//!   replica set, hands it out round-robin, and exposes
+//!   [`Locator::invalidate_machine`] so failover code can drop a dead
+//!   replica without losing the survivors. The hit/miss counters feed
+//!   the match-making benchmark. Without broadcast, a [`Matchmaker`]
+//!   posts and locates at a rendezvous node instead.
 //! * **Batching** ([`Client::batch`]) ships many request bodies
 //!   in one wire frame; the server worker that receives it serves the
 //!   entries in order and writes their replies into one frame. The wire layout is
@@ -66,10 +67,7 @@ mod server;
 
 pub use client::{BatchResult, Client, Completion, RpcConfig, RpcError};
 
-pub use frame::{
-    BatchReplyEntry, BatchStatus, Frame, FrameKind, ReplicaInfo, BATCH_VERSION, CLUSTER_VERSION,
-    MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS,
-};
-pub use locate::{Locator, PlacementPolicy, Replica, ReplicaCache};
+pub use frame::{BatchReplyEntry, BatchStatus, Frame, FrameKind, BATCH_VERSION, MAX_BATCH_ENTRIES};
+pub use locate::{Locator, ReplicaCache};
 pub use matchmaker::{Matchmaker, RendezvousNode};
 pub use server::{IncomingRequest, ServerPort};

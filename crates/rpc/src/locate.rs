@@ -9,9 +9,9 @@
 //! Since the cluster subsystem, one port may be served by *several*
 //! machines at once (§3.4's transparent distribution, horizontally).
 //! The cache therefore maps each port to the full set of live replicas
-//! that answered the LOCATE broadcast, and [`Locator::locate`] picks
-//! one per call under a [`PlacementPolicy`]. Three hardening rules
-//! apply to answers, all exercised by the tests below:
+//! that answered the LOCATE broadcast, and [`Locator::locate`] hands
+//! them out round-robin, one per call. Three hardening rules apply to
+//! answers, all exercised by the tests below:
 //!
 //! * **Asked-for ports only** — a reply naming a port we did not ask
 //!   about is dropped, never cached (a hostile node cannot seed the
@@ -37,44 +37,9 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// One live replica of a port, as cached client-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Replica {
-    /// The machine serving the port.
-    pub machine: MachineId,
-    /// The replica's advertised load at resolution time (0 when the
-    /// discovery path carries no load information).
-    pub load: u32,
-}
-
-impl From<crate::frame::ReplicaInfo> for Replica {
-    /// Converts a wire-level replica entry into the cached form; the
-    /// single conversion point between the frame layer and the cache.
-    fn from(r: crate::frame::ReplicaInfo) -> Replica {
-        Replica {
-            machine: r.machine,
-            load: r.load,
-        }
-    }
-}
-
-/// How [`Locator::locate`] (and the cluster client built on it) picks
-/// among the live replicas of a port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Rotate through the replica set — fair without load information
-    /// (the broadcast discovery path carries none).
-    #[default]
-    RoundRobin,
-    /// Prefer the replica with the smallest advertised load gauge,
-    /// breaking ties by machine id. Only better than round-robin when
-    /// the discovery path carries loads (the registry path does).
-    LeastLoad,
-}
-
 #[derive(Debug)]
 struct CacheEntry {
-    replicas: Vec<Replica>,
+    replicas: Vec<MachineId>,
     /// Round-robin cursor over `replicas`.
     cursor: usize,
     /// Timeline point of insertion — TTL expiry runs on the network's
@@ -107,14 +72,13 @@ impl ReplicaCache {
     }
 
     /// Caches the replica set for `port` at timeline point `now`,
-    /// replacing any previous set. Duplicate machines are collapsed
-    /// (last load wins); an empty set just drops the entry.
-    pub fn insert(&self, port: Port, replicas: Vec<Replica>, now: Timestamp) {
-        let mut deduped: Vec<Replica> = Vec::with_capacity(replicas.len());
-        for r in replicas {
-            match deduped.iter_mut().find(|d| d.machine == r.machine) {
-                Some(d) => d.load = r.load,
-                None => deduped.push(r),
+    /// replacing any previous set. Duplicate machines are collapsed;
+    /// an empty set just drops the entry.
+    pub fn insert(&self, port: Port, replicas: Vec<MachineId>, now: Timestamp) {
+        let mut deduped: Vec<MachineId> = Vec::with_capacity(replicas.len());
+        for machine in replicas {
+            if !deduped.contains(&machine) {
+                deduped.push(machine);
             }
         }
         let mut entries = self.entries.lock();
@@ -132,33 +96,24 @@ impl ReplicaCache {
         }
     }
 
-    /// Picks one live replica for `port` under `policy`, or `None` if
-    /// the port is uncached or the entry has expired by timeline point
-    /// `now` (expired entries are dropped on the way out).
-    pub fn pick(&self, port: Port, policy: PlacementPolicy, now: Timestamp) -> Option<Replica> {
+    /// Picks the next live replica for `port` round-robin, or `None`
+    /// if the port is uncached or the entry has expired by timeline
+    /// point `now` (expired entries are dropped on the way out).
+    pub fn pick(&self, port: Port, now: Timestamp) -> Option<MachineId> {
         let mut entries = self.entries.lock();
         let entry = entries.get_mut(&port)?;
         if now.saturating_duration_since(entry.inserted) > self.ttl {
             entries.remove(&port);
             return None;
         }
-        Some(match policy {
-            PlacementPolicy::RoundRobin => {
-                let r = entry.replicas[entry.cursor % entry.replicas.len()];
-                entry.cursor = entry.cursor.wrapping_add(1);
-                r
-            }
-            PlacementPolicy::LeastLoad => *entry
-                .replicas
-                .iter()
-                .min_by_key(|r| (r.load, r.machine))
-                .expect("cached sets are never empty"),
-        })
+        let machine = entry.replicas[entry.cursor % entry.replicas.len()];
+        entry.cursor = entry.cursor.wrapping_add(1);
+        Some(machine)
     }
 
     /// The full cached replica set, or `None` if uncached or expired
     /// by timeline point `now`.
-    pub fn all(&self, port: Port, now: Timestamp) -> Option<Vec<Replica>> {
+    pub fn all(&self, port: Port, now: Timestamp) -> Option<Vec<MachineId>> {
         let mut entries = self.entries.lock();
         let entry = entries.get(&port)?;
         if now.saturating_duration_since(entry.inserted) > self.ttl {
@@ -166,8 +121,8 @@ impl ReplicaCache {
             return None;
         }
         // Must copy: callers keep the set past this lock (iterating,
-        // diffing against later resolves); entries are small Copy
-        // structs, so this is a short memcpy, not a deep clone.
+        // diffing against later resolves); machine ids are `Copy`, so
+        // this is a short memcpy, not a deep clone.
         Some(entry.replicas.clone())
     }
 
@@ -182,7 +137,7 @@ impl ReplicaCache {
     pub fn invalidate_machine(&self, port: Port, machine: MachineId) {
         let mut entries = self.entries.lock();
         if let Some(entry) = entries.get_mut(&port) {
-            entry.replicas.retain(|r| r.machine != machine);
+            entry.replicas.retain(|&m| m != machine);
             if entry.replicas.is_empty() {
                 entries.remove(&port);
             }
@@ -209,11 +164,9 @@ impl ReplicaCache {
 #[derive(Debug)]
 pub struct Locator {
     cache: ReplicaCache,
-    policy: PlacementPolicy,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
     timeout: Duration,
-    gather: Duration,
     /// Serialises cache-miss resolution: two threads gathering LOCATE
     /// answers on one endpoint would consume each other's replies
     /// (each gather drains the shared receive queue and drops packets
@@ -233,10 +186,10 @@ impl Locator {
     /// replica stops being handed out even when nobody reports it.
     pub const DEFAULT_TTL: Duration = Duration::from_secs(5);
 
-    /// Default extra window spent collecting further answers after the
-    /// first LOCATE reply arrives — on a broadcast medium every live
-    /// replica answers, but not in the same instant.
-    pub const DEFAULT_GATHER_WINDOW: Duration = Duration::from_millis(10);
+    /// Extra window spent collecting further answers after the first
+    /// LOCATE reply arrives — on a broadcast medium every live replica
+    /// answers, but not in the same instant.
+    pub const GATHER_WINDOW: Duration = Duration::from_millis(10);
 
     /// An empty cache with the default 200 ms query timeout.
     pub fn new() -> Locator {
@@ -247,11 +200,9 @@ impl Locator {
     pub fn with_timeout(timeout: Duration) -> Locator {
         Locator {
             cache: ReplicaCache::new(Self::DEFAULT_TTL),
-            policy: PlacementPolicy::default(),
             hits: Default::default(),
             misses: Default::default(),
             timeout,
-            gather: Self::DEFAULT_GATHER_WINDOW,
             resolving: Mutex::new(()),
         }
     }
@@ -262,41 +213,27 @@ impl Locator {
         self
     }
 
-    /// Builder knob: replaces the placement policy.
-    pub fn with_policy(mut self, policy: PlacementPolicy) -> Locator {
-        self.policy = policy;
-        self
-    }
-
-    /// Builder knob: replaces the reply-gathering window.
-    pub fn with_gather_window(mut self, gather: Duration) -> Locator {
-        self.gather = gather;
-        self
-    }
-
     /// Resolves which machine serves `port`, consulting the cache first
     /// and broadcasting a LOCATE on a miss. With several live replicas
-    /// the configured [`PlacementPolicy`] picks one per call.
+    /// each call takes the next one round-robin.
     ///
     /// Returns `None` if nobody answers within the timeout.
     pub fn locate(&self, endpoint: &Endpoint, port: Port) -> Option<MachineId> {
-        if let Some(r) = self.cache.pick(port, self.policy, endpoint.now()) {
+        if let Some(machine) = self.cache.pick(port, endpoint.now()) {
             self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Some(r.machine);
+            return Some(machine);
         }
         self.misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let _gathering = self.resolving.lock();
         // A peer may have resolved this port while we waited for the
         // resolution lock.
-        if let Some(r) = self.cache.pick(port, self.policy, endpoint.now()) {
-            return Some(r.machine);
+        if let Some(machine) = self.cache.pick(port, endpoint.now()) {
+            return Some(machine);
         }
         let found = self.broadcast_locate(endpoint, port);
         self.cache.insert(port, found, endpoint.now());
-        self.cache
-            .pick(port, self.policy, endpoint.now())
-            .map(|r| r.machine)
+        self.cache.pick(port, endpoint.now())
     }
 
     /// Picks a replica from the cache alone — no network, no miss
@@ -306,14 +243,12 @@ impl Locator {
     /// This is the fast path a failover client takes without holding
     /// any resolution lock.
     pub fn pick_cached(&self, endpoint: &Endpoint, port: Port) -> Option<MachineId> {
-        self.cache
-            .pick(port, self.policy, endpoint.now())
-            .map(|r| r.machine)
+        self.cache.pick(port, endpoint.now())
     }
 
     /// Resolves the **full** live replica set for `port` (cache or
     /// broadcast). Empty if nobody answers.
-    pub fn replicas(&self, endpoint: &Endpoint, port: Port) -> Vec<Replica> {
+    pub fn replicas(&self, endpoint: &Endpoint, port: Port) -> Vec<MachineId> {
         if let Some(set) = self.cache.all(port, endpoint.now()) {
             self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return set;
@@ -332,14 +267,13 @@ impl Locator {
     /// Broadcasts one LOCATE and gathers every valid answer: waits up
     /// to the query timeout for the first reply, then keeps collecting
     /// for the gather window so slower replicas make it into the set.
-    fn broadcast_locate(&self, endpoint: &Endpoint, port: Port) -> Vec<Replica> {
+    fn broadcast_locate(&self, endpoint: &Endpoint, port: Port) -> Vec<MachineId> {
         let reply_get = Port::random();
         let reply_wire = endpoint.claim(reply_get);
         let header = Header::to(Port::BROADCAST).with_reply(reply_get);
         endpoint.send(header, Frame::Locate(port).encode());
-        let hard_deadline = endpoint.now() + self.timeout;
-        let mut deadline = hard_deadline;
-        let mut found: Vec<Replica> = Vec::new();
+        let mut deadline = endpoint.now() + self.timeout;
+        let mut found: Vec<MachineId> = Vec::new();
         loop {
             if endpoint.now() >= deadline {
                 break;
@@ -352,31 +286,20 @@ impl Locator {
             // Hostile-reply validation: only answers for the port we
             // asked about, and only machines answering for themselves
             // (the packet source is stamped by the network, unforgeable).
-            let mut accepted = false;
             match Frame::decode(&pkt.payload) {
                 Some(Frame::LocateReply(answered_port, machine))
                     if answered_port == port && machine == pkt.source =>
                 {
                     // Duplicates are fine; `ReplicaCache::insert`
                     // collapses them when the gathered set is cached.
-                    found.push(Replica { machine, load: 0 });
-                    accepted = true;
-                }
-                Some(Frame::LocateReplyMulti { port: p, replicas }) if p == port => {
-                    for r in replicas {
-                        if r.machine == pkt.source {
-                            found.push(Replica::from(r));
-                            accepted = true;
-                        }
-                    }
+                    found.push(machine);
+                    // First valid answer shortens the wait to the
+                    // gather window: collect the stragglers, then stop.
+                    // (`min` only ever tightens, so the query timeout
+                    // still holds.)
+                    deadline = deadline.min(endpoint.now() + Self::GATHER_WINDOW);
                 }
                 _ => {} // noise or hostile: drop, keep listening
-            }
-            if accepted {
-                // First valid answer shortens the wait to the gather
-                // window: collect the stragglers, then stop. (`min`
-                // only ever tightens, so the hard deadline holds.)
-                deadline = deadline.min(endpoint.now() + self.gather);
             }
         }
         endpoint.release(reply_get);
@@ -529,11 +452,8 @@ mod tests {
 
         let ep = net.attach_open();
         let locator = Locator::new();
-        let set: std::collections::HashSet<MachineId> = locator
-            .replicas(&ep, p)
-            .into_iter()
-            .map(|r| r.machine)
-            .collect();
+        let set: std::collections::HashSet<MachineId> =
+            locator.replicas(&ep, p).into_iter().collect();
         assert_eq!(set, machines, "every replica must be discovered");
 
         // Round-robin visits all three across consecutive picks.
@@ -592,65 +512,14 @@ mod tests {
         let p = Port::new(0x1234).unwrap();
         let m1 = MachineId::from(1);
         let m2 = MachineId::from(2);
-        cache.insert(
-            p,
-            vec![
-                Replica {
-                    machine: m1,
-                    load: 0,
-                },
-                Replica {
-                    machine: m2,
-                    load: 0,
-                },
-            ],
-            now,
-        );
+        cache.insert(p, vec![m1, m2], now);
         cache.invalidate_machine(p, m1);
         for _ in 0..4 {
-            assert_eq!(
-                cache
-                    .pick(p, PlacementPolicy::RoundRobin, now)
-                    .unwrap()
-                    .machine,
-                m2
-            );
+            assert_eq!(cache.pick(p, now), Some(m2));
         }
         cache.invalidate_machine(p, m2);
-        assert!(cache.pick(p, PlacementPolicy::RoundRobin, now).is_none());
+        assert!(cache.pick(p, now).is_none());
         assert!(cache.is_empty(), "empty sets drop the entry entirely");
-    }
-
-    #[test]
-    fn least_load_prefers_idle_replicas() {
-        let cache = ReplicaCache::new(Duration::from_secs(60));
-        let now = Timestamp::ZERO;
-        let p = Port::new(0x4321).unwrap();
-        cache.insert(
-            p,
-            vec![
-                Replica {
-                    machine: MachineId::from(1),
-                    load: 9,
-                },
-                Replica {
-                    machine: MachineId::from(2),
-                    load: 2,
-                },
-                Replica {
-                    machine: MachineId::from(3),
-                    load: 5,
-                },
-            ],
-            now,
-        );
-        assert_eq!(
-            cache
-                .pick(p, PlacementPolicy::LeastLoad, now)
-                .unwrap()
-                .machine,
-            MachineId::from(2)
-        );
     }
 
     mod properties {
@@ -663,7 +532,7 @@ mod tests {
             Insert(Vec<u8>),
             InvalidateMachine(u8),
             Invalidate,
-            Pick(bool), // true = LeastLoad
+            Pick,
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
@@ -671,7 +540,7 @@ mod tests {
                 proptest::collection::vec(0u8..8, 1..5).prop_map(Op::Insert),
                 (0u8..8).prop_map(Op::InvalidateMachine),
                 Just(Op::Invalidate),
-                any::<bool>().prop_map(Op::Pick),
+                Just(Op::Pick),
             ]
         }
 
@@ -696,10 +565,7 @@ mod tests {
                                 port,
                                 machines
                                     .iter()
-                                    .map(|&m| Replica {
-                                        machine: MachineId::from(m as u32),
-                                        load: m as u32,
-                                    })
+                                    .map(|&m| MachineId::from(m as u32))
                                     .collect(),
                                 now,
                             );
@@ -712,17 +578,12 @@ mod tests {
                             live.clear();
                             cache.invalidate(port);
                         }
-                        Op::Pick(least_load) => {
-                            let policy = if least_load {
-                                PlacementPolicy::LeastLoad
-                            } else {
-                                PlacementPolicy::RoundRobin
-                            };
-                            match cache.pick(port, policy, now) {
-                                Some(r) => prop_assert!(
-                                    live.contains(&(r.machine.as_u32() as u8)),
+                        Op::Pick => {
+                            match cache.pick(port, now) {
+                                Some(machine) => prop_assert!(
+                                    live.contains(&(machine.as_u32() as u8)),
                                     "picked invalidated machine {:?}",
-                                    r.machine
+                                    machine
                                 ),
                                 None => prop_assert!(
                                     live.is_empty(),

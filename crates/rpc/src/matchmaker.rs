@@ -15,46 +15,36 @@
 //! server ── Post(P) ──► node[h(P)]  ◄── Locate(P) ── client
 //! ```
 //!
-//! # Replica sets (the cluster registry)
-//!
-//! Since the cluster subsystem a node stores a **set** of registrations
-//! per port: each replica of a service posts `(port, my machine, my
-//! load)` with [`Matchmaker::post_load`] and withdraws with
-//! [`Matchmaker::unpost`]. A plain `LOCATE` is still answered with the
-//! single least-loaded replica (the frozen v0 exchange), while
-//! `LOCATE_ALL` returns the whole live set in one
-//! `LOCATE_REPLY_MULTI` frame — see `docs/PROTOCOL.md`, "Cluster
-//! frames". Client-side, resolved sets land in a
-//! [`ReplicaCache`] shared with the broadcast
-//! [`Locator`](crate::Locator), including its
-//! invalidate-on-transport-error path.
+//! A node keeps **one** registration per port, as the paper's
+//! (port, machine) pair: the latest `POST` wins, whichever machine sent
+//! it, so a service that moves re-posts from its new home. Both
+//! exchanges are the frozen v0 frames — `POST`, then a unicast `LOCATE`
+//! answered by one `LOCATE_REPLY`. Client-side, the answer lands in a
+//! [`ReplicaCache`] of the same kind the broadcast
+//! [`Locator`](crate::Locator) keeps.
 //!
 //! # Demultiplexing
 //!
 //! A LOCATE query claims a fresh private reply port and matches the
-//! answering `LOCATE_REPLY` by `(reply port, queried port)` — the same
-//! private-reply-port discipline the RPC client uses for transactions
-//! (and, with a batch id added to the key, for batch transactions; see
-//! `docs/PROTOCOL.md`, "Demultiplexing keys"). Stale or foreign
-//! packets on the reply port are ignored, not errors: ports are cheap
-//! and noise is expected on a broadcast medium.
+//! answering `LOCATE_REPLY` by `(reply port, queried port)`. Stale or
+//! foreign packets on the reply port are ignored, not errors: ports are
+//! cheap and noise is expected on a broadcast medium.
 
-use crate::frame::{Frame, ReplicaInfo, MAX_LOCATE_REPLICAS};
-use crate::locate::{PlacementPolicy, Replica, ReplicaCache};
+use crate::frame::Frame;
+use crate::locate::ReplicaCache;
 use amoeba_net::{Endpoint, Header, MachineId, Port, Timestamp};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A running rendezvous node: stores per-port replica registrations and
-/// answers unicast LOCATE / LOCATE_ALL queries for them.
+/// A running rendezvous node: stores one registration per port and
+/// answers unicast LOCATE queries for it.
 ///
 /// Registrations are **leases**: a registration not refreshed (by
-/// re-posting) within the node's TTL is dropped, so a replica that
-/// crashes without an `UNPOST` eventually disappears from answers
-/// instead of being handed out forever. Live replicas under a changing
-/// load re-post anyway; idle ones must re-post at least once per TTL.
+/// re-posting) within the node's TTL is dropped, so a server that
+/// crashes eventually disappears from answers instead of being handed
+/// out forever. Live servers must re-post at least once per TTL.
 #[derive(Debug)]
 pub struct RendezvousNode {
     service_port: Port,
@@ -66,7 +56,7 @@ pub struct RendezvousNode {
 
 impl RendezvousNode {
     /// Default registration lease. Generous next to the clients' cache
-    /// TTL: expiry here is the backstop for crashed replicas (clients
+    /// TTL: expiry here is the backstop for crashed servers (clients
     /// drop them faster by invalidating on timeout), not the primary
     /// liveness signal.
     pub const REGISTRATION_TTL: Duration = Duration::from_secs(30);
@@ -84,28 +74,14 @@ impl RendezvousNode {
         let shared = Arc::new(endpoint);
         let endpoint = Arc::clone(&shared);
         let handle = std::thread::spawn(move || {
-            // port → (machine → (advertised load, lease refresh time)).
-            // The registration binds the *source* machine —
-            // unforgeable, so nobody can register a port at somebody
-            // else's address... or rather, they can only divert lookups
-            // to themselves, which the port system already defends
-            // (knowing where a put-port lives does not let you claim
-            // it).
-            // Lease bookkeeping runs on the network's timeline (the
-            // reactor clock), like every other cluster timer.
-            let mut registry: HashMap<Port, BTreeMap<MachineId, (u32, Timestamp)>> = HashMap::new();
-            let live = |registry: &mut HashMap<Port, BTreeMap<MachineId, (u32, Timestamp)>>,
-                        port: Port,
-                        now: Timestamp|
-             -> Option<Vec<(MachineId, u32)>> {
-                let set = registry.get_mut(&port)?;
-                set.retain(|_, &mut (_, at)| now.saturating_duration_since(at) <= ttl);
-                if set.is_empty() {
-                    registry.remove(&port);
-                    return None;
-                }
-                Some(set.iter().map(|(&m, &(l, _))| (m, l)).collect())
-            };
+            // port → (machine, lease refresh time). The registration
+            // binds the *source* machine — unforgeable, so a poster can
+            // only divert lookups to itself, which the port system
+            // already defends (knowing where a put-port lives does not
+            // let you claim it). Lease bookkeeping runs on the
+            // network's timeline (the reactor clock), like every other
+            // cluster timer.
+            let mut registry: HashMap<Port, (MachineId, Timestamp)> = HashMap::new();
             let mut last_sweep = endpoint.now();
             // An untimed block: a frame, or `stop`/drop closing the
             // endpoint, is what wakes the node.
@@ -118,54 +94,21 @@ impl RendezvousNode {
                 // every arrival, which is the only time the registry
                 // can grow.
                 let now = endpoint.now();
+                let live =
+                    |&(_, at): &(MachineId, Timestamp)| now.saturating_duration_since(at) <= ttl;
                 if now.saturating_duration_since(last_sweep) > ttl {
-                    registry.retain(|_, set| {
-                        set.retain(|_, &mut (_, at)| now.saturating_duration_since(at) <= ttl);
-                        !set.is_empty()
-                    });
+                    registry.retain(|_, reg| live(reg));
                     last_sweep = now;
                 }
                 match Frame::decode(&pkt.payload) {
                     Some(Frame::Post(port)) => {
-                        registry
-                            .entry(port)
-                            .or_default()
-                            .insert(pkt.source, (0, now));
-                    }
-                    Some(Frame::PostLoad(port, load)) => {
-                        registry
-                            .entry(port)
-                            .or_default()
-                            .insert(pkt.source, (load, now));
-                    }
-                    Some(Frame::Unpost(port)) => {
-                        if let Some(set) = registry.get_mut(&port) {
-                            set.remove(&pkt.source);
-                            if set.is_empty() {
-                                registry.remove(&port);
-                            }
-                        }
+                        registry.insert(port, (pkt.source, now));
                     }
                     Some(Frame::Locate(port)) if !pkt.header.reply.is_null() => {
-                        // The frozen v0 exchange: one machine. With
-                        // several replicas, hand out the least loaded.
-                        if let Some((machine, _)) = live(&mut registry, port, now)
-                            .and_then(|set| set.into_iter().min_by_key(|&(m, l)| (l, m)))
-                        {
+                        // Unknown or lapsed ports get silence; the
+                        // client times out.
+                        if let Some(&(machine, _)) = registry.get(&port).filter(|reg| live(reg)) {
                             let reply = Frame::LocateReply(port, machine).encode();
-                            endpoint.send(Header::to(pkt.header.reply), reply);
-                        }
-                        // Unknown ports: silence; the client times out.
-                    }
-                    Some(Frame::LocateAll(port)) if !pkt.header.reply.is_null() => {
-                        if let Some(set) = live(&mut registry, port, now) {
-                            let mut replicas: Vec<ReplicaInfo> = set
-                                .into_iter()
-                                .map(|(machine, load)| ReplicaInfo { machine, load })
-                                .collect();
-                            replicas.sort_by_key(|r| (r.load, r.machine));
-                            replicas.truncate(MAX_LOCATE_REPLICAS);
-                            let reply = Frame::LocateReplyMulti { port, replicas }.encode();
                             endpoint.send(Header::to(pkt.header.reply), reply);
                         }
                     }
@@ -210,7 +153,6 @@ impl Drop for RendezvousNode {
 pub struct Matchmaker {
     nodes: Vec<Port>,
     cache: ReplicaCache,
-    policy: PlacementPolicy,
     timeout: Duration,
     /// Serialises cache-miss queries: two threads awaiting replies on
     /// one endpoint would consume each other's answers (see
@@ -228,24 +170,9 @@ impl Matchmaker {
         Matchmaker {
             nodes,
             cache: ReplicaCache::new(crate::Locator::DEFAULT_TTL),
-            policy: PlacementPolicy::default(),
             resolving: Mutex::new(()),
             timeout: Duration::from_millis(200),
         }
-    }
-
-    /// Builder knob: replaces the replica-set cache TTL.
-    pub fn with_ttl(mut self, ttl: Duration) -> Matchmaker {
-        self.cache = ReplicaCache::new(ttl);
-        self
-    }
-
-    /// Builder knob: replaces the placement policy. The registry path
-    /// carries per-replica loads, so [`PlacementPolicy::LeastLoad`] is
-    /// meaningful here.
-    pub fn with_policy(mut self, policy: PlacementPolicy) -> Matchmaker {
-        self.policy = policy;
-        self
     }
 
     /// Which rendezvous node is responsible for `port`.
@@ -260,124 +187,67 @@ impl Matchmaker {
     }
 
     /// Server side: registers `served_port` (which `endpoint`'s machine
-    /// serves) at its rendezvous node.
+    /// serves) at its rendezvous node, replacing whatever machine was
+    /// registered for it. Re-posting also renews the lease.
     pub fn post(&self, endpoint: &Endpoint, served_port: Port) {
         let node = self.node_for(served_port);
         endpoint.send(Header::to(node), Frame::Post(served_port).encode());
     }
 
-    /// Server side: registers `served_port` with an advertised load
-    /// gauge. Re-posting refreshes the load — replicas under a changing
-    /// load re-post periodically.
-    pub fn post_load(&self, endpoint: &Endpoint, served_port: Port, load: u32) {
-        let node = self.node_for(served_port);
-        endpoint.send(
-            Header::to(node),
-            Frame::PostLoad(served_port, load).encode(),
-        );
-    }
-
-    /// Server side: withdraws this machine's registration for
-    /// `served_port` (planned shutdown; crashes are instead discovered
-    /// by clients timing out and invalidating).
-    pub fn unpost(&self, endpoint: &Endpoint, served_port: Port) {
-        let node = self.node_for(served_port);
-        endpoint.send(Header::to(node), Frame::Unpost(served_port).encode());
-    }
-
     /// Client side: resolves which machine serves `port` by querying the
-    /// responsible rendezvous node (no broadcast anywhere). Cached; with
-    /// several live replicas the configured [`PlacementPolicy`] picks
-    /// one per call.
+    /// responsible rendezvous node (no broadcast anywhere). Cached.
     pub fn locate(&self, endpoint: &Endpoint, port: Port) -> Option<MachineId> {
-        if let Some(r) = self.cache.pick(port, self.policy, endpoint.now()) {
-            return Some(r.machine);
+        if let Some(machine) = self.cache.pick(port, endpoint.now()) {
+            return Some(machine);
         }
         let _querying = self.resolving.lock();
         // A peer may have resolved this port while we waited.
-        if let Some(r) = self.cache.pick(port, self.policy, endpoint.now()) {
-            return Some(r.machine);
+        if let Some(machine) = self.cache.pick(port, endpoint.now()) {
+            return Some(machine);
         }
-        self.cache
-            .insert(port, self.resolve_all(endpoint, port), endpoint.now());
-        self.cache
-            .pick(port, self.policy, endpoint.now())
-            .map(|r| r.machine)
+        let found = self.resolve(endpoint, port)?;
+        self.cache.insert(port, vec![found], endpoint.now());
+        Some(found)
     }
 
-    /// Picks a replica from the cache alone — no network round-trip
-    /// (the endpoint only supplies the timeline point for TTL expiry).
-    /// `None` means uncached or expired; see
-    /// [`Locator::pick_cached`](crate::Locator::pick_cached).
-    pub fn pick_cached(&self, endpoint: &Endpoint, port: Port) -> Option<MachineId> {
-        self.cache
-            .pick(port, self.policy, endpoint.now())
-            .map(|r| r.machine)
-    }
-
-    /// Client side: resolves the **full** live replica set for `port`
-    /// (cache or one `LOCATE_ALL` round-trip). Empty if the node knows
-    /// nobody or does not answer.
-    pub fn locate_all(&self, endpoint: &Endpoint, port: Port) -> Vec<Replica> {
-        if let Some(set) = self.cache.all(port, endpoint.now()) {
-            return set;
-        }
-        let _querying = self.resolving.lock();
-        if let Some(set) = self.cache.all(port, endpoint.now()) {
-            return set; // a peer resolved while we waited
-        }
-        let found = self.resolve_all(endpoint, port);
-        // Must copy: the cache keeps its own set while the caller gets
-        // the fresh one (small Copy structs — a short memcpy).
-        self.cache.insert(port, found.clone(), endpoint.now());
-        found
-    }
-
-    /// One `LOCATE_ALL` round-trip to the responsible node.
-    fn resolve_all(&self, endpoint: &Endpoint, port: Port) -> Vec<Replica> {
+    /// One unicast `LOCATE` to the responsible node and its one
+    /// `LOCATE_REPLY`; `None` if the node knows nobody or does not
+    /// answer.
+    fn resolve(&self, endpoint: &Endpoint, port: Port) -> Option<MachineId> {
         let node = self.node_for(port);
         let reply_get = Port::random();
         let reply_wire = endpoint.claim(reply_get);
         endpoint.send(
             Header::to(node).with_reply(reply_get),
-            Frame::LocateAll(port).encode(),
+            Frame::Locate(port).encode(),
         );
         let deadline = endpoint.now() + self.timeout;
         let found = loop {
             if endpoint.now() >= deadline {
-                break Vec::new();
+                break None;
             }
             match endpoint.recv_deadline(deadline) {
                 Ok(pkt) if pkt.header.dest == reply_wire => {
                     match Frame::decode(&pkt.payload) {
                         // Only answers for the port we asked about.
-                        Some(Frame::LocateReplyMulti { port: p, replicas }) if p == port => {
-                            break replicas.into_iter().map(Replica::from).collect();
-                        }
+                        Some(Frame::LocateReply(p, machine)) if p == port => break Some(machine),
                         _ => continue, // noise or hostile: keep waiting
                     }
                 }
                 Ok(_) => continue,
-                Err(_) => break Vec::new(),
+                Err(_) => break None,
             }
         };
         endpoint.release(reply_get);
         found
     }
 
-    /// Drops a cached replica set.
+    /// Drops a cached answer.
     pub fn invalidate(&self, port: Port) {
         self.cache.invalidate(port);
     }
 
-    /// Drops one machine from a port's cached set — the shared
-    /// invalidate-on-transport-error path (see
-    /// [`Locator::invalidate_machine`](crate::Locator::invalidate_machine)).
-    pub fn invalidate_machine(&self, port: Port, machine: MachineId) {
-        self.cache.invalidate_machine(port, machine);
-    }
-
-    /// Direct access to the replica-set cache.
+    /// Direct access to the answer cache.
     pub fn cache(&self) -> &ReplicaCache {
         &self.cache
     }
@@ -387,6 +257,7 @@ impl Matchmaker {
 mod tests {
     use super::*;
     use amoeba_net::Network;
+    use bytes::Bytes;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn nodes(net: &Network, n: usize) -> (Vec<RendezvousNode>, Vec<Port>) {
@@ -475,7 +346,8 @@ mod tests {
     fn repost_overrides_after_migration() {
         // A service migrating to another machine re-posts; lookups after
         // cache invalidation find the new home (§2.2's "process
-        // migration" pointer).
+        // migration" pointer). The re-post alone moves the port: the
+        // old home never withdraws.
         let net = Network::new();
         let (running, node_ports) = nodes(&net, 2);
         let mm = Matchmaker::new(node_ports);
@@ -488,7 +360,6 @@ mod tests {
 
         let home2 = net.attach_open();
         mm.post(&home2, served);
-        mm.unpost(&home1, served);
         mm.invalidate(served);
         assert_eq!(mm.locate(&client, served), Some(home2.id()));
         for r in running {
@@ -497,70 +368,41 @@ mod tests {
     }
 
     #[test]
-    fn locate_all_returns_every_registered_replica_with_loads() {
-        let net = Network::new();
-        let (running, node_ports) = nodes(&net, 2);
-        let mm = Matchmaker::new(node_ports);
-        let served = Port::new(0xC1A5).unwrap();
-
-        let replicas: Vec<Endpoint> = (0..3).map(|_| net.attach_open()).collect();
-        for (i, ep) in replicas.iter().enumerate() {
-            mm.post_load(ep, served, 10 - i as u32);
-        }
-        let client = net.attach_open();
-        let found = mm.locate_all(&client, served);
-        assert_eq!(found.len(), 3);
-        let by_machine: std::collections::HashMap<MachineId, u32> =
-            found.iter().map(|r| (r.machine, r.load)).collect();
-        for (i, ep) in replicas.iter().enumerate() {
-            assert_eq!(by_machine.get(&ep.id()), Some(&(10 - i as u32)));
-        }
-        for r in running {
-            r.stop();
-        }
-    }
-
-    #[test]
-    fn least_load_policy_follows_reposts() {
+    fn retired_registry_frames_register_nothing_and_get_no_answer() {
+        // Tags 0x07 (POST_LOAD) and 0x09 (LOCATE_ALL) are retired: a
+        // node drops them like noise. A former POST_LOAD registers
+        // nothing, and a former LOCATE_ALL — even for a port that IS
+        // registered — is never answered.
         let net = Network::new();
         let (running, node_ports) = nodes(&net, 1);
-        let mm = Matchmaker::new(node_ports).with_policy(PlacementPolicy::LeastLoad);
-        let served = Port::new(0x10AD).unwrap();
-
-        let busy = net.attach_open();
-        let idle = net.attach_open();
-        mm.post_load(&busy, served, 50);
-        mm.post_load(&idle, served, 1);
-        let client = net.attach_open();
-        assert_eq!(mm.locate(&client, served), Some(idle.id()));
-
-        // The idle machine gets busy and re-posts; after invalidation
-        // the other replica wins.
-        mm.post_load(&idle, served, 90);
-        mm.invalidate(served);
-        assert_eq!(mm.locate(&client, served), Some(busy.id()));
-        for r in running {
-            r.stop();
-        }
-    }
-
-    #[test]
-    fn unpost_removes_only_the_departing_replica() {
-        let net = Network::new();
-        let (running, node_ports) = nodes(&net, 1);
+        let node = node_ports[0];
         let mm = Matchmaker::new(node_ports);
-        let served = Port::new(0xDEAF).unwrap();
-
-        let stay = net.attach_open();
-        let leave = net.attach_open();
-        mm.post_load(&stay, served, 0);
-        mm.post_load(&leave, served, 0);
-        mm.unpost(&leave, served);
+        let unposted = Port::new(0x10AD).unwrap();
+        let posted = Port::new(0x5E21CE).unwrap();
+        let server = net.attach_open();
+        let value = |p: Port| p.value().to_be_bytes();
+        server.send(
+            Header::to(node),
+            Bytes::from([&[0x07, 0x01][..], &value(unposted), &[0, 0, 0, 1]].concat()),
+        );
+        mm.post(&server, posted);
 
         let client = net.attach_open();
-        let found = mm.locate_all(&client, served);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].machine, stay.id());
+        assert_eq!(mm.locate(&client, unposted), None, "POST_LOAD registered");
+
+        let reply_get = Port::random();
+        client.claim(reply_get);
+        client.send(
+            Header::to(node).with_reply(reply_get),
+            Bytes::from([&[0x09, 0x01][..], &value(posted)].concat()),
+        );
+        assert!(
+            client.recv_timeout(Duration::from_millis(100)).is_err(),
+            "LOCATE_ALL must get no answer"
+        );
+        // The node is still serving: the v0 exchange for the same port
+        // answers.
+        assert_eq!(mm.locate(&client, posted), Some(server.id()));
         for r in running {
             r.stop();
         }
@@ -568,8 +410,8 @@ mod tests {
 
     #[test]
     fn stale_registrations_expire_without_unpost() {
-        // A replica that crashes never unposts; its lease must lapse
-        // so the registry stops handing it out.
+        // A server that crashes never withdraws; its lease must lapse
+        // so the node stops handing it out.
         let net = Network::new();
         let node = RendezvousNode::spawn_with_ttl(
             net.attach_open(),
@@ -577,29 +419,36 @@ mod tests {
             Duration::from_millis(40),
         );
         let mm = Matchmaker::new(vec![node.service_port()]);
-        let served = Port::new(0x0DD).unwrap();
+        let crashed_port = Port::new(0x0DD).unwrap();
+        let alive_port = Port::new(0x0DE).unwrap();
 
         let crashed = net.attach_open();
         let alive = net.attach_open();
-        mm.post_load(&crashed, served, 0);
-        mm.post_load(&alive, served, 5);
+        mm.post(&crashed, crashed_port);
+        mm.post(&alive, alive_port);
         let client = net.attach_open();
-        assert_eq!(mm.locate_all(&client, served).len(), 2);
+        assert_eq!(mm.locate(&client, crashed_port), Some(crashed.id()));
+        assert_eq!(mm.locate(&client, alive_port), Some(alive.id()));
 
-        // Only the live replica refreshes its lease.
+        // Only the live server refreshes its lease.
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(15));
-            mm.post_load(&alive, served, 5);
+            mm.post(&alive, alive_port);
         }
-        mm.invalidate(served);
-        let found = mm.locate_all(&client, served);
-        assert_eq!(found.len(), 1, "stale lease must lapse: {found:?}");
-        assert_eq!(found[0].machine, alive.id());
+        mm.invalidate(crashed_port);
+        mm.invalidate(alive_port);
+        // The live port first: the lapsed one's lookup waits out the
+        // query timeout, far longer than the 40 ms lease.
+        assert_eq!(mm.locate(&client, alive_port), Some(alive.id()));
+        assert_eq!(
+            mm.locate(&client, crashed_port),
+            None,
+            "stale lease must lapse"
+        );
 
-        // A restarted replica re-posts and is immediately back.
-        mm.post_load(&crashed, served, 1);
-        mm.invalidate(served);
-        assert_eq!(mm.locate_all(&client, served).len(), 2);
+        // A restarted server re-posts and is immediately back.
+        mm.post(&crashed, crashed_port);
+        assert_eq!(mm.locate(&client, crashed_port), Some(crashed.id()));
         node.stop();
     }
 
@@ -624,38 +473,29 @@ mod tests {
 
     #[test]
     fn registration_churn_under_concurrent_lookups() {
-        // Replicas join and leave while clients resolve: every answer
-        // must be a subset of the machines that were ever registered,
-        // and once the churn settles lookups see exactly the survivors.
+        // Servers re-post one port over each other while clients
+        // resolve it: every answer must be a machine that posted, and
+        // once the churn settles lookups see the last poster.
         let net = Network::new();
         let (running, node_ports) = nodes(&net, 2);
         let mm = Arc::new(Matchmaker::new(node_ports.clone()));
         let served = Port::new(0xC414).unwrap();
         let churners: Vec<Endpoint> = (0..4).map(|_| net.attach_open()).collect();
         let ever: std::collections::HashSet<MachineId> = churners.iter().map(|e| e.id()).collect();
+        let last = churners[0].id();
 
         let stop = Arc::new(AtomicBool::new(false));
         let churn_threads: Vec<_> = churners
             .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
+            .map(|ep| {
                 let mm = Arc::clone(&mm);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let mut joined = false;
-                    let mut round = 0u32;
                     while !stop.load(Ordering::Relaxed) {
-                        if joined {
-                            mm.unpost(&ep, served);
-                        } else {
-                            mm.post_load(&ep, served, round);
-                        }
-                        joined = !joined;
-                        round += 1;
+                        mm.post(&ep, served);
                         std::thread::sleep(Duration::from_micros(200));
                     }
-                    // Settle: everyone registered at the end.
-                    mm.post_load(&ep, served, i as u32);
+                    ep
                 })
             })
             .collect();
@@ -669,10 +509,10 @@ mod tests {
                     let client = net.attach_open();
                     for _ in 0..30 {
                         mm.invalidate(served);
-                        for r in mm.locate_all(&client, served) {
+                        if let Some(machine) = mm.locate(&client, served) {
                             assert!(
-                                ever.contains(&r.machine),
-                                "locate_all returned a never-registered machine"
+                                ever.contains(&machine),
+                                "locate returned a machine that never posted"
                             );
                         }
                     }
@@ -683,19 +523,16 @@ mod tests {
             t.join().unwrap();
         }
         stop.store(true, Ordering::Relaxed);
-        for t in churn_threads {
-            t.join().unwrap();
-        }
+        let churners: Vec<Endpoint> = churn_threads
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .collect();
 
-        // After the dust settles every churner is registered again.
+        // After the dust settles the latest POST is the registration.
+        mm.post(&churners[0], served);
         let client = net.attach_open();
         mm.invalidate(served);
-        let final_set: std::collections::HashSet<MachineId> = mm
-            .locate_all(&client, served)
-            .into_iter()
-            .map(|r| r.machine)
-            .collect();
-        assert_eq!(final_set, ever, "survivors must all be resolvable");
+        assert_eq!(mm.locate(&client, served), Some(last), "the last post wins");
         for r in running {
             r.stop();
         }

@@ -74,25 +74,8 @@ pub trait Service: Send + Sync + 'static {
 /// [closing](Endpoint::close) the endpoint at shutdown, is what wakes
 /// the worker.
 fn run_worker(server: &ServerPort, serve: impl Fn(&IncomingRequest)) {
-    let endpoint = server.endpoint();
     while let Ok(req) = server.next_request() {
-        // Publish in-flight work on the machine's load gauge; replica
-        // placement policies compare these across a service cluster.
-        // The decrement rides a drop guard so a panicking handler
-        // cannot leave the gauge inflated for the machine's lifetime.
-        endpoint.add_load(1);
-        let _in_flight = LoadGuard(endpoint);
         serve(&req);
-    }
-}
-
-/// Decrements the machine load gauge on drop — unwinding included, so
-/// a panicking handler cannot permanently inflate the advertised load.
-pub(crate) struct LoadGuard<'a>(pub(crate) &'a Endpoint);
-
-impl Drop for LoadGuard<'_> {
-    fn drop(&mut self) {
-        self.0.sub_load(1);
     }
 }
 
@@ -216,11 +199,9 @@ fn dispatch(
 pub struct ServiceRunner {
     put_port: Port,
     machine: MachineId,
-    /// Kept so the runner can answer load queries and register with a
-    /// rendezvous registry from its own machine (registrations bind the
-    /// unforgeable source address). Also pins the endpoint: a *stopped*
-    /// runner still claims its port, modelling a crashed server whose
-    /// clients see timeouts rather than instant disconnects.
+    /// Pins the endpoint: a *stopped* runner still claims its port,
+    /// modelling a crashed server whose clients see timeouts rather
+    /// than instant disconnects.
     server: ServerPort,
     /// The shared service instance the workers dispatch into, exposed
     /// via [`service`](Self::service) so local control planes (the
@@ -361,27 +342,6 @@ impl ServiceRunner {
     /// the service's [`migrator`](Service::migrator) handle.
     pub fn service(&self) -> &Arc<dyn Service> {
         &self.service
-    }
-
-    /// The machine's current load gauge (in-flight requests).
-    pub fn load(&self) -> u32 {
-        self.server.endpoint().load()
-    }
-
-    /// Registers this runner as a live replica of its put-port at the
-    /// rendezvous registry, advertising the current load gauge. Sent
-    /// from the runner's own machine, so the registration carries the
-    /// unforgeable source address. Re-call to refresh the advertised
-    /// load.
-    pub fn register(&self, registry: &amoeba_rpc::Matchmaker) {
-        registry.post_load(self.server.endpoint(), self.put_port, self.load());
-    }
-
-    /// Withdraws this runner's registration (planned shutdown; crashed
-    /// replicas are instead dropped by clients invalidating on
-    /// timeout).
-    pub fn deregister(&self, registry: &amoeba_rpc::Matchmaker) {
-        registry.unpost(self.server.endpoint(), self.put_port);
     }
 
     /// Stops every worker and waits for them to exit.

@@ -9,7 +9,7 @@
 //! dispatch loop (receive, decode, handle, reply) from the one simulation
 //! thread. Ports are explicit — nothing in the pump draws entropy.
 
-use crate::service::{serve_one, LoadGuard, Service};
+use crate::service::{serve_one, Service};
 use amoeba_net::{Endpoint, MachineId, Port};
 use amoeba_rpc::ServerPort;
 use std::sync::Arc;
@@ -47,8 +47,6 @@ impl SimPump {
     pub fn poll(&self) -> bool {
         let mut served = false;
         while let Some(req) = self.server.poll_request() {
-            self.server.endpoint().add_load(1);
-            let _in_flight = LoadGuard(self.server.endpoint());
             serve_one(&*self.service, &self.server, &req);
             served = true;
         }

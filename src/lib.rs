@@ -62,9 +62,8 @@ pub mod prelude {
     };
     pub use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
     pub use amoeba_cluster::{
-        ClusterClient, ClusterRegistry, ElasticClient, ElasticCluster, HealthProber, MigrateError,
-        MigrationStats, PlacementPolicy, Rebalancer, ServiceCluster, ShardMigration, ShardedDir,
-        SimReplicaSet,
+        ClusterClient, ElasticClient, ElasticCluster, HealthProber, MigrateError, MigrationStats,
+        Rebalancer, ServiceCluster, ShardMigration, SimReplicaSet,
     };
     pub use amoeba_crypto::oneway::{OneWay, PurdyOneWay, ShaOneWay};
     pub use amoeba_crypto::SecretStream;

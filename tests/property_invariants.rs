@@ -381,8 +381,7 @@ proptest! {
 /// ownership and nothing else.
 mod reference_codec {
     use amoeba::net::{MachineId, Port};
-    use amoeba::rpc::{BatchReplyEntry, BatchStatus, Frame, ReplicaInfo};
-    use amoeba::rpc::{BATCH_VERSION, CLUSTER_VERSION, MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS};
+    use amoeba::rpc::{BatchReplyEntry, BatchStatus, Frame, BATCH_VERSION, MAX_BATCH_ENTRIES};
     use bytes::Bytes;
 
     fn port(raw: &[u8]) -> Option<Port> {
@@ -421,7 +420,7 @@ mod reference_codec {
             1 => Some(Frame::Reply(Bytes::from(rest.to_vec()))),
             // Protocol-v0 port frames are fixed-layout but tolerate
             // trailing bytes (frozen since the first protocol version);
-            // only the versioned batch/cluster families demand exact
+            // only the versioned batch family demands exact
             // consumption.
             2 => port(rest.get(..8)?).map(Frame::Locate),
             3 => Some(Frame::LocateReply(
@@ -463,50 +462,7 @@ mod reference_codec {
                     (at == rest.len()).then_some(Frame::BatchReply { id, entries })
                 }
             }
-            7..=10 => {
-                if *rest.first()? != CLUSTER_VERSION {
-                    return None;
-                }
-                let rest = &rest[1..];
-                match tag {
-                    7 => {
-                        if rest.len() != 12 {
-                            return None;
-                        }
-                        Some(Frame::PostLoad(
-                            port(&rest[..8])?,
-                            u32::from_be_bytes(rest[8..12].try_into().ok()?),
-                        ))
-                    }
-                    8 => (rest.len() == 8)
-                        .then(|| port(rest))
-                        .flatten()
-                        .map(Frame::Unpost),
-                    9 => (rest.len() == 8)
-                        .then(|| port(rest))
-                        .flatten()
-                        .map(Frame::LocateAll),
-                    _ => {
-                        let p = port(rest.get(..8)?)?;
-                        let count = *rest.get(8)? as usize;
-                        if count == 0 || count > MAX_LOCATE_REPLICAS {
-                            return None;
-                        }
-                        let mut replicas = Vec::new();
-                        let mut at = 9;
-                        for _ in 0..count {
-                            replicas.push(ReplicaInfo {
-                                machine: machine(rest.get(at..at + 4)?)?,
-                                load: u32::from_be_bytes(
-                                    rest.get(at + 4..at + 8)?.try_into().ok()?,
-                                ),
-                            });
-                            at += 8;
-                        }
-                        (at == rest.len()).then_some(Frame::LocateReplyMulti { port: p, replicas })
-                    }
-                }
-            }
+            // Tags 7..=13 are retired, as is every tag past them.
             _ => None,
         }
     }
@@ -534,7 +490,8 @@ proptest! {
     }
 
     /// Steered toward the interesting region: arbitrary bytes behind a
-    /// valid tag byte.
+    /// valid tag byte, or one of the retired tags `7..=10` just past
+    /// them.
     #[test]
     fn zero_copy_decode_matches_reference_behind_valid_tags(
         tag in 0u8..=10,
@@ -550,9 +507,10 @@ proptest! {
 
     /// Port-carrying frames with valid port bits and random trailing
     /// bytes: the two decoders must agree on the v0 trailing-bytes
-    /// tolerance and the versioned families' exact-consumption rule
-    /// alike. (Purely random bytes almost never form a valid 48-bit
-    /// port, so this region needs explicit steering.)
+    /// tolerance, and on rejecting the retired tags `7..=10` whose
+    /// frames once carried a version byte and a port. (Purely random
+    /// bytes almost never form a valid 48-bit port, so this region
+    /// needs explicit steering.)
     #[test]
     fn zero_copy_decode_matches_reference_on_port_frames_with_trailers(
         tag in 2u8..=10,
