@@ -46,29 +46,32 @@ use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{Reply, Request, Status};
-use amoeba_server::{wire, ClientError, ObjectTable, RequestCtx, Service, ServiceClient};
+use amoeba_server::{
+    dispatch, wire, ClientError, Command, ObjectTable, RequestCtx, Service, ServiceClient,
+};
 use bytes::Bytes;
 use std::collections::HashMap;
 
-/// Bank operation codes.
+/// Bank operation codes. What each needs of the presented capability
+/// is declared once, in the server's command table.
 pub mod ops {
-    /// Open an empty account; anonymous. Reply: capability.
+    /// Open an empty account. Reply: capability.
     pub const OPEN: u32 = 1;
     /// Balance query. Params: `u32 currency`. Reply: `u64`.
     pub const BALANCE: u32 = 2;
-    /// Transfer. Capability: source (WRITE). Params: `cap to`,
+    /// Transfer. Capability: the source. Params: `cap to`,
     /// `u32 currency`, `u64 amount`.
     pub const TRANSFER: u32 = 3;
-    /// Mint new money into an account. Capability: the treasury
-    /// (OWNER). Params: `cap to`, `u32 currency`, `u64 amount`.
+    /// Mint new money into an account. Capability: the treasury.
+    /// Params: `cap to`, `u32 currency`, `u64 amount`.
     pub const MINT: u32 = 4;
     /// Convert between convertible currencies within one account.
-    /// Capability: account (WRITE). Params: `u32 from`, `u32 to`,
-    /// `u64 amount` (in `from` units). Reply: `u64` credited amount.
+    /// Params: `u32 from`, `u32 to`, `u64 amount` (in `from` units).
+    /// Reply: `u64` credited amount.
     pub const CONVERT: u32 = 5;
-    /// Close the account (requires DELETE); remaining balances vanish.
+    /// Close the account; remaining balances vanish.
     pub const CLOSE: u32 = 6;
-    /// Account statement (requires READ). Reply: `u32 n`, then n ×
+    /// Account statement. Reply: `u32 n`, then n ×
     /// (`u32 kind`, `u32 currency`, `u64 amount`) entries, oldest
     /// first. Kinds: 0 debit, 1 credit, 2 mint, 3 convert-out,
     /// 4 convert-in.
@@ -196,6 +199,16 @@ pub struct BankServer {
 pub type TreasuryReceiver = std::sync::mpsc::Receiver<Capability>;
 
 impl BankServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        Command::anonymous(ops::OPEN, Self::open),
+        Command::new(ops::BALANCE, Rights::READ, Self::balance),
+        Command::new(ops::TRANSFER, Rights::WRITE, Self::transfer),
+        Command::new(ops::MINT, Rights::OWNER, Self::mint),
+        Command::new(ops::CONVERT, Rights::WRITE, Self::convert),
+        Command::new(ops::CLOSE, Rights::DELETE, Self::close),
+        Command::new(ops::STATEMENT, Rights::READ, Self::statement),
+    ];
+
     /// Creates a bank with the given currency registry. Currency 0 is
     /// the base for conversions.
     ///
@@ -221,37 +234,44 @@ impl BankServer {
         self.currencies.get(id as usize)
     }
 
-    fn open(&self) -> Reply {
+    fn open(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
         let (_, cap) = self.table.create(Account::default());
-        Reply::ok(wire::Writer::new().cap(&cap).finish())
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn balance(&self, req: &Request) -> Reply {
-        let mut r = wire::Reader::new(&req.params);
-        let Some(currency) = r.u32() else {
-            return Reply::status(Status::BadRequest);
-        };
+    fn balance(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let currency = wire::Reader::new(&req.params)
+            .u32()
+            .ok_or(Status::BadRequest)?;
         if self.currency(currency).is_none() {
-            return Reply::status(Status::OutOfRange);
+            return Err(Status::OutOfRange);
         }
-        match self.table.with_object(&req.cap, Rights::READ, |acct| {
+        let v = self.table.with_object(&req.cap, need, |acct| {
             acct.balances
                 .get(&CurrencyId(currency))
                 .copied()
                 .unwrap_or(0)
-        }) {
-            Ok(v) => Reply::ok(wire::Writer::new().u64(v).finish()),
-            Err(e) => Reply::status(e.into()),
-        }
+        })?;
+        Ok(wire::Writer::new().u64(v).finish())
     }
 
-    fn transfer(&self, req: &Request, minting: bool) -> Reply {
+    fn mint(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        self.move_money(req, need, true)
+    }
+
+    fn transfer(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        self.move_money(req, need, false)
+    }
+
+    /// TRANSFER, or MINT (`minting`) from the treasury: `need` is what
+    /// the source capability must carry.
+    fn move_money(&self, req: &Request, need: Rights, minting: bool) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(to_cap), Some(currency), Some(amount)) = (r.cap(), r.u32(), r.u64()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         if self.currency(currency).is_none() {
-            return Reply::status(Status::OutOfRange);
+            return Err(Status::OutOfRange);
         }
         let cur = CurrencyId(currency);
 
@@ -260,25 +280,16 @@ impl BankServer {
         // ever starting a withdrawal (under concurrent dispatch the
         // rollback below is best-effort, so not withdrawing at all is
         // strictly safer).
-        if let Err(e) = self.table.validate(&to_cap) {
-            return Reply::status(e.into());
-        }
+        self.table.validate(&to_cap)?;
 
         if minting {
             // Only the treasury may mint.
-            let is_treasury = match self
-                .table
-                .with_object(&req.cap, Rights::OWNER, |a| a.is_treasury)
-            {
-                Ok(t) => t,
-                Err(e) => return Reply::status(e.into()),
-            };
-            if !is_treasury {
-                return Reply::status(Status::RightsViolation);
+            if !self.table.with_object(&req.cap, need, |a| a.is_treasury)? {
+                return Err(Status::RightsViolation);
             }
         } else {
             // Withdraw from the source; deposit is performed below.
-            let withdrawn = self.table.with_object_mut(&req.cap, Rights::WRITE, |acct| {
+            let withdrawn = self.table.with_object_mut(&req.cap, need, |acct| {
                 let bal = acct.balances.entry(cur).or_insert(0);
                 if *bal < amount {
                     false
@@ -287,11 +298,9 @@ impl BankServer {
                     acct.record(EntryKind::Debit, cur, amount);
                     true
                 }
-            });
-            match withdrawn {
-                Ok(true) => {}
-                Ok(false) => return Reply::status(Status::InsufficientFunds),
-                Err(e) => return Reply::status(e.into()),
+            })?;
+            if !withdrawn {
+                return Err(Status::InsufficientFunds);
             }
         }
 
@@ -306,43 +315,36 @@ impl BankServer {
             *acct.balances.entry(cur).or_insert(0) += amount;
             acct.record(credit_kind, cur, amount);
         });
-        match deposited {
-            Ok(()) => Reply::ok(Bytes::new()),
-            Err(e) => {
-                if !minting {
-                    // Roll the withdrawal back; the transfer is atomic.
-                    // If the source account was concurrently closed the
-                    // rollback finds nothing — the amount is forfeited
-                    // exactly as if it had still been in the account at
-                    // CLOSE ("remaining balances vanish").
-                    let _ = self.table.with_object_mut(&req.cap, Rights::WRITE, |acct| {
-                        *acct.balances.entry(cur).or_insert(0) += amount;
-                        acct.record(EntryKind::Credit, cur, amount);
-                    });
-                }
-                Reply::status(e.into())
-            }
+        if deposited.is_err() && !minting {
+            // Roll the withdrawal back; the transfer is atomic. If the
+            // source account was concurrently closed the rollback finds
+            // nothing — the amount is forfeited exactly as if it had
+            // still been in the account at CLOSE ("remaining balances
+            // vanish").
+            let _ = self.table.with_object_mut(&req.cap, need, |acct| {
+                *acct.balances.entry(cur).or_insert(0) += amount;
+                acct.record(EntryKind::Credit, cur, amount);
+            });
         }
+        deposited?;
+        Ok(Bytes::new())
     }
 
-    fn convert(&self, req: &Request) -> Reply {
+    fn convert(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(from), Some(to), Some(amount)) = (r.u32(), r.u32(), r.u64()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         let (Some(from_c), Some(to_c)) = (self.currency(from), self.currency(to)) else {
-            return Reply::status(Status::OutOfRange);
+            return Err(Status::OutOfRange);
         };
         let (Some(from_rate), Some(to_rate)) = (from_c.rate_to_base, to_c.rate_to_base) else {
-            return Reply::status(Status::Unsupported); // inconvertible
+            return Err(Status::Unsupported); // inconvertible
         };
         // amount × from_rate base units, floored into `to` units.
-        let base = match amount.checked_mul(from_rate) {
-            Some(b) => b,
-            None => return Reply::status(Status::OutOfRange),
-        };
+        let base = amount.checked_mul(from_rate).ok_or(Status::OutOfRange)?;
         let credited = base / to_rate;
-        let result = self.table.with_object_mut(&req.cap, Rights::WRITE, |acct| {
+        let result = self.table.with_object_mut(&req.cap, need, |acct| {
             let bal = acct.balances.entry(CurrencyId(from)).or_insert(0);
             if *bal < amount {
                 return None;
@@ -352,32 +354,24 @@ impl BankServer {
             acct.record(EntryKind::ConvertOut, CurrencyId(from), amount);
             acct.record(EntryKind::ConvertIn, CurrencyId(to), credited);
             Some(credited)
-        });
-        match result {
-            Ok(Some(c)) => Reply::ok(wire::Writer::new().u64(c).finish()),
-            Ok(None) => Reply::status(Status::InsufficientFunds),
-            Err(e) => Reply::status(e.into()),
-        }
+        })?;
+        let c = result.ok_or(Status::InsufficientFunds)?;
+        Ok(wire::Writer::new().u64(c).finish())
     }
 
-    fn statement(&self, req: &Request) -> Reply {
-        match self.table.with_object(&req.cap, Rights::READ, |acct| {
+    fn statement(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        Ok(self.table.with_object(&req.cap, need, |acct| {
             let mut w = wire::Writer::new().u32(acct.history.len() as u32);
             for e in &acct.history {
                 w = w.u32(e.kind as u32).u32(e.currency.0).u64(e.amount);
             }
             w.finish()
-        }) {
-            Ok(body) => Reply::ok(body),
-            Err(e) => Reply::status(e.into()),
-        }
+        })?)
     }
 
-    fn close(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(_) => Reply::ok(Bytes::new()),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn close(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        self.table.delete(&req.cap, need)?;
+        Ok(Bytes::new())
     }
 }
 
@@ -397,19 +391,7 @@ impl Service for BankServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::OPEN => self.open(),
-            ops::BALANCE => self.balance(req),
-            ops::TRANSFER => self.transfer(req, false),
-            ops::MINT => self.transfer(req, true),
-            ops::CONVERT => self.convert(req),
-            ops::CLOSE => self.close(req),
-            ops::STATEMENT => self.statement(req),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 }
 
@@ -790,6 +772,41 @@ mod tests {
         let a = client.open_account().unwrap();
         client.close(&a).unwrap();
         assert!(client.balance(&a, USD).is_err());
+        runner.stop();
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        use amoeba_server::rights_check::{assert_rights_enforced, Probe};
+        let (_n, runner, client, treasury) = setup();
+        let funded = || {
+            let a = client.open_account().unwrap();
+            client.mint(&treasury, &a, USD, 100).unwrap();
+            a
+        };
+        let to = client.open_account().unwrap();
+        let pay = || wire::Writer::new().cap(&to).u32(USD.0).u64(10).finish();
+        let transfer = || (funded(), pay());
+        let mint = || (treasury, pay());
+        let convert = || (funded(), wire::Writer::new().u32(0).u32(1).u64(60).finish());
+        let read = || (funded(), wire::Writer::new().u32(USD.0).finish());
+        let bare = || (funded(), Bytes::new());
+        assert_rights_enforced(
+            client.service(),
+            BankServer::COMMANDS,
+            &[
+                Probe::new(ops::BALANCE, Rights::READ, &read),
+                Probe::new(ops::TRANSFER, Rights::WRITE, &transfer),
+                Probe::new(ops::MINT, Rights::OWNER, &mint),
+                Probe::new(ops::CONVERT, Rights::WRITE, &convert),
+                Probe::new(ops::CLOSE, Rights::DELETE, &bare),
+                Probe::new(ops::STATEMENT, Rights::READ, &bare),
+            ],
+            |a| {
+                let balance = |c| client.balance(a, c);
+                (balance(USD), balance(YEN), client.statement(a))
+            },
+        );
         runner.stop();
     }
 }

@@ -40,31 +40,34 @@ use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{null_cap, Reply, Request, Status};
 use amoeba_server::wire::FrameWriter;
-use amoeba_server::{wire, ClientError, ObjectTable, RequestCtx, Service, ServiceClient};
+use amoeba_server::{
+    dispatch, wire, ClientError, Command, ObjectTable, RequestCtx, Service, ServiceClient,
+};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Block-server operation codes.
+/// Block-server operation codes. What each needs of the presented
+/// capability is declared once, in the server's command table.
 pub mod ops {
-    /// Allocate a zeroed block; anonymous. Reply: capability.
+    /// Allocate a zeroed block. Reply: capability.
     pub const ALLOC: u32 = 1;
     /// Read `len` bytes at `offset`. Params: `u32 offset`, `u32 len`.
     pub const READ: u32 = 2;
     /// Write bytes at `offset`. Params: `u32 offset`, `bytes data`.
     pub const WRITE: u32 = 3;
-    /// Deallocate the block or extent. Requires DELETE.
+    /// Deallocate the block or extent.
     pub const FREE: u32 = 4;
-    /// Report disk geometry; anonymous. Reply: `u32 block_size`,
+    /// Report disk geometry. Reply: `u32 block_size`,
     /// `u32 capacity`, `u32 allocated`.
     pub const STATFS: u32 = 5;
     /// Allocate a contiguous extent of `n` zeroed blocks under ONE
-    /// capability; anonymous. Params: `u32 n` (≥ 1). Reply: capability,
+    /// capability. Params: `u32 n` (≥ 1). Reply: capability,
     /// `u32 blocks`. The extent reads and writes like one large block
     /// of `n × block_size` bytes, and FREE returns all `n` blocks at
     /// once — a file server pays one allocation round-trip regardless
     /// of how many blocks it needs.
     pub const ALLOC_N: u32 = 6;
-    /// [`ALLOC_N`] and the first [`WRITE`] in one request; anonymous.
+    /// [`ALLOC_N`] and the first [`WRITE`] in one request.
     /// Params: `u32 n` (≥ 1), `u32 offset`, `bytes data`, then
     /// optionally a retire list: `u32 count` and that many extent
     /// capabilities to free. Reply: capability, `u32 blocks`, and —
@@ -74,9 +77,8 @@ pub mod ops {
     /// file pays one disk round-trip, not two, and no byte of the
     /// extent is written twice; the list lets it return a destroyed
     /// file's extents in that same frame. Each listed extent is freed
-    /// exactly as [`FREE`] would free it (DELETE is needed; a forged,
-    /// dead, duplicated or rights-less entry frees nothing and is
-    /// counted), and the `n` blocks are reserved net of what the list
+    /// exactly as [`FREE`] would free it (a forged, dead, duplicated or
+    /// rights-less entry frees nothing and is counted), and the `n` blocks are reserved net of what the list
     /// frees. All-or-nothing: a request that is refused (`BadRequest`
     /// for `n == 0` or a malformed list, `OutOfRange` when
     /// `offset + len` exceeds `n × block_size`, `NoSpace`) reserves and
@@ -121,6 +123,10 @@ struct Extent {
     freeing: bool,
 }
 
+/// What freeing an extent needs of its capability: `FREE`'s, and each
+/// entry of an `ALLOC_WRITE`'s retire list.
+const FREEING: Rights = Rights::DELETE;
+
 /// The block server.
 #[derive(Debug)]
 pub struct BlockServer {
@@ -132,6 +138,16 @@ pub struct BlockServer {
 }
 
 impl BlockServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        Command::anonymous(ops::ALLOC, Self::alloc),
+        Command::anonymous(ops::ALLOC_N, Self::alloc_n),
+        Command::anonymous(ops::ALLOC_WRITE, Self::alloc_write),
+        Command::new(ops::READ, Rights::READ, Self::read),
+        Command::new(ops::WRITE, Rights::WRITE, Self::write),
+        Command::new(ops::FREE, FREEING, Self::free),
+        Command::anonymous(ops::STATFS, Self::statfs),
+    ];
+
     /// A server over a fresh simulated disk, protecting blocks with the
     /// given capability scheme.
     pub fn new(config: DiskConfig, scheme: SchemeKind) -> BlockServer {
@@ -188,41 +204,37 @@ impl BlockServer {
     }
 
     /// Claims the extent `cap` names for freeing, on the terms `FREE`
-    /// sets: DELETE, and no other request freeing it already. Returns
-    /// its blocks, still counted as allocated.
-    fn claim(&self, cap: &Capability) -> Result<u32, Status> {
-        let claimed = self.table.with_object_mut(cap, Rights::DELETE, |ext| {
+    /// sets: [`FREEING`], and no other request freeing it already.
+    /// Returns its blocks, still counted as allocated.
+    fn claim(&self, cap: &Capability, need: Rights) -> Result<u32, Status> {
+        let claimed = self.table.with_object_mut(cap, need, |ext| {
             (!std::mem::replace(&mut ext.freeing, true)).then_some(ext.blocks)
         });
-        claimed.map_err(Status::from)?.ok_or(Status::NoSuchObject)
+        claimed?.ok_or(Status::NoSuchObject)
     }
 
-    fn alloc(&self) -> Reply {
+    fn alloc(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
         // A single block's reply carries only the capability — the
         // pre-extent wire shape, kept frozen for old clients.
-        match self.alloc_extent(1, 0, 0, &[]) {
-            Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
-            Err(status) => Reply::status(status),
-        }
+        let cap = self.alloc_extent(1, 0, 0, &[])?;
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn alloc_n(&self, req: &Request) -> Reply {
-        let Some(n) = wire::Reader::new(&req.params).u32() else {
-            return Reply::status(Status::BadRequest);
-        };
+    fn alloc_n(&self, req: &Request, _: Rights) -> Result<Bytes, Status> {
+        let n = wire::Reader::new(&req.params)
+            .u32()
+            .ok_or(Status::BadRequest)?;
         if n == 0 {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         }
-        match self.alloc_extent(n, 0, 0, &[]) {
-            Ok(cap) => Reply::ok(wire::Writer::new().cap(&cap).u32(n).finish()),
-            Err(status) => Reply::status(status),
-        }
+        let cap = self.alloc_extent(n, 0, 0, &[])?;
+        Ok(wire::Writer::new().cap(&cap).u32(n).finish())
     }
 
-    fn alloc_write(&self, req: &Request) -> Reply {
+    fn alloc_write(&self, req: &Request, _: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(n), Some(offset), Some(data)) = (r.u32(), r.u32(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         // Whatever follows the payload is the retire list: a count and
         // exactly that many capabilities.
@@ -234,22 +246,22 @@ impl BlockServer {
                 .and_then(|k| (0..k).map(|_| r.cap()).collect::<Option<Vec<_>>>())
             {
                 Some(caps) if r.is_empty() => Some(caps),
-                _ => return Reply::status(Status::BadRequest),
+                _ => return Err(Status::BadRequest),
             }
         };
         if n == 0 {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         }
         // Checked before anything is claimed or reserved, and in u64,
         // where neither side can wrap.
         let size = u64::from(n) * u64::from(self.config.block_size);
         if u64::from(offset) + data.len() as u64 > size {
-            return Reply::status(Status::OutOfRange);
+            return Err(Status::OutOfRange);
         }
         let listed = retire.as_deref().unwrap_or_default();
         let claimed: Vec<(ObjectNum, u32)> = listed
             .iter()
-            .filter_map(|cap| Some((cap.object, self.claim(cap).ok()?)))
+            .filter_map(|cap| Some((cap.object, self.claim(cap, FREEING).ok()?)))
             .collect();
         let freed = claimed.iter().map(|&(_, blocks)| blocks).sum();
         match self.alloc_extent(n, freed, offset as usize, data) {
@@ -262,24 +274,24 @@ impl BlockServer {
                     Some(_) => reply.u32((listed.len() - claimed.len()) as u32),
                     None => reply,
                 };
-                Reply::ok(reply.finish())
+                Ok(reply.finish())
             }
             Err(status) => {
                 // Refused whole: what was claimed stays as it was.
                 for &(object, _) in &claimed {
                     self.table.with_data_mut(object, |ext| ext.freeing = false);
                 }
-                Reply::status(status)
+                Err(status)
             }
         }
     }
 
-    fn read(&self, req: &Request) -> Reply {
+    fn read(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(len)) = (r.u32(), r.u32()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        let result = self.table.with_object(&req.cap, Rights::READ, |ext| {
+        let result = self.table.with_object(&req.cap, need, |ext| {
             let end = offset.checked_add(len)? as usize;
             if end > ext.data.len() {
                 return None;
@@ -289,19 +301,15 @@ impl BlockServer {
             let span = &ext.data[offset as usize..end];
             Some(wire::Writer::with_capacity(span.len()).raw(span).finish())
         });
-        match result {
-            Ok(Some(data)) => Reply::ok(data),
-            Ok(None) => Reply::status(Status::OutOfRange),
-            Err(e) => Reply::status(e.into()),
-        }
+        result?.ok_or(Status::OutOfRange)
     }
 
-    fn write(&self, req: &Request) -> Reply {
+    fn write(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(data)) = (r.u32(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        let result = self.table.with_object_mut(&req.cap, Rights::WRITE, |ext| {
+        let result = self.table.with_object_mut(&req.cap, need, |ext| {
             let end = (offset as usize).checked_add(data.len())?;
             if end > ext.data.len() {
                 return None;
@@ -309,35 +317,25 @@ impl BlockServer {
             ext.data[offset as usize..end].copy_from_slice(data);
             Some(())
         });
-        match result {
-            Ok(Some(())) => Reply::ok(Bytes::new()),
-            Ok(None) => Reply::status(Status::OutOfRange),
-            Err(e) => Reply::status(e.into()),
-        }
+        result?.ok_or(Status::OutOfRange)?;
+        Ok(Bytes::new())
     }
 
-    fn free(&self, req: &Request) -> Reply {
-        match self.claim(&req.cap) {
-            Ok(blocks) => {
-                // The whole extent comes back at once — a failed
-                // multi-block allocation can never strand part of its
-                // reservation.
-                self.table.remove(req.cap.object);
-                self.allocated.fetch_sub(blocks, Ordering::AcqRel);
-                Reply::ok(Bytes::new())
-            }
-            Err(status) => Reply::status(status),
-        }
+    fn free(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let blocks = self.claim(&req.cap, need)?;
+        // The whole extent comes back at once — a failed multi-block
+        // allocation can never strand part of its reservation.
+        self.table.remove(req.cap.object);
+        self.allocated.fetch_sub(blocks, Ordering::AcqRel);
+        Ok(Bytes::new())
     }
 
-    fn statfs(&self) -> Reply {
-        Reply::ok(
-            wire::Writer::new()
-                .u32(self.config.block_size)
-                .u32(self.config.capacity_blocks)
-                .u32(self.allocated.load(Ordering::Acquire))
-                .finish(),
-        )
+    fn statfs(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
+        Ok(wire::Writer::new()
+            .u32(self.config.block_size)
+            .u32(self.config.capacity_blocks)
+            .u32(self.allocated.load(Ordering::Acquire))
+            .finish())
     }
 }
 
@@ -347,19 +345,17 @@ impl Service for BlockServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::ALLOC => self.alloc(),
-            ops::ALLOC_N => self.alloc_n(req),
-            ops::ALLOC_WRITE => self.alloc_write(req),
-            ops::READ => self.read(req),
-            ops::WRITE => self.write(req),
-            ops::FREE => self.free(req),
-            ops::STATFS => self.statfs(),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
+    }
+}
+
+/// What a server built on the block server answers its own client when
+/// a disk request fails: the disk's status, or `NoSpace` when the disk
+/// could not be reached.
+pub fn disk_status(e: ClientError) -> Status {
+    match e {
+        ClientError::Status(s) => s,
+        _ => Status::NoSpace,
     }
 }
 
@@ -1415,5 +1411,26 @@ mod tests {
             },
             SchemeKind::Simple,
         );
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        use amoeba_server::rights_check::{assert_rights_enforced, Probe};
+        let (_net, runner, client) = setup(DiskConfig::small());
+        let block = |params: Bytes| (client.alloc().unwrap(), params);
+        let read = || block(wire::Writer::new().u32(0).u32(4).finish());
+        let write = || block(wire::Writer::new().u32(0).bytes(b"x").finish());
+        let free = || block(Bytes::new());
+        assert_rights_enforced(
+            client.service(),
+            BlockServer::COMMANDS,
+            &[
+                Probe::new(ops::READ, Rights::READ, &read),
+                Probe::new(ops::WRITE, Rights::WRITE, &write),
+                Probe::new(ops::FREE, Rights::DELETE, &free),
+            ],
+            |cap| (client.read(cap, 0, 4096), client.statfs()),
+        );
+        runner.stop();
     }
 }

@@ -52,32 +52,35 @@ use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
 use amoeba_net::{EventKind, Network, Port, Timestamp};
 use amoeba_server::proto::{Reply, Request, Status};
-use amoeba_server::{wire, ClientError, ObjectTable, RequestCtx, Service, ServiceClient};
+use amoeba_server::{
+    dispatch, wire, ClientError, Command, ObjectTable, RequestCtx, Service, ServiceClient,
+};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Directory-server operation codes.
+/// Directory-server operation codes. What each needs of the presented
+/// capability is declared once, in the server's command table.
 pub mod ops {
-    /// Create an empty directory; anonymous. Reply: capability.
+    /// Create an empty directory. Reply: capability.
     pub const CREATE: u32 = 1;
-    /// Look up a name (requires READ). Params: `str`. Reply: capability.
+    /// Look up a name. Params: `str`. Reply: capability.
     pub const LOOKUP: u32 = 2;
-    /// Enter a (name, capability) pair (requires WRITE). Params: `str`,
-    /// `cap`. `Conflict` if the name exists.
+    /// Enter a (name, capability) pair. Params: `str`, `cap`.
+    /// `Conflict` if the name exists.
     pub const ENTER: u32 = 3;
-    /// Remove an entry (requires WRITE). Params: `str`.
+    /// Remove an entry. Params: `str`.
     pub const REMOVE: u32 = 4;
-    /// List names (requires READ). Reply: `u32 n`, then n `str`s.
+    /// List names. Reply: `u32 n`, then n `str`s.
     pub const LIST: u32 = 5;
-    /// Delete the (empty) directory (requires DELETE). `Conflict` if
-    /// not empty.
+    /// Delete the (empty) directory. `Conflict` if not empty.
     pub const DELETE_DIR: u32 = 6;
-    /// Rename an entry (requires WRITE). Params: `str from`, `str to`.
+    /// Rename an entry. Params: `str from`, `str to`.
     /// `NotFound` if `from` is absent, `Conflict` if `to` exists.
     pub const RENAME: u32 = 7;
-    /// Resolve a multi-component `/`-separated path in one frame
-    /// (requires READ on every directory walked). Params: `str path`.
+    /// Resolve a multi-component `/`-separated path in one frame; every
+    /// directory walked must grant what the command needs of the
+    /// presented capability. Params: `str path`.
     /// The server walks segments as long as each intermediate
     /// capability names an object it serves itself, then stops.
     ///
@@ -106,6 +109,17 @@ pub struct DirServer {
 }
 
 impl DirServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        Command::anonymous(ops::CREATE, Self::create),
+        Command::new(ops::LOOKUP, Rights::READ, Self::lookup),
+        Command::new(ops::ENTER, Rights::WRITE, Self::enter),
+        Command::new(ops::REMOVE, Rights::WRITE, Self::remove),
+        Command::new(ops::LIST, Rights::READ, Self::list),
+        Command::new(ops::DELETE_DIR, Rights::DELETE, Self::delete_dir),
+        Command::new(ops::RENAME, Rights::WRITE, Self::rename),
+        Command::new(ops::RESOLVE, Rights::READ, Self::resolve),
+    ];
+
     /// A server with no directories yet.
     pub fn new(scheme: SchemeKind) -> DirServer {
         DirServer {
@@ -113,31 +127,33 @@ impl DirServer {
         }
     }
 
-    fn lookup(&self, req: &Request) -> Reply {
-        // `str_ref`: the name is only compared, never kept — the reply
-        // path stays free of stray heap copies (PR 5 pooling audit).
-        let Some(name) = wire::Reader::new(&req.params).str_ref() else {
-            return Reply::status(Status::BadRequest);
-        };
-        match self
-            .table
-            .with_object(&req.cap, Rights::READ, |d| d.get(name).copied())
-        {
-            Ok(Some(cap)) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
-            Ok(None) => Reply::status(Status::NotFound),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn create(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
+        let (_, cap) = self.table.create(Directory::new());
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn enter(&self, req: &Request) -> Reply {
+    fn lookup(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        // `str_ref`: the name is only compared, never kept — the reply
+        // path stays free of stray heap copies (PR 5 pooling audit).
+        let name = wire::Reader::new(&req.params)
+            .str_ref()
+            .ok_or(Status::BadRequest)?;
+        let found = self
+            .table
+            .with_object(&req.cap, need, |d| d.get(name).copied())?;
+        let cap = found.ok_or(Status::NotFound)?;
+        Ok(wire::Writer::new().cap(&cap).finish())
+    }
+
+    fn enter(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(name), Some(cap)) = (r.str_ref(), r.cap()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         if name.is_empty() || name.contains('/') {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         }
-        let result = self.table.with_object_mut(&req.cap, Rights::WRITE, |d| {
+        let entered = self.table.with_object_mut(&req.cap, need, |d| {
             if d.contains_key(name) {
                 false
             } else {
@@ -145,50 +161,45 @@ impl DirServer {
                 d.insert(name.to_owned(), cap);
                 true
             }
-        });
-        match result {
-            Ok(true) => Reply::ok(Bytes::new()),
-            Ok(false) => Reply::status(Status::Conflict),
-            Err(e) => Reply::status(e.into()),
+        })?;
+        if !entered {
+            return Err(Status::Conflict);
         }
+        Ok(Bytes::new())
     }
 
-    fn remove(&self, req: &Request) -> Reply {
-        let Some(name) = wire::Reader::new(&req.params).str_ref() else {
-            return Reply::status(Status::BadRequest);
-        };
-        match self
+    fn remove(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let name = wire::Reader::new(&req.params)
+            .str_ref()
+            .ok_or(Status::BadRequest)?;
+        if !self
             .table
-            .with_object_mut(&req.cap, Rights::WRITE, |d| d.remove(name).is_some())
+            .with_object_mut(&req.cap, need, |d| d.remove(name).is_some())?
         {
-            Ok(true) => Reply::ok(Bytes::new()),
-            Ok(false) => Reply::status(Status::NotFound),
-            Err(e) => Reply::status(e.into()),
+            return Err(Status::NotFound);
         }
+        Ok(Bytes::new())
     }
 
-    fn list(&self, req: &Request) -> Reply {
-        match self.table.with_object(&req.cap, Rights::READ, |d| {
+    fn list(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        Ok(self.table.with_object(&req.cap, need, |d| {
             let mut w = wire::Writer::new().u32(d.len() as u32);
             for name in d.keys() {
                 w = w.str(name);
             }
             w.finish()
-        }) {
-            Ok(body) => Reply::ok(body),
-            Err(e) => Reply::status(e.into()),
-        }
+        })?)
     }
 
-    fn rename(&self, req: &Request) -> Reply {
+    fn rename(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(from), Some(to)) = (r.str_ref(), r.str_ref()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         if to.is_empty() || to.contains('/') {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         }
-        let result = self.table.with_object_mut(&req.cap, Rights::WRITE, |d| {
+        self.table.with_object_mut(&req.cap, need, |d| {
             if from == to {
                 return if d.contains_key(from) {
                     Ok(())
@@ -206,12 +217,8 @@ impl DirServer {
                 }
                 None => Err(Status::NotFound),
             }
-        });
-        match result {
-            Ok(Ok(())) => Reply::ok(Bytes::new()),
-            Ok(Err(status)) => Reply::status(status),
-            Err(e) => Reply::status(e.into()),
-        }
+        })??;
+        Ok(Bytes::new())
     }
 
     /// Encodes the RESOLVE reply body: how far the walk got, what
@@ -222,21 +229,22 @@ impl DirServer {
         consumed: u32,
         status: Status,
         found: Option<(&Capability, &Capability)>,
-    ) -> Reply {
+    ) -> Result<Bytes, Status> {
         let mut w = wire::Writer::new().u32(consumed).u32(status as u32);
         if let Some((cap, parent)) = found {
             w = w.cap(cap).cap(parent);
         }
-        Reply::ok(w.finish())
+        Ok(w.finish())
     }
 
     /// The server half of the batched path walk: consume as many
     /// segments as name objects on *this* server, then either finish
-    /// or hand the chain off at the first foreign capability.
-    fn resolve(&self, req: &Request) -> Reply {
-        let Some(path) = wire::Reader::new(&req.params).str_ref() else {
-            return Reply::status(Status::BadRequest);
-        };
+    /// or hand the chain off at the first foreign capability. Every
+    /// directory walked must grant `need`.
+    fn resolve(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let path = wire::Reader::new(&req.params)
+            .str_ref()
+            .ok_or(Status::BadRequest)?;
         let own_port = self.table.port();
         let mut current = req.cap;
         let mut consumed = 0u32;
@@ -244,7 +252,7 @@ impl DirServer {
         if segs.peek().is_none() {
             // An empty path still validates the starting capability,
             // which is then both what was reached and where.
-            return match self.table.with_object(&req.cap, Rights::READ, |_| ()) {
+            return match self.table.with_object(&req.cap, need, |_| ()) {
                 Ok(()) => Self::resolve_reply(0, Status::Ok, Some((&req.cap, &req.cap))),
                 Err(e) => Self::resolve_reply(0, e.into(), None),
             };
@@ -252,7 +260,7 @@ impl DirServer {
         while let Some(segment) = segs.next() {
             let found = self
                 .table
-                .with_object(&current, Rights::READ, |d| d.get(segment).copied());
+                .with_object(&current, need, |d| d.get(segment).copied());
             match found {
                 Ok(Some(cap)) => {
                     consumed += 1;
@@ -273,20 +281,13 @@ impl DirServer {
         unreachable!("the loop returns on the last segment");
     }
 
-    fn delete_dir(&self, req: &Request) -> Reply {
+    fn delete_dir(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         // Refuse to delete non-empty directories.
-        match self
-            .table
-            .with_object(&req.cap, Rights::DELETE, |d| d.is_empty())
-        {
-            Ok(false) => return Reply::status(Status::Conflict),
-            Ok(true) => {}
-            Err(e) => return Reply::status(e.into()),
+        if !self.table.with_object(&req.cap, need, |d| d.is_empty())? {
+            return Err(Status::Conflict);
         }
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(_) => Reply::ok(Bytes::new()),
-            Err(e) => Reply::status(e.into()),
-        }
+        self.table.delete(&req.cap, need)?;
+        Ok(Bytes::new())
     }
 }
 
@@ -296,23 +297,7 @@ impl Service for DirServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::CREATE => {
-                let (_, cap) = self.table.create(Directory::new());
-                Reply::ok(wire::Writer::new().cap(&cap).finish())
-            }
-            ops::LOOKUP => self.lookup(req),
-            ops::ENTER => self.enter(req),
-            ops::REMOVE => self.remove(req),
-            ops::LIST => self.list(req),
-            ops::DELETE_DIR => self.delete_dir(req),
-            ops::RENAME => self.rename(req),
-            ops::RESOLVE => self.resolve(req),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 }
 
@@ -1365,6 +1350,57 @@ mod tests {
             dirs.lookup(&root, "x"),
             Err(ClientError::Status(Status::NotFound)),
             "an answer that raced the remove outlived the invalidation"
+        );
+        runner.stop();
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        use amoeba_server::rights_check::{assert_rights_enforced, reply_status, Probe};
+        let (_n, runner, dirs) = setup();
+        let entry = dirs.create_dir().unwrap();
+        let holding = |params: Bytes| {
+            let d = dirs.create_dir().unwrap();
+            dirs.enter(&d, "a", &entry).unwrap();
+            (d, params)
+        };
+        let name = |n: &str| wire::Writer::new().str(n).finish();
+        let lookup = || holding(name("a"));
+        let enter = || holding(wire::Writer::new().str("b").cap(&entry).finish());
+        let rename = || holding(wire::Writer::new().str("a").str("b").finish());
+        let list = || holding(Bytes::new());
+        let delete = || (dirs.create_dir().unwrap(), Bytes::new());
+        // RESOLVE answers in its body: `u32 consumed`, `u32 status`.
+        let resolved = |reply: &Result<Bytes, ClientError>| match reply {
+            Ok(body) => {
+                let mut r = wire::Reader::new(body);
+                let status = r.u32().and_then(|_| r.u32());
+                status.and_then(Status::from_u32).unwrap()
+            }
+            Err(_) => reply_status(reply),
+        };
+        assert_rights_enforced(
+            dirs.service(),
+            DirServer::COMMANDS,
+            &[
+                Probe::new(ops::LOOKUP, Rights::READ, &lookup),
+                Probe::new(ops::ENTER, Rights::WRITE, &enter),
+                Probe::new(ops::REMOVE, Rights::WRITE, &lookup),
+                Probe::new(ops::LIST, Rights::READ, &list),
+                Probe::new(ops::DELETE_DIR, Rights::DELETE, &delete),
+                Probe::new(ops::RENAME, Rights::WRITE, &rename),
+                Probe {
+                    status: resolved,
+                    ..Probe::new(ops::RESOLVE, Rights::READ, &lookup)
+                },
+            ],
+            |d| {
+                let names = dirs.list(d);
+                let caps: Vec<_> = (names.iter().flatten())
+                    .map(|n| dirs.service().call(d, ops::LOOKUP, name(n)))
+                    .collect();
+                (names, caps)
+            },
         );
         runner.stop();
     }

@@ -30,14 +30,14 @@
 //!
 //! [`FlatFsClient`]: crate::FlatFsClient
 
-use crate::ops;
 use crate::page_cache::{PageCache, PAGE};
-use amoeba_block::{BlockClient, Extended, Fresh};
+use crate::{command, ops};
+use amoeba_block::{disk_status, BlockClient, Extended, Fresh};
 use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Obs, Port};
 use amoeba_server::proto::{Reply, Request, Status};
-use amoeba_server::{wire, ClientError, ObjectLocks, ObjectTable, RequestCtx, Service};
+use amoeba_server::{dispatch, wire, Command, ObjectLocks, ObjectTable, RequestCtx, Service};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,6 +119,14 @@ pub struct BlockFlatFsServer {
 }
 
 impl BlockFlatFsServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        command(ops::CREATE, Self::create),
+        command(ops::DESTROY, Self::destroy),
+        command(ops::READ, Self::read),
+        command(ops::WRITE, Self::write),
+        command(ops::SIZE, Self::size),
+    ];
+
     /// Creates the server as a client of the block server at
     /// `disk_port`.
     ///
@@ -174,52 +182,44 @@ impl BlockFlatFsServer {
         self.versions.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn create(&self) -> Reply {
+    fn create(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
         let (_, cap) = self.table.create(Inode {
             size: 0,
             extents: Vec::new(),
             version: self.stamp(),
         });
-        Reply::ok(wire::Writer::new().cap(&cap).finish())
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn read(&self, req: &Request) -> Reply {
+    fn read(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(len)) = (r.u64(), r.u32()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         // The capability is validated first, on every read, and the
         // version, the range and the disk runs come from the inode
         // where it lives, under its table lock. Only then is the page
         // cache looked at: it holds bytes, and no authority.
-        let plan = self.table.with_object(&req.cap, Rights::READ, |f| {
+        let (version, want, fetch, runs) = self.table.with_object(&req.cap, need, |f| {
             let want = offset.min(f.size)..offset.saturating_add(len as u64).min(f.size);
             // What a miss fetches: the pages `want` touches, whole, up
             // to the end of the file.
             let fetch = want.start / PAGE * PAGE..(want.end.div_ceil(PAGE) * PAGE).min(f.size);
             let runs = extent_runs(&f.extents, self.block_size, fetch.start, fetch.end);
             (f.version, want, fetch, runs)
-        });
-        let (version, want, fetch, runs) = match plan {
-            Ok(p) => p,
-            Err(e) => return Reply::status(e.into()),
-        };
+        })?;
         if want.is_empty() {
-            return Reply::ok(Bytes::new());
+            return Ok(Bytes::new());
         }
         let pool = self.disk.service().rpc().buf_pool();
         if let Some(body) = self.pages.serve(version, &want, pool) {
-            return Reply::ok(body);
+            return Ok(body);
         }
         // One gather frame covers the whole range, however many extents
         // it crosses. No lock on the way to the disk: the RPC client
         // demuxes concurrent transactions and reads never touch inode
         // metadata.
-        let bodies = match self.disk.read_many(&runs) {
-            Ok(bodies) => bodies,
-            Err(ClientError::Status(s)) => return Reply::status(s),
-            Err(_) => return Reply::status(Status::NoSpace),
-        };
+        let bodies = self.disk.read_many(&runs).map_err(disk_status)?;
         // A single run is passed on as it stands — a slice of the block
         // server's reply frame, copied once more, into ours.
         let fetched = match <[Bytes; 1]>::try_from(bodies) {
@@ -233,38 +233,34 @@ impl BlockFlatFsServer {
             }
         };
         if fetched.len() as u64 != fetch.end - fetch.start {
-            return Reply::status(Status::NoSpace);
+            return Err(Status::NoSpace);
         }
         // A write that raced this fetch re-stamps the inode once its
         // frame is back: these pages land under a version nothing will
         // ask for again.
         self.pages.offer(version, fetch.start / PAGE, &fetched);
         let within = (want.start - fetch.start) as usize..(want.end - fetch.start) as usize;
-        Reply::ok(fetched.slice(within))
+        Ok(fetched.slice(within))
     }
 
-    fn write(&self, req: &Request) -> Reply {
+    fn write(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(data)) = (r.u64(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         let bs = self.block_size;
-        let Some(end) = offset.checked_add(data.len() as u64) else {
-            return Reply::status(Status::OutOfRange);
-        };
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(Status::OutOfRange)?;
         // Serialise writers *of this inode* before looking at it, so a
         // concurrent writer's allocations are always visible (no leaked
         // blocks, no lost metadata). Writers to other files take other
         // stripes and run in parallel.
         let _writing = self.inode_locks.lock(req.cap.object);
-        let meta = self.table.with_object(&req.cap, Rights::WRITE, |f| {
+        let (old_size, have, runs) = self.table.with_object(&req.cap, need, |f| {
             let have: u64 = f.extents.iter().map(|e| u64::from(e.blocks)).sum();
             (f.size, have, extent_runs(&f.extents, bs, offset, end))
-        });
-        let (old_size, have, runs) = match meta {
-            Ok(m) => m,
-            Err(e) => return Reply::status(e.into()),
-        };
+        })?;
         // One disk frame, whatever the write touches: the runs on
         // extents the inode has already are forwarded from the request
         // frame's data slice as WRITE scatters...
@@ -286,7 +282,7 @@ impl BlockFlatFsServer {
                 u32::try_from(needed - have),
                 u32::try_from(from - have * bs),
             ) else {
-                return Reply::status(Status::OutOfRange);
+                return Err(Status::OutOfRange);
             };
             Some((shortfall, within, &data[taken..]))
         } else {
@@ -323,7 +319,7 @@ impl BlockFlatFsServer {
         // reader fetches while the frame is in flight may be the old
         // bytes, and must not end up under the version that names the
         // new ones.
-        let stamped = self.table.with_object_mut(&req.cap, Rights::WRITE, |f| {
+        let stamped = self.table.with_object_mut(&req.cap, need, |f| {
             f.version = self.stamp();
             if written.is_ok() {
                 f.size = new_size;
@@ -337,37 +333,28 @@ impl BlockFlatFsServer {
             self.table
                 .with_data_mut(req.cap.object, |f| f.version = self.stamp());
         }
-        match (written, stamped) {
-            (Ok(_), Ok(())) => Reply::ok(wire::Writer::new().u64(new_size).finish()),
-            (Ok(_), Err(e)) => {
-                // The new extent never made it into any inode and
-                // would otherwise leak disk capacity forever.
-                self.retire(fresh.iter().map(|ext| ext.cap).collect());
-                Reply::status(e.into())
-            }
-            (Err(ClientError::Status(s)), _) => Reply::status(s),
-            (Err(_), _) => Reply::status(Status::NoSpace),
+        written.map_err(disk_status)?;
+        if let Err(e) = stamped {
+            // The new extent never made it into any inode and would
+            // otherwise leak disk capacity forever.
+            self.retire(fresh.iter().map(|ext| ext.cap).collect());
+            return Err(e.into());
         }
+        Ok(wire::Writer::new().u64(new_size).finish())
     }
 
-    fn size(&self, req: &Request) -> Reply {
-        match self.table.with_object(&req.cap, Rights::READ, |f| f.size) {
-            Ok(s) => Reply::ok(wire::Writer::new().u64(s).finish()),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn size(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let size = self.table.with_object(&req.cap, need, |f| f.size)?;
+        Ok(wire::Writer::new().u64(size).finish())
     }
 
-    fn destroy(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(inode) => {
-                // Wait for any in-flight writer of this inode before
-                // retiring its extents; unrelated files are unaffected.
-                let _writing = self.inode_locks.lock(req.cap.object);
-                self.retire(inode.extents.iter().map(|e| e.cap).collect());
-                Reply::ok(Bytes::new())
-            }
-            Err(e) => Reply::status(e.into()),
-        }
+    fn destroy(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let inode = self.table.delete(&req.cap, need)?;
+        // Wait for any in-flight writer of this inode before retiring
+        // its extents; unrelated files are unaffected.
+        let _writing = self.inode_locks.lock(req.cap.object);
+        self.retire(inode.extents.iter().map(|e| e.cap).collect());
+        Ok(Bytes::new())
     }
 }
 
@@ -377,17 +364,7 @@ impl Service for BlockFlatFsServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::CREATE => self.create(),
-            ops::DESTROY => self.destroy(req),
-            ops::READ => self.read(req),
-            ops::WRITE => self.write(req),
-            ops::SIZE => self.size(req),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 }
 
@@ -396,7 +373,7 @@ mod tests {
     use super::*;
     use crate::FlatFsClient;
     use amoeba_block::{BlockServer, DiskConfig};
-    use amoeba_server::ServiceRunner;
+    use amoeba_server::{ClientError, ServiceRunner};
 
     fn setup(cfg: DiskConfig) -> (Network, ServiceRunner, ServiceRunner, FlatFsClient) {
         let net = Network::new();
@@ -1213,5 +1190,13 @@ mod tests {
                 disk.stop();
             }
         }
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        let (_n, disk, fs_runner, fs) = setup(small());
+        crate::tests::assert_flat_file_rights(&fs, BlockFlatFsServer::COMMANDS);
+        fs_runner.stop();
+        disk.stop();
     }
 }

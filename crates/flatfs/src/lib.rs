@@ -54,18 +54,20 @@ use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{Reply, Request, Status};
 use amoeba_server::{
-    wire, ClientError, MigrateData, ObjectTable, RequestCtx, Service, ServiceClient, ShardHost,
-    ShardMigrator,
+    dispatch, wire, ClientError, Command, Handler, MigrateData, ObjectTable, RequestCtx, Service,
+    ServiceClient, ShardHost, ShardMigrator,
 };
 use bytes::Bytes;
 use std::sync::Arc;
 
-/// Flat-file-server operation codes.
+/// Flat-file-server operation codes. What each needs of the presented
+/// capability is declared once for both servers, in their command
+/// tables.
 pub mod ops {
-    /// CREATE FILE; anonymous. Params: none, or (`cap account`,
+    /// CREATE FILE. Params: none, or (`cap account`,
     /// `u64 prepay`) under quota enforcement. Reply: capability.
     pub const CREATE: u32 = 1;
-    /// DESTROY FILE (requires DELETE).
+    /// DESTROY FILE.
     pub const DESTROY: u32 = 2;
     /// READ FILE. Params: `u64 offset`, `u32 len`. Reply: bytes
     /// (short reads at end-of-file).
@@ -75,6 +77,20 @@ pub mod ops {
     pub const WRITE: u32 = 4;
     /// File size. Reply: `u64`.
     pub const SIZE: u32 = 5;
+}
+
+/// An entry of a flat file server's command table. What each command
+/// needs of the presented capability is declared here, once, for both
+/// servers.
+const fn command<S>(id: u32, run: Handler<S>) -> Command<S> {
+    let needs = match id {
+        ops::CREATE => None,
+        ops::READ | ops::SIZE => Some(Rights::READ),
+        ops::WRITE => Some(Rights::WRITE),
+        ops::DESTROY => Some(Rights::DELETE),
+        _ => panic!("not a flat-file command"),
+    };
+    Command { id, needs, run }
 }
 
 /// A file plus its (optional) purchased quota and refund ticket.
@@ -148,6 +164,14 @@ pub struct FlatFsServer {
 }
 
 impl FlatFsServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        command(ops::CREATE, Self::create),
+        command(ops::DESTROY, Self::destroy),
+        command(ops::READ, Self::read),
+        command(ops::WRITE, Self::write),
+        command(ops::SIZE, Self::size),
+    ];
+
     /// An unmetered server: files grow without limit.
     pub fn new(scheme: SchemeKind) -> FlatFsServer {
         FlatFsServer {
@@ -175,7 +199,7 @@ impl FlatFsServer {
         self.table.reseed_secrets(seed);
     }
 
-    fn create(&self, req: &Request) -> Reply {
+    fn create(&self, req: &Request, _: Rights) -> Result<Bytes, Status> {
         let mut paid = None;
         let quota_bytes = match &self.quota {
             None => None,
@@ -183,7 +207,7 @@ impl FlatFsServer {
                 // Metered: the request must carry (account cap, prepay).
                 let mut r = wire::Reader::new(&req.params);
                 let (Some(account), Some(prepay)) = (r.cap(), r.u64()) else {
-                    return Reply::status(Status::BadRequest);
+                    return Err(Status::BadRequest);
                 };
                 // Collect the payment with a real bank transaction. The
                 // client's account capability needs WRITE; ours is the
@@ -195,8 +219,8 @@ impl FlatFsServer {
                     prepay,
                 ) {
                     Ok(()) => {}
-                    Err(ClientError::Status(s)) => return Reply::status(s),
-                    Err(_) => return Reply::status(Status::BadRequest),
+                    Err(ClientError::Status(s)) => return Err(s),
+                    Err(_) => return Err(Status::BadRequest),
                 }
                 paid = Some((account, prepay));
                 Some(prepay.saturating_mul(1024) / policy.price_per_kib.max(1))
@@ -207,7 +231,7 @@ impl FlatFsServer {
             quota_bytes,
             paid,
         }) {
-            Ok((_, cap)) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
+            Ok((_, cap)) => Ok(wire::Writer::new().cap(&cap).finish()),
             Err(e) => {
                 // A drained replica (every owned shard migrated away)
                 // cannot mint; hand the payment back before refusing so
@@ -220,33 +244,30 @@ impl FlatFsServer {
                         prepay,
                     );
                 }
-                Reply::status(e.into())
+                Err(e.into())
             }
         }
     }
 
-    fn read(&self, req: &Request) -> Reply {
+    fn read(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(len)) = (r.u64(), r.u32()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        match self.table.with_object(&req.cap, Rights::READ, |f| {
+        Ok(self.table.with_object(&req.cap, need, |f| {
             let start = (offset as usize).min(f.data.len());
             let end = start.saturating_add(len as usize).min(f.data.len());
             let span = &f.data[start..end];
             wire::Writer::with_capacity(span.len()).raw(span).finish()
-        }) {
-            Ok(data) => Reply::ok(data),
-            Err(e) => Reply::status(e.into()),
-        }
+        })?)
     }
 
-    fn write(&self, req: &Request) -> Reply {
+    fn write(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(data)) = (r.u64(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        let result = self.table.with_object_mut(&req.cap, Rights::WRITE, |f| {
+        let result = self.table.with_object_mut(&req.cap, need, |f| {
             let end = (offset as usize).checked_add(data.len())?;
             if let Some(quota) = f.quota_bytes {
                 if end as u64 > quota {
@@ -259,49 +280,36 @@ impl FlatFsServer {
             f.data[offset as usize..end].copy_from_slice(data);
             Some(f.data.len() as u64)
         });
-        match result {
-            Ok(Some(size)) => Reply::ok(wire::Writer::new().u64(size).finish()),
-            Ok(None) => Reply::status(Status::NoSpace),
-            Err(e) => Reply::status(e.into()),
-        }
+        let size = result?.ok_or(Status::NoSpace)?;
+        Ok(wire::Writer::new().u64(size).finish())
     }
 
-    fn size(&self, req: &Request) -> Reply {
-        match self
+    fn size(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let size = self
             .table
-            .with_object(&req.cap, Rights::READ, |f| f.data.len() as u64)
-        {
-            Ok(s) => Reply::ok(wire::Writer::new().u64(s).finish()),
-            Err(e) => Reply::status(e.into()),
-        }
+            .with_object(&req.cap, need, |f| f.data.len() as u64)?;
+        Ok(wire::Writer::new().u64(size).finish())
     }
 
-    fn destroy(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(file) => {
-                // §3.6 refund: returning disk space returns the money
-                // for the *unused* part of the quota.
-                if let (Some(policy), Some((account, prepay))) = (&self.quota, file.paid) {
-                    let used_kib = (file.data.len() as u64).div_ceil(1024);
-                    let spent = used_kib.saturating_mul(policy.price_per_kib);
-                    let refund = prepay.saturating_sub(spent);
-                    if refund > 0 {
-                        // The server pays out of its own account; a
-                        // failed refund (e.g. the payer closed the
-                        // account) forfeits the money rather than the
-                        // deletion.
-                        let _ = policy.bank.transfer(
-                            &policy.server_account,
-                            &account,
-                            policy.currency,
-                            refund,
-                        );
-                    }
-                }
-                Reply::ok(Bytes::new())
+    fn destroy(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let file = self.table.delete(&req.cap, need)?;
+        // §3.6 refund: returning disk space returns the money for the
+        // *unused* part of the quota.
+        if let (Some(policy), Some((account, prepay))) = (&self.quota, file.paid) {
+            let used_kib = (file.data.len() as u64).div_ceil(1024);
+            let spent = used_kib.saturating_mul(policy.price_per_kib);
+            let refund = prepay.saturating_sub(spent);
+            if refund > 0 {
+                // The server pays out of its own account; a failed
+                // refund (e.g. the payer closed the account) forfeits
+                // the money rather than the deletion.
+                let _ =
+                    policy
+                        .bank
+                        .transfer(&policy.server_account, &account, policy.currency, refund);
             }
-            Err(e) => Reply::status(e.into()),
         }
+        Ok(Bytes::new())
     }
 }
 
@@ -319,17 +327,7 @@ impl Service for FlatFsServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::CREATE => self.create(req),
-            ops::DESTROY => self.destroy(req),
-            ops::READ => self.read(req),
-            ops::WRITE => self.write(req),
-            ops::SIZE => self.size(req),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 
     fn migrator(&self) -> Option<&dyn ShardMigrator> {
@@ -447,7 +445,7 @@ impl FlatFsClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use amoeba_bank::{BankServer, Currency};
     use amoeba_server::ServiceRunner;
@@ -457,6 +455,38 @@ mod tests {
         let runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::OneWay));
         let client = FlatFsClient::open(&net, runner.put_port());
         (net, runner, client)
+    }
+
+    /// The rights check on the flat-file protocol, which both servers
+    /// speak.
+    pub(crate) fn assert_flat_file_rights<S>(fs: &FlatFsClient, commands: &[Command<S>]) {
+        use amoeba_server::rights_check::{assert_rights_enforced, Probe};
+        let file = |params: Bytes| {
+            let cap = fs.create().unwrap();
+            fs.write(&cap, 0, b"abcd").unwrap();
+            (cap, params)
+        };
+        let read = || file(wire::Writer::new().u64(0).u32(4).finish());
+        let write = || file(wire::Writer::new().u64(1).bytes(b"x").finish());
+        let bare = || file(Bytes::new());
+        assert_rights_enforced(
+            fs.service(),
+            commands,
+            &[
+                Probe::new(ops::READ, Rights::READ, &read),
+                Probe::new(ops::WRITE, Rights::WRITE, &write),
+                Probe::new(ops::SIZE, Rights::READ, &bare),
+                Probe::new(ops::DESTROY, Rights::DELETE, &bare),
+            ],
+            |cap| (fs.size(cap), fs.read(cap, 0, 64)),
+        );
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        let (_n, runner, fs) = setup();
+        assert_flat_file_rights(&fs, FlatFsServer::COMMANDS);
+        runner.stop();
     }
 
     #[test]

@@ -46,13 +46,16 @@ use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{Reply, Request, Status};
-use amoeba_server::{wire, ClientError, ObjectTable, RequestCtx, Service, ServiceClient};
+use amoeba_server::{
+    dispatch, wire, ClientError, Command, ObjectTable, RequestCtx, Service, ServiceClient,
+};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Memory-server operation codes.
+/// Memory-server operation codes. What each needs of the presented
+/// capability is declared once, in the server's command table.
 pub mod ops {
-    /// CREATE SEGMENT; anonymous. Params: `u64 size`. Reply: capability.
+    /// CREATE SEGMENT. Params: `u64 size`. Reply: capability.
     pub const CREATE_SEGMENT: u32 = 1;
     /// READ from a segment. Params: `u64 offset`, `u32 len`.
     pub const READ: u32 = 2;
@@ -60,20 +63,20 @@ pub mod ops {
     pub const WRITE: u32 = 3;
     /// Segment size. Reply: `u64`.
     pub const SIZE: u32 = 4;
-    /// Delete a segment (requires DELETE).
+    /// Delete a segment.
     pub const DELETE_SEGMENT: u32 = 5;
     /// MAKE PROCESS. Params: `u32 n`, then n segment capabilities.
     /// Reply: process capability.
     pub const MAKE_PROCESS: u32 = 6;
-    /// Start a (constructed or stopped) process. Requires WRITE.
+    /// Start a (constructed or stopped) process.
     pub const START: u32 = 7;
-    /// Stop a running process. Requires WRITE.
+    /// Stop a running process.
     pub const STOP: u32 = 8;
     /// Process state. Reply: `u32` (see [`ProcState`]).
     ///
     /// [`ProcState`]: super::ProcState
     pub const STATUS: u32 = 9;
-    /// Kill a process and free its slot (requires DELETE).
+    /// Kill a process and free its slot.
     pub const KILL: u32 = 10;
 }
 
@@ -122,6 +125,19 @@ pub struct MemServer {
 }
 
 impl MemServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        Command::anonymous(ops::CREATE_SEGMENT, Self::create_segment),
+        Command::new(ops::READ, Rights::READ, Self::read),
+        Command::new(ops::WRITE, Rights::WRITE, Self::write),
+        Command::new(ops::SIZE, Rights::READ, Self::size),
+        Command::new(ops::DELETE_SEGMENT, Rights::DELETE, Self::delete),
+        Command::anonymous(ops::MAKE_PROCESS, Self::make_process),
+        Command::new(ops::START, Rights::WRITE, Self::start),
+        Command::new(ops::STOP, Rights::WRITE, Self::stop),
+        Command::new(ops::STATUS, Rights::READ, Self::status),
+        Command::new(ops::KILL, Rights::DELETE, Self::delete),
+    ];
+
     /// A server with a 256 MiB simulated physical memory.
     pub fn new(scheme: SchemeKind) -> MemServer {
         Self::with_memory(scheme, 256 << 20)
@@ -136,193 +152,143 @@ impl MemServer {
         }
     }
 
-    fn create_segment(&self, req: &Request) -> Reply {
-        let Some(size) = wire::Reader::new(&req.params).u64() else {
-            return Reply::status(Status::BadRequest);
-        };
+    fn create_segment(&self, req: &Request, _: Rights) -> Result<Bytes, Status> {
+        let size = wire::Reader::new(&req.params)
+            .u64()
+            .ok_or(Status::BadRequest)?;
         // Atomically reserve the memory: concurrent CREATEs must never
         // overshoot the limit between check and commit.
         let limit = self.memory_limit;
-        let reserved = self
-            .allocated
+        self.allocated
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
                 cur.checked_add(size).filter(|&next| next <= limit)
-            });
-        if reserved.is_err() {
-            return Reply::status(Status::NoSpace);
-        }
+            })
+            .map_err(|_| Status::NoSpace)?;
         let (_, cap) = self
             .table
             .create(MemObject::Segment(vec![0; size as usize]));
-        Reply::ok(wire::Writer::new().cap(&cap).finish())
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn read(&self, req: &Request) -> Reply {
+    fn read(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(len)) = (r.u64(), r.u32()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        let result = self
-            .table
-            .with_object(&req.cap, Rights::READ, |obj| match obj {
-                MemObject::Segment(data) => {
-                    let end = (offset as usize).checked_add(len as usize)?;
-                    if end > data.len() {
-                        return None;
-                    }
-                    Some(Bytes::copy_from_slice(&data[offset as usize..end]))
+        let result = self.table.with_object(&req.cap, need, |obj| match obj {
+            MemObject::Segment(data) => {
+                let end = (offset as usize).checked_add(len as usize)?;
+                if end > data.len() {
+                    return None;
                 }
-                MemObject::Process { .. } => None,
-            });
-        match result {
-            Ok(Some(data)) => Reply::ok(data),
-            Ok(None) => Reply::status(Status::OutOfRange),
-            Err(e) => Reply::status(e.into()),
-        }
+                Some(Bytes::copy_from_slice(&data[offset as usize..end]))
+            }
+            MemObject::Process { .. } => None,
+        });
+        result?.ok_or(Status::OutOfRange)
     }
 
-    fn write(&self, req: &Request) -> Reply {
+    fn write(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(data)) = (r.u64(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        let result = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |obj| match obj {
-                MemObject::Segment(seg) => {
-                    let end = (offset as usize).checked_add(data.len())?;
-                    if end > seg.len() {
-                        return None;
-                    }
-                    seg[offset as usize..end].copy_from_slice(data);
-                    Some(())
+        let result = self.table.with_object_mut(&req.cap, need, |obj| match obj {
+            MemObject::Segment(seg) => {
+                let end = (offset as usize).checked_add(data.len())?;
+                if end > seg.len() {
+                    return None;
                 }
-                MemObject::Process { .. } => None,
-            });
-        match result {
-            Ok(Some(())) => Reply::ok(Bytes::new()),
-            Ok(None) => Reply::status(Status::OutOfRange),
-            Err(e) => Reply::status(e.into()),
-        }
-    }
-
-    fn size(&self, req: &Request) -> Reply {
-        let result = self
-            .table
-            .with_object(&req.cap, Rights::READ, |obj| match obj {
-                MemObject::Segment(data) => Some(data.len() as u64),
-                MemObject::Process { .. } => None,
-            });
-        match result {
-            Ok(Some(s)) => Reply::ok(wire::Writer::new().u64(s).finish()),
-            Ok(None) => Reply::status(Status::BadRequest),
-            Err(e) => Reply::status(e.into()),
-        }
-    }
-
-    fn delete_segment(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(MemObject::Segment(data)) => {
-                self.allocated
-                    .fetch_sub(data.len() as u64, Ordering::AcqRel);
-                Reply::ok(Bytes::new())
+                seg[offset as usize..end].copy_from_slice(data);
+                Some(())
             }
-            Ok(proc_obj @ MemObject::Process { .. }) => {
-                // Shouldn't delete a process via the segment op; undo is
-                // impossible after delete, so treat as kill.
-                drop(proc_obj);
-                Reply::ok(Bytes::new())
-            }
-            Err(e) => Reply::status(e.into()),
-        }
+            MemObject::Process { .. } => None,
+        });
+        result?.ok_or(Status::OutOfRange)?;
+        Ok(Bytes::new())
     }
 
-    fn make_process(&self, req: &Request) -> Reply {
+    fn size(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let result = self.table.with_object(&req.cap, need, |obj| match obj {
+            MemObject::Segment(data) => Some(data.len() as u64),
+            MemObject::Process { .. } => None,
+        });
+        let size = result?.ok_or(Status::BadRequest)?;
+        Ok(wire::Writer::new().u64(size).finish())
+    }
+
+    /// DELETE_SEGMENT and KILL alike: whatever the object is, it goes,
+    /// and a segment's memory returns to the pool.
+    fn delete(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        if let MemObject::Segment(data) = self.table.delete(&req.cap, need)? {
+            self.allocated
+                .fetch_sub(data.len() as u64, Ordering::AcqRel);
+        }
+        Ok(Bytes::new())
+    }
+
+    fn make_process(&self, req: &Request, _: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
-        let Some(n) = r.u32() else {
-            return Reply::status(Status::BadRequest);
-        };
+        let n = r.u32().ok_or(Status::BadRequest)?;
         let mut segments = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let Some(cap) = r.cap() else {
-                return Reply::status(Status::BadRequest);
-            };
-            segments.push(cap);
+            segments.push(r.cap().ok_or(Status::BadRequest)?);
         }
         // Every segment capability must be genuine, on this server, and
         // grant at least READ (the child's memory image is loaded from
         // them).
         for cap in &segments {
-            let ok = self.table.with_object(cap, Rights::READ, |obj| {
+            let segment = self.table.with_object(cap, Rights::READ, |obj| {
                 matches!(obj, MemObject::Segment(_))
-            });
-            match ok {
-                Ok(true) => {}
-                Ok(false) => return Reply::status(Status::BadRequest),
-                Err(e) => return Reply::status(e.into()),
+            })?;
+            if !segment {
+                return Err(Status::BadRequest);
             }
         }
         let (_, cap) = self.table.create(MemObject::Process {
             segments,
             state: ProcState::Constructed,
         });
-        Reply::ok(wire::Writer::new().cap(&cap).finish())
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn set_state(&self, req: &Request, target: ProcState) -> Reply {
-        let result = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |obj| match obj {
-                MemObject::Process { state, .. } => {
-                    let legal = matches!(
-                        (*state, target),
-                        (ProcState::Constructed, ProcState::Running)
-                            | (ProcState::Stopped, ProcState::Running)
-                            | (ProcState::Running, ProcState::Stopped)
-                    );
-                    if legal {
-                        *state = target;
-                    }
-                    Some(legal)
-                }
-                MemObject::Segment(_) => None,
-            });
-        match result {
-            Ok(Some(true)) => Reply::ok(Bytes::new()),
-            Ok(Some(false)) => Reply::status(Status::Conflict),
-            Ok(None) => Reply::status(Status::BadRequest),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn start(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        self.set_state(req, need, ProcState::Running)
     }
 
-    fn status(&self, req: &Request) -> Reply {
-        let result = self
-            .table
-            .with_object(&req.cap, Rights::READ, |obj| match obj {
-                MemObject::Process { state, segments } => {
-                    Some((*state as u32, segments.len() as u32))
-                }
-                MemObject::Segment(_) => None,
-            });
-        match result {
-            Ok(Some((s, nsegs))) => Reply::ok(wire::Writer::new().u32(s).u32(nsegs).finish()),
-            Ok(None) => Reply::status(Status::BadRequest),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn stop(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        self.set_state(req, need, ProcState::Stopped)
     }
 
-    fn kill(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(MemObject::Process { .. }) => Reply::ok(Bytes::new()),
-            Ok(seg @ MemObject::Segment(_)) => {
-                if let MemObject::Segment(data) = seg {
-                    self.allocated
-                        .fetch_sub(data.len() as u64, Ordering::AcqRel);
+    fn set_state(&self, req: &Request, need: Rights, target: ProcState) -> Result<Bytes, Status> {
+        let result = self.table.with_object_mut(&req.cap, need, |obj| match obj {
+            MemObject::Process { state, .. } => {
+                let legal = matches!(
+                    (*state, target),
+                    (ProcState::Constructed, ProcState::Running)
+                        | (ProcState::Stopped, ProcState::Running)
+                        | (ProcState::Running, ProcState::Stopped)
+                );
+                if legal {
+                    *state = target;
                 }
-                Reply::ok(Bytes::new())
+                Some(legal)
             }
-            Err(e) => Reply::status(e.into()),
+            MemObject::Segment(_) => None,
+        });
+        if !result?.ok_or(Status::BadRequest)? {
+            return Err(Status::Conflict);
         }
+        Ok(Bytes::new())
+    }
+
+    fn status(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let result = self.table.with_object(&req.cap, need, |obj| match obj {
+            MemObject::Process { state, segments } => Some((*state as u32, segments.len() as u32)),
+            MemObject::Segment(_) => None,
+        });
+        let (state, segments) = result?.ok_or(Status::BadRequest)?;
+        Ok(wire::Writer::new().u32(state).u32(segments).finish())
     }
 }
 
@@ -332,22 +298,7 @@ impl Service for MemServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::CREATE_SEGMENT => self.create_segment(req),
-            ops::READ => self.read(req),
-            ops::WRITE => self.write(req),
-            ops::SIZE => self.size(req),
-            ops::DELETE_SEGMENT => self.delete_segment(req),
-            ops::MAKE_PROCESS => self.make_process(req),
-            ops::START => self.set_state(req, ProcState::Running),
-            ops::STOP => self.set_state(req, ProcState::Stopped),
-            ops::STATUS => self.status(req),
-            ops::KILL => self.kill(req),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 }
 
@@ -632,6 +583,45 @@ mod tests {
         // A *different* (remote) process reads it back.
         let other = MemClient::open(&net, mem.port());
         assert_eq!(&other.read(&disk, 4096, 11).unwrap(), b"sector data");
+        runner.stop();
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        use amoeba_server::rights_check::{assert_rights_enforced, Probe};
+        let (_n, runner, mem) = setup();
+        let segment = |params: Bytes| {
+            let seg = mem.create_segment(16).unwrap();
+            mem.write(&seg, 0, b"text").unwrap();
+            (seg, params)
+        };
+        let read = || segment(wire::Writer::new().u64(0).u32(4).finish());
+        let write = || segment(wire::Writer::new().u64(1).bytes(b"x").finish());
+        let bare = || segment(Bytes::new());
+        let process = |running: bool| {
+            let p = mem.make_process(&[segment(Bytes::new()).0]).unwrap();
+            if running {
+                mem.start(&p).unwrap();
+            }
+            (p, Bytes::new())
+        };
+        let built = || process(false);
+        let running = || process(true);
+        assert_rights_enforced(
+            mem.service(),
+            MemServer::COMMANDS,
+            &[
+                Probe::new(ops::READ, Rights::READ, &read),
+                Probe::new(ops::WRITE, Rights::WRITE, &write),
+                Probe::new(ops::SIZE, Rights::READ, &bare),
+                Probe::new(ops::DELETE_SEGMENT, Rights::DELETE, &bare),
+                Probe::new(ops::START, Rights::WRITE, &built),
+                Probe::new(ops::STOP, Rights::WRITE, &running),
+                Probe::new(ops::STATUS, Rights::READ, &built),
+                Probe::new(ops::KILL, Rights::DELETE, &built),
+            ],
+            |cap| (mem.read(cap, 0, 16), mem.status_full(cap)),
+        );
         runner.stop();
     }
 }

@@ -45,17 +45,21 @@ use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{Reply, Request, Status};
-use amoeba_server::{wire, ClientError, ObjectTable, RequestCtx, Service, ServiceClient};
+use amoeba_server::{
+    dispatch, wire, ClientError, Command, ObjectTable, RequestCtx, Service, ServiceClient,
+};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Multiversion-file-server operation codes.
+/// Multiversion-file-server operation codes. What each needs of the
+/// presented capability is declared once, in the server's command
+/// table.
 pub mod ops {
-    /// Create an empty file; anonymous. Reply: file capability.
+    /// Create an empty file. Reply: file capability.
     pub const CREATE_FILE: u32 = 1;
-    /// Derive a new (uncommitted) version (requires WRITE on the file).
-    /// Reply: version capability.
+    /// Derive a new (uncommitted) version of the file. Reply: version
+    /// capability.
     pub const NEW_VERSION: u32 = 2;
     /// Read one page (file cap: head; version cap: that version).
     /// Params: `u32 page`. Reply: page bytes.
@@ -63,17 +67,17 @@ pub mod ops {
     /// Write one page of an uncommitted version. Params: `u32 page`,
     /// bytes (≤ page size).
     pub const WRITE_PAGE: u32 = 4;
-    /// Atomically commit a version (requires WRITE). `Conflict` if the
-    /// file advanced since the version was derived.
+    /// Atomically commit a version. `Conflict` if the file advanced
+    /// since the version was derived.
     pub const COMMIT: u32 = 5;
     /// File info. Reply: `u64 committed_versions`, `u32 pages`.
     pub const FILE_INFO: u32 = 6;
     /// Version info. Reply: `u64 base_version`, `u32 committed`,
     /// `u32 pages`, `u32 pages_shared_with_head`.
     pub const VERSION_INFO: u32 = 7;
-    /// Destroy a file and its history (requires DELETE).
+    /// Destroy a file and its history.
     pub const DESTROY: u32 = 8;
-    /// The server's page size; anonymous. Reply: `u32`.
+    /// The server's page size. Reply: `u32`.
     pub const PAGE_SIZE: u32 = 9;
 }
 
@@ -124,6 +128,18 @@ pub struct MvfsServer {
 }
 
 impl MvfsServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        Command::anonymous(ops::CREATE_FILE, Self::create_file),
+        Command::new(ops::NEW_VERSION, Rights::WRITE, Self::new_version),
+        Command::new(ops::READ_PAGE, Rights::READ, Self::read_page),
+        Command::new(ops::WRITE_PAGE, Rights::WRITE, Self::write_page),
+        Command::new(ops::COMMIT, Rights::WRITE, Self::commit),
+        Command::new(ops::FILE_INFO, Rights::READ, Self::file_info),
+        Command::new(ops::VERSION_INFO, Rights::READ, Self::version_info),
+        Command::new(ops::DESTROY, Rights::DELETE, Self::destroy),
+        Command::anonymous(ops::PAGE_SIZE, Self::page_size),
+    ];
+
     /// A server with 1 KiB pages.
     pub fn new(scheme: SchemeKind) -> MvfsServer {
         Self::with_page_size(scheme, 1024)
@@ -141,109 +157,97 @@ impl MvfsServer {
         }
     }
 
-    fn new_version(&self, req: &Request) -> Reply {
-        // Snapshot the parent head under READ|WRITE (deriving a version
-        // is a mutation-intent operation).
+    fn create_file(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
+        let (_, cap) = self.table.create(MvObject::File {
+            head: Vec::new(),
+            committed_versions: 0,
+        });
+        Ok(wire::Writer::new().cap(&cap).finish())
+    }
+
+    fn new_version(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        // Snapshot the parent head (deriving a version is a
+        // mutation-intent operation).
         let parent_obj = req.cap.object;
-        let snapshot = self
-            .table
-            .with_object(&req.cap, Rights::WRITE, |obj| match obj {
-                MvObject::File {
-                    head,
-                    committed_versions,
-                } => Some((head.clone(), *committed_versions)),
-                MvObject::Version { .. } => None,
-            });
-        let (pages, base_version) = match snapshot {
-            Ok(Some(s)) => s,
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+        let snapshot = self.table.with_object(&req.cap, need, |obj| match obj {
+            MvObject::File {
+                head,
+                committed_versions,
+            } => Some((head.clone(), *committed_versions)),
+            MvObject::Version { .. } => None,
+        });
+        let (pages, base_version) = snapshot?.ok_or(Status::BadRequest)?;
         let (_, cap) = self.table.create(MvObject::Version {
             parent: parent_obj,
             pages,
             base_version,
             committed: false,
         });
-        Reply::ok(wire::Writer::new().cap(&cap).finish())
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn read_page(&self, req: &Request) -> Reply {
-        let Some(page) = wire::Reader::new(&req.params).u32() else {
-            return Reply::status(Status::BadRequest);
-        };
-        let result = self.table.with_object(&req.cap, Rights::READ, |obj| {
+    fn read_page(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let page = wire::Reader::new(&req.params)
+            .u32()
+            .ok_or(Status::BadRequest)?;
+        let result = self.table.with_object(&req.cap, need, |obj| {
             let pages = match obj {
                 MvObject::File { head, .. } => head,
                 MvObject::Version { pages, .. } => pages,
             };
             pages.get(page as usize).map(|p| Bytes::copy_from_slice(p))
         });
-        match result {
-            Ok(Some(data)) => Reply::ok(data),
-            Ok(None) => Reply::status(Status::OutOfRange),
-            Err(e) => Reply::status(e.into()),
-        }
+        result?.ok_or(Status::OutOfRange)
     }
 
-    fn write_page(&self, req: &Request) -> Reply {
+    fn write_page(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(page), Some(data)) = (r.u32(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         if data.len() > self.page_size {
-            return Reply::status(Status::OutOfRange);
+            return Err(Status::OutOfRange);
         }
         let page_size = self.page_size;
-        let result = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |obj| match obj {
-                MvObject::Version {
-                    pages, committed, ..
-                } => {
-                    if *committed {
-                        // Write-once: committed versions are immutable.
-                        return Some(false);
-                    }
-                    let idx = page as usize;
-                    if idx >= pages.len() {
-                        pages.resize_with(idx + 1, || Arc::new(vec![0u8; page_size]));
-                    }
-                    let mut fresh = vec![0u8; page_size];
-                    fresh[..data.len()].copy_from_slice(data);
-                    pages[idx] = Arc::new(fresh); // the actual copy-on-write
-                    Some(true)
+        let result = self.table.with_object_mut(&req.cap, need, |obj| match obj {
+            MvObject::Version {
+                pages, committed, ..
+            } => {
+                if *committed {
+                    // Write-once: committed versions are immutable.
+                    return Some(false);
                 }
-                MvObject::File { .. } => None,
-            });
-        match result {
-            Ok(Some(true)) => Reply::ok(Bytes::new()),
-            Ok(Some(false)) => Reply::status(Status::Conflict),
-            Ok(None) => Reply::status(Status::BadRequest),
-            Err(e) => Reply::status(e.into()),
+                let idx = page as usize;
+                if idx >= pages.len() {
+                    pages.resize_with(idx + 1, || Arc::new(vec![0u8; page_size]));
+                }
+                let mut fresh = vec![0u8; page_size];
+                fresh[..data.len()].copy_from_slice(data);
+                pages[idx] = Arc::new(fresh); // the actual copy-on-write
+                Some(true)
+            }
+            MvObject::File { .. } => None,
+        });
+        if !result?.ok_or(Status::BadRequest)? {
+            return Err(Status::Conflict);
         }
+        Ok(Bytes::new())
     }
 
-    fn commit(&self, req: &Request) -> Reply {
+    fn commit(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         // Read the version state (must be uncommitted and writable).
-        let version = self
-            .table
-            .with_object(&req.cap, Rights::WRITE, |obj| match obj {
-                MvObject::Version {
-                    parent,
-                    pages,
-                    base_version,
-                    committed,
-                } => Some((*parent, pages.clone(), *base_version, *committed)),
-                MvObject::File { .. } => None,
-            });
-        let (parent, pages, base_version, committed) = match version {
-            Ok(Some(v)) => v,
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+        let version = self.table.with_object(&req.cap, need, |obj| match obj {
+            MvObject::Version {
+                parent,
+                pages,
+                base_version,
+                committed,
+            } => Some((*parent, pages.clone(), *base_version, *committed)),
+            MvObject::File { .. } => None,
+        });
+        let (parent, pages, base_version, committed) = version?.ok_or(Status::BadRequest)?;
         if committed {
-            return Reply::status(Status::Conflict);
+            return Err(Status::Conflict);
         }
         // Optimistic concurrency: install only if nobody else committed
         // since this version was derived.
@@ -262,57 +266,42 @@ impl MvfsServer {
             }
             MvObject::Version { .. } => false,
         });
-        match installed {
-            Some(true) => {
-                // Seal the version object.
-                let _ = self.table.with_object_mut(&req.cap, Rights::WRITE, |obj| {
-                    if let MvObject::Version { committed, .. } = obj {
-                        *committed = true;
-                    }
-                });
-                Reply::ok(Bytes::new())
-            }
-            Some(false) => Reply::status(Status::Conflict),
-            None => Reply::status(Status::NoSuchObject), // parent destroyed
+        // `None`: the parent was destroyed.
+        if !installed.ok_or(Status::NoSuchObject)? {
+            return Err(Status::Conflict);
         }
+        // Seal the version object.
+        let _ = self.table.with_object_mut(&req.cap, need, |obj| {
+            if let MvObject::Version { committed, .. } = obj {
+                *committed = true;
+            }
+        });
+        Ok(Bytes::new())
     }
 
-    fn file_info(&self, req: &Request) -> Reply {
-        let result = self
-            .table
-            .with_object(&req.cap, Rights::READ, |obj| match obj {
-                MvObject::File {
-                    head,
-                    committed_versions,
-                } => Some((*committed_versions, head.len() as u32)),
-                MvObject::Version { .. } => None,
-            });
-        match result {
-            Ok(Some((versions, pages))) => {
-                Reply::ok(wire::Writer::new().u64(versions).u32(pages).finish())
-            }
-            Ok(None) => Reply::status(Status::BadRequest),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn file_info(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let result = self.table.with_object(&req.cap, need, |obj| match obj {
+            MvObject::File {
+                head,
+                committed_versions,
+            } => Some((*committed_versions, head.len() as u32)),
+            MvObject::Version { .. } => None,
+        });
+        let (versions, pages) = result?.ok_or(Status::BadRequest)?;
+        Ok(wire::Writer::new().u64(versions).u32(pages).finish())
     }
 
-    fn version_info(&self, req: &Request) -> Reply {
-        let version = self
-            .table
-            .with_object(&req.cap, Rights::READ, |obj| match obj {
-                MvObject::Version {
-                    parent,
-                    pages,
-                    base_version,
-                    committed,
-                } => Some((*parent, pages.clone(), *base_version, *committed)),
-                MvObject::File { .. } => None,
-            });
-        let (parent, pages, base_version, committed) = match version {
-            Ok(Some(v)) => v,
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+    fn version_info(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let version = self.table.with_object(&req.cap, need, |obj| match obj {
+            MvObject::Version {
+                parent,
+                pages,
+                base_version,
+                committed,
+            } => Some((*parent, pages.clone(), *base_version, *committed)),
+            MvObject::File { .. } => None,
+        });
+        let (parent, pages, base_version, committed) = version?.ok_or(Status::BadRequest)?;
         let shared = self
             .table
             .with_data(parent, |obj| match obj {
@@ -324,21 +313,21 @@ impl MvfsServer {
                 MvObject::Version { .. } => 0,
             })
             .unwrap_or(0);
-        Reply::ok(
-            wire::Writer::new()
-                .u64(base_version)
-                .u32(committed as u32)
-                .u32(pages.len() as u32)
-                .u32(shared)
-                .finish(),
-        )
+        Ok(wire::Writer::new()
+            .u64(base_version)
+            .u32(committed as u32)
+            .u32(pages.len() as u32)
+            .u32(shared)
+            .finish())
     }
 
-    fn destroy(&self, req: &Request) -> Reply {
-        match self.table.delete(&req.cap, Rights::DELETE) {
-            Ok(_) => Reply::ok(Bytes::new()),
-            Err(e) => Reply::status(e.into()),
-        }
+    fn destroy(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        self.table.delete(&req.cap, need)?;
+        Ok(Bytes::new())
+    }
+
+    fn page_size(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
+        Ok(wire::Writer::new().u32(self.page_size as u32).finish())
     }
 }
 
@@ -348,27 +337,7 @@ impl Service for MvfsServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::CREATE_FILE => {
-                let (_, cap) = self.table.create(MvObject::File {
-                    head: Vec::new(),
-                    committed_versions: 0,
-                });
-                Reply::ok(wire::Writer::new().cap(&cap).finish())
-            }
-            ops::NEW_VERSION => self.new_version(req),
-            ops::READ_PAGE => self.read_page(req),
-            ops::WRITE_PAGE => self.write_page(req),
-            ops::COMMIT => self.commit(req),
-            ops::FILE_INFO => self.file_info(req),
-            ops::VERSION_INFO => self.version_info(req),
-            ops::DESTROY => self.destroy(req),
-            ops::PAGE_SIZE => Reply::ok(wire::Writer::new().u32(self.page_size as u32).finish()),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 }
 
@@ -783,6 +752,46 @@ mod tests {
         assert_eq!(
             fs.commit(&v).unwrap_err(),
             ClientError::Status(Status::NoSuchObject)
+        );
+        runner.stop();
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        use amoeba_server::rights_check::{assert_rights_enforced, Probe};
+        let (_n, runner, fs) = setup();
+        let file = || {
+            let file = fs.create_file().unwrap();
+            let v = fs.new_version(&file).unwrap();
+            fs.write_page(&v, 0, b"page zero").unwrap();
+            fs.commit(&v).unwrap();
+            file
+        };
+        let version = || fs.new_version(&file()).unwrap();
+        let page = || wire::Writer::new().u32(0).finish();
+        let on_file = || (file(), Bytes::new());
+        let read_file = || (file(), page());
+        let on_version = || (version(), Bytes::new());
+        let write_page = || (version(), wire::Writer::new().u32(0).bytes(b"x").finish());
+        assert_rights_enforced(
+            fs.service(),
+            MvfsServer::COMMANDS,
+            &[
+                Probe::new(ops::NEW_VERSION, Rights::WRITE, &on_file),
+                Probe::new(ops::READ_PAGE, Rights::READ, &read_file),
+                Probe::new(ops::WRITE_PAGE, Rights::WRITE, &write_page),
+                Probe::new(ops::COMMIT, Rights::WRITE, &on_version),
+                Probe::new(ops::FILE_INFO, Rights::READ, &on_file),
+                Probe::new(ops::VERSION_INFO, Rights::READ, &on_version),
+                Probe::new(ops::DESTROY, Rights::DELETE, &on_file),
+            ],
+            |cap| {
+                (
+                    fs.file_info(cap),
+                    fs.version_info(cap),
+                    fs.read_page(cap, 0),
+                )
+            },
         );
         runner.stop();
     }

@@ -10,6 +10,10 @@
 //! * the standard request/reply wire format ([`proto`]): one capability
 //!   in the header, an operation code, and parameters — exactly the
 //!   message layout of §2.1;
+//! * a [`Command`] table per service and [`dispatch`], which serves a
+//!   request from it: the standard commands, an unknown id and the
+//!   handler's outcome are handled there once, and each command's
+//!   rights are declared in its entry;
 //! * a [`Service`] trait plus a [`ServiceRunner`] that binds a port and
 //!   serves requests on a background worker — or a whole pool of them
 //!   ([`ServiceRunner::spawn_workers`]) draining one shared port;
@@ -18,32 +22,41 @@
 //!
 //! # Example: a counter service in a few lines
 //!
+//! A service declares its commands once, with the rights each needs of
+//! the presented capability, and hands every request to [`dispatch`].
+//!
 //! ```
 //! use amoeba_cap::{schemes::SchemeKind, Rights};
-//! use amoeba_server::{proto::{Reply, Request, Status}, wire, ObjectTable, RequestCtx,
-//!                     Service, ServiceClient, ServiceRunner};
+//! use amoeba_server::{proto::{Reply, Request, Status}, wire, dispatch, Command, ObjectTable,
+//!                     RequestCtx, Service, ServiceClient, ServiceRunner};
 //! use amoeba_net::Network;
+//! use bytes::Bytes;
 //!
 //! struct Counter { table: ObjectTable<u64> }
+//!
+//! impl Counter {
+//!     const COMMANDS: &'static [Command<Self>] = &[
+//!         Command::anonymous(0, Self::create),             // CREATE
+//!         Command::new(1, Rights::WRITE, Self::increment), // INCREMENT
+//!     ];
+//!
+//!     fn create(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
+//!         let (_, cap) = self.table.create(0);
+//!         Ok(wire::Writer::new().cap(&cap).finish())
+//!     }
+//!
+//!     fn increment(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+//!         let n = self.table.with_object_mut(&req.cap, need, |n| { *n += 1; *n })?;
+//!         Ok(wire::Writer::new().u64(n).finish())
+//!     }
+//! }
 //!
 //! impl Service for Counter {
 //!     fn bind(&mut self, put_port: amoeba_net::Port) {
 //!         self.table.set_port(put_port); // minted caps carry our port
 //!     }
 //!     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-//!         match req.command {
-//!             0 => { // CREATE: no capability needed
-//!                 let (_, cap) = self.table.create(0);
-//!                 Reply::ok(wire::Writer::new().cap(&cap).finish())
-//!             }
-//!             1 => { // INCREMENT: needs WRITE
-//!                 match self.table.with_object_mut(&req.cap, Rights::WRITE, |n| { *n += 1; *n }) {
-//!                     Ok(n) => Reply::ok(wire::Writer::new().u64(n).finish()),
-//!                     Err(e) => Reply::status(e.into()),
-//!                 }
-//!             }
-//!             _ => Reply::status(Status::BadCommand),
-//!         }
+//!         dispatch(self, &self.table, Self::COMMANDS, req)
 //!     }
 //! }
 //!
@@ -62,16 +75,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod command;
 mod locks;
 pub mod migrate;
 pub mod principals;
 pub mod proto;
+pub mod rights_check;
 pub mod sealed;
 mod service;
 mod sim_pump;
 mod table;
 pub mod wire;
 
+pub use command::{dispatch, Command, Handler};
 pub use locks::{ObjectLocks, DEFAULT_OBJECT_LOCK_STRIPES};
 pub use migrate::{MigrateData, ShardDisposition, ShardHost, ShardMigrator};
 pub use principals::PrincipalRegistry;

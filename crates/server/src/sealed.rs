@@ -346,28 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_and_drop_wake_idle_sealed_workers() {
-        for workers in [1, 4] {
-            let net = Network::new();
-            let spawn = || {
-                let endpoint = net.attach_open();
-                let sealer = Arc::new(CapSealer::new(
-                    KeyMatrix::random(&[endpoint.id()], &mut SecretStream::from_seed(1))
-                        .view_for(endpoint.id()),
-                ));
-                let echo = Echo {
-                    table: ObjectTable::unbound(SchemeKind::Simple.instantiate()),
-                    sealer: Arc::clone(&sealer),
-                };
-                let port = Port::new(0x5EA1).unwrap();
-                ServiceRunner::spawn_sealed(endpoint, port, echo, sealer, workers)
-            };
-            crate::service::tests::assert_ends_promptly(spawn, ServiceRunner::stop);
-            crate::service::tests::assert_ends_promptly(spawn, drop);
-        }
-    }
-
-    #[test]
     fn capability_never_crosses_in_the_clear() {
         let (net, runner, client, _intruder, _s) = world();
         let wire_tap = net.tap();

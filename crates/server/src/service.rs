@@ -97,7 +97,7 @@ pub(crate) fn serve_one(
             signature: incoming.signature,
         };
         let reply = match Request::decode(&incoming.payload) {
-            Some(decoded) => dispatch(service, server, incoming, &decoded, &ctx),
+            Some(decoded) => route(service, server, incoming, &decoded, &ctx),
             None => Some(Reply::status(Status::BadRequest)),
         };
         // Hold/forward dispositions answer nothing from here: held
@@ -154,7 +154,7 @@ pub(crate) fn send_reply(server: &ServerPort, incoming: &IncomingRequest, reply:
 /// handler: a migration driver that seals a shard and then observes
 /// the gauge at zero knows every request that read the pre-seal
 /// disposition has finished mutating (and dirty-marking) the table.
-fn dispatch(
+fn route(
     service: &(impl Service + ?Sized),
     server: &ServerPort,
     incoming: &IncomingRequest,
@@ -606,7 +606,7 @@ impl ServiceClient {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::table::ObjectTable;
     use amoeba_cap::schemes::SchemeKind;
@@ -773,37 +773,6 @@ pub(crate) mod tests {
         let net = Network::new();
         let runner = ServiceRunner::spawn_open(&net, Echo::new(SchemeKind::Simple));
         runner.stop(); // explicit stop, then drop runs harmlessly
-    }
-
-    /// Shutdown must wake idle workers, not wait out a tick of theirs:
-    /// ten runners are spawned, left to go idle and ended by `end`
-    /// (`stop` or drop); at least nine must end within 5 ms (one
-    /// straggler is allowed to a loaded host). With the former 20 ms
-    /// idle tick three in four would miss the bound.
-    pub(crate) fn assert_ends_promptly<R>(spawn: impl Fn() -> R, end: impl Fn(R)) {
-        let slow = (0..10)
-            .filter(|_| {
-                let runner = spawn();
-                // Let every worker reach its blocking wait (the bound
-                // holds either way; parked is the case worth timing).
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                let t0 = std::time::Instant::now();
-                end(runner);
-                t0.elapsed() >= std::time::Duration::from_millis(5)
-            })
-            .count();
-        assert!(slow <= 1, "{slow} of 10 shutdowns took 5 ms or more");
-    }
-
-    #[test]
-    fn stop_and_drop_wake_idle_workers() {
-        for workers in [1, 4] {
-            let net = Network::new();
-            let spawn =
-                || ServiceRunner::spawn_open_workers(&net, Echo::new(SchemeKind::Simple), workers);
-            assert_ends_promptly(spawn, ServiceRunner::stop);
-            assert_ends_promptly(spawn, drop);
-        }
     }
 
     #[test]

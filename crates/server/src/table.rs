@@ -609,7 +609,7 @@ impl<T> ObjectTable<T> {
     /// Answers the standard commands ([`cmd::STD_RESTRICT`],
     /// [`cmd::STD_REVOKE`], [`cmd::STD_INFO`]); returns `None` for
     /// service-specific commands the caller should handle itself.
-    pub fn handle_std(&self, req: &Request) -> Option<Reply> {
+    pub(crate) fn handle_std(&self, req: &Request) -> Option<Reply> {
         match req.command {
             cmd::STD_RESTRICT => {
                 let mut r = wire::Reader::new(&req.params);

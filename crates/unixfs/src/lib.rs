@@ -40,20 +40,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use amoeba_block::BlockClient;
+use amoeba_block::{disk_status, BlockClient};
 use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::{Capability, Rights};
 use amoeba_net::{Network, Port};
 use amoeba_server::proto::{Reply, Request, Status};
 use amoeba_server::{
-    wire, ClientError, ObjectLocks, ObjectTable, RequestCtx, Service, ServiceClient,
+    dispatch, wire, ClientError, Command, ObjectLocks, ObjectTable, RequestCtx, Service,
+    ServiceClient,
 };
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
-/// UNIX-file-system operation codes.
+/// UNIX-file-system operation codes. What each needs of the presented
+/// capability is declared once, in the server's command table.
 pub mod ops {
-    /// The root directory capability; anonymous.
+    /// The root directory capability.
     pub const ROOT: u32 = 1;
     /// Create an empty file in a directory. Params: `str name`.
     pub const CREATE: u32 = 2;
@@ -128,6 +130,20 @@ pub struct UnixFsServer {
 }
 
 impl UnixFsServer {
+    const COMMANDS: &'static [Command<Self>] = &[
+        Command::anonymous(ops::ROOT, Self::root),
+        Command::new(ops::CREATE, Rights::WRITE, Self::create),
+        Command::new(ops::MKDIR, Rights::WRITE, Self::mkdir),
+        Command::new(ops::LOOKUP, Rights::READ, Self::lookup),
+        Command::new(ops::READDIR, Rights::READ, Self::readdir),
+        Command::new(ops::UNLINK, Rights::WRITE, Self::unlink),
+        Command::new(ops::READ, Rights::READ, Self::read),
+        Command::new(ops::WRITE, Rights::WRITE, Self::write),
+        Command::new(ops::STAT, Rights::READ, Self::stat),
+        Command::new(ops::RENAME, Rights::WRITE, Self::rename),
+        Command::new(ops::TRUNCATE, Rights::WRITE, Self::truncate),
+    ];
+
     /// Creates the server as a client of the block server at
     /// `disk_port`.
     ///
@@ -149,9 +165,33 @@ impl UnixFsServer {
         }
     }
 
-    fn dir_insert(&self, req: &Request, node: Node, name: String) -> Reply {
+    fn root(&self, _: &Request, _: Rights) -> Result<Bytes, Status> {
+        let root = self.root.ok_or(Status::NoSuchObject)?;
+        Ok(wire::Writer::new().cap(&root).finish())
+    }
+
+    fn create(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let file = Node::File {
+            size: 0,
+            blocks: Vec::new(),
+        };
+        self.dir_insert(req, need, file)
+    }
+
+    fn mkdir(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let dir = Node::Dir {
+            entries: BTreeMap::new(),
+        };
+        self.dir_insert(req, need, dir)
+    }
+
+    /// CREATE and MKDIR: `node` under the name the params carry.
+    fn dir_insert(&self, req: &Request, need: Rights, node: Node) -> Result<Bytes, Status> {
+        let name = wire::Reader::new(&req.params)
+            .str()
+            .ok_or(Status::BadRequest)?;
         if name.is_empty() || name.contains('/') {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         }
         // Create the inode first, then claim the name with a single
         // atomic check-and-insert on the directory: concurrent inserts
@@ -159,58 +199,42 @@ impl UnixFsServer {
         // wins, the loser's inode is deleted below). The parent
         // disappearing between the two steps is handled the same way.
         let (_, new_cap) = self.table.create(node);
-        let inserted = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |n| match n {
-                Node::Dir { entries } => {
-                    if entries.contains_key(&name) {
-                        Err(Status::Conflict)
-                    } else {
-                        entries.insert(name.clone(), new_cap);
-                        Ok(())
-                    }
+        let inserted = self.table.with_object_mut(&req.cap, need, |n| match n {
+            Node::Dir { entries } => {
+                if entries.contains_key(&name) {
+                    Err(Status::Conflict)
+                } else {
+                    entries.insert(name.clone(), new_cap);
+                    Ok(())
                 }
-                Node::File { .. } => Err(Status::BadRequest),
-            });
-        match inserted {
-            Ok(Ok(())) => Reply::ok(wire::Writer::new().cap(&new_cap).finish()),
-            Ok(Err(status)) => {
-                let _ = self.table.delete(&new_cap, Rights::NONE);
-                Reply::status(status)
             }
-            Err(e) => {
-                let _ = self.table.delete(&new_cap, Rights::NONE);
-                Reply::status(e.into())
-            }
+            Node::File { .. } => Err(Status::BadRequest),
+        });
+        if let Err(status) = inserted.map_err(Status::from).and_then(|r| r) {
+            let _ = self.table.delete(&new_cap, Rights::NONE);
+            return Err(status);
         }
+        Ok(wire::Writer::new().cap(&new_cap).finish())
     }
 
-    fn lookup(&self, req: &Request) -> Reply {
-        let Some(name) = wire::Reader::new(&req.params).str() else {
-            return Reply::status(Status::BadRequest);
-        };
-        let found = self.table.with_object(&req.cap, Rights::READ, |n| match n {
+    fn lookup(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let name = wire::Reader::new(&req.params)
+            .str()
+            .ok_or(Status::BadRequest)?;
+        let found = self.table.with_object(&req.cap, need, |n| match n {
             Node::Dir { entries } => Some(entries.get(&name).copied()),
             Node::File { .. } => None,
         });
-        match found {
-            Ok(Some(Some(cap))) => Reply::ok(wire::Writer::new().cap(&cap).finish()),
-            Ok(Some(None)) => Reply::status(Status::NotFound),
-            Ok(None) => Reply::status(Status::BadRequest),
-            Err(e) => Reply::status(e.into()),
-        }
+        let cap = found?.ok_or(Status::BadRequest)?.ok_or(Status::NotFound)?;
+        Ok(wire::Writer::new().cap(&cap).finish())
     }
 
-    fn readdir(&self, req: &Request) -> Reply {
-        let listing = self.table.with_object(&req.cap, Rights::READ, |n| match n {
+    fn readdir(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let listing = self.table.with_object(&req.cap, need, |n| match n {
             Node::Dir { entries } => Some(entries.clone()),
             Node::File { .. } => None,
         });
-        let entries = match listing {
-            Ok(Some(e)) => e,
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+        let entries = listing?.ok_or(Status::BadRequest)?;
         let mut w = wire::Writer::new().u32(entries.len() as u32);
         for (name, cap) in &entries {
             let kind = self
@@ -219,29 +243,24 @@ impl UnixFsServer {
                 .unwrap_or(0);
             w = w.str(name).u32(kind);
         }
-        Reply::ok(w.finish())
+        Ok(w.finish())
     }
 
-    fn unlink(&self, req: &Request) -> Reply {
-        let Some(name) = wire::Reader::new(&req.params).str() else {
-            return Reply::status(Status::BadRequest);
-        };
+    fn unlink(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let name = wire::Reader::new(&req.params)
+            .str()
+            .ok_or(Status::BadRequest)?;
         // Atomically claim the unlink by removing the entry first:
         // concurrent unlinks of the same name cannot both proceed, and
         // a concurrent insert of the same name either lands before the
         // removal (and is unlinked with it) or after (and survives).
-        let removed = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |n| match n {
-                Node::Dir { entries } => Some(entries.remove(&name)),
-                Node::File { .. } => None,
-            });
-        let victim_cap = match removed {
-            Ok(Some(Some(cap))) => cap,
-            Ok(Some(None)) => return Reply::status(Status::NotFound),
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+        let removed = self.table.with_object_mut(&req.cap, need, |n| match n {
+            Node::Dir { entries } => Some(entries.remove(&name)),
+            Node::File { .. } => None,
+        });
+        let victim_cap = removed?
+            .ok_or(Status::BadRequest)?
+            .ok_or(Status::NotFound)?;
         // Directories must be empty; files give their blocks back. A
         // non-empty directory gets its entry restored. (A bearer of the
         // victim's own capability can still insert into it between this
@@ -260,12 +279,12 @@ impl UnixFsServer {
         }) {
             Some(Some(b)) => b,
             Some(None) => {
-                let _ = self.table.with_object_mut(&req.cap, Rights::WRITE, |n| {
+                let _ = self.table.with_object_mut(&req.cap, need, |n| {
                     if let Node::Dir { entries } = n {
                         entries.entry(name.clone()).or_insert(victim_cap);
                     }
                 });
-                return Reply::status(Status::Conflict);
+                return Err(Status::Conflict);
             }
             None => Vec::new(), // dangling entry: just drop it
         };
@@ -275,23 +294,19 @@ impl UnixFsServer {
         let _ = self.table.delete(&victim_cap, Rights::NONE);
         let _writing = self.inode_locks.lock(victim_cap.object);
         let _ = self.disk.free_many(&blocks);
-        Reply::ok(Bytes::new())
+        Ok(Bytes::new())
     }
 
-    fn read(&self, req: &Request) -> Reply {
+    fn read(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(len)) = (r.u64(), r.u32()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
-        let meta = self.table.with_object(&req.cap, Rights::READ, |n| match n {
+        let meta = self.table.with_object(&req.cap, need, |n| match n {
             Node::File { size, blocks } => Some((*size, blocks.clone())),
             Node::Dir { .. } => None,
         });
-        let (size, blocks) = match meta {
-            Ok(Some(m)) => m,
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+        let (size, blocks) = meta?.ok_or(Status::BadRequest)?;
         let start = offset.min(size);
         let end = offset.saturating_add(len as u64).min(size);
         let bs = self.block_size as u64;
@@ -320,49 +335,36 @@ impl UnixFsServer {
             }
             pos += take as u64;
         }
-        let bodies = match self.disk.read_many(&gathers) {
-            Ok(b) => b,
-            Err(_) => return Reply::status(Status::NoSpace),
-        };
+        let bodies = self.disk.read_many(&gathers).map_err(|_| Status::NoSpace)?;
         let mut bodies = bodies.into_iter();
         let mut out = Vec::with_capacity((end - start) as usize);
         for seg in segs {
             match seg {
-                Seg::Disk => match bodies.next() {
-                    Some(body) => out.extend_from_slice(&body),
-                    None => return Reply::status(Status::NoSpace),
-                },
+                Seg::Disk => out.extend_from_slice(&bodies.next().ok_or(Status::NoSpace)?),
                 Seg::Hole(take) => out.extend(std::iter::repeat_n(0u8, take as usize)),
             }
         }
-        Reply::ok(Bytes::from(out))
+        Ok(Bytes::from(out))
     }
 
-    fn write(&self, req: &Request) -> Reply {
+    fn write(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(offset), Some(data)) = (r.u64(), r.bytes()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         // Serialise writers *of this inode* before snapshotting it so
         // concurrent writers to one file never leak blocks or lose
         // metadata; writers to other files take other stripes.
         let _writing = self.inode_locks.lock(req.cap.object);
-        let meta = self
-            .table
-            .with_object(&req.cap, Rights::WRITE, |n| match n {
-                Node::File { size, blocks } => Some((*size, blocks.clone())),
-                Node::Dir { .. } => None,
-            });
-        let (old_size, mut blocks) = match meta {
-            Ok(Some(m)) => m,
-            Ok(None) => return Reply::status(Status::BadRequest),
-            Err(e) => return Reply::status(e.into()),
-        };
+        let meta = self.table.with_object(&req.cap, need, |n| match n {
+            Node::File { size, blocks } => Some((*size, blocks.clone())),
+            Node::Dir { .. } => None,
+        });
+        let (old_size, mut blocks) = meta?.ok_or(Status::BadRequest)?;
         let bs = self.block_size as u64;
-        let end = match offset.checked_add(data.len() as u64) {
-            Some(e) => e,
-            None => return Reply::status(Status::OutOfRange),
-        };
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(Status::OutOfRange)?;
         // Allocate every missing block in ONE batch frame. Truncate
         // frees per block, so the inode keeps independent single-block
         // capabilities rather than an extent; `alloc_many` gives back
@@ -373,15 +375,11 @@ impl UnixFsServer {
             let _ = self.disk.free_many(&blocks[original_blocks..]);
         };
         if needed_blocks > original_blocks {
-            match self.disk.alloc_many(needed_blocks - original_blocks) {
-                Ok(fresh) => blocks.extend(fresh),
-                Err(e) => {
-                    return Reply::status(match e {
-                        ClientError::Status(s) => s,
-                        _ => Status::NoSpace,
-                    });
-                }
-            }
+            let fresh = self
+                .disk
+                .alloc_many(needed_blocks - original_blocks)
+                .map_err(disk_status)?;
+            blocks.extend(fresh);
         }
         // Scatter the data across blocks in one batch frame.
         let mut scatters: Vec<(Capability, u32, &[u8])> = Vec::new();
@@ -397,105 +395,82 @@ impl UnixFsServer {
         }
         if let Err(e) = self.disk.write_many(&scatters) {
             free_new(&blocks);
-            return Reply::status(match e {
-                ClientError::Status(s) => s,
-                _ => Status::NoSpace,
-            });
+            return Err(disk_status(e));
         }
         let new_size = old_size.max(end);
-        let update = self.table.with_object_mut(&req.cap, Rights::WRITE, |n| {
+        let update = self.table.with_object_mut(&req.cap, need, |n| {
             if let Node::File { size, blocks: b } = n {
                 *size = new_size;
                 *b = blocks.clone();
             }
         });
-        match update {
-            Ok(()) => Reply::ok(wire::Writer::new().u64(new_size).finish()),
-            Err(e) => {
-                free_new(&blocks);
-                Reply::status(e.into())
-            }
+        if let Err(e) = update {
+            free_new(&blocks);
+            return Err(e.into());
         }
+        Ok(wire::Writer::new().u64(new_size).finish())
     }
 
-    fn rename(&self, req: &Request) -> Reply {
+    fn rename(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
         let mut r = wire::Reader::new(&req.params);
         let (Some(from), Some(to)) = (r.str(), r.str()) else {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         };
         if to.is_empty() || to.contains('/') {
-            return Reply::status(Status::BadRequest);
+            return Err(Status::BadRequest);
         }
-        let result = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |n| match n {
-                Node::Dir { entries } => {
-                    if from == to {
-                        return if entries.contains_key(&from) {
-                            Ok(())
-                        } else {
-                            Err(Status::NotFound)
-                        };
-                    }
-                    if entries.contains_key(&to) {
-                        return Err(Status::Conflict);
-                    }
-                    match entries.remove(&from) {
-                        Some(cap) => {
-                            entries.insert(to.clone(), cap);
-                            Ok(())
-                        }
-                        None => Err(Status::NotFound),
-                    }
+        self.table.with_object_mut(&req.cap, need, |n| match n {
+            Node::Dir { entries } => {
+                if from == to {
+                    return if entries.contains_key(&from) {
+                        Ok(())
+                    } else {
+                        Err(Status::NotFound)
+                    };
                 }
-                Node::File { .. } => Err(Status::BadRequest),
-            });
-        match result {
-            Ok(Ok(())) => Reply::ok(Bytes::new()),
-            Ok(Err(status)) => Reply::status(status),
-            Err(e) => Reply::status(e.into()),
-        }
-    }
-
-    fn truncate(&self, req: &Request) -> Reply {
-        let Some(new_size) = wire::Reader::new(&req.params).u64() else {
-            return Reply::status(Status::BadRequest);
-        };
-        let bs = self.block_size as u64;
-        let result = self
-            .table
-            .with_object_mut(&req.cap, Rights::WRITE, |n| match n {
-                Node::File { size, blocks } => {
-                    if new_size > *size {
-                        return Err(Status::OutOfRange); // truncate shrinks only
-                    }
-                    *size = new_size;
-                    let keep = new_size.div_ceil(bs) as usize;
-                    Ok(blocks.split_off(keep))
+                if entries.contains_key(&to) {
+                    return Err(Status::Conflict);
                 }
-                Node::Dir { .. } => Err(Status::BadRequest),
-            });
-        match result {
-            Ok(Ok(freed)) => {
-                let _writing = self.inode_locks.lock(req.cap.object);
-                let _ = self.disk.free_many(&freed);
-                Reply::ok(Bytes::new())
+                match entries.remove(&from) {
+                    Some(cap) => {
+                        entries.insert(to.clone(), cap);
+                        Ok(())
+                    }
+                    None => Err(Status::NotFound),
+                }
             }
-            Ok(Err(status)) => Reply::status(status),
-            Err(e) => Reply::status(e.into()),
-        }
+            Node::File { .. } => Err(Status::BadRequest),
+        })??;
+        Ok(Bytes::new())
     }
 
-    fn stat(&self, req: &Request) -> Reply {
-        match self.table.with_object(&req.cap, Rights::READ, |n| match n {
+    fn truncate(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let new_size = wire::Reader::new(&req.params)
+            .u64()
+            .ok_or(Status::BadRequest)?;
+        let bs = self.block_size as u64;
+        let freed = self.table.with_object_mut(&req.cap, need, |n| match n {
+            Node::File { size, blocks } => {
+                if new_size > *size {
+                    return Err(Status::OutOfRange); // truncate shrinks only
+                }
+                *size = new_size;
+                let keep = new_size.div_ceil(bs) as usize;
+                Ok(blocks.split_off(keep))
+            }
+            Node::Dir { .. } => Err(Status::BadRequest),
+        })??;
+        let _writing = self.inode_locks.lock(req.cap.object);
+        let _ = self.disk.free_many(&freed);
+        Ok(Bytes::new())
+    }
+
+    fn stat(&self, req: &Request, need: Rights) -> Result<Bytes, Status> {
+        let (kind, size, blocks) = self.table.with_object(&req.cap, need, |n| match n {
             Node::File { size, blocks } => (0u32, *size, blocks.len() as u32),
             Node::Dir { entries } => (1u32, entries.len() as u64, 0),
-        }) {
-            Ok((kind, size, blocks)) => {
-                Reply::ok(wire::Writer::new().u32(kind).u64(size).u32(blocks).finish())
-            }
-            Err(e) => Reply::status(e.into()),
-        }
+        })?;
+        Ok(wire::Writer::new().u32(kind).u64(size).u32(blocks).finish())
     }
 }
 
@@ -509,49 +484,7 @@ impl Service for UnixFsServer {
     }
 
     fn handle(&self, req: &Request, _ctx: &RequestCtx) -> Reply {
-        if let Some(reply) = self.table.handle_std(req) {
-            return reply;
-        }
-        match req.command {
-            ops::ROOT => match self.root {
-                Some(root) => Reply::ok(wire::Writer::new().cap(&root).finish()),
-                None => Reply::status(Status::NoSuchObject),
-            },
-            ops::CREATE => {
-                let Some(name) = wire::Reader::new(&req.params).str() else {
-                    return Reply::status(Status::BadRequest);
-                };
-                self.dir_insert(
-                    req,
-                    Node::File {
-                        size: 0,
-                        blocks: Vec::new(),
-                    },
-                    name,
-                )
-            }
-            ops::MKDIR => {
-                let Some(name) = wire::Reader::new(&req.params).str() else {
-                    return Reply::status(Status::BadRequest);
-                };
-                self.dir_insert(
-                    req,
-                    Node::Dir {
-                        entries: BTreeMap::new(),
-                    },
-                    name,
-                )
-            }
-            ops::LOOKUP => self.lookup(req),
-            ops::READDIR => self.readdir(req),
-            ops::UNLINK => self.unlink(req),
-            ops::READ => self.read(req),
-            ops::WRITE => self.write(req),
-            ops::STAT => self.stat(req),
-            ops::RENAME => self.rename(req),
-            ops::TRUNCATE => self.truncate(req),
-            _ => Reply::status(Status::BadCommand),
-        }
+        dispatch(self, &self.table, Self::COMMANDS, req)
     }
 }
 
@@ -949,6 +882,50 @@ mod tests {
         assert_eq!(
             fs.mkdir(&root, "x").unwrap_err(),
             ClientError::Status(Status::Conflict)
+        );
+        fsr.stop();
+        disk.stop();
+    }
+
+    #[test]
+    fn every_command_refuses_a_capability_lacking_its_rights() {
+        use amoeba_server::rights_check::{assert_rights_enforced, Probe};
+        let (_n, disk, fsr, fs) = setup();
+        let root = fs.root().unwrap();
+        let made = std::cell::Cell::new(0);
+        // A fresh directory holding one file "a" of four bytes.
+        let dir = || {
+            made.set(made.get() + 1);
+            let d = fs.mkdir(&root, &format!("d{}", made.get())).unwrap();
+            let a = fs.create(&d, "a").unwrap();
+            fs.write(&a, 0, b"abcd").unwrap();
+            (d, a)
+        };
+        let name = |n: &str| wire::Writer::new().str(n).finish();
+        let new_name = || (dir().0, name("b"));
+        let old_name = || (dir().0, name("a"));
+        let listing = || (dir().0, Bytes::new());
+        let rename = || (dir().0, wire::Writer::new().str("a").str("b").finish());
+        let read = || (dir().1, wire::Writer::new().u64(0).u32(4).finish());
+        let write = || (dir().1, wire::Writer::new().u64(1).bytes(b"x").finish());
+        let stat = || (dir().1, Bytes::new());
+        let truncate = || (dir().1, wire::Writer::new().u64(2).finish());
+        assert_rights_enforced(
+            fs.service(),
+            UnixFsServer::COMMANDS,
+            &[
+                Probe::new(ops::CREATE, Rights::WRITE, &new_name),
+                Probe::new(ops::MKDIR, Rights::WRITE, &new_name),
+                Probe::new(ops::LOOKUP, Rights::READ, &old_name),
+                Probe::new(ops::READDIR, Rights::READ, &listing),
+                Probe::new(ops::UNLINK, Rights::WRITE, &old_name),
+                Probe::new(ops::READ, Rights::READ, &read),
+                Probe::new(ops::WRITE, Rights::WRITE, &write),
+                Probe::new(ops::STAT, Rights::READ, &stat),
+                Probe::new(ops::RENAME, Rights::WRITE, &rename),
+                Probe::new(ops::TRUNCATE, Rights::WRITE, &truncate),
+            ],
+            |cap| (fs.stat(cap), fs.readdir(cap), fs.read(cap, 0, 16)),
         );
         fsr.stop();
         disk.stop();

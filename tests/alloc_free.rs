@@ -225,11 +225,11 @@ fn wall_clock_rigs_run_without_fresh_buffers() {
     );
     println!("metered create + destroy, {OPS} ops: {metered:?}");
     println!(
-        "fresh buffers per op: echo {}, replicated echo {}, metered {}, block-backed {:.2} \
-         (locks/op {:.2})",
-        echo.buffer_allocs,
-        replicated.buffer_allocs,
-        metered.buffer_allocs,
+        "fresh buffers per op: echo {:.3}, replicated echo {:.3}, metered {:.3}, \
+         block-backed {:.3} (locks/op {:.2})",
+        echo.buffer_allocs as f64 / OPS as f64,
+        replicated.buffer_allocs as f64 / OPS as f64,
+        metered.buffer_allocs as f64 / OPS as f64,
         block_backed.buffer_allocs as f64 / OPS as f64,
         block_backed.lock_acquisitions as f64 / OPS as f64,
     );

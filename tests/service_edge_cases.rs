@@ -14,22 +14,47 @@ fn std_info_restrict_revoke_on_every_service() {
     let net = Network::new();
 
     // One object per service, then the generic STD_ ops on each.
+    let (bank_server, _treasury) = BankServer::new(
+        vec![Currency::convertible("dollar", 1)],
+        SchemeKind::Commutative,
+    );
+    let bank_runner = ServiceRunner::spawn_open(&net, bank_server);
+    let disk_runner = ServiceRunner::spawn_open(
+        &net,
+        BlockServer::new(DiskConfig::small(), SchemeKind::Commutative),
+    );
     let fs_runner = ServiceRunner::spawn_open(&net, FlatFsServer::new(SchemeKind::Commutative));
+    let bfs_runner = ServiceRunner::spawn_open(
+        &net,
+        BlockFlatFsServer::new(&net, disk_runner.put_port(), SchemeKind::Commutative),
+    );
     let dir_runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::Commutative));
     let mem_runner = ServiceRunner::spawn_open(&net, MemServer::new(SchemeKind::Commutative));
     let mvfs_runner = ServiceRunner::spawn_open(&net, MvfsServer::new(SchemeKind::Commutative));
+    let unix_runner = ServiceRunner::spawn_open(
+        &net,
+        UnixFsServer::new(&net, disk_runner.put_port(), SchemeKind::Commutative),
+    );
 
     let svc = ServiceClient::open(&net);
+    let bank = BankClient::with_service(ServiceClient::open(&net), bank_runner.put_port());
+    let disk = BlockClient::with_service(ServiceClient::open(&net), disk_runner.put_port());
     let fs = FlatFsClient::with_service(ServiceClient::open(&net), fs_runner.put_port());
+    let bfs = FlatFsClient::with_service(ServiceClient::open(&net), bfs_runner.put_port());
     let dirs = DirClient::with_service(ServiceClient::open(&net), dir_runner.put_port());
     let mem = MemClient::with_service(ServiceClient::open(&net), mem_runner.put_port());
     let mvfs = MvfsClient::with_service(ServiceClient::open(&net), mvfs_runner.put_port());
+    let unix = UnixFsClient::with_service(ServiceClient::open(&net), unix_runner.put_port());
 
     let caps = [
+        bank.open_account().unwrap(),
+        disk.alloc().unwrap(),
         fs.create().unwrap(),
+        bfs.create().unwrap(),
         dirs.create_dir().unwrap(),
         mem.create_segment(64).unwrap(),
         mvfs.create_file().unwrap(),
+        unix.create(&unix.root().unwrap(), "f").unwrap(),
     ];
     for cap in caps {
         assert_eq!(svc.info(&cap).unwrap(), Rights::ALL);
@@ -39,12 +64,27 @@ fn std_info_restrict_revoke_on_every_service() {
         assert!(svc.info(&cap).is_err(), "old capability dead");
         assert!(svc.info(&ro).is_err(), "restricted copy dead");
         assert_eq!(svc.info(&fresh).unwrap(), Rights::ALL);
+        // A command the service does not declare, on a good capability.
+        assert_eq!(
+            svc.call(&fresh, 0xBAD, Bytes::new()).unwrap_err(),
+            ClientError::Status(Status::BadCommand),
+            "unknown command on {:?}",
+            fresh.port
+        );
     }
 
-    fs_runner.stop();
-    dir_runner.stop();
-    mem_runner.stop();
-    mvfs_runner.stop();
+    for runner in [
+        unix_runner,
+        mvfs_runner,
+        mem_runner,
+        dir_runner,
+        bfs_runner,
+        fs_runner,
+        disk_runner,
+        bank_runner,
+    ] {
+        runner.stop();
+    }
 }
 
 // ---------------------------------------------------------------------
